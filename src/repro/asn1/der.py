@@ -1,10 +1,14 @@
 """DER (Distinguished Encoding Rules) encoder and decoder.
 
-The decoder produces an :class:`Element` tree.  ``strict=True`` enforces
-DER: definite minimal lengths, sorted SET OF, and no trailing octets.
-``strict=False`` tolerates BER-style non-minimal lengths, matching how
-permissive real-world parsers behave — the paper's differential harness
-relies on both modes.
+The decoder produces an :class:`Element` tree in one pass over the
+input: every element records its ``offset`` and ``end`` in the buffer,
+and primitive contents are slices of it.  Both modes reject indefinite
+lengths, truncation, overruns and trailing octets; ``strict=True`` also
+rejects non-minimal (long-form or zero-padded) lengths, which
+``strict=False`` tolerates as permissive real-world parsers do — the
+paper's differential harness relies on both modes.  Neither mode checks
+that SET OF members are sorted: real certificates break that rule and
+parsers accept them, so the linter is the place to flag it.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import datetime as _dt
 from dataclasses import dataclass, field
 
 from .errors import DERDecodeError, DEREncodeError
-from .oid import ObjectIdentifier
+from .oid import OIDS_BY_VALUE, ObjectIdentifier
 from .strings import STRING_SPECS, StringSpec
-from .tags import Tag, TagClass, UniversalTag, decode_tag
+from .tags import IDENTIFIER_TAGS, Tag, TagClass, UniversalTag, decode_tag
 
 # ---------------------------------------------------------------------------
 # Length octets
@@ -75,6 +79,10 @@ class Element:
     children: list["Element"] = field(default_factory=list)
     #: Byte offset of the element's identifier octet in the parsed input.
     offset: int = 0
+    #: Byte offset just past the element's last content octet, so
+    #: ``data[offset:end]`` is the element exactly as received (0 for
+    #: an element built for encoding).
+    end: int = 0
 
     # -- constructors -------------------------------------------------
 
@@ -133,32 +141,62 @@ class Element:
 # ---------------------------------------------------------------------------
 
 
-def _parse_element(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:
-    start = offset
-    tag, offset = decode_tag(data, offset)
-    length, offset = decode_length(data, offset, strict)
-    end = offset + length
-    if end > len(data):
-        raise DERDecodeError(f"content overruns input ({length} octets promised)", offset)
-    if tag.constructed:
-        children = []
-        while offset < end:
-            child, offset = _parse_element(data, offset, strict)
-            children.append(child)
-        if offset != end:
-            raise DERDecodeError("constructed content length mismatch", offset)
-        element = Element(tag=tag, children=children, offset=start)
-    else:
-        element = Element(tag=tag, content=data[offset:end], offset=start)
-        offset = end
-    return element, offset
+def _walk(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:
+    """Decode the element at ``offset`` and everything inside it.
+
+    One loop over the buffer with an explicit stack of open constructed
+    elements.  Single-octet identifiers map straight to their shared
+    :class:`Tag` through :data:`IDENTIFIER_TAGS`; short-form lengths are
+    read inline.  Children are bounded by the input, not by their
+    parent; a parent's length is checked once its last child ends.
+    """
+    size = len(data)
+    tags = IDENTIFIER_TAGS
+    top: list[Element] = []
+    siblings = top
+    parent_end = size
+    stack: list[tuple[list[Element], int]] = []
+    while True:
+        start = offset
+        if offset >= size:
+            raise DERDecodeError("truncated tag", offset)
+        tag = tags[data[offset]]
+        if tag is None:
+            tag, offset = decode_tag(data, offset)
+        else:
+            offset += 1
+        if offset >= size:
+            raise DERDecodeError("truncated length", offset)
+        length = data[offset]
+        if length < 0x80:
+            offset += 1
+        else:
+            length, offset = decode_length(data, offset, strict)
+        end = offset + length
+        if end > size:
+            raise DERDecodeError(f"content overruns input ({length} octets promised)", offset)
+        if tag.constructed:
+            element = Element(tag, b"", [], start, end)
+            siblings.append(element)
+            stack.append((siblings, parent_end))
+            siblings = element.children
+            parent_end = end
+        else:
+            siblings.append(Element(tag, data[offset:end], [], start, end))
+            offset = end
+        while stack and offset >= parent_end:
+            if offset != parent_end:
+                raise DERDecodeError("constructed content length mismatch", offset)
+            siblings, parent_end = stack.pop()
+        if not stack:
+            return top[0], offset
 
 
 def parse(data: bytes, strict: bool = True) -> Element:
     """Parse a single top-level DER element; reject trailing octets."""
     if not data:
         raise DERDecodeError("empty input")
-    element, offset = _parse_element(bytes(data), 0, strict)
+    element, offset = _walk(bytes(data), 0, strict)
     if offset != len(data):
         raise DERDecodeError(f"{len(data) - offset} trailing octet(s) after element", offset)
     return element
@@ -170,7 +208,7 @@ def parse_all(data: bytes, strict: bool = True) -> list[Element]:
     offset = 0
     data = bytes(data)
     while offset < len(data):
-        element, offset = _parse_element(data, offset, strict)
+        element, offset = _walk(data, offset, strict)
         elements.append(element)
     return elements
 
@@ -231,7 +269,14 @@ def encode_oid(value: ObjectIdentifier) -> Element:
 
 
 def decode_oid(element: Element) -> ObjectIdentifier:
-    """Decode an OBJECT IDENTIFIER element."""
+    """Decode an OBJECT IDENTIFIER element.
+
+    Registered OIDs are looked up by their content octets; any other
+    value is decoded arc by arc.
+    """
+    known = OIDS_BY_VALUE.get(element.content)
+    if known is not None:
+        return known
     return ObjectIdentifier.decode_value(element.content)
 
 
@@ -320,17 +365,45 @@ def encode_time(value: _dt.datetime) -> Element:
     )
 
 
+_UTC_TIME = int(UniversalTag.UTC_TIME)
+_GENERALIZED_TIME = int(UniversalTag.GENERALIZED_TIME)
+
+
 def decode_time(element: Element) -> _dt.datetime:
-    """Decode a UTCTime or GeneralizedTime per RFC 5280 rules."""
-    text = element.content.decode("ascii", errors="replace")
+    """Decode a UTCTime or GeneralizedTime per RFC 5280 rules.
+
+    The fixed-width all-digit ``Z`` forms RFC 5280 mandates are read
+    field by field; anything else, and any field ``datetime`` rejects,
+    goes through ``strptime``, which words the error.
+    """
+    raw = element.content
+    number = element.tag.number
     try:
-        if element.tag.number == UniversalTag.UTC_TIME:
+        if number == _UTC_TIME:
+            if len(raw) == 13 and raw[12] == 0x5A and raw[:12].isdigit():
+                year = int(raw[0:2])
+                # RFC 5280: two-digit years 00-49 mean 20xx, 50-99 mean 19xx.
+                return _dt.datetime(
+                    year + (2000 if year < 50 else 1900), int(raw[2:4]), int(raw[4:6]),
+                    int(raw[6:8]), int(raw[8:10]), int(raw[10:12]),
+                )
+        elif number == _GENERALIZED_TIME:
+            if len(raw) == 15 and raw[14] == 0x5A and raw[:14].isdigit():
+                return _dt.datetime(
+                    int(raw[0:4]), int(raw[4:6]), int(raw[6:8]),
+                    int(raw[8:10]), int(raw[10:12]), int(raw[12:14]),
+                )
+    except ValueError:
+        pass
+    text = raw.decode("ascii", errors="replace")
+    try:
+        if number == _UTC_TIME:
             parsed = _dt.datetime.strptime(text, _UTC_FORMAT)
             # RFC 5280: two-digit years 00-49 mean 20xx, 50-99 mean 19xx.
             if parsed.year >= 2050:
                 parsed = parsed.replace(year=parsed.year - 100)
             return parsed
-        if element.tag.number == UniversalTag.GENERALIZED_TIME:
+        if number == _GENERALIZED_TIME:
             return _dt.datetime.strptime(text, _GENERALIZED_FORMAT)
     except ValueError as exc:
         raise DERDecodeError(f"malformed time {text!r}: {exc}", element.offset) from exc

@@ -212,3 +212,12 @@ OID_NAMES: dict[str, str] = {
     "1.3.6.1.5.5.7.3.1": "serverAuth",
     "1.3.6.1.5.5.7.3.2": "clientAuth",
 }
+
+#: Every registered OID keyed by its content octets, for
+#: :func:`repro.asn1.der.decode_oid`.  Built once from :data:`OID_NAMES`,
+#: so its size is fixed: input never adds keys.  Only the minimal
+#: encoding is a key, so a non-minimal one misses and still raises in
+#: :meth:`ObjectIdentifier.decode_value`.
+OIDS_BY_VALUE: dict[bytes, ObjectIdentifier] = {
+    known.encode_value(): known for known in map(ObjectIdentifier, OID_NAMES)
+}

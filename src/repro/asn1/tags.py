@@ -123,17 +123,28 @@ class Tag:
         return f"{name}{' (constructed)' if self.constructed else ''}"
 
 
+#: The shared frozen :class:`Tag` of every single-octet identifier,
+#: indexed by that octet; ``None`` where the low five bits are 0x1F and
+#: the tag number continues in further octets (high-tag-number form).
+IDENTIFIER_TAGS: tuple[Tag | None, ...] = tuple(
+    None
+    if octet & 0x1F == 0x1F
+    else Tag(TagClass(octet >> 6), bool(octet & 0x20), octet & 0x1F)
+    for octet in range(256)
+)
+
+
 def decode_tag(data: bytes, offset: int = 0) -> tuple[Tag, int]:
     """Decode a tag starting at ``offset``; return ``(tag, next_offset)``."""
     if offset >= len(data):
         raise DERDecodeError("truncated tag", offset)
     leading = data[offset]
-    cls = TagClass((leading >> 6) & 0x03)
-    constructed = bool(leading & 0x20)
-    number = leading & 0x1F
     offset += 1
-    if number != 0x1F:
-        return Tag(cls, constructed, number), offset
+    tag = IDENTIFIER_TAGS[leading]
+    if tag is not None:
+        return tag, offset
+    cls = TagClass(leading >> 6)
+    constructed = bool(leading & 0x20)
     # High-tag-number form.
     number = 0
     while True:

@@ -31,7 +31,7 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field
 
-from ..lint.runner import CertificateReport, CorpusSummary
+from ..lint.runner import CertificateReport, CorpusSummary, ReportTally, tally
 
 #: Epoch window granularities keyed by issued-at timestamp.
 EPOCHS = ("year", "month")
@@ -142,11 +142,16 @@ class WindowStats:
     def fold(
         self,
         index: int,
-        report: CertificateReport,
+        counts: ReportTally,
+        deviating: tuple[str, ...],
         facts: CertFacts | None = None,
     ) -> None:
-        """Fold one certificate's report (and facts) into the window."""
-        self.summary.add(report)
+        """Fold one certificate into the window.
+
+        ``counts`` is its report's :func:`~repro.lint.runner.tally` and
+        ``deviating`` the :func:`deviating_columns` of that tally.
+        """
+        self.summary.add_tally(counts)
         if facts is not None:
             bucket = facts.validity_days
             self.validity_days[bucket] = self.validity_days.get(bucket, 0) + 1
@@ -154,8 +159,7 @@ class WindowStats:
                 self.unicode_fields[column] = (
                     self.unicode_fields.get(column, 0) + 1
                 )
-        deviating = {_field_of(r.lint.name) for r in report.findings}
-        for column in sorted(deviating):
+        for column in deviating:
             self.deviating_fields[column] = (
                 self.deviating_fields.get(column, 0) + 1
             )
@@ -255,10 +259,15 @@ class WindowStats:
         return stats
 
 
-def _field_of(lint_name: str) -> str:
+def deviating_columns(counts: ReportTally) -> tuple[str, ...]:
+    """Sorted Figure 4 columns of the lints that fired in one report."""
+    if not counts.names:
+        return ()
+    # Imported per report, not per finding, and lazily for the same
+    # reason as in :func:`cert_facts`.
     from ..analysis.fields import _lint_field
 
-    return _lint_field(lint_name)
+    return tuple(sorted({_lint_field(name) for name in counts.names}))
 
 
 @dataclass
@@ -289,18 +298,23 @@ class WindowedSummary:
         report: CertificateReport,
         facts: CertFacts | None = None,
     ) -> None:
-        """Fold one log entry's lint report into every view."""
-        self.total.fold(index, report, facts)
+        """Fold one log entry's lint report into every view.
+
+        The report is scanned once; the three views share the tally.
+        """
+        counts = tally(report)
+        deviating = deviating_columns(counts)
+        self.total.fold(index, counts, deviating, facts)
         window_id = index // self.config.index_window
         window = self.by_index.get(window_id)
         if window is None:
             window = self.by_index[window_id] = WindowStats()
-        window.fold(index, report, facts)
+        window.fold(index, counts, deviating, facts)
         key = self.config.epoch_key(issued_at)
         epoch = self.by_epoch.get(key)
         if epoch is None:
             epoch = self.by_epoch[key] = WindowStats()
-        epoch.fold(index, report, facts)
+        epoch.fold(index, counts, deviating, facts)
         self.entries += 1
 
     # -- window queries -----------------------------------------------

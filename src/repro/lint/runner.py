@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..x509 import Certificate
 from ..x509.cache import caching_disabled
@@ -71,6 +71,64 @@ class CertificateReport:
 
     def has_warning_level(self) -> bool:
         return bool(self.warnings)
+
+
+class ReportTally(NamedTuple):
+    """What one report adds to a :class:`CorpusSummary`.
+
+    Built by :func:`tally` in one scan of the results, so a report
+    folded into several summaries (the windowed views) is scanned once.
+    Each tuple holds distinct values in the order ``add`` inserts them.
+    """
+
+    noncompliant: bool
+    noncompliant_ignoring_dates: bool
+    #: Fired lint names, sorted.
+    names: tuple[str, ...]
+    #: Noncompliance types of all findings / ERROR / WARN findings,
+    #: sorted by value.
+    types: tuple[NoncomplianceType, ...]
+    error_types: tuple[NoncomplianceType, ...]
+    warn_types: tuple[NoncomplianceType, ...]
+
+
+_CLEAN = ReportTally(False, False, (), (), (), ())
+_CLEAN_SUPPRESSED = ReportTally(False, True, (), (), (), ())
+
+
+def tally(report: CertificateReport) -> ReportTally:
+    """Scan ``report.results`` once into a :class:`ReportTally`."""
+    error, warn, not_effective = LintStatus.ERROR, LintStatus.WARN, LintStatus.NOT_EFFECTIVE
+    findings = []
+    suppressed = False
+    for result in report.results:
+        status = result.status
+        if status is error or status is warn:
+            findings.append(result)
+        elif status is not_effective:
+            suppressed = True
+    if not findings:
+        return _CLEAN_SUPPRESSED if suppressed else _CLEAN
+    names: set[str] = set()
+    types: set[NoncomplianceType] = set()
+    error_types: set[NoncomplianceType] = set()
+    warn_types: set[NoncomplianceType] = set()
+    for result in findings:
+        lint = result.lint
+        names.add(lint.name)
+        types.add(lint.nc_type)
+        if result.status is error:
+            error_types.add(lint.nc_type)
+        else:
+            warn_types.add(lint.nc_type)
+    return ReportTally(
+        True,
+        True,
+        tuple(sorted(names)),
+        tuple(_sorted_types(types)),
+        tuple(_sorted_types(error_types)),
+        tuple(_sorted_types(warn_types)),
+    )
 
 
 _NO_NAMES: frozenset = frozenset()
@@ -221,33 +279,27 @@ class CorpusSummary:
         name / noncompliance type is counted at most once per report,
         regardless of how many findings carry it.
         """
+        self.add_tally(tally(report))
+
+    def add_tally(self, counts: ReportTally) -> None:
+        """Fold one report's precomputed :class:`ReportTally`."""
         self.total += 1
-        if report.noncompliant:
+        if not counts.noncompliant_ignoring_dates:
+            return
+        if counts.noncompliant:
             self.noncompliant += 1
-        if report.noncompliant_ignoring_dates:
-            self.noncompliant_ignoring_dates += 1
-        fired_names: set[str] = set()
-        fired_types: set[NoncomplianceType] = set()
-        error_types: set[NoncomplianceType] = set()
-        warn_types: set[NoncomplianceType] = set()
-        for result in report.findings:
-            fired_names.add(result.lint.name)
-            fired_types.add(result.lint.nc_type)
-            if result.status is LintStatus.ERROR:
-                error_types.add(result.lint.nc_type)
-            else:
-                warn_types.add(result.lint.nc_type)
-        # Sorted iteration keeps dict insertion order deterministic, so
-        # two summaries over the same corpus compare equal structurally
-        # no matter how certificates were sharded.
-        for name in sorted(fired_names):
-            self.per_lint[name] = self.per_lint.get(name, 0) + 1
-        for nc_type in _sorted_types(fired_types):
-            self.per_type[nc_type] = self.per_type.get(nc_type, 0) + 1
-        for nc_type in _sorted_types(error_types):
-            self.error_level[nc_type] = self.error_level.get(nc_type, 0) + 1
-        for nc_type in _sorted_types(warn_types):
-            self.warn_level[nc_type] = self.warn_level.get(nc_type, 0) + 1
+        self.noncompliant_ignoring_dates += 1
+        # The tally's keys are sorted, which keeps dict insertion order
+        # deterministic, so two summaries over the same corpus compare
+        # equal structurally no matter how certificates were sharded.
+        for target, keys in (
+            (self.per_lint, counts.names),
+            (self.per_type, counts.types),
+            (self.error_level, counts.error_types),
+            (self.warn_level, counts.warn_types),
+        ):
+            for key in keys:
+                target[key] = target.get(key, 0) + 1
 
     def merge(self, other: "CorpusSummary") -> "CorpusSummary":
         """Fold another summary into this one (exact, in place).

@@ -82,7 +82,8 @@ class Certificate:
         parsers: malformed string contents are preserved rather than
         rejected, so the linter can inspect them.
         """
-        root = parse_der(data, strict=strict)
+        raw = bytes(data)
+        root = parse_der(raw, strict=strict)
         if len(root.children) != 3:
             raise DERDecodeError("Certificate needs tbs/alg/signature", root.offset)
         tbs = root.child(0)
@@ -120,9 +121,10 @@ class Certificate:
             extensions=extensions,
             public_key=public_key,
             version=version,
-            tbs_der=tbs.encode(),
+            # The TBS exactly as received: the octets the issuer signed.
+            tbs_der=raw[tbs.offset : tbs.end],
             signature=signature_bits,
-            raw=bytes(data),
+            raw=raw,
         )
 
     def build_tbs(self) -> Element:

@@ -84,7 +84,8 @@ class CertificateRevocationList:
 
     @classmethod
     def from_der(cls, data: bytes) -> "CertificateRevocationList":
-        root = parse_der(data, strict=False)
+        raw = bytes(data)
+        root = parse_der(raw, strict=False)
         if len(root.children) != 3:
             raise DERDecodeError("CertificateList needs tbs/alg/signature")
         tbs = root.child(0)
@@ -106,7 +107,7 @@ class CertificateRevocationList:
             next_update=next_update,
             revoked=revoked,
         )
-        crl.tbs_der = tbs.encode()
+        crl.tbs_der = raw[tbs.offset : tbs.end]
         crl.signature = signature_bits
         return crl
 

@@ -53,7 +53,8 @@ class OCSPResponse:
 
     @classmethod
     def from_der(cls, data: bytes) -> "OCSPResponse":
-        root = parse_der(data, strict=False)
+        raw = bytes(data)
+        root = parse_der(raw, strict=False)
         if len(root.children) != 2:
             raise DERDecodeError("OCSPResponse needs tbs/signature")
         tbs = root.child(0)
@@ -64,7 +65,7 @@ class OCSPResponse:
             this_update=decode_time(tbs.child(2)),
             next_update=decode_time(tbs.child(3)),
         )
-        response.tbs_der = tbs.encode()
+        response.tbs_der = raw[tbs.offset : tbs.end]
         response.signature = signature
         return response
 
