@@ -25,70 +25,97 @@ def _largest_power_of_two_below(n: int) -> int:
     return k
 
 
-def _mth(leaves: list[bytes]) -> bytes:
-    """Merkle Tree Hash over leaf *data* (RFC 6962 2.1)."""
-    if not leaves:
-        return hashlib.sha256(b"").digest()
-    if len(leaves) == 1:
-        return leaf_hash(leaves[0])
-    k = _largest_power_of_two_below(len(leaves))
-    return node_hash(_mth(leaves[:k]), _mth(leaves[k:]))
-
-
-def _audit_path(index: int, leaves: list[bytes]) -> list[bytes]:
-    """PATH(m, D[n]) — RFC 6962 2.1.1."""
-    if len(leaves) <= 1:
-        return []
-    k = _largest_power_of_two_below(len(leaves))
-    if index < k:
-        return _audit_path(index, leaves[:k]) + [_mth(leaves[k:])]
-    return _audit_path(index - k, leaves[k:]) + [_mth(leaves[:k])]
-
-
-def _consistency_proof(m: int, leaves: list[bytes], complete: bool = True) -> list[bytes]:
-    """PROOF(m, D[n]) — RFC 6962 2.1.2."""
-    n = len(leaves)
-    if m == n:
-        return [] if complete else [_mth(leaves)]
-    k = _largest_power_of_two_below(n)
-    if m <= k:
-        return _consistency_proof(m, leaves[:k], complete=complete) + [_mth(leaves[k:])]
-    return _consistency_proof(m - k, leaves[k:], complete=False) + [_mth(leaves[:k])]
-
-
 class MerkleTree:
-    """An append-only Merkle tree over arbitrary byte-string leaves."""
+    """An append-only Merkle tree over arbitrary byte-string leaves.
+
+    Each leaf is hashed once, at :meth:`append`.  A subtree whose width
+    is a power of two covers an aligned, complete run of leaves, so its
+    hash never changes once it exists: every such hash is memoized the
+    first time a root or proof needs it.  A root or proof then hashes
+    only the O(log n) nodes on the tree's incomplete right edge.  Those
+    are not memoized: they differ for every tree size, while the
+    complete subtrees number fewer than the leaves.
+    """
 
     def __init__(self):
-        self._leaves: list[bytes] = []
+        self._leaf_hashes: list[bytes] = []
+        #: ``(start, width) -> hash`` of complete power-of-two subtrees.
+        self._subtrees: dict[tuple[int, int], bytes] = {}
 
     def append(self, data: bytes) -> int:
         """Append a leaf; return its index."""
-        self._leaves.append(bytes(data))
-        return len(self._leaves) - 1
+        self._leaf_hashes.append(leaf_hash(data))
+        return len(self._leaf_hashes) - 1
 
     @property
     def size(self) -> int:
-        return len(self._leaves)
+        return len(self._leaf_hashes)
+
+    def _hash(self, start: int, end: int) -> bytes:
+        """MTH of the leaves ``[start, end)`` (RFC 6962 2.1), ``end > start``."""
+        width = end - start
+        if width == 1:
+            return self._leaf_hashes[start]
+        complete = width & (width - 1) == 0
+        if complete:
+            cached = self._subtrees.get((start, width))
+            if cached is not None:
+                return cached
+        k = _largest_power_of_two_below(width)
+        digest = node_hash(self._hash(start, start + k), self._hash(start + k, end))
+        if complete:
+            self._subtrees[(start, width)] = digest
+        return digest
 
     def root(self, size: int | None = None) -> bytes:
         """Tree head at ``size`` (defaults to the current size)."""
         size = self.size if size is None else size
         if not 0 <= size <= self.size:
             raise ValueError(f"size {size} out of range")
-        return _mth(self._leaves[:size])
+        if size == 0:
+            return hashlib.sha256(b"").digest()
+        return self._hash(0, size)
 
     def inclusion_proof(self, index: int, size: int | None = None) -> list[bytes]:
+        """PATH(index, D[size]) — RFC 6962 2.1.1, leaf-side node first."""
         size = self.size if size is None else size
         if not 0 <= index < size <= self.size:
             raise ValueError("index/size out of range")
-        return _audit_path(index, self._leaves[:size])
+        path = []
+        start, end = 0, size
+        while end - start > 1:
+            split = start + _largest_power_of_two_below(end - start)
+            if index < split:
+                path.append(self._hash(split, end))
+                end = split
+            else:
+                path.append(self._hash(start, split))
+                start = split
+        path.reverse()
+        return path
 
     def consistency_proof(self, old_size: int, new_size: int | None = None) -> list[bytes]:
+        """PROOF(old_size, D[new_size]) — RFC 6962 2.1.2."""
         new_size = self.size if new_size is None else new_size
         if not 0 < old_size <= new_size <= self.size:
             raise ValueError("sizes out of range")
-        return _consistency_proof(old_size, self._leaves[:new_size])
+        proof = []
+        start, end, m = 0, new_size, old_size
+        complete = True
+        while m != end - start:
+            k = _largest_power_of_two_below(end - start)
+            if m <= k:
+                proof.append(self._hash(start + k, end))
+                end = start + k
+            else:
+                proof.append(self._hash(start, start + k))
+                start += k
+                m -= k
+                complete = False
+        if not complete:
+            proof.append(self._hash(start, end))
+        proof.reverse()
+        return proof
 
 
 def verify_inclusion(

@@ -12,8 +12,9 @@ from ..asn1 import PRINTABLE_STRING
 from ..uni import (
     BIDI_CONTROLS,
     INVISIBLE_CHARACTERS,
-    alabel_violations,
+    is_ldh_label,
     mixed_script_confusable,
+    unpermitted_violations,
 )
 from ..x509 import Certificate, GeneralNameKind
 from .context import (
@@ -353,14 +354,12 @@ register_lint(
 
 
 def _check_idn_permitted(cert: Certificate) -> tuple[bool, str]:
-    for label, _ulabel, exc in alabel_decodings(cert):
+    for label, ulabel, exc in alabel_decodings(cert):
         if exc is not None:
             continue  # Covered by e_rfc_dns_idn_malformed_unicode.
-        problems = [
-            p
-            for p in alabel_violations(label)
-            if "DISALLOWED" in p or "UNASSIGNED" in p or "direction" in p or "numerals" in p
-        ]
+        if not is_ldh_label(label):
+            continue  # Reported by its LDH problems alone, as in alabel_violations.
+        problems = unpermitted_violations(ulabel)
         if problems:
             return False, f"A-label {label!r}: {problems[0]}"
     return True, ""

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..asn1.oid import OID_COMMON_NAME
-from ..uni import alabel_violations, is_nfc, ulabel_to_alabel
+from ..uni import is_ldh_label, is_nfc, ulabel_to_alabel, unpermitted_violations
 from ..uni.errors import IDNAError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
 from ..x509 import GeneralNameKind
@@ -295,13 +295,15 @@ def _uri_shape_mask(value: str) -> int:
 def _xn_label_mask(label: str) -> int:
     """Exact IDN-analysis bits of one A-label (memoized corpus-wide).
 
-    Runs the same pure pipeline the four IDN lints interpret — punycode
-    decode, IDNA2008 violation filter, NFC check, canonical round-trip —
-    once per distinct label for the whole corpus.  Every bit is exact
-    (fires iff the corresponding lint would fail on this label), so the
-    fast path only falls back on labels that actually violate;
-    ``SCOPE_NONEMPTY`` records decodability for the two lints that only
-    apply to decodable labels.
+    Runs the same pure pipeline the four IDN lints interpret — one
+    punycode decode, the IDNA2008 code-point check
+    (:func:`repro.uni.idna.unpermitted_violations`, LDH labels only, as
+    in :func:`repro.uni.idna.alabel_violations`), the NFC check, and one
+    encode for the canonical round-trip — once per distinct label for
+    the whole corpus.  Every bit is exact (fires iff the corresponding
+    lint would fail on this label), so the fast path only falls back on
+    labels that actually violate; ``SCOPE_NONEMPTY`` records
+    decodability for the two lints that only apply to decodable labels.
     """
     mask = _XN_MASKS.get(label)
     if mask is not None:
@@ -313,15 +315,7 @@ def _xn_label_mask(label: str) -> int:
         mask = _XN_DECODE_BAD
     else:
         mask = SCOPE_NONEMPTY
-        problems = [
-            p
-            for p in alabel_violations(label)
-            if "DISALLOWED" in p
-            or "UNASSIGNED" in p
-            or "direction" in p
-            or "numerals" in p
-        ]
-        if problems:
+        if is_ldh_label(label) and unpermitted_violations(ulabel):
             mask |= _XN_UNPERMITTED
         if not is_nfc(ulabel):
             mask |= _XN_NOT_NFC

@@ -132,6 +132,23 @@ def _bidi_violations(label: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def unpermitted_violations(label: str) -> list[str]:
+    """The code-point violations of a U-label: DISALLOWED or UNASSIGNED
+    code points (RFC 5892) and the Bidi rule (RFC 5893).
+
+    The one definition behind the "unpermitted character" lint, its
+    compiled trigger bit, and the matching part of
+    :func:`ulabel_violations`.
+    """
+    problems = []
+    for ch in label:
+        prop = derived_property(ord(ch))
+        if prop in ("DISALLOWED", "UNASSIGNED"):
+            problems.append(f"{prop} code point U+{ord(ch):04X}")
+    problems.extend(_bidi_violations(label))
+    return problems
+
+
 def ulabel_violations(label: str) -> list[str]:
     """Return every IDNA2008 violation of a would-be U-label."""
     problems: list[str] = []
@@ -147,13 +164,11 @@ def ulabel_violations(label: str) -> list[str]:
         problems.append("label has hyphens in positions 3 and 4")
     if unicodedata.category(label[0]) in ("Mn", "Mc", "Me"):
         problems.append("label starts with a combining mark")
-    for ch in label:
-        prop = derived_property(ord(ch))
-        if prop in ("DISALLOWED", "UNASSIGNED"):
-            problems.append(f"{prop} code point U+{ord(ch):04X}")
-    if all(ord(ch) < 0x80 for ch in label):
+    # A pure-ASCII label never triggers the Bidi rule, so its message
+    # order matches checking the Bidi rule after the ASCII test.
+    problems.extend(unpermitted_violations(label))
+    if label.isascii():
         problems.append("label is pure ASCII (not a U-label)")
-    problems.extend(_bidi_violations(label))
     try:
         if len(ACE_PREFIX) + len(punycode.encode(label)) > MAX_LABEL_OCTETS:
             problems.append("A-label form exceeds 63 octets")

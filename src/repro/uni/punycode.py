@@ -23,14 +23,8 @@ DELIMITER = "-"
 #: we use the Unicode ceiling plus headroom like the reference C code).
 _MAXINT = 0x7FFFFFFF
 
-
-def _encode_digit(d: int) -> str:
-    """Map 0..35 to 'a'..'z', '0'..'9' (always lowercase)."""
-    if d < 26:
-        return chr(ord("a") + d)
-    if d < 36:
-        return chr(ord("0") + d - 26)
-    raise PunycodeError(f"digit out of range: {d}")
+#: Digit value 0..35 -> its (lowercase) Punycode character.
+_DIGITS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
 def _decode_digit(ch: str) -> int:
@@ -65,30 +59,31 @@ def encode(text: str) -> str:
     if not text:
         return ""
     for ch in text:
-        if 0xD800 <= ord(ch) <= 0xDFFF:
+        if "\ud800" <= ch <= "\udfff":
             raise PunycodeError(f"surrogate U+{ord(ch):04X} cannot be encoded")
-    output = [ch for ch in text if ord(ch) < INITIAL_N]
+    codes = [ord(ch) for ch in text]
+    output = [ch for ch in text if ch < "\x80"]
     basic_count = handled = len(output)
     if output:
         output.append(DELIMITER)
+    digits = _DIGITS
     n = INITIAL_N
     delta = 0
     bias = INITIAL_BIAS
-    while handled < len(text):
-        m = min(ord(ch) for ch in text if ord(ch) >= n)
+    # Each distinct non-basic code point, in ascending order, is the
+    # next ``m`` of RFC 3492 §6.3 (the smallest code point >= n).
+    for m in sorted({cp for cp in codes if cp >= INITIAL_N}):
         # RFC 3492 §6.4 overflow guard, applied *before* the arithmetic
         # like the reference encoder: delta would exceed maxint.
         if m - n > (_MAXINT - delta) // (handled + 1):
             raise PunycodeError("overflow while encoding")
         delta += (m - n) * (handled + 1)
-        n = m
-        for ch in text:
-            cp = ord(ch)
-            if cp < n:
+        for cp in codes:
+            if cp < m:
                 delta += 1
                 if delta > _MAXINT:
                     raise PunycodeError("overflow while encoding")
-            elif cp == n:
+            elif cp == m:
                 q = delta
                 k = BASE
                 while True:
@@ -100,15 +95,15 @@ def encode(text: str) -> str:
                         t = k - bias
                     if q < t:
                         break
-                    output.append(_encode_digit(t + (q - t) % (BASE - t)))
+                    output.append(digits[t + (q - t) % (BASE - t)])
                     q = (q - t) // (BASE - t)
                     k += BASE
-                output.append(_encode_digit(q))
+                output.append(digits[q])
                 bias = _adapt(delta, handled + 1, handled == basic_count)
                 delta = 0
                 handled += 1
         delta += 1
-        n += 1
+        n = m + 1
     return "".join(output)
 
 

@@ -1,13 +1,16 @@
 """Global switch for the memoized extraction layer.
 
-The derived-view caches on :class:`~repro.x509.certificate.Certificate`,
-:class:`~repro.x509.name.Name`, and
-:class:`~repro.x509.general_name.GeneralName` are identity-validated and
-therefore always safe — but the equivalence tests (and the benchmark's
-"before" leg) need a way to measure the *uncached* code path on the very
-same objects.  :func:`caching_disabled` is that switch: while any caller
-holds it, every accessor recomputes from the underlying DER/attribute
-state and neither reads nor writes its memo.
+The derived-view caches — :class:`~repro.x509.certificate.Certificate`
+extension views and the ``char_set`` of
+:class:`~repro.x509.name.AttributeTypeAndValue` and
+:class:`~repro.x509.general_name.GeneralName` — are identity-validated
+and therefore always safe — but the equivalence tests (and the
+benchmark's "before" leg) need a way to measure the *uncached* code
+path on the very same objects.  :func:`caching_disabled` is that
+switch: while any caller holds it, every accessor recomputes from the
+underlying DER/attribute state and neither reads nor writes its memo.
+:class:`~repro.x509.name.Name` keeps no memo: its accessors scan the
+RDN list on every call, which costs less than validating a memo would.
 """
 
 from __future__ import annotations

@@ -162,14 +162,19 @@ class Certificate:
     # Extension accessors
     # ------------------------------------------------------------------
 
+    # Extension lookups compare ``oid.dotted``, ObjectIdentifier's only
+    # field: the same test as ``==`` without the dataclass ``__eq__`` call.
+
     def get_extension(self, oid: ObjectIdentifier) -> Extension | None:
+        dotted = oid.dotted
         for ext in self.extensions:
-            if ext.oid == oid:
+            if ext.oid.dotted == dotted:
                 return ext
         return None
 
     def get_extensions(self, oid: ObjectIdentifier) -> list[Extension]:
-        return [ext for ext in self.extensions if ext.oid == oid]
+        dotted = oid.dotted
+        return [ext for ext in self.extensions if ext.oid.dotted == dotted]
 
     def _extension_view(self, slot, oid, parser, errors=Exception):
         """Parse (or recall) the derived view of the extension ``oid``.

@@ -133,11 +133,6 @@ class Name:
     """An RDNSequence — the Subject/Issuer type of RFC 5280."""
 
     rdns: list[RelativeDistinguishedName] = field(default_factory=list)
-    #: ``(token, attrs_tuple, by_oid)`` — valid only while the structural
-    #: token (object identities of every RDN, attribute, and attribute
-    #: OID) still matches, so list edits and OID reassignment invalidate
-    #: it; attribute *values* are always read live off the attr objects.
-    _attr_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     # -- construction ----------------------------------------------------
 
@@ -173,48 +168,24 @@ class Name:
 
     # -- accessors -----------------------------------------------------------
 
-    def _attr_token(self) -> tuple:
-        return tuple(
-            (id(rdn), tuple((id(attr), id(attr.oid)) for attr in rdn.attributes))
-            for rdn in self.rdns
-        )
-
-    def _attr_index(self) -> tuple:
-        """Return ``(attrs_tuple, by_oid)``, rebuilding on structure change."""
-        token = self._attr_token()
-        cached = self._attr_cache
-        if cached is None or cached[0] != token:
-            attrs = tuple(attr for rdn in self.rdns for attr in rdn.attributes)
-            by_oid: dict[str, list[AttributeTypeAndValue]] = {}
-            for attr in attrs:
-                by_oid.setdefault(attr.oid.dotted, []).append(attr)
-            cached = (token, attrs, {k: tuple(v) for k, v in by_oid.items()})
-            self._attr_cache = cached
-        return cached[1], cached[2]
+    # Every accessor scans ``rdns`` live: a DN holds a handful of
+    # attributes, so a scan is cheaper than validating any memo of it.
 
     def attributes(self) -> list[AttributeTypeAndValue]:
-        if not caching_enabled():
-            return [attr for rdn in self.rdns for attr in rdn.attributes]
-        attrs, _by_oid = self._attr_index()
-        return list(attrs)
-
-    def _attrs_for(self, attr_oid: ObjectIdentifier) -> tuple:
-        if not caching_enabled():
-            return tuple(
-                attr
-                for rdn in self.rdns
-                for attr in rdn.attributes
-                if attr.oid == attr_oid
-            )
-        _attrs, by_oid = self._attr_index()
-        return by_oid.get(attr_oid.dotted, ())
+        return [attr for rdn in self.rdns for attr in rdn.attributes]
 
     def get(self, attr_oid: ObjectIdentifier) -> list[str]:
         """All values of the given attribute type, in order."""
-        return [attr.value for attr in self._attrs_for(attr_oid)]
+        return [attr.value for attr in self.get_attrs(attr_oid)]
 
     def get_attrs(self, attr_oid: ObjectIdentifier) -> list[AttributeTypeAndValue]:
-        return list(self._attrs_for(attr_oid))
+        dotted = attr_oid.dotted
+        return [
+            attr
+            for rdn in self.rdns
+            for attr in rdn.attributes
+            if attr.oid.dotted == dotted
+        ]
 
     @property
     def is_empty(self) -> bool:
