@@ -3,26 +3,23 @@
 Two layers:
 
 * **Corpus benchmark** (``main()`` / ``test_corpus_lint_throughput``) —
-  lints one seeded corpus four ways through the staged
-  :mod:`repro.engine` pipeline and records certs/sec for each:
+  lints one seeded corpus three ways and records certs/sec for each:
 
-  - ``before``: the legacy per-lint loop with every derived-view cache
-    disabled (``optimized=False`` through the serial executor) — the
-    pre-change behaviour, kept callable precisely so the speedup claim
-    is measured in the same tree it ships in;
-  - ``after``: the compiled single-process path (per-run LintContext,
-    RegistryIndex family skipping, effective-date bisect, memoized
-    extension/name views, char-class kernel dispatch) through the
-    serial executor;
-  - ``after_nocompile``: the same memoized path with the compiled
-    kernels pinned off (``compiled=False``, the ``--no-compile``
-    semantics) — the denominator of the compiled lint-stage speedup;
-  - ``after_jobs``: the compiled path through the process-pool
+  - ``before``: the reference oracle
+    (:func:`repro.lint.reference.reference_run_lints`: the per-lint
+    loop with every derived-view cache disabled), serially — kept
+    callable precisely so the speedup claim is measured in the same
+    tree it ships in;
+  - ``after``: the production path (per-run LintContext, RegistryIndex
+    family skipping, effective-date bisect, memoized extension/name
+    views, compiled char-class dispatch) through the staged
+    :mod:`repro.engine` pipeline's serial executor;
+  - ``after_jobs``: the production path through the process-pool
     executor at ``--jobs N``.
 
   Each mode threads an :class:`repro.engine.EngineStats` collector, so
   the record carries a per-stage (compile/decode/lint/sink) seconds
-  breakdown alongside the headline rate.  Every run asserts the four
+  breakdown alongside the headline rate.  Every run asserts the three
   summaries serialize byte-identically before any rate is reported,
   then writes the machine-readable record to
   ``benchmarks/output/BENCH_lint_throughput.json``.
@@ -47,13 +44,10 @@ import sys
 import time
 
 from repro.ct import CorpusGenerator
-from repro.engine import EngineStats
-from repro.lint import (
-    lint_corpus_parallel,
-    run_lints,
-    summary_to_json,
-)
+from repro.engine import EngineStats, run_corpus
+from repro.lint import run_lints, summarize, summary_to_json
 from repro.lint.parallel import LintPool, usable_cpus
+from repro.lint.reference import reference_run_lints
 from repro.uni import punycode
 from repro.x509 import (
     Certificate,
@@ -83,21 +77,19 @@ def _corpus_ders(corpus) -> list[bytes]:
     return [record.certificate.to_der() for record in corpus.records]
 
 
-def _lint_stage_seconds(certs, compiled: bool) -> float:
-    """Seconds for one serial ``run_lints`` pass over ``certs``.
-
-    The lint-stage legs of :func:`measure` share one prebuilt schedule
-    and one certificate list, so repeated calls time dispatch alone —
-    every derived-view memo is warm after the first pass.
-    """
-    from repro.lint import REGISTRY, index_for
-
-    lints = REGISTRY.snapshot()
-    index = index_for(lints)
-    start = time.perf_counter()
-    for cert in certs:
-        run_lints(cert, lints=lints, index=index, compiled=compiled)
-    return time.perf_counter() - start
+def _reference_run(corpus, stats: EngineStats):
+    """The ``before`` leg: reparse and lint every record with the
+    reference oracle, serially, timing the same stages the engine does."""
+    with stats.time("ingest", items=len(corpus.records)):
+        ders = _corpus_ders(corpus)
+    reports = []
+    for der, record in zip(ders, corpus.records):
+        with stats.time("decode", items=1):
+            cert = Certificate.from_der(der)
+        with stats.time("lint", items=1):
+            reports.append(reference_run_lints(cert, issued_at=record.issued_at))
+    with stats.time("sink", items=len(reports)):
+        return summarize(reports)
 
 
 def _stage_block(stats: EngineStats) -> dict:
@@ -125,36 +117,20 @@ def _stage_block(stats: EngineStats) -> dict:
 def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = DEFAULT_JOBS) -> dict:
     """Measure before/after corpus lint throughput; returns the record.
 
-    All four modes route through the staged engine (serial executor
-    for ``before``/``after``/``after_nocompile``, process-pool executor
-    for ``after_jobs``) with an injected stats collector, so each
-    mode's entry carries a ``stages`` breakdown.  Equivalence is
-    asserted, not sampled: the reference, compiled, interpreted, and
-    ``--jobs N`` summaries must serialize byte-identically or the
-    benchmark dies before reporting a single rate.
+    ``before`` runs the oracle loop, ``after`` the engine's serial
+    executor and ``after_jobs`` its process-pool executor, each with an
+    injected stats collector, so each mode's entry carries a ``stages``
+    breakdown.  Equivalence is asserted, not sampled: the reference,
+    serial and ``--jobs N`` summaries must serialize byte-identically or
+    the benchmark dies before reporting a single rate.
     """
     corpus = CorpusGenerator(seed=seed, scale=scale).generate()
     total = len(corpus.records)
 
     before_stats = EngineStats()
-    before, before_s = _timed(
-        lambda: lint_corpus_parallel(
-            corpus, jobs=1, optimized=False, stats=before_stats
-        )
-    )
+    before, before_s = _timed(lambda: _reference_run(corpus, before_stats))
     after_stats = EngineStats()
-    after, after_s = _timed(
-        lambda: lint_corpus_parallel(corpus, jobs=1, stats=after_stats)
-    )
-    # Interpreted dispatch runs *after* the compiled leg so every
-    # derived-view memo is already warm — any ordering bias favours the
-    # denominator, making the compiled lint-stage speedup conservative.
-    nocompile_stats = EngineStats()
-    nocompile, nocompile_s = _timed(
-        lambda: lint_corpus_parallel(
-            corpus, jobs=1, compiled=False, stats=nocompile_stats
-        )
-    )
+    after, after_s = _timed(lambda: run_corpus(corpus, jobs=1, stats=after_stats))
     # The fanout run measures the production shape: a warm pool
     # (workers forked, schedule built) dispatching O(1) substrate shard
     # references — worker start-up and corpus serialization are paid
@@ -163,17 +139,12 @@ def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 
     with LintPool(jobs) as pool:
         pool.prewarm()
         fanout, fanout_s = _timed(
-            lambda: lint_corpus_parallel(
-                corpus, jobs=jobs, pool=pool, stats=fanout_stats
-            )
+            lambda: run_corpus(corpus, jobs=jobs, pool=pool, stats=fanout_stats)
         )
 
-    baseline_json = summary_to_json(before.summary)
+    baseline_json = summary_to_json(before)
     assert summary_to_json(after.summary) == baseline_json, (
         "optimized single-process summary diverged from the reference path"
-    )
-    assert summary_to_json(nocompile.summary) == baseline_json, (
-        "--no-compile summary diverged from the reference path"
     )
     assert summary_to_json(fanout.summary) == baseline_json, (
         f"--jobs {jobs} summary diverged from the reference path"
@@ -181,28 +152,7 @@ def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 
 
     before_rate = total / before_s
     after_rate = total / after_s
-    nocompile_rate = total / nocompile_s
     fanout_rate = total / fanout_s
-    # The headline kernel claim is stated on the lint stage alone, in
-    # steady state: decode and sink are untouched by the compiled plan,
-    # and the first touch of each certificate's derived views (lazy
-    # extension parse, name index, char-set build) is paid identically
-    # by both dispatchers — folding that shared cold cost into the
-    # ratio would understate what the dispatch change buys a long-lived
-    # caller.  So both legs run over the *same* already-linted
-    # certificate objects (views warm, exactly the PR 3 memoized path)
-    # and time only the run_lints loop; best-of-two absorbs scheduler
-    # noise on loaded hosts.
-    stage_certs = [Certificate.from_der(der) for der in _corpus_ders(corpus)]
-    compiled_lint_s = min(
-        _lint_stage_seconds(stage_certs, compiled=True) for _ in range(3)
-    )
-    nocompile_lint_s = min(
-        _lint_stage_seconds(stage_certs, compiled=False) for _ in range(3)
-    )
-    lint_stage_speedup = (
-        nocompile_lint_s / compiled_lint_s if compiled_lint_s else 0.0
-    )
     return {
         "bench": "lint_throughput",
         "certs": total,
@@ -212,7 +162,7 @@ def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 
         #: with effective_cpus < jobs carry no scaling information.
         "effective_cpus": usable_cpus(),
         "before": {
-            "path": "unoptimized per-lint loop, caches disabled",
+            "path": "reference_run_lints: per-lint loop, caches disabled",
             "seconds": round(before_s, 3),
             "certs_per_sec": round(before_rate, 1),
             "stages": _stage_block(before_stats),
@@ -223,12 +173,6 @@ def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 
             "certs_per_sec": round(after_rate, 1),
             "stages": _stage_block(after_stats),
         },
-        "after_nocompile": {
-            "path": "LintContext + RegistryIndex, interpreted dispatch (--no-compile)",
-            "seconds": round(nocompile_s, 3),
-            "certs_per_sec": round(nocompile_rate, 1),
-            "stages": _stage_block(nocompile_stats),
-        },
         "after_jobs": {
             "path": f"warm pool + mmap substrate, --jobs {jobs}",
             "jobs": jobs,
@@ -237,14 +181,7 @@ def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 
             "certs_per_sec": round(fanout_rate, 1),
             "stages": _stage_block(fanout_stats),
         },
-        "lint_stage": {
-            "path": "steady-state serial run_lints loop, derived views "
-            "warm in both legs (best of 3)",
-            "compiled_seconds": round(compiled_lint_s, 3),
-            "interpreted_seconds": round(nocompile_lint_s, 3),
-        },
         "single_process_speedup": round(after_rate / before_rate, 2),
-        "compiled_lint_stage_speedup": round(lint_stage_speedup, 2),
         "parallel_speedup": round(fanout_rate / after_rate, 2),
         "summaries_byte_identical": True,
     }
@@ -287,18 +224,6 @@ def check_regression(record: dict, committed_path: pathlib.Path, tolerance: floa
                 f"--jobs {jobs} throughput ({parallel:.1f} certs/sec) fell "
                 f"below serial ({record['after']['certs_per_sec']:.1f}) on "
                 f"a {record['effective_cpus']}-CPU host"
-            )
-    # Compiled-kernel gate: the fused char-class dispatch must hold its
-    # >=2x on the lint stage over the interpreted (--no-compile) path.
-    # CPU-gated like the parallel gate above: on an oversubscribed
-    # sub-2-CPU runner even serial wall clocks are scheduling noise,
-    # and a timing gate that fires on noise trains people to ignore it.
-    if record["effective_cpus"] >= 2:
-        compiled_speedup = record["compiled_lint_stage_speedup"]
-        if compiled_speedup < 2.0:
-            failures.append(
-                f"compiled lint-stage speedup fell below 2x: "
-                f"{compiled_speedup:.2f}x vs interpreted dispatch"
             )
     if not record["summaries_byte_identical"]:
         failures.append("summaries no longer byte-identical")
@@ -353,17 +278,13 @@ def test_corpus_lint_throughput(write_output):
             f"{record['before']['certs_per_sec']:10.1f} certs/s",
             f"after  (compiled):  {record['after']['seconds']:8.2f}s  "
             f"{record['after']['certs_per_sec']:10.1f} certs/s",
-            f"after  (--no-compile): {record['after_nocompile']['seconds']:5.2f}s  "
-            f"{record['after_nocompile']['certs_per_sec']:10.1f} certs/s",
             f"after  (--jobs {record['after_jobs']['jobs']}):  "
             f"{record['after_jobs']['seconds']:8.2f}s  "
             f"{record['after_jobs']['certs_per_sec']:10.1f} certs/s",
             f"single-process speedup: {record['single_process_speedup']:.2f}x",
-            f"compiled lint-stage speedup: "
-            f"{record['compiled_lint_stage_speedup']:.2f}x",
             f"parallel speedup vs serial: {record['parallel_speedup']:.2f}x "
             f"({record['effective_cpus']} effective CPU(s))",
-            "summaries byte-identical across all four paths: yes",
+            "summaries byte-identical across all three paths: yes",
         ],
     )
     assert record["single_process_speedup"] >= 2.0, (
@@ -371,11 +292,6 @@ def test_corpus_lint_throughput(write_output):
         f"measured {record['single_process_speedup']:.2f}x"
     )
     # Timing assertions only where the cores exist to back them.
-    if record["effective_cpus"] >= 2:
-        assert record["compiled_lint_stage_speedup"] >= 2.0, (
-            f"expected >= 2x compiled lint-stage speedup, "
-            f"measured {record['compiled_lint_stage_speedup']:.2f}x"
-        )
     if record["effective_cpus"] >= record["after_jobs"]["jobs"]:
         assert record["parallel_speedup"] >= 1.0, (
             f"warm --jobs {record['after_jobs']['jobs']} pool slower than "

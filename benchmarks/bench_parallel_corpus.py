@@ -22,8 +22,8 @@ import time
 
 from repro.analysis import lint_corpus
 from repro.ct import CorpusGenerator
-from repro.engine import EngineStats
-from repro.lint import lint_corpus_parallel, summarize, summary_to_json
+from repro.engine import EngineStats, run_corpus
+from repro.lint import summarize, summary_to_json
 from repro.lint.parallel import LintPool, usable_cpus as _usable_cpus
 
 SCALE = float(os.environ.get("REPRO_BENCH_PARALLEL_SCALE", 1 / 10000))
@@ -44,7 +44,7 @@ def test_parallel_corpus_throughput(write_output):
     sequential_summary, sequential_s = _timed(
         lambda: summarize(lint_corpus(corpus, jobs=1))
     )
-    inline, inline_s = _timed(lambda: lint_corpus_parallel(corpus, jobs=1))
+    inline, inline_s = _timed(lambda: run_corpus(corpus, jobs=1))
     # Warm pool: worker start-up and the registry snapshot/index build
     # happen before the clock starts — the fanout number measures
     # steady-state dispatch over the mmap substrate, not fork cost.
@@ -52,9 +52,7 @@ def test_parallel_corpus_throughput(write_output):
     with LintPool(JOBS) as pool:
         pool.prewarm()
         fanout, fanout_s = _timed(
-            lambda: lint_corpus_parallel(
-                corpus, jobs=JOBS, pool=pool, stats=fanout_stats
-            )
+            lambda: run_corpus(corpus, jobs=JOBS, pool=pool, stats=fanout_stats)
         )
 
     # Exactness: byte-identical summaries across every configuration.

@@ -15,9 +15,7 @@ from ..lint import CertificateReport, CorpusSummary, NoncomplianceType, REGISTRY
 from ..lint.framework import LintStatus
 
 
-def lint_corpus(
-    corpus: Corpus, jobs: int | None = 1, stats=None, compiled: bool = True
-) -> list[CertificateReport]:
+def lint_corpus(corpus: Corpus, jobs: int | None = 1, stats=None) -> list[CertificateReport]:
     """Run the full lint registry over every corpus record.
 
     Routes through the staged :mod:`repro.engine` pipeline: ``jobs=1``
@@ -26,23 +24,20 @@ def lint_corpus(
     ``jobs > 1`` fans out over worker processes.  Reports come back in
     corpus order either way and are identical across job counts.  Pass
     ``stats`` (an :class:`repro.engine.stats.EngineStats`) to observe
-    the run's per-stage breakdown, and ``compiled=False`` (the CLI's
-    ``--no-compile``) to pin the interpreted dispatch path.
+    the run's per-stage breakdown.
     """
     from ..engine.pipeline import Engine
 
-    outcome = Engine(stats).run_corpus(
-        corpus, jobs, collect_reports=True, compiled=compiled
-    )
+    outcome = Engine(stats).run_corpus(corpus, jobs, collect_reports=True)
     return outcome.reports or []
 
 
 def summarize_corpus(corpus: Corpus, jobs: int | None = None) -> CorpusSummary:
     """Merged corpus summary via the sharded pipeline (all CPUs by
     default); exact for every job count."""
-    from ..lint.parallel import summarize_corpus_parallel
+    from ..engine.pipeline import run_corpus
 
-    return summarize_corpus_parallel(corpus, jobs)
+    return run_corpus(corpus, jobs).summary
 
 
 @dataclass

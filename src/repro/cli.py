@@ -36,7 +36,6 @@ def _lint_one_file(path: str, args: argparse.Namespace, engine) -> int:
         source.data,
         origin=path,
         respect_effective_dates=not args.ignore_effective_dates,
-        compiled=not args.no_compile,
     )
     if not item.ok:
         message = item.error
@@ -131,9 +130,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     # byte-identical for every --jobs value (tested; do not print the
     # job count itself here, or that guarantee breaks across machines).
     stats = EngineStats()
-    reports = lint_corpus(
-        corpus, jobs=args.jobs, stats=stats, compiled=not args.no_compile
-    )
+    reports = lint_corpus(corpus, jobs=args.jobs, stats=stats)
     table = build_table1(corpus, reports)
     print(f"noncompliant: {table.nc_certs} ({table.nc_rate:.2%})")
     print(f"trusted share: {table.trusted_share:.1%}")
@@ -173,7 +170,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         alert_threshold=args.alert_threshold,
         baseline_depth=args.baseline_depth,
         alert_min_total=args.alert_min_total,
-        compiled=not args.no_compile,
     )
     stats = EngineStats()
     monitor = TailMonitor(
@@ -234,7 +230,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         batch_delay=args.batch_delay_ms / 1e3,
         request_timeout=args.timeout,
-        compile=not args.no_compile,
     )
     try:
         asyncio.run(run_server(config, announce=print))
@@ -371,12 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's per-stage timing breakdown on stderr",
     )
-    lint.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="pin the interpreted lint dispatch (skip the compiled "
-        "char-class kernels; output is identical either way)",
-    )
     lint.set_defaults(func=_cmd_lint)
 
     rules = sub.add_parser("rules", help="list the 95 constraint rules")
@@ -406,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the engine's per-stage timing breakdown on stderr",
-    )
-    corpus.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="pin the interpreted lint dispatch (skip the compiled "
-        "char-class kernels; output is identical either way)",
     )
     corpus.set_defaults(func=_cmd_corpus)
 
@@ -483,12 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's per-stage timing breakdown on stderr",
     )
-    monitor.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="pin the interpreted lint dispatch (output is identical "
-        "either way)",
-    )
     monitor.set_defaults(func=_cmd_monitor)
 
     serve = sub.add_parser(
@@ -523,11 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--timeout", type=float, default=30.0,
         help="per-request lint deadline in seconds (504 past it)",
-    )
-    serve.add_argument(
-        "--no-compile",
-        action="store_true",
-        help="pin the interpreted lint dispatch for every request",
     )
     serve.set_defaults(func=_cmd_serve)
 

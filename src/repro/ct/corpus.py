@@ -307,16 +307,6 @@ class Corpus:
         for start, stop in shard_bounds(len(self.records), shards):
             yield self.records[start:stop]
 
-    def lint(self, jobs: int | None = None, **kwargs):
-        """Lint this corpus through the sharded parallel pipeline.
-
-        Returns a :class:`repro.lint.parallel.ParallelLintOutcome`; the
-        merged summary is byte-identical for every ``jobs`` value.
-        """
-        from ..lint.parallel import lint_corpus_parallel
-
-        return lint_corpus_parallel(self, jobs, **kwargs)
-
     def to_store(self, path):
         """Serialize this corpus to a memory-mapped substrate file.
 

@@ -253,8 +253,6 @@ class MonitorConfig:
     baseline_depth: int = 4
     alert_min_total: int = 16
     respect_effective_dates: bool = True
-    optimized: bool = True
-    compiled: bool = True
 
 
 @dataclass
@@ -493,8 +491,6 @@ class TailMonitor:
             jobs=self.config.jobs,
             pool=self.pool,
             respect_effective_dates=self.config.respect_effective_dates,
-            optimized=self.config.optimized,
-            compiled=self.config.compiled,
             window=self.window,
         )
         if self._writer is not None:

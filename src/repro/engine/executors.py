@@ -11,8 +11,7 @@ shard failure.  Two strategies ship:
   (the equivalence tests enforce it).
 * :class:`PoolExecutor` — shards fan out over a
   :class:`~repro.lint.parallel.LintPool` of worker processes, results
-  stream back ``as_completed`` with fail-fast cancellation.  Subsumes
-  the scheduling half of the pre-engine ``lint_corpus_parallel`` loop.
+  stream back ``as_completed`` with fail-fast cancellation.
 
 Both run the same worker function (:func:`repro.lint.parallel.lint_shard`)
 over the same deterministic shard boundaries, which is what makes every

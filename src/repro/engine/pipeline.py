@@ -1,8 +1,8 @@
 """The staged lint engine: ingest → decode → lint → sink, instrumented.
 
-Every entry point in the repo — the CLI ``lint``/``corpus`` commands,
-the ``repro.lint.parallel`` public API, the service batcher, and the
-throughput benchmarks — is a thin composition over this module, so
+Every entry point in the repo — the CLI ``lint``/``corpus``/``monitor``
+commands, the service batcher, and the throughput benchmarks — is a
+thin composition over this module, so
 scaling work (new executors, new sinks, stage-level profiling) lands
 once instead of four times:
 
@@ -112,34 +112,29 @@ class Engine:
             self.stats.count_certs(1, len(item.der))
         return item
 
-    def warm_compiled_plan(self, compiled: bool = True) -> None:
+    def warm_compiled_plan(self) -> None:
         """Compile stage: build the default dispatch plan, timed.
 
-        A no-op when the plan is already built (or compilation is off),
-        so the ``compile`` row of ``--stats``/``/metrics`` reports the
-        one-time classification cost and never recurs per certificate.
+        A no-op when the plan is already built, so the ``compile`` row
+        of ``--stats``/``/metrics`` reports the one-time classification
+        cost and never recurs per certificate.
         """
-        if compiled:
-            from ..lint.compiled import warm_default_plan
+        from ..lint.compiled import warm_default_plan
 
-            warm_default_plan(self.stats)
+        warm_default_plan(self.stats)
 
     def lint_item(
-        self,
-        item: EngineItem,
-        respect_effective_dates: bool = True,
-        compiled: bool = True,
+        self, item: EngineItem, respect_effective_dates: bool = True
     ) -> EngineItem:
         """Lint stage: run the full registry over a decoded certificate."""
         if not item.ok:
             return item
-        self.warm_compiled_plan(compiled)
+        self.warm_compiled_plan()
         with self.stats.time("lint", items=1):
             item.report = run_lints(
                 item.cert,
                 issued_at=item.issued_at,
                 respect_effective_dates=respect_effective_dates,
-                compiled=compiled,
             )
         return item
 
@@ -148,12 +143,11 @@ class Engine:
         data: bytes,
         origin: str = "<bytes>",
         respect_effective_dates: bool = True,
-        compiled: bool = True,
     ) -> EngineItem:
         """Ingest → decode → lint one input; failures stay on the item."""
         item = self.ingest_bytes(data, origin)
         self.decode_item(item)
-        return self.lint_item(item, respect_effective_dates, compiled=compiled)
+        return self.lint_item(item, respect_effective_dates)
 
     def render_json(self, item: EngineItem) -> str:
         """Sink stage: the CLI-identical JSON document for one item."""
@@ -180,8 +174,8 @@ class Engine:
         return resolve_jobs(jobs, total=total)
 
     def _select_executor(self, executor, pool, jobs: int, shards: int, total: int):
-        """Strategy selection shared by the batch and increment drivers:
-        inline serial whenever one process suffices, else the pool."""
+        """Strategy selection: inline serial whenever one process
+        suffices, else the pool."""
         if executor is not None:
             return executor
         if pool is None and (jobs == 1 or min(shards, total) <= 1):
@@ -207,6 +201,39 @@ class Engine:
                 self.stats.merge_timings(result.timings, worker=distributed)
         return results
 
+    def _drive(
+        self, total: int, build_tasks, *, jobs, shards, pool, executor, collect_reports
+    ) -> tuple[ParallelLintOutcome, list]:
+        """The stages every corpus-shaped run shares.
+
+        Resolves jobs, shard count and executor, warms the compiled
+        plan, builds the shard tasks under the timed ``ingest`` stage
+        (``build_tasks(shards, distributed)``), executes them and merges
+        the results under the timed ``sink`` stage.  Returns the merged
+        outcome and the raw shard results.
+        """
+        jobs = self._resolve_corpus_jobs(jobs, pool, total)
+        if total == 0:
+            return merge_shard_results([], jobs, collect_reports), []
+        if shards is None:
+            shards = default_shard_count(total, jobs)
+        executor = self._select_executor(executor, pool, jobs, shards, total)
+        # Compile stage: build the dispatch plan in the parent before
+        # any work is dispatched — serial runs use it directly, pool
+        # runs inherit it copy-on-write under fork.  Timed so the
+        # one-time classification cost shows as its own stage.
+        self.warm_compiled_plan()
+        with self.stats.time("ingest", items=total):
+            tasks = build_tasks(shards, getattr(executor, "distributed", True))
+        self.stats.record_shards(
+            [stop - start for start, stop in shard_bounds(total, shards)],
+            jobs=executor.jobs,
+        )
+        results = self._execute_tasks(tasks, executor)
+        with self.stats.time("sink", items=len(results)):
+            outcome = merge_shard_results(results, executor.jobs, collect_reports)
+        return outcome, results
+
     def run_increment(
         self,
         batch,
@@ -216,8 +243,6 @@ class Engine:
         shards: int | None = None,
         respect_effective_dates: bool = True,
         collect_reports: bool = False,
-        optimized: bool = True,
-        compiled: bool = True,
         pool=None,
         executor=None,
         window=None,
@@ -246,51 +271,36 @@ class Engine:
         the caller's segment store's job, not the dispatch path's.
         """
         pairs = increment_pairs(batch)
-        total = len(pairs)
-        jobs = self._resolve_corpus_jobs(jobs, pool, total)
-        if total == 0:
-            return merge_shard_results([], jobs, collect_reports)
-        if shards is None:
-            shards = default_shard_count(total, jobs)
-        executor = self._select_executor(executor, pool, jobs, shards, total)
-        if optimized and compiled:
-            self.warm_compiled_plan()
         collect = collect_reports or window is not None
-        with self.stats.time("ingest", items=total):
-            tasks = build_pair_shard_tasks(
+
+        def build_tasks(shards: int, _distributed: bool) -> list:
+            return build_pair_shard_tasks(
                 pairs,
                 shards,
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect,
-                optimized=optimized,
-                compiled=compiled,
                 collect_facts=window is not None,
             )
-        self.stats.record_shards(
-            [stop - start for start, stop in shard_bounds(total, shards)],
-            jobs=executor.jobs,
+
+        outcome, results = self._drive(
+            len(pairs),
+            build_tasks,
+            jobs=jobs,
+            shards=shards,
+            pool=pool,
+            executor=executor,
+            collect_reports=collect,
         )
-        results = self._execute_tasks(tasks, executor)
-        with self.stats.time("sink", items=len(results)):
-            outcome = merge_shard_results(results, executor.jobs, collect)
-        if window is not None:
+        if window is not None and results:
             ordered = sorted(results, key=lambda r: r.index)
-            facts = [f for r in ordered for f in (r.facts or ())]
-            with self.stats.time("fold", items=total):
+            facts = [f for r in ordered for f in r.facts]
+            with self.stats.time("fold", items=len(pairs)):
                 for offset, report in enumerate(outcome.reports):
                     window.fold(
-                        base_index + offset,
-                        pairs[offset][1],
-                        report,
-                        facts[offset] if offset < len(facts) else None,
+                        base_index + offset, pairs[offset][1], report, facts[offset]
                     )
-            if not collect_reports:
-                outcome = ParallelLintOutcome(
-                    summary=outcome.summary,
-                    reports=None,
-                    jobs=outcome.jobs,
-                    shards=outcome.shards,
-                )
+        if not collect_reports:
+            outcome.reports = None
         return outcome
 
     def run_corpus(
@@ -301,15 +311,12 @@ class Engine:
         shards: int | None = None,
         respect_effective_dates: bool = True,
         collect_reports: bool = False,
-        optimized: bool = True,
-        compiled: bool = True,
         pool=None,
         executor=None,
     ) -> ParallelLintOutcome:
         """Lint a whole corpus through the staged pipeline, exactly.
 
-        Semantics are those of the original ``lint_corpus_parallel``:
-        deterministic contiguous shards, ``jobs`` clamped so no worker
+        Deterministic contiguous shards, ``jobs`` clamped so no worker
         outnumbers the records, the inline serial executor whenever one
         process suffices (``jobs=1`` or a single shard), and an exact
         ``CorpusSummary`` merge — every executor choice yields
@@ -329,66 +336,44 @@ class Engine:
         from ..corpusstore import CorpusStore, write_store
 
         store = corpus if isinstance(corpus, CorpusStore) else None
-        if store is not None:
-            records = None
-            total = len(store)
-        else:
-            records = corpus_records(corpus)
-            total = len(records)
-        jobs = self._resolve_corpus_jobs(jobs, pool, total)
-        if total == 0:
-            return merge_shard_results([], jobs, collect_reports)
-        if shards is None:
-            shards = default_shard_count(total, jobs)
-        executor = self._select_executor(executor, pool, jobs, shards, total)
-        distributed = getattr(executor, "distributed", True)
-        # Compile stage: build the dispatch plan in the parent before
-        # any work is dispatched — serial runs use it directly, pool
-        # runs inherit it copy-on-write under fork.  Timed so the
-        # one-time classification cost shows as its own stage.
-        if optimized and compiled:
-            self.warm_compiled_plan()
+        records = None if store is not None else corpus_records(corpus)
+        total = len(store) if store is not None else len(records)
         task_kwargs = dict(
             respect_effective_dates=respect_effective_dates,
             collect_reports=collect_reports,
-            optimized=optimized,
-            compiled=compiled,
         )
-        spill_path = None
+        spills: list[str] = []
+
+        def build_tasks(shards: int, distributed: bool) -> list:
+            if store is not None:
+                return build_store_shard_tasks(store.path, total, shards, **task_kwargs)
+            if not distributed:
+                return build_shard_tasks(records, shards, **task_kwargs)
+            # Zero-copy dispatch: one sequential substrate write here
+            # beats pickling every shard's DER into the executor pipe —
+            # tasks become O(1) references and the bytes reach workers
+            # via the page cache.
+            fd, path = _tempfile.mkstemp(prefix="repro-corpus-", suffix=".rcs")
+            _os.close(fd)
+            spills.append(path)
+            write_store(records, path)
+            return build_store_shard_tasks(path, total, shards, **task_kwargs)
+
         try:
-            with self.stats.time("ingest", items=total):
-                if store is not None:
-                    tasks = build_store_shard_tasks(
-                        store.path, total, shards, **task_kwargs
-                    )
-                elif distributed:
-                    # Zero-copy dispatch: one sequential substrate write
-                    # here beats pickling every shard's DER into the
-                    # executor pipe — tasks become O(1) references and
-                    # the bytes reach workers via the page cache.
-                    fd, spill_path = _tempfile.mkstemp(
-                        prefix="repro-corpus-", suffix=".rcs"
-                    )
-                    _os.close(fd)
-                    write_store(records, spill_path)
-                    tasks = build_store_shard_tasks(
-                        spill_path, total, shards, **task_kwargs
-                    )
-                else:
-                    tasks = build_shard_tasks(records, shards, **task_kwargs)
-            self.stats.record_shards(
-                [stop - start for start, stop in shard_bounds(total, shards)],
-                jobs=executor.jobs,
+            outcome, _ = self._drive(
+                total,
+                build_tasks,
+                jobs=jobs,
+                shards=shards,
+                pool=pool,
+                executor=executor,
+                collect_reports=collect_reports,
             )
-            results = self._execute_tasks(tasks, executor)
-            with self.stats.time("sink", items=len(results)):
-                return merge_shard_results(
-                    results, executor.jobs, collect_reports
-                )
+            return outcome
         finally:
-            if spill_path is not None:
+            for path in spills:
                 try:
-                    _os.unlink(spill_path)
+                    _os.unlink(path)
                 except OSError:
                     pass
 

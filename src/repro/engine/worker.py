@@ -7,11 +7,10 @@ These functions therefore accumulate into a picklable
 :class:`~repro.engine.stats.StageTimings` record shipped back with the
 payload; the parent folds it in with ``EngineStats.merge_timings``.
 
-``lint_ders_timed`` is the service's dispatch target: its ``bodies``
-are byte-identical to :func:`repro.lint.parallel.lint_ders_to_json`
-(and therefore to ``python -m repro lint --json``) — it runs the same
-schedule through the same renderer, only with stage timers around each
-hop.
+``lint_ders_timed`` is the service's only dispatch target: its
+``bodies`` are byte-identical to ``python -m repro lint --json`` — it
+runs the same schedule through the same renderer, only with stage
+timers around each hop.
 """
 
 from __future__ import annotations
@@ -31,16 +30,15 @@ class TimedBatch:
 
 
 def lint_ders_timed(
-    ders: tuple[bytes, ...],
-    respect_effective_dates: bool = True,
-    compiled: bool = True,
+    ders: tuple[bytes, ...], respect_effective_dates: bool = True
 ) -> TimedBatch:
     """Decode, lint, and render a DER batch with per-stage timers.
 
-    Byte-compatible with :func:`repro.lint.parallel.lint_ders_to_json`:
-    same registry schedule, same ``report_to_json(report, cert)``
-    rendering, same all-or-nothing raise on unparseable DER (callers
-    validate admission-side).
+    Each body is exactly what ``python -m repro lint --json`` writes for
+    the same certificate (``report_to_json(report, cert)``), which is
+    what makes the online and offline paths byte-comparable.
+    Unparseable DER raises, so a batch is all-or-nothing: callers
+    validate admission-side.
     """
     from ..lint.parallel import _worker_schedule
     from ..lint.runner import run_lints
@@ -61,7 +59,6 @@ def lint_ders_timed(
             lints=lints,
             respect_effective_dates=respect_effective_dates,
             index=index,
-            compiled=compiled,
         )
         linted = time.perf_counter()
         clinted = time.process_time()

@@ -47,10 +47,7 @@ from .parallel import (
     ShardError,
     ShardResult,
     ShardTask,
-    lint_corpus_parallel,
-    lint_ders_to_json,
     shard_bounds,
-    summarize_corpus_parallel,
 )
 from .serialization import (
     report_to_dict,
@@ -78,10 +75,7 @@ __all__ = [
     "ShardError",
     "ShardResult",
     "ShardTask",
-    "lint_corpus_parallel",
-    "lint_ders_to_json",
     "shard_bounds",
-    "summarize_corpus_parallel",
     "REGISTRY",
     "RegistryIndex",
     "LintContext",

@@ -17,7 +17,7 @@ Instead of letting each lint re-ask that question, the registry is
   bisect per distinct character, memoized corpus-wide per string);
 * a compiled lint whose trigger bits don't fire on its scope mask is
   proven compliant and emits ``PASS`` without running its check; when a
-  bit fires the interpreted check runs unchanged, so details stay
+  bit fires the lint's own check runs unchanged, so details stay
   byte-identical.
 
 Soundness contract (verified by the equivalence suite and the
@@ -28,15 +28,15 @@ applicability mode: ``APPLIES_EXACT`` when — given the lint's family
 check already passed — ``applies()`` is provably True,
 ``APPLIES_NONEMPTY`` when it equals the scope's ``SCOPE_NONEMPTY`` bit,
 and ``APPLIES_CALL`` when only calling ``applies()`` is sound.  Lints
-the classifier cannot prove safe fall through to the interpreted path
-and must be listed in :data:`UNCOMPILED_MANIFEST`.
+the classifier cannot prove safe get an unscoped ``APPLIES_CALL`` row
+(their own ``applies()`` and ``check()`` always run) and must be listed
+in :data:`UNCOMPILED_MANIFEST`.
 """
 
 from __future__ import annotations
 
 import ast
 from bisect import bisect_right
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..asn1.oid import OID_COMMON_NAME
@@ -879,8 +879,8 @@ def classify_lint(lint) -> ScanSpec | None:
     resolves extractor lambdas), so the classification keys on the
     *underlying* predicate functions, not on lint names — a renamed or
     newly registered lint built from a known predicate compiles
-    automatically, while an unknown predicate falls through to the
-    interpreted path.
+    automatically, while an unknown predicate gets an unscoped row that
+    always runs its check.
     """
     if not isinstance(lint, FunctionLint):
         return None
@@ -975,10 +975,10 @@ def classify_lint(lint) -> ScanSpec | None:
 class CompiledPlan:
     """Registration-ordered dispatch rows for one lint schedule.
 
-    ``entries`` aligns with ``RegistryIndex.entries``: one row per lint,
+    ``entries`` holds one row per lint of the schedule, in its order:
     ``(lint, families, scope, trigger, mode)``.  Uncompiled rows carry
-    ``scope=None`` and take the interpreted path, so result order is
-    exactly the interpreted order.
+    ``scope=None``, so the runner always asks their ``applies()`` and
+    ``check()``; result order is registration order either way.
     """
 
     __slots__ = ("entries", "compiled_names", "uncompiled_names", "resolve_scope")
@@ -1008,34 +1008,6 @@ def compile_plan(lints) -> CompiledPlan:
     return CompiledPlan(lints)
 
 
-# ---------------------------------------------------------------------------
-# Disable switch (mirrors repro.x509.cache.caching_disabled).
-# ---------------------------------------------------------------------------
-
-_disable_depth = 0
-
-
-def compiling_enabled() -> bool:
-    """Whether the compiled dispatch path is active (default True)."""
-    return _disable_depth == 0
-
-
-@contextmanager
-def compiling_disabled():
-    """Context manager pinning the interpreted dispatch path.
-
-    Re-entrant, mirroring :func:`repro.x509.cache.caching_disabled`; the
-    ``--no-compile`` CLI flag and the service knob use the same switch
-    per call instead.
-    """
-    global _disable_depth
-    _disable_depth += 1
-    try:
-        yield
-    finally:
-        _disable_depth -= 1
-
-
 def warm_default_plan(stats=None):
     """Build (once) the compiled plan for the default registry schedule.
 
@@ -1045,8 +1017,6 @@ def warm_default_plan(stats=None):
     """
     from .framework import REGISTRY, index_for
 
-    if not compiling_enabled():
-        return None
     index = index_for(REGISTRY.snapshot())
     if index._compiled_plan is not None or stats is None:
         return index.compiled_plan()

@@ -275,7 +275,6 @@ class RegistryIndex:
 
     def __init__(self, lints):
         self.lints = tuple(lints)
-        self.entries = tuple((lint, lint.families) for lint in self.lints)
         self._dates_sorted = sorted({l.metadata.effective_date for l in self.lints})
         self._not_effective_memo: dict[int, frozenset] = {}
         self._compiled_plan = None

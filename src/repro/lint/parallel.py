@@ -21,23 +21,20 @@ Design points:
   exercises exactly the tolerant parser the linter targets.  Builder
   certificates keep their original bytes (``Certificate.raw``), so the
   round trip is lossless.
-* **Registry resolved once per worker.**  Each worker resolves
-  ``REGISTRY.snapshot()`` a single time and reuses the tuple for every
-  certificate in every shard it processes, instead of re-resolving per
-  certificate.
+* **Registry resolved once per shard.**  Each shard resolves the
+  memoized ``REGISTRY.snapshot()`` and its :class:`RegistryIndex` once
+  and reuses them for every certificate, so a lint registered after
+  the pool started is still scheduled.
 * **Crash containment.**  A shard that raises is caught *inside* the
   worker and reported as a structured failure; the parent raises
   :class:`ShardError` with the shard index and the worker traceback
   rather than hanging on a dead pool.
 
-As of the staged-engine refactor, the orchestration itself — executor
-selection, fail-fast streaming, exact merge, per-stage instrumentation
-— lives in :mod:`repro.engine`; :func:`lint_corpus_parallel` and
-:func:`summarize_corpus_parallel` are kept as thin, signature-stable
-shims over :meth:`repro.engine.Engine.run_corpus`.  The worker-side
-primitives (:func:`lint_shard`, :func:`lint_ders_to_json`,
-:class:`LintPool`) stay here so pickled task references keep a stable
-import path across fork and spawn.
+The orchestration itself — executor selection, fail-fast streaming,
+exact merge, per-stage instrumentation — lives in :mod:`repro.engine`
+(:func:`repro.engine.run_corpus`).  The worker-side primitives
+(:func:`lint_shard`, :class:`LintPool`) stay here so pickled task
+references keep a stable import path across fork and spawn.
 """
 
 from __future__ import annotations
@@ -96,13 +93,6 @@ class ShardTask:
     issued_at: tuple[_dt.datetime | None, ...] = ()
     respect_effective_dates: bool = True
     collect_reports: bool = False
-    #: False runs the legacy per-lint loop with caching disabled — the
-    #: reference path the equivalence tests and benchmarks compare with.
-    optimized: bool = True
-    #: False pins the interpreted (memoized, uncompiled) dispatch — the
-    #: ``--no-compile`` escape hatch and the compiled-equivalence
-    #: reference.
-    compiled: bool = True
     #: Substrate transport: path to a corpus-store file plus the shard's
     #: half-open record range within it.
     store_path: str | None = None
@@ -216,32 +206,26 @@ def default_shard_count(total: int, jobs: int) -> int:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Per-worker-process cache of the resolved registry and its prebuilt
-#: schedule, so each worker resolves the lint list and builds the
-#: :class:`RegistryIndex` once, not once per certificate.
-_WORKER_SCHEDULE: tuple[tuple[Lint, ...], RegistryIndex] | None = None  # staticcheck: process-local
+def _worker_schedule() -> tuple[tuple[Lint, ...], RegistryIndex]:
+    """The current registry snapshot, its index and its compiled plan.
 
-
-def _worker_schedule(compiled: bool = True) -> tuple[tuple[Lint, ...], RegistryIndex]:
-    global _WORKER_SCHEDULE
-    if _WORKER_SCHEDULE is None:
-        lints = REGISTRY.snapshot()
-        _WORKER_SCHEDULE = (lints, index_for(lints))
-    if compiled:
-        # Build the compiled dispatch plan eagerly: pre-fork it lands in
-        # COW-shared pages; under spawn the initializer pays it once at
-        # worker start-up instead of inside the first shard.  Skipped
-        # for uncompiled runs so the reference legs never build (or get
-        # charged for) a plan they will not dispatch through.
-        _WORKER_SCHEDULE[1].compiled_plan()
-    return _WORKER_SCHEDULE
+    All three are memoized (the snapshot until the next ``register``),
+    so this is a few lookups per call.  Building the plan eagerly means
+    that pre-fork it lands in COW-shared pages, and under spawn the
+    initializer pays for it once at worker start-up instead of inside
+    the first shard.
+    """
+    lints = REGISTRY.snapshot()
+    index = index_for(lints)
+    index.compiled_plan()
+    return lints, index
 
 
 def _worker_init() -> None:
     """Executor initializer: build the lint schedule before work arrives.
 
-    Under fork this is belt-and-braces — the parent already built
-    :data:`_WORKER_SCHEDULE` and the child inherits it copy-on-write.
+    Under fork this is belt-and-braces — the parent already built the
+    schedule and the child inherits it copy-on-write.
     Under spawn it is the whole point: the snapshot/index build happens
     once at pool start, not inside the first shard's measured time.
     """
@@ -258,7 +242,8 @@ def _warm_worker() -> int:
 #: Per-worker-process cache of opened substrate readers, keyed by path.
 #: The stat signature detects a replaced file (same path, new contents);
 #: if the path has been unlinked since opening — the engine's spill
-#: files are — the already-open mapping stays valid and is reused.
+#: files are, once their run ends — the already-open mapping stays valid
+#: and is reused until the worker opens another store.
 _WORKER_STORES: dict[str, tuple[tuple, object]] = {}  # staticcheck: process-local
 
 
@@ -278,6 +263,12 @@ def _open_worker_store(path: str):
         return cached[1]
     if cached is not None:
         cached[1].close()
+    # A reused pool sees a fresh spill path per run.  The parent unlinks
+    # a spill only after its run ends, so a cached path that no longer
+    # stats belongs to a finished run: close it, or every run would
+    # leave one mapping of a deleted file behind.
+    for stale in [p for p in _WORKER_STORES if p != path and not os.path.exists(p)]:
+        _WORKER_STORES.pop(stale)[1].close()
     store = CorpusStore(path)
     _WORKER_STORES[path] = (signature, store)
     return store
@@ -299,7 +290,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
     Runs in a worker process (or inline for ``jobs=1``).  Certificates
     arrive as DER — inline in the task or via the memory-mapped
     substrate — are re-parsed with the tolerant parser, linted with the
-    worker-cached registry snapshot, and folded into a per-shard
+    current (memoized) registry schedule, and folded into a per-shard
     :class:`CorpusSummary`.  Timings record both clocks: wall
     (``perf_counter``) for latency, CPU (``process_time``) for the
     compute the run actually burned — on an oversubscribed box the two
@@ -327,7 +318,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
 
         facts = []
     try:
-        lints, index = _worker_schedule(task.compiled and task.optimized)
+        lints, index = _worker_schedule()
         for der, issued_at in _shard_records(task):
             start = _time.perf_counter()
             cstart = _time.process_time()
@@ -341,9 +332,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
                 issued_at=issued_at,
                 lints=lints,
                 respect_effective_dates=task.respect_effective_dates,
-                optimized=task.optimized,
                 index=index,
-                compiled=task.compiled,
             )
             linted = _time.perf_counter()
             clinted = _time.process_time()
@@ -367,38 +356,6 @@ def lint_shard(task: ShardTask) -> ShardResult:
     return result
 
 
-def lint_ders_to_json(
-    ders: tuple[bytes, ...],
-    respect_effective_dates: bool = True,
-    compiled: bool = True,
-) -> list[str]:
-    """Lint DER certificates and return one JSON report string each.
-
-    This is the worker-side primitive behind the lint service
-    (:mod:`repro.service`): each string is exactly what
-    ``python -m repro lint --json`` writes for the same certificate
-    (``report_to_json(report, cert)``), which is what makes the online
-    and offline paths byte-comparable.  Unparseable DER raises — callers
-    are expected to validate admission-side so a batch is all-or-nothing.
-    """
-    from ..x509 import Certificate
-    from .serialization import report_to_json
-
-    lints, index = _worker_schedule(compiled)
-    out: list[str] = []
-    for der in ders:
-        cert = Certificate.from_der(der)
-        report = run_lints(
-            cert,
-            lints=lints,
-            respect_effective_dates=respect_effective_dates,
-            index=index,
-            compiled=compiled,
-        )
-        out.append(report_to_json(report, cert))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
@@ -407,12 +364,12 @@ def lint_ders_to_json(
 class LintPool:
     """A reusable worker-pool handle over :class:`ProcessPoolExecutor`.
 
-    PR 1's pipeline built a ``multiprocessing.Pool`` per call, which is
-    fine for one-shot batch runs but wrong for a long-lived service: the
-    fork/spawn cost would land on the first request of every batch.  A
-    ``LintPool`` is created once, hands out futures, and is shared by
-    both entry points — :func:`lint_corpus_parallel` (shard summaries)
-    and the service batcher (:func:`lint_ders_to_json` strings).
+    A ``multiprocessing.Pool`` per call is fine for one-shot batch runs
+    but wrong for a long-lived service: the fork/spawn cost would land
+    on the first request of every batch.  A ``LintPool`` is created
+    once, hands out futures, and is shared by the corpus engine
+    (:meth:`submit_shard`), the service batcher (:meth:`submit_timed`)
+    and the fuzz campaign (:meth:`submit_fuzz`).
 
     The pool is *warm*: under fork, the parent resolves the registry
     snapshot and builds the :class:`RegistryIndex` before the first
@@ -463,33 +420,16 @@ class LintPool:
         :class:`ShardResult` (structured errors, never raises)."""
         return self.executor.submit(lint_shard, task)
 
-    def submit_json(
-        self,
-        ders: tuple[bytes, ...],
-        respect_effective_dates: bool = True,
-        compiled: bool = True,
-    ) -> "_cf.Future[list[str]]":
-        """Dispatch a service micro-batch; the future resolves to one
-        CLI-identical JSON report string per certificate."""
-        return self.executor.submit(
-            lint_ders_to_json, ders, respect_effective_dates, compiled
-        )
-
     def submit_timed(
-        self,
-        ders: tuple[bytes, ...],
-        respect_effective_dates: bool = True,
-        compiled: bool = True,
+        self, ders: tuple[bytes, ...], respect_effective_dates: bool = True
     ):
-        """Dispatch an instrumented service micro-batch; the future
-        resolves to a :class:`repro.engine.worker.TimedBatch` whose
-        ``bodies`` are byte-identical to :meth:`submit_json` output and
-        whose ``timings`` carry the worker's per-stage seconds."""
+        """Dispatch a service micro-batch; the future resolves to a
+        :class:`repro.engine.worker.TimedBatch` whose ``bodies`` are the
+        ``repro lint --json`` documents, one per certificate, and whose
+        ``timings`` carry the worker's per-stage seconds."""
         from ..engine.worker import lint_ders_timed
 
-        return self.executor.submit(
-            lint_ders_timed, ders, respect_effective_dates, compiled
-        )
+        return self.executor.submit(lint_ders_timed, ders, respect_effective_dates)
 
     def submit_fuzz(self, specs: tuple):
         """Dispatch one fuzz mutant batch; the future resolves to
@@ -523,8 +463,6 @@ def build_shard_tasks(
     shards: int,
     respect_effective_dates: bool = True,
     collect_reports: bool = False,
-    optimized: bool = True,
-    compiled: bool = True,
 ) -> list[ShardTask]:
     """Serialize a corpus into deterministic per-shard worker tasks."""
     records = _records_of(corpus)
@@ -538,8 +476,6 @@ def build_shard_tasks(
                 issued_at=tuple(r.issued_at for r in chunk),
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect_reports,
-                optimized=optimized,
-                compiled=compiled,
             )
         )
     return tasks
@@ -551,8 +487,6 @@ def build_store_shard_tasks(
     shards: int,
     respect_effective_dates: bool = True,
     collect_reports: bool = False,
-    optimized: bool = True,
-    compiled: bool = True,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over a substrate file.
 
@@ -568,8 +502,6 @@ def build_store_shard_tasks(
                 index=index,
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect_reports,
-                optimized=optimized,
-                compiled=compiled,
                 store_path=str(store_path),
                 start=start,
                 stop=stop,
@@ -583,8 +515,6 @@ def build_pair_shard_tasks(
     shards: int,
     respect_effective_dates: bool = True,
     collect_reports: bool = False,
-    optimized: bool = True,
-    compiled: bool = True,
     collect_facts: bool = False,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over ``(der, issued_at)`` pairs.
@@ -608,8 +538,6 @@ def build_pair_shard_tasks(
                 issued_at=tuple(issued for _, issued in chunk),
                 respect_effective_dates=respect_effective_dates,
                 collect_reports=collect_reports,
-                optimized=optimized,
-                compiled=compiled,
                 collect_facts=collect_facts,
             )
         )
@@ -631,51 +559,3 @@ def _mp_context(method: str | None = None):
             f"start method {method!r} unavailable (have {methods})"
         )
     return _mp.get_context(method)
-
-
-def lint_corpus_parallel(
-    corpus,
-    jobs: int | None = None,
-    *,
-    shards: int | None = None,
-    respect_effective_dates: bool = True,
-    collect_reports: bool = False,
-    optimized: bool = True,
-    compiled: bool = True,
-    pool: LintPool | None = None,
-    stats=None,
-) -> ParallelLintOutcome:
-    """Lint a corpus with ``jobs`` worker processes and merge exactly.
-
-    Signature-stable shim over :meth:`repro.engine.Engine.run_corpus`:
-    ``jobs=None`` uses every CPU (clamped to the record count);
-    ``jobs=1`` runs the identical shard path inline through the serial
-    executor, which is what makes the determinism guarantee testable —
-    every job count executes the same serialize → parse → lint →
-    summarize → merge sequence over the same shard boundaries.
-
-    Pass ``pool`` to reuse a long-lived :class:`LintPool` (the service
-    does), and ``stats`` (a :class:`repro.engine.stats.EngineStats`) to
-    observe the run's per-stage breakdown.
-
-    Raises :class:`ShardError` as soon as any shard reports a failure.
-    """
-    from ..engine.pipeline import Engine
-
-    return Engine(stats).run_corpus(
-        corpus,
-        jobs,
-        shards=shards,
-        respect_effective_dates=respect_effective_dates,
-        collect_reports=collect_reports,
-        optimized=optimized,
-        compiled=compiled,
-        pool=pool,
-    )
-
-
-def summarize_corpus_parallel(
-    corpus, jobs: int | None = None, **kwargs
-) -> CorpusSummary:
-    """Convenience wrapper returning only the merged summary."""
-    return lint_corpus_parallel(corpus, jobs, **kwargs).summary

@@ -7,13 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from ..x509 import Certificate
-from ..x509.cache import caching_disabled
-from .compiled import (
-    APPLIES_EXACT,
-    APPLIES_NONEMPTY,
-    SCOPE_NONEMPTY,
-    compiling_enabled,
-)
+from .compiled import APPLIES_EXACT, APPLIES_NONEMPTY, SCOPE_NONEMPTY
 from .context import LintContext
 from .framework import (
     Lint,
@@ -139,43 +133,25 @@ def run_lints(
     issued_at: _dt.datetime | None = None,
     lints: Sequence[Lint] | None = None,
     respect_effective_dates: bool = True,
-    optimized: bool = True,
     index: RegistryIndex | None = None,
-    compiled: bool = True,
 ) -> CertificateReport:
     """Run every lint (or a subset) against one certificate.
 
-    The default path attaches a per-run :class:`LintContext` to the
-    certificate (shared field extraction), schedules through a
-    :class:`RegistryIndex` (family skipping + effective-date bisect),
-    and dispatches through the compiled plan
-    (:mod:`repro.lint.compiled`): each scope's strings are scanned once
-    into a char-class bitmask, and compiled lints whose trigger bits
-    stay clear emit PASS without running their check.  ``compiled=False``
-    (or :func:`repro.lint.compiled.compiling_disabled`) pins the
-    interpreted dispatch; ``optimized=False`` runs the legacy per-lint
-    loop with every derived-view cache disabled — slower, but the
-    reference behaviour the equivalence tests compare against.  Pass a
-    prebuilt ``index`` (matching ``lints``) to skip the per-call memo
-    lookup.
+    Attaches a per-run :class:`LintContext` to the certificate (shared
+    field extraction), schedules through a :class:`RegistryIndex`
+    (family skipping + effective-date bisect), and dispatches through
+    the compiled plan (:mod:`repro.lint.compiled`): each scope's strings
+    are scanned once into a char-class bitmask, and compiled lints whose
+    trigger bits stay clear emit PASS without running their check.  The
+    test-only oracle this must agree with, report for report, is
+    :func:`repro.lint.reference.reference_run_lints`.  Pass a prebuilt
+    ``index`` (matching ``lints``) to skip the per-call memo lookup.
     """
     selected = tuple(lints) if lints is not None else REGISTRY.snapshot()
-    report = CertificateReport()
-    results = report.results
-    if not optimized:
-        with caching_disabled():
-            for lint in selected:
-                result = lint.run(
-                    cert,
-                    issued_at=issued_at,
-                    respect_effective_date=respect_effective_dates,
-                )
-                if result.status is not LintStatus.NA:
-                    results.append(result)
-        return report
-
     if index is None:
         index = index_for(selected)
+    report = CertificateReport()
+    results = report.results
     when = to_utc_naive(issued_at if issued_at is not None else cert.not_before)
     not_effective = (
         index.not_effective_names(when) if respect_effective_dates else _NO_NAMES
@@ -184,60 +160,38 @@ def run_lints(
     cert._lint_ctx = ctx
     try:
         present = ctx.families()
-        if compiled and compiling_enabled():
-            plan = index.compiled_plan()
-            resolve = plan.resolve_scope
-            masks: dict = {}
-            passed = LintStatus.PASS
-            for lint, families, scope, trigger, mode in plan.entries:
-                # Family absent ⇒ applies() False ⇒ the NA result the
-                # legacy loop would have dropped; skipping is exact.
-                if families is not None and families.isdisjoint(present):
-                    continue
-                if scope is not None:
-                    mask = masks.get(scope)
-                    if mask is None:
-                        mask = resolve(scope, cert, ctx, masks)
-                    if not (mask & trigger):
-                        # No trigger atom fires ⇒ check() would pass.  The
-                        # mode settles applicability: exact ⇒ PASS;
-                        # nonempty ⇒ PASS iff the scope carried items
-                        # (else the dropped-NA outcome); otherwise ask.
-                        if mode == APPLIES_EXACT:
-                            results.append(LintResult(lint.metadata, passed))
-                        elif mode == APPLIES_NONEMPTY:
-                            if mask & SCOPE_NONEMPTY:
-                                results.append(LintResult(lint.metadata, passed))
-                        elif lint.applies(cert):
-                            results.append(LintResult(lint.metadata, passed))
-                        continue
-                if not lint.applies(cert):
-                    continue
-                compliant, details = lint.check(cert)
-                meta = lint.metadata
-                if compliant:
-                    results.append(LintResult(meta, passed))
-                elif meta.name in not_effective:
-                    results.append(LintResult(meta, LintStatus.NOT_EFFECTIVE, details))
-                else:
-                    status = (
-                        LintStatus.ERROR
-                        if meta.severity is Severity.ERROR
-                        else LintStatus.WARN
-                    )
-                    results.append(LintResult(meta, status, details))
-            return report
-        for lint, families in index.entries:
-            # Family absent ⇒ applies() False ⇒ the NA result the legacy
-            # loop would have dropped; skipping is exact.
+        plan = index.compiled_plan()
+        resolve = plan.resolve_scope
+        masks: dict = {}
+        passed = LintStatus.PASS
+        for lint, families, scope, trigger, mode in plan.entries:
+            # Family absent ⇒ applies() False ⇒ the NA result the
+            # reference loop would have dropped; skipping is exact.
             if families is not None and families.isdisjoint(present):
                 continue
+            if scope is not None:
+                mask = masks.get(scope)
+                if mask is None:
+                    mask = resolve(scope, cert, ctx, masks)
+                if not (mask & trigger):
+                    # No trigger atom fires ⇒ check() would pass.  The
+                    # mode settles applicability: exact ⇒ PASS;
+                    # nonempty ⇒ PASS iff the scope carried items
+                    # (else the dropped-NA outcome); otherwise ask.
+                    if mode == APPLIES_EXACT:
+                        results.append(LintResult(lint.metadata, passed))
+                    elif mode == APPLIES_NONEMPTY:
+                        if mask & SCOPE_NONEMPTY:
+                            results.append(LintResult(lint.metadata, passed))
+                    elif lint.applies(cert):
+                        results.append(LintResult(lint.metadata, passed))
+                    continue
             if not lint.applies(cert):
                 continue
             compliant, details = lint.check(cert)
             meta = lint.metadata
             if compliant:
-                results.append(LintResult(meta, LintStatus.PASS))
+                results.append(LintResult(meta, passed))
             elif meta.name in not_effective:
                 results.append(LintResult(meta, LintStatus.NOT_EFFECTIVE, details))
             else:

@@ -23,8 +23,8 @@ class MicroBatcher:
 
     ``dispatch`` is the pool bridge: it takes a tuple of DER blobs and
     returns a :class:`concurrent.futures.Future` resolving to one
-    rendered JSON string per blob, in order
-    (:meth:`repro.lint.parallel.LintPool.submit_json`).
+    rendered JSON string per blob, in order (the service's
+    ``_dispatch`` over :meth:`repro.lint.parallel.LintPool.submit_timed`).
     """
 
     def __init__(

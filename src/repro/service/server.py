@@ -25,9 +25,9 @@ Data path for a ``POST /lint``::
           micro-batcher → LintPool worker → report_to_json → cache
 
 The response body is byte-identical to the offline CLI path because
-both run :func:`repro.lint.parallel.lint_ders_to_json`-shaped code:
-parse the DER with the tolerant parser, run the registry snapshot,
-render with ``report_to_json(report, cert)``.
+the worker (:func:`repro.engine.worker.lint_ders_timed`) does what
+``repro lint --json`` does: parse the DER with the tolerant parser, run
+the registry snapshot, render with ``report_to_json(report, cert)``.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class ServiceConfig:
     request_timeout: float = 30.0  #: per-request lint deadline (504 past it)
     max_body: int = 4 * 1024 * 1024  #: request body cap (413 past it)
     retry_after: float = 1.0  #: Retry-After hint on 429
-    #: False pins the interpreted lint dispatch (the ``--no-compile``
-    #: knob); True warms the compiled plan at boot and lints through it.
-    compile: bool = True
 
 
 def decode_certificate_body(data: bytes) -> bytes:
@@ -139,7 +136,7 @@ def rules_payload() -> list[dict]:
 class LintService:
     """One daemon instance: listener + cache + batcher + worker pool.
 
-    ``pool`` may be injected (anything with ``submit_json`` and
+    ``pool`` may be injected (anything with ``submit_timed`` and
     ``shutdown``); the service then does not own its lifecycle.  Tests
     use this to wedge a deliberately slow pool and observe backpressure.
     """
@@ -176,13 +173,12 @@ class LintService:
 
     async def start(self) -> None:
         if self._pool is None:
-            if self.config.compile:
-                # Compile stage first: classify the registry into the
-                # dispatch plan in this process (timed into /metrics),
-                # so forked workers inherit it copy-on-write.
-                from ..lint.compiled import warm_default_plan
+            # Compile stage first: classify the registry into the
+            # dispatch plan in this process (timed into /metrics), so
+            # forked workers inherit it copy-on-write.
+            from ..lint.compiled import warm_default_plan
 
-                warm_default_plan(self.engine_stats)
+            warm_default_plan(self.engine_stats)
             self._pool = LintPool(self.config.jobs)
             # Warm the pool at boot: fork/spawn plus the registry
             # snapshot/index build land here, not inside the first
@@ -232,17 +228,8 @@ class LintService:
         """Dispatch one micro-batch through the engine's timed worker
         path, folding the worker's per-stage seconds into this daemon's
         :class:`EngineStats` (surfaced as the ``stages`` block of
-        ``/metrics``).  Injected pools without ``submit_timed`` (tests
-        wedge minimal fakes) fall back to the untimed primitive."""
-        # Only pass the compile knob when non-default: injected fake
-        # pools (tests) predate the keyword and must keep working.
-        kwargs = {} if self.config.compile else {"compiled": False}
-        submit_timed = getattr(self._pool, "submit_timed", None)
-        if submit_timed is None:
-            fallback = self._pool.submit_json(ders, **kwargs)
-            self._track_bridge(fallback, fallback)
-            return fallback
-        inner = submit_timed(ders, **kwargs)
+        ``/metrics``)."""
+        inner = self._pool.submit_timed(ders)
         outer: _cf.Future = _cf.Future()
         self._track_bridge(inner, outer)
 

@@ -8,8 +8,8 @@ whole-program call graph, rooted at the worker entry points:
 
 * the :class:`~repro.lint.parallel.LintPool` spawn initializer and warm
   task (``_worker_init`` / ``_warm_worker``);
-* the pool submit targets (``lint_shard``, ``lint_ders_to_json``,
-  ``lint_ders_timed``, ``evaluate_batch_timed``) plus anything an
+* the pool submit targets (``lint_shard``, ``lint_ders_timed``,
+  ``evaluate_batch_timed``) plus anything an
   analyzed call site passes to ``executor.submit(fn, ...)`` or an
   ``initializer=`` keyword (:func:`discovered_roots`).
 
@@ -51,7 +51,6 @@ DEFAULT_WORKER_ROOTS = (
     "repro.lint.parallel._warm_worker",
     "repro.lint.parallel._worker_init",
     "repro.lint.parallel._worker_schedule",
-    "repro.lint.parallel.lint_ders_to_json",
     "repro.lint.parallel.lint_shard",
 )
 

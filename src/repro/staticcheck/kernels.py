@@ -2,7 +2,7 @@
 
 The compiled dispatch plan (:mod:`repro.lint.compiled`) only speeds up
 the lints it can classify into char-class kernels; everything else runs
-interpreted.  That fallback is silent at runtime — a refactor that
+its own check on every certificate.  That fallback is silent at runtime — a refactor that
 renames a check function or restructures a factory can knock a lint off
 the compiled path and nobody notices until the benchmark regresses.
 

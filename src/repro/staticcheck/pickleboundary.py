@@ -43,9 +43,7 @@ _FN_DISPATCH = frozenset({"submit", "apply_async"})
 
 #: Dispatch attributes whose arguments are all data (the callable is
 #: fixed inside the pool wrapper).
-_DATA_DISPATCH = frozenset(
-    {"submit_shard", "submit_json", "submit_timed", "submit_fuzz"}
-)
+_DATA_DISPATCH = frozenset({"submit_shard", "submit_timed", "submit_fuzz"})
 
 #: Constructors whose fields are pickled wholesale into worker tasks.
 _TASK_TYPES = frozenset({"ShardTask"})

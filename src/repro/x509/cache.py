@@ -4,10 +4,11 @@ The derived-view caches — :class:`~repro.x509.certificate.Certificate`
 extension views and the ``char_set`` of
 :class:`~repro.x509.name.AttributeTypeAndValue` and
 :class:`~repro.x509.general_name.GeneralName` — are identity-validated
-and therefore always safe — but the equivalence tests (and the
-benchmark's "before" leg) need a way to measure the *uncached* code
-path on the very same objects.  :func:`caching_disabled` is that
-switch: while any caller holds it, every accessor recomputes from the
+and therefore always safe — but the reference oracle
+(:func:`repro.lint.reference.reference_run_lints`, which the
+equivalence tests and the benchmark's "before" leg run) needs the
+*uncached* code path on the very same objects.  :func:`caching_disabled`
+is that switch: while any caller holds it, every accessor recomputes from the
 underlying DER/attribute state and neither reads nor writes its memo.
 :class:`~repro.x509.name.Name` keeps no memo: its accessors scan the
 RDN list on every call, which costs less than validating a memo would.
@@ -18,7 +19,7 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator
 
-_disable_depth = 0  # staticcheck: process-local
+_disable_depth = 0
 
 
 def caching_enabled() -> bool:

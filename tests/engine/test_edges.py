@@ -4,8 +4,9 @@
 must never manufacture empty shard tasks, and a single-record corpus
 must produce exactly one non-empty task no matter how many shards are
 requested.  Executors are interchangeable: serial and pool runs over
-the same tasks merge to byte-identical summaries, and both surface a
-worker failure as :class:`ShardError`.
+the same tasks merge to the summary of the reference oracle
+(:func:`repro.lint.reference.reference_run_lints`, run serially), and
+both surface a worker failure as :class:`ShardError`.
 """
 
 import datetime as dt
@@ -14,7 +15,8 @@ import os
 import pytest
 
 from repro.engine import PoolExecutor, SerialExecutor, merge_shard_results, run_corpus
-from repro.lint import summary_to_json
+from repro.lint import summarize, summary_to_json
+from repro.lint.reference import reference_run_lints
 from repro.lint.runner import CorpusSummary
 from repro.lint.parallel import (
     LintPool,
@@ -22,7 +24,6 @@ from repro.lint.parallel import (
     ShardTask,
     build_shard_tasks,
     default_shard_count,
-    lint_corpus_parallel,
     resolve_jobs,
     shard_bounds,
     usable_cpus,
@@ -59,6 +60,15 @@ def make_records(count):
         )
         records.append(_Record(cert))
     return records
+
+
+def oracle_summary(records) -> str:
+    return summary_to_json(
+        summarize(
+            reference_run_lints(r.certificate, issued_at=r.issued_at)
+            for r in records
+        )
+    )
 
 
 class TestResolveJobs:
@@ -139,7 +149,7 @@ class TestEmptyCorpus:
 class TestJobsExceedRecords:
     def test_pool_run_clamps_workers(self):
         records = make_records(3)
-        outcome = lint_corpus_parallel(records, jobs=8, shards=3)
+        outcome = run_corpus(records, jobs=8, shards=3)
         # Three records, three shards: the pool is provisioned with
         # three workers, not eight.
         assert outcome.jobs == 3
@@ -147,7 +157,7 @@ class TestJobsExceedRecords:
 
     def test_tiny_corpus_collapses_to_serial(self):
         records = make_records(2)
-        outcome = lint_corpus_parallel(records, jobs=8)
+        outcome = run_corpus(records, jobs=8)
         # Two records fit one shard, which runs inline.
         assert outcome.jobs == 1
         assert outcome.shards == 1
@@ -161,19 +171,20 @@ class TestJobsPoolReconcile:
     def test_explicit_jobs_clamped_to_pool_size(self):
         records = make_records(6)
         with LintPool(2) as pool:
-            outcome = lint_corpus_parallel(records, jobs=8, pool=pool, shards=3)
+            outcome = run_corpus(records, jobs=8, pool=pool, shards=3)
         assert outcome.jobs == 2
+        assert summary_to_json(outcome.summary) == oracle_summary(records)
 
     def test_explicit_smaller_jobs_rides_shared_pool(self):
         records = make_records(6)
         with LintPool(2) as pool:
-            outcome = lint_corpus_parallel(records, jobs=1, pool=pool, shards=3)
+            outcome = run_corpus(records, jobs=1, pool=pool, shards=3)
         assert outcome.jobs == 1
 
     def test_pool_jobs_clamped_to_record_count(self):
         records = make_records(2)
         with LintPool(4) as pool:
-            outcome = lint_corpus_parallel(records, pool=pool, shards=2)
+            outcome = run_corpus(records, pool=pool, shards=2)
         assert outcome.jobs == 2
 
 
@@ -183,9 +194,9 @@ class TestExecutorParity:
         tasks = build_shard_tasks(records, shards=3)
         serial = SerialExecutor().run(tasks)
         pool = PoolExecutor(2).run(tasks)
-        assert summary_to_json(
-            merge_shard_results(serial, 1).summary
-        ) == summary_to_json(merge_shard_results(pool, 2).summary)
+        expected = oracle_summary(records)
+        assert summary_to_json(merge_shard_results(serial, 1).summary) == expected
+        assert summary_to_json(merge_shard_results(pool, 2).summary) == expected
 
     def test_serial_executor_raises_shard_error(self):
         bad = ShardTask(index=0, certs_der=(b"\x30\x00",), issued_at=(None,))

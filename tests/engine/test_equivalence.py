@@ -1,12 +1,12 @@
 """Satellite 3: engine-routed outputs vs the seed reference loop.
 
-Every surface that now routes through :mod:`repro.engine` must produce
-byte-identical output to the pre-engine reference semantics — the
-unoptimized per-certificate loop with every derived-view cache
-disabled.  Covered here: merged corpus summaries (``jobs=1`` vs
-``jobs=4`` vs reference, caches on vs :func:`caching_disabled`),
-collected per-certificate reports, the service worker primitive
-(timed vs untimed bodies), and the CLI JSON document.
+Every surface that routes through :mod:`repro.engine` must produce
+byte-identical output to the reference oracle
+(:func:`repro.lint.reference.reference_run_lints`: the per-lint loop
+with every derived-view cache disabled), run serially.  Covered here:
+merged corpus summaries (``jobs=1``, ``2`` and ``4`` vs the oracle),
+collected per-certificate reports, the service worker primitive, and
+the CLI JSON document.
 """
 
 import datetime as dt
@@ -16,14 +16,13 @@ import pytest
 from repro.cli import main
 from repro.ct import CorpusGenerator
 from repro.engine import Engine, lint_ders_timed, run_corpus
-from repro.lint import run_lints, summarize, summary_to_json
-from repro.lint.parallel import lint_corpus_parallel, lint_ders_to_json
+from repro.lint import summarize, summary_to_json
+from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_json
 from repro.x509 import (
     Certificate,
     CertificateBuilder,
     GeneralName,
-    caching_disabled,
     generate_keypair,
     subject_alt_name,
 )
@@ -39,12 +38,11 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def reference_reports(corpus):
-    """The seed semantics: per-record loop, unoptimized, caches off."""
-    with caching_disabled():
-        return [
-            run_lints(r.certificate, issued_at=r.issued_at, optimized=False)
-            for r in corpus.records
-        ]
+    """The oracle: per-record loop, caches off."""
+    return [
+        reference_run_lints(r.certificate, issued_at=r.issued_at)
+        for r in corpus.records
+    ]
 
 
 class TestCorpusSummaries:
@@ -57,19 +55,11 @@ class TestCorpusSummaries:
         assert one.jobs == 1
         assert four.jobs == 4
 
-    def test_unoptimized_engine_route_matches_reference(
-        self, corpus, reference_reports
-    ):
+    def test_two_job_pool_route_matches_reference(self, corpus, reference_reports):
         baseline = summary_to_json(summarize(reference_reports))
-        outcome = run_corpus(corpus, jobs=2, optimized=False)
+        outcome = run_corpus(corpus, jobs=2)
         assert summary_to_json(outcome.summary) == baseline
-
-    def test_public_shim_matches_module_entry(self, corpus):
-        via_shim = lint_corpus_parallel(corpus, jobs=2)
-        via_engine = run_corpus(corpus, jobs=2)
-        assert summary_to_json(via_shim.summary) == summary_to_json(
-            via_engine.summary
-        )
+        assert outcome.jobs == 2
 
 
 class TestCollectedReports:
@@ -104,10 +94,14 @@ class TestCollectedReports:
 
 
 class TestServiceWorkerPrimitive:
-    def test_timed_bodies_match_untimed(self, corpus):
+    def test_timed_bodies_match_reference(self, corpus):
         ders = tuple(r.certificate.to_der() for r in corpus.records[:16])
         batch = lint_ders_timed(ders)
-        assert batch.bodies == lint_ders_to_json(ders)
+        expected = []
+        for der in ders:
+            cert = Certificate.from_der(der)
+            expected.append(report_to_json(reference_run_lints(cert), cert))
+        assert batch.bodies == expected
         assert batch.timings.certs == len(ders)
         assert batch.timings.bytes == sum(len(d) for d in ders)
 
@@ -129,8 +123,7 @@ class TestCliSurface:
         assert main(["lint", str(path), "--json"]) == 0
         out = capsys.readouterr().out
         reparsed = Certificate.from_der(cert.to_der())
-        with caching_disabled():
-            report = run_lints(reparsed, optimized=False)
+        report = reference_run_lints(reparsed)
         assert out == report_to_json(report, reparsed) + "\n"
 
     def test_engine_item_json_matches_reference(self):
@@ -138,8 +131,5 @@ class TestCliSurface:
         engine = Engine()
         item = engine.lint_bytes(cert.to_der(), origin="<test>")
         assert item.ok
-        with caching_disabled():
-            report = run_lints(
-                Certificate.from_der(cert.to_der()), optimized=False
-            )
+        report = reference_run_lints(Certificate.from_der(cert.to_der()))
         assert engine.render_json(item) == report_to_json(report, item.cert)

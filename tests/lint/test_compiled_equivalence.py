@@ -3,12 +3,12 @@
 The compiled plan (:mod:`repro.lint.compiled`) is an over-approximation:
 a lint's trigger bits staying clear must *prove* compliance, and fired
 bits must hand off to the real check byte-for-byte.  These tests pin
-that contract three ways: per-report equivalence against both the
-interpreted dispatch and the unoptimized reference over a seeded
-corpus (jobs 1 and 4, fork and spawn pools), byte-identical replay of
-the committed fuzz witness corpus (adversarial inputs are exactly where
-a fused scanner would diverge), and plan-coverage invariants against
-the reviewed ``UNCOMPILED_MANIFEST``.
+that contract three ways: per-report equivalence against the reference
+oracle (:func:`repro.lint.reference.reference_run_lints`, run serially)
+over a seeded corpus (jobs 1 and 4, fork and spawn pools),
+byte-identical replay of the committed fuzz witness corpus (adversarial
+inputs are exactly where a fused scanner would diverge), and
+plan-coverage invariants against the reviewed ``UNCOMPILED_MANIFEST``.
 """
 
 import base64
@@ -18,20 +18,11 @@ import pathlib
 import pytest
 
 from repro.ct import CorpusGenerator
-from repro.engine import EngineStats
-from repro.lint import (
-    REGISTRY,
-    index_for,
-    lint_corpus_parallel,
-    run_lints,
-    summary_to_json,
-)
-from repro.lint.compiled import (
-    UNCOMPILED_MANIFEST,
-    compiling_disabled,
-    warm_default_plan,
-)
+from repro.engine import EngineStats, run_corpus
+from repro.lint import REGISTRY, index_for, run_lints, summarize, summary_to_json
+from repro.lint.compiled import UNCOMPILED_MANIFEST, warm_default_plan
 from repro.lint.parallel import LintPool
+from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_json
 from repro.x509 import Certificate
 
@@ -44,51 +35,43 @@ def corpus():
     return CorpusGenerator(seed=11, scale=1 / 200000).generate()
 
 
+@pytest.fixture(scope="module")
+def oracle_summary(corpus):
+    """The reference oracle's summary, built serially."""
+    return summary_to_json(
+        summarize(
+            reference_run_lints(r.certificate, issued_at=r.issued_at)
+            for r in corpus.records
+        )
+    )
+
+
 def _report_shape(report):
     return [(r.lint.name, r.status, r.details) for r in report.results]
 
 
 class TestCompiledReportEquivalence:
-    def test_every_report_identical_across_dispatchers(self, corpus):
+    def test_every_report_identical_to_oracle(self, corpus):
         for record in corpus.records:
-            reference = run_lints(
-                record.certificate, issued_at=record.issued_at, optimized=False
-            )
-            interpreted = run_lints(
-                record.certificate, issued_at=record.issued_at, compiled=False
+            reference = reference_run_lints(
+                record.certificate, issued_at=record.issued_at
             )
             compiled = run_lints(record.certificate, issued_at=record.issued_at)
             assert _report_shape(compiled) == _report_shape(reference)
-            assert _report_shape(interpreted) == _report_shape(reference)
 
-    def test_summary_identical_across_jobs_and_dispatch(self, corpus):
-        baseline = summary_to_json(
-            lint_corpus_parallel(corpus, jobs=1, optimized=False).summary
-        )
+    def test_summary_identical_across_jobs(self, corpus, oracle_summary):
         for jobs in (1, 4):
-            compiled = lint_corpus_parallel(corpus, jobs=jobs)
-            interpreted = lint_corpus_parallel(corpus, jobs=jobs, compiled=False)
-            assert summary_to_json(compiled.summary) == baseline
-            assert summary_to_json(interpreted.summary) == baseline
+            outcome = run_corpus(corpus, jobs=jobs)
+            assert summary_to_json(outcome.summary) == oracle_summary
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_pool_equivalence_across_start_methods(self, corpus, start_method):
-        baseline = summary_to_json(lint_corpus_parallel(corpus, jobs=1).summary)
+    def test_pool_equivalence_across_start_methods(
+        self, corpus, oracle_summary, start_method
+    ):
         with LintPool(2, start_method=start_method) as pool:
             pool.prewarm()
-            outcome = lint_corpus_parallel(corpus, jobs=2, pool=pool)
-        assert summary_to_json(outcome.summary) == baseline
-
-    def test_compiling_disabled_context_pins_interpreted_path(self, corpus):
-        record = corpus.records[0]
-        reference = _report_shape(
-            run_lints(record.certificate, issued_at=record.issued_at, compiled=False)
-        )
-        with compiling_disabled():
-            pinned = _report_shape(
-                run_lints(record.certificate, issued_at=record.issued_at)
-            )
-        assert pinned == reference
+            outcome = run_corpus(corpus, jobs=2, pool=pool)
+        assert summary_to_json(outcome.summary) == oracle_summary
 
 
 class TestWitnessReplayEquivalence:
@@ -105,19 +88,13 @@ class TestWitnessReplayEquivalence:
     def test_all_witnesses_byte_identical(self):
         replayed = 0
         for name, der in self._witness_ders():
-            # Fresh objects per dispatcher: no memoized view may leak
-            # results from one path into the other.
+            # Fresh objects per path: no memoized view may leak results
+            # from one path into the other.
             cert_ref = Certificate.from_der(der)
             cert_new = Certificate.from_der(der)
-            reference = report_to_json(
-                run_lints(cert_ref, optimized=False), cert_ref
-            )
+            reference = report_to_json(reference_run_lints(cert_ref), cert_ref)
             compiled = report_to_json(run_lints(cert_new), cert_new)
-            interpreted = report_to_json(
-                run_lints(cert_new, compiled=False), cert_new
-            )
             assert compiled == reference, f"compiled diverged on {name}"
-            assert interpreted == reference, f"interpreted diverged on {name}"
             replayed += 1
         assert replayed >= 97
 
@@ -135,7 +112,7 @@ class TestCompiledPlanCoverage:
         assert compiled | uncompiled == registered
         assert not compiled & uncompiled
         # The compiler must cover the overwhelming majority of the
-        # registry — falling back interpreted is the exception.
+        # registry — an unscoped row is the exception.
         assert len(compiled) >= 90
 
 

@@ -1,12 +1,14 @@
 """Equivalence proof for the memoized/indexed lint fast path.
 
-The optimized runner (per-run LintContext + RegistryIndex family
+The production runner (per-run LintContext + RegistryIndex family
 skipping + effective-date bisect + derived-view caches) must be
 *invisible*: every per-certificate report and every corpus summary must
-be byte-identical to the legacy per-lint loop run with caching disabled.
-These tests pin that invariant over a seeded corpus at ``jobs=1`` and
-``jobs=4``, plus cache-correctness tests proving mutated or rebuilt
-certificates never serve stale memoized views.
+be byte-identical to the reference oracle
+(:func:`repro.lint.reference.reference_run_lints`: the per-lint loop
+with caching disabled).  These tests pin that invariant over a seeded
+corpus at ``jobs=1`` and ``jobs=4``, plus cache-correctness tests
+proving mutated or rebuilt certificates never serve stale memoized
+views.
 """
 
 import datetime as dt
@@ -16,7 +18,11 @@ import pytest
 from repro.asn1 import PRINTABLE_STRING
 from repro.asn1.oid import OID_COMMON_NAME, OID_EXT_SAN, OID_ORGANIZATION_NAME
 from repro.ct import CorpusGenerator
-from repro.lint import REGISTRY, lint_corpus_parallel, run_lints, summarize, summary_to_json
+from repro.engine import run_corpus
+from repro.lint import REGISTRY, run_lints, summarize, summary_to_json
+from repro.lint.compiled import APPLIES_CALL
+from repro.lint.framework import RegistryIndex
+from repro.lint.reference import reference_run_lints
 from repro.x509 import (
     AttributeTypeAndValue,
     CertificateBuilder,
@@ -40,6 +46,16 @@ def _report_shape(report):
     return [(r.lint.name, r.status, r.details) for r in report.results]
 
 
+def _no_skip_index(lints):
+    """An index whose plan skips nothing: every lint's ``applies()``
+    and ``check()`` run, with no family or trigger-mask shortcut."""
+    index = RegistryIndex(lints)
+    index.compiled_plan().entries = tuple(
+        (lint, None, None, 0, APPLIES_CALL) for lint in lints
+    )
+    return index
+
+
 def _build(cn="test.example.com", san=None):
     builder = CertificateBuilder().subject_cn(cn).not_before(WHEN)
     builder.add_extension(subject_alt_name(GeneralName.dns(san or cn)))
@@ -47,35 +63,30 @@ def _build(cn="test.example.com", san=None):
 
 
 class TestReportEquivalence:
-    def test_every_report_identical_to_uncached_path(self, corpus):
+    def test_every_report_identical_to_oracle(self, corpus):
         for record in corpus.records:
-            reference = run_lints(
-                record.certificate, issued_at=record.issued_at, optimized=False
+            reference = reference_run_lints(
+                record.certificate, issued_at=record.issued_at
             )
             optimized = run_lints(record.certificate, issued_at=record.issued_at)
             assert _report_shape(optimized) == _report_shape(reference)
 
-    def test_summary_identical_across_paths_and_jobs(self, corpus):
+    def test_summary_identical_across_jobs(self, corpus):
         reference = summarize(
-            run_lints(r.certificate, issued_at=r.issued_at, optimized=False)
+            reference_run_lints(r.certificate, issued_at=r.issued_at)
             for r in corpus.records
         )
         baseline = summary_to_json(reference)
-        inline = lint_corpus_parallel(corpus, jobs=1)
-        fanout = lint_corpus_parallel(corpus, jobs=4)
-        unoptimized = lint_corpus_parallel(corpus, jobs=1, optimized=False)
+        inline = run_corpus(corpus, jobs=1)
+        fanout = run_corpus(corpus, jobs=4)
         assert summary_to_json(inline.summary) == baseline
         assert summary_to_json(fanout.summary) == baseline
-        assert summary_to_json(unoptimized.summary) == baseline
 
-    def test_subset_run_matches_uncached(self, corpus):
+    def test_subset_run_matches_oracle(self, corpus):
         subset = REGISTRY.snapshot()[:7]
         record = corpus.records[0]
-        reference = run_lints(
-            record.certificate,
-            issued_at=record.issued_at,
-            lints=subset,
-            optimized=False,
+        reference = reference_run_lints(
+            record.certificate, issued_at=record.issued_at, lints=subset
         )
         optimized = run_lints(
             record.certificate, issued_at=record.issued_at, lints=subset
@@ -84,11 +95,10 @@ class TestReportEquivalence:
 
     def test_ignoring_effective_dates_matches(self, corpus):
         for record in corpus.records[:25]:
-            reference = run_lints(
+            reference = reference_run_lints(
                 record.certificate,
                 issued_at=record.issued_at,
                 respect_effective_dates=False,
-                optimized=False,
             )
             optimized = run_lints(
                 record.certificate,
@@ -100,6 +110,8 @@ class TestReportEquivalence:
     def test_no_context_left_behind(self):
         cert = _build()
         run_lints(cert)
+        assert not hasattr(cert, "_lint_ctx")
+        reference_run_lints(cert)
         assert not hasattr(cert, "_lint_ctx")
 
 
@@ -115,13 +127,9 @@ class TestFamilySkipEquivalence:
     """
 
     def test_jobs1_summary_identical_to_no_skip_run(self, corpus):
-        from repro.lint.framework import REGISTRY, RegistryIndex
-
         lints = REGISTRY.snapshot()
         skipping = RegistryIndex(lints)
-        no_skip = RegistryIndex(lints)
-        # Defeat the isdisjoint fast path: every lint's applies() runs.
-        no_skip.entries = tuple((lint, None) for lint in lints)
+        no_skip = _no_skip_index(lints)
         with_skip = summarize(
             run_lints(r.certificate, issued_at=r.issued_at, index=skipping)
             for r in corpus.records
@@ -133,11 +141,7 @@ class TestFamilySkipEquivalence:
         assert summary_to_json(with_skip) == summary_to_json(without_skip)
 
     def test_per_report_skip_equivalence(self, corpus):
-        from repro.lint.framework import REGISTRY, RegistryIndex
-
-        lints = REGISTRY.snapshot()
-        no_skip = RegistryIndex(lints)
-        no_skip.entries = tuple((lint, None) for lint in lints)
+        no_skip = _no_skip_index(REGISTRY.snapshot())
         for record in corpus.records[:40]:
             skipped = run_lints(record.certificate, issued_at=record.issued_at)
             full = run_lints(

@@ -1,36 +1,49 @@
 """Tests for the sharded parallel corpus-lint pipeline.
 
 Covers the determinism guarantee (``--jobs N`` byte-identical to
-``--jobs 1`` and to the classic sequential path), exact-merge algebra
-(commutativity/associativity), deterministic sharding, worker-crash
-surfacing, and the per-worker registry cache.
+``--jobs 1`` and to the reference oracle run serially), exact-merge
+algebra (commutativity/associativity), deterministic sharding,
+worker-crash surfacing, the registry schedule workers lint with, and
+the reusable worker pool.
 """
 
+import contextlib
 import datetime as dt
 import json
+import os
 
 import pytest
 
 from repro.ct import CorpusGenerator
+from repro.engine import lint_ders_timed, run_corpus
 from repro.lint import (
     CorpusSummary,
     REGISTRY,
     ShardError,
-    lint_corpus_parallel,
+    report_to_json,
     run_lints,
     shard_bounds,
     summarize,
-    summarize_corpus_parallel,
     summary_to_json,
 )
-from repro.lint.framework import LintRegistry
+from repro.lint.framework import (
+    FunctionLint,
+    LintMetadata,
+    LintRegistry,
+    NoncomplianceType,
+    RFC5280_DATE,
+    Severity,
+    Source,
+)
 from repro.lint.parallel import (
     MIN_SHARD_SIZE,
+    LintPool,
     build_shard_tasks,
     default_shard_count,
     lint_shard,
     resolve_jobs,
 )
+from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_dict
 from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
 
@@ -43,6 +56,19 @@ def corpus():
     # ~170 records: enough to exercise multiple shards, small enough to
     # lint three times in a few seconds.
     return CorpusGenerator(seed=11, scale=1 / 200000).generate()
+
+
+def _oracle_summary(corpus, respect_effective_dates=True) -> str:
+    return summary_to_json(
+        summarize(
+            reference_run_lints(
+                r.certificate,
+                issued_at=r.issued_at,
+                respect_effective_dates=respect_effective_dates,
+            )
+            for r in corpus.records
+        )
+    )
 
 
 def _cert(cn, san=None):
@@ -146,23 +172,24 @@ class TestMergeAlgebra:
 
 
 class TestDeterminism:
-    def test_jobs4_byte_identical_to_jobs1(self, corpus):
-        # The ISSUE acceptance check: same seed, different job counts,
-        # byte-for-byte identical summaries.
-        one = lint_corpus_parallel(corpus, jobs=1)
-        four = lint_corpus_parallel(corpus, jobs=4)
-        assert summary_to_json(one.summary) == summary_to_json(four.summary)
+    def test_jobs4_byte_identical_to_jobs1_and_oracle(self, corpus):
+        # Same seed, different job counts: byte-for-byte identical
+        # summaries, both equal to the oracle's.
+        one = run_corpus(corpus, jobs=1)
+        four = run_corpus(corpus, jobs=4)
+        assert summary_to_json(one.summary) == _oracle_summary(corpus)
+        assert summary_to_json(four.summary) == _oracle_summary(corpus)
 
     def test_pipeline_matches_classic_sequential_path(self, corpus):
-        from repro.analysis import lint_corpus
+        from repro.analysis import lint_corpus, summarize_corpus
 
         classic = summarize(lint_corpus(corpus, jobs=1))
-        piped = summarize_corpus_parallel(corpus, jobs=2)
+        piped = summarize_corpus(corpus, jobs=2)
         assert summary_to_json(classic) == summary_to_json(piped)
 
     def test_reports_come_back_in_corpus_order(self, corpus):
-        seq = lint_corpus_parallel(corpus, jobs=1, collect_reports=True)
-        par = lint_corpus_parallel(corpus, jobs=2, collect_reports=True)
+        seq = run_corpus(corpus, jobs=1, collect_reports=True)
+        par = run_corpus(corpus, jobs=2, collect_reports=True)
         assert len(seq.reports) == len(par.reports) == len(corpus.records)
         for left, right in zip(seq.reports, par.reports):
             assert json.dumps(report_to_dict(left), sort_keys=True) == json.dumps(
@@ -170,22 +197,23 @@ class TestDeterminism:
             )
 
     def test_shard_count_does_not_change_summary(self, corpus):
-        a = lint_corpus_parallel(corpus, jobs=1, shards=1)
-        b = lint_corpus_parallel(corpus, jobs=1, shards=7)
+        a = run_corpus(corpus, jobs=1, shards=1)
+        b = run_corpus(corpus, jobs=1, shards=7)
         assert summary_to_json(a.summary) == summary_to_json(b.summary)
 
     def test_empty_corpus(self):
-        outcome = lint_corpus_parallel([], jobs=4, collect_reports=True)
+        outcome = run_corpus([], jobs=4, collect_reports=True)
         assert outcome.summary.total == 0
         assert outcome.reports == []
         assert outcome.shards == 0
 
     def test_respects_effective_dates_flag(self, corpus):
-        with_dates = summarize_corpus_parallel(corpus, jobs=2)
-        without = summarize_corpus_parallel(
-            corpus, jobs=2, respect_effective_dates=False
-        )
+        with_dates = run_corpus(corpus, jobs=2).summary
+        without = run_corpus(corpus, jobs=2, respect_effective_dates=False).summary
         assert without.noncompliant >= with_dates.noncompliant
+        assert summary_to_json(without) == _oracle_summary(
+            corpus, respect_effective_dates=False
+        )
 
 
 class _BrokenCert:
@@ -208,14 +236,14 @@ class TestWorkerCrash:
 
     def test_shard_failure_surfaces_clear_error_parallel(self, corpus):
         with pytest.raises(ShardError) as excinfo:
-            lint_corpus_parallel(self._poisoned(corpus), jobs=2, shards=4)
+            run_corpus(self._poisoned(corpus), jobs=2, shards=4)
         message = str(excinfo.value)
         assert "shard" in message
         assert "parallel lint pipeline" in message
 
     def test_shard_failure_surfaces_clear_error_inline(self, corpus):
         with pytest.raises(ShardError) as excinfo:
-            lint_corpus_parallel(self._poisoned(corpus), jobs=1, shards=4)
+            run_corpus(self._poisoned(corpus), jobs=1, shards=4)
         assert excinfo.value.index >= 0
 
     def test_lint_shard_never_raises(self, corpus):
@@ -233,71 +261,111 @@ class TestRegistryCache:
         assert list(REGISTRY.snapshot()) == REGISTRY.all()
 
     def test_snapshot_invalidated_on_register(self):
-        from repro.lint.framework import (
-            FunctionLint,
-            LintMetadata,
-            NoncomplianceType,
-            RFC5280_DATE,
-            Severity,
-            Source,
-        )
-
         registry = LintRegistry()
         before = registry.snapshot()
-        lint = FunctionLint(
-            LintMetadata(
-                name="e_test_snapshot_invalidation",
-                description="",
-                citation="",
-                source=Source.RFC5280,
-                severity=Severity.ERROR,
-                nc_type=NoncomplianceType.ILLEGAL_FORMAT,
-                effective_date=RFC5280_DATE,
-            ),
-            lambda cert: True,
-            lambda cert: (True, ""),
-        )
+        lint = _test_lint("e_test_snapshot_invalidation", fires=False)
         registry.register(lint)
         after = registry.snapshot()
         assert before == ()
         assert after == (lint,)
 
+    def test_serial_run_sees_a_lint_registered_after_a_run(self, corpus):
+        records = corpus.records[:8]
+        run_corpus(records, jobs=1)  # resolves the schedule once
+        with _registered(_test_lint("e_test_registered_late", fires=True)) as lint:
+            direct = run_lints(records[0].certificate, issued_at=records[0].issued_at)
+            assert lint.metadata.name in direct.fired_lints()
+            summary = run_corpus(records, jobs=1).summary
+            assert summary.per_lint.get(lint.metadata.name) == len(records)
+        after = run_corpus(records, jobs=1).summary
+        assert "e_test_registered_late" not in after.per_lint
+
+
+def _test_lint(name: str, fires: bool) -> FunctionLint:
+    return FunctionLint(
+        LintMetadata(
+            name=name,
+            description="",
+            citation="",
+            source=Source.RFC5280,
+            severity=Severity.ERROR,
+            nc_type=NoncomplianceType.ILLEGAL_FORMAT,
+            effective_date=RFC5280_DATE,
+        ),
+        lambda cert: True,
+        lambda cert: (not fires, "planted" if fires else ""),
+    )
+
+
+@contextlib.contextmanager
+def _registered(lint):
+    """Temporarily register ``lint`` in the package-wide registry."""
+    REGISTRY.register(lint)
+    try:
+        yield lint
+    finally:
+        REGISTRY._lints.pop(lint.metadata.name)
+        REGISTRY._snapshot = None
+
+
+def _worker_spill_state() -> tuple[int, int]:
+    """In a pool worker: cached and mapped engine spill files.
+
+    Spills are the ``repro-corpus-*`` files ``run_corpus`` writes for a
+    pool; a forked worker may also have inherited the parent's cache of
+    other stores, which this ignores.
+    """
+    from repro.lint import parallel
+
+    cached = sum("repro-corpus-" in path for path in parallel._WORKER_STORES)
+    mapped = 0
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as handle:
+            mapped = sum("repro-corpus-" in line for line in handle)
+    return cached, mapped
+
 
 class TestLintPool:
-    """The reusable pool handle (PR 2): shared by the batch pipeline
-    and the lint service instead of a per-call multiprocessing.Pool."""
+    """The reusable pool handle: shared by the batch pipeline and the
+    lint service instead of a per-call multiprocessing.Pool."""
 
     def test_corpus_results_identical_through_a_reused_pool(self, corpus):
-        from repro.lint.parallel import LintPool
-
-        baseline = summary_to_json(lint_corpus_parallel(corpus, jobs=1).summary)
+        baseline = _oracle_summary(corpus)
         with LintPool(jobs=2) as pool:
-            first = lint_corpus_parallel(corpus, pool=pool)
-            second = lint_corpus_parallel(corpus, pool=pool)
+            first = run_corpus(corpus, pool=pool)
+            second = run_corpus(corpus, pool=pool)
             assert summary_to_json(first.summary) == baseline
             assert summary_to_json(second.summary) == baseline
             assert first.jobs == 2
 
-    def test_submit_json_matches_cli_serialization(self):
-        from repro.lint import report_to_json
-        from repro.lint.parallel import LintPool, lint_ders_to_json
+    def test_reused_pool_keeps_at_most_one_spilled_store(self, corpus):
+        # Every run over a shared pool spills to a fresh path; a worker
+        # must not keep a mapping of each finished run's deleted spill.
+        records = corpus.records[:40]
+        baseline = summary_to_json(run_corpus(records, jobs=1).summary)
+        with LintPool(jobs=1) as pool:
+            for _ in range(6):
+                outcome = run_corpus(records, jobs=1, pool=pool)
+                assert summary_to_json(outcome.summary) == baseline
+            cached, mapped = pool.executor.submit(_worker_spill_state).result(
+                timeout=60
+            )
+        assert cached <= 1
+        assert mapped <= 1
 
+    def test_submit_timed_matches_cli_serialization(self):
         certs = [_cert("pool-a.example.com"), _cert("bad\x00pool.example.com")]
         ders = tuple(c.to_der() for c in certs)
-        expected = [
-            report_to_json(run_lints(c), c) for c in certs
-        ]
+        expected = [report_to_json(reference_run_lints(c), c) for c in certs]
         # Inline worker function...
-        assert lint_ders_to_json(ders) == expected
+        assert lint_ders_timed(ders).bodies == expected
         # ...and through a real worker process.
         with LintPool(jobs=1) as pool:
-            assert pool.submit_json(ders).result(timeout=60) == expected
+            assert pool.submit_timed(ders).result(timeout=60).bodies == expected
 
     def test_shutdown_is_idempotent_and_reentrant(self):
-        from repro.lint.parallel import LintPool
-
         pool = LintPool(jobs=1)
         pool.shutdown()  # never started: no executor to tear down
-        pool.submit_json((_cert("re.example.com").to_der(),)).result(timeout=60)
+        pool.submit_timed((_cert("re.example.com").to_der(),)).result(timeout=60)
         pool.shutdown()
         pool.shutdown()

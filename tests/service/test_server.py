@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.engine import TimedBatch
 from repro.service import (
     LintServiceClient,
     ServiceConfig,
@@ -225,7 +226,7 @@ class _StuckPool:
         self._futures = []
         self.dispatched = 0
 
-    def submit_json(self, ders, respect_effective_dates=True):
+    def submit_timed(self, ders, respect_effective_dates=True):
         import concurrent.futures as cf
 
         self.dispatched += len(ders)
@@ -234,7 +235,7 @@ class _StuckPool:
 
         def _release():
             self.gate.wait(timeout=30)
-            future.set_result(["{}"] * len(ders))
+            future.set_result(TimedBatch(bodies=["{}"] * len(ders)))
 
         threading.Thread(target=_release, daemon=True).start()
         return future

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.engine import TimedBatch
 from repro.service import LintServiceClient, RetryPolicy, ServiceConfig
 from repro.service.batcher import MicroBatcher
 from repro.service.server import HttpError, LintService
@@ -29,7 +30,7 @@ class _WedgedPool:
     def __init__(self):
         self.futures: list[cf.Future] = []
 
-    def submit_json(self, ders, **kwargs):
+    def submit_timed(self, ders, respect_effective_dates=True):
         future: cf.Future = cf.Future()
         self.futures.append(future)
         return future
@@ -87,7 +88,7 @@ class TestBoundedDrain:
             # the admitted request must still get its real result.
             async def release():
                 await asyncio.sleep(0.05)
-                pool.futures[0].set_result(["{}"])
+                pool.futures[0].set_result(TimedBatch(bodies=["{}"]))
 
             releaser = asyncio.ensure_future(release())
             await asyncio.wait_for(service.drain(), timeout=5.0)
