@@ -5,7 +5,8 @@ each lint sub-stage over the whole corpus, ``--reps`` times:
 
 * ``views_families`` — a new ``LintContext`` and its ``families()`` on
   freshly decoded certificates: the SAN/IAN/extension views, the DN
-  attribute scans, the DNS-name and A-label lists;
+  walk (family keys plus the subject/issuer masks), the DNS-name and
+  A-label lists;
 * ``scope_masks_cold`` — every scope mask the compiled dispatch would
   resolve, with the process-wide string memos cleared first (the state
   of every ``corpus`` operation's fresh worker);

@@ -18,7 +18,11 @@ Instead of letting each lint re-ask that question, the registry is
 * a compiled lint whose trigger bits don't fire on its scope mask is
   proven compliant and emits ``PASS`` without running its check; when a
   bit fires the lint's own check runs unchanged, so details stay
-  byte-identical.
+  byte-identical;
+* those settled outcomes are memoized as verdict templates keyed by the
+  certificate's family signature and its scope masks
+  (:meth:`CompiledPlan.template`), so a report is a shared PASS skeleton
+  plus the few rows that still run.
 
 Soundness contract (verified by the equivalence suite and the
 ``kernel-coverage`` staticcheck): a compiled lint may only *fail* on a
@@ -38,13 +42,15 @@ from __future__ import annotations
 import ast
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..asn1.oid import OID_COMMON_NAME
 from ..uni import is_ldh_label, is_nfc, ulabel_to_alabel, unpermitted_violations
 from ..uni.errors import IDNAError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
 from ..x509 import GeneralNameKind
-from .framework import FunctionLint
+from .context import FAMILY_ISSUER_ANY, FAMILY_SUBJECT_ANY
+from .framework import FunctionLint, LintResult, LintStatus
 
 # ---------------------------------------------------------------------------
 # Fused interval table: one sorted boundary array whose segments carry the
@@ -337,13 +343,15 @@ def _xn_label_mask(label: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _walk_side(cert, masks: dict, side: str) -> int:
+def _walk_side(cert, masks: dict, side: str, families: set | None = None) -> int:
     """One pass over a DN: whole-side, per-OID, and per-spec masks.
 
     Fills ``masks[side_key]``, ``masks[(side, oid.dotted)]`` for every
     present attribute OID, and the PrintableString/UTF8String partial
     masks the ``ps``/``utf8`` scopes assemble.  Sets ``DUP_OID`` when an
     OID repeats and (subject side) ``EXTRA_CN`` for >1 CommonName.
+    ``families``, when given, also collects the side's family keys
+    (those :meth:`LintContext.families` derives from the DN).
     """
     side_key = "subject" if side == "s" else "issuer"
     mask = masks.get(side_key)
@@ -355,7 +363,10 @@ def _walk_side(cert, masks: dict, side: str) -> int:
     u8 = 0
     cn_count = 0
     spec_bits = _SPEC_BITS
-    for attr in name_obj.attributes():
+    attrs = name_obj.attributes()
+    if families is not None and attrs:
+        families.add(FAMILY_SUBJECT_ANY if side == "s" else FAMILY_ISSUER_ANY)
+    for attr in attrs:
         spec_name = attr.spec.name
         value = attr.value
         am = scan_mask(value) | spec_bits.get(spec_name, _SPEC_OTHER)
@@ -367,6 +378,9 @@ def _walk_side(cert, masks: dict, side: str) -> int:
             am |= _EMPTY_NORAW
         dotted = attr.oid.dotted
         oid_key = (side, dotted)
+        if families is not None:
+            families.add(oid_key)
+            families.add(("spec", spec_name))
         prev = masks.get(oid_key)
         if prev is None:
             masks[oid_key] = am
@@ -386,6 +400,20 @@ def _walk_side(cert, masks: dict, side: str) -> int:
     masks["_ps_" + side] = ps
     masks["_u8_" + side] = u8
     return mask
+
+
+def walk_dns(cert, masks: dict) -> set:
+    """Walk both DNs into ``masks``; return their family keys.
+
+    The runner passes the result to :meth:`LintContext.families`, so
+    each DN is walked once per run for both the signature and the
+    subject/issuer scope masks.  ``masks`` must not hold either side's
+    keys yet (a filled side is not walked again).
+    """
+    families: set = set()
+    _walk_side(cert, masks, "s", families)
+    _walk_side(cert, masks, "i", families)
+    return families
 
 
 def _scope_subject(cert, ctx, masks):
@@ -972,6 +1000,44 @@ def classify_lint(lint) -> ScanSpec | None:
 # ---------------------------------------------------------------------------
 
 
+#: Cap on the live-row sets and verdict templates one plan memoizes.
+#: Keys repeat heavily (a few dozen templates cover a corpus), so the
+#: cap only bounds a pathological stream; past it, misses build without
+#: storing.  Both memos full cost about 18 MiB (a live-row set ~3.4 KiB
+#: with its signature, a template ~1.2 KiB).
+_TEMPLATE_MEMO_MAX = 1 << 12
+
+
+class LiveRows(NamedTuple):
+    """The rows of a plan that a family signature leaves live.
+
+    ``rows`` holds the plan's own ``entries`` rows that stay live, in
+    registration order (shared, not copied).  ``scope_bits`` pairs each
+    distinct live scope (first-use order) with the bits its rows read:
+    their triggers, plus ``SCOPE_NONEMPTY`` when an ``APPLIES_NONEMPTY``
+    row uses the scope.
+    """
+
+    signature: frozenset
+    rows: tuple
+    scope_bits: tuple
+
+
+class Template(NamedTuple):
+    """A memoized report skeleton for one (signature, scope masks) key.
+
+    ``static`` holds the ordered PASS results of every row the masks
+    settle.  ``dynamic`` lists ``(position, lint, passed, run_check)``
+    for each row that still asks ``applies()``: scope-less rows and
+    fired triggers also run ``check()``, while an ``APPLIES_CALL`` row
+    whose trigger stayed clear only needs ``applies()`` before PASS.
+    ``position`` is the index into ``static`` the row's result precedes.
+    """
+
+    static: tuple
+    dynamic: tuple
+
+
 class CompiledPlan:
     """Registration-ordered dispatch rows for one lint schedule.
 
@@ -979,9 +1045,22 @@ class CompiledPlan:
     ``(lint, families, scope, trigger, mode)``.  Uncompiled rows carry
     ``scope=None``, so the runner always asks their ``applies()`` and
     ``check()``; result order is registration order either way.
+
+    Two memos sit on top of the rows (see DESIGN.md, compiled dispatch):
+    :meth:`live_rows` per family signature and :meth:`template` per
+    signature and projected scope-mask tuple.  Both share the rows and
+    one PASS result per lint name (``passed``) rather than copying them.
     """
 
-    __slots__ = ("entries", "compiled_names", "uncompiled_names", "resolve_scope")
+    __slots__ = (
+        "entries",
+        "passed",
+        "_live",
+        "_templates",
+        "compiled_names",
+        "uncompiled_names",
+        "resolve_scope",
+    )
 
     def __init__(self, lints):
         rows = []
@@ -998,9 +1077,77 @@ class CompiledPlan:
                 )
                 compiled.append(lint.metadata.name)
         self.entries = tuple(rows)
+        self.passed = {
+            lint.metadata.name: LintResult(lint.metadata, LintStatus.PASS)
+            for lint in lints
+        }
         self.compiled_names = frozenset(compiled)
         self.uncompiled_names = frozenset(uncompiled)
         self.resolve_scope = resolve_scope
+        self._live: dict[frozenset, LiveRows] = {}
+        self._templates: dict[tuple, Template] = {}
+
+    def live_rows(self, signature: frozenset) -> LiveRows:
+        """The rows whose families intersect ``signature`` (memoized).
+
+        A row whose families are all absent would have ``applies()``
+        False — the NA result a report drops — so leaving it out is
+        exact.
+        """
+        live = self._live.get(signature)
+        if live is not None:
+            return live
+        rows = []
+        bits: dict = {}
+        for row in self.entries:
+            _lint, families, scope, trigger, mode = row
+            if families is not None and families.isdisjoint(signature):
+                continue
+            rows.append(row)
+            if scope is not None:
+                read = trigger | SCOPE_NONEMPTY if mode == APPLIES_NONEMPTY else trigger
+                bits[scope] = bits.get(scope, 0) | read
+        live = LiveRows(signature, tuple(rows), tuple(bits.items()))
+        if len(self._live) < _TEMPLATE_MEMO_MAX:
+            self._live[signature] = live  # staticcheck: process-local
+        return live
+
+    def template(self, live: LiveRows, masks: tuple) -> Template:
+        """The report skeleton for ``live`` under projected scope ``masks``.
+
+        ``masks`` pairs with ``live.scope_bits``: each scope's mask ANDed
+        with its read bits.  Each row is settled exactly as a row-by-row
+        loop would settle it: a clear trigger with ``APPLIES_EXACT`` is
+        PASS, with ``APPLIES_NONEMPTY`` PASS iff the scope is nonempty
+        (else the dropped NA), with ``APPLIES_CALL`` an ``applies()``
+        call; a fired trigger or a missing scope runs the lint.
+        """
+        key = (live.signature, masks)
+        template = self._templates.get(key)
+        if template is not None:
+            return template
+        scope_masks = {scope: mask for (scope, _), mask in zip(live.scope_bits, masks)}
+        pass_results = self.passed
+        static = []
+        dynamic = []
+        for lint, _families, scope, trigger, mode in live.rows:
+            passed = pass_results[lint.metadata.name]
+            if scope is not None:
+                mask = scope_masks[scope]
+                if not mask & trigger:
+                    if mode == APPLIES_EXACT:
+                        static.append(passed)
+                    elif mode == APPLIES_NONEMPTY:
+                        if mask & SCOPE_NONEMPTY:
+                            static.append(passed)
+                    else:
+                        dynamic.append((len(static), lint, passed, False))
+                    continue
+            dynamic.append((len(static), lint, passed, True))
+        template = Template(tuple(static), tuple(dynamic))
+        if len(self._templates) < _TEMPLATE_MEMO_MAX:
+            self._templates[key] = template  # staticcheck: process-local
+        return template
 
 
 def compile_plan(lints) -> CompiledPlan:

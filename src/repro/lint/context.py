@@ -145,22 +145,22 @@ class LintContext:
 
     # -- family presence ----------------------------------------------------
 
-    def families(self) -> frozenset:
-        """The certificate's present-field families (for index skipping)."""
+    def families(self, dn_families: set | None = None) -> frozenset:
+        """The certificate's present-field families (for index skipping).
+
+        The DN part (``s*``/``i*`` plus the per-OID and per-spec keys of
+        both DNs) comes from :func:`repro.lint.compiled.walk_dns`, which
+        the runner calls anyway for the subject/issuer scope masks and
+        passes in as ``dn_families``; the set is extended in place.
+        """
         fams = self._families
         if fams is None:
             cert = self.cert
-            present: set = set()
-            for prefix, any_key, name_obj in (
-                ("s", FAMILY_SUBJECT_ANY, cert.subject),
-                ("i", FAMILY_ISSUER_ANY, cert.issuer),
-            ):
-                attrs = name_obj.attributes()
-                if attrs:
-                    present.add(any_key)
-                    for attr in attrs:
-                        present.add((prefix, attr.oid.dotted))
-                        present.add(("spec", attr.spec.name))
+            present = dn_families
+            if present is None:
+                from .compiled import walk_dns  # compiled imports this module
+
+                present = walk_dns(cert, {})
             san = cert.san
             if san is not None:
                 present.add(FAMILY_SAN_PRESENT)

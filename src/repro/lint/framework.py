@@ -116,9 +116,13 @@ class LintMetadata:
     new: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LintResult:
-    """Outcome of applying one lint to one certificate."""
+    """Outcome of applying one lint to one certificate.
+
+    Immutable: the runner shares one PASS result per lint across every
+    report built from the same verdict template.
+    """
 
     lint: LintMetadata
     status: LintStatus

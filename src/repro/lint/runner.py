@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from ..x509 import Certificate
-from .compiled import APPLIES_EXACT, APPLIES_NONEMPTY, SCOPE_NONEMPTY
+from .compiled import walk_dns
 from .context import LintContext
 from .framework import (
     Lint,
@@ -125,9 +125,6 @@ def tally(report: CertificateReport) -> ReportTally:
     )
 
 
-_NO_NAMES: frozenset = frozenset()
-
-
 def run_lints(
     cert: Certificate,
     issued_at: _dt.datetime | None = None,
@@ -138,72 +135,63 @@ def run_lints(
     """Run every lint (or a subset) against one certificate.
 
     Attaches a per-run :class:`LintContext` to the certificate (shared
-    field extraction), schedules through a :class:`RegistryIndex`
-    (family skipping + effective-date bisect), and dispatches through
-    the compiled plan (:mod:`repro.lint.compiled`): each scope's strings
-    are scanned once into a char-class bitmask, and compiled lints whose
-    trigger bits stay clear emit PASS without running their check.  The
-    test-only oracle this must agree with, report for report, is
+    field extraction) and dispatches through the compiled plan of a
+    :class:`RegistryIndex` (:mod:`repro.lint.compiled`).  The
+    certificate's family signature selects the live rows; each live
+    scope's strings are scanned once into a char-class bitmask; and the
+    signature plus those masks select a memoized verdict template: the
+    PASS results of every row the masks settle, and the few rows that
+    still run ``applies()``/``check()``.  The report is that skeleton
+    with the dynamic results spliced in.  The test-only oracle this must
+    agree with, report for report, is
     :func:`repro.lint.reference.reference_run_lints`.  Pass a prebuilt
     ``index`` (matching ``lints``) to skip the per-call memo lookup.
     """
-    selected = tuple(lints) if lints is not None else REGISTRY.snapshot()
     if index is None:
-        index = index_for(selected)
-    report = CertificateReport()
-    results = report.results
-    when = to_utc_naive(issued_at if issued_at is not None else cert.not_before)
-    not_effective = (
-        index.not_effective_names(when) if respect_effective_dates else _NO_NAMES
-    )
+        index = index_for(tuple(lints) if lints is not None else REGISTRY.snapshot())
+    plan = index.compiled_plan()
     ctx = LintContext(cert)
     cert._lint_ctx = ctx
     try:
-        present = ctx.families()
-        plan = index.compiled_plan()
-        resolve = plan.resolve_scope
         masks: dict = {}
-        passed = LintStatus.PASS
-        for lint, families, scope, trigger, mode in plan.entries:
-            # Family absent ⇒ applies() False ⇒ the NA result the
-            # reference loop would have dropped; skipping is exact.
-            if families is not None and families.isdisjoint(present):
-                continue
-            if scope is not None:
-                mask = masks.get(scope)
-                if mask is None:
-                    mask = resolve(scope, cert, ctx, masks)
-                if not (mask & trigger):
-                    # No trigger atom fires ⇒ check() would pass.  The
-                    # mode settles applicability: exact ⇒ PASS;
-                    # nonempty ⇒ PASS iff the scope carried items
-                    # (else the dropped-NA outcome); otherwise ask.
-                    if mode == APPLIES_EXACT:
-                        results.append(LintResult(lint.metadata, passed))
-                    elif mode == APPLIES_NONEMPTY:
-                        if mask & SCOPE_NONEMPTY:
-                            results.append(LintResult(lint.metadata, passed))
-                    elif lint.applies(cert):
-                        results.append(LintResult(lint.metadata, passed))
-                    continue
+        live = plan.live_rows(ctx.families(walk_dns(cert, masks)))
+        resolve = plan.resolve_scope
+        key = []
+        for scope, bits in live.scope_bits:
+            mask = masks.get(scope)
+            if mask is None:
+                mask = resolve(scope, cert, ctx, masks)
+            key.append(mask & bits)
+        static, dynamic = plan.template(live, tuple(key))
+        if not dynamic:
+            return CertificateReport(list(static))
+        results = []
+        start = 0
+        for position, lint, passed, run_check in dynamic:
+            results += static[start:position]
+            start = position
             if not lint.applies(cert):
                 continue
-            compliant, details = lint.check(cert)
-            meta = lint.metadata
-            if compliant:
-                results.append(LintResult(meta, passed))
-            elif meta.name in not_effective:
-                results.append(LintResult(meta, LintStatus.NOT_EFFECTIVE, details))
-            else:
-                status = (
-                    LintStatus.ERROR
-                    if meta.severity is Severity.ERROR
-                    else LintStatus.WARN
-                )
-                results.append(LintResult(meta, status, details))
+            if run_check:
+                compliant, details = lint.check(cert)
+                if not compliant:
+                    meta = lint.metadata
+                    when = issued_at if issued_at is not None else cert.not_before
+                    if respect_effective_dates and meta.name in (
+                        index.not_effective_names(to_utc_naive(when))
+                    ):
+                        status = LintStatus.NOT_EFFECTIVE
+                    elif meta.severity is Severity.ERROR:
+                        status = LintStatus.ERROR
+                    else:
+                        status = LintStatus.WARN
+                    results.append(LintResult(meta, status, details))
+                    continue
+            results.append(passed)
+        results += static[start:]
+        return CertificateReport(results)
     finally:
         del cert._lint_ctx
-    return report
 
 
 @dataclass

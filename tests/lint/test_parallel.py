@@ -7,7 +7,6 @@ worker-crash surfacing, the registry schedule workers lint with, and
 the reusable worker pool.
 """
 
-import contextlib
 import datetime as dt
 import json
 import os
@@ -46,6 +45,8 @@ from repro.lint.parallel import (
 from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_dict
 from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+
+from ..registry_helpers import registered
 
 KEY = generate_keypair(seed=77)
 WHEN = dt.datetime(2024, 4, 1)
@@ -272,7 +273,7 @@ class TestRegistryCache:
     def test_serial_run_sees_a_lint_registered_after_a_run(self, corpus):
         records = corpus.records[:8]
         run_corpus(records, jobs=1)  # resolves the schedule once
-        with _registered(_test_lint("e_test_registered_late", fires=True)) as lint:
+        with registered(_test_lint("e_test_registered_late", fires=True)) as lint:
             direct = run_lints(records[0].certificate, issued_at=records[0].issued_at)
             assert lint.metadata.name in direct.fired_lints()
             summary = run_corpus(records, jobs=1).summary
@@ -295,17 +296,6 @@ def _test_lint(name: str, fires: bool) -> FunctionLint:
         lambda cert: True,
         lambda cert: (not fires, "planted" if fires else ""),
     )
-
-
-@contextlib.contextmanager
-def _registered(lint):
-    """Temporarily register ``lint`` in the package-wide registry."""
-    REGISTRY.register(lint)
-    try:
-        yield lint
-    finally:
-        REGISTRY._lints.pop(lint.metadata.name)
-        REGISTRY._snapshot = None
 
 
 def _worker_spill_state() -> tuple[int, int]:

@@ -1,0 +1,203 @@
+"""Verdict templates: the memoized report skeletons of the compiled plan.
+
+``run_lints`` builds each report from a template keyed by the family
+signature and the projected scope masks (:meth:`CompiledPlan.template`),
+running only the rows the template leaves dynamic.  These tests pin it
+to the oracle under random schedules, effective-date cut points and
+registrations, and check that shared template state cannot leak between
+reports or grow without bound.
+"""
+
+import base64
+import dataclasses
+import datetime as dt
+import json
+import pathlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.ct import CorpusGenerator
+from repro.lint import REGISTRY, run_lints
+from repro.lint import compiled
+from repro.lint.context import LintContext
+from repro.lint.framework import (
+    FunctionLint,
+    LintMetadata,
+    LintStatus,
+    NoncomplianceType,
+    RegistryIndex,
+    Severity,
+    Source,
+)
+from repro.lint.reference import reference_run_lints
+from repro.lint.structure import _check_extra_cn
+from repro.x509 import Certificate
+
+from ..registry_helpers import registered
+
+WITNESS_DIR = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "witnesses"
+
+#: Effective date of the planted lints: later than every registered one,
+#: so it adds a cut point of its own.
+PLANTED_DATE = dt.datetime(2030, 1, 1)
+
+
+def _witness_ders() -> list[bytes]:
+    files = sorted(WITNESS_DIR.glob("cell-*.json"))
+    assert len(files) >= 97
+    return [base64.b64decode(json.loads(p.read_text())["der_b64"]) for p in files]
+
+
+#: ~170 generated certificates followed by the committed fuzz witnesses.
+CORPUS = CorpusGenerator(seed=11, scale=1 / 200000).generate()
+DERS = [r.certificate.to_der() for r in CORPUS.records] + _witness_ders()
+LINTS = REGISTRY.snapshot()
+
+
+def _cut_points() -> list[dt.datetime]:
+    """An instant on either side of every effective date."""
+    dates = {lint.metadata.effective_date for lint in LINTS} | {PLANTED_DATE}
+    return sorted(
+        when for date in dates for when in (date - dt.timedelta(seconds=1), date)
+    )
+
+
+def _shape(report):
+    return [(r.lint.name, r.status, r.details) for r in report.results]
+
+
+def _metadata(name: str, severity: Severity) -> LintMetadata:
+    return LintMetadata(
+        name=name,
+        description="",
+        citation="",
+        source=Source.COMMUNITY,
+        severity=severity,
+        nc_type=NoncomplianceType.INVALID_STRUCTURE,
+        effective_date=PLANTED_DATE,
+    )
+
+
+def _planted_compiled() -> FunctionLint:
+    """A new lint the plan compiles: a known check under a new name."""
+    lint = FunctionLint(
+        _metadata("w_test_template_extra_cn", Severity.WARN),
+        lambda cert: bool(cert.subject_common_names),
+        _check_extra_cn,
+        families=REGISTRY.get("w_cab_subject_contain_extra_common_name").families,
+    )
+    assert compiled.classify_lint(lint) is not None
+    return lint
+
+
+def _planted_scopeless() -> FunctionLint:
+    """A new lint the plan cannot classify: it always runs its check."""
+    return FunctionLint(
+        _metadata("e_test_template_short_subject", Severity.ERROR),
+        lambda cert: True,
+        lambda cert: (
+            len(cert.subject.attributes()) > 2,
+            "short subject",
+        ),
+    )
+
+
+def _assert_matches_oracle(der, issued_at, lints, respect):
+    # Fresh objects per path: no memoized view may carry over.
+    reference = reference_run_lints(
+        Certificate.from_der(der),
+        issued_at=issued_at,
+        lints=lints,
+        respect_effective_dates=respect,
+    )
+    fast = run_lints(
+        Certificate.from_der(der),
+        issued_at=issued_at,
+        lints=lints,
+        respect_effective_dates=respect,
+    )
+    assert _shape(fast) == _shape(reference)
+    return fast
+
+
+class TestOracleProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        der=st.sampled_from(DERS),
+        subset=st.none()
+        | st.lists(st.sampled_from(LINTS), unique_by=id, max_size=len(LINTS)),
+        respect=st.booleans(),
+        issued_at=st.none() | st.sampled_from(_cut_points()),
+        plant=st.sampled_from([None, "compiled", "scopeless"]),
+    )
+    def test_run_lints_equals_oracle(self, der, subset, respect, issued_at, plant):
+        lints = None if subset is None else tuple(subset)
+        _assert_matches_oracle(der, issued_at, lints, respect)
+        if plant is None:
+            return
+        lint = _planted_compiled() if plant == "compiled" else _planted_scopeless()
+        with registered(lint):
+            report = _assert_matches_oracle(der, issued_at, None, respect)
+            if lints is not None:
+                _assert_matches_oracle(der, issued_at, lints + (lint,), respect)
+        after = _assert_matches_oracle(der, issued_at, None, respect)
+        assert lint.metadata.name not in {r.lint.name for r in after.results}
+        assert len(after.results) <= len(report.results)
+
+
+class TestSharedState:
+    def test_reports_from_one_template_have_distinct_lists(self):
+        der = DERS[0]
+        for lints in (None, LINTS[:20]):
+            first = run_lints(Certificate.from_der(der), lints=lints)
+            second = run_lints(Certificate.from_der(der), lints=lints)
+            assert first.results is not second.results
+            assert _shape(first) == _shape(second)
+            first.results.append(first.results[0])
+            assert len(second.results) == len(first.results) - 1
+
+    def test_pass_results_are_shared_and_frozen(self):
+        first = run_lints(Certificate.from_der(DERS[0]))
+        second = run_lints(Certificate.from_der(DERS[0]))
+        shared = [
+            a
+            for a, b in zip(first.results, second.results)
+            if a is b and a.status is LintStatus.PASS
+        ]
+        assert shared
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared[0].status = LintStatus.ERROR
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared[0].details = "changed"
+
+
+class TestMemoCap:
+    CAP = 4
+
+    @pytest.fixture()
+    def index(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_TEMPLATE_MEMO_MAX", self.CAP)
+        return RegistryIndex(LINTS)
+
+    def test_synthetic_key_flood_stays_at_cap(self, index):
+        plan = index.compiled_plan()
+        signature = LintContext(Certificate.from_der(DERS[0])).families()
+        live = plan.live_rows(signature)
+        padding = (0,) * (len(live.scope_bits) - 1)
+        for value in range(64):
+            masks = (value,) + padding
+            built = plan.template(live, masks)
+            # Past the cap a miss is rebuilt, not stored, and is the same.
+            assert plan.template(live, masks) == built
+        assert len(plan._templates) == self.CAP
+        for value in range(64):
+            plan.live_rows(frozenset({("s", f"1.2.3.{value}")}))
+        assert len(plan._live) == self.CAP
+
+    def test_capped_plan_reports_match_oracle(self, index):
+        for der in DERS[:60] + DERS[-40:]:
+            reference = reference_run_lints(Certificate.from_der(der))
+            fast = run_lints(Certificate.from_der(der), index=index)
+            assert _shape(fast) == _shape(reference)
+        assert len(index.compiled_plan()._templates) == self.CAP

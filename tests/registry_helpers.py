@@ -1,0 +1,23 @@
+"""Test helper: register a lint in the package-wide registry for a block."""
+
+import contextlib
+
+from repro.lint import REGISTRY
+
+
+@contextlib.contextmanager
+def registered(lint):
+    """Register ``lint`` in :data:`repro.lint.REGISTRY` for the block.
+
+    The registry has no unregister call (production registers only at
+    import), so the exit path drops the entry and the cached snapshot by
+    hand.  The next snapshot is a new tuple over the original lints,
+    which :func:`repro.lint.index_for` maps back to their original
+    index and plan.
+    """
+    REGISTRY.register(lint)
+    try:
+        yield lint
+    finally:
+        REGISTRY._lints.pop(lint.metadata.name)
+        REGISTRY._snapshot = None

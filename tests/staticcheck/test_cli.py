@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lint import REGISTRY
 from repro.staticcheck import CHECKER_NAMES, load_baseline, run_staticcheck
 
+from ..registry_helpers import registered
 from .fixtures import bad_lints
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -24,13 +24,8 @@ BASELINE = REPO_ROOT / "staticcheck_baseline.json"
 @pytest.fixture()
 def planted_registry():
     """Temporarily register the fixture's mis-declared lint."""
-    lint = bad_lints.WRONG_FAMILY
-    REGISTRY.register(lint)
-    try:
+    with registered(bad_lints.WRONG_FAMILY) as lint:
         yield lint
-    finally:
-        REGISTRY._lints.pop(lint.metadata.name)
-        REGISTRY._snapshot = None
 
 
 class TestCliExitCodes:
