@@ -3,17 +3,19 @@
 Generates one seeded corpus, keeps each certificate's DER, and times
 each decode sub-stage over the whole corpus, ``--reps`` times:
 
-* ``tlv_walk`` — ``parse(der, strict=False)``: the element tree;
-* ``tbs_bytes`` — the TBSCertificate octets taken from the tree;
-* ``oid_decode`` — ``decode_oid`` on every OBJECT IDENTIFIER in the tree;
-* ``time_decode`` — ``decode_time`` on notBefore and notAfter;
-* ``name_parse_x2`` — ``Name.parse`` on issuer and subject;
+* ``node_walk`` — ``parse_node(der, strict=False)``: the node table;
+* ``element_build`` — ``to_element`` over that table: the extra cost
+  of ``parse``'s public ``Element`` tree, which decode does not build;
+* ``tbs_bytes`` — the TBSCertificate octets taken from the table;
+* ``oid_decode`` — ``node_oid`` on every OBJECT IDENTIFIER node;
+* ``time_decode`` — ``node_time`` on notBefore and notAfter;
+* ``name_decode_x2`` — ``Name.from_node`` on issuer and subject;
 * ``from_der`` — the whole ``Certificate.from_der``.
 
 Each repetition yields one µs-per-certificate figure per stage; the run
 prints the median and the interquartile range (IQR) across repetitions.
-Stages are timed on trees parsed beforehand, so each figure is that
-stage alone.
+Stages are timed on node tables walked beforehand, so each figure is
+that stage alone.
 
 CLI::
 
@@ -24,7 +26,7 @@ import argparse
 import statistics
 import time
 
-from repro.asn1 import UniversalTag, decode_oid, decode_time, parse
+from repro.asn1 import UniversalTag, node_oid, node_time, parse_node, to_element
 from repro.ct import CorpusGenerator
 from repro.x509 import Certificate, Name
 
@@ -32,65 +34,70 @@ from repro.x509 import Certificate, Name
 DEFAULT_SCALE = 1 / 50_000
 
 
-def _oid_elements(element, out):
-    if element.tag.number == UniversalTag.OBJECT_IDENTIFIER and not element.tag.constructed:
-        out.append(element)
-    for child in element.children:
-        _oid_elements(child, out)
+def _oid_nodes(node, out):
+    tag, _start, _content_start, _end, children = node
+    if tag.number == UniversalTag.OBJECT_IDENTIFIER and not tag.constructed:
+        out.append(node)
+    for child in children:
+        _oid_nodes(child, out)
     return out
 
 
 def _tbs_fields(tbs):
-    index = 1 if tbs.children[0].tag.number == 0 and tbs.children[0].tag.constructed else 0
-    validity = tbs.children[index + 3]
-    return (
-        (tbs.children[index + 2], tbs.children[index + 4]),
-        (validity.children[0], validity.children[1]),
-    )
+    fields = tbs[4]
+    first = fields[0][0]
+    index = 1 if first.number == 0 and first.constructed else 0
+    validity = fields[index + 3][4]
+    return (fields[index + 2], fields[index + 4]), (validity[0], validity[1])
 
 
 def stages(ders):
     """The timed sub-stages: name -> callable doing one corpus pass."""
-    roots = [parse(der, strict=False) for der in ders]
-    tbses = [root.children[0] for root in roots]
-    oids = [_oid_elements(root, []) for root in roots]
+    roots = [parse_node(der, strict=False) for der in ders]
+    tbses = [root[4][0] for root in roots]
+    oids = [_oid_nodes(root, []) for root in roots]
     fields = [_tbs_fields(tbs) for tbs in tbses]
     names = [pair for pair, _times in fields]
     times = [pair for _names, pair in fields]
 
-    def tlv_walk():
+    def node_walk():
         for der in ders:
-            parse(der, strict=False)
+            parse_node(der, strict=False)
+
+    def element_build():
+        for der, root in zip(ders, roots):
+            to_element(der, root)
 
     def tbs_bytes():
         for der, tbs in zip(ders, tbses):
-            der[tbs.offset : tbs.end]
+            der[tbs[1] : tbs[3]]
 
     def oid_decode():
-        for elements in oids:
-            for element in elements:
-                decode_oid(element)
+        for der, nodes in zip(ders, oids):
+            for node in nodes:
+                node_oid(der, node)
 
     def time_decode():
-        for not_before, not_after in times:
-            decode_time(not_before)
-            decode_time(not_after)
+        for der, (not_before, not_after) in zip(ders, times):
+            node_time(der, not_before)
+            node_time(der, not_after)
 
-    def name_parse_x2():
-        for issuer, subject in names:
-            Name.parse(issuer, strict=False)
-            Name.parse(subject, strict=False)
+    def name_decode_x2():
+        for der, (issuer, subject) in zip(ders, names):
+            Name.from_node(der, issuer, strict=False)
+            Name.from_node(der, subject, strict=False)
 
     def from_der():
         for der in ders:
             Certificate.from_der(der)
 
     return {
-        "tlv_walk": tlv_walk,
+        "node_walk": node_walk,
+        "element_build": element_build,
         "tbs_bytes": tbs_bytes,
         "oid_decode": oid_decode,
         "time_decode": time_decode,
-        "name_parse_x2": name_parse_x2,
+        "name_decode_x2": name_decode_x2,
         "from_der": from_der,
     }
 

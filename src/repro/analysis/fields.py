@@ -4,31 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1.oid import (
-    OID_COMMON_NAME,
-    OID_LOCALITY_NAME,
-    OID_ORGANIZATION_NAME,
-    OID_ORGANIZATIONAL_UNIT,
-    OID_STATE_OR_PROVINCE,
-)
+from ..asn1.oid import OID_ORGANIZATION_NAME
 from ..ct.corpus import Corpus
+from ..engine.windows import _FIELD_OIDS, _has_non_ascii, _lint_field
 from ..lint import CertificateReport
 from ..uni import VariantStrategy, classify_variant_pair
 
 #: The Figure 4 field columns we track.
 FIELD_COLUMNS = ("DNSName", "CN", "O", "OU", "L", "ST", "CertificatePolicies")
-
-_FIELD_OIDS = {
-    "CN": OID_COMMON_NAME,
-    "O": OID_ORGANIZATION_NAME,
-    "OU": OID_ORGANIZATIONAL_UNIT,
-    "L": OID_LOCALITY_NAME,
-    "ST": OID_STATE_OR_PROVINCE,
-}
-
-
-def _has_non_ascii(text: str) -> bool:
-    return any(not 0x20 <= ord(ch) <= 0x7E for ch in text)
 
 
 @dataclass
@@ -105,25 +88,6 @@ def field_matrix(
         if "CertificatePolicies" in deviating_fields:
             matrix.cell(record.issuer_org, "CertificatePolicies").deviating_count += 1
     return matrix
-
-
-def _lint_field(lint_name: str) -> str:
-    """Map a lint name to its Figure 4 field column."""
-    if "dns" in lint_name or "san" in lint_name:
-        return "DNSName"
-    if "common_name" in lint_name or "_cn_" in lint_name:
-        return "CN"
-    if "organization" in lint_name and "unit" not in lint_name:
-        return "O"
-    if "_ou_" in lint_name:
-        return "OU"
-    if "locality" in lint_name:
-        return "L"
-    if "state" in lint_name:
-        return "ST"
-    if "_cp_" in lint_name:
-        return "CertificatePolicies"
-    return "CN" if "subject" in lint_name else "other"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """DER (Distinguished Encoding Rules) encoder and decoder.
 
-The decoder produces an :class:`Element` tree in one pass over the
-input: every element records its ``offset`` and ``end`` in the buffer,
-and primitive contents are slices of it.  Both modes reject indefinite
+The decoder walks the input once into a table of :data:`Node` tuples:
+every node records its offsets in the buffer and nothing else, so no
+content is copied until a typed decoder slices it.  ``parse`` and
+``parse_all`` build the public :class:`Element` tree from those nodes;
+the X.509 decoders read the nodes directly.  Both modes reject indefinite
 lengths, truncation, overruns and trailing octets; ``strict=True`` also
 rejects non-minimal (long-form or zero-padded) lengths, which
 ``strict=False`` tolerates as permissive real-world parsers do — the
@@ -140,22 +142,30 @@ class Element:
 # Decoding
 # ---------------------------------------------------------------------------
 
+#: A decoded element as a plain tuple over the input buffer:
+#: ``(tag, start, content_start, end, children)``.  ``data[start:end]``
+#: is the element as received and ``data[content_start:end]`` its
+#: content octets; ``children`` is a list of child nodes for a
+#: constructed element and the empty tuple for a primitive one.
+Node = tuple
 
-def _walk(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:
+
+def _walk(data: bytes, offset: int, strict: bool) -> tuple[Node, int]:
     """Decode the element at ``offset`` and everything inside it.
 
     One loop over the buffer with an explicit stack of open constructed
-    elements.  Single-octet identifiers map straight to their shared
-    :class:`Tag` through :data:`IDENTIFIER_TAGS`; short-form lengths are
-    read inline.  Children are bounded by the input, not by their
-    parent; a parent's length is checked once its last child ends.
+    elements, emitting :data:`Node` tuples.  Single-octet identifiers
+    map straight to their shared :class:`Tag` through
+    :data:`IDENTIFIER_TAGS`; short-form lengths are read inline.
+    Children are bounded by the input, not by their parent; a parent's
+    length is checked once its last child ends.
     """
     size = len(data)
     tags = IDENTIFIER_TAGS
-    top: list[Element] = []
+    top: list[Node] = []
     siblings = top
     parent_end = size
-    stack: list[tuple[list[Element], int]] = []
+    stack: list[tuple[list[Node], int]] = []
     while True:
         start = offset
         if offset >= size:
@@ -176,13 +186,13 @@ def _walk(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:
         if end > size:
             raise DERDecodeError(f"content overruns input ({length} octets promised)", offset)
         if tag.constructed:
-            element = Element(tag, b"", [], start, end)
-            siblings.append(element)
+            children: list[Node] = []
+            siblings.append((tag, start, offset, end, children))
             stack.append((siblings, parent_end))
-            siblings = element.children
+            siblings = children
             parent_end = end
         else:
-            siblings.append(Element(tag, data[offset:end], [], start, end))
+            siblings.append((tag, start, offset, end, ()))
             offset = end
         while stack and offset >= parent_end:
             if offset != parent_end:
@@ -192,14 +202,67 @@ def _walk(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:
             return top[0], offset
 
 
+def parse_node(data: bytes, strict: bool = True) -> Node:
+    """Walk a single top-level DER element; reject trailing octets.
+
+    ``data`` must be ``bytes``: the node's offsets index it, and the
+    typed decoders slice it.
+    """
+    if not data:
+        raise DERDecodeError("empty input")
+    node, offset = _walk(data, 0, strict)
+    if offset != len(data):
+        raise DERDecodeError(f"{len(data) - offset} trailing octet(s) after element", offset)
+    return node
+
+
+def node_child(node: Node, index: int) -> Node:
+    """The child at ``index``, with :meth:`Element.child`'s error."""
+    try:
+        return node[4][index]
+    except IndexError:
+        raise DERDecodeError(f"element {node[0]} has no child at index {index}") from None
+
+
+def node_content(data: bytes, node: Node) -> bytes:
+    """A node's :attr:`Element.content`: ``b""`` for a constructed node."""
+    tag, _start, content_start, end, _children = node
+    return b"" if tag.constructed else data[content_start:end]
+
+
+def to_element(data: bytes, node: Node) -> Element:
+    """Build the :class:`Element` tree of ``node`` (without recursion)."""
+    root = Element(node[0], node_content(data, node), [], node[1], node[3])
+    pending = [(root.children, node[4])]
+    while pending:
+        out, children = pending.pop()
+        for tag, start, content_start, end, grandchildren in children:
+            if tag.constructed:
+                element = Element(tag, b"", [], start, end)
+                if grandchildren:
+                    pending.append((element.children, grandchildren))
+            else:
+                element = Element(tag, data[content_start:end], [], start, end)
+            out.append(element)
+    return root
+
+
+def element_node(element: Element) -> tuple[bytes, Node]:
+    """``(data, node)`` for an :class:`Element`: its encoding, walked.
+
+    Lets the typed decoders' ``Element`` adapters run the node decode
+    body; offsets in errors are relative to the element's own encoding.
+    """
+    data = element.encode()
+    return data, parse_node(data, strict=False)
+
+
 def parse(data: bytes, strict: bool = True) -> Element:
     """Parse a single top-level DER element; reject trailing octets."""
     if not data:
         raise DERDecodeError("empty input")
-    element, offset = _walk(bytes(data), 0, strict)
-    if offset != len(data):
-        raise DERDecodeError(f"{len(data) - offset} trailing octet(s) after element", offset)
-    return element
+    data = bytes(data)
+    return to_element(data, parse_node(data, strict))
 
 
 def parse_all(data: bytes, strict: bool = True) -> list[Element]:
@@ -208,8 +271,8 @@ def parse_all(data: bytes, strict: bool = True) -> list[Element]:
     offset = 0
     data = bytes(data)
     while offset < len(data):
-        element, offset = _walk(data, offset, strict)
-        elements.append(element)
+        node, offset = _walk(data, offset, strict)
+        elements.append(to_element(data, node))
     return elements
 
 
@@ -232,15 +295,23 @@ def encode_integer(value: int) -> Element:
     return Element.primitive(Tag.universal(UniversalTag.INTEGER), raw)
 
 
-def decode_integer(element: Element, strict: bool = True) -> int:
-    """Decode an INTEGER; strict mode rejects non-minimal forms."""
-    raw = element.content
+def _integer(raw: bytes, offset: int, strict: bool) -> int:
     if not raw:
-        raise DERDecodeError("empty INTEGER", element.offset)
+        raise DERDecodeError("empty INTEGER", offset)
     if strict and len(raw) > 1:
         if (raw[0] == 0x00 and raw[1] < 0x80) or (raw[0] == 0xFF and raw[1] >= 0x80):
-            raise DERDecodeError("non-minimal INTEGER", element.offset)
+            raise DERDecodeError("non-minimal INTEGER", offset)
     return int.from_bytes(raw, "big", signed=True)
+
+
+def decode_integer(element: Element, strict: bool = True) -> int:
+    """Decode an INTEGER; strict mode rejects non-minimal forms."""
+    return _integer(element.content, element.offset, strict)
+
+
+def node_integer(data: bytes, node: Node, strict: bool = True) -> int:
+    """:func:`decode_integer` of a node."""
+    return _integer(node_content(data, node), node[1], strict)
 
 
 def encode_boolean(value: bool) -> Element:
@@ -248,14 +319,23 @@ def encode_boolean(value: bool) -> Element:
     return Element.primitive(Tag.universal(UniversalTag.BOOLEAN), b"\xff" if value else b"\x00")
 
 
+def _boolean(raw: bytes, offset: int, strict: bool) -> bool:
+    if len(raw) != 1:
+        raise DERDecodeError("BOOLEAN must be one octet", offset)
+    octet = raw[0]
+    if strict and octet not in (0x00, 0xFF):
+        raise DERDecodeError(f"DER BOOLEAN must be 00 or FF, got {octet:#04x}", offset)
+    return octet != 0
+
+
 def decode_boolean(element: Element, strict: bool = True) -> bool:
     """Decode a BOOLEAN; strict mode enforces the DER value set."""
-    if len(element.content) != 1:
-        raise DERDecodeError("BOOLEAN must be one octet", element.offset)
-    octet = element.content[0]
-    if strict and octet not in (0x00, 0xFF):
-        raise DERDecodeError(f"DER BOOLEAN must be 00 or FF, got {octet:#04x}", element.offset)
-    return octet != 0
+    return _boolean(element.content, element.offset, strict)
+
+
+def node_boolean(data: bytes, node: Node, strict: bool = True) -> bool:
+    """:func:`decode_boolean` of a node."""
+    return _boolean(node_content(data, node), node[1], strict)
 
 
 def encode_null() -> Element:
@@ -268,16 +348,25 @@ def encode_oid(value: ObjectIdentifier) -> Element:
     return Element.primitive(Tag.universal(UniversalTag.OBJECT_IDENTIFIER), value.encode_value())
 
 
+def _oid(raw: bytes) -> ObjectIdentifier:
+    known = OIDS_BY_VALUE.get(raw)
+    if known is not None:
+        return known
+    return ObjectIdentifier.decode_value(raw)
+
+
 def decode_oid(element: Element) -> ObjectIdentifier:
     """Decode an OBJECT IDENTIFIER element.
 
     Registered OIDs are looked up by their content octets; any other
     value is decoded arc by arc.
     """
-    known = OIDS_BY_VALUE.get(element.content)
-    if known is not None:
-        return known
-    return ObjectIdentifier.decode_value(element.content)
+    return _oid(element.content)
+
+
+def node_oid(data: bytes, node: Node) -> ObjectIdentifier:
+    """:func:`decode_oid` of a node."""
+    return _oid(node_content(data, node))
 
 
 def encode_octet_string(value: bytes) -> Element:
@@ -294,14 +383,23 @@ def encode_bit_string(value: bytes, unused_bits: int = 0) -> Element:
     )
 
 
+def _bit_string(raw: bytes, offset: int) -> tuple[bytes, int]:
+    if not raw:
+        raise DERDecodeError("empty BIT STRING", offset)
+    unused = raw[0]
+    if unused > 7:
+        raise DERDecodeError("BIT STRING unused bits > 7", offset)
+    return raw[1:], unused
+
+
 def decode_bit_string(element: Element) -> tuple[bytes, int]:
     """Decode a BIT STRING; returns (bits, unused_bit_count)."""
-    if not element.content:
-        raise DERDecodeError("empty BIT STRING", element.offset)
-    unused = element.content[0]
-    if unused > 7:
-        raise DERDecodeError("BIT STRING unused bits > 7", element.offset)
-    return element.content[1:], unused
+    return _bit_string(element.content, element.offset)
+
+
+def node_bit_string(data: bytes, node: Node) -> tuple[bytes, int]:
+    """:func:`decode_bit_string` of a node."""
+    return _bit_string(node_content(data, node), node[1])
 
 
 def encode_string(text: str, spec: StringSpec, strict: bool = True) -> Element:
@@ -369,15 +467,8 @@ _UTC_TIME = int(UniversalTag.UTC_TIME)
 _GENERALIZED_TIME = int(UniversalTag.GENERALIZED_TIME)
 
 
-def decode_time(element: Element) -> _dt.datetime:
-    """Decode a UTCTime or GeneralizedTime per RFC 5280 rules.
-
-    The fixed-width all-digit ``Z`` forms RFC 5280 mandates are read
-    field by field; anything else, and any field ``datetime`` rejects,
-    goes through ``strptime``, which words the error.
-    """
-    raw = element.content
-    number = element.tag.number
+def _time(tag: Tag, raw: bytes, offset: int) -> _dt.datetime:
+    number = tag.number
     try:
         if number == _UTC_TIME:
             if len(raw) == 13 and raw[12] == 0x5A and raw[:12].isdigit():
@@ -406,5 +497,20 @@ def decode_time(element: Element) -> _dt.datetime:
         if number == _GENERALIZED_TIME:
             return _dt.datetime.strptime(text, _GENERALIZED_FORMAT)
     except ValueError as exc:
-        raise DERDecodeError(f"malformed time {text!r}: {exc}", element.offset) from exc
-    raise DERDecodeError(f"{element.tag} is not a time type", element.offset)
+        raise DERDecodeError(f"malformed time {text!r}: {exc}", offset) from exc
+    raise DERDecodeError(f"{tag} is not a time type", offset)
+
+
+def decode_time(element: Element) -> _dt.datetime:
+    """Decode a UTCTime or GeneralizedTime per RFC 5280 rules.
+
+    The fixed-width all-digit ``Z`` forms RFC 5280 mandates are read
+    field by field; anything else, and any field ``datetime`` rejects,
+    goes through ``strptime``, which words the error.
+    """
+    return _time(element.tag, element.content, element.offset)
+
+
+def node_time(data: bytes, node: Node) -> _dt.datetime:
+    """:func:`decode_time` of a node."""
+    return _time(node[0], node_content(data, node), node[1])

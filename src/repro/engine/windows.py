@@ -31,6 +31,13 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field
 
+from ..asn1.oid import (
+    OID_COMMON_NAME,
+    OID_LOCALITY_NAME,
+    OID_ORGANIZATION_NAME,
+    OID_ORGANIZATIONAL_UNIT,
+    OID_STATE_OR_PROVINCE,
+)
 from ..lint.runner import CertificateReport, CorpusSummary, ReportTally, tally
 
 #: Epoch window granularities keyed by issued-at timestamp.
@@ -61,31 +68,49 @@ class CertFacts:
     unicode_fields: tuple[str, ...] = ()
 
 
+#: Figure 4's Subject DN columns and the attribute each one reads.
+_FIELD_OIDS = {
+    "CN": OID_COMMON_NAME,
+    "O": OID_ORGANIZATION_NAME,
+    "OU": OID_ORGANIZATIONAL_UNIT,
+    "L": OID_LOCALITY_NAME,
+    "ST": OID_STATE_OR_PROVINCE,
+}
+
+_COLUMN_BY_OID = {oid.dotted: column for column, oid in _FIELD_OIDS.items()}
+
+
+def _has_non_ascii(text: str) -> bool:
+    """Whether ``text`` holds a character outside printable ASCII (0x20-0x7E)."""
+    return not (text.isascii() and text.isprintable())
+
+
 def cert_facts(cert) -> CertFacts:
     """Extract :class:`CertFacts` from a parsed certificate.
 
     Runs in worker processes (called from
-    :func:`repro.lint.parallel.lint_shard`); imports the Figure 4 field
-    helpers lazily to keep ``repro.engine`` free of a module-level
-    dependency on :mod:`repro.analysis` (which imports the ct corpus).
+    :func:`repro.lint.parallel.lint_shard`) once per certificate, so the
+    Figure 4 field helpers live here: ``repro.engine`` stays free of any
+    dependency on :mod:`repro.analysis` (which imports the ct corpus),
+    and :mod:`repro.analysis.fields` imports them from this module.
     """
-    from ..analysis.fields import _FIELD_OIDS, _has_non_ascii
-
-    fields: list[str] = []
+    fields: set[str] = set()
     for name in cert.san_dns_names:
         if _has_non_ascii(name) or any(
             label[:4].lower() == "xn--" for label in name.split(".")
         ):
-            fields.append("DNSName")
+            fields.add("DNSName")
             break
-    for column, oid in _FIELD_OIDS.items():
-        if any(_has_non_ascii(v) for v in cert.subject.get(oid)):
-            fields.append(column)
+    for rdn in cert.subject.rdns:
+        for attr in rdn.attributes:
+            column = _COLUMN_BY_OID.get(attr.oid.dotted)
+            if column is not None and _has_non_ascii(attr.value):
+                fields.add(column)
     policies = cert.policies
     if policies is not None and any(
         _has_non_ascii(text) for _tag, text, _ok in policies.explicit_texts
     ):
-        fields.append("CertificatePolicies")
+        fields.add("CertificatePolicies")
     return CertFacts(
         validity_days=int(cert.validity_days),
         unicode_fields=tuple(sorted(fields)),
@@ -259,14 +284,29 @@ class WindowStats:
         return stats
 
 
+def _lint_field(lint_name: str) -> str:
+    """Map a lint name to its Figure 4 field column."""
+    if "dns" in lint_name or "san" in lint_name:
+        return "DNSName"
+    if "common_name" in lint_name or "_cn_" in lint_name:
+        return "CN"
+    if "organization" in lint_name and "unit" not in lint_name:
+        return "O"
+    if "_ou_" in lint_name:
+        return "OU"
+    if "locality" in lint_name:
+        return "L"
+    if "state" in lint_name:
+        return "ST"
+    if "_cp_" in lint_name:
+        return "CertificatePolicies"
+    return "CN" if "subject" in lint_name else "other"
+
+
 def deviating_columns(counts: ReportTally) -> tuple[str, ...]:
     """Sorted Figure 4 columns of the lints that fired in one report."""
     if not counts.names:
         return ()
-    # Imported per report, not per finding, and lazily for the same
-    # reason as in :func:`cert_facts`.
-    from ..analysis.fields import _lint_field
-
     return tuple(sorted({_lint_field(name) for name in counts.names}))
 
 

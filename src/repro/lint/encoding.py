@@ -444,15 +444,14 @@ def _smtp_utf8_names(cert: Certificate):
 
 
 def _check_smtp_utf8_is_utf8(cert: Certificate) -> tuple[bool, str]:
-    from ..asn1 import parse as parse_der
+    from ..asn1 import node_child, node_content, parse_node
 
     for gn in _smtp_utf8_names(cert):
         try:
-            payload = parse_der(gn.raw, strict=False)
-            inner = payload.child(0)
-            if inner.tag.number != 12:
-                return False, f"SmtpUTF8Mailbox uses tag {inner.tag.number}, MUST be UTF8String"
-            inner.content.decode("utf-8")
+            inner = node_child(parse_node(gn.raw, strict=False), 0)
+            if inner[0].number != 12:
+                return False, f"SmtpUTF8Mailbox uses tag {inner[0].number}, MUST be UTF8String"
+            node_content(gn.raw, inner).decode("utf-8")
         except Exception as exc:
             return False, f"SmtpUTF8Mailbox not valid UTF-8: {exc}"
     return True, ""

@@ -11,17 +11,17 @@ from ..asn1 import (
     DERDecodeError,
     Element,
     ObjectIdentifier,
-    Tag,
     TagClass,
-    decode_bit_string,
-    decode_integer,
-    decode_time,
     encode_bit_string,
     encode_integer,
     encode_sequence,
     encode_time,
     explicit,
-    parse as parse_der,
+    node_bit_string,
+    node_child,
+    node_integer,
+    node_time,
+    parse_node,
 )
 from ..asn1.oid import (
     OID_AD_CA_ISSUERS,
@@ -49,6 +49,18 @@ from .keys import SimPublicKey, signature_algorithm_element
 from .name import Name
 
 
+#: The decoded extension views: slot -> (extension OID, payload parser,
+#: the exceptions a failed parse records instead of raising).
+VIEWS = {
+    "san": (OID_EXT_SAN, GeneralNames.parse, (ASN1Error, ValueError)),
+    "ian": (OID_EXT_IAN, GeneralNames.parse, (ASN1Error, ValueError)),
+    "aia": (OID_EXT_AIA, InfoAccess.parse, Exception),
+    "sia": (OID_EXT_SIA, InfoAccess.parse, Exception),
+    "crldp": (OID_EXT_CRL_DISTRIBUTION_POINTS, CRLDistributionPoints.parse, Exception),
+    "cp": (OID_EXT_CERTIFICATE_POLICIES, ParsedPolicies.parse, Exception),
+}
+
+
 @dataclass
 class Certificate:
     """A parsed (or built) X.509 v3 certificate."""
@@ -64,6 +76,9 @@ class Certificate:
     tbs_der: bytes = b""
     signature: bytes = b""
     raw: bytes = b""
+    #: The SubjectPublicKeyInfo as received, until :attr:`public_key`
+    #: first decodes it.
+    _spki_der: bytes | None = field(default=None, init=False, repr=False, compare=False)
     #: Memoized extension views, keyed by slot name.  Each entry stores
     #: ``(ext, ext.value_der, view, error)`` and is only served while
     #: both identities still match, so swapping an Extension object (or
@@ -80,52 +95,54 @@ class Certificate:
 
         ``strict=False`` (the default) mirrors tolerant real-world
         parsers: malformed string contents are preserved rather than
-        rejected, so the linter can inspect them.
+        rejected, so the linter can inspect them.  The subject public
+        key is kept as received and decoded on first read of
+        :attr:`public_key`.
         """
         raw = bytes(data)
-        root = parse_der(raw, strict=strict)
-        if len(root.children) != 3:
-            raise DERDecodeError("Certificate needs tbs/alg/signature", root.offset)
-        tbs = root.child(0)
-        signature_bits, _unused = decode_bit_string(root.child(2))
+        root = parse_node(raw, strict=strict)
+        top = root[4]
+        if len(top) != 3:
+            raise DERDecodeError("Certificate needs tbs/alg/signature", root[1])
+        tbs = top[0]
+        fields = tbs[4]
+        signature_bits, _unused = node_bit_string(raw, top[2])
 
         index = 0
         version = 0
-        first = tbs.child(0)
-        if first.tag.cls is TagClass.CONTEXT and first.tag.number == 0:
-            version = decode_integer(first.child(0), strict=False)
+        first = node_child(tbs, 0)
+        if first[0].cls is TagClass.CONTEXT and first[0].number == 0:
+            version = node_integer(raw, node_child(first, 0), strict=False)
             index = 1
-        serial = decode_integer(tbs.child(index), strict=False)
+        serial = node_integer(raw, node_child(tbs, index), strict=False)
         # child(index+1) is the inner signature AlgorithmIdentifier.
-        issuer = Name.parse(tbs.child(index + 2), strict=False)
-        validity = tbs.child(index + 3)
-        not_before = decode_time(validity.child(0))
-        not_after = decode_time(validity.child(1))
-        subject = Name.parse(tbs.child(index + 4), strict=False)
-        public_key = None
-        try:
-            public_key = SimPublicKey.from_spki(tbs.child(index + 5))
-        except Exception:
-            pass  # Foreign/unsupported key types stay opaque.
+        issuer = Name.from_node(raw, node_child(tbs, index + 2), strict=False)
+        validity = node_child(tbs, index + 3)
+        not_before = node_time(raw, node_child(validity, 0))
+        not_after = node_time(raw, node_child(validity, 1))
+        subject = Name.from_node(raw, node_child(tbs, index + 4), strict=False)
         extensions: list[Extension] = []
-        for child in tbs.children[index + 6 :]:
-            if child.tag.cls is TagClass.CONTEXT and child.tag.number == 3:
-                for ext_el in child.child(0).children:
-                    extensions.append(Extension.parse(ext_el))
-        return cls(
+        for child in fields[index + 6 :]:
+            if child[0].cls is TagClass.CONTEXT and child[0].number == 3:
+                for ext_node in node_child(child, 0)[4]:
+                    extensions.append(Extension.from_node(raw, ext_node))
+        cert = cls(
             serial=serial,
             issuer=issuer,
             subject=subject,
             not_before=not_before,
             not_after=not_after,
             extensions=extensions,
-            public_key=public_key,
             version=version,
             # The TBS exactly as received: the octets the issuer signed.
-            tbs_der=raw[tbs.offset : tbs.end],
+            tbs_der=raw[tbs[1] : tbs[3]],
             signature=signature_bits,
             raw=raw,
         )
+        if len(fields) > index + 5:
+            spki = fields[index + 5]
+            cert._spki_der = raw[spki[1] : spki[3]]
+        return cert
 
     def build_tbs(self) -> Element:
         """Re-encode the TBSCertificate from the model fields."""
@@ -176,14 +193,16 @@ class Certificate:
         dotted = oid.dotted
         return [ext for ext in self.extensions if ext.oid.dotted == dotted]
 
-    def _extension_view(self, slot, oid, parser, errors=Exception):
-        """Parse (or recall) the derived view of the extension ``oid``.
+    def _view(self, slot: str):
+        """Parse (or recall) the derived view in ``slot`` of :data:`VIEWS`.
 
-        Returns ``(view, error)``.  The memo entry is valid only while
-        the Extension object *and* its ``value_der`` bytes are the exact
-        objects seen at parse time; any replacement misses the cache and
-        re-parses.
+        Returns ``(view, error)``: both ``None`` when the extension is
+        absent, the error text when it is present but does not decode.
+        The memo entry is valid only while the Extension object *and*
+        its ``value_der`` bytes are the exact objects seen at parse
+        time; any replacement misses the cache and re-parses.
         """
+        oid, parser, errors = VIEWS[slot]
         ext = self.get_extension(oid)
         if ext is None:
             return None, None
@@ -204,10 +223,7 @@ class Certificate:
 
     @property
     def san(self) -> GeneralNames | None:
-        view, _error = self._extension_view(
-            "san", OID_EXT_SAN, GeneralNames.parse, (ASN1Error, ValueError)
-        )
-        return view
+        return self._view("san")[0]
 
     @property
     def san_parse_error(self) -> str | None:
@@ -217,49 +233,32 @@ class Certificate:
         lints can flag undecodable extensions instead of treating them as
         missing.
         """
-        _view, error = self._extension_view(
-            "san", OID_EXT_SAN, GeneralNames.parse, (ASN1Error, ValueError)
-        )
-        return error
+        return self._view("san")[1]
 
     @property
     def ian(self) -> GeneralNames | None:
-        view, _error = self._extension_view(
-            "ian", OID_EXT_IAN, GeneralNames.parse, (ASN1Error, ValueError)
-        )
-        return view
+        return self._view("ian")[0]
 
     @property
     def ian_parse_error(self) -> str | None:
         """Why the present IAN extension failed to decode (else ``None``)."""
-        _view, error = self._extension_view(
-            "ian", OID_EXT_IAN, GeneralNames.parse, (ASN1Error, ValueError)
-        )
-        return error
+        return self._view("ian")[1]
 
     @property
     def aia(self) -> InfoAccess | None:
-        view, _error = self._extension_view("aia", OID_EXT_AIA, InfoAccess.parse)
-        return view
+        return self._view("aia")[0]
 
     @property
     def sia(self) -> InfoAccess | None:
-        view, _error = self._extension_view("sia", OID_EXT_SIA, InfoAccess.parse)
-        return view
+        return self._view("sia")[0]
 
     @property
     def crl_distribution_points(self) -> CRLDistributionPoints | None:
-        view, _error = self._extension_view(
-            "crldp", OID_EXT_CRL_DISTRIBUTION_POINTS, CRLDistributionPoints.parse
-        )
-        return view
+        return self._view("crldp")[0]
 
     @property
     def policies(self) -> ParsedPolicies | None:
-        view, _error = self._extension_view(
-            "cp", OID_EXT_CERTIFICATE_POLICIES, ParsedPolicies.parse
-        )
-        return view
+        return self._view("cp")[0]
 
     # ------------------------------------------------------------------
     # Field shortcuts
@@ -321,3 +320,28 @@ class Certificate:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cn = self.subject_common_names
         return f"<Certificate serial={self.serial} cn={cn[0] if cn else '?'}>"
+
+
+def _get_public_key(cert: Certificate) -> SimPublicKey | None:
+    spki = cert._spki_der
+    if spki is not None:
+        cert._spki_der = None
+        try:
+            cert._public_key = SimPublicKey.from_spki_der(spki)
+        except ASN1Error:
+            cert._public_key = None  # Foreign/unsupported key types stay opaque.
+    return cert._public_key
+
+
+def _set_public_key(cert: Certificate, key: SimPublicKey | None) -> None:
+    cert._public_key = key
+    cert._spki_der = None
+
+
+# ``public_key`` stays a dataclass field, so the constructor keyword,
+# equality and ``dataclasses.replace`` keep working; installed after
+# the decorator ran, the property decodes a parsed certificate's SPKI
+# on first read.  Nothing on the lint path reads the key.
+Certificate.public_key = property(
+    _get_public_key, _set_public_key, doc="The subject public key, or ``None``."
+)

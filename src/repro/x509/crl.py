@@ -14,15 +14,17 @@ from dataclasses import dataclass, field
 from ..asn1 import (
     DERDecodeError,
     Element,
+    Node,
     TagClass,
-    decode_bit_string,
-    decode_integer,
-    decode_time,
     encode_bit_string,
     encode_integer,
     encode_sequence,
     encode_time,
-    parse as parse_der,
+    node_bit_string,
+    node_child,
+    node_integer,
+    node_time,
+    parse_node,
 )
 from .keys import SimPrivateKey, SimPublicKey, signature_algorithm_element
 from .name import Name
@@ -41,10 +43,10 @@ class RevokedCertificate:
         )
 
     @classmethod
-    def parse(cls, element: Element) -> "RevokedCertificate":
+    def from_node(cls, data: bytes, node: Node) -> "RevokedCertificate":
         return cls(
-            serial=decode_integer(element.child(0), strict=False),
-            revocation_date=decode_time(element.child(1)),
+            serial=node_integer(data, node_child(node, 0), strict=False),
+            revocation_date=node_time(data, node_child(node, 1)),
         )
 
 
@@ -85,29 +87,30 @@ class CertificateRevocationList:
     @classmethod
     def from_der(cls, data: bytes) -> "CertificateRevocationList":
         raw = bytes(data)
-        root = parse_der(raw, strict=False)
-        if len(root.children) != 3:
+        root = parse_node(raw, strict=False)
+        if len(root[4]) != 3:
             raise DERDecodeError("CertificateList needs tbs/alg/signature")
-        tbs = root.child(0)
-        signature_bits, _unused = decode_bit_string(root.child(2))
+        tbs = root[4][0]
+        signature_bits, _unused = node_bit_string(raw, root[4][2])
         index = 0
         # Optional version INTEGER.
-        if tbs.child(0).tag.number == 2 and not tbs.child(0).tag.constructed:
+        first = node_child(tbs, 0)
+        if first[0].number == 2 and not first[0].constructed:
             index = 1
-        issuer = Name.parse(tbs.child(index + 1), strict=False)
-        this_update = decode_time(tbs.child(index + 2))
-        next_update = decode_time(tbs.child(index + 3))
+        issuer = Name.from_node(raw, node_child(tbs, index + 1), strict=False)
+        this_update = node_time(raw, node_child(tbs, index + 2))
+        next_update = node_time(raw, node_child(tbs, index + 3))
         revoked: list[RevokedCertificate] = []
-        for child in tbs.children[index + 4 :]:
-            if child.tag.cls is TagClass.UNIVERSAL and child.tag.number == 16:
-                revoked.extend(RevokedCertificate.parse(entry) for entry in child.children)
+        for child in tbs[4][index + 4 :]:
+            if child[0].cls is TagClass.UNIVERSAL and child[0].number == 16:
+                revoked.extend(RevokedCertificate.from_node(raw, entry) for entry in child[4])
         crl = cls(
             issuer=issuer,
             this_update=this_update,
             next_update=next_update,
             revoked=revoked,
         )
-        crl.tbs_der = raw[tbs.offset : tbs.end]
+        crl.tbs_der = raw[tbs[1] : tbs[3]]
         crl.signature = signature_bits
         return crl
 

@@ -12,22 +12,25 @@ from dataclasses import dataclass, field
 from ..asn1 import (
     DERDecodeError,
     Element,
+    Node,
     ObjectIdentifier,
     StringSpec,
     Tag,
     TagClass,
     UTF8_STRING,
     UniversalTag,
-    decode_boolean,
-    decode_oid,
+    element_node,
     encode_boolean,
     encode_integer,
     encode_octet_string,
     encode_oid,
     encode_sequence,
-    explicit,
-    implicit,
-    parse as parse_der,
+    node_boolean,
+    node_child,
+    node_content,
+    node_integer,
+    node_oid,
+    parse_node,
     spec_for_tag,
 )
 from ..asn1.oid import (
@@ -63,20 +66,24 @@ class Extension:
         return encode_sequence(*children)
 
     @classmethod
-    def parse(cls, element: Element) -> "Extension":
-        if not element.children:
-            raise DERDecodeError("empty Extension", element.offset)
-        ext_oid = decode_oid(element.child(0))
+    def from_node(cls, data: bytes, node: Node) -> "Extension":
+        children = node[4]
+        if not children:
+            raise DERDecodeError("empty Extension", node[1])
+        ext_oid = node_oid(data, children[0])
         critical = False
         value_index = 1
-        if len(element.children) > 2 or (
-            len(element.children) == 2
-            and element.child(1).tag.number == UniversalTag.BOOLEAN
-        ):
-            critical = decode_boolean(element.child(1), strict=False)
+        count = len(children)
+        if count > 2 or (count == 2 and children[1][0].number == UniversalTag.BOOLEAN):
+            critical = node_boolean(data, children[1], strict=False)
             value_index = 2
-        value_der = element.child(value_index).content if value_index < len(element.children) else b""
+        value_der = node_content(data, children[value_index]) if value_index < count else b""
         return cls(oid=ext_oid, critical=critical, value_der=value_der)
+
+    @classmethod
+    def parse(cls, element: Element) -> "Extension":
+        """Decode an :class:`Element` through :meth:`from_node`."""
+        return cls.from_node(*element_node(element))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +102,10 @@ class GeneralNames:
 
     @classmethod
     def parse(cls, der: bytes, strict: bool = False) -> "GeneralNames":
-        root = parse_der(der, strict=strict)
-        return cls(names=[GeneralName.parse(child, strict=strict) for child in root.children])
+        general_name = GeneralName.from_node
+        return cls(
+            names=[general_name(der, child, strict) for child in parse_node(der, strict)[4]]
+        )
 
     def dns_names(self) -> list[str]:
         from .general_name import GeneralNameKind
@@ -132,13 +141,6 @@ class AccessDescription:
     def encode(self, strict: bool = False) -> Element:
         return encode_sequence(encode_oid(self.method), self.location.encode(strict=strict))
 
-    @classmethod
-    def parse(cls, element: Element, strict: bool = False) -> "AccessDescription":
-        return cls(
-            method=decode_oid(element.child(0)),
-            location=GeneralName.parse(element.child(1), strict=strict),
-        )
-
 
 @dataclass
 class InfoAccess:
@@ -153,9 +155,16 @@ class InfoAccess:
 
     @classmethod
     def parse(cls, der: bytes, strict: bool = False) -> "InfoAccess":
-        root = parse_der(der, strict=strict)
+        """Decode the payload: the one InfoAccess/AccessDescription body."""
+        general_name = GeneralName.from_node
         return cls(
-            descriptions=[AccessDescription.parse(child, strict=strict) for child in root.children]
+            descriptions=[
+                AccessDescription(
+                    method=node_oid(der, node_child(child, 0)),
+                    location=general_name(der, node_child(child, 1), strict),
+                )
+                for child in parse_node(der, strict)[4]
+            ]
         )
 
     def locations_for(self, method: ObjectIdentifier) -> list[str]:
@@ -192,18 +201,6 @@ class DistributionPoint:
         dp_name = Element.constructed(Tag.context(0, constructed=True), [full])
         return encode_sequence(dp_name)
 
-    @classmethod
-    def parse(cls, element: Element, strict: bool = False) -> "DistributionPoint":
-        names: list[GeneralName] = []
-        for child in element.children:
-            if child.tag.cls is TagClass.CONTEXT and child.tag.number == 0:
-                for inner in child.children:
-                    if inner.tag.cls is TagClass.CONTEXT and inner.tag.number == 0:
-                        names.extend(
-                            GeneralName.parse(gn, strict=strict) for gn in inner.children
-                        )
-        return cls(full_names=names)
-
 
 @dataclass
 class CRLDistributionPoints:
@@ -214,8 +211,22 @@ class CRLDistributionPoints:
 
     @classmethod
     def parse(cls, der: bytes, strict: bool = False) -> "CRLDistributionPoints":
-        root = parse_der(der, strict=strict)
-        return cls(points=[DistributionPoint.parse(child, strict=strict) for child in root.children])
+        """Decode the payload: the one CRLDP/DistributionPoint body.
+
+        Only the fullName form ``[0] { [0] GeneralNames }`` is read.
+        """
+        points = []
+        for point in parse_node(der, strict)[4]:
+            names: list[GeneralName] = []
+            for child in point[4]:
+                if child[0].cls is TagClass.CONTEXT and child[0].number == 0:
+                    for inner in child[4]:
+                        if inner[0].cls is TagClass.CONTEXT and inner[0].number == 0:
+                            names.extend(
+                                GeneralName.from_node(der, gn, strict) for gn in inner[4]
+                            )
+            points.append(DistributionPoint(full_names=names))
+        return cls(points=points)
 
     def all_urls(self) -> list[str]:
         return [gn.value for point in self.points for gn in point.full_names]
@@ -300,36 +311,38 @@ class ParsedPolicies:
     @classmethod
     def parse(cls, der: bytes, strict: bool = False) -> "ParsedPolicies":
         parsed = cls()
-        root = parse_der(der, strict=strict)
-        for policy_info in root.children:
-            if not policy_info.children:
+        for policy_info in parse_node(der, strict)[4]:
+            info = policy_info[4]
+            if not info:
                 continue
-            parsed.policy_oids.append(decode_oid(policy_info.child(0)))
-            if len(policy_info.children) < 2:
+            parsed.policy_oids.append(node_oid(der, info[0]))
+            if len(info) < 2:
                 continue
-            for qualifier in policy_info.child(1).children:
-                if len(qualifier.children) < 2:
+            for qualifier in info[1][4]:
+                if len(qualifier[4]) < 2:
                     continue
-                q_oid = decode_oid(qualifier.child(0))
-                q_value = qualifier.child(1)
+                q_oid = node_oid(der, qualifier[4][0])
+                q_value = qualifier[4][1]
                 if q_oid == OID_QT_CPS:
                     parsed.cps_uris.append(
-                        q_value.content.decode("latin-1", errors="replace")
+                        node_content(der, q_value).decode("latin-1", errors="replace")
                     )
                 elif q_oid == OID_QT_UNOTICE:
-                    for part in q_value.children:
-                        if part.tag.cls is TagClass.UNIVERSAL and part.tag.is_string:
+                    for part in q_value[4]:
+                        tag = part[0]
+                        if tag.is_string:
+                            content = node_content(der, part)
                             try:
-                                spec = spec_for_tag(part.tag.number)
-                                text = spec.decode(part.content, strict=False)
+                                spec = spec_for_tag(tag.number)
+                                text = spec.decode(content, strict=False)
                                 ok = True
                                 try:
-                                    spec.decode(part.content, strict=True)
+                                    spec.decode(content, strict=True)
                                 except Exception:
                                     ok = False
                             except Exception:
-                                text, ok = part.content.decode("latin-1", "replace"), False
-                            parsed.explicit_texts.append((part.tag.number, text, ok))
+                                text, ok = content.decode("latin-1", "replace"), False
+                            parsed.explicit_texts.append((tag.number, text, ok))
         return parsed
 
 
@@ -359,16 +372,14 @@ def basic_constraints(ca: bool, path_len: int | None = None, critical: bool = Tr
 
 def parse_basic_constraints(der: bytes) -> tuple[bool, int | None]:
     """Parse BasicConstraints content; returns (is_ca, path_len)."""
-    root = parse_der(der, strict=False)
     ca = False
     path_len = None
-    for child in root.children:
-        if child.tag.number == UniversalTag.BOOLEAN:
-            ca = decode_boolean(child, strict=False)
-        elif child.tag.number == UniversalTag.INTEGER:
-            from ..asn1 import decode_integer
-
-            path_len = decode_integer(child, strict=False)
+    for child in parse_node(der, strict=False)[4]:
+        number = child[0].number
+        if number == UniversalTag.BOOLEAN:
+            ca = node_boolean(der, child, strict=False)
+        elif number == UniversalTag.INTEGER:
+            path_len = node_integer(der, child, strict=False)
     return ca, path_len
 
 

@@ -7,18 +7,21 @@ import ipaddress
 from dataclasses import dataclass, field
 
 from ..asn1 import (
+    ASN1Error,
     DERDecodeError,
     Element,
     IA5_STRING,
+    Node,
     ObjectIdentifier,
     StringSpec,
     Tag,
     TagClass,
-    UTF8_STRING,
-    decode_oid,
+    element_node,
     encode_oid,
     explicit,
-    spec_for_tag,
+    node_content,
+    node_oid,
+    to_element,
 )
 from ..asn1.oid import OID_ON_SMTP_UTF8_MAILBOX
 from .cache import caching_enabled, interned_char_set
@@ -38,6 +41,9 @@ class GeneralNameKind(enum.IntEnum):
     IP_ADDRESS = 7
     REGISTERED_ID = 8
 
+
+#: Each GeneralName alternative by its context tag number.
+_KINDS = {int(kind): kind for kind in GeneralNameKind}
 
 #: GeneralName alternatives whose standard type is IA5String.
 IA5_KINDS = frozenset(
@@ -153,53 +159,56 @@ class GeneralName:
         return Element.primitive(Tag.context(tag_number), content)
 
     @classmethod
-    def parse(cls, element: Element, strict: bool = False) -> "GeneralName":
-        if element.tag.cls is not TagClass.CONTEXT:
-            raise DERDecodeError(f"GeneralName expects a context tag, got {element.tag}")
-        try:
-            kind = GeneralNameKind(element.tag.number)
-        except ValueError:
-            raise DERDecodeError(
-                f"unknown GeneralName tag [{element.tag.number}]", element.offset
-            ) from None
+    def from_node(cls, data: bytes, node: Node, strict: bool = False) -> "GeneralName":
+        tag, start, _content_start, _end, children = node
+        if tag.cls is not TagClass.CONTEXT:
+            raise DERDecodeError(f"GeneralName expects a context tag, got {tag}")
+        kind = _KINDS.get(tag.number)
+        if kind is None:
+            raise DERDecodeError(f"unknown GeneralName tag [{tag.number}]", start)
         if kind is GeneralNameKind.DIRECTORY_NAME:
-            if not element.children:
-                raise DERDecodeError("empty directoryName", element.offset)
-            return cls(kind=kind, name=Name.parse(element.child(0), strict=strict))
+            if not children:
+                raise DERDecodeError("empty directoryName", start)
+            return cls(kind=kind, name=Name.from_node(data, children[0], strict=strict))
+        content = node_content(data, node)
         if kind is GeneralNameKind.IP_ADDRESS:
-            raw = element.content
             try:
-                value = str(ipaddress.ip_address(raw))
+                value = str(ipaddress.ip_address(content))
             except ValueError:
-                value = raw.hex()
-            return cls(kind=kind, value=value, raw=raw)
+                value = content.hex()
+            return cls(kind=kind, value=value, raw=content)
         if kind is GeneralNameKind.OTHER_NAME:
             name_oid = None
             value = ""
             raw = b""
-            if element.children:
-                name_oid = decode_oid(element.child(0))
-                if len(element.children) > 1:
-                    payload = element.child(1)
-                    raw = payload.encode()
-                    if name_oid == OID_ON_SMTP_UTF8_MAILBOX and payload.children:
-                        inner = payload.child(0)
-                        value = inner.content.decode("utf-8", errors="replace")
+            if children:
+                name_oid = node_oid(data, children[0])
+                if len(children) > 1:
+                    payload = children[1]
+                    # Re-encoded as Element.encode() gives it: the octets
+                    # received, unless a length inside was non-minimal.
+                    raw = to_element(data, payload).encode()
+                    if name_oid == OID_ON_SMTP_UTF8_MAILBOX and payload[4]:
+                        inner = node_content(data, payload[4][0])
+                        value = inner.decode("utf-8", errors="replace")
             return cls(kind=kind, value=value, raw=raw, other_name_oid=name_oid)
         if kind is GeneralNameKind.REGISTERED_ID:
-            return cls(kind=kind, value=ObjectIdentifier.decode_value(element.content).dotted)
+            return cls(kind=kind, value=ObjectIdentifier.decode_value(content).dotted)
         # IA5String alternatives: the wire carries only content octets
         # under the IMPLICIT context tag, so the declared string type is
         # not visible.  Standard parsers assume IA5String.
         try:
-            value = IA5_STRING.decode(element.content, strict=True)
+            value = IA5_STRING.decode(content, strict=True)
             decode_ok = True
-        except Exception:
+        except ASN1Error:
             decode_ok = False
-            value = element.content.decode("latin-1", errors="replace")
-        return cls(
-            kind=kind, value=value, spec=IA5_STRING, raw=element.content, decode_ok=decode_ok
-        )
+            value = content.decode("latin-1", errors="replace")
+        return cls(kind=kind, value=value, spec=IA5_STRING, raw=content, decode_ok=decode_ok)
+
+    @classmethod
+    def parse(cls, element: Element, strict: bool = False) -> "GeneralName":
+        """Decode an :class:`Element` through :meth:`from_node`."""
+        return cls.from_node(*element_node(element), strict=strict)
 
     # -- presentation ---------------------------------------------------------
 

@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 from ..asn1 import (
     Element,
-    decode_bit_string,
-    decode_integer,
     encode_bit_string,
     encode_integer,
     encode_null,
     encode_oid,
     encode_sequence,
-    parse as parse_der,
+    node_bit_string,
+    node_child,
+    node_integer,
+    parse_node,
 )
 from ..asn1.oid import OID_RSA_ENCRYPTION, OID_SHA256_WITH_RSA
 
@@ -88,13 +89,19 @@ class SimPublicKey:
         return encode_sequence(algorithm, encode_bit_string(rsa_key.encode()))
 
     @classmethod
-    def from_spki(cls, element: Element) -> "SimPublicKey":
-        key_bits, _unused = decode_bit_string(element.child(1))
-        rsa_key = parse_der(key_bits, strict=False)
+    def from_spki_der(cls, der: bytes) -> "SimPublicKey":
+        """Decode a DER SubjectPublicKeyInfo."""
+        key_bits, _unused = node_bit_string(der, node_child(parse_node(der, strict=False), 1))
+        rsa_key = parse_node(key_bits, strict=False)
         return cls(
-            n=decode_integer(rsa_key.child(0), strict=False),
-            e=decode_integer(rsa_key.child(1), strict=False),
+            n=node_integer(key_bits, node_child(rsa_key, 0), strict=False),
+            e=node_integer(key_bits, node_child(rsa_key, 1), strict=False),
         )
+
+    @classmethod
+    def from_spki(cls, element: Element) -> "SimPublicKey":
+        """Decode an :class:`Element` through :meth:`from_spki_der`."""
+        return cls.from_spki_der(element.encode())
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_spki().encode()).hexdigest()[:16]

@@ -11,19 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..asn1 import (
+    ASN1Error,
     DERDecodeError,
     Element,
+    Node,
     ObjectIdentifier,
     StringSpec,
     Tag,
-    TagClass,
     UTF8_STRING,
-    UniversalTag,
-    decode_oid,
+    element_node,
     encode_oid,
     encode_sequence,
     encode_set,
     encode_string,
+    node_content,
+    node_oid,
     spec_for_tag,
 )
 from ..asn1.oid import OID_NAMES
@@ -80,21 +82,24 @@ class AttributeTypeAndValue:
         return encode_sequence(encode_oid(self.oid), inner)
 
     @classmethod
-    def parse(cls, element: Element, strict: bool = False) -> "AttributeTypeAndValue":
-        if len(element.children) != 2:
+    def from_node(
+        cls, data: bytes, node: Node, strict: bool = False
+    ) -> "AttributeTypeAndValue":
+        children = node[4]
+        if len(children) != 2:
             raise DERDecodeError(
-                f"AttributeTypeAndValue needs 2 children, got {len(element.children)}",
-                element.offset,
+                f"AttributeTypeAndValue needs 2 children, got {len(children)}", node[1]
             )
-        attr_oid = decode_oid(element.child(0))
-        value_el = element.child(1)
-        raw = value_el.content
+        attr_oid = node_oid(data, children[0])
+        value_node = children[1]
+        raw = node_content(data, value_node)
+        tag = value_node[0]
         decode_ok = True
-        if value_el.tag.cls is TagClass.UNIVERSAL and value_el.tag.is_string:
-            spec = spec_for_tag(value_el.tag.number)
+        if tag.is_string:
+            spec = spec_for_tag(tag.number)
             try:
                 value = spec.decode(raw, strict=strict)
-            except Exception:
+            except ASN1Error:
                 decode_ok = False
                 value = raw.decode("latin-1", errors="replace")
         else:
@@ -113,15 +118,6 @@ class RelativeDistinguishedName:
 
     def encode(self, strict: bool = False) -> Element:
         return encode_set(*[attr.encode(strict=strict) for attr in self.attributes])
-
-    @classmethod
-    def parse(cls, element: Element, strict: bool = False) -> "RelativeDistinguishedName":
-        return cls(
-            attributes=[
-                AttributeTypeAndValue.parse(child, strict=strict)
-                for child in element.children
-            ]
-        )
 
     @property
     def is_multivalued(self) -> bool:
@@ -158,13 +154,22 @@ class Name:
         return encode_sequence(*[rdn.encode(strict=strict) for rdn in self.rdns])
 
     @classmethod
-    def parse(cls, element: Element, strict: bool = False) -> "Name":
+    def from_node(cls, data: bytes, node: Node, strict: bool = False) -> "Name":
+        """Decode an RDNSequence node: the one Name/RDN decode body."""
+        attribute = AttributeTypeAndValue.from_node
         return cls(
             rdns=[
-                RelativeDistinguishedName.parse(child, strict=strict)
-                for child in element.children
+                RelativeDistinguishedName(
+                    [attribute(data, child, strict) for child in rdn[4]]
+                )
+                for rdn in node[4]
             ]
         )
+
+    @classmethod
+    def parse(cls, element: Element, strict: bool = False) -> "Name":
+        """Decode an :class:`Element` through :meth:`from_node`."""
+        return cls.from_node(*element_node(element), strict=strict)
 
     # -- accessors -----------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import Element, ObjectIdentifier, Tag, TagClass, parse as parse_der
+from ..asn1 import Element, Tag, TagClass, parse_node
 from ..asn1.oid import OID_EXT_NAME_CONSTRAINTS
 from .certificate import Certificate
 from .extensions import Extension
@@ -56,19 +56,18 @@ class NameConstraints:
     @classmethod
     def parse(cls, der: bytes) -> "NameConstraints":
         constraints = cls()
-        root = parse_der(der, strict=False)
-        for child in root.children:
-            if child.tag.cls is not TagClass.CONTEXT:
+        for child in parse_node(der, strict=False)[4]:
+            if child[0].cls is not TagClass.CONTEXT:
                 continue
             target = (
                 constraints.permitted_dns
-                if child.tag.number == 0
+                if child[0].number == 0
                 else constraints.excluded_dns
             )
-            for subtree in child.children:
-                if not subtree.children:
+            for subtree in child[4]:
+                if not subtree[4]:
                     continue
-                gn = GeneralName.parse(subtree.child(0), strict=False)
+                gn = GeneralName.from_node(der, subtree[4][0], strict=False)
                 if gn.kind is GeneralNameKind.DNS_NAME:
                     target.append(gn.value)
         return constraints

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 from ..asn1 import (
     DERDecodeError,
-    decode_bit_string,
-    decode_integer,
-    decode_time,
     encode_bit_string,
     encode_integer,
     encode_sequence,
     encode_time,
-    parse as parse_der,
+    node_bit_string,
+    node_child,
+    node_integer,
+    node_time,
+    parse_node,
 )
 from .keys import SimPrivateKey, SimPublicKey
 
@@ -54,18 +55,18 @@ class OCSPResponse:
     @classmethod
     def from_der(cls, data: bytes) -> "OCSPResponse":
         raw = bytes(data)
-        root = parse_der(raw, strict=False)
-        if len(root.children) != 2:
+        root = parse_node(raw, strict=False)
+        if len(root[4]) != 2:
             raise DERDecodeError("OCSPResponse needs tbs/signature")
-        tbs = root.child(0)
-        signature, _unused = decode_bit_string(root.child(1))
+        tbs = root[4][0]
+        signature, _unused = node_bit_string(raw, root[4][1])
         response = cls(
-            serial=decode_integer(tbs.child(0), strict=False),
-            status=CertStatus(decode_integer(tbs.child(1), strict=False)),
-            this_update=decode_time(tbs.child(2)),
-            next_update=decode_time(tbs.child(3)),
+            serial=node_integer(raw, node_child(tbs, 0), strict=False),
+            status=CertStatus(node_integer(raw, node_child(tbs, 1), strict=False)),
+            this_update=node_time(raw, node_child(tbs, 2)),
+            next_update=node_time(raw, node_child(tbs, 3)),
         )
-        response.tbs_der = raw[tbs.offset : tbs.end]
+        response.tbs_der = raw[tbs[1] : tbs[3]]
         response.signature = signature
         return response
 

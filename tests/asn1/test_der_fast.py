@@ -1,12 +1,15 @@
 """Differential tests: the table-driven DER walk against the recursive oracle.
 
-``repro.asn1.parse`` walks the buffer in one loop; ``reference_der``
-keeps the recursive parser it replaced.  On every input both must build
-the same tree (tag, content, offset, children) or raise the same
-:class:`DERDecodeError` — same message, same offset — in both
-``strict`` modes.  Inputs are a seeded certificate corpus, fuzz byte
-primitives applied to it at hypothesis-chosen positions, and hand-made
-high-tag-number and long-form-length cases.
+``repro.asn1.parse_node`` walks the buffer in one loop into node
+tuples, and ``repro.asn1.parse`` builds its :class:`Element` tree from
+them; ``reference_der`` keeps the recursive parser they replaced.  On
+every input both must build the same tree (tag, content, offset,
+children) or raise the same :class:`DERDecodeError` — same message,
+same offset — in both ``strict`` modes, and the node table must carry
+exactly what the element tree does, ``end`` included.  Inputs are a
+seeded certificate corpus, fuzz byte primitives applied to it at
+hypothesis-chosen positions, and hand-made high-tag-number and
+long-form-length cases.
 """
 
 import functools
@@ -14,7 +17,14 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import DERDecodeError, parse, parse_all
+from repro.asn1 import (
+    DERDecodeError,
+    encode_length,
+    node_content,
+    parse,
+    parse_all,
+    parse_node,
+)
 from repro.ct import CorpusGenerator
 from repro.fuzz.mutators import byte_delete, byte_flip, byte_insert, truncate
 
@@ -41,12 +51,50 @@ def outcome(parser, data, strict):
     return ("ok", shape(result))
 
 
+def full_shape(element):
+    """:func:`shape` plus each element's ``end``."""
+    return (
+        element.tag,
+        element.content,
+        element.offset,
+        element.end,
+        [full_shape(child) for child in element.children],
+    )
+
+
+def node_shape(data, node):
+    tag, start, _content_start, end, children = node
+    return (
+        tag,
+        node_content(data, node),
+        start,
+        end,
+        [node_shape(data, child) for child in children],
+    )
+
+
+def node_outcome(data, strict):
+    """:func:`outcome` of the node walk, with ``parse``'s input check."""
+    try:
+        return ("ok", node_shape(data, parse_node(data, strict=strict)))
+    except DERDecodeError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+def element_outcome(data, strict):
+    try:
+        return ("ok", full_shape(parse(data, strict=strict)))
+    except DERDecodeError as exc:
+        return ("error", str(exc), exc.offset)
+
+
 def assert_same(data):
     for strict in (True, False):
         assert outcome(parse, data, strict) == outcome(reference_parse, data, strict)
         assert outcome(parse_all, data, strict) == outcome(
             reference_parse_all, data, strict
         )
+        assert node_outcome(data, strict) == element_outcome(data, strict)
 
 
 def assert_ends(element, data):
@@ -149,6 +197,17 @@ class TestHandMadeCases:
     )
     def test_matches_the_oracle(self, data):
         assert_same(data)
+
+    def test_deep_nesting_builds_without_recursion(self):
+        data = b"\x05\x00"
+        for _ in range(5000):
+            data = b"\x30" + encode_length(len(data)) + data
+        element = parse(data)
+        depth = 0
+        while element.children:
+            element = element.children[0]
+            depth += 1
+        assert depth == 5000
 
     def test_high_tag_number_decodes(self):
         element = parse(tlv(b"\x9f\x81\x49", b"\x01", b"\x07"))
