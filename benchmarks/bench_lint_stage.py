@@ -37,7 +37,7 @@ from repro.lint import compiled
 from repro.lint.context import LintContext
 from repro.lint.framework import REGISTRY, index_for
 from repro.lint.runner import run_lints
-from repro.x509 import Certificate, cache
+from repro.x509 import Certificate
 
 #: About 700 certificates, the corpus size of the ``corpus`` workload.
 DEFAULT_SCALE = 1 / 50_000
@@ -50,7 +50,6 @@ _MEMOS = (
     compiled._EMAIL_MASKS,
     compiled._URI_MASKS,
     compiled._XN_MASKS,
-    cache._CHAR_SETS,
 )
 
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..asn1.oid import OID_COMMON_NAME
+from ..memo import ProcessMemo
 from ..uni import is_ldh_label, is_nfc, ulabel_to_alabel, unpermitted_violations
 from ..uni.errors import IDNAError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
@@ -178,15 +179,15 @@ APPLIES_CALL = 0
 APPLIES_EXACT = 1
 APPLIES_NONEMPTY = 2
 
-#: Corpus-wide per-string mask memos (issuer DNs and hostnames repeat).
-_STRING_MASKS: dict[str, int] = {}  # staticcheck: process-local
-_CHAR_MASKS: dict[str, int] = {}  # staticcheck: process-local
-_DNS_MASKS: dict[str, int] = {}  # staticcheck: process-local
-_EMAIL_MASKS: dict[str, int] = {}  # staticcheck: process-local
-_URI_MASKS: dict[str, int] = {}  # staticcheck: process-local
-_XN_MASKS: dict[str, int] = {}  # staticcheck: process-local
-#: Soft cap keeping a pathological corpus from growing any memo unboundedly.
+#: Entry cap of each per-string mask memo; a full memo flushes.
 _STRING_MEMO_MAX = 1 << 20
+#: Corpus-wide per-string mask memos (issuer DNs and hostnames repeat).
+_STRING_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+_CHAR_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+_DNS_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+_EMAIL_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+_URI_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+_XN_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 
 _CN_DOTTED = OID_COMMON_NAME.dotted
 
@@ -240,8 +241,7 @@ def scan_mask(text: str) -> int:
         mask |= _LEN_NE_2
     if not text.isupper():
         mask |= _NOT_UPPER
-    if len(_STRING_MASKS) < _STRING_MEMO_MAX:
-        _STRING_MASKS[text] = mask
+    _STRING_MASKS[text] = mask
     return mask
 
 
@@ -264,8 +264,7 @@ def _dns_shape_mask(name: str) -> int:
     for label in stripped.split("."):
         if label.startswith("-") or label.endswith("-"):
             mask |= _DNS_HYPHEN_EDGE
-    if len(_DNS_MASKS) < _STRING_MEMO_MAX:
-        _DNS_MASKS[name] = mask
+    _DNS_MASKS[name] = mask
     return mask
 
 
@@ -277,8 +276,7 @@ def _email_shape_mask(value: str) -> int:
     mask = scan_mask(value)
     if value.count("@") != 1 or value.startswith("@") or value.endswith("@"):
         mask |= _SHAPE_BAD
-    if len(_EMAIL_MASKS) < _STRING_MEMO_MAX:
-        _EMAIL_MASKS[value] = mask
+    _EMAIL_MASKS[value] = mask
     return mask
 
 
@@ -293,8 +291,7 @@ def _uri_shape_mask(value: str) -> int:
         ch.isalnum() or ch in "+-." for ch in head
     ):
         mask |= _SHAPE_BAD
-    if len(_URI_MASKS) < _STRING_MEMO_MAX:
-        _URI_MASKS[value] = mask
+    _URI_MASKS[value] = mask
     return mask
 
 
@@ -331,8 +328,7 @@ def _xn_label_mask(label: str) -> int:
             canonical = None
         if canonical is not None and canonical != label.lower():
             mask |= _XN_ROUNDTRIP_BAD
-    if len(_XN_MASKS) < _STRING_MEMO_MAX:
-        _XN_MASKS[label] = mask
+    _XN_MASKS[label] = mask
     return mask
 
 
@@ -836,18 +832,15 @@ def _spec_trigger(allowed_names) -> tuple[str, ...] | None:
     return atoms
 
 
-_SOURCE_INDEX = None  # staticcheck: process-local
-
-
-def _classify_gn_extractor(extractor) -> ScanSpec | None:
+def _classify_gn_extractor(extractor, sources) -> ScanSpec | None:
     """Resolve a ``gn_ia5_encoding_lint`` extractor to its scope.
 
     Named extractors key directly; the module-level lambdas are resolved
     through the staticcheck AST machinery — the lambda body must be a
     single call whose callee and kind argument resolve statically
-    (``san_names(cert, GeneralNameKind.X)``, ``_uri_names(cert.aia)``).
+    (``san_names(cert, GeneralNameKind.X)``, ``_uri_names(cert.aia)``),
+    read through ``sources`` (a fresh :class:`SourceIndex` when ``None``).
     """
-    global _SOURCE_INDEX
     key = _fn_key(extractor)
     if key == ("repro.lint.encoding", "_crldp_uris"):
         return ScanSpec("crldp", ("NON_ASCII", "DECODE_BAD"), mode=APPLIES_NONEMPTY)
@@ -856,9 +849,9 @@ def _classify_gn_extractor(extractor) -> ScanSpec | None:
         return None
     from ..staticcheck.resolve import SourceIndex, callable_env, resolve_expr
 
-    if _SOURCE_INDEX is None:
-        _SOURCE_INDEX = SourceIndex()
-    node = _SOURCE_INDEX.function_node(code)
+    if sources is None:
+        sources = SourceIndex()
+    node = sources.function_node(code)
     if node is None or not isinstance(node, ast.Lambda):
         return None
     body = node.body
@@ -898,7 +891,7 @@ def _classify_gn_extractor(extractor) -> ScanSpec | None:
     return None
 
 
-def classify_lint(lint) -> ScanSpec | None:
+def classify_lint(lint, sources=None) -> ScanSpec | None:
     """Resolve one lint to its kernel, or ``None`` when unclassifiable.
 
     Factory-made lints are unpacked through the staticcheck resolution
@@ -908,7 +901,9 @@ def classify_lint(lint) -> ScanSpec | None:
     *underlying* predicate functions, not on lint names — a renamed or
     newly registered lint built from a known predicate compiles
     automatically, while an unknown predicate gets an unscoped row that
-    always runs its check.
+    always runs its check.  ``sources`` is the :class:`SourceIndex` the
+    extractor lambdas are read through; a plan build passes one for all
+    its lints.
     """
     if not isinstance(lint, FunctionLint):
         return None
@@ -991,7 +986,7 @@ def classify_lint(lint) -> ScanSpec | None:
         extractor = callable_env(check).get("extractor")
         if extractor is None:
             return None
-        return _classify_gn_extractor(extractor)
+        return _classify_gn_extractor(extractor, sources)
     return None
 
 
@@ -1002,8 +997,8 @@ def classify_lint(lint) -> ScanSpec | None:
 
 #: Cap on the live-row sets and verdict templates one plan memoizes.
 #: Keys repeat heavily (a few dozen templates cover a corpus), so the
-#: cap only bounds a pathological stream; past it, misses build without
-#: storing.  Both memos full cost about 18 MiB (a live-row set ~3.4 KiB
+#: cap only bounds a pathological stream; a full memo flushes and
+#: refills.  Both memos full cost about 18 MiB (a live-row set ~3.4 KiB
 #: with its signature, a template ~1.2 KiB).
 _TEMPLATE_MEMO_MAX = 1 << 12
 
@@ -1063,11 +1058,14 @@ class CompiledPlan:
     )
 
     def __init__(self, lints):
+        from ..staticcheck.resolve import SourceIndex
+
+        sources = SourceIndex()  # parses each source file once per plan
         rows = []
         compiled = []
         uncompiled = []
         for lint in lints:
-            spec = classify_lint(lint)
+            spec = classify_lint(lint, sources)
             if spec is None:
                 rows.append((lint, lint.families, None, 0, APPLIES_CALL))
                 uncompiled.append(lint.metadata.name)
@@ -1084,8 +1082,8 @@ class CompiledPlan:
         self.compiled_names = frozenset(compiled)
         self.uncompiled_names = frozenset(uncompiled)
         self.resolve_scope = resolve_scope
-        self._live: dict[frozenset, LiveRows] = {}
-        self._templates: dict[tuple, Template] = {}
+        self._live = ProcessMemo(_TEMPLATE_MEMO_MAX)
+        self._templates = ProcessMemo(_TEMPLATE_MEMO_MAX)
 
     def live_rows(self, signature: frozenset) -> LiveRows:
         """The rows whose families intersect ``signature`` (memoized).
@@ -1108,8 +1106,7 @@ class CompiledPlan:
                 read = trigger | SCOPE_NONEMPTY if mode == APPLIES_NONEMPTY else trigger
                 bits[scope] = bits.get(scope, 0) | read
         live = LiveRows(signature, tuple(rows), tuple(bits.items()))
-        if len(self._live) < _TEMPLATE_MEMO_MAX:
-            self._live[signature] = live  # staticcheck: process-local
+        self._live[signature] = live
         return live
 
     def template(self, live: LiveRows, masks: tuple) -> Template:
@@ -1145,8 +1142,7 @@ class CompiledPlan:
                     continue
             dynamic.append((len(static), lint, passed, True))
         template = Template(tuple(static), tuple(dynamic))
-        if len(self._templates) < _TEMPLATE_MEMO_MAX:
-            self._templates[key] = template  # staticcheck: process-local
+        self._templates[key] = template
         return template
 
 
@@ -1162,13 +1158,13 @@ def warm_default_plan(stats=None):
     before certificates flow — pre-fork for COW sharing, and timed into
     the ``compile`` stage of ``stats`` when a build actually runs.
     """
-    from .framework import REGISTRY, index_for
+    from .framework import _INDEX_MEMO, REGISTRY, index_for
 
-    index = index_for(REGISTRY.snapshot())
-    if index._compiled_plan is not None or stats is None:
-        return index.compiled_plan()
+    lints = REGISTRY.snapshot()
+    if lints in _INDEX_MEMO or stats is None:
+        return index_for(lints).compiled_plan()
     with stats.time("compile", items=1):
-        return index.compiled_plan()
+        return index_for(lints).compiled_plan()
 
 
 #: Registered lints reviewed as *not* compilable into scan kernels: the

@@ -16,6 +16,7 @@ import datetime as _dt
 import enum
 from dataclasses import dataclass, field
 
+from ..memo import ProcessMemo
 from ..x509 import Certificate
 
 
@@ -202,22 +203,21 @@ class LintRegistry:
 
     The registry is write-once-then-read-hot: all registration happens
     during ``repro.lint`` import, after which the lint runner asks for
-    the full lint list once per certificate.  :meth:`snapshot` serves
-    that read path from a cached tuple that is invalidated whenever a
-    new lint is registered, so resolving the registry costs a single
-    attribute load instead of a fresh dict-to-list copy per call.
+    the full lint list once per certificate.  :meth:`register` rebuilds
+    the snapshot tuple, so :meth:`snapshot` is a pure attribute read
+    instead of a fresh dict-to-list copy per call.
     """
 
     def __init__(self):
         self._lints: dict[str, Lint] = {}
-        self._snapshot: tuple[Lint, ...] | None = None
+        self._snapshot: tuple[Lint, ...] = ()
 
     def register(self, lint: Lint) -> Lint:
         name = lint.metadata.name
         if name in self._lints:
             raise ValueError(f"duplicate lint name {name!r}")
         self._lints[name] = lint
-        self._snapshot = None
+        self._snapshot = tuple(self._lints.values())
         return lint
 
     def get(self, name: str) -> Lint:
@@ -230,9 +230,7 @@ class LintRegistry:
         return len(self._lints)
 
     def snapshot(self) -> tuple[Lint, ...]:
-        """The registered lints as a cached, registration-ordered tuple."""
-        if self._snapshot is None:
-            self._snapshot = tuple(self._lints.values())  # staticcheck: process-local
+        """The registered lints as a registration-ordered tuple."""
         return self._snapshot
 
     # -- introspection (used by repro.staticcheck and the self-tests) ----
@@ -273,58 +271,53 @@ class RegistryIndex:
       result the report would have dropped anyway.
     * **Effective-date bisect** — the distinct effective dates are
       pre-sorted, so "which lints are not yet effective at ``issued_at``"
-      is one :func:`bisect.bisect_right` plus a memoized frozenset
-      lookup rather than a datetime comparison per failing lint.
+      is one :func:`bisect.bisect_right` plus a tuple lookup of the
+      frozenset built for that cut point, rather than a datetime
+      comparison per failing lint.
+
+    Everything is built in ``__init__`` (the compiled plan included), so
+    an index shared with forked workers is never written after
+    construction.
     """
 
     def __init__(self, lints):
+        from .compiled import compile_plan
+
         self.lints = tuple(lints)
-        self._dates_sorted = sorted({l.metadata.effective_date for l in self.lints})
-        self._not_effective_memo: dict[int, frozenset] = {}
-        self._compiled_plan = None
+        dates = sorted({l.metadata.effective_date for l in self.lints})
+        self._dates_sorted = dates
+        self._not_effective = tuple(
+            frozenset(
+                lint.metadata.name
+                for lint in self.lints
+                if lint.metadata.effective_date >= threshold
+            )
+            for threshold in dates
+        ) + (frozenset(),)
+        self._plan = compile_plan(self.lints)
 
     def compiled_plan(self):
-        """The memoized :class:`repro.lint.compiled.CompiledPlan`.
-
-        Built lazily on first use (engine/pool warm-up calls it eagerly
-        so workers inherit the plan pre-fork) and cached for the index's
-        lifetime — the schedule is immutable, so the classification
-        never changes.
-        """
-        plan = self._compiled_plan
-        if plan is None:
-            from .compiled import compile_plan
-
-            plan = self._compiled_plan = compile_plan(self.lints)  # staticcheck: process-local
-        return plan
+        """The schedule's :class:`repro.lint.compiled.CompiledPlan`."""
+        return self._plan
 
     def not_effective_names(self, when: _dt.datetime) -> frozenset:
         """Names of lints whose effective date is after ``when``.
 
         ``when`` must already be UTC-naive (see :func:`to_utc_naive`).
         Membership only depends on where ``when`` falls between the
-        distinct effective dates, so results are memoized per cut point.
+        distinct effective dates: one frozenset per cut point.
         """
-        cut = bisect.bisect_right(self._dates_sorted, when)
-        memo = self._not_effective_memo.get(cut)
-        if memo is None:
-            if cut == len(self._dates_sorted):
-                memo = frozenset()
-            else:
-                threshold = self._dates_sorted[cut]
-                memo = frozenset(
-                    lint.metadata.name
-                    for lint in self.lints
-                    if lint.metadata.effective_date >= threshold
-                )
-            self._not_effective_memo[cut] = memo  # staticcheck: process-local
-        return memo
+        return self._not_effective[bisect.bisect_right(self._dates_sorted, when)]
 
+
+#: Entry cap of :data:`_INDEX_MEMO`.  Each index holds a compiled plan
+#: whose two memos reach ~18 MiB when full, so only a handful are kept.
+_INDEX_MEMO_MAX = 8
 
 #: Index memo keyed by the exact lint tuple (tuple equality falls back to
 #: per-element identity, so repeated ``run_lints(lints=[...])`` calls on
 #: the same lint objects reuse one index).
-_INDEX_MEMO: dict[tuple, RegistryIndex] = {}  # staticcheck: process-local
+_INDEX_MEMO = ProcessMemo(_INDEX_MEMO_MAX)
 
 
 def index_for(lints: tuple) -> RegistryIndex:

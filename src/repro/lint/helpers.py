@@ -252,7 +252,7 @@ def dn_charset_lint(
 
     Pass either ``value_predicate`` (receives ``attr.value``) or
     ``attr_predicate`` (receives the attribute, letting the predicate
-    use the memoized ``attr.char_set``).  Both return a violation
+    use ``attr.char_set``).  Both return a violation
     description or ``None``.
     """
     if (value_predicate is None) == (attr_predicate is None):

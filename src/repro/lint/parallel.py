@@ -47,6 +47,7 @@ import time as _time
 import traceback
 from dataclasses import dataclass, field
 
+from ..memo import ProcessMemo
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
 from .runner import CertificateReport, CorpusSummary, run_lints
 
@@ -207,18 +208,16 @@ def default_shard_count(total: int, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _worker_schedule() -> tuple[tuple[Lint, ...], RegistryIndex]:
-    """The current registry snapshot, its index and its compiled plan.
+    """The current registry snapshot and its index (with its compiled plan).
 
-    All three are memoized (the snapshot until the next ``register``),
-    so this is a few lookups per call.  Building the plan eagerly means
-    that pre-fork it lands in COW-shared pages, and under spawn the
-    initializer pays for it once at worker start-up instead of inside
-    the first shard.
+    The snapshot is rebuilt by each ``register`` and the index is
+    memoized per snapshot, so this is a few lookups per call.  The index
+    builds its plan eagerly, so pre-fork it lands in COW-shared pages,
+    and under spawn the initializer pays for it once at worker start-up
+    instead of inside the first shard.
     """
     lints = REGISTRY.snapshot()
-    index = index_for(lints)
-    index.compiled_plan()
-    return lints, index
+    return lints, index_for(lints)
 
 
 def _worker_init() -> None:
@@ -239,12 +238,20 @@ def _warm_worker() -> int:
     return os.getpid()
 
 
-#: Per-worker-process cache of opened substrate readers, keyed by path.
+def _close_cached_store(cached) -> None:
+    cached[1].close()
+
+
+#: Entry cap of :data:`_WORKER_STORES`.
+_WORKER_STORE_MAX = 16
+
+#: Per-worker-process cache of opened substrate readers, keyed by path:
+#: ``(stat signature, store)``; a flush closes every store it drops.
 #: The stat signature detects a replaced file (same path, new contents);
 #: if the path has been unlinked since opening — the engine's spill
 #: files are, once their run ends — the already-open mapping stays valid
 #: and is reused until the worker opens another store.
-_WORKER_STORES: dict[str, tuple[tuple, object]] = {}  # staticcheck: process-local
+_WORKER_STORES = ProcessMemo(_WORKER_STORE_MAX, on_evict=_close_cached_store)
 
 
 def _open_worker_store(path: str):

@@ -33,7 +33,7 @@ from .engine import (
 )
 from .families import check_family_soundness, implied_up
 from .findings import Finding, fingerprint_of, sort_key
-from .forkcow import ANNOTATION, check_fork_cow
+from .forkcow import check_fork_cow
 from .hygiene import check_exception_hygiene
 from .pickleboundary import check_pickle_boundary
 from .registry import check_registered, check_registry_invariants
@@ -41,7 +41,6 @@ from .resolve import AppliesResolver, SourceIndex
 from .resourcelifetime import check_resource_lifetime
 
 __all__ = [
-    "ANNOTATION",
     "AppliesResolver",
     "CHECKER_NAMES",
     "CallGraph",

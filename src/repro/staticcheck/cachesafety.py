@@ -57,7 +57,6 @@ _CACHED_ATTRS = frozenset(
         "descriptions",
         "explicit_texts",
         "cps_uris",
-        "char_set",
         "extensions",
         "rdns",
     }

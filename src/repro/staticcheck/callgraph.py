@@ -110,7 +110,6 @@ class ModuleInfo:
     classes: dict = field(default_factory=dict)  # class name -> ast.ClassDef
     imports: dict = field(default_factory=dict)  # local name -> dotted target
     module_names: set = field(default_factory=set)  # module-scope bindings
-    definitions: dict = field(default_factory=dict)  # name -> (lineno, end)
 
 
 def _relative_base(module: str, level: int) -> str:
@@ -162,10 +161,6 @@ def _collect_symbols(info: ModuleInfo) -> None:
                 for leaf in ast.walk(target):
                     if isinstance(leaf, ast.Name):
                         info.module_names.add(leaf.id)
-                        info.definitions.setdefault(
-                            leaf.id,
-                            (node.lineno, getattr(node, "end_lineno", node.lineno)),
-                        )
     for local in info.imports:
         info.module_names.add(local)
 

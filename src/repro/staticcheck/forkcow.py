@@ -22,22 +22,20 @@ points (:mod:`repro.staticcheck.callgraph`) and reports:
   scope anywhere under analysis, plus the reviewed
   :data:`SHARED_CLASSES` set.
 
-Intentional per-process memos are allow-listed with a
-``# staticcheck: process-local`` comment on the write statement or on
-the module-level definition of the written name.  An annotation that
-suppresses nothing is itself an **error** finding (stale allow-list
-entries must not outlive the code they reviewed).
+One type rule replaces any allow-list: an item store or mutating call
+passes only when its receiver is a :class:`repro.memo.ProcessMemo` —
+a module-level ``X = ProcessMemo(...)`` binding (in the writing module
+or imported from another one, one hop) or a ``self.x = ProcessMemo(...)``
+made in the class's ``__init__``.  A ``ProcessMemo`` bound inside a
+function body exempts nothing.  Every other write is an error.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from pathlib import Path
 
-from .callgraph import CallGraph, ModuleInfo, _attr_chain, build_call_graph
+from .callgraph import ModuleInfo, _attr_chain, build_call_graph
 from .findings import Finding
 from .resolve import SourceIndex
 
@@ -49,8 +47,8 @@ CHECKER = "fork-cow"
 #: ``_INDEX_MEMO``; ``CompiledPlan`` hangs off a ``RegistryIndex``).
 SHARED_CLASSES = frozenset({"LintRegistry", "RegistryIndex", "CompiledPlan"})
 
-ANNOTATION = "# staticcheck: process-local"
-_ANNOTATION_RE = re.compile(r"#\s*staticcheck:\s*process-local\b")
+#: The one memo type a worker may write.
+MEMO_TYPE = "repro.memo.ProcessMemo"
 
 _MUTATORS = frozenset(
     {
@@ -71,25 +69,48 @@ _MUTATORS = frozenset(
 )
 
 
-def _annotated_lines(index: SourceIndex, path: Path) -> set[int]:
-    """1-based line numbers carrying the process-local annotation.
+def _is_memo_call(mod: ModuleInfo, value) -> bool:
+    """Whether ``value`` constructs a ``ProcessMemo`` in ``mod``."""
+    chain = _attr_chain(value.func) if isinstance(value, ast.Call) else None
+    head = mod.imports.get(chain[0]) if chain else None
+    return head is not None and ".".join([head, *chain[1:]]) == MEMO_TYPE
 
-    Tokenized rather than regexed so the marker only counts inside real
-    ``#`` comments — a docstring *describing* the annotation (this one,
-    say) must not register as an allow-list entry.
-    """
-    lines = index.source_lines(str(path))
-    if not lines:
+
+def _module_memos(mod: ModuleInfo) -> set[str]:
+    """Module-level names whose every binding is a ``ProcessMemo(...)``."""
+    memos: set[str] = set()
+    others: set[str] = set()
+    for node in mod.tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        memo = not isinstance(node, ast.AugAssign) and _is_memo_call(mod, node.value)
+        for target in targets:
+            if memo and isinstance(target, ast.Name):
+                memos.add(target.id)
+            else:
+                others.update(
+                    leaf.id for leaf in ast.walk(target) if isinstance(leaf, ast.Name)
+                )
+    return memos - others
+
+
+def _init_memos(mod: ModuleInfo, class_name: str | None) -> set[str]:
+    """Attributes ``__init__`` binds as ``self.x = ProcessMemo(...)``."""
+    init = mod.functions.get(f"{class_name}.__init__")
+    if init is None:
         return set()
-    source = "\n".join(lines) + "\n"
-    annotated: set[int] = set()
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT and _ANNOTATION_RE.search(tok.string):
-                annotated.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return annotated
-    return annotated
+    attrs: set[str] = set()
+    for sub in ast.walk(init.node):
+        if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
+            continue
+        if not _is_memo_call(mod, sub.value):
+            continue
+        for target in sub.targets if isinstance(sub, ast.Assign) else [sub.target]:
+            chain = _attr_chain(target)
+            if chain is not None and len(chain) == 2 and chain[0] == "self":
+                attrs.add(chain[1])
+    return attrs
 
 
 def _local_bindings(fn_node: ast.AST) -> tuple[set[str], set[str]]:
@@ -135,12 +156,11 @@ def _module_alias_map(fn_node: ast.AST, module_names, local) -> dict[str, str]:
 
 
 class _FunctionScanner:
-    """Collects the raw (pre-suppression) writes of one function."""
+    """Collects the writes of one function that the memo rule does not pass."""
 
-    def __init__(self, mod: ModuleInfo, qualname: str, shared: frozenset):
+    def __init__(self, mod: ModuleInfo, qualname: str, shared: frozenset, is_memo):
         self.mod = mod
         self.qualname = qualname
-        self.shared = shared
         node = mod.functions[qualname].node
         self.node = node
         self.local, self.declared_global = _local_bindings(node)
@@ -149,8 +169,11 @@ class _FunctionScanner:
         self.self_is_shared = (
             class_name in shared and not qualname.endswith(".__init__")
         )
-        #: (statement-node, target-name-or-None, message)
-        self.writes: list[tuple[ast.stmt | ast.expr, str | None, str]] = []
+        self.self_memos = _init_memos(mod, class_name) if self.self_is_shared else set()
+        #: ``is_memo(mod, name)``: whether a module-level name is a memo.
+        self.is_memo = is_memo
+        #: (statement-node, message)
+        self.writes: list[tuple[ast.stmt | ast.expr, str]] = []
 
     def _module_target(self, name: str) -> str | None:
         """The module-level name ``name`` writes through, if any."""
@@ -178,6 +201,28 @@ class _FunctionScanner:
             self.self_is_shared and chain and chain[0] == "self"
         )
 
+    def _is_memo_receiver(self, receiver: ast.expr) -> bool:
+        """Whether ``receiver`` is itself a ``ProcessMemo`` binding."""
+        if isinstance(receiver, ast.Name):
+            name = self._module_target(receiver.id)
+            return name is not None and self.is_memo(self.mod, name)
+        return isinstance(receiver, ast.Attribute) and (
+            receiver.attr in self.self_memos
+            and _attr_chain(receiver) == ["self", receiver.attr]
+        )
+
+    def _record(self, stmt, receiver: ast.expr, what: str, memo_ok: bool) -> None:
+        """Record ``what`` done to ``receiver`` unless the rule passes it."""
+        name = self._root_write(receiver)
+        if name is not None:
+            where = f"module-level '{name}' from worker-reachable code"
+        elif self._is_shared_self(receiver):
+            where = f"pre-fork-shared instance state in {self.qualname}"
+        else:
+            return
+        if not (memo_ok and self._is_memo_receiver(receiver)):
+            self.writes.append((stmt, f"{what} {where}"))
+
     def scan(self) -> None:
         for sub in ast.walk(self.node):
             if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -186,31 +231,12 @@ class _FunctionScanner:
                 )
                 for target in targets:
                     self._scan_store(sub, target)
-            elif isinstance(sub, ast.Call) and isinstance(
-                sub.func, ast.Attribute
+            elif (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr in _MUTATORS
             ):
-                if sub.func.attr not in _MUTATORS:
-                    continue
-                receiver = sub.func.value
-                name = self._root_write(receiver)
-                if name is not None:
-                    self.writes.append(
-                        (
-                            sub,
-                            name,
-                            f".{sub.func.attr}() mutates module-level "
-                            f"'{name}' from worker-reachable code",
-                        )
-                    )
-                elif self._is_shared_self(receiver):
-                    self.writes.append(
-                        (
-                            sub,
-                            None,
-                            f".{sub.func.attr}() mutates pre-fork-shared "
-                            f"instance state in {self.qualname}",
-                        )
-                    )
+                self._record(sub, sub.func.value, f".{sub.func.attr}() mutates", True)
 
     def _scan_store(self, stmt, target: ast.expr) -> None:
         if isinstance(target, ast.Name):
@@ -218,67 +244,17 @@ class _FunctionScanner:
                 self.writes.append(
                     (
                         stmt,
-                        target.id,
                         f"assignment to global '{target.id}' from "
                         "worker-reachable code",
                     )
                 )
-        elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            kind = "item store" if isinstance(target, ast.Subscript) else (
-                f"attribute store .{target.attr}"
-            )
-            name = self._root_write(target)
-            if name is not None:
-                self.writes.append(
-                    (
-                        stmt,
-                        name,
-                        f"{kind} into module-level '{name}' from "
-                        "worker-reachable code",
-                    )
-                )
-            elif self._is_shared_self(target):
-                self.writes.append(
-                    (
-                        stmt,
-                        None,
-                        f"{kind} into pre-fork-shared instance state "
-                        f"in {self.qualname}",
-                    )
-                )
+        elif isinstance(target, ast.Subscript):
+            self._record(stmt, target.value, "item store into", True)
+        elif isinstance(target, ast.Attribute):
+            self._record(stmt, target.value, f"attribute store .{target.attr} into", False)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._scan_store(stmt, element)
-
-
-def _definition_annotation(
-    graph: CallGraph,
-    index: SourceIndex,
-    mod: ModuleInfo,
-    name: str,
-    used: dict[Path, set[int]],
-) -> bool:
-    """Whether ``name``'s module-level definition is annotated.
-
-    Chases one import hop so writes through imported names (``REGISTRY``
-    in ``parallel.py``) honour the annotation at the defining module.
-    """
-    span = mod.definitions.get(name)
-    target_mod = mod
-    if span is None and name in mod.imports:
-        dotted = mod.imports[name]
-        head, _, leaf = dotted.rpartition(".")
-        target_mod = graph.modules.get(head)
-        if target_mod is not None:
-            span = target_mod.definitions.get(leaf)
-    if span is None or target_mod is None:
-        return False
-    annotated = _annotated_lines(index, target_mod.path)
-    hits = annotated & set(range(span[0], span[1] + 1))
-    if hits:
-        used.setdefault(target_mod.path, set()).update(hits)
-        return True
-    return False
 
 
 def check_fork_cow(
@@ -289,7 +265,7 @@ def check_fork_cow(
     roots=None,
     shared_classes=None,
 ) -> list[Finding]:
-    """Report worker-reachable shared-state writes (and stale annotations)."""
+    """Report worker-reachable shared-state writes that are not memo writes."""
     paths = [Path(p) for p in paths]
     if not paths:
         return []
@@ -317,30 +293,23 @@ def check_fork_cow(
                     ):
                         discovered.add(value.func.id)
     shared = frozenset(discovered)
+    memos = {name: _module_memos(mod) for name, mod in graph.modules.items()}
+
+    def is_memo(mod: ModuleInfo, name: str) -> bool:
+        """A memo of ``mod`` itself, or one imported one hop away."""
+        if name in memos[mod.name]:
+            return True
+        head, _, leaf = mod.imports.get(name, "").rpartition(".")
+        return leaf in memos.get(head, ())
 
     findings: list[Finding] = []
-    used_annotations: dict[Path, set[int]] = {}
     for ident in sorted(reach):
         fn = graph.functions[ident]
         mod = graph.modules[fn.module]
-        scanner = _FunctionScanner(mod, fn.qualname, shared)
+        scanner = _FunctionScanner(mod, fn.qualname, shared, is_memo)
         scanner.scan()
-        if not scanner.writes:
-            continue
-        annotated = _annotated_lines(index, mod.path)
         relpath = index.relpath(str(mod.path))
-        for stmt, name, message in scanner.writes:
-            span = set(
-                range(stmt.lineno, getattr(stmt, "end_lineno", stmt.lineno) + 1)
-            )
-            hits = annotated & span
-            if hits:
-                used_annotations.setdefault(mod.path, set()).update(hits)
-                continue
-            if name is not None and _definition_annotation(
-                graph, index, mod, name, used_annotations
-            ):
-                continue
+        for stmt, message in scanner.writes:
             findings.append(
                 Finding(
                     checker=CHECKER,
@@ -349,29 +318,6 @@ def check_fork_cow(
                     line=stmt.lineno,
                     anchor=fn.qualname,
                     message=message,
-                )
-            )
-
-    # Stale allow-list entries: annotation present, nothing suppressed.
-    for mod in graph.modules.values():
-        annotated = _annotated_lines(index, mod.path)
-        stale = annotated - used_annotations.get(mod.path, set())
-        relpath = index.relpath(str(mod.path))
-        lines = index.source_lines(str(mod.path)) or []
-        for line in sorted(stale):
-            text = lines[line - 1].split("#", 1)[0].strip() if line <= len(lines) else ""
-            anchor = text.split("=", 1)[0].split(":", 1)[0].strip() or "module"
-            findings.append(
-                Finding(
-                    checker=CHECKER,
-                    severity="error",
-                    path=relpath,
-                    line=line,
-                    anchor=anchor,
-                    message=(
-                        f"stale '{ANNOTATION}' annotation: no "
-                        "worker-reachable write is suppressed here"
-                    ),
                 )
             )
     return findings

@@ -110,7 +110,6 @@ class SourceIndex:
     def __init__(self, repo_root: Path | None = None):
         self.repo_root = Path(repo_root) if repo_root else None
         self._modules: dict[str, ast.Module | None] = {}
-        self._sources: dict[str, list[str] | None] = {}
 
     def module(self, filename: str) -> ast.Module | None:
         tree = self._modules.get(filename, _MISSING)
@@ -118,23 +117,10 @@ class SourceIndex:
             try:
                 source = Path(filename).read_text(encoding="utf-8")
                 tree = ast.parse(source, filename=filename)
-                self._sources[filename] = source.splitlines()
             except (OSError, SyntaxError, ValueError):
                 tree = None
-                self._sources[filename] = None
             self._modules[filename] = tree
         return tree
-
-    def source_lines(self, filename: str) -> list[str] | None:
-        """The file's raw lines (1-based indexing is the caller's job).
-
-        The AST drops comments, but the concurrency checkers honour
-        ``# staticcheck: process-local`` allow-list annotations, so they
-        read the text alongside the tree.  Cached with the parse.
-        """
-        if filename not in self._sources:
-            self.module(filename)
-        return self._sources.get(filename)
 
     def relpath(self, filename: str) -> str:
         path = Path(filename)

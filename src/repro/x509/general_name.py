@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..asn1 import (
     ASN1Error,
@@ -24,7 +24,6 @@ from ..asn1 import (
     to_element,
 )
 from ..asn1.oid import OID_ON_SMTP_UTF8_MAILBOX
-from .cache import caching_enabled, interned_char_set
 from .name import Name
 
 
@@ -69,24 +68,11 @@ class GeneralName:
     raw: bytes | None = None
     other_name_oid: ObjectIdentifier | None = None
     decode_ok: bool = True
-    _char_set_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def char_set(self) -> frozenset:
-        """The distinct characters of ``value``.
-
-        Memoized per value object, and the frozenset itself is interned
-        corpus-wide (:func:`repro.x509.cache.interned_char_set`): equal
-        value strings on different names share one set object.
-        """
-        cached = self._char_set_cache
-        use_cache = caching_enabled()
-        if use_cache and cached is not None and cached[0] is self.value:
-            return cached[1]
-        chars = interned_char_set(self.value)
-        if use_cache:
-            self._char_set_cache = (self.value, chars)
-        return chars
+        """The distinct characters of ``value``."""
+        return frozenset(self.value)
 
     # -- constructors ------------------------------------------------------
 

@@ -29,7 +29,6 @@ from ..asn1 import (
     spec_for_tag,
 )
 from ..asn1.oid import OID_NAMES
-from .cache import caching_enabled, interned_char_set
 
 # ---------------------------------------------------------------------------
 # Attribute model
@@ -51,7 +50,6 @@ class AttributeTypeAndValue:
     raw: bytes | None = None
     #: Whether the stored value satisfied the declared type on decode.
     decode_ok: bool = True
-    _char_set_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def short_name(self) -> str:
@@ -59,20 +57,8 @@ class AttributeTypeAndValue:
 
     @property
     def char_set(self) -> frozenset:
-        """The distinct characters of ``value``.
-
-        Memoized per value object, and the frozenset itself is interned
-        corpus-wide (:func:`repro.x509.cache.interned_char_set`): equal
-        value strings on different attributes share one set object.
-        """
-        cached = self._char_set_cache
-        use_cache = caching_enabled()
-        if use_cache and cached is not None and cached[0] is self.value:
-            return cached[1]
-        chars = interned_char_set(self.value)
-        if use_cache:
-            self._char_set_cache = (self.value, chars)
-        return chars
+        """The distinct characters of ``value``."""
+        return frozenset(self.value)
 
     def encode(self, strict: bool = False) -> Element:
         if self.raw is not None:

@@ -21,6 +21,7 @@ from repro.ct import CorpusGenerator
 from repro.engine import EngineStats, run_corpus
 from repro.lint import REGISTRY, index_for, run_lints, summarize, summary_to_json
 from repro.lint.compiled import UNCOMPILED_MANIFEST, warm_default_plan
+from repro.lint.framework import _INDEX_MEMO
 from repro.lint.parallel import LintPool
 from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_json
@@ -118,15 +119,15 @@ class TestCompiledPlanCoverage:
 
 class TestCompileStageStats:
     def test_warm_records_compile_stage_once(self):
-        index = index_for(REGISTRY.snapshot())
-        built = index._compiled_plan
-        index._compiled_plan = None
+        lints = REGISTRY.snapshot()
+        built = _INDEX_MEMO.pop(lints, None)
         try:
             stats = EngineStats()
             warm_default_plan(stats)
             assert "compile" in stats.stage_wall_seconds()
         finally:
-            index._compiled_plan = built or index._compiled_plan
+            if built is not None:
+                _INDEX_MEMO[lints] = built
         rewarm = EngineStats()
         warm_default_plan(rewarm)
         assert "compile" not in rewarm.stage_wall_seconds()

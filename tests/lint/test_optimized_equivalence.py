@@ -225,25 +225,5 @@ class TestNameCacheCorrectness:
     def test_char_set_tracks_value_object(self):
         attr = AttributeTypeAndValue(oid=OID_COMMON_NAME, value="abc")
         assert attr.char_set == frozenset("abc")
-        assert attr.char_set is attr.char_set  # memoized per value object
         attr.value = "xyz"
         assert attr.char_set == frozenset("xyz")
-
-    def test_char_set_interned_across_objects(self):
-        # Equal value strings on distinct attributes (issuer DNs repeat
-        # corpus-wide) share one interned frozenset, and GeneralNames
-        # draw from the same pool.
-        value = "Interned Probe Org é"
-        first = AttributeTypeAndValue(oid=OID_ORGANIZATION_NAME, value=value)
-        second = AttributeTypeAndValue(oid=OID_ORGANIZATION_NAME, value=value)
-        assert first.char_set is second.char_set
-        assert GeneralName.dns(value).char_set is first.char_set
-
-    def test_char_set_interning_honors_cache_switch(self):
-        from repro.x509.cache import caching_disabled
-
-        attr = AttributeTypeAndValue(oid=OID_COMMON_NAME, value="switch-probe")
-        with caching_disabled():
-            uncached = attr.char_set
-            assert uncached == frozenset("switch-probe")
-            assert attr.char_set is not uncached  # recomputed, not stored

@@ -188,16 +188,19 @@ class TestMemoCap:
         for value in range(64):
             masks = (value,) + padding
             built = plan.template(live, masks)
-            # Past the cap a miss is rebuilt, not stored, and is the same.
-            assert plan.template(live, masks) == built
-        assert len(plan._templates) == self.CAP
+            assert len(plan._templates) <= self.CAP
+            # A full memo flushes and keeps caching: the key just built
+            # is a hit, the very same object.
+            assert plan.template(live, masks) is built
         for value in range(64):
-            plan.live_rows(frozenset({("s", f"1.2.3.{value}")}))
-        assert len(plan._live) == self.CAP
+            signature = frozenset({("s", f"1.2.3.{value}")})
+            built = plan.live_rows(signature)
+            assert len(plan._live) <= self.CAP
+            assert plan.live_rows(signature) is built
 
     def test_capped_plan_reports_match_oracle(self, index):
         for der in DERS[:60] + DERS[-40:]:
             reference = reference_run_lints(Certificate.from_der(der))
             fast = run_lints(Certificate.from_der(der), index=index)
             assert _shape(fast) == _shape(reference)
-        assert len(index.compiled_plan()._templates) == self.CAP
+            assert len(index.compiled_plan()._templates) <= self.CAP

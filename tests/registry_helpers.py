@@ -10,14 +10,14 @@ def registered(lint):
     """Register ``lint`` in :data:`repro.lint.REGISTRY` for the block.
 
     The registry has no unregister call (production registers only at
-    import), so the exit path drops the entry and the cached snapshot by
-    hand.  The next snapshot is a new tuple over the original lints,
+    import), so the exit path drops the entry and rebuilds the snapshot
+    by hand.  The snapshot is then a new tuple over the original lints,
     which :func:`repro.lint.index_for` maps back to their original
-    index and plan.
+    index and plan while that index is still memoized.
     """
     REGISTRY.register(lint)
     try:
         yield lint
     finally:
         REGISTRY._lints.pop(lint.metadata.name)
-        REGISTRY._snapshot = None
+        REGISTRY._snapshot = tuple(REGISTRY._lints.values())

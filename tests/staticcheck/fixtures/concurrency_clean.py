@@ -1,14 +1,16 @@
 """Fixture: the repaired twin of ``concurrency_bad`` — zero findings.
 
 Same shapes, each violation fixed the way the live tree fixes it: the
-worker memo carries the reviewed ``process-local`` annotation on its
-definition, the coroutine awaits ``asyncio.sleep``, the submit target
-is a module-level function, and the handle is context-managed.
+worker memo is a bounded ``ProcessMemo``, the coroutine awaits
+``asyncio.sleep``, the submit target is a module-level function, and
+the handle is context-managed.
 """
 
 import asyncio
 
-_MEMO: dict[bytes, int] = {}  # staticcheck: process-local
+from repro.memo import ProcessMemo
+
+_MEMO = ProcessMemo(1024)
 
 
 def _worker_main(der: bytes) -> int:

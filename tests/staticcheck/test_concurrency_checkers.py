@@ -4,8 +4,8 @@
 checker; ``fixtures/concurrency_clean.py`` is the repaired twin.  The
 call-graph tests pin the reachability semantics the fork-cow checker
 rests on, and the live-tree test asserts the real ``src/repro`` is
-clean — every historical finding is either fixed or carries a reviewed
-``process-local`` annotation, none are baselined.
+clean — every worker-side write goes into a ``ProcessMemo``, none are
+baselined.
 """
 
 from pathlib import Path
@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.staticcheck import (
-    ANNOTATION,
     CHECKER_NAMES,
     SourceIndex,
     build_call_graph,
@@ -142,57 +141,117 @@ class TestCleanFixture:
         assert check_resource_lifetime([CLEAN], index) == []
 
 
-class TestAnnotationContract:
-    def test_stale_annotation_is_an_error(self, tmp_path):
-        module = tmp_path / "stale.py"
-        module.write_text(
-            f"_UNUSED = {{}}  {ANNOTATION}\n"
-            "def helper():\n"
-            "    return _UNUSED\n",
-            encoding="utf-8",
-        )
-        findings = check_fork_cow(
-            [module], SourceIndex(repo_root=tmp_path), pkg_root=tmp_path
+def _fork_cow(tmp_path, sources: dict) -> list:
+    """fork-cow over a throwaway package of ``{file name: source}``."""
+    for name, source in sources.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    return check_fork_cow(
+        sorted(tmp_path.glob("*.py")),
+        SourceIndex(repo_root=tmp_path),
+        pkg_root=tmp_path,
+    )
+
+
+_LAUNCH = (
+    "def launch(executor, x):\n"
+    "    return executor.submit(_worker_entry, x)\n"
+)
+
+
+class TestMemoTypeRule:
+    def test_dict_write_is_reported_once(self, tmp_path):
+        findings = _fork_cow(
+            tmp_path,
+            {
+                "plain.py": "_MEMO = {}\n"
+                "def _worker_entry(x):\n"
+                "    _MEMO[x] = x\n"
+                "    return _MEMO[x]\n" + _LAUNCH
+            },
         )
         assert len(findings) == 1
         (finding,) = findings
         assert finding.severity == "error"
-        assert "stale" in finding.message
+        assert finding.anchor == "_worker_entry"
+        assert "'_MEMO'" in finding.message
 
-    def test_annotation_in_docstring_does_not_count(self, tmp_path):
-        # Only real comments register — a docstring *describing* the
-        # annotation is neither an allow-list entry nor stale.
-        module = tmp_path / "describing.py"
-        module.write_text(
-            f'"""Docs mentioning {ANNOTATION} in prose."""\n'
-            "def helper():\n"
-            "    return 1\n",
-            encoding="utf-8",
-        )
-        assert (
-            check_fork_cow(
-                [module], SourceIndex(repo_root=tmp_path), pkg_root=tmp_path
-            )
-            == []
-        )
-
-    def test_write_line_annotation_suppresses(self, tmp_path):
-        module = tmp_path / "inline.py"
-        module.write_text(
-            "_MEMO = {}\n"
+    def test_module_level_memo_passes(self, tmp_path):
+        source = (
+            "from repro.memo import ProcessMemo\n"
+            "_MEMO = ProcessMemo(64)\n"
             "def _worker_entry(x):\n"
-            f"    _MEMO[x] = x  {ANNOTATION}\n"
-            "    return _MEMO[x]\n"
-            "def launch(executor, x):\n"
-            "    return executor.submit(_worker_entry, x)\n",
-            encoding="utf-8",
+            "    memo = _MEMO\n"
+            "    memo[x] = x\n"
+            "    _MEMO.pop(x)\n"
+            "    return x\n" + _LAUNCH
         )
-        assert (
-            check_fork_cow(
-                [module], SourceIndex(repo_root=tmp_path), pkg_root=tmp_path
-            )
-            == []
+        assert _fork_cow(tmp_path, {"memoized.py": source}) == []
+
+    def test_imported_memo_passes(self, tmp_path):
+        stem = tmp_path.name
+        findings = _fork_cow(
+            tmp_path,
+            {
+                "memos.py": "from repro import memo\n"
+                "SHARED = memo.ProcessMemo(64)\n",
+                "user.py": f"from {stem}.memos import SHARED\n"
+                "def _worker_entry(x):\n"
+                "    SHARED[x] = x\n"
+                "    return x\n" + _LAUNCH,
+            },
         )
+        assert findings == []
+
+    def test_init_assigned_memo_passes(self, tmp_path):
+        source = (
+            "from repro.memo import ProcessMemo\n"
+            "class Plan:\n"
+            "    def __init__(self):\n"
+            "        self.rows = ProcessMemo(64)\n"
+            "        self.names = {}\n"
+            "    def lookup(self, x):\n"
+            "        self.rows[x] = x\n"
+            "        self.names[x] = x\n"
+            "        return x\n"
+            "PLAN = Plan()\n"
+            "def _worker_entry(x):\n"
+            "    return PLAN.lookup(x)\n" + _LAUNCH
+        )
+        findings = _fork_cow(tmp_path, {"plan.py": source})
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.anchor == "Plan.lookup"
+        assert finding.line == 8
+
+    def test_function_local_memo_does_not_exempt_the_module_name(self, tmp_path):
+        source = (
+            "from repro.memo import ProcessMemo\n"
+            "_MEMO = {}\n"
+            "def reset():\n"
+            "    _MEMO = ProcessMemo(64)\n"
+            "    return _MEMO\n"
+            "def _worker_entry(x):\n"
+            "    _MEMO[x] = x\n"
+            "    return x\n" + _LAUNCH
+        )
+        findings = _fork_cow(tmp_path, {"shadow.py": source})
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.anchor == "_worker_entry"
+        assert "'_MEMO'" in finding.message
+
+    def test_rebinding_or_configuring_a_memo_is_reported(self, tmp_path):
+        source = (
+            "from repro.memo import ProcessMemo\n"
+            "_MEMO = ProcessMemo(64)\n"
+            "def _worker_entry(x):\n"
+            "    global _MEMO\n"
+            "    _MEMO.cap = x\n"
+            "    _MEMO = ProcessMemo(x)\n"
+            "    return x\n" + _LAUNCH
+        )
+        findings = _fork_cow(tmp_path, {"rebind.py": source})
+        assert sorted(f.line for f in findings) == [5, 6]
 
 
 class TestFingerprintStability:
@@ -229,17 +288,11 @@ class TestLiveTree:
             assert name in CHECKER_NAMES
 
     def test_live_tree_has_zero_unbaselined_findings(self):
-        # Every concurrency/resource hazard in src/repro is either
-        # fixed or carries a reviewed process-local annotation — the
+        # Every concurrency/resource hazard in src/repro is fixed and
+        # every worker-side memo write targets a ProcessMemo — the
         # committed baseline holds no entry for these checkers.
         report = run_staticcheck(checkers=NEW_CHECKERS)
         assert report.findings == []
-
-    def test_live_tree_annotations_are_all_live(self):
-        # No stale allow-list entries anywhere under src/repro: every
-        # annotation suppresses at least one worker-reachable write.
-        report = run_staticcheck(checkers=("fork-cow",))
-        assert [f for f in report.findings if "stale" in f.message] == []
 
     def test_concurrency_scope_covers_whole_package(self):
         paths = concurrency_paths()
