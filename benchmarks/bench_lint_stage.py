@@ -8,8 +8,8 @@ each lint sub-stage over the whole corpus, ``--reps`` times:
   walk (family keys plus the subject/issuer masks), the DNS-name and
   A-label lists;
 * ``scope_masks_cold`` — every scope mask the compiled dispatch would
-  resolve, with the process-wide string memos cleared first (the state
-  of every ``corpus`` operation's fresh worker);
+  resolve, with the process-wide string and content-keyed memos cleared
+  first (the state of every ``corpus`` operation's fresh worker);
 * ``scope_masks_warm`` — the same with the memos already filled;
 * ``xn_analysis`` — the per-A-label IDN analysis behind the ``xn``
   scope, memo cleared: decode, permitted check, NFC and round-trip;
@@ -37,7 +37,7 @@ from repro.lint import compiled
 from repro.lint.context import LintContext
 from repro.lint.framework import REGISTRY, index_for
 from repro.lint.runner import run_lints
-from repro.x509 import Certificate
+from repro.x509 import Certificate, certificate
 
 #: About 700 certificates, the corpus size of the ``corpus`` workload.
 DEFAULT_SCALE = 1 / 50_000
@@ -50,6 +50,9 @@ _MEMOS = (
     compiled._EMAIL_MASKS,
     compiled._URI_MASKS,
     compiled._XN_MASKS,
+    compiled._ISSUER_WALKS,
+    compiled._PAYLOADS,
+    certificate._DECODED_ISSUERS,
 )
 
 
@@ -133,9 +136,10 @@ def stages(ders, issued):
             run_lints(cert, issued_at=when, index=index)
 
     def cold_certs():
-        certs = _fresh(ders)
+        # Cleared before decoding: as in a fresh worker, the first
+        # certificate of each issuer decodes its issuer DN eagerly.
         clear_memos()
-        return certs
+        return _fresh(ders)
 
     return {
         "views_families": (lambda: _fresh(ders), views_families),

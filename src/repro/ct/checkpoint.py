@@ -136,7 +136,9 @@ def write_checkpoint(path, checkpoint: MonitorCheckpoint) -> pathlib.Path:
     }
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True, ensure_ascii=False)
+        # ``dumps`` runs the C encoder; ``dump`` always takes the
+        # pure-Python one.  Same text either way.
+        handle.write(json.dumps(document, sort_keys=True, ensure_ascii=False))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -50,7 +50,15 @@ from ..uni import is_ldh_label, is_nfc, ulabel_to_alabel, unpermitted_violations
 from ..uni.errors import IDNAError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
 from ..x509 import GeneralNameKind
-from .context import FAMILY_ISSUER_ANY, FAMILY_SUBJECT_ANY
+from ..x509.certificate import VIEWS
+from .context import (
+    FAMILY_AIA,
+    FAMILY_CP,
+    FAMILY_CRLDP,
+    FAMILY_ISSUER_ANY,
+    FAMILY_SIA,
+    FAMILY_SUBJECT_ANY,
+)
 from .framework import FunctionLint, LintResult, LintStatus
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,15 @@ _DNS_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 _EMAIL_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 _URI_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 _XN_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+
+#: Entry cap of each content-keyed memo; a full memo flushes.
+_CONTENT_MEMO_MAX = 1 << 14
+#: Issuer-side DN walks keyed by the issuer DN as received:
+#: ``(mask entries, family keys)``, both immutable (see :func:`_walk_side`).
+_ISSUER_WALKS = ProcessMemo(_CONTENT_MEMO_MAX)
+#: Extension payload facts keyed by ``(slot, value_der)``:
+#: ``(decodes, mask entries)`` (see :func:`walk_payloads`).
+_PAYLOADS = ProcessMemo(_CONTENT_MEMO_MAX)
 
 _CN_DOTTED = OID_COMMON_NAME.dotted
 
@@ -348,19 +365,44 @@ def _walk_side(cert, masks: dict, side: str, families: set | None = None) -> int
     OID repeats and (subject side) ``EXTRA_CN`` for >1 CommonName.
     ``families``, when given, also collects the side's family keys
     (those :meth:`LintContext.families` derives from the DN).
+
+    The issuer side of a parsed certificate is a function of its
+    received bytes, so its entries and family keys come from
+    :data:`_ISSUER_WALKS`; on a hit the issuer ``Name`` is not read.
     """
     side_key = "subject" if side == "s" else "issuer"
     mask = masks.get(side_key)
     if mask is not None:
         return mask
-    name_obj = cert.subject if side == "s" else cert.issuer
+    if side == "s":
+        return _walk_name(cert.subject, masks, side, families)
+    der = cert._issuer_der
+    if der is None:  # built, or ``issuer`` reassigned
+        return _walk_name(cert.issuer, masks, side, families)
+    walked = _ISSUER_WALKS.get(der)
+    if walked is None:
+        side_masks: dict = {}
+        side_families: set = set()
+        _walk_name(cert.issuer, side_masks, side, side_families)
+        walked = (tuple(side_masks.items()), frozenset(side_families))
+        _ISSUER_WALKS[der] = walked
+    masks.update(walked[0])
+    if families is not None:
+        families.update(walked[1])
+    return masks[side_key]
+
+
+def _walk_name(name_obj, masks: dict, side: str, families: set | None) -> int:
+    """The DN walk of :func:`_walk_side` over one decoded ``Name``."""
     mask = 0
     ps = 0
     u8 = 0
     cn_count = 0
     spec_bits = _SPEC_BITS
     attrs = name_obj.attributes()
-    if families is not None and attrs:
+    # ``s*``/``i*`` mirror ``not name.is_empty``, the DN lints' applies():
+    # a DN of empty RDNs has no attributes yet is not empty.
+    if families is not None and name_obj.rdns:
         families.add(FAMILY_SUBJECT_ANY if side == "s" else FAMILY_ISSUER_ANY)
     for attr in attrs:
         spec_name = attr.spec.name
@@ -392,24 +434,135 @@ def _walk_side(cert, masks: dict, side: str, families: set | None = None) -> int
         mask |= am
     if side == "s" and cn_count > 1:
         mask |= _EXTRA_CN
-    masks[side_key] = mask
+    masks["subject" if side == "s" else "issuer"] = mask
     masks["_ps_" + side] = ps
     masks["_u8_" + side] = u8
     return mask
 
 
-def walk_dns(cert, masks: dict) -> set:
-    """Walk both DNs into ``masks``; return their family keys.
+def walk_fields(cert, masks: dict) -> set:
+    """Walk both DNs and the CA payload slots into ``masks``.
 
-    The runner passes the result to :meth:`LintContext.families`, so
-    each DN is walked once per run for both the signature and the
-    subject/issuer scope masks.  ``masks`` must not hold either side's
-    keys yet (a filled side is not walked again).
+    Returns the family keys those fields give: the DN part and the
+    AIA/SIA/CRLDP/CP presence keys.  The runner passes the result to
+    :meth:`LintContext.families`, so each field is walked once per run
+    for both the signature and the scope masks.  ``masks`` must not
+    hold either DN side's keys yet (a filled side is not walked again).
     """
     families: set = set()
     _walk_side(cert, masks, "s", families)
     _walk_side(cert, masks, "i", families)
+    walk_payloads(cert, masks, families)
     return families
+
+
+def _aia_entries(aia) -> tuple:
+    return (("aia_uris", _access_mask(aia)),)
+
+
+def _sia_entries(sia) -> tuple:
+    return (("sia_uris", _access_mask(sia)),)
+
+
+def _access_mask(ia) -> int:
+    """The URI accessLocations of an AIA/SIA view."""
+    mask = 0
+    if ia is not None:
+        uri_kind = GeneralNameKind.URI
+        for description in ia.descriptions:
+            gn = description.location
+            if gn.kind is uri_kind:
+                mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
+                if not gn.decode_ok:
+                    mask |= DECODE_BAD
+    return mask
+
+
+def _crldp_entries(dps) -> tuple:
+    """The ``crldp`` mask and the CRLDP half of ``uris_scheme``."""
+    mask = 0
+    uris = 0
+    if dps is not None:
+        uri_kind = GeneralNameKind.URI
+        for point in dps.points:
+            mask |= _gn_mask(point.full_names, scan_mask)
+            for gn in point.full_names:
+                if gn.kind is uri_kind:
+                    uris |= _uri_shape_mask(gn.value) | SCOPE_NONEMPTY
+    return (("crldp", mask), ("_uris_crldp", uris))
+
+
+def _cp_entries(policies) -> tuple:
+    text_mask = 0
+    uri_mask = 0
+    if policies is not None:
+        texts = policies.explicit_texts
+        if texts:
+            text_mask = SCOPE_NONEMPTY
+        for tag, text, ok in texts:
+            text_mask |= scan_mask(text)
+            if not ok:
+                text_mask |= DECODE_BAD
+            if tag == 22:
+                text_mask |= _CP_TAG_IA5
+            elif tag != 12:
+                text_mask |= _CP_TAG_OTHER
+        uris = policies.cps_uris
+        if uris:
+            uri_mask = SCOPE_NONEMPTY
+        for uri in uris:
+            uri_mask |= scan_mask(uri)
+    return (("cp_text", text_mask), ("cps_uris", uri_mask))
+
+
+#: The CA-stamped payload slots: extension OID -> (slot, presence
+#: family, view -> mask entries).
+_PAYLOAD_SLOTS = {
+    VIEWS[slot][0].dotted: (slot, family, entries)
+    for slot, family, entries in (
+        ("aia", FAMILY_AIA, _aia_entries),
+        ("sia", FAMILY_SIA, _sia_entries),
+        ("crldp", FAMILY_CRLDP, _crldp_entries),
+        ("cp", FAMILY_CP, _cp_entries),
+    )
+}
+#: Every mask key a payload walk fills, zero while its slot is absent.
+_PAYLOAD_ZEROS = {
+    "aia_uris": 0,
+    "sia_uris": 0,
+    "crldp": 0,
+    "_uris_crldp": 0,
+    "cp_text": 0,
+    "cps_uris": 0,
+}
+
+
+def walk_payloads(cert, masks: dict, families: set | None = None) -> None:
+    """Fill the AIA/SIA/CRLDP/CP scope masks; collect presence families.
+
+    One pass over ``cert.extensions`` finds each slot's extension (the
+    first per OID, as :meth:`Certificate.get_extension` does).  Whether
+    its payload decodes and the slot's masks are a function of the
+    payload bytes, kept in :data:`_PAYLOADS`, so the view is decoded
+    only on a miss (or when a lint or accessor reads it).
+    """
+    masks.update(_PAYLOAD_ZEROS)
+    found: dict = {}
+    slots = _PAYLOAD_SLOTS
+    for ext in cert.extensions:
+        entry = slots.get(ext.oid.dotted)
+        if entry is not None and entry[0] not in found:
+            found[entry[0]] = (entry, ext.value_der)
+    for (slot, family, entries), value_der in found.values():
+        key = (slot, value_der)
+        record = _PAYLOADS.get(key)
+        if record is None:
+            view = cert._view(slot)[0]
+            record = _PAYLOADS[key] = (view is not None, entries(view))
+        decodes, slot_masks = record
+        masks.update(slot_masks)
+        if decodes and families is not None:
+            families.add(family)
 
 
 def _scope_subject(cert, ctx, masks):
@@ -502,78 +655,23 @@ def _scope_uri_all(cert, ctx, masks):
 
 
 def _scope_uris_scheme(cert, ctx, masks):
-    mask = _get("uri_all", cert, ctx, masks)
-    dps = cert.crl_distribution_points
-    if dps is not None:
-        uri_kind = GeneralNameKind.URI
-        for point in dps.points:
-            for gn in point.full_names:
-                if gn.kind is uri_kind:
-                    mask |= _uri_shape_mask(gn.value) | SCOPE_NONEMPTY
+    crldp_uris = masks.get("_uris_crldp")
+    if crldp_uris is None:
+        walk_payloads(cert, masks)
+        crldp_uris = masks["_uris_crldp"]
+    mask = _get("uri_all", cert, ctx, masks) | crldp_uris
     masks["uris_scheme"] = mask
     return mask
 
 
-def _scope_crldp(cert, ctx, masks):
-    dps = cert.crl_distribution_points
-    mask = 0
-    if dps is not None:
-        for point in dps.points:
-            mask |= _gn_mask(point.full_names, scan_mask)
-    masks["crldp"] = mask
-    return mask
-
-
-def _make_access_scope(key: str, attr: str):
-    """Build the scope fn for AIA/SIA URI accessLocations."""
+def _make_payload_scope(key: str):
+    """Build the scope fn for one mask key :func:`walk_payloads` fills."""
 
     def fn(cert, ctx, masks):
-        ia = getattr(cert, attr)
-        mask = 0
-        if ia is not None:
-            uri_kind = GeneralNameKind.URI
-            for description in ia.descriptions:
-                gn = description.location
-                if gn.kind is uri_kind:
-                    mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
-                    if not gn.decode_ok:
-                        mask |= DECODE_BAD
-        masks[key] = mask
-        return mask
+        walk_payloads(cert, masks)
+        return masks[key]
 
     return fn
-
-
-def _scope_cp_text(cert, ctx, masks):
-    policies = cert.policies
-    mask = 0
-    if policies is not None:
-        texts = policies.explicit_texts
-        if texts:
-            mask = SCOPE_NONEMPTY
-        for tag, text, ok in texts:
-            mask |= scan_mask(text)
-            if not ok:
-                mask |= DECODE_BAD
-            if tag == 22:
-                mask |= _CP_TAG_IA5
-            elif tag != 12:
-                mask |= _CP_TAG_OTHER
-    masks["cp_text"] = mask
-    return mask
-
-
-def _scope_cps_uris(cert, ctx, masks):
-    policies = cert.policies
-    mask = 0
-    if policies is not None:
-        uris = policies.cps_uris
-        if uris:
-            mask = SCOPE_NONEMPTY
-        for uri in uris:
-            mask |= scan_mask(uri)
-    masks["cps_uris"] = mask
-    return mask
 
 
 def _scope_san_entries(cert, ctx, masks):
@@ -619,11 +717,11 @@ SCOPE_FNS = {
     "email_all": _scope_email_all,
     "uri_all": _scope_uri_all,
     "uris_scheme": _scope_uris_scheme,
-    "crldp": _scope_crldp,
-    "aia_uris": _make_access_scope("aia_uris", "aia"),
-    "sia_uris": _make_access_scope("sia_uris", "sia"),
-    "cp_text": _scope_cp_text,
-    "cps_uris": _scope_cps_uris,
+    "crldp": _make_payload_scope("crldp"),
+    "aia_uris": _make_payload_scope("aia_uris"),
+    "sia_uris": _make_payload_scope("sia_uris"),
+    "cp_text": _make_payload_scope("cp_text"),
+    "cps_uris": _make_payload_scope("cps_uris"),
     "san_entries": _scope_san_entries,
 }
 

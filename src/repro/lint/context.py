@@ -145,22 +145,24 @@ class LintContext:
 
     # -- family presence ----------------------------------------------------
 
-    def families(self, dn_families: set | None = None) -> frozenset:
+    def families(self, field_families: set | None = None) -> frozenset:
         """The certificate's present-field families (for index skipping).
 
         The DN part (``s*``/``i*`` plus the per-OID and per-spec keys of
-        both DNs) comes from :func:`repro.lint.compiled.walk_dns`, which
-        the runner calls anyway for the subject/issuer scope masks and
-        passes in as ``dn_families``; the set is extended in place.
+        both DNs) and the AIA/SIA/CRLDP/CP presence keys come from
+        :func:`repro.lint.compiled.walk_fields`, which the runner calls
+        anyway for those fields' scope masks and passes in as
+        ``field_families``; the set is extended in place.  SAN and IAN
+        are per-certificate content and are read here.
         """
         fams = self._families
         if fams is None:
             cert = self.cert
-            present = dn_families
+            present = field_families
             if present is None:
-                from .compiled import walk_dns  # compiled imports this module
+                from .compiled import walk_fields  # compiled imports this module
 
-                present = walk_dns(cert, {})
+                present = walk_fields(cert, {})
             san = cert.san
             if san is not None:
                 present.add(FAMILY_SAN_PRESENT)
@@ -175,13 +177,5 @@ class LintContext:
                 present.add(FAMILY_DNS)
                 if self.xn_labels():
                     present.add(FAMILY_XN)
-            if cert.aia is not None:
-                present.add(FAMILY_AIA)
-            if cert.sia is not None:
-                present.add(FAMILY_SIA)
-            if cert.crl_distribution_points is not None:
-                present.add(FAMILY_CRLDP)
-            if cert.policies is not None:
-                present.add(FAMILY_CP)
             fams = self._families = frozenset(present)
         return fams

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from ..x509 import Certificate
-from .compiled import walk_dns
+from .compiled import walk_fields
 from .context import LintContext
 from .framework import (
     Lint,
@@ -154,7 +154,7 @@ def run_lints(
     cert._lint_ctx = ctx
     try:
         masks: dict = {}
-        live = plan.live_rows(ctx.families(walk_dns(cert, masks)))
+        live = plan.live_rows(ctx.families(walk_fields(cert, masks)))
         resolve = plan.resolve_scope
         key = []
         for scope, bits in live.scope_bits:

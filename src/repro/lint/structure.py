@@ -28,6 +28,9 @@ from .helpers import register_lint, san_names
 
 
 def _cn_matches_san(cn: str, san_values: list[str]) -> bool:
+    # A verbatim copy case-folds equal to itself: skip the IDNA pass.
+    if cn in san_values:
+        return True
     candidates = {cn}
     try:
         candidates.add(domain_to_ascii(cn, validate=False))

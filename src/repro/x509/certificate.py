@@ -35,6 +35,7 @@ from ..asn1.oid import (
     OID_EXT_SIA,
     OID_COMMON_NAME,
 )
+from ..memo import ProcessMemo
 from .extensions import (
     CRLDistributionPoints,
     Extension,
@@ -60,6 +61,15 @@ VIEWS = {
     "cp": (OID_EXT_CERTIFICATE_POLICIES, ParsedPolicies.parse, Exception),
 }
 
+#: Entry cap of :data:`_DECODED_ISSUERS`; a full memo flushes.
+_ISSUER_MEMO_MAX = 1 << 14
+#: Issuer DNs, as received, that :meth:`Name.from_node` has decoded
+#: without error.  A parsed certificate whose issuer bytes are here
+#: defers its issuer decode to the first read of :attr:`issuer`; any
+#: other issuer decodes in :meth:`Certificate.from_der`, so a malformed
+#: one raises there, with its message and offset.
+_DECODED_ISSUERS = ProcessMemo(_ISSUER_MEMO_MAX)
+
 
 @dataclass
 class Certificate:
@@ -79,6 +89,10 @@ class Certificate:
     #: The SubjectPublicKeyInfo as received, until :attr:`public_key`
     #: first decodes it.
     _spki_der: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    #: The issuer DN as received (parsed certificates only): the key of
+    #: the content-keyed issuer facts, and the source of a deferred
+    #: :attr:`issuer` decode.  Assigning :attr:`issuer` clears it.
+    _issuer_der: bytes | None = field(default=None, init=False, repr=False, compare=False)
     #: Memoized extension views, keyed by slot name.  Each entry stores
     #: ``(ext, ext.value_der, view, error)`` and is only served while
     #: both identities still match, so swapping an Extension object (or
@@ -97,7 +111,8 @@ class Certificate:
         parsers: malformed string contents are preserved rather than
         rejected, so the linter can inspect them.  The subject public
         key is kept as received and decoded on first read of
-        :attr:`public_key`.
+        :attr:`public_key`; so is an issuer DN whose bytes an earlier
+        certificate's issuer decoded (see :data:`_DECODED_ISSUERS`).
         """
         raw = bytes(data)
         root = parse_node(raw, strict=strict)
@@ -116,7 +131,13 @@ class Certificate:
             index = 1
         serial = node_integer(raw, node_child(tbs, index), strict=False)
         # child(index+1) is the inner signature AlgorithmIdentifier.
-        issuer = Name.from_node(raw, node_child(tbs, index + 2), strict=False)
+        issuer_node = node_child(tbs, index + 2)
+        issuer_der = raw[issuer_node[1] : issuer_node[3]]
+        if issuer_der in _DECODED_ISSUERS:
+            issuer = None  # decoded on first read of ``issuer``
+        else:
+            issuer = Name.from_node(raw, issuer_node, strict=False)
+            _DECODED_ISSUERS[issuer_der] = True
         validity = node_child(tbs, index + 3)
         not_before = node_time(raw, node_child(validity, 0))
         not_after = node_time(raw, node_child(validity, 1))
@@ -139,6 +160,7 @@ class Certificate:
             signature=signature_bits,
             raw=raw,
         )
+        cert._issuer_der = issuer_der
         if len(fields) > index + 5:
             spki = fields[index + 5]
             cert._spki_der = raw[spki[1] : spki[3]]
@@ -322,6 +344,22 @@ class Certificate:
         return f"<Certificate serial={self.serial} cn={cn[0] if cn else '?'}>"
 
 
+def _get_issuer(cert: Certificate) -> Name:
+    issuer = cert._issuer
+    if issuer is None and cert._issuer_der is not None:
+        # Deferred only after these very bytes decoded without error.
+        der = cert._issuer_der
+        issuer = cert._issuer = Name.from_node(
+            der, parse_node(der, strict=False), strict=False
+        )
+    return issuer
+
+
+def _set_issuer(cert: Certificate, issuer: Name) -> None:
+    cert._issuer = issuer
+    cert._issuer_der = None
+
+
 def _get_public_key(cert: Certificate) -> SimPublicKey | None:
     spki = cert._spki_der
     if spki is not None:
@@ -338,10 +376,15 @@ def _set_public_key(cert: Certificate, key: SimPublicKey | None) -> None:
     cert._spki_der = None
 
 
-# ``public_key`` stays a dataclass field, so the constructor keyword,
-# equality and ``dataclasses.replace`` keep working; installed after
-# the decorator ran, the property decodes a parsed certificate's SPKI
-# on first read.  Nothing on the lint path reads the key.
+# ``issuer`` and ``public_key`` stay dataclass fields, so the
+# constructor keyword, equality and ``dataclasses.replace`` keep
+# working; installed after the decorator ran, each property decodes a
+# parsed certificate's deferred bytes on first read.  Nothing on the
+# lint path reads the key, and the compiled issuer walk reads the
+# issuer's bytes instead of the ``Name`` (DESIGN.md §15).
+Certificate.issuer = property(
+    _get_issuer, _set_issuer, doc="The issuer DN (decoded on first read if deferred)."
+)
 Certificate.public_key = property(
     _get_public_key, _set_public_key, doc="The subject public key, or ``None``."
 )

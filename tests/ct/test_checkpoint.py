@@ -2,6 +2,7 @@
 ``CheckpointError`` and the monitor's answer is a clean cold start —
 never a half-resumed window."""
 
+import io
 import json
 
 import pytest
@@ -205,3 +206,22 @@ class TestMonitorRecovery:
         assert fresh.start(resume=False) is False
         assert fresh.recovered is None
         assert fresh.position == 0
+
+    def test_monitor_checkpoint_is_the_json_dump_text(self, corpus, tmp_path):
+        """The C-encoder write matches ``json.dump`` byte for byte."""
+        monitor = _monitor(corpus, tmp_path)
+        drive(monitor, batches=2)
+        path = tmp_path / "monitor.ckpt"
+        written = path.read_bytes()
+        document = json.loads(written.decode("utf-8"))
+        buffer = io.StringIO()
+        json.dump(document, buffer, sort_keys=True, ensure_ascii=False)
+        assert written == buffer.getvalue().encode("utf-8")
+        assert document["body"]["position"] == monitor.position == 128
+
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.position == monitor.position
+        fresh = _monitor(corpus, tmp_path)
+        assert fresh.resume() is True
+        assert fresh.position == monitor.position
+        assert fresh.window.to_dict() == monitor.window.to_dict()

@@ -3,6 +3,9 @@ and Bad Normalization lints."""
 
 import datetime as dt
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.asn1 import IA5_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_COUNTRY_NAME,
@@ -10,7 +13,9 @@ from repro.asn1.oid import (
     OID_ORGANIZATION_NAME,
     OID_QT_UNOTICE,
 )
-from repro.lint import run_lints
+from repro.lint import run_lints, structure
+from repro.uni import case_fold_equal, domain_to_ascii
+from repro.uni.errors import IDNAError, PunycodeError
 from repro.x509 import (
     CertificateBuilder,
     GeneralName,
@@ -192,6 +197,75 @@ class TestStructure:
         found = fired(cert)
         assert "e_subject_dn_duplicate_attribute" in found
         assert "w_cab_subject_contain_extra_common_name" in found
+
+
+def parent_cn_matches_san(cn, san_values):
+    """``_cn_matches_san`` before the verbatim shortcut: the oracle."""
+    candidates = {cn}
+    try:
+        candidates.add(domain_to_ascii(cn, validate=False))
+    except (IDNAError, PunycodeError):
+        pass
+    return any(
+        case_fold_equal(candidate, value)
+        for candidate in candidates
+        for value in san_values
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # noqa: BLE001 - both bodies must fail alike
+        return ("error", type(exc).__name__, str(exc))
+
+
+RAISING_LABELS = ["\ud800", "a\udcff", "é" * 64]
+
+#: Host-ish text: labels drawn from ASCII, Latin-1 and a few scripts,
+#: plus the characters IDNA rejects (empty labels, hyphens, "xn--").
+_LABEL = st.one_of(
+    st.text(alphabet="abcXYZ-09", max_size=8),
+    st.text(alphabet="äöüßÄ\u0131\u0130ﬁＡ\u200d\u0301", max_size=6),
+    st.text(max_size=6),
+    st.sampled_from(["xn--", "xn--mnchen-3ya", "xn--zz-", "xn--a", "-", ""]),
+    # domain_to_ascii raises on these: a lone surrogate, a long U-label.
+    st.sampled_from(RAISING_LABELS),
+    st.text(alphabet="éü", min_size=56, max_size=70),
+)
+_HOST = st.lists(_LABEL, min_size=1, max_size=4).map(".".join)
+
+
+class TestCnInSanShortcut:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cn=_HOST,
+        others=st.lists(st.one_of(_HOST, st.text(max_size=12)), max_size=3),
+        verbatim=st.booleans(),
+        position=st.integers(min_value=0, max_value=3),
+    )
+    def test_matches_the_parent_body(self, cn, others, verbatim, position):
+        san_values = list(others)
+        if verbatim:
+            san_values.insert(position % (len(san_values) + 1), cn)
+        assert _outcome(structure._cn_matches_san, cn, san_values) == _outcome(
+            parent_cn_matches_san, cn, san_values
+        )
+
+    def test_strategy_reaches_idna_failures(self):
+        # The property above covers the caught-exception branch.
+        for label in RAISING_LABELS:
+            with pytest.raises(IDNAError):
+                domain_to_ascii(label + ".example", validate=False)
+
+    def test_verbatim_cn_skips_idna(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("domain_to_ascii called for a verbatim CN")
+
+        monkeypatch.setattr(structure, "domain_to_ascii", forbidden)
+        assert structure._cn_matches_san("münchen.de", ["x.example", "münchen.de"])
+        cert = builder(cn="bücher.example").sign(KEY)
+        assert "w_cab_subject_common_name_not_in_san" not in fired(cert)
 
 
 class TestDiscouraged:
