@@ -17,6 +17,7 @@ from ..uni import (
     unpermitted_violations,
 )
 from ..x509 import Certificate, GeneralNameKind
+from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .context import (
     FAMILY_CP,
     FAMILY_CRLDP,
@@ -69,6 +70,7 @@ dn_charset_lint(
     effective_date=RFC5280_DATE,
     new=False,
     attr_predicate=_control_char_violation,
+    atoms=("CONTROL",),
 )
 dn_charset_lint(
     name="e_rfc_issuer_dn_not_printable_characters",
@@ -80,6 +82,7 @@ dn_charset_lint(
     new=False,
     issuer=True,
     attr_predicate=_control_char_violation,
+    atoms=("CONTROL",),
 )
 
 
@@ -104,6 +107,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=False,
     value_predicate=_leading_ws,
+    atoms=("WHITESPACE",),
 )
 dn_charset_lint(
     name="w_community_subject_dn_trailing_whitespace",
@@ -114,6 +118,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=False,
     value_predicate=_trailing_ws,
+    atoms=("WHITESPACE",),
 )
 
 
@@ -132,6 +137,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=False,
     value_predicate=_del_char,
+    atoms=("DEL",),
 )
 
 
@@ -150,6 +156,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=False,
     value_predicate=_replacement_char,
+    atoms=("REPLACEMENT",),
 )
 
 
@@ -169,6 +176,7 @@ dn_charset_lint(
     effective_date=RFC5280_DATE,
     new=True,
     attr_predicate=_bidi_control,
+    atoms=("BIDI",),
 )
 
 
@@ -192,6 +200,7 @@ dn_charset_lint(
     effective_date=RFC5280_DATE,
     new=True,
     attr_predicate=_invisible,
+    atoms=("INVISIBLE_NON_BIDI",),
 )
 
 
@@ -212,6 +221,7 @@ dn_charset_lint(
     effective_date=RFC5280_DATE,
     new=True,
     value_predicate=_noncharacter,
+    atoms=("NONCHARACTER",),
 )
 
 
@@ -230,6 +240,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=True,
     value_predicate=_mixed_script,
+    atoms=("CONFUSABLE",),
 )
 
 
@@ -266,6 +277,7 @@ register_lint(
     applies=_badalpha_applies,
     check=_badalpha_check,
     families={spec_family("PrintableString")},
+    scan=ScanSpec("ps", ("NON_PRINTABLESTRING", "DECODE_BAD")),
 )
 
 # ---------------------------------------------------------------------------
@@ -306,6 +318,7 @@ register_lint(
     applies=_has_dns_names,
     check=_check_label_charset,
     families={FAMILY_DNS},
+    scan=ScanSpec("dns", ("NON_LDH",)),
 )
 
 
@@ -328,6 +341,7 @@ register_lint(
     applies=_has_dns_names,
     check=_check_dns_whitespace,
     families={FAMILY_DNS},
+    scan=ScanSpec("dns", ("WHITESPACE",)),
 )
 
 
@@ -350,6 +364,7 @@ register_lint(
     applies=lambda cert: bool(_xn_labels(cert)),
     check=_check_idn_decodable,
     families={FAMILY_XN},
+    scan=ScanSpec("xn", ("XN_DECODE_BAD",)),
 )
 
 
@@ -377,6 +392,7 @@ register_lint(
     applies=lambda cert: bool(_xn_labels(cert)),
     check=_check_idn_permitted,
     families={FAMILY_XN},
+    scan=ScanSpec("xn", ("XN_UNPERMITTED",)),
 )
 
 # ---------------------------------------------------------------------------
@@ -384,7 +400,7 @@ register_lint(
 # ---------------------------------------------------------------------------
 
 
-def _make_san_unpermitted_lint(name, kind, label, new=True):
+def _make_san_unpermitted_lint(name, kind, label, scope, new=True):
     def applies(cert: Certificate) -> bool:
         return bool(san_names(cert, kind))
 
@@ -410,19 +426,27 @@ def _make_san_unpermitted_lint(name, kind, label, new=True):
         applies=applies,
         check=check,
         families={san_family(kind)},
+        scan=ScanSpec(scope, ("NON_VISIBLE_ASCII", "DECODE_BAD")),
     )
 
 
 _make_san_unpermitted_lint(
-    "e_ext_san_dns_contain_unpermitted_unichar", GeneralNameKind.DNS_NAME, "SAN DNSName"
+    "e_ext_san_dns_contain_unpermitted_unichar",
+    GeneralNameKind.DNS_NAME,
+    "SAN DNSName",
+    "san_dns",
 )
 _make_san_unpermitted_lint(
     "e_ext_san_rfc822_contain_unpermitted_unichar",
     GeneralNameKind.RFC822_NAME,
     "SAN RFC822Name",
+    "san_email",
 )
 _make_san_unpermitted_lint(
-    "e_ext_san_uri_contain_unpermitted_unichar", GeneralNameKind.URI, "SAN URI"
+    "e_ext_san_uri_contain_unpermitted_unichar",
+    GeneralNameKind.URI,
+    "SAN URI",
+    "san_uri",
 )
 
 
@@ -454,6 +478,7 @@ register_lint(
         san_family(GeneralNameKind.RFC822_NAME),
         ian_family(GeneralNameKind.RFC822_NAME),
     },
+    scan=ScanSpec("email_all", ("CONTROL",)),
 )
 
 
@@ -480,6 +505,7 @@ register_lint(
     applies=lambda cert: bool(_uri_names_all(cert)),
     check=_check_uri_controls,
     families={san_family(GeneralNameKind.URI), ian_family(GeneralNameKind.URI)},
+    scan=ScanSpec("uri_all", ("CONTROL",)),
 )
 
 
@@ -512,6 +538,7 @@ register_lint(
     applies=lambda cert: bool(_crldp_names(cert)),
     check=_check_crldp_controls,
     families={FAMILY_CRLDP},
+    scan=ScanSpec("crldp", ("CONTROL",), mode=APPLIES_NONEMPTY),
 )
 
 
@@ -540,4 +567,5 @@ register_lint(
     applies=_cp_has_text,
     check=_check_cp_text_controls,
     families={FAMILY_CP},
+    scan=ScanSpec("cp_text", ("CONTROL",), mode=APPLIES_NONEMPTY),
 )

@@ -5,13 +5,14 @@ character (or satisfy a shape/length/type predicate) of class X?".
 Instead of letting each lint re-ask that question, the registry is
 *compiled* once per schedule:
 
-* every lint whose predicate the classifier understands is mapped to a
-  ``(scope, trigger, mode)`` row — a string source on the certificate
-  (subject attributes, DNS names, SAN URIs, …) and a bitmask over the
-  *atoms*: the committed char-class interval tables of
-  :mod:`repro.uni.intervals` plus the pseudo-atoms below (length
-  thresholds, ASN.1 string-type presence, DNS/email/URI shape, decode
-  failures, per-label IDN analysis);
+* every lint declares its kernel where it is registered
+  (``register_lint(..., scan=ScanSpec(...))``, or built by its factory
+  from the factory's own arguments): a ``(scope, trigger, mode)`` row —
+  a string source on the certificate (subject attributes, DNS names,
+  SAN URIs, …) and a bitmask over the *atoms*: the committed char-class
+  interval tables of :mod:`repro.uni.intervals` plus the pseudo-atoms
+  below (length thresholds, ASN.1 string-type presence, DNS/email/URI
+  shape, decode failures, per-label IDN analysis);
 * at lint time each scope's strings are walked **once**, computing an
   N-bit membership mask per string via a fused interval table (one
   bisect per distinct character, memoized corpus-wide per string);
@@ -24,24 +25,23 @@ Instead of letting each lint re-ask that question, the registry is
   (:meth:`CompiledPlan.template`), so a report is a shared PASS skeleton
   plus the few rows that still run.
 
-Soundness contract (verified by the equivalence suite and the
-``kernel-coverage`` staticcheck): a compiled lint may only *fail* on a
-certificate whose scope mask intersects the lint's trigger — the scan
+Soundness contract (verified by the equivalence suite against the
+reference oracle): a compiled lint may only *fail* on a certificate
+whose scope mask intersects the lint's trigger — the scan
 over-approximates, never under-approximates.  Each row also carries an
 applicability mode: ``APPLIES_EXACT`` when — given the lint's family
 check already passed — ``applies()`` is provably True,
 ``APPLIES_NONEMPTY`` when it equals the scope's ``SCOPE_NONEMPTY`` bit,
-and ``APPLIES_CALL`` when only calling ``applies()`` is sound.  Lints
-the classifier cannot prove safe get an unscoped ``APPLIES_CALL`` row
-(their own ``applies()`` and ``check()`` always run) and must be listed
-in :data:`UNCOMPILED_MANIFEST`.
+and ``APPLIES_CALL`` when only calling ``applies()`` is sound.  A lint
+that declares no kernel (``scan=None``) gets an unscoped
+``APPLIES_CALL`` row (its own ``applies()`` and ``check()`` always run)
+and must be listed in :data:`UNCOMPILED_MANIFEST`.
 """
 
 from __future__ import annotations
 
-import ast
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..asn1.oid import OID_COMMON_NAME
@@ -59,7 +59,7 @@ from .context import (
     FAMILY_SIA,
     FAMILY_SUBJECT_ANY,
 )
-from .framework import FunctionLint, LintResult, LintStatus
+from .framework import LintResult, LintStatus
 
 # ---------------------------------------------------------------------------
 # Fused interval table: one sorted boundary array whose segments carry the
@@ -171,7 +171,7 @@ _XN_NOT_NFC = PSEUDO_BITS["XN_NOT_NFC"]
 _XN_ROUNDTRIP_BAD = PSEUDO_BITS["XN_ROUNDTRIP_BAD"]
 
 #: Declared ASN.1 string type -> its presence bit (unknown types map to
-#: ``SPEC_OTHER``; see :func:`_spec_trigger`).
+#: ``SPEC_OTHER``; see :func:`spec_trigger`).
 _SPEC_NAMES = (
     "PrintableString",
     "UTF8String",
@@ -745,7 +745,8 @@ def resolve_scope(scope, cert, ctx, masks: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Classification: map a registered lint to (scope, trigger, mode).
+# Kernels: each lint declares its (scope, trigger, mode) where it is
+# registered; the plan reads ``lint.scan``.
 # ---------------------------------------------------------------------------
 
 
@@ -757,170 +758,42 @@ class ScanSpec:
     implies ``applies()`` True), :data:`APPLIES_NONEMPTY` (``applies()``
     equals the scope's ``SCOPE_NONEMPTY`` bit), or :data:`APPLIES_CALL`
     (fall back to calling ``applies()`` before emitting PASS).
+    ``trigger`` is the atoms' bits as one mask.  An unknown scope, atom
+    name or mode raises ``ValueError``, so a typo fails at
+    ``import repro.lint`` (an unknown scope would otherwise resolve to an
+    empty mask and the lint would always PASS).
     """
 
     scope: object
     atoms: tuple[str, ...]
     mode: int = APPLIES_EXACT
+    trigger: int = field(init=False, repr=False)
 
-    def trigger(self) -> int:
-        """The spec's atom bits as one trigger mask."""
-        mask = 0
+    def __post_init__(self):
+        scope = self.scope
+        if scope not in SCOPE_FNS and not (
+            isinstance(scope, tuple) and len(scope) == 2 and scope[0] in ("s", "i")
+        ):
+            raise ValueError(f"unknown scope {scope!r}")
+        unknown = [atom for atom in self.atoms if atom not in BIT_BY_NAME]
+        if unknown:
+            raise ValueError(f"unknown trigger atom(s) {unknown}")
+        if self.mode not in (APPLIES_CALL, APPLIES_EXACT, APPLIES_NONEMPTY):
+            raise ValueError(f"unknown applicability mode {self.mode!r}")
+        trigger = 0
         for atom in self.atoms:
-            mask |= BIT_BY_NAME[atom]
-        return mask
+            trigger |= BIT_BY_NAME[atom]
+        object.__setattr__(self, "trigger", trigger)
 
 
-#: ``dn_charset_lint`` predicates -> trigger atoms, keyed by the resolved
-#: predicate function's (module, qualname).
-_DN_PREDICATE_ATOMS = {
-    ("repro.lint.character", "_control_char_violation"): ("CONTROL",),
-    ("repro.lint.character", "_leading_ws"): ("WHITESPACE",),
-    ("repro.lint.character", "_trailing_ws"): ("WHITESPACE",),
-    ("repro.lint.character", "_del_char"): ("DEL",),
-    ("repro.lint.character", "_replacement_char"): ("REPLACEMENT",),
-    ("repro.lint.character", "_bidi_control"): ("BIDI",),
-    ("repro.lint.character", "_invisible"): ("INVISIBLE_NON_BIDI",),
-    ("repro.lint.character", "_noncharacter"): ("NONCHARACTER",),
-    ("repro.lint.character", "_mixed_script"): ("CONFUSABLE",),
-}
-
-#: Directly registered check functions -> kernels, keyed by (module,
-#: qualname).  Every trigger is a *necessary* condition for the check to
-#: fail (see the per-atom derivations in DESIGN.md §12).
-_CHECK_SPECS = {
-    # -- character.py ------------------------------------------------------
-    ("repro.lint.character", "_badalpha_check"): ScanSpec(
-        "ps", ("NON_PRINTABLESTRING", "DECODE_BAD")
-    ),
-    ("repro.lint.character", "_check_label_charset"): ScanSpec("dns", ("NON_LDH",)),
-    ("repro.lint.character", "_check_dns_whitespace"): ScanSpec(
-        "dns", ("WHITESPACE",)
-    ),
-    ("repro.lint.character", "_check_idn_decodable"): ScanSpec(
-        "xn", ("XN_DECODE_BAD",)
-    ),
-    ("repro.lint.character", "_check_idn_permitted"): ScanSpec(
-        "xn", ("XN_UNPERMITTED",)
-    ),
-    ("repro.lint.character", "_check_email_controls"): ScanSpec(
-        "email_all", ("CONTROL",)
-    ),
-    ("repro.lint.character", "_check_uri_controls"): ScanSpec(
-        "uri_all", ("CONTROL",)
-    ),
-    ("repro.lint.character", "_check_crldp_controls"): ScanSpec(
-        "crldp", ("CONTROL",), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.character", "_check_cp_text_controls"): ScanSpec(
-        "cp_text", ("CONTROL",), mode=APPLIES_NONEMPTY
-    ),
-    # -- normalization.py --------------------------------------------------
-    ("repro.lint.normalization", "_check_utf8_nfc"): ScanSpec(
-        "utf8", ("NON_ASCII", "DECODE_BAD"), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.normalization", "_check_ulabel_nfc"): ScanSpec(
-        "xn", ("XN_NOT_NFC",), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.normalization", "_check_alabel_roundtrip"): ScanSpec(
-        "xn", ("XN_ROUNDTRIP_BAD",), mode=APPLIES_NONEMPTY
-    ),
-    # -- format.py ---------------------------------------------------------
-    ("repro.lint.format", "_check_country_two_letter"): ScanSpec(
-        ("s", "2.5.4.6"), ("LEN_NE_2",)
-    ),
-    ("repro.lint.format", "_check_country_uppercase"): ScanSpec(
-        ("s", "2.5.4.6"), ("NOT_UPPER",)
-    ),
-    ("repro.lint.format", "_check_label_length"): ScanSpec(
-        "dns", ("DNS_LABEL_GT_63",)
-    ),
-    ("repro.lint.format", "_check_name_length"): ScanSpec(
-        "dns", ("DNS_NAME_GT_253",)
-    ),
-    ("repro.lint.format", "_check_empty_label"): ScanSpec(
-        "dns", ("DNS_EMPTY_LABEL",)
-    ),
-    ("repro.lint.format", "_check_hyphen_edges"): ScanSpec(
-        "dns", ("DNS_HYPHEN_EDGE",)
-    ),
-    ("repro.lint.format", "_check_port_or_path"): ScanSpec(
-        "san_dns", ("COLON_OR_SLASH",)
-    ),
-    ("repro.lint.format", "_check_email_shape"): ScanSpec(
-        "email_all", ("SHAPE_BAD",)
-    ),
-    ("repro.lint.format", "_check_uri_scheme"): ScanSpec(
-        "uris_scheme", ("SHAPE_BAD",), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.format", "_check_empty_attr"): ScanSpec(
-        "subject", ("EMPTY_NORAW",)
-    ),
-    ("repro.lint.format", "_check_empty_san"): ScanSpec(
-        "san_entries", ("SAN_EMPTY_ENTRY", "SAN_NO_NAMES")
-    ),
-    ("repro.lint.format", "_check_text_length"): ScanSpec(
-        "cp_text", ("LEN_GT_200",), mode=APPLIES_NONEMPTY
-    ),
-    # -- encoding.py -------------------------------------------------------
-    ("repro.lint.encoding", "_check_explicit_text_not_utf8"): ScanSpec(
-        "cp_text", ("CP_TAG_OTHER",), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.encoding", "_check_explicit_text_ia5"): ScanSpec(
-        "cp_text", ("CP_TAG_IA5",), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.encoding", "_check_cps_uri_ia5"): ScanSpec(
-        "cps_uris", ("NON_ASCII",), mode=APPLIES_NONEMPTY
-    ),
-    ("repro.lint.encoding", "_check_rfc822_ascii_local"): ScanSpec(
-        "email_all", ("NON_ASCII",)
-    ),
-    ("repro.lint.encoding", "_check_dn_decodable"): ScanSpec("dn", ("DECODE_BAD",)),
-    # -- structure.py ------------------------------------------------------
-    ("repro.lint.structure", "_check_duplicate_attrs"): ScanSpec(
-        "subject", ("DUP_OID",)
-    ),
-    ("repro.lint.structure", "_check_extra_cn"): ScanSpec("subject", ("EXTRA_CN",)),
-    ("repro.lint.structure", "_check_san_uri"): ScanSpec(
-        "san_entries", ("SAN_HAS_URI",)
-    ),
-}
-
-#: SAN GeneralName kinds the ``_make_san_unpermitted_lint`` factory is
-#: compiled for.
-_SAN_SCOPES = {
-    GeneralNameKind.DNS_NAME: "san_dns",
-    GeneralNameKind.RFC822_NAME: "san_email",
-    GeneralNameKind.URI: "san_uri",
-}
-
-#: ``gn_ia5_encoding_lint`` extractor call targets -> per-kind scopes.
-_GN_KIND_SCOPES = {
-    "san_names": {
-        GeneralNameKind.DNS_NAME: "san_dns",
-        GeneralNameKind.RFC822_NAME: "san_email",
-        GeneralNameKind.URI: "san_uri",
-    },
-    "ian_names": {
-        GeneralNameKind.DNS_NAME: "ian_dns",
-        GeneralNameKind.RFC822_NAME: "ian_email",
-        GeneralNameKind.URI: "ian_uri",
-    },
-}
-
-
-def _fn_key(fn) -> tuple[str, str]:
-    return (getattr(fn, "__module__", ""), getattr(fn, "__qualname__", ""))
-
-
-def _spec_trigger(allowed_names) -> tuple[str, ...] | None:
+def spec_trigger(allowed_names) -> tuple[str, ...] | None:
     """Trigger atoms for "spec must be one of ``allowed_names``" lints.
 
     The trigger is every spec-presence bit *outside* the allowed set
     plus ``SPEC_OTHER``.  If an allowed name has no dedicated bit it
     would alias into ``SPEC_OTHER`` and the trigger would over-kill
-    legitimate failures' complement — unsound — so such lints are
-    declared unclassifiable instead.
+    legitimate failures' complement — unsound — so such lints get no
+    kernel instead.
     """
     if not set(allowed_names) <= set(_SPEC_NAMES):
         return None
@@ -928,164 +801,6 @@ def _spec_trigger(allowed_names) -> tuple[str, ...] | None:
         "SPEC_" + name for name in _SPEC_NAMES if name not in allowed_names
     ) + ("SPEC_OTHER",)
     return atoms
-
-
-def _classify_gn_extractor(extractor, sources) -> ScanSpec | None:
-    """Resolve a ``gn_ia5_encoding_lint`` extractor to its scope.
-
-    Named extractors key directly; the module-level lambdas are resolved
-    through the staticcheck AST machinery — the lambda body must be a
-    single call whose callee and kind argument resolve statically
-    (``san_names(cert, GeneralNameKind.X)``, ``_uri_names(cert.aia)``),
-    read through ``sources`` (a fresh :class:`SourceIndex` when ``None``).
-    """
-    key = _fn_key(extractor)
-    if key == ("repro.lint.encoding", "_crldp_uris"):
-        return ScanSpec("crldp", ("NON_ASCII", "DECODE_BAD"), mode=APPLIES_NONEMPTY)
-    code = getattr(extractor, "__code__", None)
-    if code is None:
-        return None
-    from ..staticcheck.resolve import SourceIndex, callable_env, resolve_expr
-
-    if sources is None:
-        sources = SourceIndex()
-    node = sources.function_node(code)
-    if node is None or not isinstance(node, ast.Lambda):
-        return None
-    body = node.body
-    if not isinstance(body, ast.Call) or body.keywords or len(body.args) not in (1, 2):
-        return None
-    params = frozenset(arg.arg for arg in node.args.args)
-    env = callable_env(extractor)
-    callee, ok = resolve_expr(body.func, env, blocked=params)
-    if not ok:
-        return None
-    callee_key = _fn_key(callee)
-    if callee_key in (
-        ("repro.lint.helpers", "san_names"),
-        ("repro.lint.helpers", "ian_names"),
-    ):
-        if len(body.args) != 2 or not isinstance(body.args[0], ast.Name):
-            return None
-        kind, ok = resolve_expr(body.args[1], env, blocked=params)
-        if not ok:
-            return None
-        scope = _GN_KIND_SCOPES[callee_key[1]].get(kind)
-        if scope is None:
-            return None
-        return ScanSpec(scope, ("NON_ASCII", "DECODE_BAD"))
-    if callee_key == ("repro.lint.encoding", "_uri_names"):
-        arg = body.args[0]
-        if (
-            len(body.args) == 1
-            and isinstance(arg, ast.Attribute)
-            and isinstance(arg.value, ast.Name)
-            and arg.value.id in params
-            and arg.attr in ("aia", "sia")
-        ):
-            return ScanSpec(
-                arg.attr + "_uris", ("NON_ASCII", "DECODE_BAD"), mode=APPLIES_NONEMPTY
-            )
-    return None
-
-
-def classify_lint(lint, sources=None) -> ScanSpec | None:
-    """Resolve one lint to its kernel, or ``None`` when unclassifiable.
-
-    Factory-made lints are unpacked through the staticcheck resolution
-    machinery (:func:`repro.staticcheck.resolve.callable_env` reads the
-    closure cells; :class:`repro.staticcheck.resolve.SourceIndex`
-    resolves extractor lambdas), so the classification keys on the
-    *underlying* predicate functions, not on lint names — a renamed or
-    newly registered lint built from a known predicate compiles
-    automatically, while an unknown predicate gets an unscoped row that
-    always runs its check.  ``sources`` is the :class:`SourceIndex` the
-    extractor lambdas are read through; a plan build passes one for all
-    its lints.
-    """
-    if not isinstance(lint, FunctionLint):
-        return None
-    check = lint._check
-    spec = _CHECK_SPECS.get(_fn_key(check))
-    if spec is not None:
-        return spec
-    module, qualname = _fn_key(check)
-    if module == "repro.lint.helpers" and qualname == "dn_charset_lint.<locals>.check":
-        from ..staticcheck.resolve import callable_env
-
-        env = callable_env(check)
-        predicate = env.get("predicate")
-        issuer = env.get("issuer")
-        if predicate is None or not isinstance(issuer, bool):
-            return None
-        if _fn_key(predicate) == (
-            "repro.lint.helpers",
-            "dn_charset_lint.<locals>.<lambda>",
-        ):
-            predicate = callable_env(predicate).get("value_predicate")
-            if predicate is None:
-                return None
-        atoms = _DN_PREDICATE_ATOMS.get(_fn_key(predicate))
-        if atoms is None:
-            return None
-        return ScanSpec("issuer" if issuer else "subject", atoms)
-    if (
-        module == "repro.lint.character"
-        and qualname == "_make_san_unpermitted_lint.<locals>.check"
-    ):
-        from ..staticcheck.resolve import callable_env
-
-        scope = _SAN_SCOPES.get(callable_env(check).get("kind"))
-        if scope is None:
-            return None
-        return ScanSpec(scope, ("NON_VISIBLE_ASCII", "DECODE_BAD"))
-    if module == "repro.lint.format" and qualname == "_make_length_lint.<locals>.check":
-        from ..staticcheck.resolve import callable_env
-
-        env = callable_env(check)
-        oid = env.get("oid")
-        maximum = env.get("maximum")
-        atom = {64: "LEN_GT_64", 128: "LEN_GT_128", 200: "LEN_GT_200"}.get(maximum)
-        if oid is None or atom is None:
-            return None
-        return ScanSpec(("s", oid.dotted), (atom,))
-    if module == "repro.lint.helpers" and qualname == "dn_encoding_lint.<locals>.check":
-        from ..staticcheck.resolve import callable_env
-
-        env = callable_env(check)
-        oid = env.get("oid")
-        extractor = env.get("extractor")
-        side = {
-            ("repro.lint.helpers", "subject_attrs"): "s",
-            ("repro.lint.helpers", "issuer_attrs"): "i",
-        }.get(_fn_key(extractor))
-        atoms = _spec_trigger(env.get("allowed_names") or ())
-        if oid is None or side is None or atoms is None:
-            return None
-        return ScanSpec((side, oid.dotted), atoms)
-    if (
-        module == "repro.lint.encoding"
-        and qualname == "_make_deprecated_type_lint.<locals>.check"
-    ):
-        from ..staticcheck.resolve import callable_env
-
-        env = callable_env(check)
-        type_name = env.get("type_name")
-        issuer = env.get("issuer")
-        if type_name not in _SPEC_BITS or not isinstance(issuer, bool):
-            return None
-        return ScanSpec("issuer" if issuer else "subject", ("SPEC_" + type_name,))
-    if (
-        module == "repro.lint.helpers"
-        and qualname == "gn_ia5_encoding_lint.<locals>.check"
-    ):
-        from ..staticcheck.resolve import callable_env
-
-        extractor = callable_env(check).get("extractor")
-        if extractor is None:
-            return None
-        return _classify_gn_extractor(extractor, sources)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1156,21 +871,16 @@ class CompiledPlan:
     )
 
     def __init__(self, lints):
-        from ..staticcheck.resolve import SourceIndex
-
-        sources = SourceIndex()  # parses each source file once per plan
         rows = []
         compiled = []
         uncompiled = []
         for lint in lints:
-            spec = classify_lint(lint, sources)
+            spec = lint.scan
             if spec is None:
                 rows.append((lint, lint.families, None, 0, APPLIES_CALL))
                 uncompiled.append(lint.metadata.name)
             else:
-                rows.append(
-                    (lint, lint.families, spec.scope, spec.trigger(), spec.mode)
-                )
+                rows.append((lint, lint.families, spec.scope, spec.trigger, spec.mode))
                 compiled.append(lint.metadata.name)
         self.entries = tuple(rows)
         self.passed = {
@@ -1244,11 +954,6 @@ class CompiledPlan:
         return template
 
 
-def compile_plan(lints) -> CompiledPlan:
-    """Classify every lint of a schedule into a :class:`CompiledPlan`."""
-    return CompiledPlan(lints)
-
-
 def warm_default_plan(stats=None):
     """Build (once) the compiled plan for the default registry schedule.
 
@@ -1268,9 +973,9 @@ def warm_default_plan(stats=None):
 #: Registered lints reviewed as *not* compilable into scan kernels: the
 #: SmtpUTF8Mailbox lints need per-name DER re-parsing or fail on the
 #: *absence* of non-ASCII, and CN-in-SAN needs cross-field case-folded
-#: IDN matching.  The kernel-coverage staticcheck fails when a
-#: registered lint is neither classified nor listed here, so silently
-#: losing compiled coverage on a new char-class lint is impossible.
+#: IDN matching.  The equivalence suite asserts that the default plan's
+#: uncompiled lints (those registered with ``scan=None``) are exactly
+#: this set, so a new lint cannot silently lose compiled coverage.
 UNCOMPILED_MANIFEST = frozenset(
     {
         "e_smtp_utf8_mailbox_not_utf8string",

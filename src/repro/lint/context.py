@@ -6,9 +6,10 @@ The helper extractors in :mod:`repro.lint.helpers` consult it when
 present, so the ~95 lints share one SAN/IAN kind-bucketing pass, one
 deduplicated DNS-name list, one A-label scan, and one punycode decode
 per distinct label — instead of each lint re-deriving them.  When no
-context is attached (direct helper calls, the force-uncached path) every
-helper computes from the certificate directly, so the context is purely
-an accelerator, never a source of truth.
+context is attached (direct helper calls, and the reference oracle
+:func:`repro.lint.reference.reference_run_lints`) every helper computes
+from the certificate directly, so the context is purely an
+accelerator, never a source of truth.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from ..asn1.oid import (
     OID_USER_ID,
 )
 from ..x509 import Certificate, GeneralNameKind
+from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .context import (
     FAMILY_AIA,
     FAMILY_CP,
@@ -253,6 +254,7 @@ def _make_deprecated_type_lint(name, type_name, issuer, new):
         # applies() keys on a nonempty DN, not on the deprecated type
         # being present, so the family is the whole-DN bucket.
         families={FAMILY_ISSUER_ANY if issuer else FAMILY_SUBJECT_ANY},
+        scan=ScanSpec("issuer" if issuer else "subject", ("SPEC_" + type_name,)),
     )
 
 
@@ -265,12 +267,16 @@ _make_deprecated_type_lint("w_issuer_dn_uses_teletexstring", "TeletexString", Tr
 # GeneralName IA5String lints
 # ---------------------------------------------------------------------------
 
+#: A GeneralName fails IA5 only with a non-ASCII or undecodable value.
+_IA5_ATOMS = ("NON_ASCII", "DECODE_BAD")
+
 gn_ia5_encoding_lint(
     name="e_ext_san_dns_not_ia5string",
     label="SAN DNSName",
     extractor=lambda cert: san_names(cert, GeneralNameKind.DNS_NAME),
     effective_date=RFC5280_DATE,
     families={san_family(GeneralNameKind.DNS_NAME)},
+    scan=ScanSpec("san_dns", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
     name="e_ext_san_rfc822_not_ia5string",
@@ -278,6 +284,7 @@ gn_ia5_encoding_lint(
     extractor=lambda cert: san_names(cert, GeneralNameKind.RFC822_NAME),
     effective_date=RFC5280_DATE,
     families={san_family(GeneralNameKind.RFC822_NAME)},
+    scan=ScanSpec("san_email", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
     name="e_ext_san_uri_not_ia5string",
@@ -285,6 +292,7 @@ gn_ia5_encoding_lint(
     extractor=lambda cert: san_names(cert, GeneralNameKind.URI),
     effective_date=RFC5280_DATE,
     families={san_family(GeneralNameKind.URI)},
+    scan=ScanSpec("san_uri", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
     name="e_ext_ian_dns_not_ia5string",
@@ -292,6 +300,7 @@ gn_ia5_encoding_lint(
     extractor=lambda cert: ian_names(cert, GeneralNameKind.DNS_NAME),
     effective_date=RFC5280_DATE,
     families={ian_family(GeneralNameKind.DNS_NAME)},
+    scan=ScanSpec("ian_dns", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
     name="e_ext_ian_rfc822_not_ia5string",
@@ -299,6 +308,7 @@ gn_ia5_encoding_lint(
     extractor=lambda cert: ian_names(cert, GeneralNameKind.RFC822_NAME),
     effective_date=RFC5280_DATE,
     families={ian_family(GeneralNameKind.RFC822_NAME)},
+    scan=ScanSpec("ian_email", _IA5_ATOMS),
 )
 
 
@@ -314,6 +324,7 @@ gn_ia5_encoding_lint(
     extractor=lambda cert: _uri_names(cert.aia),
     effective_date=RFC5280_DATE,
     families={FAMILY_AIA},
+    scan=ScanSpec("aia_uris", _IA5_ATOMS, mode=APPLIES_NONEMPTY),
 )
 gn_ia5_encoding_lint(
     name="e_ext_sia_location_not_ia5string",
@@ -321,6 +332,7 @@ gn_ia5_encoding_lint(
     extractor=lambda cert: _uri_names(cert.sia),
     effective_date=RFC5280_DATE,
     families={FAMILY_SIA},
+    scan=ScanSpec("sia_uris", _IA5_ATOMS, mode=APPLIES_NONEMPTY),
 )
 
 
@@ -337,6 +349,7 @@ gn_ia5_encoding_lint(
     extractor=_crldp_uris,
     effective_date=RFC5280_DATE,
     families={FAMILY_CRLDP},
+    scan=ScanSpec("crldp", _IA5_ATOMS, mode=APPLIES_NONEMPTY),
 )
 
 # ---------------------------------------------------------------------------
@@ -371,6 +384,7 @@ register_lint(
     applies=_has_explicit_text,
     check=_check_explicit_text_not_utf8,
     families={FAMILY_CP},
+    scan=ScanSpec("cp_text", ("CP_TAG_OTHER",), mode=APPLIES_NONEMPTY),
 )
 
 
@@ -393,6 +407,7 @@ register_lint(
     applies=_has_explicit_text,
     check=_check_explicit_text_ia5,
     families={FAMILY_CP},
+    scan=ScanSpec("cp_text", ("CP_TAG_IA5",), mode=APPLIES_NONEMPTY),
 )
 
 
@@ -420,6 +435,7 @@ register_lint(
     applies=_has_cps_uri,
     check=_check_cps_uri_ia5,
     families={FAMILY_CP},
+    scan=ScanSpec("cps_uris", ("NON_ASCII",), mode=APPLIES_NONEMPTY),
 )
 
 # ---------------------------------------------------------------------------
@@ -534,6 +550,7 @@ register_lint(
         san_family(GeneralNameKind.RFC822_NAME),
         ian_family(GeneralNameKind.RFC822_NAME),
     },
+    scan=ScanSpec("email_all", ("NON_ASCII",)),
 )
 
 
@@ -563,6 +580,7 @@ register_lint(
     new=True,
     applies=lambda cert: True,
     check=_check_dn_decodable,
+    scan=ScanSpec("dn", ("DECODE_BAD",)),
 )
 
 

@@ -16,6 +16,7 @@ from ..asn1.oid import (
     OID_STATE_OR_PROVINCE,
 )
 from ..x509 import Certificate, GeneralNameKind
+from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .context import (
     FAMILY_CP,
     FAMILY_CRLDP,
@@ -62,6 +63,9 @@ def _make_length_lint(name, oid, label, maximum):
         applies=applies,
         check=check,
         families={subject_family(oid)},
+        # Only a value longer than ``maximum`` fails; a bound without a
+        # LEN_GT_* atom raises here rather than losing its kernel.
+        scan=ScanSpec(("s", oid.dotted), (f"LEN_GT_{maximum}",)),
     )
 
 
@@ -104,6 +108,7 @@ register_lint(
     applies=_country_applies,
     check=_check_country_two_letter,
     families={subject_family(OID_COUNTRY_NAME)},
+    scan=ScanSpec(("s", OID_COUNTRY_NAME.dotted), ("LEN_NE_2",)),
 )
 
 
@@ -126,6 +131,7 @@ register_lint(
     applies=_country_applies,
     check=_check_country_uppercase,
     families={subject_family(OID_COUNTRY_NAME)},
+    scan=ScanSpec(("s", OID_COUNTRY_NAME.dotted), ("NOT_UPPER",)),
 )
 
 
@@ -138,7 +144,7 @@ def _has_dns(cert: Certificate) -> bool:
     return bool(all_dns_names(cert))
 
 
-def _make_dns_lint(name, description, citation, source, effective_date, checker):
+def _make_dns_lint(name, description, citation, source, effective_date, checker, atom):
     register_lint(
         name=name,
         description=description,
@@ -151,6 +157,7 @@ def _make_dns_lint(name, description, citation, source, effective_date, checker)
         applies=_has_dns,
         check=checker,
         families={FAMILY_DNS},
+        scan=ScanSpec("dns", (atom,)),
     )
 
 
@@ -169,6 +176,7 @@ _make_dns_lint(
     Source.RFC1034,
     RFC5280_DATE,
     _check_label_length,
+    "DNS_LABEL_GT_63",
 )
 
 
@@ -186,6 +194,7 @@ _make_dns_lint(
     Source.RFC1034,
     RFC5280_DATE,
     _check_name_length,
+    "DNS_NAME_GT_253",
 )
 
 
@@ -204,6 +213,7 @@ _make_dns_lint(
     Source.RFC1034,
     RFC5280_DATE,
     _check_empty_label,
+    "DNS_EMPTY_LABEL",
 )
 
 
@@ -222,6 +232,7 @@ _make_dns_lint(
     Source.IDNA2008,
     RFC5280_DATE,
     _check_hyphen_edges,
+    "DNS_HYPHEN_EDGE",
 )
 
 
@@ -244,6 +255,7 @@ register_lint(
     applies=lambda cert: bool(san_names(cert, GeneralNameKind.DNS_NAME)),
     check=_check_port_or_path,
     families={san_family(GeneralNameKind.DNS_NAME)},
+    scan=ScanSpec("san_dns", ("COLON_OR_SLASH",)),
 )
 
 
@@ -280,6 +292,7 @@ register_lint(
         san_family(GeneralNameKind.RFC822_NAME),
         ian_family(GeneralNameKind.RFC822_NAME),
     },
+    scan=ScanSpec("email_all", ("SHAPE_BAD",)),
 )
 
 
@@ -322,6 +335,7 @@ register_lint(
         ian_family(GeneralNameKind.URI),
         FAMILY_CRLDP,
     },
+    scan=ScanSpec("uris_scheme", ("SHAPE_BAD",), mode=APPLIES_NONEMPTY),
 )
 
 
@@ -349,6 +363,7 @@ register_lint(
     applies=lambda cert: not cert.subject.is_empty,
     check=_check_empty_attr,
     families={FAMILY_SUBJECT_ANY},
+    scan=ScanSpec("subject", ("EMPTY_NORAW",)),
 )
 
 
@@ -378,6 +393,7 @@ register_lint(
     applies=lambda cert: cert.san is not None,
     check=_check_empty_san,
     families={FAMILY_SAN_PRESENT},
+    scan=ScanSpec("san_entries", ("SAN_EMPTY_ENTRY", "SAN_NO_NAMES")),
 )
 
 
@@ -405,6 +421,7 @@ register_lint(
     applies=_cp_has_text,
     check=_check_text_length,
     families={FAMILY_CP},
+    scan=ScanSpec("cp_text", ("LEN_GT_200",), mode=APPLIES_NONEMPTY),
 )
 
 

@@ -15,9 +15,13 @@ import bisect
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..memo import ProcessMemo
 from ..x509 import Certificate
+
+if TYPE_CHECKING:
+    from .compiled import ScanSpec
 
 
 class Severity(enum.Enum):
@@ -151,6 +155,12 @@ class Lint(abc.ABC):
     #: whenever every family is absent.
     families: frozenset | None = None
 
+    #: The lint's declared scan kernel (:class:`repro.lint.compiled.ScanSpec`),
+    #: or ``None`` when the compiled plan must always run its ``applies()``
+    #: and ``check()``.  The kernel's trigger MUST be a necessary condition
+    #: for ``check()`` to fail (see DESIGN.md §12).
+    scan: ScanSpec | None = None
+
     def applies(self, cert: Certificate) -> bool:
         """Whether the certificate carries the field this lint checks."""
         return True
@@ -185,11 +195,12 @@ class Lint(abc.ABC):
 class FunctionLint(Lint):
     """A lint assembled from plain functions (used by the factories)."""
 
-    def __init__(self, metadata, applies_fn, check_fn, families=None):
+    def __init__(self, metadata, applies_fn, check_fn, families=None, scan=None):
         self.metadata = metadata
         self._applies = applies_fn
         self._check = check_fn
         self.families = frozenset(families) if families is not None else None
+        self.scan = scan
 
     def applies(self, cert: Certificate) -> bool:
         return self._applies(cert)
@@ -281,7 +292,7 @@ class RegistryIndex:
     """
 
     def __init__(self, lints):
-        from .compiled import compile_plan
+        from .compiled import CompiledPlan
 
         self.lints = tuple(lints)
         dates = sorted({l.metadata.effective_date for l in self.lints})
@@ -294,7 +305,7 @@ class RegistryIndex:
             )
             for threshold in dates
         ) + (frozenset(),)
-        self._plan = compile_plan(self.lints)
+        self._plan = CompiledPlan(self.lints)
 
     def compiled_plan(self):
         """The schedule's :class:`repro.lint.compiled.CompiledPlan`."""

@@ -14,6 +14,7 @@ from ..asn1.oid import ObjectIdentifier
 from ..uni import is_xn_label, punycode
 from ..uni.errors import PunycodeError
 from ..x509 import AttributeTypeAndValue, Certificate, GeneralName, GeneralNameKind
+from .compiled import ScanSpec, spec_trigger
 from .context import (
     FAMILY_ISSUER_ANY,
     FAMILY_SUBJECT_ANY,
@@ -165,12 +166,16 @@ def register_lint(
     applies: Callable[[Certificate], bool],
     check: Callable[[Certificate], tuple[bool, str]],
     families: Iterable | None = None,
+    scan: ScanSpec | None = None,
 ) -> FunctionLint:
     """Assemble and register a FunctionLint.
 
     ``families`` declares the field families the lint can apply to (see
     :class:`repro.lint.framework.RegistryIndex`); leave ``None`` when
-    ``applies`` is not keyed on field presence.
+    ``applies`` is not keyed on field presence.  ``scan`` declares the
+    lint's compiled kernel (see :mod:`repro.lint.compiled`); leave
+    ``None`` when no trigger is a necessary condition for ``check`` to
+    fail.
     """
     metadata = LintMetadata(
         name=name,
@@ -182,7 +187,7 @@ def register_lint(
         effective_date=effective_date,
         new=new,
     )
-    return REGISTRY.register(FunctionLint(metadata, applies, check, families))
+    return REGISTRY.register(FunctionLint(metadata, applies, check, families, scan))
 
 
 def dn_encoding_lint(
@@ -206,6 +211,9 @@ def dn_encoding_lint(
     """
     allowed_names = {spec.name for spec in allowed}
     extractor = issuer_attrs if issuer else subject_attrs
+    atoms = spec_trigger(allowed_names)
+    side = "i" if issuer else "s"
+    scan = None if atoms is None else ScanSpec((side, oid.dotted), atoms)
 
     def applies(cert: Certificate) -> bool:
         return bool(extractor(cert, oid))
@@ -232,6 +240,7 @@ def dn_encoding_lint(
         applies=applies,
         check=check,
         families={issuer_family(oid) if issuer else subject_family(oid)},
+        scan=scan,
     )
 
 
@@ -247,17 +256,22 @@ def dn_charset_lint(
     issuer: bool = False,
     value_predicate: Callable[[str], str | None] | None = None,
     attr_predicate: Callable[[AttributeTypeAndValue], str | None] | None = None,
+    atoms: tuple[str, ...] | None = None,
 ) -> FunctionLint:
     """Factory: run a character predicate over every DN attribute value.
 
     Pass either ``value_predicate`` (receives ``attr.value``) or
     ``attr_predicate`` (receives the attribute, letting the predicate
     use ``attr.char_set``).  Both return a violation
-    description or ``None``.
+    description or ``None``.  ``atoms`` names the char classes one of
+    which a value must contain for the predicate to fire; they become
+    the kernel's trigger over the whole DN side.
     """
     if (value_predicate is None) == (attr_predicate is None):
         raise ValueError("provide exactly one of value_predicate/attr_predicate")
     predicate = attr_predicate or (lambda attr: value_predicate(attr.value))
+    side = "issuer" if issuer else "subject"
+    scan = None if atoms is None else ScanSpec(side, atoms)
 
     def applies(cert: Certificate) -> bool:
         name_obj = cert.issuer if issuer else cert.subject
@@ -283,6 +297,7 @@ def dn_charset_lint(
         applies=applies,
         check=check,
         families={FAMILY_ISSUER_ANY if issuer else FAMILY_SUBJECT_ANY},
+        scan=scan,
     )
 
 
@@ -296,8 +311,12 @@ def gn_ia5_encoding_lint(
     citation: str = "RFC 5280 4.2.1.6 (GeneralName IA5String)",
     new: bool = True,
     families: Iterable | None = None,
+    scan: ScanSpec | None = None,
 ) -> FunctionLint:
-    """Factory: a GeneralName alternative must carry pure-IA5 octets."""
+    """Factory: a GeneralName alternative must carry pure-IA5 octets.
+
+    ``scan`` is the kernel over the scope ``extractor`` reads.
+    """
 
     def applies(cert: Certificate) -> bool:
         return bool(extractor(cert))
@@ -320,4 +339,5 @@ def gn_ia5_encoding_lint(
         applies=applies,
         check=check,
         families=families,
+        scan=scan,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from ..uni import is_nfc, nfc_violations, ulabel_to_alabel
 from ..uni.errors import IDNAError
 from ..x509 import Certificate, GeneralNameKind
+from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .context import FAMILY_XN, ian_family, san_family, spec_family
 from .framework import (
     IDNA2008_DATE,
@@ -48,6 +49,7 @@ register_lint(
     applies=lambda cert: any(True for _ in _utf8_attrs(cert)),
     check=_check_utf8_nfc,
     families={spec_family("UTF8String")},
+    scan=ScanSpec("utf8", ("NON_ASCII", "DECODE_BAD"), mode=APPLIES_NONEMPTY),
 )
 
 
@@ -78,6 +80,7 @@ register_lint(
     applies=lambda cert: bool(_decodable_labels(cert)),
     check=_check_ulabel_nfc,
     families={FAMILY_XN},
+    scan=ScanSpec("xn", ("XN_NOT_NFC",), mode=APPLIES_NONEMPTY),
 )
 
 
@@ -107,6 +110,7 @@ register_lint(
     applies=lambda cert: bool(_decodable_labels(cert)),
     check=_check_alabel_roundtrip,
     families={FAMILY_XN},
+    scan=ScanSpec("xn", ("XN_ROUNDTRIP_BAD",), mode=APPLIES_NONEMPTY),
 )
 
 

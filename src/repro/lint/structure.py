@@ -12,6 +12,7 @@ from ..asn1.oid import OID_COMMON_NAME
 from ..uni import case_fold_equal, domain_to_ascii
 from ..uni.errors import IDNAError, PunycodeError
 from ..x509 import Certificate, GeneralNameKind
+from .compiled import ScanSpec
 from .context import FAMILY_SAN_PRESENT, FAMILY_SUBJECT_ANY, subject_family
 from .framework import (
     CABF_BR_DATE,
@@ -94,6 +95,7 @@ register_lint(
     applies=lambda cert: not cert.subject.is_empty,
     check=_check_duplicate_attrs,
     families={FAMILY_SUBJECT_ANY},
+    scan=ScanSpec("subject", ("DUP_OID",)),
 )
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,7 @@ register_lint(
     applies=lambda cert: bool(cert.subject_common_names),
     check=_check_extra_cn,
     families={subject_family(OID_COMMON_NAME)},
+    scan=ScanSpec("subject", ("EXTRA_CN",)),
 )
 
 
@@ -142,4 +145,5 @@ register_lint(
     applies=lambda cert: cert.san is not None,
     check=_check_san_uri,
     families={FAMILY_SAN_PRESENT},
+    scan=ScanSpec("san_entries", ("SAN_HAS_URI",)),
 )

@@ -3,10 +3,10 @@
 The corpus results rest on ~95 frozen lints being scheduled exactly as
 declared; this package verifies the declarations themselves.  The
 original five checker groups (family-soundness, registry-invariants,
-cache-safety, exception-hygiene, determinism) were joined by
-kernel-coverage (PR 8) and the whole-program concurrency/resource pass
-(fork-cow, async-blocking, pickle-boundary, resource-lifetime) built on
-a worker-reachability call graph (:mod:`~repro.staticcheck.callgraph`).
+cache-safety, exception-hygiene, determinism) were joined by the
+whole-program concurrency/resource pass (fork-cow, async-blocking,
+pickle-boundary, resource-lifetime) built on a worker-reachability call
+graph (:mod:`~repro.staticcheck.callgraph`).
 Checkers report structured :class:`Finding` records with
 line-drift-stable fingerprints, gated in CI against a reviewed
 baseline.  See DESIGN.md §8 and §13 for the architecture.

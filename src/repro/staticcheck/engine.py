@@ -30,7 +30,6 @@ from .families import check_family_soundness
 from .findings import Finding, sort_key
 from .forkcow import check_fork_cow
 from .hygiene import check_exception_hygiene
-from .kernels import check_kernel_coverage
 from .pickleboundary import check_pickle_boundary
 from .registry import check_registered, check_registry_invariants
 from .resolve import AppliesResolver, SourceIndex
@@ -45,7 +44,6 @@ CHECKER_NAMES = (
     "cache-safety",
     "exception-hygiene",
     "determinism",
-    "kernel-coverage",
     "fork-cow",
     "async-blocking",
     "pickle-boundary",
@@ -171,8 +169,6 @@ def run_checkers(
         findings.extend(
             check_determinism(fuzz_files, index, allow_seeded_random=True)
         )
-    if "kernel-coverage" in selected:
-        findings.extend(check_kernel_coverage(lints, index))
     if "fork-cow" in selected:
         findings.extend(
             check_fork_cow(

@@ -12,8 +12,13 @@ plan-coverage invariants against the reviewed ``UNCOMPILED_MANIFEST``.
 """
 
 import base64
+import compileall
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +33,10 @@ from repro.lint.serialization import report_to_json
 from repro.x509 import Certificate
 
 WITNESS_DIR = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "witnesses"
+SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+#: Lints the default plan compiles: the registry minus the manifest.
+DEFAULT_COMPILED = 91
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +124,75 @@ class TestCompiledPlanCoverage:
         # The compiler must cover the overwhelming majority of the
         # registry — an unscoped row is the exception.
         assert len(compiled) >= 90
+
+
+#: Lints one parsed certificate in a fresh interpreter, then prints the
+#: default plan's partition and any staticcheck module it imported.
+_FRESH_PROCESS_SCRIPT = """
+import datetime as dt
+import json
+import sys
+
+from repro.lint import REGISTRY, index_for, run_lints
+from repro.x509 import (
+    Certificate, CertificateBuilder, GeneralName, generate_keypair, subject_alt_name,
+)
+
+name = "xn--bcher-kva.example.com"
+built = (
+    CertificateBuilder()
+    .subject_cn(name)
+    .not_before(dt.datetime(2024, 1, 1))
+    .add_extension(subject_alt_name(GeneralName.dns(name)))
+    .sign(generate_keypair(seed=5))
+)
+report = run_lints(Certificate.from_der(built.to_der()))
+plan = index_for(REGISTRY.snapshot()).compiled_plan()
+print(json.dumps({
+    "results": len(report.results),
+    "compiled": len(plan.compiled_names),
+    "uncompiled": sorted(plan.uncompiled_names),
+    "staticcheck": sorted(m for m in sys.modules if m.startswith("repro.staticcheck")),
+    "origin": __import__("repro").__file__,
+}))
+"""
+
+
+def _run_fresh(pythonpath: pathlib.Path, cwd: pathlib.Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), PYTHONDONTWRITEBYTECODE="1")
+    completed = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS_SCRIPT],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+class TestDeclaredKernels:
+    """The plan reads each lint's declared ``scan``, nothing else."""
+
+    def test_fresh_process_never_imports_staticcheck(self, tmp_path):
+        outcome = _run_fresh(SRC_DIR, tmp_path)
+        assert outcome["results"] > 0
+        assert outcome["staticcheck"] == []
+        assert outcome["compiled"] == DEFAULT_COMPILED
+
+    def test_sourceless_package_compiles_the_same_plan(self, tmp_path):
+        package = tmp_path / "repro"
+        shutil.copytree(
+            SRC_DIR / "repro", package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert compileall.compile_dir(package, legacy=True, quiet=1)
+        for source in package.rglob("*.py"):
+            source.unlink()
+        outcome = _run_fresh(tmp_path, tmp_path)
+        assert outcome["origin"] == str(package / "__init__.pyc")
+        assert outcome["compiled"] == DEFAULT_COMPILED
+        assert outcome["uncompiled"] == sorted(UNCOMPILED_MANIFEST)
 
 
 class TestCompileStageStats:

@@ -161,3 +161,35 @@ class TestBitLayout:
                 assert start <= end, atom
                 assert start > previous_end, atom
                 previous_end = end
+
+
+class TestScanSpec:
+    def test_trigger_is_the_atoms_bits(self):
+        spec = C.ScanSpec("dns", ("NON_LDH", "DNS_EMPTY_LABEL"))
+        assert spec.trigger == bit("NON_LDH") | bit("DNS_EMPTY_LABEL")
+        assert spec.mode == C.APPLIES_EXACT
+
+    def test_unknown_atom_raises(self):
+        with pytest.raises(ValueError, match="NON_LDHH"):
+            C.ScanSpec("dns", ("NON_LDH", "NON_LDHH"))
+
+    def test_unknown_scope_raises(self):
+        with pytest.raises(ValueError, match="san_dnss"):
+            C.ScanSpec("san_dnss", ("NON_ASCII",))
+        with pytest.raises(ValueError, match="scope"):
+            C.ScanSpec(("x", "2.5.4.3"), ("NON_ASCII",))
+
+    def test_unknown_mode_raises(self):
+        with pytest.raises(ValueError, match="mode"):
+            C.ScanSpec("dns", ("NON_LDH",), mode=3)
+
+    def test_spec_trigger_refuses_types_without_a_bit(self):
+        assert C.spec_trigger({"PrintableString", "UTF8String"}) == (
+            "SPEC_IA5String",
+            "SPEC_TeletexString",
+            "SPEC_BMPString",
+            "SPEC_UniversalString",
+            "SPEC_OTHER",
+        )
+        # VisibleString would alias into SPEC_OTHER: no sound trigger.
+        assert C.spec_trigger({"PrintableString", "VisibleString"}) is None

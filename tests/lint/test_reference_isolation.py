@@ -4,7 +4,9 @@
 benchmarks.  If a module under ``src/repro`` imported it, production
 could quietly route through the slow oracle (or the oracle through
 production), and the differential tests would compare a path with
-itself.
+itself.  Likewise the lint package stays clear of
+:mod:`repro.staticcheck`: each lint declares its kernel, so linting
+needs no source reflection.
 """
 
 import ast
@@ -53,6 +55,18 @@ def test_no_production_module_imports_the_oracle():
         if _module_name(path) != ORACLE
         and any(
             name == ORACLE or name.startswith(ORACLE + ".")
+            for name in _imported_modules(path)
+        )
+    ]
+    assert offenders == []
+
+
+def test_lint_package_never_imports_staticcheck():
+    offenders = [
+        str(path.relative_to(SRC.parent))
+        for path in sorted((SRC / "lint").rglob("*.py"))
+        if any(
+            name == "repro.staticcheck" or name.startswith("repro.staticcheck.")
             for name in _imported_modules(path)
         )
     ]

@@ -80,15 +80,15 @@ def _metadata(name: str, severity: Severity) -> LintMetadata:
 
 
 def _planted_compiled() -> FunctionLint:
-    """A new lint the plan compiles: a known check under a new name."""
-    lint = FunctionLint(
+    """A new lint the plan compiles: a known check and kernel, new name."""
+    source = REGISTRY.get("w_cab_subject_contain_extra_common_name")
+    return FunctionLint(
         _metadata("w_test_template_extra_cn", Severity.WARN),
         lambda cert: bool(cert.subject_common_names),
         _check_extra_cn,
-        families=REGISTRY.get("w_cab_subject_contain_extra_common_name").families,
+        families=source.families,
+        scan=compiled.ScanSpec("subject", ("EXTRA_CN",)),
     )
-    assert compiled.classify_lint(lint) is not None
-    return lint
 
 
 def _planted_scopeless() -> FunctionLint:
