@@ -20,7 +20,6 @@ executor's merged output byte-identical.
 
 from __future__ import annotations
 
-import concurrent.futures as _cf
 from typing import Sequence
 
 from ..lint.parallel import (
@@ -82,6 +81,8 @@ class PoolExecutor:
 
     def run(self, tasks: Sequence[ShardTask]) -> list[ShardResult]:
         """Execute the shards on worker processes, streaming results."""
+        from concurrent.futures import as_completed
+
         pool = self.pool
         owned = pool is None
         if pool is None:
@@ -92,7 +93,7 @@ class PoolExecutor:
             # as_completed streams results back as shards finish; the
             # parent fails fast on the first structured error instead
             # of waiting for the stragglers.
-            for future in _cf.as_completed(futures):
+            for future in as_completed(futures):
                 result = future.result()
                 if result.error:
                     for pending in futures:

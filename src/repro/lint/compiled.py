@@ -46,8 +46,14 @@ from typing import NamedTuple
 
 from ..asn1.oid import OID_COMMON_NAME
 from ..memo import ProcessMemo
-from ..uni import is_ldh_label, is_nfc, ulabel_to_alabel, unpermitted_violations
-from ..uni.errors import IDNAError
+from ..uni import (
+    alabel_roundtrip_mismatch,
+    has_unpermitted,
+    is_ldh_label,
+    is_nfc,
+    punycode,
+)
+from ..uni.errors import PunycodeError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
 from ..x509 import GeneralNameKind
 from ..x509.certificate import VIEWS
@@ -315,35 +321,32 @@ def _uri_shape_mask(value: str) -> int:
 def _xn_label_mask(label: str) -> int:
     """Exact IDN-analysis bits of one A-label (memoized corpus-wide).
 
-    Runs the same pure pipeline the four IDN lints interpret — one
-    punycode decode, the IDNA2008 code-point check
-    (:func:`repro.uni.idna.unpermitted_violations`, LDH labels only, as
-    in :func:`repro.uni.idna.alabel_violations`), the NFC check, and one
-    encode for the canonical round-trip — once per distinct label for
-    the whole corpus.  Every bit is exact (fires iff the corresponding
-    lint would fail on this label), so the fast path only falls back on
-    labels that actually violate; ``SCOPE_NONEMPTY`` records
-    decodability for the two lints that only apply to decodable labels.
+    Runs the pure pipeline the four IDN lints interpret once per
+    distinct label for the whole corpus: one Punycode decode, then
+    boolean passes over it — the IDNA2008 code-point check
+    (:func:`repro.uni.idna.has_unpermitted`, LDH labels only, as in
+    :func:`repro.uni.idna.alabel_violations`), the NFC check, and the
+    canonical round-trip (:func:`repro.uni.idna.alabel_roundtrip_mismatch`,
+    which proves it from the decode and encodes only labels that can
+    fire).  Every bit is exact (fires iff the corresponding lint would
+    fail on this label), so the fast path only falls back on labels
+    that actually violate; ``SCOPE_NONEMPTY`` records decodability for
+    the two lints that only apply to decodable labels.
     """
     mask = _XN_MASKS.get(label)
     if mask is not None:
         return mask
-    from .helpers import decode_alabel
-
-    _, ulabel, error = decode_alabel(label)
-    if error is not None:
+    try:
+        ulabel = punycode.decode(label[4:])
+    except PunycodeError:
         mask = _XN_DECODE_BAD
     else:
         mask = SCOPE_NONEMPTY
-        if is_ldh_label(label) and unpermitted_violations(ulabel):
+        if is_ldh_label(label) and has_unpermitted(ulabel):
             mask |= _XN_UNPERMITTED
         if not is_nfc(ulabel):
             mask |= _XN_NOT_NFC
-        try:
-            canonical = ulabel_to_alabel(ulabel, validate=False)
-        except IDNAError:
-            canonical = None
-        if canonical is not None and canonical != label.lower():
+        if alabel_roundtrip_mismatch(label, ulabel):
             mask |= _XN_ROUNDTRIP_BAD
     _XN_MASKS[label] = mask
     return mask

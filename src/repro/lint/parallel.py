@@ -39,17 +39,19 @@ references keep a stable import path across fork and spawn.
 
 from __future__ import annotations
 
-import concurrent.futures as _cf
 import datetime as _dt
-import multiprocessing as _mp
 import os
 import time as _time
 import traceback
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..memo import ProcessMemo
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
 from .runner import CertificateReport, CorpusSummary, run_lints
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: Default over-decomposition factor: more shards than workers keeps the
 #: pool busy when shard lint costs are skewed (certificates with many
@@ -392,17 +394,22 @@ class LintPool:
     def __init__(self, jobs: int | None = None, *, start_method: str | None = None):
         self.jobs = resolve_jobs(jobs)
         self.start_method = start_method
-        self._executor: _cf.ProcessPoolExecutor | None = None
+        self._executor: ProcessPoolExecutor | None = None
 
     @property
-    def executor(self) -> _cf.ProcessPoolExecutor:
+    def executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Imported here and in ``_mp_context``, not at module top,
+            # so a process that only lints in-process (``repro lint``)
+            # never loads concurrent.futures or multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             ctx = _mp_context(self.start_method)
             if ctx.get_start_method() == "fork":
                 # Build the schedule in the parent *before* forking so
                 # children inherit it already constructed (COW pages).
                 _worker_schedule()
-            self._executor = _cf.ProcessPoolExecutor(
+            self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=ctx,
                 initializer=_worker_init,
@@ -422,7 +429,7 @@ class LintPool:
         pids = {f.result(timeout=timeout) for f in futures}
         return len(pids)
 
-    def submit_shard(self, task: ShardTask) -> "_cf.Future[ShardResult]":
+    def submit_shard(self, task: ShardTask) -> Future[ShardResult]:
         """Dispatch one corpus shard; the future resolves to its
         :class:`ShardResult` (structured errors, never raises)."""
         return self.executor.submit(lint_shard, task)
@@ -558,11 +565,13 @@ def _mp_context(method: str | None = None):
     falls back to spawn where fork is unavailable.  ``method`` forces a
     specific start method — the fork-vs-spawn equivalence tests use it.
     """
-    methods = _mp.get_all_start_methods()
+    import multiprocessing
+
+    methods = multiprocessing.get_all_start_methods()
     if method is None:
         method = "fork" if "fork" in methods else "spawn"
     elif method not in methods:
         raise ValueError(
             f"start method {method!r} unavailable (have {methods})"
         )
-    return _mp.get_context(method)
+    return multiprocessing.get_context(method)

@@ -36,8 +36,16 @@ def label_violations(label: str, allow_underscore: bool = False) -> list[str]:
 
 
 def is_ldh_label(label: str) -> bool:
-    """Whether ``label`` satisfies the LDH rule of RFC 5890 2.3.1."""
-    return not label_violations(label)
+    """Whether ``label`` satisfies the LDH rule of RFC 5890 2.3.1.
+
+    Exactly ``not label_violations(label)``, without building messages.
+    """
+    return (
+        0 < len(label) <= MAX_LABEL_OCTETS
+        and label[0] != "-"
+        and label[-1] != "-"
+        and _LDH_CHARS.issuperset(label)
+    )
 
 
 def is_reserved_ldh_label(label: str) -> bool:

@@ -95,6 +95,9 @@ def derived_property(cp: int) -> str:
 
 _RTL_DIRECTIONS = frozenset({"R", "AL", "AN"})
 
+#: Derived properties that make a code point unpermitted in a U-label.
+_UNPERMITTED_PROPERTIES = ("DISALLOWED", "UNASSIGNED")
+
 
 def _bidi_violations(label: str) -> list[str]:
     directions = [unicodedata.bidirectional(ch) or "ON" for ch in label]
@@ -143,10 +146,31 @@ def unpermitted_violations(label: str) -> list[str]:
     problems = []
     for ch in label:
         prop = derived_property(ord(ch))
-        if prop in ("DISALLOWED", "UNASSIGNED"):
+        if prop in _UNPERMITTED_PROPERTIES:
             problems.append(f"{prop} code point U+{ord(ch):04X}")
     problems.extend(_bidi_violations(label))
     return problems
+
+
+def has_unpermitted(label: str) -> bool:
+    """Exactly ``bool(unpermitted_violations(label))``, with no messages.
+
+    An ASCII character is PVALID iff it is lowercase LDH, so any other
+    one answers at once; :func:`derived_property` runs only on non-ASCII
+    characters, and the Bidi rule only when one of them is R, AL or AN
+    (no ASCII character is).
+    """
+    bidi = False
+    for ch in label:
+        if ch < "\x80":
+            if not ("a" <= ch <= "z" or "0" <= ch <= "9" or ch == "-"):
+                return True
+            continue
+        if derived_property(ord(ch)) in _UNPERMITTED_PROPERTIES:
+            return True
+        if not bidi and unicodedata.bidirectional(ch) in _RTL_DIRECTIONS:
+            bidi = True
+    return bidi and bool(_bidi_violations(label))
 
 
 def ulabel_violations(label: str) -> list[str]:
@@ -224,6 +248,35 @@ def alabel_to_ulabel(label: str, validate: bool = True) -> str:
         if ulabel_to_alabel(decoded, validate=False) != label.lower():
             raise IDNAError("A-label does not round-trip", label)
     return decoded
+
+
+def alabel_roundtrip_mismatch(label: str, ulabel: str) -> bool:
+    """Whether the A-label ``label`` (``xn--`` in any case), which decodes
+    to ``ulabel``, is not the canonical encoding of its U-label.
+
+    Exactly ``ulabel_to_alabel(ulabel, validate=False) != label.lower()``,
+    counting an encoding that fails (``IDNAError``: over 63 octets) as no
+    mismatch.  The
+    answer mostly comes from the decode alone: Punycode decoding is
+    injective on lowercase input (RFC 3492 §3.1, §6.2 — each insertion
+    and each generalized variable-length integer has exactly one
+    encoding), so with ``P = label[4:]`` the re-encoding of
+    ``ulabel.lower()`` is ``P.lower()`` whenever the last delimiter of
+    ``P`` is not at position 0 (``"-abc"`` decodes like ``"abc"``) and
+    ``ulabel.lower()`` differs from ``ulabel`` only in ASCII letters
+    (then it is the decode of ``P.lower()``).  The encoder runs only when
+    one of those fails.
+    """
+    if label[4:].rfind(punycode.DELIMITER) != 0 and (
+        ulabel.lower() == ulabel
+        or all(ch.lower() == ch for ch in ulabel if ch >= "\x80")
+    ):
+        return False
+    try:
+        canonical = ulabel_to_alabel(ulabel, validate=False)
+    except IDNAError:
+        return False
+    return canonical != label.lower()
 
 
 def alabel_violations(label: str) -> list[str]:

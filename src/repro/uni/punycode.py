@@ -27,22 +27,20 @@ _MAXINT = 0x7FFFFFFF
 _DIGITS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def _decode_digit(ch: str) -> int:
-    cp = ord(ch)
-    if 0x30 <= cp <= 0x39:  # '0'-'9' -> 26..35
-        return cp - 0x30 + 26
-    if 0x41 <= cp <= 0x5A:  # 'A'-'Z' -> 0..25
-        return cp - 0x41
-    if 0x61 <= cp <= 0x7A:  # 'a'-'z' -> 0..25
-        return cp - 0x61
-    raise PunycodeError(f"invalid Punycode digit {ch!r}")
+#: Punycode character (either case) -> its digit value 0..35.
+_DIGIT_VALUES = {ch: value for value, ch in enumerate(_DIGITS)}
+_DIGIT_VALUES.update({ch.upper(): value for ch, value in _DIGIT_VALUES.items()})
+
+
+#: RFC 3492 §6.1: ``adapt`` divides delta while it exceeds this.
+_ADAPT_LIMIT = ((BASE - TMIN) * TMAX) // 2
 
 
 def _adapt(delta: int, numpoints: int, firsttime: bool) -> int:
     delta = delta // DAMP if firsttime else delta // 2
     delta += delta // numpoints
     k = 0
-    while delta > ((BASE - TMIN) * TMAX) // 2:
+    while delta > _ADAPT_LIMIT:
         delta //= BASE - TMIN
         k += BASE
     return k + (((BASE - TMIN + 1) * delta) // (delta + SKEW))
@@ -117,9 +115,10 @@ def decode(text: str) -> str:
     """
     if not text:
         return ""
-    for ch in text:
-        if ord(ch) >= INITIAL_N:
-            raise PunycodeError(f"non-ASCII character {ch!r} in Punycode input")
+    if not text.isascii():
+        for ch in text:
+            if ch >= "\x80":
+                raise PunycodeError(f"non-ASCII character {ch!r} in Punycode input")
     # RFC 3492 §3.1: the basic string is everything before the *last*
     # delimiter, if any delimiter is present.  A delimiter at position 0
     # ("-abc") delimits an empty basic string, and a lone trailing
@@ -127,33 +126,35 @@ def decode(text: str) -> str:
     last_delim = text.rfind(DELIMITER)
     if last_delim > 0:
         output = list(text[:last_delim])
-        pos = last_delim + 1
     else:
         output = []
-        pos = last_delim + 1 if last_delim == 0 else 0
+    pos = last_delim + 1
+    length = len(text)
+    values = _DIGIT_VALUES
     n = INITIAL_N
     i = 0
     bias = INITIAL_BIAS
-    while pos < len(text):
+    while pos < length:
         old_i = i
         w = 1
         k = BASE
         while True:
-            if pos >= len(text):
+            if pos >= length:
                 raise PunycodeError("truncated variable-length integer")
-            digit = _decode_digit(text[pos])
+            digit = values.get(text[pos])
+            if digit is None:
+                raise PunycodeError(f"invalid Punycode digit {text[pos]!r}")
             pos += 1
             # RFC 3492 §6.4: guard each accumulation *before* it happens
             # so i and w never exceed maxint even transiently.
             if digit > (_MAXINT - i) // w:
                 raise PunycodeError("overflow while decoding")
             i += digit * w
-            if k <= bias:
+            t = k - bias
+            if t < TMIN:
                 t = TMIN
-            elif k >= bias + TMAX:
+            elif t > TMAX:
                 t = TMAX
-            else:
-                t = k - bias
             if digit < t:
                 break
             if w > _MAXINT // (BASE - t):
@@ -161,7 +162,14 @@ def decode(text: str) -> str:
             w *= BASE - t
             k += BASE
         count = len(output) + 1
-        bias = _adapt(i - old_i, count, old_i == 0)
+        # RFC 3492 §6.1 bias adaptation (``_adapt``), inlined.
+        delta = (i - old_i) // DAMP if old_i == 0 else (i - old_i) // 2
+        delta += delta // count
+        k = 0
+        while delta > _ADAPT_LIMIT:
+            delta //= BASE - TMIN
+            k += BASE
+        bias = k + ((BASE - TMIN + 1) * delta) // (delta + SKEW)
         if i // count > _MAXINT - n:
             raise PunycodeError("overflow while decoding")
         n += i // count

@@ -10,9 +10,13 @@ the reusable worker pool.
 import datetime as dt
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.ct import CorpusGenerator
 from repro.engine import lint_ders_timed, run_corpus
 from repro.lint import (
@@ -359,3 +363,17 @@ class TestLintPool:
         pool.submit_timed((_cert("re.example.com").to_der(),)).result(timeout=60)
         pool.shutdown()
         pool.shutdown()
+
+
+def test_importing_lint_and_engine_loads_no_pool_machinery():
+    # A cold in-process lint (``repro lint``) must not pay for
+    # multiprocessing or concurrent.futures; pools import them when built.
+    code = (
+        "import sys, repro.engine, repro.lint; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"

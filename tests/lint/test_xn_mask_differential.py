@@ -1,11 +1,16 @@
-"""The one-decode, one-encode A-label analysis against the old composition.
+"""The one-decode A-label analysis against the old composition.
 
-``compiled._xn_label_mask`` and the ``e_rfc_dns_idn_a2u_unpermitted_
-unichar`` check now read :func:`repro.uni.idna.unpermitted_violations`
-on one decode; :mod:`tests.lint.reference_xn_mask` keeps the
+``compiled._xn_label_mask`` reads one decode and proves the canonical
+round trip from it, encoding only labels that can fire; the
+``e_rfc_dns_idn_a2u_unpermitted_unichar`` check reads
+:func:`repro.uni.idna.unpermitted_violations` on one decode.
+:mod:`tests.lint.reference_xn_mask` keeps the original decoder and the
 ``alabel_violations``/``is_nfc``/``ulabel_to_alabel`` composition they
 replaced.  Mask bits, lint messages and ``ulabel_violations`` must all
-match it, over named A-label classes and generated labels.
+match it, over named A-label classes and generated labels: mixed-case
+payloads and prefixes, leading delimiters, U-labels whose lowercase
+form changes length or leaves ASCII, RTL and combining-mark labels,
+and labels over 63 octets.
 """
 
 import datetime as dt
@@ -19,6 +24,7 @@ from repro.uni import is_ldh_label, punycode, ulabel_violations, unpermitted_vio
 from repro.uni.errors import PunycodeError
 from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
 
+from ..hypothesis_profiles import examples
 from . import reference_xn_mask as reference
 
 PERMITTED_LINT = "e_rfc_dns_idn_a2u_unpermitted_unichar"
@@ -58,6 +64,14 @@ LABELS = {
     "overflow": "xn--99999999999999999999a",
     "decoded_surrogate": "xn--bb0c",
     "beyond_unicode": "xn--99999a",
+    "leading_delimiter": "xn---" + punycode.encode("bücher"),
+    "dotted_capital_i": _xn("İstanbul"),
+    "ohm_sign": _xn("a\u2126"),
+    "capital_sharp_s": _xn("stra\u1e9ee"),
+    "kelvin_sign": _xn("\u212aelvin"),
+    "latin1_upper": _xn("ÀÉÎõü"),
+    "combining_start": _xn("\u0301abc"),
+    "too_long_canonical": _xn("a" * 58 + "ü"),
 }
 
 
@@ -138,13 +152,13 @@ LDH_ISH = st.sampled_from("abcxyz0129-_ABZ")
 UNICODE = st.characters(min_codepoint=0x20, max_codepoint=0x2FFFF)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.text(LDH_ISH, max_size=24))
 def test_generated_payloads(payload):
     _assert_same("xn--" + payload)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.text(UNICODE, min_size=1, max_size=12), st.booleans())
 def test_generated_ulabels(ulabel, upper_prefix):
     try:
@@ -154,7 +168,76 @@ def test_generated_ulabels(ulabel, upper_prefix):
     _assert_same(("XN--" if upper_prefix else "xn--") + payload)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.text(UNICODE, max_size=12))
 def test_ulabel_violations_unchanged(label):
     assert ulabel_violations(label) == reference.ulabel_violations(label)
+
+
+def _payload(ulabel: str) -> str | None:
+    try:
+        return punycode.encode(ulabel)
+    except PunycodeError:
+        return None
+
+
+#: U-labels whose lowercase form is not an ASCII-only change: capitals
+#: that lower to another length (İ), to ASCII (K, Kelvin sign) or to
+#: another code point (Ω, ẞ, Latin-1 capitals), next to plain letters.
+CASE_TRAPS = st.text(
+    st.sampled_from("\u0130\u2126\u1e9e\u212aÀÉÎÑÖÜÝÞßàéñaZ0-"),
+    min_size=1,
+    max_size=10,
+)
+#: Hebrew, Arabic (with Arabic-Indic digits) and combining marks mixed
+#: with LTR letters and European digits: labels the Bidi rule inspects.
+RTL_MIXED = st.text(
+    st.one_of(
+        st.characters(min_codepoint=0x05D0, max_codepoint=0x05EA),
+        st.characters(min_codepoint=0x0620, max_codepoint=0x066F),
+        st.characters(min_codepoint=0x0300, max_codepoint=0x036F),
+        st.sampled_from("ab1-\u200d"),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestGeneratedLabelClasses:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(st.text(UNICODE, min_size=1, max_size=10), st.sampled_from(["XN--", "Xn--", "xN--", "xn--"]))
+    def test_upper_cased_payload_and_prefix(self, ulabel, prefix):
+        payload = _payload(ulabel)
+        if payload is not None:
+            _assert_same(prefix + payload.upper())
+            _assert_same(prefix + payload.swapcase())
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(st.text(UNICODE, max_size=10))
+    def test_leading_delimiter(self, ulabel):
+        payload = _payload(ulabel)
+        if payload is not None:
+            _assert_same("xn---" + payload)
+            _assert_same("XN---" + payload.upper())
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(CASE_TRAPS, st.booleans())
+    def test_case_changing_ulabels(self, ulabel, upper_prefix):
+        payload = _payload(ulabel)
+        if payload is not None:
+            _assert_same(("XN--" if upper_prefix else "xn--") + payload)
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(RTL_MIXED)
+    def test_rtl_and_combining_ulabels(self, ulabel):
+        payload = _payload(ulabel)
+        if payload is not None:
+            _assert_same("xn--" + payload)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.text(UNICODE, min_size=1, max_size=6), st.integers(min_value=50, max_value=90))
+    def test_over_63_octets(self, ulabel, padding):
+        payload = _payload("a" * padding + ulabel)
+        if payload is not None:
+            _assert_same("xn--" + payload)
+            _assert_same("xn--" + payload.upper())

@@ -1,6 +1,7 @@
 """Tests for DNS LDH syntax checks (RFC 1034 / RFC 5890)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uni import (
     is_ldh_label,
@@ -45,6 +46,22 @@ class TestLabels:
         assert is_xn_label("xn--mnchen-3ya")
         assert is_xn_label("XN--MNCHEN-3YA")
         assert not is_xn_label("example")
+
+
+class TestIsLdhLabel:
+    """``is_ldh_label`` is ``not label_violations(...)``."""
+
+    @pytest.mark.parametrize(
+        "label",
+        ["", "a", "-", "a-", "-a", "a-b", "A1", "x" * 63, "x" * 64, "a_b", "ü", "a b", "a.b"],
+    )
+    def test_edges(self, label):
+        assert is_ldh_label(label) == (not label_violations(label))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(st.sampled_from("aZ09-_.é \u0131"), max_size=70))
+    def test_generated(self, label):
+        assert is_ldh_label(label) == (not label_violations(label))
 
 
 class TestNames:

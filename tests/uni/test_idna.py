@@ -1,6 +1,9 @@
 """Tests for IDNA2008 label validation and A/U-label conversion."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uni import (
     IDNAError,
@@ -9,10 +12,12 @@ from repro.uni import (
     derived_property,
     domain_to_ascii,
     domain_to_unicode,
+    has_unpermitted,
     is_idn,
     is_valid_ulabel,
     ulabel_to_alabel,
     ulabel_violations,
+    unpermitted_violations,
 )
 
 
@@ -48,6 +53,45 @@ class TestDerivedProperty:
 
     def test_middle_dot_contexto(self):
         assert derived_property(0x00B7) == "CONTEXTO"
+
+
+class TestHasUnpermitted:
+    """``has_unpermitted`` is ``bool(unpermitted_violations(...))``."""
+
+    def test_every_bmp_code_point(self):
+        for cp in range(0x10000):
+            if 0xD800 <= cp <= 0xDFFF:
+                continue
+            ch = chr(cp)
+            assert has_unpermitted(ch) == bool(unpermitted_violations(ch)), hex(cp)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(
+            st.one_of(
+                st.sampled_from("abz09-AZ_.\u200d\u0301\u0660\u06f1"),
+                st.characters(min_codepoint=0x0590, max_codepoint=0x08FF),
+                st.characters(min_codepoint=0x00C0, max_codepoint=0x024F),
+                st.characters(min_codepoint=0x0300, max_codepoint=0x036F),
+                st.characters(min_codepoint=0x4E00, max_codepoint=0x4E40),
+                st.characters(min_codepoint=0x0080, max_codepoint=sys.maxunicode),
+            ),
+            max_size=10,
+        )
+    )
+    def test_mixed_direction_labels(self, label):
+        assert has_unpermitted(label) == bool(unpermitted_violations(label))
+
+    def test_bidi_only_violations(self):
+        # Every code point is PVALID; only the Bidi rule objects.
+        for label in ("שלוםabc", "1אב", "ا١1"):
+            assert all(
+                derived_property(ord(ch)) not in ("DISALLOWED", "UNASSIGNED")
+                for ch in label
+            )
+            assert unpermitted_violations(label)
+            assert has_unpermitted(label)
+        assert not has_unpermitted("שלום")
 
 
 class TestULabelValidation:

@@ -1,5 +1,7 @@
 """Tests for the from-scratch RFC 3492 Punycode implementation."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,28 @@ class TestRoundtrip:
     def test_differential_against_stdlib(self, text):
         # Python's built-in punycode codec is an independent oracle.
         assert punycode.encode(text) == text.encode("punycode").decode("ascii")
+
+
+class TestCanonicalEncoding:
+    """Decoding is injective on lowercase input (RFC 3492 §3.1, §6.2):
+    a decodable lowercase string is the encoding of its decode unless a
+    leading delimiter marks an empty basic string, which ``encode``
+    never emits.  The A-label round-trip check relies on this."""
+
+    def test_lowercase_ldh_up_to_three_characters(self):
+        alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-"
+        decodable = 0
+        for length in range(4):
+            for chars in product(alphabet, repeat=length):
+                payload = "".join(chars)
+                try:
+                    decoded = punycode.decode(payload)
+                except PunycodeError:
+                    continue
+                decodable += 1
+                canonical = punycode.encode(decoded) == payload
+                assert canonical == (payload.rfind("-") != 0), payload
+        assert decodable > 10_000
 
 
 class TestEdgeCases:

@@ -1,9 +1,10 @@
-"""``punycode.encode`` against the original encoder.
+"""``punycode.encode`` and ``punycode.decode`` against the originals.
 
-The table-driven encoder must give the oracle's output, or raise a
-:class:`PunycodeError` with the same text, on every input: surrogates,
-code points large enough to overflow the RFC 3492 arithmetic, all-basic
-input and the empty string included.
+The table-driven encoder and decoder must give the oracle's output, or
+raise a :class:`PunycodeError` with the same text, on every input:
+surrogates, code points large enough to overflow the RFC 3492
+arithmetic, all-basic input, the empty string, mixed-case digits,
+invalid digits and non-ASCII Punycode included.
 """
 
 import pytest
@@ -11,12 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.uni import PunycodeError, punycode
 
+from ..hypothesis_profiles import examples
 from . import reference_punycode as reference
 
 #: Every code point, surrogates (category Cs) included.
 ANY_CHAR = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=())
 BASIC_CHAR = st.characters(min_codepoint=0, max_codepoint=0x7F)
 HIGH_CHAR = st.characters(min_codepoint=0xF0000, max_codepoint=0x10FFFF)
+#: Every code point except surrogates (the default exclusion).
+NON_SURROGATE = st.characters(min_codepoint=0, max_codepoint=0x10FFFF)
 
 
 def _outcome(encode, text):
@@ -30,7 +34,11 @@ def _same(text):
     assert _outcome(punycode.encode, text) == _outcome(reference.encode, text)
 
 
-@settings(max_examples=400, deadline=None)
+def _same_decode(text):
+    assert _outcome(punycode.decode, text) == _outcome(reference.decode, text)
+
+
+@settings(max_examples=examples(400), deadline=None)
 @given(st.text(ANY_CHAR, max_size=40))
 @example("")
 @example("abc")
@@ -41,13 +49,13 @@ def test_any_text(text):
     _same(text)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.text(BASIC_CHAR, max_size=60))
 def test_all_basic(text):
     _same(text)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     st.integers(min_value=0, max_value=4000),
     st.text(HIGH_CHAR, min_size=1, max_size=6),
@@ -72,3 +80,65 @@ def test_known_overflow_inputs(text):
     outcome = _outcome(punycode.encode, text)
     if len(text) > 100:
         assert outcome == ("error", "overflow while encoding")
+
+
+#: Punycode digits in both cases, delimiters, and characters that are
+#: not digits (ASCII punctuation, a Latin-1 letter, a CJK ideograph).
+PUNY_CHAR = st.sampled_from("abcdefghijklmnopqrstuvwxyzABCDEFXYZ0123456789--_!.é中")
+
+
+@settings(max_examples=examples(400), deadline=None)
+@given(st.text(ANY_CHAR, max_size=40))
+@example("")
+@example("-")
+@example("--")
+@example("-abc")
+@example("abc-")
+@example("münchen")
+@example("abc-!!")
+@example("ab\ud800c")
+def test_decode_any_text(text):
+    _same_decode(text)
+
+
+@settings(max_examples=examples(400), deadline=None)
+@given(st.text(PUNY_CHAR, max_size=30))
+def test_decode_punycode_like(text):
+    _same_decode(text)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.text(NON_SURROGATE, min_size=1, max_size=16))
+def test_decode_encodings_mixed_case(text):
+    # Real encodings as encoded, upper-cased, case-swapped and cut short.
+    try:
+        encoded = punycode.encode(text)
+    except PunycodeError:
+        return
+    for variant in (encoded, encoded.upper(), encoded.swapcase(), encoded[:-1]):
+        _same_decode(variant)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.text(st.sampled_from("9zZ8"), min_size=6, max_size=40), st.text(PUNY_CHAR, max_size=6))
+def test_decode_overflow_sized(digits, tail):
+    # Long runs of high digits drive i and w past maxint (RFC 3492 §6.4)
+    # or n past U+10FFFF.
+    _same_decode(digits + tail)
+    _same_decode("a-" + digits + tail)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "99999999999999999999a",  # overflow accumulating i
+        "99999a",  # code point beyond U+10FFFF
+        "bb0c",  # decoded surrogate
+        "abc-z",  # truncated variable-length integer
+        "abc-!!",  # invalid digit
+        "a\x80",  # non-ASCII
+    ],
+)
+def test_known_decode_errors(text):
+    _same_decode(text)
+    assert _outcome(punycode.decode, text)[0] == "error"
