@@ -19,7 +19,9 @@ structured :class:`~repro.corpusstore.errors.CorpusStoreError`.
 ``store_digest`` fingerprints the chain from segment headers alone
 (name, record count, payload CRC-32) — O(segments), not O(bytes) — and
 is what the monitor checkpoint embeds to detect a store that diverged
-from the window state it was persisted with.
+from the window state it was persisted with.  A :class:`SegmentWriter`
+keeps the same fingerprint as a running hash, so a checkpoint costs
+O(1) in the chain length.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import re
 
 from .errors import CorpusStoreError
 from .reader import CorpusStore
-from .writer import write_store
+from .writer import write_records
 
 #: Segment file pattern: zero-padded so lexical order is chain order.
 SEGMENT_PATTERN = re.compile(r"^segment-(\d{6})\.rcs$")
@@ -67,6 +69,22 @@ def list_segments(directory) -> list[pathlib.Path]:
     return [path for _, path in numbered]
 
 
+def _chain_hash(paths):
+    """The running chain hash over the segments at ``paths``, in order."""
+    chain = hashlib.sha256(b"repro-segment-chain-v1")
+    for path in paths:
+        with CorpusStore(path) as store:
+            _chain_extend(chain, path.name, len(store), store.crc32)
+    return chain
+
+
+def _chain_extend(chain, name: str, count: int, crc: int) -> None:
+    """Bind one more segment's header facts into ``chain``."""
+    chain.update(name.encode())
+    chain.update(count.to_bytes(8, "big"))
+    chain.update(crc.to_bytes(4, "big"))
+
+
 def store_digest(directory) -> str:
     """Cheap chain fingerprint: SHA-256 over per-segment header facts.
 
@@ -75,23 +93,25 @@ def store_digest(directory) -> str:
     segments without re-reading any DER.  An empty (or absent) chain
     digests to a well-defined constant.
     """
-    digest = hashlib.sha256(b"repro-segment-chain-v1")
-    for path in list_segments(directory):
-        with CorpusStore(path) as store:
-            digest.update(path.name.encode())
-            digest.update(len(store).to_bytes(8, "big"))
-            digest.update(store.crc32.to_bytes(4, "big"))
-    return digest.hexdigest()
+    return _chain_hash(list_segments(directory)).hexdigest()
 
 
 class SegmentWriter:
-    """Append-only writer: one atomic substrate file per batch."""
+    """Append-only writer: one atomic substrate file per batch.
+
+    The chain fingerprint is kept as a running hash: read from disk at
+    construction, extended by each :meth:`append` from the header facts
+    it just wrote, restarted by :meth:`reset`.  :meth:`digest` therefore
+    opens no segment and equals :func:`store_digest` as long as this
+    writer is the chain's only writer.
+    """
 
     def __init__(self, directory):
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         segments = list_segments(self.directory)
         self._next = len(segments)
+        self._chain = _chain_hash(segments)
 
     @property
     def segments(self) -> int:
@@ -107,13 +127,14 @@ class SegmentWriter:
         resumed monitor) either sees the complete segment or none of it.
         """
         path = self.directory / segment_name(self._next)
-        write_store(source, path)
+        count, crc = write_records(source, path)
+        _chain_extend(self._chain, path.name, count, crc)
         self._next += 1
         return path
 
     def digest(self) -> str:
-        """The chain fingerprint (see :func:`store_digest`)."""
-        return store_digest(self.directory)
+        """The chain fingerprint (see :func:`store_digest`), O(1)."""
+        return self._chain.copy().hexdigest()
 
     def reset(self) -> None:
         """Drop every segment (cold start): the chain restarts at 0."""
@@ -125,6 +146,7 @@ class SegmentWriter:
                 ):
                     path.unlink()
         self._next = 0
+        self._chain = _chain_hash(())
 
 
 class SegmentedCorpusStore:
@@ -161,12 +183,11 @@ class SegmentedCorpusStore:
 
     def digest(self) -> str:
         """The chain fingerprint of the segments this reader opened."""
-        digest = hashlib.sha256(b"repro-segment-chain-v1")
+        chain = _chain_hash(())
         for store in self._stores:
-            digest.update(pathlib.Path(store.path).name.encode())
-            digest.update(len(store).to_bytes(8, "big"))
-            digest.update(store.crc32.to_bytes(4, "big"))
-        return digest.hexdigest()
+            name = pathlib.Path(store.path).name
+            _chain_extend(chain, name, len(store), store.crc32)
+        return chain.hexdigest()
 
     def _locate(self, i: int) -> tuple[CorpusStore, int]:
         if not 0 <= i < self._total:

@@ -54,6 +54,14 @@ def write_store(source, path) -> pathlib.Path:
     concurrent reader never observes a half-written substrate.
     """
     path = pathlib.Path(path)
+    write_records(source, path)
+    return path
+
+
+def write_records(source, path) -> tuple[int, int]:
+    """:func:`write_store`, returning the header's record count and
+    payload CRC-32 instead of the path."""
+    path = pathlib.Path(path)
     index = bytearray()
     issued = bytearray()
     ders: list[bytes] = []
@@ -104,4 +112,4 @@ def write_store(source, path) -> pathlib.Path:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    return path
+    return count, crc & 0xFFFFFFFF

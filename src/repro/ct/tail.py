@@ -341,7 +341,11 @@ class TailMonitor:
         if checkpoint is None:
             return False
         if self._writer is not None:
-            digest = self._writer.digest()
+            from ..corpusstore import store_digest
+
+            # The chain on disk, not the writer's running hash: a segment
+            # rewritten or dropped while the monitor was down must show.
+            digest = store_digest(self.config.store_dir)
             if checkpoint.store_digest != digest:
                 raise CheckpointError(
                     "stale_digest",

@@ -259,26 +259,25 @@ class Engine:
         entry, which keys the tumbling windows.
 
         Pass ``window`` (a :class:`repro.engine.windows.WindowedSummary`)
-        to fold per-certificate reports and figure facts into it under
-        the ``fold`` stage; after folding entries ``[0, M)`` in any
+        to fold per-certificate report tallies and figure facts into it
+        under the ``fold`` stage; after folding entries ``[0, M)`` in any
         batch decomposition the window's grand total is structurally
         identical to one :meth:`run_corpus` pass over the same records.
-        Reports ride back only when ``collect_reports`` asks for them —
-        the fold consumes them internally otherwise.
+        Workers send back each report's tally, never the report itself,
+        unless ``collect_reports`` asks for the reports.
 
         Batches ship inline (never spilled to a substrate): they are
         bounded by the poll size, and durability of the arriving DER is
         the caller's segment store's job, not the dispatch path's.
         """
         pairs = increment_pairs(batch)
-        collect = collect_reports or window is not None
 
         def build_tasks(shards: int, _distributed: bool) -> list:
             return build_pair_shard_tasks(
                 pairs,
                 shards,
                 respect_effective_dates=respect_effective_dates,
-                collect_reports=collect,
+                collect_reports=collect_reports,
                 collect_facts=window is not None,
             )
 
@@ -289,18 +288,16 @@ class Engine:
             shards=shards,
             pool=pool,
             executor=executor,
-            collect_reports=collect,
+            collect_reports=collect_reports,
         )
         if window is not None and results:
             ordered = sorted(results, key=lambda r: r.index)
-            facts = [f for r in ordered for f in r.facts]
+            entries = [entry for r in ordered for entry in r.facts]
             with self.stats.time("fold", items=len(pairs)):
-                for offset, report in enumerate(outcome.reports):
-                    window.fold(
-                        base_index + offset, pairs[offset][1], report, facts[offset]
+                for offset, (counts, facts) in enumerate(entries):
+                    window.fold_tally(
+                        base_index + offset, pairs[offset][1], counts, facts
                     )
-        if not collect_reports:
-            outcome.reports = None
         return outcome
 
     def run_corpus(

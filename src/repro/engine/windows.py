@@ -314,7 +314,7 @@ def deviating_columns(counts: ReportTally) -> tuple[str, ...]:
 class WindowedSummary:
     """The incremental engine's mutable aggregate.
 
-    Three synchronized views, all fed by :meth:`fold`:
+    Three synchronized views, all fed by :meth:`fold_tally`:
 
     * ``total`` — the grand aggregate, structurally identical to the
       one-shot batch summary over the same entries;
@@ -338,11 +338,18 @@ class WindowedSummary:
         report: CertificateReport,
         facts: CertFacts | None = None,
     ) -> None:
-        """Fold one log entry's lint report into every view.
+        """Fold one log entry's lint report into every view."""
+        self.fold_tally(index, issued_at, tally(report), facts)
 
-        The report is scanned once; the three views share the tally.
-        """
-        counts = tally(report)
+    def fold_tally(
+        self,
+        index: int,
+        issued_at: _dt.datetime | None,
+        counts: ReportTally,
+        facts: CertFacts | None = None,
+    ) -> None:
+        """Fold one log entry's report :func:`~repro.lint.runner.tally`
+        into every view; the three views share it."""
         deviating = deviating_columns(counts)
         self.total.fold(index, counts, deviating, facts)
         window_id = index // self.config.index_window

@@ -107,7 +107,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=False,
     value_predicate=_leading_ws,
-    atoms=("WHITESPACE",),
+    atoms=("LEAD_WS",),
 )
 dn_charset_lint(
     name="w_community_subject_dn_trailing_whitespace",
@@ -118,7 +118,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=False,
     value_predicate=_trailing_ws,
-    atoms=("WHITESPACE",),
+    atoms=("TRAIL_WS",),
 )
 
 

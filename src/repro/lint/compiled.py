@@ -116,6 +116,9 @@ PSEUDO_ATOMS = (
     "LEN_GT_200",
     "LEN_NE_2",  # countryName shape
     "NOT_UPPER",  # not str.isupper()
+    "LEAD_WS",  # nonempty and text[0].isspace(): exactly text != text.lstrip()
+    "TRAIL_WS",  # nonempty and text[-1].isspace(): exactly text != text.rstrip()
+    "NOT_NFC",  # not is_nfc(text) (set on non-ASCII text only: ASCII is NFC)
     "EMPTY_NORAW",  # attr value "" with no raw content octets
     "SPEC_PrintableString",  # declared ASN.1 string type of some attr
     "SPEC_UTF8String",
@@ -134,6 +137,7 @@ PSEUDO_ATOMS = (
     "SAN_EMPTY_ENTRY",  # SAN dns/email/uri entry with empty value
     "SAN_NO_NAMES",  # SAN present but carries zero names
     "SAN_HAS_URI",  # SAN carries at least one URI
+    "CN_NOT_IN_SAN",  # a subject CN is not a verbatim SAN value
     "CP_TAG_IA5",  # explicitText encoded as IA5String (tag 22)
     "CP_TAG_OTHER",  # explicitText tag neither UTF8String nor IA5String
     "XN_DECODE_BAD",  # per-A-label IDN analysis (memoized corpus-wide)
@@ -157,6 +161,9 @@ _LEN_GT_128 = PSEUDO_BITS["LEN_GT_128"]
 _LEN_GT_200 = PSEUDO_BITS["LEN_GT_200"]
 _LEN_NE_2 = PSEUDO_BITS["LEN_NE_2"]
 _NOT_UPPER = PSEUDO_BITS["NOT_UPPER"]
+_LEAD_WS = PSEUDO_BITS["LEAD_WS"]
+_TRAIL_WS = PSEUDO_BITS["TRAIL_WS"]
+_NOT_NFC = PSEUDO_BITS["NOT_NFC"]
 _EMPTY_NORAW = PSEUDO_BITS["EMPTY_NORAW"]
 _SPEC_OTHER = PSEUDO_BITS["SPEC_OTHER"]
 _DUP_OID = PSEUDO_BITS["DUP_OID"]
@@ -169,6 +176,7 @@ _SHAPE_BAD = PSEUDO_BITS["SHAPE_BAD"]
 _SAN_EMPTY_ENTRY = PSEUDO_BITS["SAN_EMPTY_ENTRY"]
 _SAN_NO_NAMES = PSEUDO_BITS["SAN_NO_NAMES"]
 _SAN_HAS_URI = PSEUDO_BITS["SAN_HAS_URI"]
+_CN_NOT_IN_SAN = PSEUDO_BITS["CN_NOT_IN_SAN"]
 _CP_TAG_IA5 = PSEUDO_BITS["CP_TAG_IA5"]
 _CP_TAG_OTHER = PSEUDO_BITS["CP_TAG_OTHER"]
 _XN_DECODE_BAD = PSEUDO_BITS["XN_DECODE_BAD"]
@@ -228,8 +236,10 @@ def scan_mask(text: str) -> int:
 
     One fused walk answers every atom's "does the string contain …?"
     question at once, then folds in the string-derived pseudo-bits
-    (length thresholds, case).  Results are memoized per string, and per
-    distinct character on the non-ASCII path.
+    (length thresholds, case, whitespace at either end, and NFC, asked
+    only of non-ASCII text since ASCII is always NFC).  Results are
+    memoized per string, and per distinct character on the non-ASCII
+    path.
     """
     mask = _STRING_MASKS.get(text)
     if mask is not None:
@@ -253,6 +263,13 @@ def scan_mask(text: str) -> int:
                     else segs[bisect_right(bounds, cp) - 1]
                 )
             mask |= entry
+        if not is_nfc(text):
+            mask |= _NOT_NFC
+    if text:
+        if text[0].isspace():
+            mask |= _LEAD_WS
+        if text[-1].isspace():
+            mask |= _TRAIL_WS
     length = len(text)
     if length > 64:
         mask |= _LEN_GT_64
@@ -699,6 +716,24 @@ def _scope_san_entries(cert, ctx, masks):
     return mask
 
 
+def _scope_cn_san(cert, ctx, masks):
+    """``CN_NOT_IN_SAN`` unless every subject CN is a verbatim SAN value.
+
+    A verbatim member is the first thing the CN-in-SAN check accepts, so
+    a clear bit proves it passes; only a CN that needs the case-folded
+    or IDNA comparison (or has no match) runs the check.
+    """
+    san = cert.san
+    values = [gn.value for gn in san.names] if san is not None else []
+    mask = 0
+    for cn in cert.subject_common_names:
+        if cn not in values:
+            mask = _CN_NOT_IN_SAN
+            break
+    masks["cn_san"] = mask
+    return mask
+
+
 SCOPE_FNS = {
     "subject": _scope_subject,
     "issuer": _scope_issuer,
@@ -726,6 +761,7 @@ SCOPE_FNS = {
     "cp_text": _make_payload_scope("cp_text"),
     "cps_uris": _make_payload_scope("cps_uris"),
     "san_entries": _scope_san_entries,
+    "cn_san": _scope_cn_san,
 }
 
 
@@ -975,15 +1011,14 @@ def warm_default_plan(stats=None):
 
 #: Registered lints reviewed as *not* compilable into scan kernels: the
 #: SmtpUTF8Mailbox lints need per-name DER re-parsing or fail on the
-#: *absence* of non-ASCII, and CN-in-SAN needs cross-field case-folded
-#: IDN matching.  The equivalence suite asserts that the default plan's
-#: uncompiled lints (those registered with ``scan=None``) are exactly
-#: this set, so a new lint cannot silently lose compiled coverage.
+#: *absence* of non-ASCII.  The equivalence suite asserts that the
+#: default plan's uncompiled lints (those registered with ``scan=None``)
+#: are exactly this set, so a new lint cannot silently lose compiled
+#: coverage.
 UNCOMPILED_MANIFEST = frozenset(
     {
         "e_smtp_utf8_mailbox_not_utf8string",
         "e_smtp_utf8_mailbox_ascii_only",
         "e_smtp_utf8_mailbox_not_nfc",
-        "w_cab_subject_common_name_not_in_san",
     }
 )

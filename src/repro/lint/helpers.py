@@ -263,9 +263,10 @@ def dn_charset_lint(
     Pass either ``value_predicate`` (receives ``attr.value``) or
     ``attr_predicate`` (receives the attribute, letting the predicate
     use ``attr.char_set``).  Both return a violation
-    description or ``None``.  ``atoms`` names the char classes one of
-    which a value must contain for the predicate to fire; they become
-    the kernel's trigger over the whole DN side.
+    description or ``None``.  ``atoms`` names the atoms (char classes or
+    string-derived pseudo-atoms) one of which a value's scan mask must
+    carry for the predicate to fire; they become the kernel's trigger
+    over the whole DN side.
     """
     if (value_predicate is None) == (attr_predicate is None):
         raise ValueError("provide exactly one of value_predicate/attr_predicate")

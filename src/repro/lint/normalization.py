@@ -49,7 +49,7 @@ register_lint(
     applies=lambda cert: any(True for _ in _utf8_attrs(cert)),
     check=_check_utf8_nfc,
     families={spec_family("UTF8String")},
-    scan=ScanSpec("utf8", ("NON_ASCII", "DECODE_BAD"), mode=APPLIES_NONEMPTY),
+    scan=ScanSpec("utf8", ("NOT_NFC", "DECODE_BAD"), mode=APPLIES_NONEMPTY),
 )
 
 

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING
 
 from ..memo import ProcessMemo
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
-from .runner import CertificateReport, CorpusSummary, run_lints
+from .runner import CertificateReport, CorpusSummary, run_lints, tally
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -123,8 +123,10 @@ class ShardResult:
     reports: list[CertificateReport] | None = None
     error: str | None = None
     timings: object | None = None
-    #: Per-certificate :class:`repro.engine.windows.CertFacts`, in shard
-    #: order, when the task asked for ``collect_facts``.
+    #: Per-certificate ``(ReportTally, CertFacts)`` pairs (its report's
+    #: :func:`~repro.lint.runner.tally` and
+    #: :class:`repro.engine.windows.CertFacts`), in shard order, when the
+    #: task asked for ``collect_facts``.
     facts: list | None = None
 
 
@@ -300,7 +302,9 @@ def lint_shard(task: ShardTask) -> ShardResult:
     arrive as DER — inline in the task or via the memory-mapped
     substrate — are re-parsed with the tolerant parser, linted with the
     current (memoized) registry schedule, and folded into a per-shard
-    :class:`CorpusSummary`.  Timings record both clocks: wall
+    :class:`CorpusSummary`; each report is tallied once, and with
+    ``collect_facts`` that tally rides back with the certificate's facts
+    for the windowed fold.  Timings record both clocks: wall
     (``perf_counter``) for latency, CPU (``process_time``) for the
     compute the run actually burned — on an oversubscribed box the two
     diverge, and summing worker wall across processes would double- to
@@ -332,8 +336,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
             start = _time.perf_counter()
             cstart = _time.process_time()
             cert = Certificate.from_der(der)
-            if extract_facts is not None:
-                facts.append(extract_facts(cert))
+            cert_facts = extract_facts(cert) if extract_facts is not None else None
             decoded = _time.perf_counter()
             cdecoded = _time.process_time()
             report = run_lints(
@@ -345,9 +348,12 @@ def lint_shard(task: ShardTask) -> ShardResult:
             )
             linted = _time.perf_counter()
             clinted = _time.process_time()
-            result.summary.add(report)
+            counts = tally(report)
+            result.summary.add_tally(counts)
             if reports is not None:
                 reports.append(report)
+            if facts is not None:
+                facts.append((counts, cert_facts))
             sunk = _time.perf_counter()
             csunk = _time.process_time()
             timings.add("decode", decoded - start, cdecoded - cstart, 1)

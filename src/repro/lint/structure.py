@@ -67,6 +67,7 @@ register_lint(
     applies=lambda cert: bool(cert.subject_common_names),
     check=_check_cn_in_san,
     families={subject_family(OID_COMMON_NAME)},
+    scan=ScanSpec("cn_san", ("CN_NOT_IN_SAN",)),
 )
 
 

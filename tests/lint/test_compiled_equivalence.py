@@ -36,7 +36,7 @@ WITNESS_DIR = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "witnesses"
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 #: Lints the default plan compiles: the registry minus the manifest.
-DEFAULT_COMPILED = 91
+DEFAULT_COMPILED = 92
 
 
 @pytest.fixture(scope="module")
