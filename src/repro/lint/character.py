@@ -18,15 +18,6 @@ from ..uni import (
 )
 from ..x509 import Certificate, GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
-from .context import (
-    FAMILY_CP,
-    FAMILY_CRLDP,
-    FAMILY_DNS,
-    FAMILY_XN,
-    ian_family,
-    san_family,
-    spec_family,
-)
 from .framework import (
     CABF_BR_DATE,
     COMMUNITY_DATE,
@@ -276,7 +267,6 @@ register_lint(
     new=False,
     applies=_badalpha_applies,
     check=_badalpha_check,
-    families={spec_family("PrintableString")},
     scan=ScanSpec("ps", ("NON_PRINTABLESTRING", "DECODE_BAD")),
 )
 
@@ -317,7 +307,6 @@ register_lint(
     new=False,
     applies=_has_dns_names,
     check=_check_label_charset,
-    families={FAMILY_DNS},
     scan=ScanSpec("dns", ("NON_LDH",)),
 )
 
@@ -340,7 +329,6 @@ register_lint(
     new=False,
     applies=_has_dns_names,
     check=_check_dns_whitespace,
-    families={FAMILY_DNS},
     scan=ScanSpec("dns", ("WHITESPACE",)),
 )
 
@@ -363,7 +351,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(_xn_labels(cert)),
     check=_check_idn_decodable,
-    families={FAMILY_XN},
     scan=ScanSpec("xn", ("XN_DECODE_BAD",)),
 )
 
@@ -391,7 +378,6 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_xn_labels(cert)),
     check=_check_idn_permitted,
-    families={FAMILY_XN},
     scan=ScanSpec("xn", ("XN_UNPERMITTED",)),
 )
 
@@ -425,7 +411,6 @@ def _make_san_unpermitted_lint(name, kind, label, scope, new=True):
         new=new,
         applies=applies,
         check=check,
-        families={san_family(kind)},
         scan=ScanSpec(scope, ("NON_VISIBLE_ASCII", "DECODE_BAD")),
     )
 
@@ -474,10 +459,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(_email_names(cert)),
     check=_check_email_controls,
-    families={
-        san_family(GeneralNameKind.RFC822_NAME),
-        ian_family(GeneralNameKind.RFC822_NAME),
-    },
     scan=ScanSpec("email_all", ("CONTROL",)),
 )
 
@@ -504,7 +485,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(_uri_names_all(cert)),
     check=_check_uri_controls,
-    families={san_family(GeneralNameKind.URI), ian_family(GeneralNameKind.URI)},
     scan=ScanSpec("uri_all", ("CONTROL",)),
 )
 
@@ -537,7 +517,6 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_crldp_names(cert)),
     check=_check_crldp_controls,
-    families={FAMILY_CRLDP},
     scan=ScanSpec("crldp", ("CONTROL",), mode=APPLIES_NONEMPTY),
 )
 
@@ -566,6 +545,5 @@ register_lint(
     new=True,
     applies=_cp_has_text,
     check=_check_cp_text_controls,
-    families={FAMILY_CP},
     scan=ScanSpec("cp_text", ("CONTROL",), mode=APPLIES_NONEMPTY),
 )

@@ -28,14 +28,17 @@ Instead of letting each lint re-ask that question, the registry is
 Soundness contract (verified by the equivalence suite against the
 reference oracle): a compiled lint may only *fail* on a certificate
 whose scope mask intersects the lint's trigger — the scan
-over-approximates, never under-approximates.  Each row also carries an
-applicability mode: ``APPLIES_EXACT`` when — given the lint's family
-check already passed — ``applies()`` is provably True,
-``APPLIES_NONEMPTY`` when it equals the scope's ``SCOPE_NONEMPTY`` bit,
-and ``APPLIES_CALL`` when only calling ``applies()`` is sound.  A lint
-that declares no kernel (``scan=None``) gets an unscoped
-``APPLIES_CALL`` row (its own ``applies()`` and ``check()`` always run)
-and must be listed in :data:`UNCOMPILED_MANIFEST`.
+over-approximates, never under-approximates.  The scope is also the
+lint's only applicability declaration: its entry in :data:`SCOPES`
+names the family keys a certificate must carry for the row to be live,
+and the row's mode says what else ``applies()`` needs —
+``APPLIES_EXACT`` nothing (live means applicable), ``APPLIES_NONEMPTY``
+the scope's ``SCOPE_NONEMPTY`` bit.  Production never calls
+``applies()``; the applicability property test checks, lint by lint,
+that it equals this derivation.  A lint that declares no kernel
+(``scan=None``) gets an unscoped row, live on every certificate with its
+``check()`` always run; only test-planted lints whose ``applies()`` is
+always True use it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..asn1.oid import OID_COMMON_NAME
+from ..asn1.oid import OID_COMMON_NAME, OID_ON_SMTP_UTF8_MAILBOX
 from ..memo import ProcessMemo
 from ..uni import (
     alabel_roundtrip_mismatch,
@@ -61,9 +64,12 @@ from .context import (
     FAMILY_AIA,
     FAMILY_CP,
     FAMILY_CRLDP,
+    FAMILY_DNS,
     FAMILY_ISSUER_ANY,
+    FAMILY_SAN_PRESENT,
     FAMILY_SIA,
     FAMILY_SUBJECT_ANY,
+    FAMILY_XN,
 )
 from .framework import LintResult, LintStatus
 
@@ -128,7 +134,7 @@ PSEUDO_ATOMS = (
     "SPEC_UniversalString",
     "SPEC_OTHER",
     "DUP_OID",  # an attribute OID repeats within the DN
-    "EXTRA_CN",  # more than one subject CommonName
+    "EXTRA_CN",  # more than one subject CommonName (on its per-OID bucket)
     "DNS_LABEL_GT_63",  # DNS shape bits (one memoized walk per name)
     "DNS_NAME_GT_253",
     "DNS_EMPTY_LABEL",
@@ -197,7 +203,6 @@ _SPEC_NAMES = (
 _SPEC_BITS = {name: PSEUDO_BITS["SPEC_" + name] for name in _SPEC_NAMES}
 
 #: Applicability modes of a compiled row (see module docstring).
-APPLIES_CALL = 0
 APPLIES_EXACT = 1
 APPLIES_NONEMPTY = 2
 
@@ -382,7 +387,8 @@ def _walk_side(cert, masks: dict, side: str, families: set | None = None) -> int
     Fills ``masks[side_key]``, ``masks[(side, oid.dotted)]`` for every
     present attribute OID, and the PrintableString/UTF8String partial
     masks the ``ps``/``utf8`` scopes assemble.  Sets ``DUP_OID`` when an
-    OID repeats and (subject side) ``EXTRA_CN`` for >1 CommonName.
+    OID repeats and, on the subject's CommonName bucket, ``EXTRA_CN``
+    for >1 CommonName.
     ``families``, when given, also collects the side's family keys
     (those :meth:`LintContext.families` derives from the DN).
 
@@ -453,7 +459,7 @@ def _walk_name(name_obj, masks: dict, side: str, families: set | None) -> int:
             cn_count += 1
         mask |= am
     if side == "s" and cn_count > 1:
-        mask |= _EXTRA_CN
+        masks[(side, _CN_DOTTED)] |= _EXTRA_CN
     masks["subject" if side == "s" else "issuer"] = mask
     masks["_ps_" + side] = ps
     masks["_u8_" + side] = u8
@@ -643,8 +649,8 @@ def _gn_mask(general_names, value_fn) -> int:
     return mask
 
 
-def _make_kind_scope(key: str, source: str, kind, value_fn):
-    """Build the scope fn for one SAN/IAN GeneralName kind bucket."""
+def _kind_scope(key: str, source: str, kind, value_fn):
+    """The scope fn and family of one SAN/IAN GeneralName kind bucket."""
 
     def fn(cert, ctx, masks):
         names = ctx.san_names(kind) if source == "san" else ctx.ian_names(kind)
@@ -652,13 +658,13 @@ def _make_kind_scope(key: str, source: str, kind, value_fn):
         masks[key] = mask
         return mask
 
-    return fn
+    return fn, {(source, int(kind))}
 
 
 def _get(scope, cert, ctx, masks):
     mask = masks.get(scope)
     if mask is None:
-        mask = SCOPE_FNS[scope](cert, ctx, masks)
+        mask = SCOPES[scope][0](cert, ctx, masks)
     return mask
 
 
@@ -734,48 +740,73 @@ def _scope_cn_san(cert, ctx, masks):
     return mask
 
 
-SCOPE_FNS = {
-    "subject": _scope_subject,
-    "issuer": _scope_issuer,
-    "dn": _scope_dn,
-    "ps": _scope_ps,
-    "utf8": _scope_utf8,
-    "dns": _scope_dns,
-    "xn": _scope_xn,
-    "san_dns": _make_kind_scope("san_dns", "san", GeneralNameKind.DNS_NAME, scan_mask),
-    "san_email": _make_kind_scope(
-        "san_email", "san", GeneralNameKind.RFC822_NAME, _email_shape_mask
-    ),
-    "san_uri": _make_kind_scope("san_uri", "san", GeneralNameKind.URI, _uri_shape_mask),
-    "ian_dns": _make_kind_scope("ian_dns", "ian", GeneralNameKind.DNS_NAME, scan_mask),
-    "ian_email": _make_kind_scope(
-        "ian_email", "ian", GeneralNameKind.RFC822_NAME, _email_shape_mask
-    ),
-    "ian_uri": _make_kind_scope("ian_uri", "ian", GeneralNameKind.URI, _uri_shape_mask),
-    "email_all": _scope_email_all,
-    "uri_all": _scope_uri_all,
-    "uris_scheme": _scope_uris_scheme,
-    "crldp": _make_payload_scope("crldp"),
-    "aia_uris": _make_payload_scope("aia_uris"),
-    "sia_uris": _make_payload_scope("sia_uris"),
-    "cp_text": _make_payload_scope("cp_text"),
-    "cps_uris": _make_payload_scope("cps_uris"),
-    "san_entries": _scope_san_entries,
-    "cn_san": _scope_cn_san,
+def _scope_smtp(cert, ctx, masks):
+    """The SmtpUTF8Mailbox otherName values of the SAN and the IAN."""
+    mask = 0
+    kind = GeneralNameKind.OTHER_NAME
+    for names in (ctx.san_names(kind), ctx.ian_names(kind)):
+        for gn in names:
+            if gn.other_name_oid == OID_ON_SMTP_UTF8_MAILBOX:
+                mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
+    masks["smtp"] = mask
+    return mask
+
+
+_DNS_KIND = GeneralNameKind.DNS_NAME
+_EMAIL_KIND = GeneralNameKind.RFC822_NAME
+_URI_KIND = GeneralNameKind.URI
+_OTHER_NAME = int(GeneralNameKind.OTHER_NAME)
+_SAN_EMAIL, _IAN_EMAIL = ("san", int(_EMAIL_KIND)), ("ian", int(_EMAIL_KIND))
+_SAN_URI, _IAN_URI = ("san", int(_URI_KIND)), ("ian", int(_URI_KIND))
+
+#: Every named scope: ``(walker, family keys)``.  The family keys are
+#: the certificate fields a scoped lint can apply to: a row is live only
+#: on a certificate whose family signature (:meth:`LintContext.families`)
+#: holds one of them, and ``None`` makes it live on every certificate.
+#: A tuple scope ``(side, oid_dotted)`` is not listed: it is its own
+#: family key.
+SCOPES = {
+    name: (fn, None if keys is None else frozenset(keys))
+    for name, (fn, keys) in {
+        "subject": (_scope_subject, {FAMILY_SUBJECT_ANY}),
+        "issuer": (_scope_issuer, {FAMILY_ISSUER_ANY}),
+        "dn": (_scope_dn, None),
+        "ps": (_scope_ps, {("spec", "PrintableString")}),
+        "utf8": (_scope_utf8, {("spec", "UTF8String")}),
+        "dns": (_scope_dns, {FAMILY_DNS}),
+        "xn": (_scope_xn, {FAMILY_XN}),
+        "san_dns": _kind_scope("san_dns", "san", _DNS_KIND, scan_mask),
+        "san_email": _kind_scope("san_email", "san", _EMAIL_KIND, _email_shape_mask),
+        "san_uri": _kind_scope("san_uri", "san", _URI_KIND, _uri_shape_mask),
+        "ian_dns": _kind_scope("ian_dns", "ian", _DNS_KIND, scan_mask),
+        "ian_email": _kind_scope("ian_email", "ian", _EMAIL_KIND, _email_shape_mask),
+        "ian_uri": _kind_scope("ian_uri", "ian", _URI_KIND, _uri_shape_mask),
+        "email_all": (_scope_email_all, {_SAN_EMAIL, _IAN_EMAIL}),
+        "uri_all": (_scope_uri_all, {_SAN_URI, _IAN_URI}),
+        "uris_scheme": (_scope_uris_scheme, {FAMILY_CRLDP, _SAN_URI, _IAN_URI}),
+        "crldp": (_make_payload_scope("crldp"), {FAMILY_CRLDP}),
+        "aia_uris": (_make_payload_scope("aia_uris"), {FAMILY_AIA}),
+        "sia_uris": (_make_payload_scope("sia_uris"), {FAMILY_SIA}),
+        "cp_text": (_make_payload_scope("cp_text"), {FAMILY_CP}),
+        "cps_uris": (_make_payload_scope("cps_uris"), {FAMILY_CP}),
+        "san_entries": (_scope_san_entries, {FAMILY_SAN_PRESENT}),
+        "cn_san": (_scope_cn_san, {("s", _CN_DOTTED)}),
+        "smtp": (_scope_smtp, {("san", _OTHER_NAME), ("ian", _OTHER_NAME)}),
+    }.items()
 }
 
 
 def resolve_scope(scope, cert, ctx, masks: dict) -> int:
     """Compute (and memoize in ``masks``) one scope's mask for a cert.
 
-    String scopes dispatch through :data:`SCOPE_FNS`; tuple scopes
+    Named scopes dispatch through :data:`SCOPES`; tuple scopes
     ``(side, oid_dotted)`` are per-OID DN buckets filled by the side
     walk (absent OIDs resolve to 0, though the family gate means the
     runner only asks for OIDs that are present).
     """
-    fn = SCOPE_FNS.get(scope)
-    if fn is not None:
-        return fn(cert, ctx, masks)
+    entry = SCOPES.get(scope)
+    if entry is not None:
+        return entry[0](cert, ctx, masks)
     _walk_side(cert, masks, scope[0])
     mask = masks.get(scope)
     if mask is None:
@@ -791,38 +822,43 @@ def resolve_scope(scope, cert, ctx, masks: dict) -> int:
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """A compiled lint's kernel: scope, trigger atoms, applicability mode.
+    """A lint's kernel and applicability: scope, trigger atoms, mode.
 
-    ``mode`` is one of :data:`APPLIES_EXACT` (family check passing
-    implies ``applies()`` True), :data:`APPLIES_NONEMPTY` (``applies()``
-    equals the scope's ``SCOPE_NONEMPTY`` bit), or :data:`APPLIES_CALL`
-    (fall back to calling ``applies()`` before emitting PASS).
-    ``trigger`` is the atoms' bits as one mask.  An unknown scope, atom
-    name or mode raises ``ValueError``, so a typo fails at
-    ``import repro.lint`` (an unknown scope would otherwise resolve to an
-    empty mask and the lint would always PASS).
+    ``mode`` is :data:`APPLIES_EXACT` (``applies()`` is True whenever the
+    scope's families are present) or :data:`APPLIES_NONEMPTY` (it also
+    needs the scope's ``SCOPE_NONEMPTY`` bit).  ``trigger`` is the
+    atoms' bits as one mask; ``families`` comes from the scope's
+    :data:`SCOPES` entry (a tuple scope is its own family key).  An
+    unknown scope, atom name or mode raises ``ValueError``, so a typo
+    fails at ``import repro.lint`` (an unknown scope would otherwise
+    resolve to an empty mask and the lint would always PASS).
     """
 
     scope: object
     atoms: tuple[str, ...]
     mode: int = APPLIES_EXACT
     trigger: int = field(init=False, repr=False)
+    families: frozenset | None = field(init=False, repr=False)
 
     def __post_init__(self):
         scope = self.scope
-        if scope not in SCOPE_FNS and not (
-            isinstance(scope, tuple) and len(scope) == 2 and scope[0] in ("s", "i")
-        ):
+        entry = SCOPES.get(scope)
+        if entry is not None:
+            families = entry[1]
+        elif isinstance(scope, tuple) and len(scope) == 2 and scope[0] in ("s", "i"):
+            families = frozenset({scope})
+        else:
             raise ValueError(f"unknown scope {scope!r}")
         unknown = [atom for atom in self.atoms if atom not in BIT_BY_NAME]
         if unknown:
             raise ValueError(f"unknown trigger atom(s) {unknown}")
-        if self.mode not in (APPLIES_CALL, APPLIES_EXACT, APPLIES_NONEMPTY):
+        if self.mode not in (APPLIES_EXACT, APPLIES_NONEMPTY):
             raise ValueError(f"unknown applicability mode {self.mode!r}")
         trigger = 0
         for atom in self.atoms:
             trigger |= BIT_BY_NAME[atom]
         object.__setattr__(self, "trigger", trigger)
+        object.__setattr__(self, "families", families)
 
 
 def spec_trigger(allowed_names) -> tuple[str, ...] | None:
@@ -874,11 +910,10 @@ class Template(NamedTuple):
     """A memoized report skeleton for one (signature, scope masks) key.
 
     ``static`` holds the ordered PASS results of every row the masks
-    settle.  ``dynamic`` lists ``(position, lint, passed, run_check)``
-    for each row that still asks ``applies()``: scope-less rows and
-    fired triggers also run ``check()``, while an ``APPLIES_CALL`` row
-    whose trigger stayed clear only needs ``applies()`` before PASS.
-    ``position`` is the index into ``static`` the row's result precedes.
+    settle.  ``dynamic`` lists ``(position, lint, passed)`` for each row
+    whose ``check()`` still runs: an unscoped row, or a fired trigger on
+    an applicable row.  ``position`` is the index into ``static`` the
+    row's result precedes.
     """
 
     static: tuple
@@ -889,9 +924,10 @@ class CompiledPlan:
     """Registration-ordered dispatch rows for one lint schedule.
 
     ``entries`` holds one row per lint of the schedule, in its order:
-    ``(lint, families, scope, trigger, mode)``.  Uncompiled rows carry
-    ``scope=None``, so the runner always asks their ``applies()`` and
-    ``check()``; result order is registration order either way.
+    ``(lint, families, scope, trigger, mode)``, read from the lint's
+    :class:`ScanSpec`.  An unscoped row (``scan=None``) carries neither
+    families nor a scope, so the runner runs its ``check()`` on every
+    certificate; result order is registration order either way.
 
     Two memos sit on top of the rows (see DESIGN.md, compiled dispatch):
     :meth:`live_rows` per family signature and :meth:`template` per
@@ -905,21 +941,18 @@ class CompiledPlan:
         "_live",
         "_templates",
         "compiled_names",
-        "uncompiled_names",
         "resolve_scope",
     )
 
     def __init__(self, lints):
         rows = []
         compiled = []
-        uncompiled = []
         for lint in lints:
             spec = lint.scan
             if spec is None:
-                rows.append((lint, lint.families, None, 0, APPLIES_CALL))
-                uncompiled.append(lint.metadata.name)
+                rows.append((lint, None, None, 0, APPLIES_EXACT))
             else:
-                rows.append((lint, lint.families, spec.scope, spec.trigger, spec.mode))
+                rows.append((lint, spec.families, spec.scope, spec.trigger, spec.mode))
                 compiled.append(lint.metadata.name)
         self.entries = tuple(rows)
         self.passed = {
@@ -927,7 +960,6 @@ class CompiledPlan:
             for lint in lints
         }
         self.compiled_names = frozenset(compiled)
-        self.uncompiled_names = frozenset(uncompiled)
         self.resolve_scope = resolve_scope
         self._live = ProcessMemo(_TEMPLATE_MEMO_MAX)
         self._templates = ProcessMemo(_TEMPLATE_MEMO_MAX)
@@ -935,9 +967,8 @@ class CompiledPlan:
     def live_rows(self, signature: frozenset) -> LiveRows:
         """The rows whose families intersect ``signature`` (memoized).
 
-        A row whose families are all absent would have ``applies()``
-        False — the NA result a report drops — so leaving it out is
-        exact.
+        A row whose families are all absent has ``applies()`` False —
+        the NA result a report drops — so leaving it out is exact.
         """
         live = self._live.get(signature)
         if live is not None:
@@ -960,11 +991,12 @@ class CompiledPlan:
         """The report skeleton for ``live`` under projected scope ``masks``.
 
         ``masks`` pairs with ``live.scope_bits``: each scope's mask ANDed
-        with its read bits.  Each row is settled exactly as a row-by-row
-        loop would settle it: a clear trigger with ``APPLIES_EXACT`` is
-        PASS, with ``APPLIES_NONEMPTY`` PASS iff the scope is nonempty
-        (else the dropped NA), with ``APPLIES_CALL`` an ``applies()``
-        call; a fired trigger or a missing scope runs the lint.
+        with its read bits.  The masks alone settle applicability: a live
+        ``APPLIES_EXACT`` row applies, and an ``APPLIES_NONEMPTY`` row
+        applies iff its scope's ``SCOPE_NONEMPTY`` bit is set, else it is
+        the dropped NA whether or not its trigger fired.  An applicable
+        row with a clear trigger is PASS; a fired trigger or a missing
+        scope runs the lint's ``check()``.
         """
         key = (live.signature, masks)
         template = self._templates.get(key)
@@ -978,16 +1010,12 @@ class CompiledPlan:
             passed = pass_results[lint.metadata.name]
             if scope is not None:
                 mask = scope_masks[scope]
-                if not mask & trigger:
-                    if mode == APPLIES_EXACT:
-                        static.append(passed)
-                    elif mode == APPLIES_NONEMPTY:
-                        if mask & SCOPE_NONEMPTY:
-                            static.append(passed)
-                    else:
-                        dynamic.append((len(static), lint, passed, False))
+                if mode == APPLIES_NONEMPTY and not mask & SCOPE_NONEMPTY:
                     continue
-            dynamic.append((len(static), lint, passed, True))
+                if not mask & trigger:
+                    static.append(passed)
+                    continue
+            dynamic.append((len(static), lint, passed))
         template = Template(tuple(static), tuple(dynamic))
         self._templates[key] = template
         return template
@@ -1008,17 +1036,3 @@ def warm_default_plan(stats=None):
     with stats.time("compile", items=1):
         return index_for(lints).compiled_plan()
 
-
-#: Registered lints reviewed as *not* compilable into scan kernels: the
-#: SmtpUTF8Mailbox lints need per-name DER re-parsing or fail on the
-#: *absence* of non-ASCII.  The equivalence suite asserts that the
-#: default plan's uncompiled lints (those registered with ``scan=None``)
-#: are exactly this set, so a new lint cannot silently lose compiled
-#: coverage.
-UNCOMPILED_MANIFEST = frozenset(
-    {
-        "e_smtp_utf8_mailbox_not_utf8string",
-        "e_smtp_utf8_mailbox_ascii_only",
-        "e_smtp_utf8_mailbox_not_nfc",
-    }
-)

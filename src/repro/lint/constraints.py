@@ -42,27 +42,41 @@ class ConstraintRule:
     nc_type: NoncomplianceType
 
 
+#: The certificate field each scope reads.  A tuple scope
+#: ``(side, oid_dotted)`` is filed under its side.
+_FIELD_BY_SCOPE = {
+    "s": "Subject",
+    "subject": "Subject",
+    "ps": "Subject",
+    "utf8": "Subject",
+    "dn": "Subject",
+    "i": "Issuer",
+    "issuer": "Issuer",
+    "dns": "SubjectAltName",
+    "xn": "SubjectAltName",
+    "san_dns": "SubjectAltName",
+    "san_email": "SubjectAltName",
+    "san_uri": "SubjectAltName",
+    "san_entries": "SubjectAltName",
+    "cn_san": "SubjectAltName",
+    "ian_dns": "IssuerAltName",
+    "ian_email": "IssuerAltName",
+    "ian_uri": "IssuerAltName",
+    "email_all": "RFC822Name/SmtpUTF8Mailbox",
+    "smtp": "RFC822Name/SmtpUTF8Mailbox",
+    "uri_all": "URI",
+    "uris_scheme": "URI",
+    "crldp": "CRLDistributionPoints",
+    "aia_uris": "AuthorityInfoAccess",
+    "sia_uris": "SubjectInfoAccess",
+    "cp_text": "CertificatePolicies",
+    "cps_uris": "CertificatePolicies",
+}
+
+
 def _field_of(lint) -> str:
-    name = lint.metadata.name
-    if "issuer" in name:
-        return "Issuer"
-    if "san" in name or "dns" in name:
-        return "SubjectAltName"
-    if "ian" in name:
-        return "IssuerAltName"
-    if "crldp" in name:
-        return "CRLDistributionPoints"
-    if "aia" in name:
-        return "AuthorityInfoAccess"
-    if "sia" in name:
-        return "SubjectInfoAccess"
-    if "cp_" in name or "_cp" in name:
-        return "CertificatePolicies"
-    if "smtp" in name or "rfc822" in name or "email" in name:
-        return "RFC822Name/SmtpUTF8Mailbox"
-    if "uri" in name:
-        return "URI"
-    return "Subject"
+    scope = lint.scan.scope
+    return _FIELD_BY_SCOPE[scope[0] if isinstance(scope, tuple) else scope]
 
 
 def _structures_of(lint) -> str:

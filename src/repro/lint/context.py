@@ -18,8 +18,11 @@ from ..uni import is_xn_label
 from ..x509 import Certificate
 
 # Family keys for the registry index.  A certificate's present-family
-# set is compared against each lint's declared families; see
-# :class:`repro.lint.framework.RegistryIndex` for the skip contract.
+# set is compared against the families each lint's scope gives
+# (:data:`repro.lint.compiled.SCOPES`).  Beside these names, a DN
+# attribute of OID ``oid`` gives ``("s", oid.dotted)``/``("i", ...)``,
+# its declared string type ``("spec", type_name)``, and a SAN/IAN
+# GeneralName of kind ``k`` gives ``("san", int(k))``/``("ian", ...)``.
 FAMILY_SUBJECT_ANY = "s*"
 FAMILY_ISSUER_ANY = "i*"
 FAMILY_SAN_PRESENT = "san!"
@@ -30,31 +33,6 @@ FAMILY_AIA = "e:aia"
 FAMILY_SIA = "e:sia"
 FAMILY_CRLDP = "e:crldp"
 FAMILY_CP = "e:cp"
-
-
-def subject_family(oid) -> tuple:
-    """Family key: a subject attribute of this OID is present."""
-    return ("s", oid.dotted)
-
-
-def issuer_family(oid) -> tuple:
-    """Family key: an issuer attribute of this OID is present."""
-    return ("i", oid.dotted)
-
-
-def spec_family(type_name: str) -> tuple:
-    """Family key: a DN attribute declared with this ASN.1 string type."""
-    return ("spec", type_name)
-
-
-def san_family(kind) -> tuple:
-    """Family key: the SAN carries a GeneralName of this kind."""
-    return ("san", int(kind))
-
-
-def ian_family(kind) -> tuple:
-    """Family key: the IAN carries a GeneralName of this kind."""
-    return ("ian", int(kind))
 
 
 class LintContext:

@@ -40,16 +40,6 @@ from ..asn1.oid import (
 )
 from ..x509 import Certificate, GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
-from .context import (
-    FAMILY_AIA,
-    FAMILY_CP,
-    FAMILY_CRLDP,
-    FAMILY_ISSUER_ANY,
-    FAMILY_SIA,
-    FAMILY_SUBJECT_ANY,
-    ian_family,
-    san_family,
-)
 from .framework import (
     CABF_BR_DATE,
     NoncomplianceType,
@@ -252,8 +242,7 @@ def _make_deprecated_type_lint(name, type_name, issuer, new):
         applies=applies,
         check=check,
         # applies() keys on a nonempty DN, not on the deprecated type
-        # being present, so the family is the whole-DN bucket.
-        families={FAMILY_ISSUER_ANY if issuer else FAMILY_SUBJECT_ANY},
+        # being present, so the scope is the whole DN side.
         scan=ScanSpec("issuer" if issuer else "subject", ("SPEC_" + type_name,)),
     )
 
@@ -275,7 +264,6 @@ gn_ia5_encoding_lint(
     label="SAN DNSName",
     extractor=lambda cert: san_names(cert, GeneralNameKind.DNS_NAME),
     effective_date=RFC5280_DATE,
-    families={san_family(GeneralNameKind.DNS_NAME)},
     scan=ScanSpec("san_dns", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
@@ -283,7 +271,6 @@ gn_ia5_encoding_lint(
     label="SAN RFC822Name",
     extractor=lambda cert: san_names(cert, GeneralNameKind.RFC822_NAME),
     effective_date=RFC5280_DATE,
-    families={san_family(GeneralNameKind.RFC822_NAME)},
     scan=ScanSpec("san_email", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
@@ -291,7 +278,6 @@ gn_ia5_encoding_lint(
     label="SAN URI",
     extractor=lambda cert: san_names(cert, GeneralNameKind.URI),
     effective_date=RFC5280_DATE,
-    families={san_family(GeneralNameKind.URI)},
     scan=ScanSpec("san_uri", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
@@ -299,7 +285,6 @@ gn_ia5_encoding_lint(
     label="IAN DNSName",
     extractor=lambda cert: ian_names(cert, GeneralNameKind.DNS_NAME),
     effective_date=RFC5280_DATE,
-    families={ian_family(GeneralNameKind.DNS_NAME)},
     scan=ScanSpec("ian_dns", _IA5_ATOMS),
 )
 gn_ia5_encoding_lint(
@@ -307,7 +292,6 @@ gn_ia5_encoding_lint(
     label="IAN RFC822Name",
     extractor=lambda cert: ian_names(cert, GeneralNameKind.RFC822_NAME),
     effective_date=RFC5280_DATE,
-    families={ian_family(GeneralNameKind.RFC822_NAME)},
     scan=ScanSpec("ian_email", _IA5_ATOMS),
 )
 
@@ -323,7 +307,6 @@ gn_ia5_encoding_lint(
     label="AIA accessLocation",
     extractor=lambda cert: _uri_names(cert.aia),
     effective_date=RFC5280_DATE,
-    families={FAMILY_AIA},
     scan=ScanSpec("aia_uris", _IA5_ATOMS, mode=APPLIES_NONEMPTY),
 )
 gn_ia5_encoding_lint(
@@ -331,7 +314,6 @@ gn_ia5_encoding_lint(
     label="SIA accessLocation",
     extractor=lambda cert: _uri_names(cert.sia),
     effective_date=RFC5280_DATE,
-    families={FAMILY_SIA},
     scan=ScanSpec("sia_uris", _IA5_ATOMS, mode=APPLIES_NONEMPTY),
 )
 
@@ -348,7 +330,6 @@ gn_ia5_encoding_lint(
     label="CRLDistributionPoints URI",
     extractor=_crldp_uris,
     effective_date=RFC5280_DATE,
-    families={FAMILY_CRLDP},
     scan=ScanSpec("crldp", _IA5_ATOMS, mode=APPLIES_NONEMPTY),
 )
 
@@ -383,7 +364,6 @@ register_lint(
     new=False,
     applies=_has_explicit_text,
     check=_check_explicit_text_not_utf8,
-    families={FAMILY_CP},
     scan=ScanSpec("cp_text", ("CP_TAG_OTHER",), mode=APPLIES_NONEMPTY),
 )
 
@@ -406,7 +386,6 @@ register_lint(
     new=False,
     applies=_has_explicit_text,
     check=_check_explicit_text_ia5,
-    families={FAMILY_CP},
     scan=ScanSpec("cp_text", ("CP_TAG_IA5",), mode=APPLIES_NONEMPTY),
 )
 
@@ -434,7 +413,6 @@ register_lint(
     new=True,
     applies=_has_cps_uri,
     check=_check_cps_uri_ia5,
-    families={FAMILY_CP},
     scan=ScanSpec("cps_uris", ("NON_ASCII",), mode=APPLIES_NONEMPTY),
 )
 
@@ -484,10 +462,8 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_smtp_utf8_names(cert)),
     check=_check_smtp_utf8_is_utf8,
-    families={
-        san_family(GeneralNameKind.OTHER_NAME),
-        ian_family(GeneralNameKind.OTHER_NAME),
-    },
+    # Every mailbox runs the check: its trigger is the scope being nonempty.
+    scan=ScanSpec("smtp", ("SCOPE_NONEMPTY",), APPLIES_NONEMPTY),
 )
 
 
@@ -512,10 +488,8 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_smtp_utf8_names(cert)),
     check=_check_smtp_utf8_not_ascii_only,
-    families={
-        san_family(GeneralNameKind.OTHER_NAME),
-        ian_family(GeneralNameKind.OTHER_NAME),
-    },
+    # Every mailbox runs the check: its trigger is the scope being nonempty.
+    scan=ScanSpec("smtp", ("SCOPE_NONEMPTY",), APPLIES_NONEMPTY),
 )
 
 
@@ -546,10 +520,6 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_rfc822_all(cert)),
     check=_check_rfc822_ascii_local,
-    families={
-        san_family(GeneralNameKind.RFC822_NAME),
-        ian_family(GeneralNameKind.RFC822_NAME),
-    },
     scan=ScanSpec("email_all", ("NON_ASCII",)),
 )
 

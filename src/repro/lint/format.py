@@ -17,16 +17,6 @@ from ..asn1.oid import (
 )
 from ..x509 import Certificate, GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
-from .context import (
-    FAMILY_CP,
-    FAMILY_CRLDP,
-    FAMILY_DNS,
-    FAMILY_SAN_PRESENT,
-    FAMILY_SUBJECT_ANY,
-    ian_family,
-    san_family,
-    subject_family,
-)
 from .framework import (
     CABF_BR_DATE,
     NoncomplianceType,
@@ -62,7 +52,6 @@ def _make_length_lint(name, oid, label, maximum):
         new=False,
         applies=applies,
         check=check,
-        families={subject_family(oid)},
         # Only a value longer than ``maximum`` fails; a bound without a
         # LEN_GT_* atom raises here rather than losing its kernel.
         scan=ScanSpec(("s", oid.dotted), (f"LEN_GT_{maximum}",)),
@@ -107,7 +96,6 @@ register_lint(
     new=False,
     applies=_country_applies,
     check=_check_country_two_letter,
-    families={subject_family(OID_COUNTRY_NAME)},
     scan=ScanSpec(("s", OID_COUNTRY_NAME.dotted), ("LEN_NE_2",)),
 )
 
@@ -130,7 +118,6 @@ register_lint(
     new=False,
     applies=_country_applies,
     check=_check_country_uppercase,
-    families={subject_family(OID_COUNTRY_NAME)},
     scan=ScanSpec(("s", OID_COUNTRY_NAME.dotted), ("NOT_UPPER",)),
 )
 
@@ -156,7 +143,6 @@ def _make_dns_lint(name, description, citation, source, effective_date, checker,
         new=False,
         applies=_has_dns,
         check=checker,
-        families={FAMILY_DNS},
         scan=ScanSpec("dns", (atom,)),
     )
 
@@ -254,7 +240,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(san_names(cert, GeneralNameKind.DNS_NAME)),
     check=_check_port_or_path,
-    families={san_family(GeneralNameKind.DNS_NAME)},
     scan=ScanSpec("san_dns", ("COLON_OR_SLASH",)),
 )
 
@@ -288,10 +273,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(_emails(cert)),
     check=_check_email_shape,
-    families={
-        san_family(GeneralNameKind.RFC822_NAME),
-        ian_family(GeneralNameKind.RFC822_NAME),
-    },
     scan=ScanSpec("email_all", ("SHAPE_BAD",)),
 )
 
@@ -330,11 +311,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(_uris(cert)),
     check=_check_uri_scheme,
-    families={
-        san_family(GeneralNameKind.URI),
-        ian_family(GeneralNameKind.URI),
-        FAMILY_CRLDP,
-    },
     scan=ScanSpec("uris_scheme", ("SHAPE_BAD",), mode=APPLIES_NONEMPTY),
 )
 
@@ -362,7 +338,6 @@ register_lint(
     new=False,
     applies=lambda cert: not cert.subject.is_empty,
     check=_check_empty_attr,
-    families={FAMILY_SUBJECT_ANY},
     scan=ScanSpec("subject", ("EMPTY_NORAW",)),
 )
 
@@ -392,7 +367,6 @@ register_lint(
     new=False,
     applies=lambda cert: cert.san is not None,
     check=_check_empty_san,
-    families={FAMILY_SAN_PRESENT},
     scan=ScanSpec("san_entries", ("SAN_EMPTY_ENTRY", "SAN_NO_NAMES")),
 )
 
@@ -420,7 +394,6 @@ register_lint(
     new=False,
     applies=_cp_has_text,
     check=_check_text_length,
-    families={FAMILY_CP},
     scan=ScanSpec("cp_text", ("LEN_GT_200",), mode=APPLIES_NONEMPTY),
 )
 

@@ -142,23 +142,20 @@ class Lint(abc.ABC):
     """A single compliance check.
 
     Subclasses (or instances built by the factory helpers) provide
-    ``metadata`` plus :meth:`applies` and :meth:`check`.
+    ``metadata``, :meth:`check`, and the lint's applicability twice: as
+    the :attr:`scan` declaration production dispatches on, and as the
+    :meth:`applies` spec that :meth:`run` (and so the reference oracle)
+    executes.  The applicability property test holds the two equal.
     """
 
     metadata: LintMetadata
 
-    #: The certificate field families this lint can apply to, or ``None``
-    #: when applicability cannot be keyed on field presence.  The
-    #: contract is one-directional: ``applies(cert)`` returning True MUST
-    #: imply at least one family is present on the certificate, so the
-    #: scheduler may skip the lint (yielding the same dropped-NA outcome)
-    #: whenever every family is absent.
-    families: frozenset | None = None
-
-    #: The lint's declared scan kernel (:class:`repro.lint.compiled.ScanSpec`),
-    #: or ``None`` when the compiled plan must always run its ``applies()``
-    #: and ``check()``.  The kernel's trigger MUST be a necessary condition
-    #: for ``check()`` to fail (see DESIGN.md §12).
+    #: The lint's declared kernel (:class:`repro.lint.compiled.ScanSpec`):
+    #: its scope fixes the field families and, with its mode, when the
+    #: lint applies; its trigger MUST be a necessary condition for
+    #: ``check()`` to fail (see DESIGN.md §12).  ``None`` makes an
+    #: unscoped row, live on every certificate with ``check()`` always
+    #: run, so it fits only a lint whose ``applies()`` is always True.
     scan: ScanSpec | None = None
 
     def applies(self, cert: Certificate) -> bool:
@@ -195,11 +192,10 @@ class Lint(abc.ABC):
 class FunctionLint(Lint):
     """A lint assembled from plain functions (used by the factories)."""
 
-    def __init__(self, metadata, applies_fn, check_fn, families=None, scan=None):
+    def __init__(self, metadata, applies_fn, check_fn, scan=None):
         self.metadata = metadata
         self._applies = applies_fn
         self._check = check_fn
-        self.families = frozenset(families) if families is not None else None
         self.scan = scan
 
     def applies(self, cert: Certificate) -> bool:
@@ -273,13 +269,12 @@ class RegistryIndex:
     Built once per worker (or memoized per lint tuple) and reused across
     every certificate of a run.  Two scheduling shortcuts live here:
 
-    * **Family buckets** — each lint carries the set of field families it
-      can apply to (:attr:`Lint.families`); the runner intersects that
+    * **Family buckets** — each lint's scope names the field families it
+      can apply to (``ScanSpec.families``); the plan intersects that
       against the certificate's present-family set and skips whole
-      families with one ``isdisjoint`` call instead of invoking
-      ``applies()`` per lint.  Skipping is equivalence-preserving by the
-      families contract: family absent ⇒ ``applies()`` False ⇒ the NA
-      result the report would have dropped anyway.
+      families with one ``isdisjoint`` call.  Skipping is exact: family
+      absent ⇒ ``applies()`` False ⇒ the NA result the report would
+      have dropped anyway.
     * **Effective-date bisect** — the distinct effective dates are
       pre-sorted, so "which lints are not yet effective at ``issued_at``"
       is one :func:`bisect.bisect_right` plus a tuple lookup of the

@@ -15,12 +15,6 @@ from ..uni import is_xn_label, punycode
 from ..uni.errors import PunycodeError
 from ..x509 import AttributeTypeAndValue, Certificate, GeneralName, GeneralNameKind
 from .compiled import ScanSpec, spec_trigger
-from .context import (
-    FAMILY_ISSUER_ANY,
-    FAMILY_SUBJECT_ANY,
-    issuer_family,
-    subject_family,
-)
 from .framework import (
     FunctionLint,
     LintMetadata,
@@ -165,17 +159,16 @@ def register_lint(
     new: bool,
     applies: Callable[[Certificate], bool],
     check: Callable[[Certificate], tuple[bool, str]],
-    families: Iterable | None = None,
     scan: ScanSpec | None = None,
 ) -> FunctionLint:
     """Assemble and register a FunctionLint.
 
-    ``families`` declares the field families the lint can apply to (see
-    :class:`repro.lint.framework.RegistryIndex`); leave ``None`` when
-    ``applies`` is not keyed on field presence.  ``scan`` declares the
-    lint's compiled kernel (see :mod:`repro.lint.compiled`); leave
-    ``None`` when no trigger is a necessary condition for ``check`` to
-    fail.
+    ``scan`` declares the lint's compiled kernel (see
+    :mod:`repro.lint.compiled`): its scope is the lint's only
+    applicability declaration in production, where ``applies`` is the
+    spec the reference oracle runs.  ``None`` makes an unscoped row,
+    live on every certificate with ``check`` always run, so only a lint
+    whose ``applies`` is always True may leave it out.
     """
     metadata = LintMetadata(
         name=name,
@@ -187,7 +180,7 @@ def register_lint(
         effective_date=effective_date,
         new=new,
     )
-    return REGISTRY.register(FunctionLint(metadata, applies, check, families, scan))
+    return REGISTRY.register(FunctionLint(metadata, applies, check, scan))
 
 
 def dn_encoding_lint(
@@ -212,8 +205,9 @@ def dn_encoding_lint(
     allowed_names = {spec.name for spec in allowed}
     extractor = issuer_attrs if issuer else subject_attrs
     atoms = spec_trigger(allowed_names)
-    side = "i" if issuer else "s"
-    scan = None if atoms is None else ScanSpec((side, oid.dotted), atoms)
+    if atoms is None:
+        raise ValueError(f"{name}: no spec trigger covers {sorted(allowed_names)}")
+    scan = ScanSpec(("i" if issuer else "s", oid.dotted), atoms)
 
     def applies(cert: Certificate) -> bool:
         return bool(extractor(cert, oid))
@@ -239,7 +233,6 @@ def dn_encoding_lint(
         new=new,
         applies=applies,
         check=check,
-        families={issuer_family(oid) if issuer else subject_family(oid)},
         scan=scan,
     )
 
@@ -256,7 +249,7 @@ def dn_charset_lint(
     issuer: bool = False,
     value_predicate: Callable[[str], str | None] | None = None,
     attr_predicate: Callable[[AttributeTypeAndValue], str | None] | None = None,
-    atoms: tuple[str, ...] | None = None,
+    atoms: tuple[str, ...],
 ) -> FunctionLint:
     """Factory: run a character predicate over every DN attribute value.
 
@@ -271,8 +264,7 @@ def dn_charset_lint(
     if (value_predicate is None) == (attr_predicate is None):
         raise ValueError("provide exactly one of value_predicate/attr_predicate")
     predicate = attr_predicate or (lambda attr: value_predicate(attr.value))
-    side = "issuer" if issuer else "subject"
-    scan = None if atoms is None else ScanSpec(side, atoms)
+    scan = ScanSpec("issuer" if issuer else "subject", atoms)
 
     def applies(cert: Certificate) -> bool:
         name_obj = cert.issuer if issuer else cert.subject
@@ -297,7 +289,6 @@ def dn_charset_lint(
         new=new,
         applies=applies,
         check=check,
-        families={FAMILY_ISSUER_ANY if issuer else FAMILY_SUBJECT_ANY},
         scan=scan,
     )
 
@@ -311,8 +302,7 @@ def gn_ia5_encoding_lint(
     source: Source = Source.RFC5280,
     citation: str = "RFC 5280 4.2.1.6 (GeneralName IA5String)",
     new: bool = True,
-    families: Iterable | None = None,
-    scan: ScanSpec | None = None,
+    scan: ScanSpec,
 ) -> FunctionLint:
     """Factory: a GeneralName alternative must carry pure-IA5 octets.
 
@@ -339,6 +329,5 @@ def gn_ia5_encoding_lint(
         new=new,
         applies=applies,
         check=check,
-        families=families,
         scan=scan,
     )

@@ -11,7 +11,6 @@ from ..uni import is_nfc, nfc_violations, ulabel_to_alabel
 from ..uni.errors import IDNAError
 from ..x509 import Certificate, GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
-from .context import FAMILY_XN, ian_family, san_family, spec_family
 from .framework import (
     IDNA2008_DATE,
     NoncomplianceType,
@@ -48,7 +47,6 @@ register_lint(
     new=False,
     applies=lambda cert: any(True for _ in _utf8_attrs(cert)),
     check=_check_utf8_nfc,
-    families={spec_family("UTF8String")},
     scan=ScanSpec("utf8", ("NOT_NFC", "DECODE_BAD"), mode=APPLIES_NONEMPTY),
 )
 
@@ -79,7 +77,6 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_decodable_labels(cert)),
     check=_check_ulabel_nfc,
-    families={FAMILY_XN},
     scan=ScanSpec("xn", ("XN_NOT_NFC",), mode=APPLIES_NONEMPTY),
 )
 
@@ -109,7 +106,6 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_decodable_labels(cert)),
     check=_check_alabel_roundtrip,
-    families={FAMILY_XN},
     scan=ScanSpec("xn", ("XN_ROUNDTRIP_BAD",), mode=APPLIES_NONEMPTY),
 )
 
@@ -148,8 +144,5 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_smtp_utf8_names(cert)),
     check=_check_mailbox_nfc,
-    families={
-        san_family(GeneralNameKind.OTHER_NAME),
-        ian_family(GeneralNameKind.OTHER_NAME),
-    },
+    scan=ScanSpec("smtp", ("NOT_NFC",), APPLIES_NONEMPTY),
 )

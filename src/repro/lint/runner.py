@@ -140,10 +140,10 @@ def run_lints(
     certificate's family signature selects the live rows; each live
     scope's strings are scanned once into a char-class bitmask; and the
     signature plus those masks select a memoized verdict template: the
-    PASS results of every row the masks settle, and the few rows that
-    still run ``applies()``/``check()``.  The report is that skeleton
-    with the dynamic results spliced in.  The test-only oracle this must
-    agree with, report for report, is
+    PASS results of every row the masks settle, and the few rows whose
+    ``check()`` still runs.  The report is that skeleton with the
+    dynamic results spliced in; no lint's ``applies()`` is called.  The
+    test-only oracle this must agree with, report for report, is
     :func:`repro.lint.reference.reference_run_lints`.  Pass a prebuilt
     ``index`` (matching ``lints``) to skip the per-call memo lookup.
     """
@@ -167,27 +167,24 @@ def run_lints(
             return CertificateReport(list(static))
         results = []
         start = 0
-        for position, lint, passed, run_check in dynamic:
+        for position, lint, passed in dynamic:
             results += static[start:position]
             start = position
-            if not lint.applies(cert):
+            compliant, details = lint.check(cert)
+            if compliant:
+                results.append(passed)
                 continue
-            if run_check:
-                compliant, details = lint.check(cert)
-                if not compliant:
-                    meta = lint.metadata
-                    when = issued_at if issued_at is not None else cert.not_before
-                    if respect_effective_dates and meta.name in (
-                        index.not_effective_names(to_utc_naive(when))
-                    ):
-                        status = LintStatus.NOT_EFFECTIVE
-                    elif meta.severity is Severity.ERROR:
-                        status = LintStatus.ERROR
-                    else:
-                        status = LintStatus.WARN
-                    results.append(LintResult(meta, status, details))
-                    continue
-            results.append(passed)
+            meta = lint.metadata
+            when = issued_at if issued_at is not None else cert.not_before
+            if respect_effective_dates and meta.name in (
+                index.not_effective_names(to_utc_naive(when))
+            ):
+                status = LintStatus.NOT_EFFECTIVE
+            elif meta.severity is Severity.ERROR:
+                status = LintStatus.ERROR
+            else:
+                status = LintStatus.WARN
+            results.append(LintResult(meta, status, details))
         results += static[start:]
         return CertificateReport(results)
     finally:

@@ -13,7 +13,6 @@ from ..uni import case_fold_equal, domain_to_ascii
 from ..uni.errors import IDNAError, PunycodeError
 from ..x509 import Certificate, GeneralNameKind
 from .compiled import ScanSpec
-from .context import FAMILY_SAN_PRESENT, FAMILY_SUBJECT_ANY, subject_family
 from .framework import (
     CABF_BR_DATE,
     NoncomplianceType,
@@ -66,7 +65,6 @@ register_lint(
     new=False,
     applies=lambda cert: bool(cert.subject_common_names),
     check=_check_cn_in_san,
-    families={subject_family(OID_COMMON_NAME)},
     scan=ScanSpec("cn_san", ("CN_NOT_IN_SAN",)),
 )
 
@@ -95,7 +93,6 @@ register_lint(
     new=False,
     applies=lambda cert: not cert.subject.is_empty,
     check=_check_duplicate_attrs,
-    families={FAMILY_SUBJECT_ANY},
     scan=ScanSpec("subject", ("DUP_OID",)),
 )
 
@@ -122,8 +119,7 @@ register_lint(
     new=False,
     applies=lambda cert: bool(cert.subject_common_names),
     check=_check_extra_cn,
-    families={subject_family(OID_COMMON_NAME)},
-    scan=ScanSpec("subject", ("EXTRA_CN",)),
+    scan=ScanSpec(("s", OID_COMMON_NAME.dotted), ("EXTRA_CN",)),
 )
 
 
@@ -145,6 +141,5 @@ register_lint(
     new=False,
     applies=lambda cert: cert.san is not None,
     check=_check_san_uri,
-    families={FAMILY_SAN_PRESENT},
     scan=ScanSpec("san_entries", ("SAN_HAS_URI",)),
 )

@@ -2,8 +2,8 @@
 
 The corpus results rest on ~95 frozen lints being scheduled exactly as
 declared; this package verifies the declarations themselves.  The
-original five checker groups (family-soundness, registry-invariants,
-cache-safety, exception-hygiene, determinism) were joined by the
+registry-facing checker groups (registry-invariants, cache-safety,
+exception-hygiene, determinism) were joined by the
 whole-program concurrency/resource pass (fork-cow, async-blocking,
 pickle-boundary, resource-lifetime) built on a worker-reachability call
 graph (:mod:`~repro.staticcheck.callgraph`).
@@ -31,17 +31,15 @@ from .engine import (
     run_checkers,
     run_staticcheck,
 )
-from .families import check_family_soundness, implied_up
 from .findings import Finding, fingerprint_of, sort_key
 from .forkcow import check_fork_cow
 from .hygiene import check_exception_hygiene
 from .pickleboundary import check_pickle_boundary
 from .registry import check_registered, check_registry_invariants
-from .resolve import AppliesResolver, SourceIndex
+from .resolve import SourceIndex
 from .resourcelifetime import check_resource_lifetime
 
 __all__ = [
-    "AppliesResolver",
     "CHECKER_NAMES",
     "CallGraph",
     "DEFAULT_WORKER_ROOTS",
@@ -53,7 +51,6 @@ __all__ = [
     "check_cache_safety",
     "check_determinism",
     "check_exception_hygiene",
-    "check_family_soundness",
     "check_fork_cow",
     "check_pickle_boundary",
     "check_registered",
@@ -62,7 +59,6 @@ __all__ = [
     "concurrency_paths",
     "fingerprint_of",
     "hygiene_paths",
-    "implied_up",
     "lint_module_paths",
     "load_baseline",
     "module_name_for",

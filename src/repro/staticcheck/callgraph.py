@@ -29,7 +29,7 @@ soundness it must never miss an edge, and may include impossible ones:
 
 Known blind spots, documented for checker authors: ``@property`` bodies
 are reached only when the attribute is *called*, and dynamic dispatch
-through containers (``SCOPE_FNS[key](...)``) is invisible unless the
+through containers (``SCOPES[key][0](...)``) is invisible unless the
 functions are also referenced by name somewhere reachable.
 """
 
@@ -195,7 +195,7 @@ class CallGraph:
         self.edges: dict[str, set[str]] = {}
         self._build_edges()
         #: Functions referenced from module-scope statements — the
-        #: ``SCOPE_FNS = {"dns": _dns_shape_mask, ...}`` dispatch-table
+        #: ``SCOPES = {"dns": (_scope_dns, ...), ...}`` dispatch-table
         #: idiom.  Activated per module during reachability: once any
         #: function of a module runs in a worker, anything the module
         #: body wired into a table may run too.
@@ -347,7 +347,7 @@ class CallGraph:
         """Function idents reachable from ``roots`` (present ones).
 
         Reaching any function of a module also activates the functions
-        its module body references (dispatch tables like ``SCOPE_FNS``):
+        its module body references (dispatch tables like ``SCOPES``):
         reachable code can call through the table even though no direct
         edge names the entries.
         """

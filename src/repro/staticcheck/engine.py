@@ -2,8 +2,8 @@
 
 The engine wires the checkers to their default scopes:
 
-* **family-soundness** and **registry-invariants** run over the live
-  global registry (importing :mod:`repro.lint` populates it);
+* **registry-invariants** runs over the live global registry
+  (importing :mod:`repro.lint` populates it);
 * the **registered**-scan, **cache-safety**, and **determinism**
   checkers run over the lint definition modules;
 * **exception-hygiene** runs over the parse and service paths
@@ -26,20 +26,18 @@ from .asyncblocking import check_async_blocking
 from .baseline import load_baseline, partition
 from .cachesafety import check_cache_safety
 from .determinism import check_determinism
-from .families import check_family_soundness
 from .findings import Finding, sort_key
 from .forkcow import check_fork_cow
 from .hygiene import check_exception_hygiene
 from .pickleboundary import check_pickle_boundary
 from .registry import check_registered, check_registry_invariants
-from .resolve import AppliesResolver, SourceIndex
+from .resolve import SourceIndex
 from .resourcelifetime import check_resource_lifetime
 
 #: src/repro — the default analysis root.
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 CHECKER_NAMES = (
-    "family-soundness",
     "registry-invariants",
     "cache-safety",
     "exception-hygiene",
@@ -152,9 +150,6 @@ def run_checkers(
     if unknown:
         raise ValueError(f"unknown checkers: {', '.join(sorted(unknown))}")
     findings: list[Finding] = []
-    resolver = AppliesResolver(index)
-    if "family-soundness" in selected:
-        findings.extend(check_family_soundness(lints, index, resolver))
     if "registry-invariants" in selected:
         findings.extend(
             check_registry_invariants(lints, index, resolve_rule=resolve_rule)

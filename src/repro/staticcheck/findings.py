@@ -30,7 +30,7 @@ def fingerprint_of(checker: str, path: str, anchor: str, message: str) -> str:
 class Finding:
     """One violation reported by a staticcheck checker."""
 
-    checker: str  # e.g. "family-soundness"
+    checker: str  # e.g. "registry-invariants"
     severity: str  # "error" | "warning" | "info"
     path: str  # repo-relative posix path
     line: int

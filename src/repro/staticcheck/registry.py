@@ -8,8 +8,7 @@ registered :class:`~repro.lint.framework.Lint` objects:
   document matches the lint's :class:`Source`;
 * ``effective_date`` is not earlier than the publication date of the
   lint's source standard (a 2008 effective date on an RFC published in
-  2024 backdates findings the paper would have called NOT_EFFECTIVE);
-* ``families`` is a frozenset or None.
+  2024 backdates findings the paper would have called NOT_EFFECTIVE).
 
 AST half (:func:`check_registered`) — scans lint modules for lint
 objects that never reach a registry: a bare ``FunctionLint(...)``
@@ -117,13 +116,6 @@ def check_registry_invariants(
                 lint,
                 f"effective_date {meta.effective_date.date()} predates its "
                 f"source {meta.source.value} ({floor.date()})",
-            )
-
-        if lint.families is not None and not isinstance(lint.families, frozenset):
-            report(
-                lint,
-                f"families must be a frozenset or None, "
-                f"got {type(lint.families).__name__}",
             )
     return findings
 

@@ -7,8 +7,9 @@ that contract three ways: per-report equivalence against the reference
 oracle (:func:`repro.lint.reference.reference_run_lints`, run serially)
 over a seeded corpus (jobs 1 and 4, fork and spawn pools),
 byte-identical replay of the committed fuzz witness corpus (adversarial
-inputs are exactly where a fused scanner would diverge), and
-plan-coverage invariants against the reviewed ``UNCOMPILED_MANIFEST``.
+inputs are exactly where a fused scanner would diverge), and plan
+coverage: every registered lint is compiled, in a fresh process and
+from a sourceless install.
 """
 
 import base64
@@ -24,8 +25,8 @@ import pytest
 
 from repro.ct import CorpusGenerator
 from repro.engine import EngineStats, run_corpus
-from repro.lint import REGISTRY, index_for, run_lints, summarize, summary_to_json
-from repro.lint.compiled import UNCOMPILED_MANIFEST, warm_default_plan
+from repro.lint import REGISTRY, run_lints, summarize, summary_to_json
+from repro.lint.compiled import warm_default_plan
 from repro.lint.framework import _INDEX_MEMO
 from repro.lint.parallel import LintPool
 from repro.lint.reference import reference_run_lints
@@ -35,8 +36,8 @@ from repro.x509 import Certificate
 WITNESS_DIR = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "witnesses"
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
 
-#: Lints the default plan compiles: the registry minus the manifest.
-DEFAULT_COMPILED = 92
+#: Lints the default plan compiles: every registered lint.
+DEFAULT_COMPILED = 95
 
 
 @pytest.fixture(scope="module")
@@ -109,25 +110,9 @@ class TestWitnessReplayEquivalence:
         assert replayed >= 97
 
 
-class TestCompiledPlanCoverage:
-    def test_uncompiled_exactly_matches_manifest(self):
-        plan = index_for(REGISTRY.snapshot()).compiled_plan()
-        assert set(plan.uncompiled_names) == set(UNCOMPILED_MANIFEST)
-
-    def test_plan_partitions_the_registry(self):
-        plan = index_for(REGISTRY.snapshot()).compiled_plan()
-        registered = {lint.metadata.name for lint in REGISTRY.snapshot()}
-        compiled = set(plan.compiled_names)
-        uncompiled = set(plan.uncompiled_names)
-        assert compiled | uncompiled == registered
-        assert not compiled & uncompiled
-        # The compiler must cover the overwhelming majority of the
-        # registry — an unscoped row is the exception.
-        assert len(compiled) >= 90
-
-
-#: Lints one parsed certificate in a fresh interpreter, then prints the
-#: default plan's partition and any staticcheck module it imported.
+#: Lints one parsed certificate in a fresh interpreter, then prints how
+#: many lints the default plan compiles and any staticcheck module it
+#: imported.
 _FRESH_PROCESS_SCRIPT = """
 import datetime as dt
 import json
@@ -151,7 +136,6 @@ plan = index_for(REGISTRY.snapshot()).compiled_plan()
 print(json.dumps({
     "results": len(report.results),
     "compiled": len(plan.compiled_names),
-    "uncompiled": sorted(plan.uncompiled_names),
     "staticcheck": sorted(m for m in sys.modules if m.startswith("repro.staticcheck")),
     "origin": __import__("repro").__file__,
 }))
@@ -192,7 +176,6 @@ class TestDeclaredKernels:
         outcome = _run_fresh(tmp_path, tmp_path)
         assert outcome["origin"] == str(package / "__init__.pyc")
         assert outcome["compiled"] == DEFAULT_COMPILED
-        assert outcome["uncompiled"] == sorted(UNCOMPILED_MANIFEST)
 
 
 class TestCompileStageStats:

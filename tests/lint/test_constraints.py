@@ -8,6 +8,8 @@ from repro.lint import (
     filter_sections,
     rules_for_lint,
 )
+from repro.lint.compiled import SCOPES
+from repro.lint.constraints import _FIELD_BY_SCOPE
 from repro.lint.rfc_analyzer import (
     EXTRACTION_KEYWORDS,
     SUPPLEMENTAL_DOCUMENTS,
@@ -48,6 +50,26 @@ class TestConstraintRules:
     def test_every_rule_has_source_sections(self):
         for rule in CONSTRAINT_RULES:
             assert sections_for_rule(rule), rule.lint_name
+
+    def test_field_follows_the_scope_not_the_name(self):
+        # Each name below misleads a substring match: "jurisdiction"
+        # holds "uri", "ian_dns" holds "dns", a subject email attribute
+        # holds "email".  The field comes from the lint's scope.
+        expected = {
+            "e_subject_jurisdiction_locality_not_printable_or_utf8": "Subject",
+            "e_subject_jurisdiction_state_not_printable_or_utf8": "Subject",
+            "e_subject_jurisdiction_country_not_printable": "Subject",
+            "e_subject_email_not_ia5": "Subject",
+            "e_ext_ian_dns_not_ia5string": "IssuerAltName",
+        }
+        for name, field in expected.items():
+            assert rules_for_lint(name).field == field, name
+        dn = "DistinguishedName-->RDNSequence-->DirectoryString"
+        assert rules_for_lint("e_subject_email_not_ia5").structures == dn
+
+    def test_every_scope_files_under_a_field(self):
+        # Tuple scopes ``(side, oid)`` are filed under their side.
+        assert set(_FIELD_BY_SCOPE) == set(SCOPES) | {"s", "i"}
 
 
 class TestExtractionPipeline:

@@ -1,6 +1,6 @@
 """Soundness of the exact kernels that settle clean certificates.
 
-Four rows of the compiled plan read pseudo-atoms that are exact
+Five rows of the compiled plan read pseudo-atoms that are exact
 restatements of their lint's predicate, so a clear bit proves PASS:
 
 * ``LEAD_WS``/``TRAIL_WS`` (the two subject-DN whitespace lints) must
@@ -11,7 +11,10 @@ restatements of their lint's predicate, so a clear bit proves PASS:
 * ``CN_NOT_IN_SAN`` (the CN-in-SAN lint) must clear only when the check
   passes: compiled reports must equal the reference oracle's over
   case-variant, U-label and A-label CNs, several CNs, every SAN kind, an
-  undecodable SAN and no SAN.
+  undecodable SAN and no SAN;
+* ``NOT_NFC`` over the ``smtp`` scope (the SmtpUTF8Mailbox NFC lint):
+  an NFC mailbox in the SAN or the IAN runs no row of that lint, and a
+  non-NFC one fires with the oracle's details.
 """
 
 import datetime as dt
@@ -22,6 +25,7 @@ from repro.asn1 import PRINTABLE_STRING, UTF8_STRING
 from repro.asn1.oid import OID_EXT_SAN, OID_ORGANIZATION_NAME
 from repro.lint import compiled, run_lints
 from repro.lint.character import _leading_ws, _trailing_ws
+from repro.lint.compiled import CompiledPlan
 from repro.lint.reference import reference_run_lints
 from repro.uni import is_nfc
 from repro.x509 import (
@@ -30,6 +34,7 @@ from repro.x509 import (
     Extension,
     GeneralName,
     generate_keypair,
+    issuer_alt_name,
     subject_alt_name,
 )
 
@@ -254,3 +259,73 @@ def test_cn_san_bit_is_verbatim_membership():
         san = None if names is None else subject_alt_name(*names)
         cert = Certificate.from_der(_cn_cert(cns, san))
         assert bool(compiled._scope_cn_san(cert, None, {})) == fires, cns
+
+
+# ---------------------------------------------------------------------------
+# SmtpUTF8Mailbox NFC
+# ---------------------------------------------------------------------------
+
+MAILBOX_NFC = "e_smtp_utf8_mailbox_not_nfc"
+#: The other two mailbox lints trigger on a nonempty scope: every
+#: mailbox still runs their checks.
+MAILBOX_EVERY = {"e_smtp_utf8_mailbox_not_utf8string", "e_smtp_utf8_mailbox_ascii_only"}
+
+
+def _mailbox_cert(mailboxes, ian: bool = False) -> bytes:
+    names = [GeneralName.smtp_utf8_mailbox(mailbox) for mailbox in mailboxes]
+    builder = (
+        CertificateBuilder()
+        .subject_cn("mail.example.com", PRINTABLE_STRING)
+        .not_before(WHEN)
+    )
+    dns = GeneralName.dns("mail.example.com")
+    if ian:
+        builder.add_extension(subject_alt_name(dns))
+        builder.add_extension(issuer_alt_name(*names))
+    else:
+        builder.add_extension(subject_alt_name(dns, *names))
+    return builder.sign(KEY).to_der()
+
+
+def _dynamic_names(der: bytes, monkeypatch) -> set:
+    """Names of the lints whose ``check()`` a run of ``der`` executes."""
+    seen = []
+    original = CompiledPlan.template
+
+    def spy(self, live, masks):
+        template = original(self, live, masks)
+        seen.append(template)
+        return template
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CompiledPlan, "template", spy)
+        run_lints(Certificate.from_der(der), issued_at=WHEN)
+    (template,) = seen
+    return {lint.metadata.name for _, lint, _ in template.dynamic}
+
+
+def test_nfc_mailbox_runs_no_nfc_row(monkeypatch):
+    for ian in (False, True):
+        der = _mailbox_cert(["j\u00fcrgen@b\u00fccher.example"], ian)
+        dynamic = _dynamic_names(der, monkeypatch)
+        assert MAILBOX_NFC not in dynamic
+        assert MAILBOX_EVERY <= dynamic
+        _assert_matches_oracle(der)
+
+
+def test_non_nfc_mailbox_fires_like_the_oracle(monkeypatch):
+    for ian in (False, True):
+        der = _mailbox_cert(["ju\u0308rgen@example.com"], ian)  # decomposed
+        assert MAILBOX_NFC in _dynamic_names(der, monkeypatch)
+        report = run_lints(Certificate.from_der(der), issued_at=WHEN)
+        assert MAILBOX_NFC in report.fired_lints()
+        _assert_matches_oracle(der)
+
+
+@settings(deadline=None, max_examples=examples(100))
+@given(
+    local=st.lists(NFC_TEXT.filter(lambda text: "@" not in text), min_size=1, max_size=3),
+    ian=st.booleans(),
+)
+def test_mailbox_reports_match_the_oracle(local, ian):
+    _assert_matches_oracle(_mailbox_cert([part + "@example.com" for part in local], ian))

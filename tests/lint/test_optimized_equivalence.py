@@ -6,9 +6,10 @@ skipping + effective-date bisect + derived-view caches) must be
 be byte-identical to the reference oracle
 (:func:`repro.lint.reference.reference_run_lints`: the per-lint loop
 with caching disabled).  These tests pin that invariant over a seeded
-corpus at ``jobs=1`` and ``jobs=4``, plus cache-correctness tests
-proving mutated or rebuilt certificates never serve stale memoized
-views.
+corpus at ``jobs=1`` and ``jobs=4``, check lint by lint that the
+applicability production derives from each ``ScanSpec`` equals the
+lint's own ``applies()``, and prove mutated or rebuilt certificates
+never serve stale memoized views.
 """
 
 import datetime as dt
@@ -20,17 +21,27 @@ from repro.asn1.oid import OID_COMMON_NAME, OID_EXT_SAN, OID_ORGANIZATION_NAME
 from repro.ct import CorpusGenerator
 from repro.engine import run_corpus
 from repro.lint import REGISTRY, run_lints, summarize, summary_to_json
-from repro.lint.compiled import APPLIES_CALL
-from repro.lint.framework import RegistryIndex
+from repro.lint.compiled import (
+    APPLIES_NONEMPTY,
+    SCOPE_NONEMPTY,
+    ScanSpec,
+    resolve_scope,
+    walk_fields,
+)
+from repro.lint.context import LintContext
+from repro.lint.framework import FunctionLint
 from repro.lint.reference import reference_run_lints
 from repro.x509 import (
     AttributeTypeAndValue,
+    Certificate,
     CertificateBuilder,
     GeneralName,
     RelativeDistinguishedName,
     generate_keypair,
     subject_alt_name,
 )
+
+from .test_all_lints_reachable import KEY as VIOLATOR_KEY, VIOLATORS
 
 KEY = generate_keypair(seed=99)
 WHEN = dt.datetime(2024, 4, 1)
@@ -46,14 +57,49 @@ def _report_shape(report):
     return [(r.lint.name, r.status, r.details) for r in report.results]
 
 
-def _no_skip_index(lints):
-    """An index whose plan skips nothing: every lint's ``applies()``
-    and ``check()`` run, with no family or trigger-mask shortcut."""
-    index = RegistryIndex(lints)
-    index.compiled_plan().entries = tuple(
-        (lint, None, None, 0, APPLIES_CALL) for lint in lints
+def derived_applicability(lint, cert: Certificate) -> bool:
+    """Whether production treats ``lint`` as applicable to ``cert``.
+
+    Read from the lint's ``ScanSpec`` alone, as the compiled plan reads
+    it: one of the scope's families is in the certificate's signature
+    and, for ``APPLIES_NONEMPTY``, the scope's ``SCOPE_NONEMPTY`` bit is
+    set.  An unscoped lint applies everywhere.
+    """
+    spec = lint.scan
+    if spec is None:
+        return True
+    ctx = LintContext(cert)
+    masks: dict = {}
+    signature = ctx.families(walk_fields(cert, masks))
+    if spec.families is not None and spec.families.isdisjoint(signature):
+        return False
+    if spec.mode == APPLIES_NONEMPTY:
+        return bool(resolve_scope(spec.scope, cert, ctx, masks) & SCOPE_NONEMPTY)
+    return True
+
+
+def applicability_mismatches(lints, ders) -> list:
+    """``(lint, cert index, applies, derived)`` wherever the two differ."""
+    mismatches = []
+    for position, der in enumerate(ders):
+        for lint in lints:
+            applies = lint.applies(Certificate.from_der(der))
+            derived = derived_applicability(lint, Certificate.from_der(der))
+            if applies != derived:
+                mismatches.append((lint.metadata.name, position, applies, derived))
+    return mismatches
+
+
+def _planted_ders() -> list:
+    """One certificate per lint that violates it, plus a CN-less subject."""
+    ders = [VIOLATORS[name]().sign(VIOLATOR_KEY).to_der() for name in sorted(VIOLATORS)]
+    no_cn = (
+        CertificateBuilder()
+        .subject_attr(OID_ORGANIZATION_NAME, "Org", PRINTABLE_STRING)
+        .not_before(WHEN)
+        .sign(KEY)
     )
-    return index
+    return ders + [no_cn.to_der()]
 
 
 def _build(cn="test.example.com", san=None):
@@ -115,39 +161,36 @@ class TestReportEquivalence:
         assert not hasattr(cert, "_lint_ctx")
 
 
-class TestFamilySkipEquivalence:
-    """Family skipping must be invisible (the staticcheck hazard).
+class TestDerivedApplicability:
+    """Each lint's ``applies()`` equals what its ``ScanSpec`` derives.
 
-    A mis-declared ``families`` frozenset would make ``RegistryIndex``
-    skip a lint whose ``applies()`` would have returned True, silently
-    turning findings into NAs.  ``repro.staticcheck``'s family-soundness
-    checker proves the declarations statically; this test pins the same
-    contract dynamically: a jobs-1 run with skipping enabled must yield
-    a summary identical to a full no-skip run over the seeded corpus.
+    Production never calls ``applies()``: a live ``APPLIES_EXACT`` row
+    is applicable and an ``APPLIES_NONEMPTY`` row is applicable iff its
+    scope is nonempty.  A scope that is too wide would turn the dropped
+    NA into a PASS or a finding; one that is too narrow would drop real
+    findings.  Equality checks both directions, lint by lint.
     """
 
-    def test_jobs1_summary_identical_to_no_skip_run(self, corpus):
-        lints = REGISTRY.snapshot()
-        skipping = RegistryIndex(lints)
-        no_skip = _no_skip_index(lints)
-        with_skip = summarize(
-            run_lints(r.certificate, issued_at=r.issued_at, index=skipping)
-            for r in corpus.records
-        )
-        without_skip = summarize(
-            run_lints(r.certificate, issued_at=r.issued_at, index=no_skip)
-            for r in corpus.records
-        )
-        assert summary_to_json(with_skip) == summary_to_json(without_skip)
+    def test_seeded_corpus(self, corpus):
+        ders = [record.certificate.to_der() for record in corpus.records]
+        assert applicability_mismatches(REGISTRY.snapshot(), ders) == []
 
-    def test_per_report_skip_equivalence(self, corpus):
-        no_skip = _no_skip_index(REGISTRY.snapshot())
-        for record in corpus.records[:40]:
-            skipped = run_lints(record.certificate, issued_at=record.issued_at)
-            full = run_lints(
-                record.certificate, issued_at=record.issued_at, index=no_skip
-            )
-            assert _report_shape(skipped) == _report_shape(full)
+    def test_planted_defects(self):
+        assert applicability_mismatches(REGISTRY.snapshot(), _planted_ders()) == []
+
+    def test_too_wide_scope_is_reported(self):
+        # The extra-CN lint applies only when a CN is present; declared
+        # on the whole subject it would claim every CN-less subject.
+        source = REGISTRY.get("w_cab_subject_contain_extra_common_name")
+        widened = FunctionLint(
+            source.metadata,
+            source.applies,
+            source.check,
+            scan=ScanSpec("subject", ("EXTRA_CN",)),
+        )
+        mismatches = applicability_mismatches([widened], _planted_ders())
+        assert mismatches
+        assert all(applies is False and derived for _, _, applies, derived in mismatches)
 
 
 class TestViewCacheCorrectness:

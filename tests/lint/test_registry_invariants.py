@@ -14,6 +14,7 @@ import datetime as dt
 import pytest
 
 from repro.lint import REGISTRY
+from repro.lint.compiled import ScanSpec
 from repro.lint.constraints import CONSTRAINT_RULES, rules_for_lint
 from repro.lint.framework import FunctionLint, Severity
 from repro.staticcheck import SourceIndex, check_registry_invariants
@@ -72,9 +73,9 @@ class TestMetadataConsistency:
             assert lint.metadata.citation
             assert isinstance(lint.metadata.effective_date, dt.datetime)
 
-    def test_families_are_frozensets_or_none(self, lints):
+    def test_every_lint_declares_a_scan_spec(self, lints):
         for lint in lints:
-            assert lint.families is None or isinstance(lint.families, frozenset)
+            assert isinstance(lint.scan, ScanSpec), lint.metadata.name
 
     def test_severity_prefix_mismatches_are_pinned(self, lints):
         # One deliberate exception: the CA/B CN-in-SAN rule keeps Zlint's

@@ -17,6 +17,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.asn1.oid import OID_COMMON_NAME
 from repro.ct import CorpusGenerator
 from repro.lint import REGISTRY, run_lints
 from repro.lint import compiled
@@ -81,13 +82,11 @@ def _metadata(name: str, severity: Severity) -> LintMetadata:
 
 def _planted_compiled() -> FunctionLint:
     """A new lint the plan compiles: a known check and kernel, new name."""
-    source = REGISTRY.get("w_cab_subject_contain_extra_common_name")
     return FunctionLint(
         _metadata("w_test_template_extra_cn", Severity.WARN),
         lambda cert: bool(cert.subject_common_names),
         _check_extra_cn,
-        families=source.families,
-        scan=compiled.ScanSpec("subject", ("EXTRA_CN",)),
+        scan=compiled.ScanSpec(("s", OID_COMMON_NAME.dotted), ("EXTRA_CN",)),
     )
 
 

@@ -2,24 +2,21 @@
 
 Each checker group must fire on this module *exactly once*:
 
-1. family-soundness — ``e_fixture_wrong_family`` keys its ``applies``
-   on the SAN but declares a Subject family;
-2. registry-invariants (AST half) — ``ORPHAN`` is a ``FunctionLint``
+1. registry-invariants (AST half) — ``ORPHAN`` is a ``FunctionLint``
    never passed to a registry ``register()`` call;
-3. cache-safety — ``_mutating_check`` appends to the memoized
+2. cache-safety — ``_mutating_check`` appends to the memoized
    ``cert.san.names`` view;
-4. exception-hygiene — ``_sloppy_parse`` uses a bare ``except:``;
-5. determinism — ``_jittered_check`` calls ``random.random()``.
+3. exception-hygiene — ``_sloppy_parse`` uses a bare ``except:``;
+4. determinism — ``_jittered_check`` calls ``random.random()``.
 
-The module is imported by the tests (to hand live lint objects to the
-family checker) and scanned as source by the AST checkers; keep it
-importable and keep each violation unique.
+The module is imported by the tests (to hand its registered lint to
+the registry checkers) and scanned as source by the AST checkers; keep
+it importable and keep each violation unique.
 """
 
 import datetime as dt
 import random
 
-from repro.lint.context import FAMILY_SUBJECT_ANY
 from repro.lint.framework import (
     FunctionLint,
     LintMetadata,
@@ -44,17 +41,15 @@ def _check_ok(cert):
     return True, ""
 
 
-# Violation 1: applies() keys on the SAN, families says Subject.
-WRONG_FAMILY = FIXTURE_REGISTRY.register(
+REGISTERED = FIXTURE_REGISTRY.register(
     FunctionLint(
-        LintMetadata(name="e_fixture_wrong_family", severity=Severity.ERROR, **_META),
-        lambda cert: cert.san is not None,
+        LintMetadata(name="e_fixture_registered", severity=Severity.ERROR, **_META),
+        lambda cert: True,
         _check_ok,
-        families={FAMILY_SUBJECT_ANY},
     )
 )
 
-# Violation 2: constructed but never registered.
+# Violation 1: constructed but never registered.
 ORPHAN = FunctionLint(
     LintMetadata(name="e_fixture_orphan", severity=Severity.ERROR, **_META),
     lambda cert: True,
@@ -64,16 +59,16 @@ ORPHAN = FunctionLint(
 
 def _mutating_check(cert):
     names = cert.san.names
-    names.append(None)  # Violation 3: writes through the shared view.
+    names.append(None)  # Violation 2: writes through the shared view.
     return True, ""
 
 
 def _sloppy_parse(data):
     try:
         return int(data)
-    except:  # noqa: E722 — Violation 4: planted bare except.
+    except:  # noqa: E722 — Violation 3: planted bare except.
         return None
 
 
 def _jittered_check(cert):
-    return random.random() > 0.5, ""  # Violation 5: nondeterministic.
+    return random.random() > 0.5, ""  # Violation 4: nondeterministic.

@@ -1,15 +1,13 @@
 """Violation-free twin of ``bad_lints`` for the negative tests.
 
 Every pattern here is the *repaired* form of a planted violation: the
-declared family matches what ``applies`` reads, the lint is registered,
-the cached view is copied before mutation, the except clause is narrow,
-and nothing consults randomness or the clock.  All five checkers must
-report zero findings on this module.
+lint is registered, the cached view is copied before mutation, the
+except clause is narrow, and nothing consults randomness or the clock.
+Every checker must report zero findings on this module.
 """
 
 import datetime as dt
 
-from repro.lint.context import FAMILY_SAN_PRESENT
 from repro.lint.framework import (
     FunctionLint,
     LintMetadata,
@@ -36,12 +34,11 @@ def _check_sorted_copy(cert):
     return bool(names), ""
 
 
-RIGHT_FAMILY = FIXTURE_REGISTRY.register(
+REGISTERED = FIXTURE_REGISTRY.register(
     FunctionLint(
-        LintMetadata(name="e_fixture_right_family", severity=Severity.ERROR, **_META),
+        LintMetadata(name="e_fixture_registered", severity=Severity.ERROR, **_META),
         lambda cert: cert.san is not None,
         _check_sorted_copy,
-        families={FAMILY_SAN_PRESENT},
     )
 )
 

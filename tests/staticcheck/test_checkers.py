@@ -15,7 +15,6 @@ from repro.staticcheck import (
     check_cache_safety,
     check_determinism,
     check_exception_hygiene,
-    check_family_soundness,
     check_registered,
     check_registry_invariants,
     fingerprint_of,
@@ -34,17 +33,6 @@ def index():
 
 
 class TestPlantedViolations:
-    def test_family_soundness_fires_once(self, index):
-        findings = check_family_soundness(
-            bad_lints.FIXTURE_REGISTRY.snapshot(), index
-        )
-        assert len(findings) == 1
-        (finding,) = findings
-        assert finding.checker == "family-soundness"
-        assert finding.severity == "error"
-        assert finding.anchor == "e_fixture_wrong_family"
-        assert "san!" in finding.message
-
     def test_unregistered_lint_fires_once(self, index):
         findings = check_registered(
             [BAD], index, lints=bad_lints.FIXTURE_REGISTRY.snapshot()
@@ -81,7 +69,7 @@ class TestPlantedViolations:
 
     def test_fixture_metadata_itself_is_clean(self, index):
         # The planted module's *metadata* obeys the runtime invariants,
-        # so the five firings above stay one-per-checker.
+        # so the four firings above stay one-per-checker.
         assert (
             check_registry_invariants(
                 bad_lints.FIXTURE_REGISTRY.snapshot(), index
@@ -93,7 +81,6 @@ class TestPlantedViolations:
 class TestCleanFixture:
     def test_every_checker_is_silent(self, index):
         lints = clean_lints.FIXTURE_REGISTRY.snapshot()
-        assert check_family_soundness(lints, index) == []
         assert check_registry_invariants(lints, index) == []
         assert check_registered([CLEAN], index, lints=lints) == []
         assert check_cache_safety([CLEAN], index) == []

@@ -2,20 +2,27 @@
 
 The committed ``staticcheck_baseline.json`` accepts the reviewed
 findings on the repaired tree, so the CLI must exit 0 there; planting a
-mis-declared family into the live registry must flip the exit code to
+mis-declared lint into the live registry must flip the exit code to
 non-zero without touching the baseline.
 """
 
+import datetime as dt
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.lint.framework import (
+    FunctionLint,
+    LintMetadata,
+    NoncomplianceType,
+    Severity,
+    Source,
+)
 from repro.staticcheck import CHECKER_NAMES, load_baseline, run_staticcheck
 
 from ..registry_helpers import registered
-from .fixtures import bad_lints
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "staticcheck_baseline.json"
@@ -23,8 +30,21 @@ BASELINE = REPO_ROOT / "staticcheck_baseline.json"
 
 @pytest.fixture()
 def planted_registry():
-    """Temporarily register the fixture's mis-declared lint."""
-    with registered(bad_lints.WRONG_FAMILY) as lint:
+    """Temporarily register a lint whose ``e_`` name has WARN severity."""
+    lint = FunctionLint(
+        LintMetadata(
+            name="e_fixture_misdeclared_severity",
+            description="fixture",
+            citation="fixture citation",
+            source=Source.RFC5280,
+            severity=Severity.WARN,
+            nc_type=NoncomplianceType.INVALID_STRUCTURE,
+            effective_date=dt.datetime(2019, 1, 1),
+        ),
+        lambda cert: True,
+        lambda cert: (True, ""),
+    )
+    with registered(lint):
         yield lint
 
 

@@ -75,7 +75,7 @@ class TestCallGraph:
         assert graph.discovered_roots() == []
 
     def test_module_scope_dispatch_tables_are_reachable(self, index, tmp_path):
-        # The SCOPE_FNS idiom: functions referenced only from a
+        # The SCOPES idiom: functions referenced only from a
         # module-level dict must activate once the module is reached.
         module = tmp_path / "tableish.py"
         module.write_text(
