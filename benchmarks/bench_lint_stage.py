@@ -3,13 +3,14 @@
 Generates one seeded corpus, keeps each certificate's DER, and times
 each lint sub-stage over the whole corpus, ``--reps`` times:
 
-* ``views_families`` — a new ``LintContext`` and its ``families()`` on
+* ``views_families`` — the family signature (``walk_fields``) on
   freshly decoded certificates: the SAN/IAN/extension views, the DN
-  walk (family keys plus the subject/issuer masks), the DNS-name and
-  A-label lists;
-* ``scope_masks_cold`` — every scope mask the compiled dispatch would
-  resolve, with the process-wide string and content-keyed memos cleared
-  first (the state of every ``corpus`` operation's fresh worker);
+  and payload walks (family keys plus their masks), the GeneralName
+  kind buckets, the DNS-name and A-label lists;
+* ``scope_masks_cold`` — every other scope mask the compiled dispatch
+  would resolve after the signature, with the process-wide string and
+  content-keyed memos cleared first (the state of every ``corpus``
+  operation's fresh worker);
 * ``scope_masks_warm`` — the same with the memos already filled;
 * ``xn_analysis`` — the per-A-label IDN analysis behind the ``xn``
   scope, memo cleared: decode, permitted check, NFC and round-trip;
@@ -34,7 +35,6 @@ import time
 
 from repro.ct import CorpusGenerator
 from repro.lint import compiled
-from repro.lint.context import LintContext
 from repro.lint.framework import REGISTRY, index_for
 from repro.lint.runner import run_lints
 from repro.x509 import Certificate, certificate
@@ -65,9 +65,8 @@ def _fresh(ders):
     return [Certificate.from_der(der) for der in ders]
 
 
-def _scope_plan(plan, ctx) -> list:
-    """The scopes the compiled dispatch resolves for one certificate."""
-    present = ctx.families()
+def _scope_plan(plan, present) -> list:
+    """The scopes the compiled dispatch resolves for one signature."""
     scopes = []
     for _lint, families, scope, _trigger, _mode in plan.entries:
         if scope is None or (families is not None and families.isdisjoint(present)):
@@ -85,36 +84,37 @@ def stages(ders, issued):
     """
     index = index_for(REGISTRY.snapshot())
     plan = index.compiled_plan()
-    resolve = plan.resolve_scope
 
-    def fresh_contexts():
-        certs = _fresh(ders)
-        contexts = [LintContext(cert) for cert in certs]
-        return [(cert, ctx, _scope_plan(plan, ctx)) for cert, ctx in zip(certs, contexts)]
+    def signed_certs():
+        prepared = []
+        for cert in _fresh(ders):
+            masks: dict = {}
+            present = compiled.walk_fields(cert, masks)
+            prepared.append((cert, masks, _scope_plan(plan, present)))
+        return prepared
 
     def views_families(certs):
         for cert in certs:
-            LintContext(cert).families()
+            compiled.walk_fields(cert, {})
 
     def scope_masks(prepared):
-        for cert, ctx, scopes in prepared:
-            masks: dict = {}
+        for cert, masks, scopes in prepared:
             for scope in scopes:
                 if scope not in masks:
-                    resolve(scope, cert, ctx, masks)
+                    compiled.resolve_scope(scope, cert, masks)
 
-    def cold_contexts():
-        prepared = fresh_contexts()
+    def cold_masks():
+        prepared = signed_certs()
         clear_memos()
         return prepared
 
-    def warm_contexts():
-        prepared = fresh_contexts()
-        scope_masks(fresh_contexts())
+    def warm_masks():
+        prepared = signed_certs()
+        scope_masks(signed_certs())
         return prepared
 
     def xn_labels():
-        labels = [LintContext(cert).xn_labels() for cert in _fresh(ders)]
+        labels = [compiled.xn_labels(cert) for cert in _fresh(ders)]
         compiled._XN_MASKS.clear()
         return labels
 
@@ -125,8 +125,6 @@ def stages(ders, issued):
 
     def warm_certs():
         certs = _fresh(ders)
-        for cert in certs:
-            LintContext(cert).families()
         for cert, when in zip(certs, issued):
             run_lints(cert, issued_at=when, index=index)
         return certs
@@ -143,8 +141,8 @@ def stages(ders, issued):
 
     return {
         "views_families": (lambda: _fresh(ders), views_families),
-        "scope_masks_cold": (cold_contexts, scope_masks),
-        "scope_masks_warm": (warm_contexts, scope_masks),
+        "scope_masks_cold": (cold_masks, scope_masks),
+        "scope_masks_warm": (warm_masks, scope_masks),
         "xn_analysis": (xn_labels, xn_analysis),
         "dispatch": (warm_certs, lint_all),
         "run_lints_cold": (cold_certs, lint_all),

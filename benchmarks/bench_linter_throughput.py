@@ -10,8 +10,8 @@ Two layers:
     loop with every derived-view cache disabled), serially — kept
     callable precisely so the speedup claim is measured in the same
     tree it ships in;
-  - ``after``: the production path (per-run LintContext, RegistryIndex
-    family skipping, effective-date bisect, memoized extension/name
+  - ``after``: the production path (family signature and per-run scope
+    masks, RegistryIndex family skipping, effective-date bisect, memoized extension/name
     views, compiled char-class dispatch) through the staged
     :mod:`repro.engine` pipeline's serial executor;
   - ``after_jobs``: the production path through the process-pool
@@ -168,7 +168,7 @@ def measure(scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED, jobs: int = 
             "stages": _stage_block(before_stats),
         },
         "after": {
-            "path": "LintContext + RegistryIndex + compiled kernels, serial executor",
+            "path": "run_lints + RegistryIndex + compiled kernels, serial executor",
             "seconds": round(after_s, 3),
             "certs_per_sec": round(after_rate, 1),
             "stages": _stage_block(after_stats),

@@ -25,12 +25,7 @@ injectable :class:`EngineStats` collector:
 from .executors import PoolExecutor, SerialExecutor
 from .ingest import IngestError, SourceItem, corpus_records, read_path, sniff_certificate_bytes
 from .pipeline import Engine, EngineItem, increment_pairs, run_corpus, run_increment
-from .sinks import (
-    SummarySink,
-    merge_shard_results,
-    render_json_report,
-    render_text_report,
-)
+from .sinks import merge_shard_results, render_text_report
 from .stats import EngineStats, StageTimings
 from .windows import (
     Alert,
@@ -55,7 +50,6 @@ __all__ = [
     "SerialExecutor",
     "SourceItem",
     "StageTimings",
-    "SummarySink",
     "TimedBatch",
     "WindowConfig",
     "WindowStats",
@@ -66,7 +60,6 @@ __all__ = [
     "lint_ders_timed",
     "merge_shard_results",
     "read_path",
-    "render_json_report",
     "render_text_report",
     "run_corpus",
     "run_increment",

@@ -11,9 +11,10 @@ once instead of four times:
   shard-task serialization for corpora;
 * **decode** — ``Certificate.from_der`` with parse errors *recorded* on
   the item (taxonomy code + message), never silently swallowed;
-* **lint** — ``LintContext`` + ``RegistryIndex`` execution via a
-  pluggable executor (:mod:`repro.engine.executors`): inline serial
-  (the reference semantics) or a process pool;
+* **lint** — :func:`~repro.lint.runner.run_lints` over a
+  ``RegistryIndex`` via a pluggable executor
+  (:mod:`repro.engine.executors`): inline serial (the reference
+  semantics) or a process pool;
 * **sink** — CLI JSON/text documents, exact ``CorpusSummary`` merge, or
   the service response body (:mod:`repro.engine.sinks`).
 
@@ -33,17 +34,17 @@ from dataclasses import dataclass
 from ..lint.parallel import (
     ParallelLintOutcome,
     build_pair_shard_tasks,
-    build_shard_tasks,
     build_store_shard_tasks,
     default_shard_count,
     resolve_jobs,
     shard_bounds,
 )
 from ..lint.runner import CertificateReport, run_lints
+from ..lint.serialization import report_to_json
 from ..x509 import Certificate
 from .executors import PoolExecutor, SerialExecutor
 from .ingest import IngestError, corpus_records, sniff_certificate_bytes
-from .sinks import merge_shard_results, render_json_report, render_text_report
+from .sinks import merge_shard_results, render_text_report
 from .stats import EngineStats
 
 
@@ -152,7 +153,7 @@ class Engine:
     def render_json(self, item: EngineItem) -> str:
         """Sink stage: the CLI-identical JSON document for one item."""
         with self.stats.time("sink", items=1):
-            return render_json_report(item.report, item.cert)
+            return report_to_json(item.report, item.cert)
 
     def render_text(self, item: EngineItem) -> list[str]:
         """Sink stage: the CLI's human-readable report lines."""
@@ -345,7 +346,9 @@ class Engine:
             if store is not None:
                 return build_store_shard_tasks(store.path, total, shards, **task_kwargs)
             if not distributed:
-                return build_shard_tasks(records, shards, **task_kwargs)
+                return build_pair_shard_tasks(
+                    increment_pairs(records), shards, **task_kwargs
+                )
             # Zero-copy dispatch: one sequential substrate write here
             # beats pickling every shard's DER into the executor pipe —
             # tasks become O(1) references and the bytes reach workers

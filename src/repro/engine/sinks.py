@@ -1,30 +1,25 @@
 """Sink stage: turn lint results into each entry point's output shape.
 
-Three sinks cover the repo's surfaces, all byte-compatible with the
+The sinks cover the repo's surfaces, all byte-compatible with the
 pre-engine code paths they replaced:
 
-* :func:`render_json_report` — the ``python -m repro lint --json``
-  document (also the service response body, which appends the trailing
-  newline ``print()`` would have added);
+* :func:`repro.lint.serialization.report_to_json` — the
+  ``python -m repro lint --json`` document (also the service response
+  body, which appends the trailing newline ``print()`` would have
+  added);
 * :func:`render_text_report` — the human CLI report lines;
-* :class:`SummarySink` — the exact :class:`CorpusSummary` merge over
-  per-shard results (Tables 1/11 aggregation), preserving corpus order
-  for collected reports.
+* :func:`merge_shard_results` — the exact :class:`CorpusSummary` merge
+  over per-shard results (Tables 1/11 aggregation), preserving corpus
+  order for collected reports.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..lint.parallel import ParallelLintOutcome, ShardResult
 from ..lint.runner import CertificateReport, CorpusSummary
-from ..lint.serialization import report_to_json
 from ..x509 import Certificate
-
-
-def render_json_report(report: CertificateReport, cert: Certificate) -> str:
-    """One certificate's report as the CLI-identical JSON document."""
-    return report_to_json(report, cert)
 
 
 def render_text_report(report: CertificateReport, cert: Certificate) -> list[str]:
@@ -50,7 +45,9 @@ def render_text_report(report: CertificateReport, cert: Certificate) -> list[str
     return lines
 
 
-class SummarySink:
+def merge_shard_results(
+    results: Iterable[ShardResult], jobs: int, collect_reports: bool = False
+) -> ParallelLintOutcome:
     """Fold per-shard results into one exact corpus outcome.
 
     Results are re-ordered by shard index before merging, so streaming
@@ -58,28 +55,13 @@ class SummarySink:
     the merge algebra plus this canonical ordering is what makes
     ``--jobs N`` byte-identical to ``--jobs 1``.
     """
-
-    def collect(
-        self,
-        results: Iterable[ShardResult],
-        jobs: int,
-        collect_reports: bool = False,
-    ) -> ParallelLintOutcome:
-        """Merge shard results into a :class:`ParallelLintOutcome`."""
-        ordered = sorted(results, key=lambda r: r.index)
-        summary = CorpusSummary.merged(r.summary for r in ordered)
-        reports: list[CertificateReport] | None = None
-        if collect_reports:
-            reports = []
-            for shard in ordered:
-                reports.extend(shard.reports or [])
-        return ParallelLintOutcome(
-            summary=summary, reports=reports, jobs=jobs, shards=len(ordered)
-        )
-
-
-def merge_shard_results(
-    results: Sequence[ShardResult], jobs: int, collect_reports: bool = False
-) -> ParallelLintOutcome:
-    """Function-style convenience over :class:`SummarySink`."""
-    return SummarySink().collect(results, jobs, collect_reports)
+    ordered = sorted(results, key=lambda r: r.index)
+    summary = CorpusSummary.merged(r.summary for r in ordered)
+    reports: list[CertificateReport] | None = None
+    if collect_reports:
+        reports = []
+        for shard in ordered:
+            reports.extend(shard.reports or [])
+    return ParallelLintOutcome(
+        summary=summary, reports=reports, jobs=jobs, shards=len(ordered)
+    )

@@ -31,7 +31,6 @@ from .framework import (
     Source,
     index_for,
 )
-from .context import LintContext
 
 # Populate the registry (import order is unimportant; names are unique).
 from . import character  # noqa: F401  (T1)
@@ -78,7 +77,6 @@ __all__ = [
     "shard_bounds",
     "REGISTRY",
     "RegistryIndex",
-    "LintContext",
     "index_for",
     "Lint",
     "LintMetadata",

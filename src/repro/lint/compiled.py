@@ -54,23 +54,13 @@ from ..uni import (
     has_unpermitted,
     is_ldh_label,
     is_nfc,
+    is_xn_label,
     punycode,
 )
 from ..uni.errors import PunycodeError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
 from ..x509 import GeneralNameKind
 from ..x509.certificate import VIEWS
-from .context import (
-    FAMILY_AIA,
-    FAMILY_CP,
-    FAMILY_CRLDP,
-    FAMILY_DNS,
-    FAMILY_ISSUER_ANY,
-    FAMILY_SAN_PRESENT,
-    FAMILY_SIA,
-    FAMILY_SUBJECT_ANY,
-    FAMILY_XN,
-)
 from .framework import LintResult, LintStatus
 
 # ---------------------------------------------------------------------------
@@ -375,36 +365,82 @@ def _xn_label_mask(label: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scopes: string sources on the certificate.  Each scope function receives
-# the per-certificate ``masks`` memo, stores its own key (plus any sibling
-# keys one walk can fill), and returns the scope's mask.
+# Scopes: string sources on the certificate.  :func:`walk_fields` builds
+# the family signature and fills the per-certificate ``masks`` memo with
+# the DN, payload and GeneralName entries; each scope function then reads
+# that memo, stores its own key, and returns the scope's mask.
 # ---------------------------------------------------------------------------
 
+# Family keys of the signature.  A certificate's present-family set is
+# compared against the families each lint's scope gives (:data:`SCOPES`).
+# Beside these names, a DN attribute of OID ``oid`` gives
+# ``("s", oid.dotted)``/``("i", ...)``, its declared string type
+# ``("spec", type_name)``, and a SAN/IAN GeneralName of kind ``k`` gives
+# ``("san", int(k))``/``("ian", ...)``.
+FAMILY_SUBJECT_ANY = "s*"
+FAMILY_ISSUER_ANY = "i*"
+FAMILY_SAN_PRESENT = "san!"
+FAMILY_IAN_PRESENT = "ian!"
+FAMILY_DNS = "dns"
+FAMILY_XN = "xn"
+FAMILY_AIA = "e:aia"
+FAMILY_SIA = "e:sia"
+FAMILY_CRLDP = "e:crldp"
+FAMILY_CP = "e:cp"
 
-def _walk_side(cert, masks: dict, side: str, families: set | None = None) -> int:
+_DNS_KIND = GeneralNameKind.DNS_NAME
+
+
+def all_dns_names(cert) -> list[str]:
+    """Distinct DNSNames in SAN plus DNS-shaped CommonNames, in order."""
+    san = cert.san
+    names = (
+        [gn.value for gn in san.names if gn.kind is _DNS_KIND]
+        if san is not None
+        else []
+    )
+    for cn in cert.subject_common_names:
+        if "." in cn and " " not in cn and "@" not in cn:
+            names.append(cn)
+    # A CN repeated in the SAN (the CA/B-mandated layout) must not yield
+    # the name twice — per-name lint messages would double-count it.
+    return list(dict.fromkeys(names))
+
+
+def _alabels(dns_names) -> list[str]:
+    return [
+        label
+        for dns_name in dns_names
+        for label in dns_name.split(".")
+        if is_xn_label(label)
+    ]
+
+
+def xn_labels(cert) -> list[str]:
+    """All ``xn--`` (A-label) DNS labels across the cert's DNS names."""
+    return _alabels(all_dns_names(cert))
+
+
+def _walk_side(cert, masks: dict, side: str, families: set) -> None:
     """One pass over a DN: whole-side, per-OID, and per-spec masks.
 
     Fills ``masks[side_key]``, ``masks[(side, oid.dotted)]`` for every
     present attribute OID, and the PrintableString/UTF8String partial
     masks the ``ps``/``utf8`` scopes assemble.  Sets ``DUP_OID`` when an
     OID repeats and, on the subject's CommonName bucket, ``EXTRA_CN``
-    for >1 CommonName.
-    ``families``, when given, also collects the side's family keys
-    (those :meth:`LintContext.families` derives from the DN).
+    for >1 CommonName.  Adds the side's family keys to ``families``.
 
     The issuer side of a parsed certificate is a function of its
     received bytes, so its entries and family keys come from
     :data:`_ISSUER_WALKS`; on a hit the issuer ``Name`` is not read.
     """
-    side_key = "subject" if side == "s" else "issuer"
-    mask = masks.get(side_key)
-    if mask is not None:
-        return mask
     if side == "s":
-        return _walk_name(cert.subject, masks, side, families)
+        _walk_name(cert.subject, masks, side, families)
+        return
     der = cert._issuer_der
     if der is None:  # built, or ``issuer`` reassigned
-        return _walk_name(cert.issuer, masks, side, families)
+        _walk_name(cert.issuer, masks, side, families)
+        return
     walked = _ISSUER_WALKS.get(der)
     if walked is None:
         side_masks: dict = {}
@@ -413,12 +449,10 @@ def _walk_side(cert, masks: dict, side: str, families: set | None = None) -> int
         walked = (tuple(side_masks.items()), frozenset(side_families))
         _ISSUER_WALKS[der] = walked
     masks.update(walked[0])
-    if families is not None:
-        families.update(walked[1])
-    return masks[side_key]
+    families.update(walked[1])
 
 
-def _walk_name(name_obj, masks: dict, side: str, families: set | None) -> int:
+def _walk_name(name_obj, masks: dict, side: str, families: set) -> None:
     """The DN walk of :func:`_walk_side` over one decoded ``Name``."""
     mask = 0
     ps = 0
@@ -428,7 +462,7 @@ def _walk_name(name_obj, masks: dict, side: str, families: set | None) -> int:
     attrs = name_obj.attributes()
     # ``s*``/``i*`` mirror ``not name.is_empty``, the DN lints' applies():
     # a DN of empty RDNs has no attributes yet is not empty.
-    if families is not None and name_obj.rdns:
+    if name_obj.rdns:
         families.add(FAMILY_SUBJECT_ANY if side == "s" else FAMILY_ISSUER_ANY)
     for attr in attrs:
         spec_name = attr.spec.name
@@ -442,9 +476,8 @@ def _walk_name(name_obj, masks: dict, side: str, families: set | None) -> int:
             am |= _EMPTY_NORAW
         dotted = attr.oid.dotted
         oid_key = (side, dotted)
-        if families is not None:
-            families.add(oid_key)
-            families.add(("spec", spec_name))
+        families.add(oid_key)
+        families.add(("spec", spec_name))
         prev = masks.get(oid_key)
         if prev is None:
             masks[oid_key] = am
@@ -463,23 +496,48 @@ def _walk_name(name_obj, masks: dict, side: str, families: set | None) -> int:
     masks["subject" if side == "s" else "issuer"] = mask
     masks["_ps_" + side] = ps
     masks["_u8_" + side] = u8
-    return mask
 
 
-def walk_fields(cert, masks: dict) -> set:
-    """Walk both DNs and the CA payload slots into ``masks``.
+def walk_fields(cert, masks: dict) -> frozenset:
+    """The certificate's family signature; fills ``masks`` on the way.
 
-    Returns the family keys those fields give: the DN part and the
-    AIA/SIA/CRLDP/CP presence keys.  The runner passes the result to
-    :meth:`LintContext.families`, so each field is walked once per run
-    for both the signature and the scope masks.  ``masks`` must not
-    hold either DN side's keys yet (a filled side is not walked again).
+    Each field is walked once for both the signature and the scope
+    masks: both DNs and the CA payload slots fill their mask entries
+    and family keys, and one loop over each of the SAN and the IAN
+    buckets its GeneralNames by kind (``masks["_san"]``/
+    ``masks["_ian"]``: kind -> names) and adds the kinds' family keys.
+    The DNS-name list and its A-labels (``masks["_dns_names"]``/
+    ``masks["_xn_labels"]``) give the ``dns``/``xn`` families.  The
+    scope functions read these entries, so ``masks`` must start empty
+    for the run and pass through here before :func:`resolve_scope`.
     """
-    families: set = set()
-    _walk_side(cert, masks, "s", families)
-    _walk_side(cert, masks, "i", families)
-    walk_payloads(cert, masks, families)
-    return families
+    present: set = set()
+    _walk_side(cert, masks, "s", present)
+    _walk_side(cert, masks, "i", present)
+    walk_payloads(cert, masks, present)
+    for source, family, general_names in (
+        ("san", FAMILY_SAN_PRESENT, cert.san),
+        ("ian", FAMILY_IAN_PRESENT, cert.ian),
+    ):
+        by_kind: dict = {}
+        if general_names is not None:
+            present.add(family)
+            for gn in general_names.names:
+                bucket = by_kind.get(gn.kind)
+                if bucket is None:
+                    by_kind[gn.kind] = [gn]
+                else:
+                    bucket.append(gn)
+            for kind in by_kind:
+                present.add((source, int(kind)))
+        masks["_" + source] = by_kind
+    dns_names = masks["_dns_names"] = all_dns_names(cert)
+    labels = masks["_xn_labels"] = _alabels(dns_names)
+    if dns_names:
+        present.add(FAMILY_DNS)
+        if labels:
+            present.add(FAMILY_XN)
+    return frozenset(present)
 
 
 def _aia_entries(aia) -> tuple:
@@ -563,7 +621,7 @@ _PAYLOAD_ZEROS = {
 }
 
 
-def walk_payloads(cert, masks: dict, families: set | None = None) -> None:
+def walk_payloads(cert, masks: dict, families: set) -> None:
     """Fill the AIA/SIA/CRLDP/CP scope masks; collect presence families.
 
     One pass over ``cert.extensions`` finds each slot's extension (the
@@ -587,51 +645,30 @@ def walk_payloads(cert, masks: dict, families: set | None = None) -> None:
             record = _PAYLOADS[key] = (view is not None, entries(view))
         decodes, slot_masks = record
         masks.update(slot_masks)
-        if decodes and families is not None:
+        if decodes:
             families.add(family)
 
 
-def _scope_subject(cert, ctx, masks):
-    return _walk_side(cert, masks, "s")
+def _filled(key: str):
+    """The scope fn of a mask key :func:`walk_fields` always fills."""
+
+    def fn(cert, masks):
+        return masks[key]
+
+    return fn
 
 
-def _scope_issuer(cert, ctx, masks):
-    return _walk_side(cert, masks, "i")
-
-
-def _scope_dn(cert, ctx, masks):
-    mask = _walk_side(cert, masks, "s") | _walk_side(cert, masks, "i")
-    masks["dn"] = mask
-    return mask
-
-
-def _scope_ps(cert, ctx, masks):
-    _walk_side(cert, masks, "s")
-    _walk_side(cert, masks, "i")
-    mask = masks["_ps_s"] | masks["_ps_i"]
-    masks["ps"] = mask
-    return mask
-
-
-def _scope_utf8(cert, ctx, masks):
-    _walk_side(cert, masks, "s")
-    _walk_side(cert, masks, "i")
-    mask = masks["_u8_s"] | masks["_u8_i"]
-    masks["utf8"] = mask
-    return mask
-
-
-def _scope_dns(cert, ctx, masks):
+def _scope_dns(cert, masks):
     mask = 0
-    for dns_name in ctx.all_dns_names():
+    for dns_name in masks["_dns_names"]:
         mask |= _dns_shape_mask(dns_name)
     masks["dns"] = mask
     return mask
 
 
-def _scope_xn(cert, ctx, masks):
+def _scope_xn(cert, masks):
     mask = 0
-    for label in ctx.xn_labels():
+    for label in masks["_xn_labels"]:
         mask |= _xn_label_mask(label)
     masks["xn"] = mask
     return mask
@@ -651,56 +688,33 @@ def _gn_mask(general_names, value_fn) -> int:
 
 def _kind_scope(key: str, source: str, kind, value_fn):
     """The scope fn and family of one SAN/IAN GeneralName kind bucket."""
+    bucket = "_" + source
 
-    def fn(cert, ctx, masks):
-        names = ctx.san_names(kind) if source == "san" else ctx.ian_names(kind)
-        mask = _gn_mask(names, value_fn)
-        masks[key] = mask
+    def fn(cert, masks):
+        mask = masks[key] = _gn_mask(masks[bucket].get(kind), value_fn)
         return mask
 
     return fn, {(source, int(kind))}
 
 
-def _get(scope, cert, ctx, masks):
+def _get(scope, cert, masks):
     mask = masks.get(scope)
     if mask is None:
-        mask = SCOPES[scope][0](cert, ctx, masks)
+        mask = SCOPES[scope][0](cert, masks)
     return mask
 
 
-def _scope_email_all(cert, ctx, masks):
-    mask = _get("san_email", cert, ctx, masks) | _get("ian_email", cert, ctx, masks)
-    masks["email_all"] = mask
-    return mask
+def _union(key: str, left: str, right: str):
+    """The scope fn of ``left | right``: scopes or filled mask keys."""
 
-
-def _scope_uri_all(cert, ctx, masks):
-    mask = _get("san_uri", cert, ctx, masks) | _get("ian_uri", cert, ctx, masks)
-    masks["uri_all"] = mask
-    return mask
-
-
-def _scope_uris_scheme(cert, ctx, masks):
-    crldp_uris = masks.get("_uris_crldp")
-    if crldp_uris is None:
-        walk_payloads(cert, masks)
-        crldp_uris = masks["_uris_crldp"]
-    mask = _get("uri_all", cert, ctx, masks) | crldp_uris
-    masks["uris_scheme"] = mask
-    return mask
-
-
-def _make_payload_scope(key: str):
-    """Build the scope fn for one mask key :func:`walk_payloads` fills."""
-
-    def fn(cert, ctx, masks):
-        walk_payloads(cert, masks)
-        return masks[key]
+    def fn(cert, masks):
+        mask = masks[key] = _get(left, cert, masks) | _get(right, cert, masks)
+        return mask
 
     return fn
 
 
-def _scope_san_entries(cert, ctx, masks):
+def _scope_san_entries(cert, masks):
     san = cert.san
     mask = 0
     if san is not None:
@@ -722,7 +736,7 @@ def _scope_san_entries(cert, ctx, masks):
     return mask
 
 
-def _scope_cn_san(cert, ctx, masks):
+def _scope_cn_san(cert, masks):
     """``CN_NOT_IN_SAN`` unless every subject CN is a verbatim SAN value.
 
     A verbatim member is the first thing the CN-in-SAN check accepts, so
@@ -740,19 +754,18 @@ def _scope_cn_san(cert, ctx, masks):
     return mask
 
 
-def _scope_smtp(cert, ctx, masks):
+def _scope_smtp(cert, masks):
     """The SmtpUTF8Mailbox otherName values of the SAN and the IAN."""
     mask = 0
     kind = GeneralNameKind.OTHER_NAME
-    for names in (ctx.san_names(kind), ctx.ian_names(kind)):
-        for gn in names:
+    for by_kind in (masks["_san"], masks["_ian"]):
+        for gn in by_kind.get(kind, ()):
             if gn.other_name_oid == OID_ON_SMTP_UTF8_MAILBOX:
                 mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
     masks["smtp"] = mask
     return mask
 
 
-_DNS_KIND = GeneralNameKind.DNS_NAME
 _EMAIL_KIND = GeneralNameKind.RFC822_NAME
 _URI_KIND = GeneralNameKind.URI
 _OTHER_NAME = int(GeneralNameKind.OTHER_NAME)
@@ -761,18 +774,18 @@ _SAN_URI, _IAN_URI = ("san", int(_URI_KIND)), ("ian", int(_URI_KIND))
 
 #: Every named scope: ``(walker, family keys)``.  The family keys are
 #: the certificate fields a scoped lint can apply to: a row is live only
-#: on a certificate whose family signature (:meth:`LintContext.families`)
-#: holds one of them, and ``None`` makes it live on every certificate.
-#: A tuple scope ``(side, oid_dotted)`` is not listed: it is its own
+#: on a certificate whose family signature (:func:`walk_fields`) holds
+#: one of them, and ``None`` makes it live on every certificate.  A
+#: tuple scope ``(side, oid_dotted)`` is not listed: it is its own
 #: family key.
 SCOPES = {
     name: (fn, None if keys is None else frozenset(keys))
     for name, (fn, keys) in {
-        "subject": (_scope_subject, {FAMILY_SUBJECT_ANY}),
-        "issuer": (_scope_issuer, {FAMILY_ISSUER_ANY}),
-        "dn": (_scope_dn, None),
-        "ps": (_scope_ps, {("spec", "PrintableString")}),
-        "utf8": (_scope_utf8, {("spec", "UTF8String")}),
+        "subject": (_filled("subject"), {FAMILY_SUBJECT_ANY}),
+        "issuer": (_filled("issuer"), {FAMILY_ISSUER_ANY}),
+        "dn": (_union("dn", "subject", "issuer"), None),
+        "ps": (_union("ps", "_ps_s", "_ps_i"), {("spec", "PrintableString")}),
+        "utf8": (_union("utf8", "_u8_s", "_u8_i"), {("spec", "UTF8String")}),
         "dns": (_scope_dns, {FAMILY_DNS}),
         "xn": (_scope_xn, {FAMILY_XN}),
         "san_dns": _kind_scope("san_dns", "san", _DNS_KIND, scan_mask),
@@ -781,14 +794,20 @@ SCOPES = {
         "ian_dns": _kind_scope("ian_dns", "ian", _DNS_KIND, scan_mask),
         "ian_email": _kind_scope("ian_email", "ian", _EMAIL_KIND, _email_shape_mask),
         "ian_uri": _kind_scope("ian_uri", "ian", _URI_KIND, _uri_shape_mask),
-        "email_all": (_scope_email_all, {_SAN_EMAIL, _IAN_EMAIL}),
-        "uri_all": (_scope_uri_all, {_SAN_URI, _IAN_URI}),
-        "uris_scheme": (_scope_uris_scheme, {FAMILY_CRLDP, _SAN_URI, _IAN_URI}),
-        "crldp": (_make_payload_scope("crldp"), {FAMILY_CRLDP}),
-        "aia_uris": (_make_payload_scope("aia_uris"), {FAMILY_AIA}),
-        "sia_uris": (_make_payload_scope("sia_uris"), {FAMILY_SIA}),
-        "cp_text": (_make_payload_scope("cp_text"), {FAMILY_CP}),
-        "cps_uris": (_make_payload_scope("cps_uris"), {FAMILY_CP}),
+        "email_all": (
+            _union("email_all", "san_email", "ian_email"),
+            {_SAN_EMAIL, _IAN_EMAIL},
+        ),
+        "uri_all": (_union("uri_all", "san_uri", "ian_uri"), {_SAN_URI, _IAN_URI}),
+        "uris_scheme": (
+            _union("uris_scheme", "uri_all", "_uris_crldp"),
+            {FAMILY_CRLDP, _SAN_URI, _IAN_URI},
+        ),
+        "crldp": (_filled("crldp"), {FAMILY_CRLDP}),
+        "aia_uris": (_filled("aia_uris"), {FAMILY_AIA}),
+        "sia_uris": (_filled("sia_uris"), {FAMILY_SIA}),
+        "cp_text": (_filled("cp_text"), {FAMILY_CP}),
+        "cps_uris": (_filled("cps_uris"), {FAMILY_CP}),
         "san_entries": (_scope_san_entries, {FAMILY_SAN_PRESENT}),
         "cn_san": (_scope_cn_san, {("s", _CN_DOTTED)}),
         "smtp": (_scope_smtp, {("san", _OTHER_NAME), ("ian", _OTHER_NAME)}),
@@ -796,22 +815,19 @@ SCOPES = {
 }
 
 
-def resolve_scope(scope, cert, ctx, masks: dict) -> int:
+def resolve_scope(scope, cert, masks: dict) -> int:
     """Compute (and memoize in ``masks``) one scope's mask for a cert.
 
+    ``masks`` is the memo :func:`walk_fields` filled for ``cert``.
     Named scopes dispatch through :data:`SCOPES`; tuple scopes
-    ``(side, oid_dotted)`` are per-OID DN buckets filled by the side
-    walk (absent OIDs resolve to 0, though the family gate means the
-    runner only asks for OIDs that are present).
+    ``(side, oid_dotted)`` are the per-OID DN buckets of that walk
+    (absent OIDs resolve to 0, though the family gate means the runner
+    only asks for OIDs that are present).
     """
     entry = SCOPES.get(scope)
     if entry is not None:
-        return entry[0](cert, ctx, masks)
-    _walk_side(cert, masks, scope[0])
-    mask = masks.get(scope)
-    if mask is None:
-        mask = masks[scope] = 0
-    return mask
+        return entry[0](cert, masks)
+    return masks.setdefault(scope, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +957,6 @@ class CompiledPlan:
         "_live",
         "_templates",
         "compiled_names",
-        "resolve_scope",
     )
 
     def __init__(self, lints):
@@ -960,7 +975,6 @@ class CompiledPlan:
             for lint in lints
         }
         self.compiled_names = frozenset(compiled)
-        self.resolve_scope = resolve_scope
         self._live = ProcessMemo(_TEMPLATE_MEMO_MAX)
         self._templates = ProcessMemo(_TEMPLATE_MEMO_MAX)
 

@@ -11,10 +11,10 @@ from ..asn1 import (
     UTF8_STRING,
 )
 from ..asn1.oid import ObjectIdentifier
-from ..uni import is_xn_label, punycode
+from ..uni import punycode
 from ..uni.errors import PunycodeError
 from ..x509 import AttributeTypeAndValue, Certificate, GeneralName, GeneralNameKind
-from .compiled import ScanSpec, spec_trigger
+from .compiled import ScanSpec, all_dns_names, spec_trigger, xn_labels
 from .framework import (
     FunctionLint,
     LintMetadata,
@@ -53,7 +53,8 @@ def describe_chars(chars: Iterable[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Field extractors
+# Field extractors.  ``all_dns_names`` and ``xn_labels`` are imported from
+# :mod:`repro.lint.compiled`, whose family signature is built from them.
 # ---------------------------------------------------------------------------
 
 
@@ -69,9 +70,6 @@ def issuer_attrs(cert: Certificate, oid: ObjectIdentifier) -> list[AttributeType
 
 def san_names(cert: Certificate, kind: GeneralNameKind) -> list[GeneralName]:
     """SAN GeneralNames of one kind (empty when no SAN)."""
-    ctx = getattr(cert, "_lint_ctx", None)
-    if ctx is not None:
-        return ctx.san_names(kind)
     san = cert.san
     if san is None:
         return []
@@ -80,50 +78,10 @@ def san_names(cert: Certificate, kind: GeneralNameKind) -> list[GeneralName]:
 
 def ian_names(cert: Certificate, kind: GeneralNameKind) -> list[GeneralName]:
     """IAN GeneralNames of one kind (empty when no IAN)."""
-    ctx = getattr(cert, "_lint_ctx", None)
-    if ctx is not None:
-        return ctx.ian_names(kind)
     ian = cert.ian
     if ian is None:
         return []
     return [gn for gn in ian.names if gn.kind is kind]
-
-
-def compute_all_dns_names(cert: Certificate) -> list[str]:
-    """Uncontexted :func:`all_dns_names` (also the LintContext fill path)."""
-    san = cert.san
-    names = (
-        [gn.value for gn in san.names if gn.kind is GeneralNameKind.DNS_NAME]
-        if san is not None
-        else []
-    )
-    for cn in cert.subject_common_names:
-        if "." in cn and " " not in cn and "@" not in cn:
-            names.append(cn)
-    # A CN repeated in the SAN (the CA/B-mandated layout) must not yield
-    # the name twice — per-name lint messages would double-count it.
-    return list(dict.fromkeys(names))
-
-
-def all_dns_names(cert: Certificate) -> list[str]:
-    """Distinct DNSNames in SAN plus DNS-shaped CommonNames, in order."""
-    ctx = getattr(cert, "_lint_ctx", None)
-    if ctx is not None:
-        return ctx.all_dns_names()
-    return compute_all_dns_names(cert)
-
-
-def xn_labels(cert: Certificate) -> list[str]:
-    """All ``xn--`` (A-label) DNS labels across the cert's DNS names."""
-    ctx = getattr(cert, "_lint_ctx", None)
-    if ctx is not None:
-        return ctx.xn_labels()
-    return [
-        label
-        for dns_name in all_dns_names(cert)
-        for label in dns_name.split(".")
-        if is_xn_label(label)
-    ]
 
 
 def decode_alabel(label: str) -> tuple[str, str | None, PunycodeError | None]:
@@ -135,10 +93,7 @@ def decode_alabel(label: str) -> tuple[str, str | None, PunycodeError | None]:
 
 
 def alabel_decodings(cert: Certificate) -> list[tuple[str, str | None, PunycodeError | None]]:
-    """Punycode decode outcome for every A-label (memoized per run)."""
-    ctx = getattr(cert, "_lint_ctx", None)
-    if ctx is not None:
-        return ctx.alabel_decodings()
+    """Punycode decode outcome for every A-label, in order."""
     return [decode_alabel(label) for label in xn_labels(cert)]
 
 

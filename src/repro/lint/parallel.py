@@ -473,34 +473,6 @@ class LintPool:
         self.shutdown()
 
 
-def _records_of(corpus) -> list:
-    """Accept a :class:`repro.ct.corpus.Corpus` or a plain record list."""
-    return list(getattr(corpus, "records", corpus))
-
-
-def build_shard_tasks(
-    corpus,
-    shards: int,
-    respect_effective_dates: bool = True,
-    collect_reports: bool = False,
-) -> list[ShardTask]:
-    """Serialize a corpus into deterministic per-shard worker tasks."""
-    records = _records_of(corpus)
-    tasks: list[ShardTask] = []
-    for index, (start, stop) in enumerate(shard_bounds(len(records), shards)):
-        chunk = records[start:stop]
-        tasks.append(
-            ShardTask(
-                index=index,
-                certs_der=tuple(r.certificate.to_der() for r in chunk),
-                issued_at=tuple(r.issued_at for r in chunk),
-                respect_effective_dates=respect_effective_dates,
-                collect_reports=collect_reports,
-            )
-        )
-    return tasks
-
-
 def build_store_shard_tasks(
     store_path,
     total: int,
@@ -539,11 +511,13 @@ def build_pair_shard_tasks(
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over ``(der, issued_at)`` pairs.
 
-    The incremental engine's transport: a tail batch arrives as raw DER
-    plus issuance timestamps (no live record objects), stays bounded by
-    the poll size, and ships inline — spilling a few hundred entries to
-    a substrate file per poll would cost an fsync that the page cache
-    never amortizes.  Shard boundaries come from the same
+    The inline transport: a serial corpus run passes its records as
+    pairs (:func:`repro.engine.increment_pairs`), and the incremental
+    engine's tail batch arrives as raw DER plus issuance timestamps (no
+    live record objects), stays bounded by the poll size, and ships
+    inline — spilling a few hundred entries to a substrate file per
+    poll would cost an fsync that the page cache never amortizes.
+    Shard boundaries come from the same
     :func:`shard_bounds`, so summaries merge in the same order as every
     other dispatch path.
     """

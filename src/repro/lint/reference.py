@@ -2,7 +2,7 @@
 
 :func:`reference_run_lints` runs every lint's own ``applies()`` and
 ``check()`` in registration order, with every derived-view cache of
-:mod:`repro.x509` switched off — no :class:`~repro.lint.context.LintContext`,
+:mod:`repro.x509` switched off — no family signature or scope masks,
 no :class:`~repro.lint.framework.RegistryIndex` scheduling, no compiled
 plan.  It is slow on purpose: the equivalence tests and benchmarks
 compare :func:`repro.lint.runner.run_lints` against it report for

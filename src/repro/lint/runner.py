@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from ..x509 import Certificate
-from .compiled import walk_fields
-from .context import LintContext
+from .compiled import resolve_scope, walk_fields
 from .framework import (
     Lint,
     LintResult,
@@ -134,61 +133,56 @@ def run_lints(
 ) -> CertificateReport:
     """Run every lint (or a subset) against one certificate.
 
-    Attaches a per-run :class:`LintContext` to the certificate (shared
-    field extraction) and dispatches through the compiled plan of a
-    :class:`RegistryIndex` (:mod:`repro.lint.compiled`).  The
-    certificate's family signature selects the live rows; each live
-    scope's strings are scanned once into a char-class bitmask; and the
+    Dispatches through the compiled plan of a :class:`RegistryIndex`
+    (:mod:`repro.lint.compiled`).  The certificate's family signature
+    (:func:`~repro.lint.compiled.walk_fields`) selects the live rows;
+    each live scope's strings are scanned once into a char-class
+    bitmask, memoized for the run in one ``masks`` dict; and the
     signature plus those masks select a memoized verdict template: the
     PASS results of every row the masks settle, and the few rows whose
     ``check()`` still runs.  The report is that skeleton with the
-    dynamic results spliced in; no lint's ``applies()`` is called.  The
-    test-only oracle this must agree with, report for report, is
+    dynamic results spliced in; no lint's ``applies()`` is called, and
+    nothing is stored on the certificate.  The test-only oracle this
+    must agree with, report for report, is
     :func:`repro.lint.reference.reference_run_lints`.  Pass a prebuilt
     ``index`` (matching ``lints``) to skip the per-call memo lookup.
     """
     if index is None:
         index = index_for(tuple(lints) if lints is not None else REGISTRY.snapshot())
     plan = index.compiled_plan()
-    ctx = LintContext(cert)
-    cert._lint_ctx = ctx
-    try:
-        masks: dict = {}
-        live = plan.live_rows(ctx.families(walk_fields(cert, masks)))
-        resolve = plan.resolve_scope
-        key = []
-        for scope, bits in live.scope_bits:
-            mask = masks.get(scope)
-            if mask is None:
-                mask = resolve(scope, cert, ctx, masks)
-            key.append(mask & bits)
-        static, dynamic = plan.template(live, tuple(key))
-        if not dynamic:
-            return CertificateReport(list(static))
-        results = []
-        start = 0
-        for position, lint, passed in dynamic:
-            results += static[start:position]
-            start = position
-            compliant, details = lint.check(cert)
-            if compliant:
-                results.append(passed)
-                continue
-            meta = lint.metadata
-            when = issued_at if issued_at is not None else cert.not_before
-            if respect_effective_dates and meta.name in (
-                index.not_effective_names(to_utc_naive(when))
-            ):
-                status = LintStatus.NOT_EFFECTIVE
-            elif meta.severity is Severity.ERROR:
-                status = LintStatus.ERROR
-            else:
-                status = LintStatus.WARN
-            results.append(LintResult(meta, status, details))
-        results += static[start:]
-        return CertificateReport(results)
-    finally:
-        del cert._lint_ctx
+    masks: dict = {}
+    live = plan.live_rows(walk_fields(cert, masks))
+    key = []
+    for scope, bits in live.scope_bits:
+        mask = masks.get(scope)
+        if mask is None:
+            mask = resolve_scope(scope, cert, masks)
+        key.append(mask & bits)
+    static, dynamic = plan.template(live, tuple(key))
+    if not dynamic:
+        return CertificateReport(list(static))
+    results = []
+    start = 0
+    for position, lint, passed in dynamic:
+        results += static[start:position]
+        start = position
+        compliant, details = lint.check(cert)
+        if compliant:
+            results.append(passed)
+            continue
+        meta = lint.metadata
+        when = issued_at if issued_at is not None else cert.not_before
+        if respect_effective_dates and meta.name in (
+            index.not_effective_names(to_utc_naive(when))
+        ):
+            status = LintStatus.NOT_EFFECTIVE
+        elif meta.severity is Severity.ERROR:
+            status = LintStatus.ERROR
+        else:
+            status = LintStatus.WARN
+        results.append(LintResult(meta, status, details))
+    results += static[start:]
+    return CertificateReport(results)
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """Checker: lint bodies must not mutate memoized certificate views.
 
 The derived-view caches on :class:`repro.x509.Certificate` (``san``,
-``ian``, extension views) and the run-scoped
-:class:`repro.lint.context.LintContext` buckets are shared across all
-~95 lints of a run.  ``Name`` accessors (``attributes``, ``get_attrs``)
-now return a fresh list per call, but they stay on the list below:
-mutating what an accessor returns is still a bug to flag, whether or
-not today's implementation shares it.  A lint that sorts, appends to, or writes through
+``ian``, extension views) are shared across all ~95 lints of a run.
+The helper extractors (``san_names``, ``all_dns_names``, …) and the
+``Name`` accessors (``attributes``, ``get_attrs``) now return a fresh
+list per call, but they stay on the list below: mutating what a helper
+or accessor returns is still a bug to flag, whether or not today's
+implementation shares it.  A lint that sorts, appends to, or writes through
 one of those views corrupts every later lint *and* every later
 certificate served from the same memo.  This checker walks each
 function in the lint modules, taints names bound to cached views

@@ -59,7 +59,6 @@ _LINT_DEF_MODULES = (
     "lint/encoding.py",
     "lint/structure.py",
     "lint/helpers.py",
-    "lint/context.py",
     "lint/framework.py",
     "lint/runner.py",
     "lint/compiled.py",

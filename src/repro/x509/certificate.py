@@ -315,7 +315,7 @@ class Certificate:
         try:
             ca, _ = parse_basic_constraints(ext.value_der)
             return ca
-        except Exception:
+        except ASN1Error:
             return False
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..asn1 import (
+    ASN1Error,
     DERDecodeError,
     Element,
     Node,
@@ -338,9 +339,9 @@ class ParsedPolicies:
                                 ok = True
                                 try:
                                     spec.decode(content, strict=True)
-                                except Exception:
+                                except ASN1Error:
                                     ok = False
-                            except Exception:
+                            except ASN1Error:
                                 text, ok = content.decode("latin-1", "replace"), False
                             parsed.explicit_texts.append((tag.number, text, ok))
         return parsed

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import Element, Tag, TagClass, parse_node
+from ..asn1 import ASN1Error, Element, Tag, TagClass, parse_node
 from ..asn1.oid import OID_EXT_NAME_CONSTRAINTS
 from .certificate import Certificate
 from .extensions import Extension
@@ -101,7 +101,7 @@ def constraints_of(cert: Certificate) -> NameConstraints | None:
         return None
     try:
         return NameConstraints.parse(ext.value_der)
-    except Exception:
+    except ASN1Error:
         return None
 
 

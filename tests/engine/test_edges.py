@@ -14,7 +14,13 @@ import os
 
 import pytest
 
-from repro.engine import PoolExecutor, SerialExecutor, merge_shard_results, run_corpus
+from repro.engine import (
+    PoolExecutor,
+    SerialExecutor,
+    increment_pairs,
+    merge_shard_results,
+    run_corpus,
+)
 from repro.lint import summarize, summary_to_json
 from repro.lint.reference import reference_run_lints
 from repro.lint.runner import CorpusSummary
@@ -22,7 +28,7 @@ from repro.lint.parallel import (
     LintPool,
     ShardError,
     ShardTask,
-    build_shard_tasks,
+    build_pair_shard_tasks,
     default_shard_count,
     resolve_jobs,
     shard_bounds,
@@ -120,14 +126,14 @@ class TestShardBounds:
 class TestShardTasks:
     def test_single_record_corpus_one_nonempty_task(self):
         records = make_records(1)
-        tasks = build_shard_tasks(records, shards=8)
+        tasks = build_pair_shard_tasks(increment_pairs(records), shards=8)
         assert len(tasks) == 1
         assert len(tasks[0].certs_der) == 1
 
     def test_no_task_is_ever_empty(self):
         records = make_records(5)
         for shards in (1, 2, 5, 9):
-            tasks = build_shard_tasks(records, shards=shards)
+            tasks = build_pair_shard_tasks(increment_pairs(records), shards=shards)
             assert tasks, f"shards={shards} produced no tasks"
             assert all(task.certs_der for task in tasks)
 
@@ -191,7 +197,7 @@ class TestJobsPoolReconcile:
 class TestExecutorParity:
     def test_serial_and_pool_merge_identically(self):
         records = make_records(6)
-        tasks = build_shard_tasks(records, shards=3)
+        tasks = build_pair_shard_tasks(increment_pairs(records), shards=3)
         serial = SerialExecutor().run(tasks)
         pool = PoolExecutor(2).run(tasks)
         expected = oracle_summary(records)

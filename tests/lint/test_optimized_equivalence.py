@@ -1,6 +1,6 @@
 """Equivalence proof for the memoized/indexed lint fast path.
 
-The production runner (per-run LintContext + RegistryIndex family
+The production runner (family signature + RegistryIndex family
 skipping + effective-date bisect + derived-view caches) must be
 *invisible*: every per-certificate report and every corpus summary must
 be byte-identical to the reference oracle
@@ -28,7 +28,6 @@ from repro.lint.compiled import (
     resolve_scope,
     walk_fields,
 )
-from repro.lint.context import LintContext
 from repro.lint.framework import FunctionLint
 from repro.lint.reference import reference_run_lints
 from repro.x509 import (
@@ -68,13 +67,12 @@ def derived_applicability(lint, cert: Certificate) -> bool:
     spec = lint.scan
     if spec is None:
         return True
-    ctx = LintContext(cert)
     masks: dict = {}
-    signature = ctx.families(walk_fields(cert, masks))
+    signature = walk_fields(cert, masks)
     if spec.families is not None and spec.families.isdisjoint(signature):
         return False
     if spec.mode == APPLIES_NONEMPTY:
-        return bool(resolve_scope(spec.scope, cert, ctx, masks) & SCOPE_NONEMPTY)
+        return bool(resolve_scope(spec.scope, cert, masks) & SCOPE_NONEMPTY)
     return True
 
 
@@ -153,12 +151,13 @@ class TestReportEquivalence:
             )
             assert _report_shape(optimized) == _report_shape(reference)
 
-    def test_no_context_left_behind(self):
+    def test_no_state_left_on_the_certificate(self):
         cert = _build()
+        before = dict(vars(cert))
         run_lints(cert)
-        assert not hasattr(cert, "_lint_ctx")
+        assert vars(cert) == before
         reference_run_lints(cert)
-        assert not hasattr(cert, "_lint_ctx")
+        assert vars(cert) == before
 
 
 class TestDerivedApplicability:

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.ct import CorpusGenerator
-from repro.engine import lint_ders_timed, run_corpus
+from repro.engine import increment_pairs, lint_ders_timed, run_corpus
 from repro.lint import (
     CorpusSummary,
     REGISTRY,
@@ -41,7 +41,7 @@ from repro.lint.framework import (
 from repro.lint.parallel import (
     MIN_SHARD_SIZE,
     LintPool,
-    build_shard_tasks,
+    build_pair_shard_tasks,
     default_shard_count,
     lint_shard,
     resolve_jobs,
@@ -252,7 +252,7 @@ class TestWorkerCrash:
         assert excinfo.value.index >= 0
 
     def test_lint_shard_never_raises(self, corpus):
-        tasks = build_shard_tasks(self._poisoned(corpus), shards=2)
+        tasks = build_pair_shard_tasks(increment_pairs(self._poisoned(corpus)), shards=2)
         results = [lint_shard(task) for task in tasks]
         assert any(r.error for r in results)
         failed = next(r for r in results if r.error)

@@ -21,7 +21,6 @@ from repro.asn1.oid import OID_COMMON_NAME
 from repro.ct import CorpusGenerator
 from repro.lint import REGISTRY, run_lints
 from repro.lint import compiled
-from repro.lint.context import LintContext
 from repro.lint.framework import (
     FunctionLint,
     LintMetadata,
@@ -181,7 +180,7 @@ class TestMemoCap:
 
     def test_synthetic_key_flood_stays_at_cap(self, index):
         plan = index.compiled_plan()
-        signature = LintContext(Certificate.from_der(DERS[0])).families()
+        signature = compiled.walk_fields(Certificate.from_der(DERS[0]), {})
         live = plan.live_rows(signature)
         padding = (0,) * (len(live.scope_bits) - 1)
         for value in range(64):

@@ -20,7 +20,7 @@ from repro.lint.framework import (
     Severity,
     Source,
 )
-from repro.staticcheck import CHECKER_NAMES, load_baseline, run_staticcheck
+from repro.staticcheck import CHECKER_NAMES, engine, load_baseline, run_staticcheck
 
 from ..registry_helpers import registered
 
@@ -48,6 +48,28 @@ def planted_registry():
         yield lint
 
 
+@pytest.fixture()
+def planted_warning(tmp_path, monkeypatch):
+    """Add a module that swallows a broad ``except`` to the hygiene scope.
+
+    The tree itself carries no warning-level finding, so this plants one
+    for the tests that need a warning to gate on.
+    """
+    module = tmp_path / "planted_hygiene.py"
+    module.write_text(
+        "def swallow():\n"
+        "    try:\n"
+        "        return int('x')\n"
+        "    except Exception:\n"
+        "        return None\n"
+    )
+    original = engine.hygiene_paths
+    monkeypatch.setattr(
+        engine, "hygiene_paths", lambda pkg_root: [*original(pkg_root), module]
+    )
+    return module
+
+
 class TestCliExitCodes:
     def test_repaired_tree_exits_zero_against_baseline(self, capsys):
         status = main(["staticcheck", "--baseline", str(BASELINE)])
@@ -63,8 +85,8 @@ class TestCliExitCodes:
         assert status == 1
         assert planted_registry.metadata.name in captured.out
 
-    def test_fail_on_warning_is_stricter(self, tmp_path, capsys):
-        # An empty baseline exposes the accepted warnings as new.
+    def test_fail_on_warning_is_stricter(self, tmp_path, capsys, planted_warning):
+        # An empty baseline exposes every finding as new.
         empty = tmp_path / "empty_baseline.json"
         assert main(["staticcheck", "--baseline", str(empty)]) == 1
         capsys.readouterr()
@@ -78,7 +100,7 @@ class TestCliExitCodes:
                     "exception-hygiene",
                 ]
             )
-            == 0  # hygiene alone reports only baselined warnings
+            == 0  # hygiene alone reports only the planted warning
         )
         capsys.readouterr()
         assert (
