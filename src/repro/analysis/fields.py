@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from ..asn1.oid import OID_ORGANIZATION_NAME
 from ..ct.corpus import Corpus
-from ..engine.windows import _FIELD_OIDS, _has_non_ascii, _lint_field
+from ..engine.windows import _lint_field, cert_facts
 from ..lint import CertificateReport
 from ..uni import VariantStrategy, classify_variant_pair
 
@@ -61,32 +61,15 @@ def field_matrix(
     for record, report in zip(corpus.records, reports):
         if record.issuer_org not in keep:
             continue
-        cert = record.certificate
+        unicode_fields = cert_facts(record.certificate).unicode_fields
         deviating_fields = {
             _lint_field(result.lint.name) for result in report.findings
         }
-        # DNSName column: SAN names plus DNS-shaped CNs.
-        for name in cert.san_dns_names:
-            if _has_non_ascii(name) or any(
-                label[:4].lower() == "xn--" for label in name.split(".")
-            ):
-                matrix.cell(record.issuer_org, "DNSName").unicode_count += 1
-                break
-        if "DNSName" in deviating_fields:
-            matrix.cell(record.issuer_org, "DNSName").deviating_count += 1
-        for column, oid in _FIELD_OIDS.items():
-            values = cert.subject.get(oid)
-            if any(_has_non_ascii(v) for v in values):
+        for column in FIELD_COLUMNS:
+            if column in unicode_fields:
                 matrix.cell(record.issuer_org, column).unicode_count += 1
             if column in deviating_fields:
                 matrix.cell(record.issuer_org, column).deviating_count += 1
-        policies = cert.policies
-        if policies is not None and any(
-            _has_non_ascii(text) for _tag, text, _ok in policies.explicit_texts
-        ):
-            matrix.cell(record.issuer_org, "CertificatePolicies").unicode_count += 1
-        if "CertificatePolicies" in deviating_fields:
-            matrix.cell(record.issuer_org, "CertificatePolicies").deviating_count += 1
     return matrix
 
 

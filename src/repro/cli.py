@@ -241,30 +241,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_staticcheck(args: argparse.Namespace) -> int:
     import json
 
-    from .staticcheck import run_staticcheck, write_baseline
+    from .staticcheck import run_staticcheck
 
-    report = run_staticcheck(baseline_path=args.baseline, checkers=args.checker)
-    if args.write_baseline:
-        write_baseline(args.baseline, report.findings)
-        print(
-            f"wrote {len(report.findings)} accepted finding(s) to {args.baseline}"
-        )
-        return 0
+    report = run_staticcheck(checkers=args.checker)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        for finding in report.new:
+        for finding in report.findings:
             print(finding.render())
         counts = report.counts()
-        new_counts = report.counts(report.new)
         print(
             f"{len(report.findings)} finding(s): "
-            f"{counts['error']} error(s), {counts['warning']} warning(s); "
-            f"{len(report.baselined)} baselined, {len(report.new)} new "
-            f"({new_counts['error']} error(s), {new_counts['warning']} warning(s))"
+            f"{counts['error']} error(s), {counts['warning']} warning(s)"
         )
     threshold = ("error",) if args.fail_on == "error" else ("error", "warning")
-    return 1 if any(f.severity in threshold for f in report.new) else 0
+    return 1 if any(f.severity in threshold for f in report.findings) else 0
 
 
 def _cmd_differential(args: argparse.Namespace) -> int:
@@ -514,17 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on",
         choices=("error", "warning"),
         default="error",
-        help="exit non-zero when a NEW finding at/above this severity exists",
-    )
-    staticcheck.add_argument(
-        "--baseline",
-        default="staticcheck_baseline.json",
-        help="accepted-findings file (fingerprints that don't gate)",
-    )
-    staticcheck.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file",
+        help="exit non-zero when a finding at/above this severity exists",
     )
     staticcheck.add_argument(
         "--checker",

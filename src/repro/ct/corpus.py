@@ -19,7 +19,6 @@ import datetime as _dt
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 from ..asn1 import BMP_STRING, IA5_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING
 from ..asn1.oid import (
@@ -294,18 +293,6 @@ class Corpus:
         for record in self.records:
             grouped.setdefault(record.issuer_org, []).append(record)
         return grouped
-
-    def iter_shards(self, shards: int) -> "Iterator[list[CorpusRecord]]":
-        """Deterministic contiguous shards for parallel evaluation.
-
-        Shard membership depends only on ``(len(self), shards)``; the
-        parallel lint pipeline uses the same bounds, so any downstream
-        per-shard computation lines up with the lint shards.
-        """
-        from ..lint.parallel import shard_bounds
-
-        for start, stop in shard_bounds(len(self.records), shards):
-            yield self.records[start:stop]
 
     def to_store(self, path):
         """Serialize this corpus to a memory-mapped substrate file.

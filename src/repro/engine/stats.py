@@ -187,9 +187,6 @@ class EngineStats:
             if stage in self.timings.cpu
         }
 
-    # Backwards-compatible alias: "seconds" means wall-clock.
-    stage_seconds = stage_wall_seconds
-
     def to_dict(self) -> dict:
         """The ``stages`` block: JSON-ready snapshot of this collector."""
         stages = {

@@ -90,9 +90,10 @@ def cert_facts(cert) -> CertFacts:
 
     Runs in worker processes (called from
     :func:`repro.lint.parallel.lint_shard`) once per certificate, so the
-    Figure 4 field helpers live here: ``repro.engine`` stays free of any
+    Figure 4 column logic lives here: ``repro.engine`` stays free of any
     dependency on :mod:`repro.analysis` (which imports the ct corpus),
-    and :mod:`repro.analysis.fields` imports them from this module.
+    and :func:`repro.analysis.fields.field_matrix` reads
+    ``unicode_fields`` from this function.
     """
     fields: set[str] = set()
     for name in cert.san_dns_names:

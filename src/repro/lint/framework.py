@@ -105,10 +105,71 @@ RFC9549_DATE = _dt.datetime(2024, 2, 1)
 RFC9598_DATE = _dt.datetime(2024, 5, 1)
 COMMUNITY_DATE = _dt.datetime(2015, 1, 1)
 
+#: Publication date of each source document: a lint may not take effect
+#: before the standard it cites, or it would turn certificates the paper
+#: calls NOT_EFFECTIVE into findings.  RFC 1034 and X.680 predate every
+#: lint here, so they impose no floor.
+_SOURCE_FLOOR: dict[Source, _dt.datetime] = {
+    Source.RFC5280: RFC5280_DATE,
+    Source.RFC6818: RFC6818_DATE,
+    Source.RFC8399: RFC8399_DATE,
+    Source.RFC9549: RFC9549_DATE,
+    Source.RFC9598: RFC9598_DATE,
+    Source.IDNA2008: IDNA2008_DATE,
+    Source.CABF_BR: CABF_BR_DATE,
+    Source.COMMUNITY: COMMUNITY_DATE,
+}
+
+#: Registered lints whose metadata breaks a rule of
+#: :func:`metadata_violations` and is kept as it is.  The CN-in-SAN
+#: rule keeps Zlint's historical ``w_`` name although the BRs make it a
+#: MUST; the other three carry effective dates earlier than their
+#: source (RFC 6818, RFC 9598, IDNA2008).  Correcting any of them moves
+#: Table 1's severity shares or its "ignoring effective dates" ratio, so
+#: each waits for a decision against its standard.
+METADATA_EXEMPT = frozenset(
+    {
+        "w_cab_subject_common_name_not_in_san",
+        "e_smtp_utf8_mailbox_not_utf8string",
+        "w_rfc_ext_cp_explicit_text_not_utf8",
+        "e_dns_label_hyphen_at_edge",
+    }
+)
+
+
+def metadata_violations(meta: LintMetadata) -> list[str]:
+    """The metadata rules ``meta`` breaks, as messages (empty if none).
+
+    A name starts with ``e_`` exactly when the severity is ERROR, or
+    with ``w_`` otherwise, and the effective date is not earlier than
+    the publication date of the lint's source.
+    """
+    problems = []
+    name = meta.name
+    if not name.startswith(("e_", "w_")):
+        problems.append("lint name must start with 'e_' or 'w_'")
+    elif name.startswith("e_") != (meta.severity is Severity.ERROR):
+        problems.append(
+            f"name prefix {name[:2]!r} but severity is {meta.severity.value!r}"
+        )
+    floor = _SOURCE_FLOOR.get(meta.source)
+    if floor is not None and meta.effective_date < floor:
+        problems.append(
+            f"effective_date {meta.effective_date.date()} predates its "
+            f"source {meta.source.value} ({floor.date()})"
+        )
+    return problems
+
 
 @dataclass(frozen=True)
 class LintMetadata:
-    """Descriptive metadata for one lint."""
+    """Descriptive metadata for one lint.
+
+    Building one checks :func:`metadata_violations` and raises
+    ``ValueError`` on a broken rule, unless the name is in
+    :data:`METADATA_EXEMPT`; so a mis-declared lint fails at
+    ``import repro.lint``.
+    """
 
     name: str
     description: str
@@ -119,6 +180,12 @@ class LintMetadata:
     effective_date: _dt.datetime
     #: True for the 50 lints the paper adds beyond existing linters.
     new: bool = False
+
+    def __post_init__(self):
+        if self.name not in METADATA_EXEMPT:
+            problems = metadata_violations(self)
+            if problems:
+                raise ValueError(f"lint {self.name!r}: {'; '.join(problems)}")
 
 
 @dataclass(frozen=True, slots=True)

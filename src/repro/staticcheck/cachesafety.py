@@ -6,10 +6,10 @@ The helper extractors (``san_names``, ``all_dns_names``, …) and the
 ``Name`` accessors (``attributes``, ``get_attrs``) now return a fresh
 list per call, but they stay on the list below: mutating what a helper
 or accessor returns is still a bug to flag, whether or not today's
-implementation shares it.  A lint that sorts, appends to, or writes through
-one of those views corrupts every later lint *and* every later
-certificate served from the same memo.  This checker walks each
-function in the lint modules, taints names bound to cached views
+implementation shares it.  The views are memoized per certificate, so
+a lint that sorts, appends to, or writes through one of them corrupts
+what every later lint reads from that certificate.  This checker walks
+each function in the lint modules, taints names bound to cached views
 (helper-extractor results and cached attribute chains), and reports
 mutating method calls or stores through tainted expressions.
 

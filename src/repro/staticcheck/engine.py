@@ -1,36 +1,35 @@
 """Engine: run the checker groups over ``src/repro``.
 
-The engine wires the checkers to their default scopes:
+The engine wires the checkers to their default scopes.  Every checker
+reads source files only; none imports the code it checks.
 
-* **registry-invariants** runs over the live global registry
-  (importing :mod:`repro.lint` populates it);
-* the **registered**-scan, **cache-safety**, and **determinism**
-  checkers run over the lint definition modules;
+* **cache-safety** and **determinism** run over the lint definition
+  modules (determinism also over ``repro.fuzz``, where a seeded
+  ``random.Random`` is allowed);
 * **exception-hygiene** runs over the parse and service paths
-  (``asn1``, ``x509``, ``uni``, ``lint``, ``service``);
+  (``asn1``, ``x509``, ``uni``, ``lint``, ``service``, ``engine``,
+  ``fuzz``);
 * the concurrency/resource checkers — **fork-cow**, **async-blocking**,
   **pickle-boundary**, **resource-lifetime** — run whole-program over
   every module under ``src/repro`` (fork-cow on top of the
   :mod:`~repro.staticcheck.callgraph` worker-reachability graph).
 
 Everything is parameterized so tests can point the same checkers at
-fixture registries and fixture files.
+fixture files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .asyncblocking import check_async_blocking
-from .baseline import load_baseline, partition
 from .cachesafety import check_cache_safety
 from .determinism import check_determinism
 from .findings import Finding, sort_key
 from .forkcow import check_fork_cow
 from .hygiene import check_exception_hygiene
 from .pickleboundary import check_pickle_boundary
-from .registry import check_registered, check_registry_invariants
 from .resolve import SourceIndex
 from .resourcelifetime import check_resource_lifetime
 
@@ -38,7 +37,6 @@ from .resourcelifetime import check_resource_lifetime
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
 CHECKER_NAMES = (
-    "registry-invariants",
     "cache-safety",
     "exception-hygiene",
     "determinism",
@@ -48,8 +46,7 @@ CHECKER_NAMES = (
     "resource-lifetime",
 )
 
-#: Modules that define lints (scanned by cache-safety / determinism /
-#: the registered-scan).  ``parallel.py`` is deliberately absent from
+#: Modules that define lints (scanned by cache-safety / determinism).  ``parallel.py`` is deliberately absent from
 #: the determinism scope: worker scheduling may consult cpu counts and
 #: deadlines without affecting lint output.
 _LINT_DEF_MODULES = (
@@ -97,41 +94,27 @@ def concurrency_paths(pkg_root: Path = PKG_ROOT) -> list[Path]:
 
 @dataclass
 class StaticcheckReport:
-    """Outcome of one analyzer run, split against a baseline."""
+    """Outcome of one analyzer run."""
 
     findings: list[Finding]
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     checkers: tuple = CHECKER_NAMES
 
-    def counts(self, findings=None) -> dict[str, int]:
+    def counts(self) -> dict[str, int]:
         counts = {"error": 0, "warning": 0, "info": 0}
-        for finding in self.findings if findings is None else findings:
+        for finding in self.findings:
             counts[finding.severity] += 1
         return counts
 
-    def worst_new(self) -> str | None:
-        for severity in ("error", "warning", "info"):
-            if any(f.severity == severity for f in self.new):
-                return severity
-        return None
-
     def to_dict(self) -> dict:
-        counts = self.counts()
-        counts["new"] = len(self.new)
-        counts["baselined"] = len(self.baselined)
         return {
             "version": 1,
             "checkers": list(self.checkers),
-            "counts": counts,
+            "counts": self.counts(),
             "findings": [f.to_dict() for f in self.findings],
-            "new": [f.to_dict() for f in self.new],
-            "baselined": [f.to_dict() for f in self.baselined],
         }
 
 
 def run_checkers(
-    lints,
     index: SourceIndex,
     *,
     lint_paths=(),
@@ -140,7 +123,6 @@ def run_checkers(
     concurrency_files=(),
     pkg_root: Path = PKG_ROOT,
     worker_roots=None,
-    resolve_rule=None,
     checkers=None,
 ) -> list[Finding]:
     """Run the selected checker groups and return sorted findings."""
@@ -149,11 +131,6 @@ def run_checkers(
     if unknown:
         raise ValueError(f"unknown checkers: {', '.join(sorted(unknown))}")
     findings: list[Finding] = []
-    if "registry-invariants" in selected:
-        findings.extend(
-            check_registry_invariants(lints, index, resolve_rule=resolve_rule)
-        )
-        findings.extend(check_registered(lint_paths, index, lints))
     if "cache-safety" in selected:
         findings.extend(check_cache_safety(lint_paths, index))
     if "exception-hygiene" in selected:
@@ -180,27 +157,18 @@ def run_checkers(
 
 def run_staticcheck(
     pkg_root: Path | None = None,
-    baseline_path=None,
     checkers=None,
 ) -> StaticcheckReport:
-    """Analyze the real tree: live registry + default file scopes."""
-    from ..lint import REGISTRY
-    from ..lint.constraints import rules_for_lint
-
+    """Analyze the real tree over the default file scopes."""
     pkg_root = Path(pkg_root) if pkg_root else PKG_ROOT
     index = SourceIndex(repo_root=pkg_root.parent)
     findings = run_checkers(
-        REGISTRY.snapshot(),
         index,
         lint_paths=lint_module_paths(pkg_root),
         hygiene_files=hygiene_paths(pkg_root),
         fuzz_files=fuzz_module_paths(pkg_root),
         concurrency_files=concurrency_paths(pkg_root),
         pkg_root=pkg_root,
-        resolve_rule=rules_for_lint,
         checkers=checkers,
     )
-    report = StaticcheckReport(findings=findings)
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    report.new, report.baselined = partition(findings, baseline)
-    return report
+    return StaticcheckReport(findings=findings)

@@ -1,21 +1,19 @@
 """Source lookup shared by the staticcheck checkers.
 
-:class:`SourceIndex` parses each module once and maps a live code
-object back to its AST node; :func:`lint_location` anchors a registered
-lint's findings at the line that defines its ``applies``/``check``.
+:class:`SourceIndex` parses each module once and reports paths
+relative to the repository root.
 """
 
 from __future__ import annotations
 
 import ast
-import types
 from pathlib import Path
 
 _MISSING = object()
 
 
 class SourceIndex:
-    """Parse-once cache of module ASTs, with code-object lookup."""
+    """Parse-once cache of module ASTs."""
 
     def __init__(self, repo_root: Path | None = None):
         self.repo_root = Path(repo_root) if repo_root else None
@@ -40,39 +38,3 @@ class SourceIndex:
             except ValueError:
                 pass
         return path.as_posix()
-
-    def function_node(self, code: types.CodeType):
-        """The AST node backing a code object, or ``None``.
-
-        Matches by first line; when several lambdas share a line the
-        candidate whose parameter names match the code object wins.
-        """
-        tree = self.module(code.co_filename)
-        if tree is None:
-            return None
-        argnames = code.co_varnames[: code.co_argcount]
-        candidates = []
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                if node.lineno == code.co_firstlineno:
-                    candidates.append(node)
-        if len(candidates) > 1:
-            named = [
-                n
-                for n in candidates
-                if tuple(a.arg for a in n.args.args) == argnames
-            ]
-            candidates = named or candidates
-        return candidates[0] if candidates else None
-
-
-def lint_location(lint, index: SourceIndex) -> tuple[str, int]:
-    """``(repo-relative path, line)`` anchoring a lint's definition."""
-    for attr in ("_applies", "_check"):
-        fn = getattr(lint, attr, None)
-        code = getattr(fn, "__code__", None)
-        if code is not None:
-            return index.relpath(code.co_filename), code.co_firstlineno
-    cls = type(lint)
-    module = getattr(cls, "__module__", "")
-    return module.replace(".", "/") + ".py", 1

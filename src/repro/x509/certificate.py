@@ -50,16 +50,18 @@ from .keys import SimPublicKey, signature_algorithm_element
 from .name import Name
 
 
-#: The decoded extension views: slot -> (extension OID, payload parser,
-#: the exceptions a failed parse records instead of raising).
+#: The decoded extension views: slot -> (extension OID, payload parser).
 VIEWS = {
-    "san": (OID_EXT_SAN, GeneralNames.parse, (ASN1Error, ValueError)),
-    "ian": (OID_EXT_IAN, GeneralNames.parse, (ASN1Error, ValueError)),
-    "aia": (OID_EXT_AIA, InfoAccess.parse, Exception),
-    "sia": (OID_EXT_SIA, InfoAccess.parse, Exception),
-    "crldp": (OID_EXT_CRL_DISTRIBUTION_POINTS, CRLDistributionPoints.parse, Exception),
-    "cp": (OID_EXT_CERTIFICATE_POLICIES, ParsedPolicies.parse, Exception),
+    "san": (OID_EXT_SAN, GeneralNames.parse),
+    "ian": (OID_EXT_IAN, GeneralNames.parse),
+    "aia": (OID_EXT_AIA, InfoAccess.parse),
+    "sia": (OID_EXT_SIA, InfoAccess.parse),
+    "crldp": (OID_EXT_CRL_DISTRIBUTION_POINTS, CRLDistributionPoints.parse),
+    "cp": (OID_EXT_CERTIFICATE_POLICIES, ParsedPolicies.parse),
 }
+
+#: The exceptions a failed view parse records instead of raising.
+VIEW_ERRORS = (ASN1Error, ValueError)
 
 #: Entry cap of :data:`_DECODED_ISSUERS`; a full memo flushes.
 _ISSUER_MEMO_MAX = 1 << 14
@@ -224,7 +226,7 @@ class Certificate:
         its ``value_der`` bytes are the exact objects seen at parse
         time; any replacement misses the cache and re-parses.
         """
-        oid, parser, errors = VIEWS[slot]
+        oid, parser = VIEWS[slot]
         ext = self.get_extension(oid)
         if ext is None:
             return None, None
@@ -237,7 +239,7 @@ class Certificate:
         error = None
         try:
             view = parser(ext.value_der, strict=False)
-        except errors as exc:
+        except VIEW_ERRORS as exc:
             error = f"{type(exc).__name__}: {exc}"
         if use_cache:
             self._view_cache[slot] = (ext, ext.value_der, view, error)

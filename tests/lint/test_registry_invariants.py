@@ -2,22 +2,31 @@
 
 The paper's Tables 1/11 assume 95 constraint rules, 50 of them new, each
 registered exactly once with a citation that resolves to its
-:class:`ConstraintRule` row.  These tests run at import time over the
-*real* registry — both directly and through the
-``repro.staticcheck.registry`` checker — so a drive-by edit to a lint
-module cannot silently desynchronize the registry from the paper's
-rule table.
+:class:`ConstraintRule` row.  These tests run over the *real* registry,
+so a drive-by edit to a lint module cannot silently desynchronize the
+registry from the paper's rule table.  The metadata rules (name prefix,
+severity, effective date) are enforced when a :class:`LintMetadata` is
+built; the tests below pin that check and its exemptions.
 """
 
 import datetime as dt
+import re
 
 import pytest
 
 from repro.lint import REGISTRY
 from repro.lint.compiled import ScanSpec
 from repro.lint.constraints import CONSTRAINT_RULES, rules_for_lint
-from repro.lint.framework import FunctionLint, Severity
-from repro.staticcheck import SourceIndex, check_registry_invariants
+from repro.lint.framework import (
+    _SOURCE_FLOOR,
+    METADATA_EXEMPT,
+    FunctionLint,
+    LintMetadata,
+    NoncomplianceType,
+    Severity,
+    Source,
+    metadata_violations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,42 +86,48 @@ class TestMetadataConsistency:
         for lint in lints:
             assert isinstance(lint.scan, ScanSpec), lint.metadata.name
 
-    def test_severity_prefix_mismatches_are_pinned(self, lints):
-        # One deliberate exception: the CA/B CN-in-SAN rule keeps Zlint's
-        # historical ``w_`` name although the BRs make it a MUST.  The
-        # staticcheck baseline accepts it; anything else is a regression.
-        mismatched = {
-            lint.metadata.name
-            for lint in lints
-            if (lint.metadata.name.startswith("e_")
-                and lint.metadata.severity is not Severity.ERROR)
-            or (lint.metadata.name.startswith("w_")
-                and lint.metadata.severity is Severity.ERROR)
-        }
-        assert mismatched == {"w_cab_subject_common_name_not_in_san"}
+    def test_exempt_set_is_exactly_the_registered_violators(self, lints):
+        # A stale pin (an exempt lint that was corrected, or removed)
+        # fails here as surely as a new violator fails at import.
+        assert {
+            lint.metadata.name for lint in lints if metadata_violations(lint.metadata)
+        } == METADATA_EXEMPT
 
 
-class TestInvariantChecker:
-    """The staticcheck registry checker over the live registry."""
+def _metadata(name, severity, source=Source.RFC5280, effective=dt.datetime(2019, 1, 1)):
+    return LintMetadata(
+        name=name,
+        description="fixture",
+        citation="fixture citation",
+        source=source,
+        severity=severity,
+        nc_type=NoncomplianceType.INVALID_STRUCTURE,
+        effective_date=effective,
+    )
 
-    @pytest.fixture(scope="class")
-    def findings(self, lints):
-        return check_registry_invariants(
-            lints, SourceIndex(), resolve_rule=rules_for_lint
-        )
 
-    def test_only_the_accepted_findings_fire(self, findings):
-        # The three effective-date floors and the severity-prefix
-        # exception above are reviewed and baselined; any new finding
-        # here means the registry drifted.
-        assert sorted((f.anchor, f.message.split(" ", 1)[0]) for f in findings) == [
-            ("e_dns_label_hyphen_at_edge", "effective_date"),
-            ("e_smtp_utf8_mailbox_not_utf8string", "effective_date"),
-            ("w_cab_subject_common_name_not_in_san", "name"),
-            ("w_rfc_ext_cp_explicit_text_not_utf8", "effective_date"),
-        ]
+class TestMetadataRules:
+    @pytest.mark.parametrize(
+        "name, severity, match",
+        [
+            ("e_fixture_warn", Severity.WARN, "prefix 'e_'"),
+            ("w_fixture_error", Severity.ERROR, "prefix 'w_'"),
+            ("fixture_unprefixed", Severity.ERROR, "must start with"),
+        ],
+    )
+    def test_prefix_must_agree_with_severity(self, name, severity, match):
+        with pytest.raises(ValueError, match=match):
+            _metadata(name, severity)
 
-    def test_no_duplicate_or_unresolvable_citation_findings(self, findings):
-        for finding in findings:
-            assert "duplicate" not in finding.message
-            assert "does not resolve" not in finding.message
+    @pytest.mark.parametrize(
+        "source, floor", sorted(_SOURCE_FLOOR.items(), key=lambda kv: kv[0].name)
+    )
+    def test_effective_date_may_not_predate_its_source(self, source, floor):
+        with pytest.raises(ValueError, match=re.escape(f"predates its source {source.value}")):
+            _metadata(
+                "e_fixture_backdated",
+                Severity.ERROR,
+                source=source,
+                effective=floor - dt.timedelta(days=1),
+            )
+        assert _metadata("e_fixture_on_time", Severity.ERROR, source, floor)

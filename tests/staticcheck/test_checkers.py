@@ -2,10 +2,11 @@
 
 ``fixtures/bad_lints.py`` plants exactly one violation per checker
 group; ``fixtures/clean_lints.py`` is the repaired twin.  Each positive
-test asserts its checker fires *exactly once* with a stable
-fingerprint, and the negative tests assert the clean module is silent.
+test asserts its checker fires *exactly once*, and the negative tests
+assert the clean module is silent.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -15,12 +16,7 @@ from repro.staticcheck import (
     check_cache_safety,
     check_determinism,
     check_exception_hygiene,
-    check_registered,
-    check_registry_invariants,
-    fingerprint_of,
 )
-
-from .fixtures import bad_lints, clean_lints
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = FIXTURES / "bad_lints.py"
@@ -33,16 +29,6 @@ def index():
 
 
 class TestPlantedViolations:
-    def test_unregistered_lint_fires_once(self, index):
-        findings = check_registered(
-            [BAD], index, lints=bad_lints.FIXTURE_REGISTRY.snapshot()
-        )
-        assert len(findings) == 1
-        (finding,) = findings
-        assert finding.checker == "registry-invariants"
-        assert finding.severity == "error"
-        assert "without being passed" in finding.message
-
     def test_cache_mutation_fires_once(self, index):
         findings = check_cache_safety([BAD], index)
         assert len(findings) == 1
@@ -67,34 +53,33 @@ class TestPlantedViolations:
         assert finding.anchor == "random"
         assert "nondeterministic" in finding.message
 
-    def test_fixture_metadata_itself_is_clean(self, index):
-        # The planted module's *metadata* obeys the runtime invariants,
-        # so the four firings above stay one-per-checker.
-        assert (
-            check_registry_invariants(
-                bad_lints.FIXTURE_REGISTRY.snapshot(), index
-            )
-            == []
+    def test_findings_follow_line_drift(self, index, tmp_path):
+        """Prepending lines moves every lineno and nothing else."""
+        drifted = tmp_path / "bad_lints.py"
+        drifted.write_text(
+            "# pad\n# pad\n# pad\n" + BAD.read_text(encoding="utf-8"),
+            encoding="utf-8",
         )
+        drifted_index = SourceIndex(repo_root=tmp_path)
+
+        for checker in (
+            check_cache_safety,
+            check_exception_hygiene,
+            check_determinism,
+        ):
+            (original,) = checker([BAD], index)
+            (moved,) = checker([drifted], drifted_index)
+            assert moved == dataclasses.replace(original, line=original.line + 3)
 
 
 class TestCleanFixture:
     def test_every_checker_is_silent(self, index):
-        lints = clean_lints.FIXTURE_REGISTRY.snapshot()
-        assert check_registry_invariants(lints, index) == []
-        assert check_registered([CLEAN], index, lints=lints) == []
         assert check_cache_safety([CLEAN], index) == []
         assert check_exception_hygiene([CLEAN], index) == []
         assert check_determinism([CLEAN], index) == []
 
 
-class TestFingerprintStability:
-    def test_fingerprint_matches_recomputation(self, index):
-        (finding,) = check_exception_hygiene([BAD], index)
-        assert finding.fingerprint == fingerprint_of(
-            finding.checker, finding.path, finding.anchor, finding.message
-        )
-
+class TestSeededRandomAllowance:
     def test_seeded_random_allowance(self, index, tmp_path):
         """The repro.fuzz scope permits random.Random(seed) — only that."""
         module = tmp_path / "fuzzish.py"
@@ -131,30 +116,3 @@ class TestFingerprintStability:
         )
         assert len(findings) == 1
         assert "hides nondeterministic" in findings[0].message
-
-    def test_fingerprints_survive_line_drift(self, index, tmp_path):
-        """Prepending lines moves every lineno but no fingerprint."""
-        drifted = tmp_path / "bad_lints.py"
-        drifted.write_text(
-            "# pad\n# pad\n# pad\n" + BAD.read_text(encoding="utf-8"),
-            encoding="utf-8",
-        )
-        drifted_index = SourceIndex(repo_root=tmp_path)
-
-        for checker in (
-            check_cache_safety,
-            check_exception_hygiene,
-            check_determinism,
-        ):
-            (original,) = checker([BAD], index)
-            (moved,) = checker([drifted], drifted_index)
-            assert moved.line == original.line + 3
-            assert moved.fingerprint == original.fingerprint
-
-    def test_fingerprints_are_deterministic(self):
-        assert fingerprint_of("c", "p.py", "f", "m") == fingerprint_of(
-            "c", "p.py", "f", "m"
-        )
-        assert fingerprint_of("c", "p.py", "f", "m") != fingerprint_of(
-            "c", "p.py", "f", "other"
-        )

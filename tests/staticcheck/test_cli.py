@@ -1,66 +1,34 @@
 """End-to-end tests for ``repro staticcheck`` (the acceptance gate).
 
-The committed ``staticcheck_baseline.json`` accepts the reviewed
-findings on the repaired tree, so the CLI must exit 0 there; planting a
-mis-declared lint into the live registry must flip the exit code to
-non-zero without touching the baseline.
+The tree carries no finding, so the CLI must exit 0 even under
+``--fail-on warning``; planting a module with a hygiene defect into the
+scanned scope must flip the exit code to non-zero.  The analyzer reads
+source files only, so running it must not import the lint registry.
 """
 
-import datetime as dt
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.lint.framework import (
-    FunctionLint,
-    LintMetadata,
-    NoncomplianceType,
-    Severity,
-    Source,
-)
-from repro.staticcheck import CHECKER_NAMES, engine, load_baseline, run_staticcheck
+from repro.staticcheck import CHECKER_NAMES, engine, run_staticcheck
 
-from ..registry_helpers import registered
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE = REPO_ROOT / "staticcheck_baseline.json"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.fixture()
-def planted_registry():
-    """Temporarily register a lint whose ``e_`` name has WARN severity."""
-    lint = FunctionLint(
-        LintMetadata(
-            name="e_fixture_misdeclared_severity",
-            description="fixture",
-            citation="fixture citation",
-            source=Source.RFC5280,
-            severity=Severity.WARN,
-            nc_type=NoncomplianceType.INVALID_STRUCTURE,
-            effective_date=dt.datetime(2019, 1, 1),
-        ),
-        lambda cert: True,
-        lambda cert: (True, ""),
-    )
-    with registered(lint):
-        yield lint
-
-
-@pytest.fixture()
-def planted_warning(tmp_path, monkeypatch):
-    """Add a module that swallows a broad ``except`` to the hygiene scope.
-
-    The tree itself carries no warning-level finding, so this plants one
-    for the tests that need a warning to gate on.
-    """
-    module = tmp_path / "planted_hygiene.py"
+def _plant(tmp_path, monkeypatch, name, handler):
+    """Add a module whose ``except`` clause is ``handler`` to the hygiene scope."""
+    module = tmp_path / name
     module.write_text(
         "def swallow():\n"
         "    try:\n"
         "        return int('x')\n"
-        "    except Exception:\n"
+        f"    {handler}\n"
         "        return None\n"
     )
     original = engine.hygiene_paths
@@ -70,45 +38,38 @@ def planted_warning(tmp_path, monkeypatch):
     return module
 
 
+@pytest.fixture()
+def planted_error(tmp_path, monkeypatch):
+    """A bare ``except:`` — an error-level exception-hygiene finding."""
+    return _plant(tmp_path, monkeypatch, "planted_bare.py", "except:")
+
+
+@pytest.fixture()
+def planted_warning(tmp_path, monkeypatch):
+    """A swallowed ``except Exception`` — a warning-level finding."""
+    return _plant(tmp_path, monkeypatch, "planted_hygiene.py", "except Exception:")
+
+
 class TestCliExitCodes:
-    def test_repaired_tree_exits_zero_against_baseline(self, capsys):
-        status = main(["staticcheck", "--baseline", str(BASELINE)])
+    def test_tree_exits_zero_under_fail_on_warning(self, capsys):
+        status = main(["staticcheck", "--fail-on", "warning"])
         captured = capsys.readouterr()
         assert status == 0
-        assert "0 new" in captured.out
+        assert "0 finding(s)" in captured.out
 
-    def test_planted_misdeclaration_exits_nonzero(self, capsys, planted_registry):
-        status = main(
-            ["staticcheck", "--baseline", str(BASELINE), "--fail-on", "error"]
-        )
+    def test_planted_error_exits_nonzero(self, capsys, planted_error):
+        status = main(["staticcheck", "--fail-on", "error"])
         captured = capsys.readouterr()
         assert status == 1
-        assert planted_registry.metadata.name in captured.out
+        assert planted_error.name in captured.out
 
-    def test_fail_on_warning_is_stricter(self, tmp_path, capsys, planted_warning):
-        # An empty baseline exposes every finding as new.
-        empty = tmp_path / "empty_baseline.json"
-        assert main(["staticcheck", "--baseline", str(empty)]) == 1
+    def test_fail_on_warning_is_stricter(self, capsys, planted_warning):
+        assert main(["staticcheck", "--checker", "exception-hygiene"]) == 0
         capsys.readouterr()
         assert (
             main(
                 [
                     "staticcheck",
-                    "--baseline",
-                    str(empty),
-                    "--checker",
-                    "exception-hygiene",
-                ]
-            )
-            == 0  # hygiene alone reports only the planted warning
-        )
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "staticcheck",
-                    "--baseline",
-                    str(empty),
                     "--checker",
                     "exception-hygiene",
                     "--fail-on",
@@ -117,49 +78,61 @@ class TestCliExitCodes:
             )
             == 1
         )
+        assert planted_warning.name in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["--baseline", "findings.json"], ["--write-baseline"]]
+    )
+    def test_baseline_options_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["staticcheck", *argv])
+        assert exc.value.code == 2
         capsys.readouterr()
 
 
 class TestJsonReport:
-    def test_json_covers_all_five_checkers(self, capsys):
-        status = main(["staticcheck", "--json", "--baseline", str(BASELINE)])
+    def test_json_covers_all_checkers(self, capsys):
+        status = main(["staticcheck", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert status == 0
         assert tuple(payload["checkers"]) == CHECKER_NAMES
-        assert payload["counts"]["new"] == 0
-        assert payload["counts"]["baselined"] == len(payload["findings"])
-        for finding in payload["findings"]:
-            assert set(finding) >= {
-                "checker",
-                "severity",
-                "path",
-                "line",
-                "anchor",
-                "message",
-                "fingerprint",
-            }
+        assert payload["counts"] == {"error": 0, "warning": 0, "info": 0}
+        assert payload["findings"] == []
+
+    def test_json_finding_fields(self, capsys, planted_warning):
+        main(["staticcheck", "--json", "--checker", "exception-hygiene"])
+        payload = json.loads(capsys.readouterr().out)
+        (finding,) = payload["findings"]
+        assert set(finding) == {
+            "checker",
+            "severity",
+            "path",
+            "line",
+            "anchor",
+            "message",
+        }
+        assert finding["severity"] == "warning"
 
     def test_unknown_checker_is_rejected(self):
         with pytest.raises(ValueError):
             run_staticcheck(checkers=("no-such-checker",))
 
 
-class TestBaselineFile:
-    def test_committed_baseline_matches_current_findings(self):
-        report = run_staticcheck(baseline_path=BASELINE)
-        accepted = load_baseline(BASELINE)
-        assert {f.fingerprint for f in report.findings} == set(accepted)
-        assert report.new == []
-
-    def test_write_baseline_round_trips(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        assert (
-            main(
-                ["staticcheck", "--baseline", str(path), "--write-baseline"]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert main(["staticcheck", "--baseline", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "0 new" in out
+def test_run_staticcheck_does_not_import_the_linter():
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.staticcheck import run_staticcheck
+        report = run_staticcheck()
+        loaded = sorted(m for m in sys.modules if m.startswith("repro.lint"))
+        print(len(report.findings), loaded)
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "0 []"

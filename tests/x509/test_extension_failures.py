@@ -2,13 +2,15 @@
 
 ``Certificate.is_ca``, the UserNotice decodes of ``ParsedPolicies.parse``
 and ``name_constraints.constraints_of`` catch only the decoder's error
-type (:class:`repro.asn1.ASN1Error`).  That is sound only while the
-decoders raise nothing else, so these tests feed each extension's
-payload truncated and with bytes overwritten.  A truncated payload must
-give the failure value (``is_ca`` False, ``constraints_of`` None,
-``ParsedPolicies.parse`` an ASN1Error); an overwritten one may still
-decode, and every explicitText it yields must come back as text with
-its decode flag.  No other exception type may escape.
+type (:class:`repro.asn1.ASN1Error`), and the certificate's extension
+views record only ``VIEW_ERRORS`` as a parse error.  That is sound only
+while the decoders raise nothing else, so these tests feed each
+extension's payload truncated and with bytes overwritten.  A truncated
+payload must give the failure value (``is_ca`` False, ``constraints_of``
+None, ``ParsedPolicies.parse``, ``InfoAccess.parse`` and
+``CRLDistributionPoints.parse`` an ASN1Error); an overwritten one may
+still decode, and every explicitText it yields must come back as text
+with its decode flag.  No other exception type may escape.
 """
 
 import dataclasses
@@ -17,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asn1 import ASN1Error, BMP_STRING, TELETEX_STRING, UTF8_STRING, VISIBLE_STRING
 from repro.asn1.oid import (
+    OID_AD_CA_ISSUERS,
+    OID_AD_OCSP,
+    OID_COMMON_NAME,
     OID_CP_DOMAIN_VALIDATED,
     OID_EXT_BASIC_CONSTRAINTS,
     OID_EXT_NAME_CONSTRAINTS,
@@ -25,8 +30,14 @@ from repro.asn1.oid import (
 )
 from repro.fuzz.mutators import byte_flip, truncate
 from repro.x509 import (
+    AccessDescription,
     CertificateBuilder,
+    CRLDistributionPoints,
+    DistributionPoint,
     Extension,
+    GeneralName,
+    InfoAccess,
+    Name,
     NameConstraints,
     ParsedPolicies,
     PolicyInformation,
@@ -60,6 +71,27 @@ POLICIES = certificate_policies(
         ],
     )
 ).value_der
+INFO_ACCESS = InfoAccess(
+    [
+        AccessDescription(OID_AD_OCSP, GeneralName.uri("http://ocsp.example/")),
+        AccessDescription(OID_AD_CA_ISSUERS, GeneralName.uri("http://ca.example/ca.crt")),
+        AccessDescription(
+            OID_AD_CA_ISSUERS,
+            GeneralName.directory(Name.build([(OID_COMMON_NAME, "Ünicode CA")])),
+        ),
+    ]
+).encode()
+CRL_POINTS = CRLDistributionPoints(
+    [
+        DistributionPoint([GeneralName.uri("http://crl.example/a.crl")]),
+        DistributionPoint(
+            [
+                GeneralName.dns("crl.example"),
+                GeneralName.directory(Name.build([(OID_COMMON_NAME, "CRL Issuer")])),
+            ]
+        ),
+    ]
+).encode()
 NAME_CONSTRAINTS = NameConstraints(
     permitted_dns=["example.com", "xn--bcher-kva.example"],
     excluded_dns=["bad.example.com"],
@@ -106,11 +138,25 @@ def _policies(payload: bytes):
         return None
 
 
+def _decoded(parser, payload: bytes):
+    """``parser``'s view of the payload, or ``None`` when it is rejected."""
+    try:
+        return parser(payload, strict=False)
+    except ASN1Error:
+        return None
+
+
 def test_undamaged_payloads_decode():
     assert _is_ca(BASIC_CONSTRAINTS) is True
     assert _constraints(NAME_CONSTRAINTS).excluded_dns == ["bad.example.com"]
     parsed = _policies(POLICIES)
     assert [ok for _tag, _text, ok in parsed.explicit_texts] == [True] * 4
+    assert len(_decoded(InfoAccess.parse, INFO_ACCESS).descriptions) == 3
+    assert _decoded(CRLDistributionPoints.parse, CRL_POINTS).all_urls() == [
+        "http://crl.example/a.crl",
+        "crl.example",
+        "",
+    ]
 
 
 #: Flips: ``(index, byte)`` overwrites, index taken modulo the length.
@@ -125,6 +171,8 @@ def test_truncated_payloads_give_the_failure_value(keep):
     assert _is_ca(truncate(BASIC_CONSTRAINTS, keep)) is False
     assert _constraints(truncate(NAME_CONSTRAINTS, keep)) is None
     assert _policies(truncate(POLICIES, keep)) is None
+    assert _decoded(InfoAccess.parse, truncate(INFO_ACCESS, keep)) is None
+    assert _decoded(CRLDistributionPoints.parse, truncate(CRL_POINTS, keep)) is None
 
 
 def _damaged(payload: bytes, flips, cuts) -> bytes:
@@ -146,3 +194,7 @@ def test_flipped_payloads_raise_nothing_else(flips, cuts):
     if parsed is not None:
         for tag, text, ok in parsed.explicit_texts:
             assert isinstance(tag, int) and isinstance(text, str) and ok in (True, False)
+    access = _decoded(InfoAccess.parse, _damaged(INFO_ACCESS, flips, cuts))
+    assert access is None or isinstance(access, InfoAccess)
+    points = _decoded(CRLDistributionPoints.parse, _damaged(CRL_POINTS, flips, cuts))
+    assert points is None or isinstance(points, CRLDistributionPoints)
