@@ -13,13 +13,17 @@ injectable :class:`EngineStats` collector:
 * :mod:`repro.engine.pipeline` — the :class:`Engine` core (stages);
 * :mod:`repro.engine.executors` — serial reference semantics and the
   process-pool fan-out;
-* :mod:`repro.engine.sinks` — CLI JSON/text documents, exact
-  ``CorpusSummary`` merge, service response bodies;
-* :mod:`repro.engine.worker` — picklable worker-side primitives that
-  ship :class:`StageTimings` back across the process boundary;
+* :mod:`repro.engine.sinks` — CLI JSON/text documents and the exact
+  ``CorpusSummary`` merge;
 * :mod:`repro.engine.stats` — the collector surfaced as
   ``repro lint --stats``, the service ``/metrics`` ``stages`` block,
   and the per-stage breakdowns in ``BENCH_lint_throughput.json``.
+
+Every worker-side run — corpus shards, tail batches and the service's
+micro-batches — goes through one loop,
+:func:`repro.lint.parallel.lint_shard`, which ships
+:class:`StageTimings` and per-record decode failures back across the
+process boundary.
 """
 
 from .executors import PoolExecutor, SerialExecutor
@@ -36,7 +40,6 @@ from .windows import (
     WindowedSummary,
     cert_facts,
 )
-from .worker import TimedBatch, lint_ders_timed
 
 __all__ = [
     "Alert",
@@ -50,14 +53,12 @@ __all__ = [
     "SerialExecutor",
     "SourceItem",
     "StageTimings",
-    "TimedBatch",
     "WindowConfig",
     "WindowStats",
     "WindowedSummary",
     "cert_facts",
     "corpus_records",
     "increment_pairs",
-    "lint_ders_timed",
     "merge_shard_results",
     "read_path",
     "render_text_report",

@@ -3,7 +3,8 @@
 An executor takes the ingest stage's :class:`~repro.lint.parallel.ShardTask`
 list and returns one :class:`~repro.lint.parallel.ShardResult` per task,
 raising :class:`~repro.lint.parallel.ShardError` on the first structured
-shard failure.  Two strategies ship:
+shard failure — a worker error or an unparseable record, since a corpus
+outcome must count every record.  Two strategies ship:
 
 * :class:`SerialExecutor` — every shard inline in this process, in
   order.  This is the *reference semantics*: anything another executor
@@ -45,8 +46,9 @@ class SerialExecutor:
         results: list[ShardResult] = []
         for task in tasks:
             result = lint_shard(task)
-            if result.error:
-                raise ShardError(result.index, result.error)
+            failure = result.failure()
+            if failure:
+                raise ShardError(result.index, failure)
             results.append(result)
         return results
 
@@ -95,10 +97,11 @@ class PoolExecutor:
             # of waiting for the stragglers.
             for future in as_completed(futures):
                 result = future.result()
-                if result.error:
+                failure = result.failure()
+                if failure:
                     for pending in futures:
                         pending.cancel()
-                    raise ShardError(result.index, result.error)
+                    raise ShardError(result.index, failure)
                 results.append(result)
         finally:
             if owned:

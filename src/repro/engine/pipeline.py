@@ -1,10 +1,11 @@
 """The staged lint engine: ingest → decode → lint → sink, instrumented.
 
 Every entry point in the repo — the CLI ``lint``/``corpus``/``monitor``
-commands, the service batcher, and the throughput benchmarks — is a
-thin composition over this module, so
-scaling work (new executors, new sinks, stage-level profiling) lands
-once instead of four times:
+commands and the throughput benchmarks — is a thin composition over
+this module, and the lint service dispatches to its shard worker
+(:func:`repro.lint.parallel.lint_shard`), so scaling work (new
+executors, new sinks, stage-level profiling) lands once instead of
+four times:
 
 * **ingest** — resolve input to certificate DER: unified PEM/DER/base64
   sniffing for single inputs (:mod:`repro.engine.ingest`), deterministic
@@ -32,12 +33,15 @@ import tempfile as _tempfile
 from dataclasses import dataclass
 
 from ..lint.parallel import (
+    DECODE_ERRORS,
     ParallelLintOutcome,
+    ShardOutput,
     build_pair_shard_tasks,
     build_store_shard_tasks,
     default_shard_count,
     resolve_jobs,
     shard_bounds,
+    unparseable_message,
 )
 from ..lint.runner import CertificateReport, run_lints
 from ..lint.serialization import report_to_json
@@ -55,7 +59,8 @@ class EngineItem:
     Stage failures are recorded (``error_code`` from the shared ingest
     taxonomy, or ``unparseable_certificate`` from decode) instead of
     raised, so callers decide their own failure surface — exit status 2
-    for the CLI, HTTP 400 for the service.
+    for the CLI.  The service's 400 carries the same code and message,
+    recorded by :func:`repro.lint.parallel.lint_shard`.
     """
 
     origin: str
@@ -86,7 +91,7 @@ class Engine:
     def __init__(self, stats: EngineStats | None = None):
         self.stats = stats if stats is not None else EngineStats()
 
-    # -- single-certificate path (CLI lint, service admission) --------
+    # -- single-certificate path (CLI lint) ---------------------------
 
     def ingest_bytes(self, data: bytes, origin: str = "<bytes>") -> EngineItem:
         """Ingest stage: sniff PEM/DER/base64 input down to DER."""
@@ -106,9 +111,9 @@ class Engine:
         with self.stats.time("decode", items=1):
             try:
                 item.cert = Certificate.from_der(item.der)
-            except Exception as exc:
+            except DECODE_ERRORS as exc:
                 item.error_code = "unparseable_certificate"
-                item.error = f"input is not a parseable certificate: {exc}"
+                item.error = unparseable_message(exc)
         if item.ok:
             self.stats.count_certs(1, len(item.der))
         return item
@@ -278,7 +283,7 @@ class Engine:
                 pairs,
                 shards,
                 respect_effective_dates=respect_effective_dates,
-                collect_reports=collect_reports,
+                output=ShardOutput.REPORTS if collect_reports else ShardOutput.SUMMARY,
                 collect_facts=window is not None,
             )
 
@@ -338,7 +343,7 @@ class Engine:
         total = len(store) if store is not None else len(records)
         task_kwargs = dict(
             respect_effective_dates=respect_effective_dates,
-            collect_reports=collect_reports,
+            output=ShardOutput.REPORTS if collect_reports else ShardOutput.SUMMARY,
         )
         spills: list[str] = []
 

@@ -40,15 +40,18 @@ references keep a stable import path across fork and spawn.
 from __future__ import annotations
 
 import datetime as _dt
+import enum
 import os
 import time as _time
 import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..asn1 import ASN1Error
 from ..memo import ProcessMemo
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
 from .runner import CertificateReport, CorpusSummary, run_lints, tally
+from .serialization import report_to_json
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -74,6 +77,28 @@ class ShardError(RuntimeError):
         self.index = index
 
 
+#: What ``Certificate.from_der`` raises on bytes that are not a
+#: certificate.  The shard loop and ``Engine.decode_item`` record exactly
+#: this set as an unparseable input; anything else is a bug and fails
+#: the shard (or raises from ``decode_item``).
+DECODE_ERRORS = (ASN1Error,)
+
+
+def unparseable_message(exc: Exception) -> str:
+    """The recorded message of an input ``from_der`` rejected."""
+    return f"input is not a parseable certificate: {exc}"
+
+
+class ShardOutput(enum.Enum):
+    """What a shard returns per certificate besides its summary: nothing,
+    the report objects, or ``report_to_json(report, cert)`` bodies
+    (rendered in the worker, where the certificate stays)."""
+
+    SUMMARY = "summary"
+    REPORTS = "reports"
+    JSON = "json"
+
+
 @dataclass(frozen=True)
 class ShardTask:
     """One unit of worker input: a contiguous slice of the corpus.
@@ -95,7 +120,7 @@ class ShardTask:
     certs_der: tuple[bytes, ...] = ()
     issued_at: tuple[_dt.datetime | None, ...] = ()
     respect_effective_dates: bool = True
-    collect_reports: bool = False
+    output: ShardOutput = ShardOutput.SUMMARY
     #: Substrate transport: path to a corpus-store file plus the shard's
     #: half-open record range within it.
     store_path: str | None = None
@@ -111,6 +136,10 @@ class ShardTask:
 class ShardResult:
     """One unit of worker output: the shard's exact summary.
 
+    ``reports`` holds one entry per parsed certificate, in shard order,
+    of the kind the task's ``output`` selects (``None`` for ``SUMMARY``).
+    A record ``from_der`` rejects is left out of the summary, ``reports``
+    and ``facts`` and listed in ``failures`` as ``(offset, message)``.
     ``timings`` carries the worker-side per-stage accounting
     (:class:`repro.engine.stats.StageTimings`) back across the process
     boundary so the parent engine can fold decode/lint/sink seconds
@@ -120,7 +149,7 @@ class ShardResult:
     index: int
     count: int
     summary: CorpusSummary = field(default_factory=CorpusSummary)
-    reports: list[CertificateReport] | None = None
+    reports: list | None = None
     error: str | None = None
     timings: object | None = None
     #: Per-certificate ``(ReportTally, CertFacts)`` pairs (its report's
@@ -128,6 +157,13 @@ class ShardResult:
     #: :class:`repro.engine.windows.CertFacts`), in shard order, when the
     #: task asked for ``collect_facts``.
     facts: list | None = None
+    failures: list[tuple[int, str]] = field(default_factory=list)
+
+    def failure(self) -> str | None:
+        """The worker's error, else the first unparseable record."""
+        if self.error is None and self.failures:
+            return "record %d: %s" % self.failures[0]
+        return self.error
 
 
 @dataclass
@@ -298,14 +334,16 @@ def _shard_records(task: ShardTask):
 def lint_shard(task: ShardTask) -> ShardResult:
     """Lint one shard; never raises — failures come back structured.
 
-    Runs in a worker process (or inline for ``jobs=1``).  Certificates
-    arrive as DER — inline in the task or via the memory-mapped
-    substrate — are re-parsed with the tolerant parser, linted with the
-    current (memoized) registry schedule, and folded into a per-shard
+    The one worker loop of batch, tail and service runs, in a worker
+    process (or inline for ``jobs=1``).  Certificates arrive as DER —
+    inline in the task or via the memory-mapped substrate — are
+    re-parsed with the tolerant parser, linted with the current
+    (memoized) registry schedule, and folded into a per-shard
     :class:`CorpusSummary`; each report is tallied once, and with
     ``collect_facts`` that tally rides back with the certificate's facts
-    for the windowed fold.  Timings record both clocks: wall
-    (``perf_counter``) for latency, CPU (``process_time``) for the
+    for the windowed fold.  A record ``from_der`` rejects is recorded in
+    ``failures`` and the loop moves on.  Timings record both clocks:
+    wall (``perf_counter``) for latency, CPU (``process_time``) for the
     compute the run actually burned — on an oversubscribed box the two
     diverge, and summing worker wall across processes would double- to
     quadruple-count the elapsed time.
@@ -321,9 +359,8 @@ def lint_shard(task: ShardTask) -> ShardResult:
     result = ShardResult(index=task.index, count=count)
     timings = StageTimings()
     result.timings = timings
-    reports: list[CertificateReport] | None = (
-        [] if task.collect_reports else None
-    )
+    outputs: list | None = None if task.output is ShardOutput.SUMMARY else []
+    render = report_to_json if task.output is ShardOutput.JSON else None
     facts: list | None = None
     extract_facts = None
     if task.collect_facts:
@@ -332,10 +369,14 @@ def lint_shard(task: ShardTask) -> ShardResult:
         facts = []
     try:
         lints, index = _worker_schedule()
-        for der, issued_at in _shard_records(task):
+        for offset, (der, issued_at) in enumerate(_shard_records(task)):
             start = _time.perf_counter()
             cstart = _time.process_time()
-            cert = Certificate.from_der(der)
+            try:
+                cert = Certificate.from_der(der)
+            except DECODE_ERRORS as exc:
+                result.failures.append((offset, unparseable_message(exc)))
+                continue
             cert_facts = extract_facts(cert) if extract_facts is not None else None
             decoded = _time.perf_counter()
             cdecoded = _time.process_time()
@@ -350,8 +391,8 @@ def lint_shard(task: ShardTask) -> ShardResult:
             clinted = _time.process_time()
             counts = tally(report)
             result.summary.add_tally(counts)
-            if reports is not None:
-                reports.append(report)
+            if outputs is not None:
+                outputs.append(report if render is None else render(report, cert))
             if facts is not None:
                 facts.append((counts, cert_facts))
             sunk = _time.perf_counter()
@@ -363,10 +404,8 @@ def lint_shard(task: ShardTask) -> ShardResult:
             timings.bytes += len(der)
     except Exception as exc:
         result.error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        result.reports = None
-        result.facts = None
         return result
-    result.reports = reports
+    result.reports = outputs
     result.facts = facts
     return result
 
@@ -382,9 +421,9 @@ class LintPool:
     A ``multiprocessing.Pool`` per call is fine for one-shot batch runs
     but wrong for a long-lived service: the fork/spawn cost would land
     on the first request of every batch.  A ``LintPool`` is created
-    once, hands out futures, and is shared by the corpus engine
-    (:meth:`submit_shard`), the service batcher (:meth:`submit_timed`)
-    and the fuzz campaign (:meth:`submit_fuzz`).
+    once, hands out futures, and is shared by the corpus engine and
+    the service batcher (:meth:`submit_shard`) and the fuzz campaign
+    (:meth:`submit_fuzz`).
 
     The pool is *warm*: under fork, the parent resolves the registry
     snapshot and builds the :class:`RegistryIndex` before the first
@@ -440,17 +479,6 @@ class LintPool:
         :class:`ShardResult` (structured errors, never raises)."""
         return self.executor.submit(lint_shard, task)
 
-    def submit_timed(
-        self, ders: tuple[bytes, ...], respect_effective_dates: bool = True
-    ):
-        """Dispatch a service micro-batch; the future resolves to a
-        :class:`repro.engine.worker.TimedBatch` whose ``bodies`` are the
-        ``repro lint --json`` documents, one per certificate, and whose
-        ``timings`` carry the worker's per-stage seconds."""
-        from ..engine.worker import lint_ders_timed
-
-        return self.executor.submit(lint_ders_timed, ders, respect_effective_dates)
-
     def submit_fuzz(self, specs: tuple):
         """Dispatch one fuzz mutant batch; the future resolves to
         ``(observations, StageTimings)`` from
@@ -478,7 +506,7 @@ def build_store_shard_tasks(
     total: int,
     shards: int,
     respect_effective_dates: bool = True,
-    collect_reports: bool = False,
+    output: ShardOutput = ShardOutput.SUMMARY,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over a substrate file.
 
@@ -493,7 +521,7 @@ def build_store_shard_tasks(
             ShardTask(
                 index=index,
                 respect_effective_dates=respect_effective_dates,
-                collect_reports=collect_reports,
+                output=output,
                 store_path=str(store_path),
                 start=start,
                 stop=stop,
@@ -506,7 +534,7 @@ def build_pair_shard_tasks(
     pairs,
     shards: int,
     respect_effective_dates: bool = True,
-    collect_reports: bool = False,
+    output: ShardOutput = ShardOutput.SUMMARY,
     collect_facts: bool = False,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over ``(der, issued_at)`` pairs.
@@ -531,7 +559,7 @@ def build_pair_shard_tasks(
                 certs_der=tuple(der for der, _ in chunk),
                 issued_at=tuple(issued for _, issued in chunk),
                 respect_effective_dates=respect_effective_dates,
-                collect_reports=collect_reports,
+                output=output,
                 collect_facts=collect_facts,
             )
         )

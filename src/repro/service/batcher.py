@@ -23,13 +23,15 @@ class MicroBatcher:
 
     ``dispatch`` is the pool bridge: it takes a tuple of DER blobs and
     returns a :class:`concurrent.futures.Future` resolving to one
-    rendered JSON string per blob, in order (the service's
-    ``_dispatch`` over :meth:`repro.lint.parallel.LintPool.submit_timed`).
+    outcome per blob, in order: a rendered JSON string, or an exception
+    that fails only that blob's request (the service's ``_dispatch``
+    over :meth:`repro.lint.parallel.LintPool.submit_shard`).  A dispatch
+    that raises fails every request of the batch.
     """
 
     def __init__(
         self,
-        dispatch: Callable[[tuple[bytes, ...]], "_cf.Future[list[str]]"],
+        dispatch: Callable[[tuple[bytes, ...]], "_cf.Future[list[str | Exception]]"],
         max_batch: int = 16,
         max_delay: float = 0.002,
     ):
@@ -62,7 +64,8 @@ class MicroBatcher:
         return self._queue.qsize()
 
     def submit(self, der: bytes) -> "asyncio.Future[str]":
-        """Enqueue one DER; the future resolves to its JSON body."""
+        """Enqueue one DER; the future resolves to its JSON body or
+        raises its per-item exception."""
         if self._stopped:
             raise RuntimeError("batcher is stopped")
         future: asyncio.Future[str] = asyncio.get_running_loop().create_future()
@@ -101,7 +104,7 @@ class MicroBatcher:
         self.certs_dispatched += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
         try:
-            bodies = await asyncio.wrap_future(
+            outcomes = await asyncio.wrap_future(
                 self._dispatch(tuple(der for der, _ in batch))
             )
         except BaseException as exc:
@@ -119,9 +122,13 @@ class MicroBatcher:
             if not isinstance(exc, Exception):
                 raise
             return
-        for (_, future), body in zip(batch, bodies):
-            if not future.done():
-                future.set_result(body)
+        for (_, future), outcome in zip(batch, outcomes):
+            if future.done():
+                continue
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
 
     async def stop(self) -> None:
         """Drain: dispatch everything queued, then wait for the workers.

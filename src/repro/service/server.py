@@ -13,21 +13,23 @@ Routes
 
 Data path for a ``POST /lint``::
 
-    body → DER → sha256 key ── hit ──────────────→ cached body
-                     │ miss
-                     ▼
+    body → sniff PEM/DER/base64 → sha256 key ── hit ──→ cached body
+                                   │ miss
+                                   ▼
           admission (bounded; full → 429 + Retry-After)
-                     │
-                     ▼
+                                   │
+                                   ▼
           in-flight dedup (same DER already dispatched → share future)
-                     │
-                     ▼
-          micro-batcher → LintPool worker → report_to_json → cache
+                                   │
+                                   ▼
+          micro-batcher → LintPool.submit_shard → lint_shard (worker):
+          decode → lint → report_to_json → cache, or unparseable → 400
 
-The response body is byte-identical to the offline CLI path because
-the worker (:func:`repro.engine.worker.lint_ders_timed`) does what
-``repro lint --json`` does: parse the DER with the tolerant parser, run
-the registry snapshot, render with ``report_to_json(report, cert)``.
+Nothing decodes on the event loop, so a cache hit costs a sniff and a
+hash.  The body is byte-identical to ``repro lint --json`` because the
+worker loop (:func:`repro.lint.parallel.lint_shard` with
+``ShardOutput.JSON``) parses with the same tolerant parser, runs the
+registry snapshot and renders with ``report_to_json(report, cert)``.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from typing import Callable
 
 from ..engine.ingest import IngestError, sniff_certificate_bytes
 from ..engine.stats import EngineStats
-from ..lint.parallel import LintPool
-from ..x509 import Certificate
+from ..lint.parallel import LintPool, ShardError, ShardOutput, ShardResult, ShardTask
 from .batcher import MicroBatcher
 from .cache import ResultCache, cache_key
 from .http import (
@@ -104,13 +105,14 @@ def _settle_bridge(future: _cf.Future, result=None, exception=None) -> None:
         pass
 
 
-def _parse_der(der: bytes) -> Certificate:
-    try:
-        return Certificate.from_der(der)
-    except Exception as exc:
-        raise HttpError(
-            400, "unparseable_certificate", f"input is not a parseable certificate: {exc}"
-        ) from exc
+def _request_outcomes(result: ShardResult) -> list:
+    """One body or one 400 per certificate of a micro-batch, in order."""
+    failed = dict(result.failures)
+    bodies = iter(result.reports or ())
+    return [
+        HttpError(400, "unparseable_certificate", failed[i]) if i in failed else next(bodies)
+        for i in range(result.count)
+    ]
 
 
 def rules_payload() -> list[dict]:
@@ -136,9 +138,11 @@ def rules_payload() -> list[dict]:
 class LintService:
     """One daemon instance: listener + cache + batcher + worker pool.
 
-    ``pool`` may be injected (anything with ``submit_timed`` and
-    ``shutdown``); the service then does not own its lifecycle.  Tests
-    use this to wedge a deliberately slow pool and observe backpressure.
+    Each micro-batch is one :class:`ShardTask` submitted through
+    ``pool.submit_shard``.  ``pool`` may be injected (anything with
+    ``submit_shard`` and ``shutdown``); the service then does not own
+    its lifecycle.  Tests use this to wedge a deliberately slow pool and
+    observe backpressure.
     """
 
     def __init__(self, config: ServiceConfig | None = None, pool=None):
@@ -225,11 +229,18 @@ class LintService:
     # -- pool bridge --------------------------------------------------
 
     def _dispatch(self, ders):
-        """Dispatch one micro-batch through the engine's timed worker
-        path, folding the worker's per-stage seconds into this daemon's
-        :class:`EngineStats` (surfaced as the ``stages`` block of
-        ``/metrics``)."""
-        inner = self._pool.submit_timed(ders)
+        """Dispatch one micro-batch as a shard task with JSON output,
+        folding the worker's per-stage seconds into this daemon's
+        :class:`EngineStats` (the ``stages`` block of ``/metrics``).
+        The bridge resolves to :func:`_request_outcomes`; a worker error
+        fails the whole batch."""
+        task = ShardTask(
+            index=0,
+            certs_der=ders,
+            issued_at=(None,) * len(ders),
+            output=ShardOutput.JSON,
+        )
+        inner = self._pool.submit_shard(task)
         outer: _cf.Future = _cf.Future()
         self._track_bridge(inner, outer)
 
@@ -237,15 +248,17 @@ class LintService:
             if outer.done():
                 return  # drain() already settled the bridge
             try:
-                batch = done.result()
+                result = done.result()
+                if result.error is not None:
+                    raise ShardError(result.index, result.error)
             except BaseException as exc:
                 _settle_bridge(outer, exception=exc)
                 return
             # worker=True: the batch ran in a pool process, so its wall
             # column is dropped — only CPU seconds and item counts are
             # additive across workers into the daemon-lifetime stats.
-            self.engine_stats.merge_timings(batch.timings, worker=True)
-            _settle_bridge(outer, result=batch.bodies)
+            self.engine_stats.merge_timings(result.timings, worker=True)
+            _settle_bridge(outer, result=_request_outcomes(result))
 
         inner.add_done_callback(_unwrap)
         return outer
@@ -337,7 +350,8 @@ class LintService:
     # -- the lint data path -------------------------------------------
 
     async def _lint_der(self, der: bytes) -> str:
-        """Cache → admission → in-flight dedup → batcher → cache."""
+        """Cache → admission → in-flight dedup → batcher → cache (bodies
+        only: an unparseable certificate's 400 is not cached)."""
         key = cache_key(der)
         cached = self.cache.get(key)
         if cached is not None:
@@ -388,9 +402,7 @@ class LintService:
             ) from exc
 
     async def _handle_lint(self, request: Request) -> bytes:
-        der = decode_certificate_body(request.body)
-        _parse_der(der)  # reject unparseable input before admission
-        body = await self._lint_der(der)
+        body = await self._lint_der(decode_certificate_body(request.body))
         # print() in the CLI appends "\n"; matching it keeps the service
         # body byte-identical to `python -m repro lint --json` stdout.
         return render_response(200, body.encode("utf-8") + b"\n")
@@ -412,9 +424,7 @@ class LintService:
             try:
                 if not isinstance(item, str):
                     raise HttpError(400, "bad_batch_item", "items must be strings")
-                der = decode_certificate_body(item.encode("utf-8"))
-                _parse_der(der)
-                ders.append(der)
+                ders.append(decode_certificate_body(item.encode("utf-8")))
             except HttpError as exc:
                 ders.append(exc)
 

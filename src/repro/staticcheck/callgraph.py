@@ -8,10 +8,10 @@ whole-program call graph, rooted at the worker entry points:
 
 * the :class:`~repro.lint.parallel.LintPool` spawn initializer and warm
   task (``_worker_init`` / ``_warm_worker``);
-* the pool submit targets (``lint_shard``, ``lint_ders_timed``,
-  ``evaluate_batch_timed``) plus anything an
-  analyzed call site passes to ``executor.submit(fn, ...)`` or an
-  ``initializer=`` keyword (:func:`discovered_roots`).
+* the pool submit targets (``lint_shard``, ``evaluate_batch_timed``)
+  plus anything an analyzed call site passes to
+  ``executor.submit(fn, ...)`` or an ``initializer=`` keyword
+  (:func:`discovered_roots`).
 
 The graph is deliberately an *over*-approximation — for reachability
 soundness it must never miss an edge, and may include impossible ones:
@@ -46,7 +46,6 @@ from .resolve import SourceIndex
 #: not under analysis, a renamed function) are skipped silently so the
 #: same default works for partial scopes.
 DEFAULT_WORKER_ROOTS = (
-    "repro.engine.worker.lint_ders_timed",
     "repro.fuzz.oracle.evaluate_batch_timed",
     "repro.lint.parallel._warm_worker",
     "repro.lint.parallel._worker_init",

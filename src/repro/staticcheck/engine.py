@@ -171,4 +171,5 @@ def run_staticcheck(
         pkg_root=pkg_root,
         checkers=checkers,
     )
-    return StaticcheckReport(findings=findings)
+    ran = tuple(name for name in CHECKER_NAMES if not checkers or name in checkers)
+    return StaticcheckReport(findings=findings, checkers=ran)

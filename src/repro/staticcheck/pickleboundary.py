@@ -43,7 +43,7 @@ _FN_DISPATCH = frozenset({"submit", "apply_async"})
 
 #: Dispatch attributes whose arguments are all data (the callable is
 #: fixed inside the pool wrapper).
-_DATA_DISPATCH = frozenset({"submit_shard", "submit_timed", "submit_fuzz"})
+_DATA_DISPATCH = frozenset({"submit_shard", "submit_fuzz"})
 
 #: Constructors whose fields are pickled wholesale into worker tasks.
 _TASK_TYPES = frozenset({"ShardTask"})
@@ -60,9 +60,9 @@ def _module_level_defs(tree: ast.Module) -> set[str]:
 def _imported_names(fn_node: ast.AST, tree: ast.Module) -> set[str]:
     """Names bound by imports — module-level *or* inside this function.
 
-    ``submit_timed`` imports ``lint_ders_timed`` in its own body; a
+    ``submit_fuzz`` imports ``evaluate_batch_timed`` in its own body; a
     function-local import still resolves to a module-qualified object,
-    so it picks fine.
+    so it pickles fine.
     """
     names: set[str] = set()
     for scope in (tree, fn_node):

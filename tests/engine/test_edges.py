@@ -6,7 +6,8 @@ must produce exactly one non-empty task no matter how many shards are
 requested.  Executors are interchangeable: serial and pool runs over
 the same tasks merge to the summary of the reference oracle
 (:func:`repro.lint.reference.reference_run_lints`, run serially), and
-both surface a worker failure as :class:`ShardError`.
+both surface a worker failure as :class:`ShardError`.  An unparseable
+record is one recorded failure, the same one whichever path decodes it.
 """
 
 import datetime as dt
@@ -15,6 +16,7 @@ import os
 import pytest
 
 from repro.engine import (
+    Engine,
     PoolExecutor,
     SerialExecutor,
     increment_pairs,
@@ -30,6 +32,7 @@ from repro.lint.parallel import (
     ShardTask,
     build_pair_shard_tasks,
     default_shard_count,
+    lint_shard,
     resolve_jobs,
     shard_bounds,
     usable_cpus,
@@ -213,3 +216,31 @@ class TestExecutorParity:
         bad = ShardTask(index=0, certs_der=(b"\x30\x00",), issued_at=(None,))
         with pytest.raises(ShardError):
             PoolExecutor(2).run([bad])
+
+
+def _broken(good: bytes, kind: str) -> bytes:
+    if kind == "truncated":
+        return good[:-1]
+    if kind == "bit_flipped":
+        flipped = bytearray(good)
+        flipped[1] ^= 0x01  # the outer length no longer matches the input
+        return bytes(flipped)
+    return b"\x30\x03\x02\x01\x00"  # a SEQUENCE, not a certificate
+
+
+class TestUnparseableRecords:
+    @pytest.mark.parametrize("kind", ["truncated", "bit_flipped", "not_a_certificate"])
+    def test_engine_and_shard_record_the_same_failure(self, kind):
+        good = make_records(1)[0].certificate.to_der()
+        bad = _broken(good, kind)
+        item = Engine().lint_bytes(bad, origin="<test>")
+        assert item.error_code == "unparseable_certificate"
+        assert item.error.startswith("input is not a parseable certificate: ")
+        # One bad record fails only itself: its neighbours are linted.
+        task = ShardTask(
+            index=0, certs_der=(good, bad, good), issued_at=(None,) * 3
+        )
+        result = lint_shard(task)
+        assert result.error is None
+        assert result.failures == [(1, item.error)]
+        assert result.summary.total == 2

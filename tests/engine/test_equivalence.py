@@ -15,8 +15,9 @@ import pytest
 
 from repro.cli import main
 from repro.ct import CorpusGenerator
-from repro.engine import Engine, lint_ders_timed, run_corpus
+from repro.engine import Engine, run_corpus
 from repro.lint import summarize, summary_to_json
+from repro.lint.parallel import LintPool, ShardOutput, ShardTask, lint_shard
 from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_json
 from repro.x509 import (
@@ -94,16 +95,27 @@ class TestCollectedReports:
 
 
 class TestServiceWorkerPrimitive:
-    def test_timed_bodies_match_reference(self, corpus):
+    """The service's worker call: one shard task with JSON output."""
+
+    def test_json_bodies_match_reference(self, corpus):
         ders = tuple(r.certificate.to_der() for r in corpus.records[:16])
-        batch = lint_ders_timed(ders)
+        task = ShardTask(
+            index=0,
+            certs_der=ders,
+            issued_at=(None,) * len(ders),
+            output=ShardOutput.JSON,
+        )
         expected = []
         for der in ders:
             cert = Certificate.from_der(der)
             expected.append(report_to_json(reference_run_lints(cert), cert))
-        assert batch.bodies == expected
-        assert batch.timings.certs == len(ders)
-        assert batch.timings.bytes == sum(len(d) for d in ders)
+        with LintPool(jobs=1) as pool:
+            pooled = pool.submit_shard(task).result(timeout=60)
+        for result in (lint_shard(task), pooled):
+            assert result.reports == expected
+            assert result.failures == []
+            assert result.timings.certs == len(ders)
+            assert result.timings.bytes == sum(len(d) for d in ders)
 
 
 class TestCliSurface:

@@ -18,7 +18,7 @@ import pytest
 
 import repro
 from repro.ct import CorpusGenerator
-from repro.engine import increment_pairs, lint_ders_timed, run_corpus
+from repro.engine import increment_pairs, run_corpus
 from repro.lint import (
     CorpusSummary,
     REGISTRY,
@@ -41,6 +41,8 @@ from repro.lint.framework import (
 from repro.lint.parallel import (
     MIN_SHARD_SIZE,
     LintPool,
+    ShardOutput,
+    ShardTask,
     build_pair_shard_tasks,
     default_shard_count,
     lint_shard,
@@ -251,13 +253,20 @@ class TestWorkerCrash:
             run_corpus(self._poisoned(corpus), jobs=1, shards=4)
         assert excinfo.value.index >= 0
 
-    def test_lint_shard_never_raises(self, corpus):
+    def test_lint_shard_never_raises(self, corpus, tmp_path):
         tasks = build_pair_shard_tasks(increment_pairs(self._poisoned(corpus)), shards=2)
         results = [lint_shard(task) for task in tasks]
-        assert any(r.error for r in results)
-        failed = next(r for r in results if r.error)
-        # The structured failure carries the worker-side traceback.
-        assert "Traceback" in failed.error
+        assert not any(r.error for r in results)
+        failed = next(r for r in results if r.failures)
+        # The unparseable record is recorded; the rest of its shard is linted.
+        ((_offset, message),) = failed.failures
+        assert message.startswith("input is not a parseable certificate: ")
+        assert failed.summary.total == failed.count - 1
+        # A failure outside decode carries the worker-side traceback.
+        crashed = lint_shard(
+            ShardTask(index=0, store_path=str(tmp_path / "gone.rcs"), stop=1)
+        )
+        assert "Traceback" in crashed.error
 
 
 class TestRegistryCache:
@@ -347,20 +356,25 @@ class TestLintPool:
         assert cached <= 1
         assert mapped <= 1
 
-    def test_submit_timed_matches_cli_serialization(self):
+    def test_submit_shard_json_matches_cli_serialization(self):
         certs = [_cert("pool-a.example.com"), _cert("bad\x00pool.example.com")]
         ders = tuple(c.to_der() for c in certs)
         expected = [report_to_json(reference_run_lints(c), c) for c in certs]
+        task = ShardTask(
+            index=0, certs_der=ders, issued_at=(None, None), output=ShardOutput.JSON
+        )
         # Inline worker function...
-        assert lint_ders_timed(ders).bodies == expected
+        assert lint_shard(task).reports == expected
         # ...and through a real worker process.
         with LintPool(jobs=1) as pool:
-            assert pool.submit_timed(ders).result(timeout=60).bodies == expected
+            assert pool.submit_shard(task).result(timeout=60).reports == expected
 
     def test_shutdown_is_idempotent_and_reentrant(self):
         pool = LintPool(jobs=1)
         pool.shutdown()  # never started: no executor to tear down
-        pool.submit_timed((_cert("re.example.com").to_der(),)).result(timeout=60)
+        der = _cert("re.example.com").to_der()
+        task = ShardTask(index=0, certs_der=(der,), issued_at=(None,))
+        pool.submit_shard(task).result(timeout=60)
         pool.shutdown()
         pool.shutdown()
 

@@ -17,7 +17,10 @@ import threading
 
 import pytest
 
-from repro.engine import TimedBatch
+from repro.engine import StageTimings
+from repro.lint.parallel import ShardResult
+from repro.lint.reference import reference_run_lints
+from repro.lint.serialization import report_to_json
 from repro.service import (
     LintServiceClient,
     ServiceConfig,
@@ -97,6 +100,29 @@ class TestCaching:
         )
         assert after["certs_linted"] == before["certs_linted"]
 
+    def test_service_process_never_decodes_a_certificate(
+        self, service, monkeypatch
+    ):
+        from repro.x509 import Certificate
+
+        cert = build_cert("spy-probe.example.com", serial=780)  # sign() decodes
+        calls = []
+        real = Certificate.from_der.__func__
+
+        def spy(cls, data, strict=False):
+            calls.append(data)
+            return real(cls, data, strict)
+
+        # The pool's workers are already running, so the spy sees only
+        # this process: a miss decodes in the worker, a hit nowhere.
+        monkeypatch.setattr(Certificate, "from_der", classmethod(spy))
+        client = service.client()
+        assert client.lint_raw(cert.to_der())[0] == 200
+        hits = client.metrics()["cache"]["hits"]
+        assert client.lint_raw(encode_pem(cert.to_der()).encode())[0] == 200
+        assert client.metrics()["cache"]["hits"] == hits + 1
+        assert calls == []
+
     def test_pem_and_der_share_one_cache_entry(self, service):
         cert = build_cert("alias-probe.example.com", serial=778)
         client = service.client()
@@ -159,6 +185,25 @@ class TestBatchEndpoint:
         report = document["results"][0]["report"]
         assert report == json.loads(cli_json_for(good))
         assert document["results"][1]["error"]["status"] == 400
+
+    def test_good_and_unparseable_items_share_one_micro_batch(self):
+        good = build_cert("mixed-batch.example.com", serial=781)
+        bad = base64.b64encode(b"\x30\x03\x02\x01\x00").decode()
+        payload = json.dumps(
+            {"certificates": [base64.b64encode(good.to_der()).decode(), bad]}
+        ).encode()
+        config = ServiceConfig(port=0, jobs=1, batch_delay=0.05)
+        with ThreadedService(config) as threaded:
+            document = threaded.client()._json("POST", "/lint/batch", payload)
+            batcher = threaded.service.batcher
+            assert batcher.batches_dispatched == 1
+            assert batcher.certs_dispatched == 2
+        assert document["results"][0]["report"] == json.loads(
+            report_to_json(reference_run_lints(good), good)
+        )
+        error = document["results"][1]["error"]
+        assert error["status"] == 400
+        assert error["code"] == "unparseable_certificate"
 
     def test_batch_rejects_non_list(self, service):
         with pytest.raises(ServiceError) as excinfo:
@@ -226,16 +271,24 @@ class _StuckPool:
         self._futures = []
         self.dispatched = 0
 
-    def submit_timed(self, ders, respect_effective_dates=True):
+    def submit_shard(self, task):
         import concurrent.futures as cf
 
-        self.dispatched += len(ders)
+        count = len(task.certs_der)
+        self.dispatched += count
         future: cf.Future = cf.Future()
-        self._futures.append((future, len(ders)))
+        self._futures.append((future, count))
 
         def _release():
             self.gate.wait(timeout=30)
-            future.set_result(TimedBatch(bodies=["{}"] * len(ders)))
+            future.set_result(
+                ShardResult(
+                    index=task.index,
+                    count=count,
+                    reports=["{}"] * count,
+                    timings=StageTimings(),
+                )
+            )
 
         threading.Thread(target=_release, daemon=True).start()
         return future

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.engine import TimedBatch
+from repro.engine import StageTimings
+from repro.lint.parallel import ShardResult
 from repro.service import LintServiceClient, RetryPolicy, ServiceConfig
 from repro.service.batcher import MicroBatcher
 from repro.service.server import HttpError, LintService
@@ -30,7 +31,7 @@ class _WedgedPool:
     def __init__(self):
         self.futures: list[cf.Future] = []
 
-    def submit_timed(self, ders, respect_effective_dates=True):
+    def submit_shard(self, task):
         future: cf.Future = cf.Future()
         self.futures.append(future)
         return future
@@ -88,7 +89,11 @@ class TestBoundedDrain:
             # the admitted request must still get its real result.
             async def release():
                 await asyncio.sleep(0.05)
-                pool.futures[0].set_result(TimedBatch(bodies=["{}"]))
+                pool.futures[0].set_result(
+                    ShardResult(
+                        index=0, count=1, reports=["{}"], timings=StageTimings()
+                    )
+                )
 
             releaser = asyncio.ensure_future(release())
             await asyncio.wait_for(service.drain(), timeout=5.0)

@@ -91,11 +91,16 @@ class TestCliExitCodes:
 
 
 class TestJsonReport:
-    def test_json_covers_all_checkers(self, capsys):
-        status = main(["staticcheck", "--json"])
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [([], CHECKER_NAMES), (["--checker", "cache-safety"], ("cache-safety",))],
+        ids=["all", "selected"],
+    )
+    def test_json_lists_the_checkers_that_ran(self, capsys, argv, ran):
+        status = main(["staticcheck", "--json", *argv])
         payload = json.loads(capsys.readouterr().out)
         assert status == 0
-        assert tuple(payload["checkers"]) == CHECKER_NAMES
+        assert tuple(payload["checkers"]) == ran
         assert payload["counts"] == {"error": 0, "warning": 0, "info": 0}
         assert payload["findings"] == []
 
