@@ -72,7 +72,8 @@ def encode_issued_at(issued_at: _dt.datetime | None) -> int:
         return ISSUED_NONE
     if issued_at.tzinfo is not None:
         issued_at = issued_at.astimezone(_dt.timezone.utc).replace(tzinfo=None)
-    return (issued_at - EPOCH) // _dt.timedelta(microseconds=1)
+    delta = issued_at - EPOCH
+    return (delta.days * 86400 + delta.seconds) * 1_000_000 + delta.microseconds
 
 
 def decode_issued_at(value: int) -> _dt.datetime | None:

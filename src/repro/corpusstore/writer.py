@@ -8,11 +8,12 @@ Accepts the three record shapes the repo already passes around:
 * a list of ``(der_bytes, issued_at)`` pairs (what tests and external
   ingest produce when there is no live certificate object).
 
-The writer streams: index and issued-at columns are packed into
-buffers, the DER region is appended certificate by certificate, and the
-running CRC-32 covers the payload in file order.  The header is written
-last (over a zero placeholder), so a crash mid-write leaves a file that
-readers reject structurally instead of half-trusting.
+The writer packs the index and issued-at columns with one ``struct``
+call each, joins them and the DER region into one payload, takes its
+CRC-32 in one call and writes header and payload to a temporary file
+that is renamed into place only after ``fsync``: a crash mid-write
+leaves at worst the ``.tmp`` file, and a truncated file is one readers
+reject structurally instead of half-trusting.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ def _iter_pairs(source):
     """Yield ``(der, issued_at)`` from any accepted corpus shape."""
     records = getattr(source, "records", source)
     for record in records:
+        if type(record) is tuple:
+            der, issued_at = record
+            yield bytes(der), issued_at
+            continue
         certificate = getattr(record, "certificate", None)
         if certificate is not None:
             yield certificate.to_der(), getattr(record, "issued_at", None)
@@ -62,54 +67,51 @@ def write_records(source, path) -> tuple[int, int]:
     """:func:`write_store`, returning the header's record count and
     payload CRC-32 instead of the path."""
     path = pathlib.Path(path)
-    index = bytearray()
-    issued = bytearray()
+    # Flat (der_offset, der_len) pairs and issued-at values, each column
+    # packed with one struct call.
+    index: list[int] = []
+    issued: list[int] = []
     ders: list[bytes] = []
     der_size = 0
     for der, issued_at in _iter_pairs(source):
-        if len(der) > MAX_DER_LEN:
+        length = len(der)
+        if length > MAX_DER_LEN:
             raise CorpusStoreError(
                 "corrupt_index",
-                f"certificate DER of {len(der)} bytes exceeds the "
+                f"certificate DER of {length} bytes exceeds the "
                 f"u32 length field",
             )
-        index += INDEX_ENTRY.pack(der_size, len(der))
-        issued += ISSUED_ENTRY.pack(encode_issued_at(issued_at))
+        index += (der_size, length)
+        issued.append(encode_issued_at(issued_at))
         ders.append(der)
-        der_size += len(der)
+        der_size += length
     count = len(ders)
 
+    index_col = struct.pack("<" + INDEX_ENTRY.format[1:] * count, *index)
+    issued_col = struct.pack("<%d%s" % (count, ISSUED_ENTRY.format[1:]), *issued)
     index_off = HEADER.size
-    issued_off = index_off + len(index)
-    der_off = issued_off + len(issued)
-
-    crc = zlib.crc32(bytes(index))
-    crc = zlib.crc32(bytes(issued), crc)
+    issued_off = index_off + len(index_col)
+    der_off = issued_off + len(issued_col)
+    payload = b"".join([index_col, issued_col, *ders])
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    header = HEADER.pack(
+        MAGIC,
+        VERSION,
+        0,
+        count,
+        index_off,
+        issued_off,
+        der_off,
+        der_size,
+        crc,
+        0,
+    )
 
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as handle:
-        handle.write(b"\x00" * HEADER.size)
-        handle.write(index)
-        handle.write(issued)
-        for der in ders:
-            crc = zlib.crc32(der, crc)
-            handle.write(der)
-        handle.seek(0)
-        handle.write(
-            HEADER.pack(
-                MAGIC,
-                VERSION,
-                0,
-                count,
-                index_off,
-                issued_off,
-                der_off,
-                der_size,
-                crc & 0xFFFFFFFF,
-                0,
-            )
-        )
+        handle.write(header)
+        handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    return count, crc & 0xFFFFFFFF
+    return count, crc

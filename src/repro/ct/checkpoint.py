@@ -10,7 +10,10 @@ clean cold start, never a half-resumed window.
 
 Format: one JSON document ``{"format", "version", "crc32", "body"}``
 where ``crc32`` covers the canonical (sorted-key, compact) encoding of
-``body``.  The body carries the log position, the verified STH (tree
+``body``.  The writer embeds exactly those canonical bytes as the body,
+so it serializes the body once; the loader parses any JSON layout of
+the document (including the fully re-serialized one older writers
+produced) and re-encodes the parsed body to check the CRC.  The body carries the log position, the verified STH (tree
 size + root hash), the serialized
 :class:`~repro.engine.windows.WindowedSummary`, the segment-store
 digest the window state was persisted with, and the alert cursor.
@@ -127,18 +130,19 @@ def write_checkpoint(path, checkpoint: MonitorCheckpoint) -> pathlib.Path:
     one, never a prefix.
     """
     path = pathlib.Path(path)
-    body = checkpoint.body()
-    document = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "crc32": zlib.crc32(_canonical(body)) & 0xFFFFFFFF,
-        "body": body,
-    }
+    body = _canonical(checkpoint.body())
+    # The body is serialized once: its canonical bytes are both what the
+    # CRC covers and what the document holds.  The loader re-encodes the
+    # parsed body canonically, which gives back these bytes.
+    document = b'{"body": %s, "crc32": %d, "format": "%s", "version": %d}' % (
+        body,
+        zlib.crc32(body) & 0xFFFFFFFF,
+        CHECKPOINT_FORMAT.encode(),
+        CHECKPOINT_VERSION,
+    )
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        # ``dumps`` runs the C encoder; ``dump`` always takes the
-        # pure-Python one.  Same text either way.
-        handle.write(json.dumps(document, sort_keys=True, ensure_ascii=False))
+    with open(tmp, "wb") as handle:
+        handle.write(document)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

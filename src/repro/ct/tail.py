@@ -257,12 +257,17 @@ class MonitorConfig:
 
 @dataclass
 class BatchOutcome:
-    """What one successful poll produced."""
+    """What one successful poll produced.
+
+    ``failures`` lists each entry of the batch that does not parse as a
+    certificate as ``(log_index, message)``; the poll moves past it.
+    """
 
     start: int
     stop: int
     summary: object
     alerts: list = field(default_factory=list)
+    failures: list[tuple[int, str]] = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -276,9 +281,11 @@ class TailMonitor:
     consistency proof against the last verified head), pull the next
     batch of entries, spot-check the batch's last entry against the STH
     with an inclusion proof, lint the batch through
-    :meth:`Engine.run_increment` into the windowed summary, persist the
-    batch's DER as one segment, checkpoint atomically, then evaluate
-    alert thresholds over newly completed index windows.
+    :meth:`Engine.run_increment` into the windowed summary (an entry
+    that does not parse is reported in :attr:`BatchOutcome.failures`,
+    not folded), persist the batch's DER as one segment, checkpoint
+    atomically, then evaluate alert thresholds over newly completed
+    index windows.
 
     ``on_alert`` (a callable taking one
     :class:`~repro.engine.windows.Alert`) is the hook the CLI wires to
@@ -508,7 +515,11 @@ class TailMonitor:
             for alert in alerts:
                 self.on_alert(alert)
         return BatchOutcome(
-            start=start, stop=stop, summary=outcome.summary, alerts=alerts
+            start=start,
+            stop=stop,
+            summary=outcome.summary,
+            alerts=alerts,
+            failures=outcome.failures,
         )
 
 

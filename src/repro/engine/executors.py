@@ -2,9 +2,10 @@
 
 An executor takes the ingest stage's :class:`~repro.lint.parallel.ShardTask`
 list and returns one :class:`~repro.lint.parallel.ShardResult` per task,
-raising :class:`~repro.lint.parallel.ShardError` on the first structured
-shard failure — a worker error or an unparseable record, since a corpus
-outcome must count every record.  Two strategies ship:
+raising :class:`~repro.lint.parallel.ShardError` on the first worker
+error (``result.error``).  An unparseable record is not one: it comes
+back in ``result.failures`` and the caller decides (a corpus run raises,
+a tail batch reports it and moves on).  Two strategies ship:
 
 * :class:`SerialExecutor` — every shard inline in this process, in
   order.  This is the *reference semantics*: anything another executor
@@ -46,9 +47,8 @@ class SerialExecutor:
         results: list[ShardResult] = []
         for task in tasks:
             result = lint_shard(task)
-            failure = result.failure()
-            if failure:
-                raise ShardError(result.index, failure)
+            if result.error:
+                raise ShardError(result.index, result.error)
             results.append(result)
         return results
 
@@ -97,11 +97,10 @@ class PoolExecutor:
             # of waiting for the stragglers.
             for future in as_completed(futures):
                 result = future.result()
-                failure = result.failure()
-                if failure:
+                if result.error:
                     for pending in futures:
                         pending.cancel()
-                    raise ShardError(result.index, failure)
+                    raise ShardError(result.index, result.error)
                 results.append(result)
         finally:
             if owned:

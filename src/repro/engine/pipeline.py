@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from ..lint.parallel import (
     DECODE_ERRORS,
     ParallelLintOutcome,
+    ShardError,
     ShardOutput,
     build_pair_shard_tasks,
     build_store_shard_tasks,
@@ -270,7 +271,9 @@ class Engine:
         batch decomposition the window's grand total is structurally
         identical to one :meth:`run_corpus` pass over the same records.
         Workers send back each report's tally, never the report itself,
-        unless ``collect_reports`` asks for the reports.
+        unless ``collect_reports`` asks for the reports.  An entry that
+        does not parse is not folded: it is listed in the outcome's
+        ``failures`` as ``(log index, message)`` and the batch goes on.
 
         Batches ship inline (never spilled to a substrate): they are
         bounded by the poll size, and durability of the arriving DER is
@@ -296,14 +299,25 @@ class Engine:
             executor=executor,
             collect_reports=collect_reports,
         )
-        if window is not None and results:
-            ordered = sorted(results, key=lambda r: r.index)
-            entries = [entry for r in ordered for entry in r.facts]
-            with self.stats.time("fold", items=len(pairs)):
-                for offset, (counts, facts) in enumerate(entries):
-                    window.fold_tally(
-                        base_index + offset, pairs[offset][1], counts, facts
-                    )
+        # Shards are contiguous and in index order: each one starts
+        # where the one before it ends.
+        placed = []
+        shard_start = 0
+        for result in sorted(results, key=lambda r: r.index):
+            placed.append((shard_start, result))
+            outcome.failures += [
+                (base_index + shard_start + offset, message)
+                for offset, message in result.failures
+            ]
+            shard_start += result.count
+        if window is not None and placed:
+            with self.stats.time("fold", items=len(pairs) - len(outcome.failures)):
+                for shard_start, result in placed:
+                    for offset, counts, facts in result.facts:
+                        position = shard_start + offset
+                        window.fold_tally(
+                            base_index + position, pairs[position][1], counts, facts
+                        )
         return outcome
 
     def run_corpus(
@@ -365,7 +379,7 @@ class Engine:
             return build_store_shard_tasks(path, total, shards, **task_kwargs)
 
         try:
-            outcome, _ = self._drive(
+            outcome, results = self._drive(
                 total,
                 build_tasks,
                 jobs=jobs,
@@ -374,13 +388,18 @@ class Engine:
                 executor=executor,
                 collect_reports=collect_reports,
             )
-            return outcome
         finally:
             for path in spills:
                 try:
                     _os.unlink(path)
                 except OSError:
                     pass
+        # A corpus outcome counts every record: one that does not parse
+        # fails the run.
+        for result in sorted(results, key=lambda r: r.index):
+            if result.failures:
+                raise ShardError(result.index, "record %d: %s" % result.failures[0])
+        return outcome
 
 
 def increment_pairs(batch) -> list[tuple[bytes, _dt.datetime | None]]:

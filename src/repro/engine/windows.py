@@ -30,6 +30,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..asn1.oid import (
     OID_COMMON_NAME,
@@ -38,7 +39,10 @@ from ..asn1.oid import (
     OID_ORGANIZATIONAL_UNIT,
     OID_STATE_OR_PROVINCE,
 )
+from ..lint.compiled import walk_fields
 from ..lint.runner import CertificateReport, CorpusSummary, ReportTally, tally
+from ..uni.intervals import ATOM_BITS
+from ..x509 import GeneralNameKind
 
 #: Epoch window granularities keyed by issued-at timestamp.
 EPOCHS = ("year", "month")
@@ -49,9 +53,8 @@ EPOCHS = ("year", "month")
 UNKNOWN_EPOCH = "unknown"
 
 
-@dataclass(frozen=True)
-class CertFacts:
-    """Figure-grade facts about one certificate, extracted at decode.
+class CertFacts(NamedTuple):
+    """Figure-grade facts about one certificate, read off its lint pass.
 
     Collected in the worker alongside linting (the certificate is
     already parsed there) so the windowed fold never re-parses DER in
@@ -68,16 +71,21 @@ class CertFacts:
     unicode_fields: tuple[str, ...] = ()
 
 
-#: Figure 4's Subject DN columns and the attribute each one reads.
-_FIELD_OIDS = {
-    "CN": OID_COMMON_NAME,
-    "O": OID_ORGANIZATION_NAME,
-    "OU": OID_ORGANIZATIONAL_UNIT,
-    "L": OID_LOCALITY_NAME,
-    "ST": OID_STATE_OR_PROVINCE,
-}
+#: Figure 4's Subject DN columns and the per-OID subject mask key of
+#: the attribute each one reads.
+_DN_COLUMNS = (
+    ("CN", ("s", OID_COMMON_NAME.dotted)),
+    ("O", ("s", OID_ORGANIZATION_NAME.dotted)),
+    ("OU", ("s", OID_ORGANIZATIONAL_UNIT.dotted)),
+    ("L", ("s", OID_LOCALITY_NAME.dotted)),
+    ("ST", ("s", OID_STATE_OR_PROVINCE.dotted)),
+)
 
-_COLUMN_BY_OID = {oid.dotted: column for column, oid in _FIELD_OIDS.items()}
+#: Scan-mask atoms of a character outside printable ASCII (0x20-0x7E):
+#: a string's mask meets them iff :func:`_has_non_ascii` holds.
+_NOT_PRINTABLE_ASCII = ATOM_BITS["CONTROL"] | ATOM_BITS["NON_ASCII"]
+
+_DNS_KIND = GeneralNameKind.DNS_NAME
 
 
 def _has_non_ascii(text: str) -> bool:
@@ -85,33 +93,41 @@ def _has_non_ascii(text: str) -> bool:
     return not (text.isascii() and text.isprintable())
 
 
-def cert_facts(cert) -> CertFacts:
+def cert_facts(cert, masks: dict | None = None) -> CertFacts:
     """Extract :class:`CertFacts` from a parsed certificate.
 
-    Runs in worker processes (called from
-    :func:`repro.lint.parallel.lint_shard`) once per certificate, so the
-    Figure 4 column logic lives here: ``repro.engine`` stays free of any
-    dependency on :mod:`repro.analysis` (which imports the ct corpus),
-    and :func:`repro.analysis.fields.field_matrix` reads
+    ``masks`` is the per-certificate memo a lint pass filled
+    (:func:`repro.lint.runner.run_lints` with a caller's dict); omitted,
+    :func:`~repro.lint.compiled.walk_fields` fills a fresh one.  The
+    Figure 4 columns are read from it: a DN column from its per-OID
+    subject mask, ``CertificatePolicies`` from the explicit-text mask,
+    and ``DNSName`` from the SAN's DNSName bucket (non-ASCII, or an
+    ``xn--`` label).  The column logic lives here so ``repro.engine``
+    stays free of any dependency on :mod:`repro.analysis` (which imports
+    the ct corpus); :func:`repro.analysis.fields.field_matrix` reads
     ``unicode_fields`` from this function.
     """
-    fields: set[str] = set()
-    for name in cert.san_dns_names:
-        if _has_non_ascii(name) or any(
-            label[:4].lower() == "xn--" for label in name.split(".")
-        ):
-            fields.add("DNSName")
+    if masks is None:
+        masks = {}
+        walk_fields(cert, masks)
+    fields = []
+    for gn in masks["_san"].get(_DNS_KIND, ()):
+        name = gn.value
+        if _has_non_ascii(name):
+            fields.append("DNSName")
             break
-    for rdn in cert.subject.rdns:
-        for attr in rdn.attributes:
-            column = _COLUMN_BY_OID.get(attr.oid.dotted)
-            if column is not None and _has_non_ascii(attr.value):
-                fields.add(column)
-    policies = cert.policies
-    if policies is not None and any(
-        _has_non_ascii(text) for _tag, text, _ok in policies.explicit_texts
-    ):
-        fields.add("CertificatePolicies")
+        # Printable ASCII lowercases char for char, so a label starts
+        # with ``xn--`` (any case) iff the lowered name has it at the
+        # start or after a dot.
+        lowered = name.lower()
+        if lowered.startswith("xn--") or ".xn--" in lowered:
+            fields.append("DNSName")
+            break
+    for column, key in _DN_COLUMNS:
+        if masks.get(key, 0) & _NOT_PRINTABLE_ASCII:
+            fields.append(column)
+    if masks["cp_text"] & _NOT_PRINTABLE_ASCII:
+        fields.append("CertificatePolicies")
     return CertFacts(
         validity_days=int(cert.validity_days),
         unicode_fields=tuple(sorted(fields)),
@@ -329,7 +345,8 @@ class WindowedSummary:
     total: WindowStats = field(default_factory=WindowStats)
     by_index: dict[int, WindowStats] = field(default_factory=dict)
     by_epoch: dict[str, WindowStats] = field(default_factory=dict)
-    #: Entries folded so far (== the log position after a gapless tail).
+    #: Entries folded so far: the log position after a gapless tail, less
+    #: the entries that did not parse (never folded).
     entries: int = 0
 
     def fold(

@@ -394,12 +394,15 @@ _DNS_KIND = GeneralNameKind.DNS_NAME
 def all_dns_names(cert) -> list[str]:
     """Distinct DNSNames in SAN plus DNS-shaped CommonNames, in order."""
     san = cert.san
-    names = (
-        [gn.value for gn in san.names if gn.kind is _DNS_KIND]
-        if san is not None
-        else []
+    return _dns_names(
+        san.dns_names() if san is not None else [], cert.subject_common_names
     )
-    for cn in cert.subject_common_names:
+
+
+def _dns_names(san_dns: list[str], common_names) -> list[str]:
+    """:func:`all_dns_names` from the SAN's DNSNames and the subject CNs."""
+    names = list(san_dns)
+    for cn in common_names:
         if "." in cn and " " not in cn and "@" not in cn:
             names.append(cn)
     # A CN repeated in the SAN (the CA/B-mandated layout) must not yield
@@ -428,7 +431,8 @@ def _walk_side(cert, masks: dict, side: str, families: set) -> None:
     present attribute OID, and the PrintableString/UTF8String partial
     masks the ``ps``/``utf8`` scopes assemble.  Sets ``DUP_OID`` when an
     OID repeats and, on the subject's CommonName bucket, ``EXTRA_CN``
-    for >1 CommonName.  Adds the side's family keys to ``families``.
+    for >1 CommonName; the subject's CommonName values, in order, go to
+    ``masks["_cns"]``.  Adds the side's family keys to ``families``.
 
     The issuer side of a parsed certificate is a function of its
     received bytes, so its entries and family keys come from
@@ -457,7 +461,7 @@ def _walk_name(name_obj, masks: dict, side: str, families: set) -> None:
     mask = 0
     ps = 0
     u8 = 0
-    cn_count = 0
+    common_names = []
     spec_bits = _SPEC_BITS
     attrs = name_obj.attributes()
     # ``s*``/``i*`` mirror ``not name.is_empty``, the DN lints' applies():
@@ -489,10 +493,12 @@ def _walk_name(name_obj, masks: dict, side: str, families: set) -> None:
         elif spec_name == "UTF8String":
             u8 |= am
         if dotted == _CN_DOTTED:
-            cn_count += 1
+            common_names.append(value)
         mask |= am
-    if side == "s" and cn_count > 1:
-        masks[(side, _CN_DOTTED)] |= _EXTRA_CN
+    if side == "s":
+        if len(common_names) > 1:
+            masks[(side, _CN_DOTTED)] |= _EXTRA_CN
+        masks["_cns"] = common_names
     masks["subject" if side == "s" else "issuer"] = mask
     masks["_ps_" + side] = ps
     masks["_u8_" + side] = u8
@@ -505,7 +511,9 @@ def walk_fields(cert, masks: dict) -> frozenset:
     masks: both DNs and the CA payload slots fill their mask entries
     and family keys, and one loop over each of the SAN and the IAN
     buckets its GeneralNames by kind (``masks["_san"]``/
-    ``masks["_ian"]``: kind -> names) and adds the kinds' family keys.
+    ``masks["_ian"]``: kind -> names) and adds the kinds' family keys;
+    ``masks["_san_names"]`` keeps the SAN's names (``None`` when no SAN
+    decodes), so no scope reads ``cert.san`` again.
     The DNS-name list and its A-labels (``masks["_dns_names"]``/
     ``masks["_xn_labels"]``) give the ``dns``/``xn`` families.  The
     scope functions read these entries, so ``masks`` must start empty
@@ -522,7 +530,8 @@ def walk_fields(cert, masks: dict) -> frozenset:
         by_kind: dict = {}
         if general_names is not None:
             present.add(family)
-            for gn in general_names.names:
+            names = general_names.names
+            for gn in names:
                 bucket = by_kind.get(gn.kind)
                 if bucket is None:
                     by_kind[gn.kind] = [gn]
@@ -530,8 +539,14 @@ def walk_fields(cert, masks: dict) -> frozenset:
                     bucket.append(gn)
             for kind in by_kind:
                 present.add((source, int(kind)))
+            if source == "san":
+                masks["_san_names"] = names
+        elif source == "san":
+            masks["_san_names"] = None
         masks["_" + source] = by_kind
-    dns_names = masks["_dns_names"] = all_dns_names(cert)
+    dns_names = masks["_dns_names"] = _dns_names(
+        [gn.value for gn in masks["_san"].get(_DNS_KIND, ())], masks["_cns"]
+    )
     labels = masks["_xn_labels"] = _alabels(dns_names)
     if dns_names:
         present.add(FAMILY_DNS)
@@ -715,10 +730,9 @@ def _union(key: str, left: str, right: str):
 
 
 def _scope_san_entries(cert, masks):
-    san = cert.san
+    names = masks["_san_names"]
     mask = 0
-    if san is not None:
-        names = san.names
+    if names is not None:
         if not names:
             mask |= _SAN_NO_NAMES
         dns_kind = GeneralNameKind.DNS_NAME
@@ -743,10 +757,10 @@ def _scope_cn_san(cert, masks):
     a clear bit proves it passes; only a CN that needs the case-folded
     or IDNA comparison (or has no match) runs the check.
     """
-    san = cert.san
-    values = [gn.value for gn in san.names] if san is not None else []
+    names = masks["_san_names"]
+    values = [gn.value for gn in names] if names is not None else []
     mask = 0
-    for cn in cert.subject_common_names:
+    for cn in masks["_cns"]:
         if cn not in values:
             mask = _CN_NOT_IN_SAN
             break

@@ -152,28 +152,28 @@ class ShardResult:
     reports: list | None = None
     error: str | None = None
     timings: object | None = None
-    #: Per-certificate ``(ReportTally, CertFacts)`` pairs (its report's
-    #: :func:`~repro.lint.runner.tally` and
+    #: Per-certificate ``(offset, ReportTally, CertFacts)`` triples (its
+    #: shard offset, its report's :func:`~repro.lint.runner.tally` and
     #: :class:`repro.engine.windows.CertFacts`), in shard order, when the
-    #: task asked for ``collect_facts``.
+    #: task asked for ``collect_facts``; an unparseable record has none.
     facts: list | None = None
     failures: list[tuple[int, str]] = field(default_factory=list)
-
-    def failure(self) -> str | None:
-        """The worker's error, else the first unparseable record."""
-        if self.error is None and self.failures:
-            return "record %d: %s" % self.failures[0]
-        return self.error
 
 
 @dataclass
 class ParallelLintOutcome:
-    """What the pipeline hands back to callers."""
+    """What the pipeline hands back to callers.
+
+    ``failures`` lists each unparseable record of an incremental batch
+    as ``(index, message)``, ``index`` being its log index (a corpus run
+    raises on one instead).
+    """
 
     summary: CorpusSummary
     reports: list[CertificateReport] | None
     jobs: int
     shards: int
+    failures: list[tuple[int, str]] = field(default_factory=list)
 
 
 def usable_cpus() -> int:
@@ -340,9 +340,12 @@ def lint_shard(task: ShardTask) -> ShardResult:
     re-parsed with the tolerant parser, linted with the current
     (memoized) registry schedule, and folded into a per-shard
     :class:`CorpusSummary`; each report is tallied once, and with
-    ``collect_facts`` that tally rides back with the certificate's facts
-    for the windowed fold.  A record ``from_der`` rejects is recorded in
-    ``failures`` and the loop moves on.  Timings record both clocks:
+    ``collect_facts`` that tally rides back with the certificate's shard
+    offset and its facts, read off the lint pass's masks, for the
+    windowed fold.  A record ``from_der`` rejects is recorded in
+    ``failures`` and the loop moves on.  ``decode`` times the fetch of
+    the record and ``from_der``; ``sink`` times the tally, the output
+    and the facts.  Timings are summed per shard and record both clocks:
     wall (``perf_counter``) for latency, CPU (``process_time``) for the
     compute the run actually burned — on an oversubscribed box the two
     diverge, and summing worker wall across processes would double- to
@@ -362,49 +365,62 @@ def lint_shard(task: ShardTask) -> ShardResult:
     outputs: list | None = None if task.output is ShardOutput.SUMMARY else []
     render = report_to_json if task.output is ShardOutput.JSON else None
     facts: list | None = None
-    extract_facts = None
     if task.collect_facts:
-        from ..engine.windows import cert_facts as extract_facts
+        from ..engine.windows import cert_facts
 
         facts = []
+    wall, cpu = _time.perf_counter, _time.process_time
+    # Per-stage (wall, cpu) sums, added to ``timings`` once per shard.
+    # Each stage's end is the next one's start, and a certificate's
+    # decode starts where the previous one's sink ended.
+    decode_w = decode_c = lint_w = lint_c = sink_w = sink_c = 0.0
+    certs = nbytes = 0
     try:
         lints, index = _worker_schedule()
+        start, cstart = wall(), cpu()
         for offset, (der, issued_at) in enumerate(_shard_records(task)):
-            start = _time.perf_counter()
-            cstart = _time.process_time()
             try:
                 cert = Certificate.from_der(der)
             except DECODE_ERRORS as exc:
                 result.failures.append((offset, unparseable_message(exc)))
                 continue
-            cert_facts = extract_facts(cert) if extract_facts is not None else None
-            decoded = _time.perf_counter()
-            cdecoded = _time.process_time()
+            decoded, cdecoded = wall(), cpu()
+            masks = {} if facts is not None else None
             report = run_lints(
                 cert,
                 issued_at=issued_at,
                 lints=lints,
                 respect_effective_dates=task.respect_effective_dates,
                 index=index,
+                masks=masks,
             )
-            linted = _time.perf_counter()
-            clinted = _time.process_time()
+            linted, clinted = wall(), cpu()
             counts = tally(report)
             result.summary.add_tally(counts)
             if outputs is not None:
                 outputs.append(report if render is None else render(report, cert))
             if facts is not None:
-                facts.append((counts, cert_facts))
-            sunk = _time.perf_counter()
-            csunk = _time.process_time()
-            timings.add("decode", decoded - start, cdecoded - cstart, 1)
-            timings.add("lint", linted - decoded, clinted - cdecoded, 1)
-            timings.add("sink", sunk - linted, csunk - clinted, 1)
-            timings.certs += 1
-            timings.bytes += len(der)
+                facts.append((offset, counts, cert_facts(cert, masks)))
+            sunk, csunk = wall(), cpu()
+            decode_w += decoded - start
+            decode_c += cdecoded - cstart
+            lint_w += linted - decoded
+            lint_c += clinted - cdecoded
+            sink_w += sunk - linted
+            sink_c += csunk - clinted
+            start, cstart = sunk, csunk
+            certs += 1
+            nbytes += len(der)
     except Exception as exc:
         result.error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
         return result
+    finally:
+        if certs:
+            timings.add("decode", decode_w, decode_c, certs)
+            timings.add("lint", lint_w, lint_c, certs)
+            timings.add("sink", sink_w, sink_c, certs)
+            timings.certs += certs
+            timings.bytes += nbytes
     result.reports = outputs
     result.facts = facts
     return result

@@ -21,11 +21,59 @@ from .framework import (
 )
 
 
-@dataclass
 class CertificateReport:
-    """All lint results for one certificate."""
+    """All lint results for one certificate.
 
-    results: list[LintResult] = field(default_factory=list)
+    A report :func:`run_lints` builds holds its verdict template's PASS
+    skeleton and the results of the rows that ran, and splices them into
+    ``results`` on first read.  Until then :func:`tally` reads only the
+    rows that ran, since every skeleton row is a PASS; once ``results``
+    has been handed out a caller may change it, so ``tally`` scans it.
+    """
+
+    __slots__ = ("_results", "_static", "_dynamic")
+
+    def __init__(self, results: list[LintResult] | None = None):
+        self._results = [] if results is None else results
+        self._static: tuple = ()
+        self._dynamic: tuple = ()
+
+    @classmethod
+    def from_template(cls, static: tuple, dynamic: tuple) -> "CertificateReport":
+        """A report of the PASS results ``static`` with each
+        ``(position, result)`` of ``dynamic`` spliced in before
+        ``static[position]`` (positions ascending)."""
+        report = cls.__new__(cls)
+        report._results = None
+        report._static = static
+        report._dynamic = dynamic
+        return report
+
+    @property
+    def results(self) -> list[LintResult]:
+        results = self._results
+        if results is None:
+            static = self._static
+            results = []
+            start = 0
+            for position, result in self._dynamic:
+                results += static[start:position]
+                start = position
+                results.append(result)
+            results += static[start:]
+            self._results = results
+            self._static = self._dynamic = ()
+        return results
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CertificateReport):
+            return NotImplemented
+        return self.results == other.results
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CertificateReport(results={self.results!r})"
 
     @property
     def findings(self) -> list[LintResult]:
@@ -90,11 +138,20 @@ _CLEAN_SUPPRESSED = ReportTally(False, True, (), (), (), ())
 
 
 def tally(report: CertificateReport) -> ReportTally:
-    """Scan ``report.results`` once into a :class:`ReportTally`."""
+    """Scan ``report.results`` once into a :class:`ReportTally`.
+
+    A report whose results were never read is scanned over the rows
+    that ran alone: the rest of it is its template's PASS skeleton.
+    """
+    results = report._results
+    if results is None:
+        if not report._dynamic:
+            return _CLEAN
+        results = [result for _position, result in report._dynamic]
     error, warn, not_effective = LintStatus.ERROR, LintStatus.WARN, LintStatus.NOT_EFFECTIVE
     findings = []
     suppressed = False
-    for result in report.results:
+    for result in results:
         status = result.status
         if status is error or status is warn:
             findings.append(result)
@@ -130,6 +187,7 @@ def run_lints(
     lints: Sequence[Lint] | None = None,
     respect_effective_dates: bool = True,
     index: RegistryIndex | None = None,
+    masks: dict | None = None,
 ) -> CertificateReport:
     """Run every lint (or a subset) against one certificate.
 
@@ -142,7 +200,9 @@ def run_lints(
     PASS results of every row the masks settle, and the few rows whose
     ``check()`` still runs.  The report is that skeleton with the
     dynamic results spliced in; no lint's ``applies()`` is called, and
-    nothing is stored on the certificate.  The test-only oracle this
+    nothing is stored on the certificate.  Pass an empty ``masks`` dict
+    to keep the run's memo afterwards (the window facts of
+    :func:`repro.engine.windows.cert_facts` are read from it).  The test-only oracle this
     must agree with, report for report, is
     :func:`repro.lint.reference.reference_run_lints`.  Pass a prebuilt
     ``index`` (matching ``lints``) to skip the per-call memo lookup.
@@ -150,7 +210,8 @@ def run_lints(
     if index is None:
         index = index_for(tuple(lints) if lints is not None else REGISTRY.snapshot())
     plan = index.compiled_plan()
-    masks: dict = {}
+    if masks is None:
+        masks = {}
     live = plan.live_rows(walk_fields(cert, masks))
     key = []
     for scope, bits in live.scope_bits:
@@ -160,15 +221,12 @@ def run_lints(
         key.append(mask & bits)
     static, dynamic = plan.template(live, tuple(key))
     if not dynamic:
-        return CertificateReport(list(static))
-    results = []
-    start = 0
+        return CertificateReport.from_template(static, ())
+    ran = []
     for position, lint, passed in dynamic:
-        results += static[start:position]
-        start = position
         compliant, details = lint.check(cert)
         if compliant:
-            results.append(passed)
+            ran.append((position, passed))
             continue
         meta = lint.metadata
         when = issued_at if issued_at is not None else cert.not_before
@@ -180,9 +238,8 @@ def run_lints(
             status = LintStatus.ERROR
         else:
             status = LintStatus.WARN
-        results.append(LintResult(meta, status, details))
-    results += static[start:]
-    return CertificateReport(results)
+        ran.append((position, LintResult(meta, status, details)))
+    return CertificateReport.from_template(static, tuple(ran))
 
 
 @dataclass

@@ -16,6 +16,8 @@ from repro.corpusstore import (
     CorpusStore,
     CorpusStoreError,
     MAGIC,
+    decode_issued_at,
+    encode_issued_at,
     write_store,
 )
 from repro.corpusstore.format import HEADER, INDEX_ENTRY
@@ -35,6 +37,24 @@ def store_path(tmp_path):
 
 
 class TestRoundTrip:
+    def test_issued_at_encoding_is_the_microsecond_count(self):
+        epoch = dt.datetime(1970, 1, 1)
+        one = dt.timedelta(microseconds=1)
+        whens = [
+            dt.datetime(1, 1, 1),
+            dt.datetime(1969, 12, 31, 23, 59, 59, 999999),
+            dt.datetime(2024, 2, 29, 12, 0, 0, 1),
+            dt.datetime(9999, 12, 31, 23, 59, 59, 999999),
+        ] + [epoch + m * one for m in range(-3_000_001, 3_000_001, 999_983)]
+        for when in whens:
+            assert encode_issued_at(when) == (when - epoch) // one
+            assert decode_issued_at(encode_issued_at(when)) == when
+        aware = dt.datetime(
+            2020, 1, 2, 3, 4, 5, 6, tzinfo=dt.timezone(dt.timedelta(hours=-7))
+        )
+        naive = aware.astimezone(dt.timezone.utc).replace(tzinfo=None)
+        assert encode_issued_at(aware) == (naive - epoch) // one
+
     def test_count_and_bytes(self, store_path):
         with CorpusStore(store_path, verify=True) as store:
             assert len(store) == len(PAIRS)

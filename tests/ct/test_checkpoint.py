@@ -4,6 +4,7 @@ never a half-resumed window."""
 
 import io
 import json
+import zlib
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.ct import (
     load_checkpoint,
     write_checkpoint,
 )
+from repro.ct.checkpoint import _canonical
 
 
 @pytest.fixture()
@@ -207,16 +209,17 @@ class TestMonitorRecovery:
         assert fresh.recovered is None
         assert fresh.position == 0
 
-    def test_monitor_checkpoint_is_the_json_dump_text(self, corpus, tmp_path):
-        """The C-encoder write matches ``json.dump`` byte for byte."""
+    def test_monitor_checkpoint_body_is_its_canonical_bytes(self, corpus, tmp_path):
+        """The body is written once: the document holds the canonical
+        body bytes, and its CRC is taken over exactly those bytes."""
         monitor = _monitor(corpus, tmp_path)
         drive(monitor, batches=2)
         path = tmp_path / "monitor.ckpt"
         written = path.read_bytes()
         document = json.loads(written.decode("utf-8"))
-        buffer = io.StringIO()
-        json.dump(document, buffer, sort_keys=True, ensure_ascii=False)
-        assert written == buffer.getvalue().encode("utf-8")
+        canonical = _canonical(document["body"])
+        assert b'{"body": ' + canonical + b", " == written[: len(canonical) + 11]
+        assert document["crc32"] == zlib.crc32(canonical) & 0xFFFFFFFF
         assert document["body"]["position"] == monitor.position == 128
 
         checkpoint = load_checkpoint(path)
@@ -225,3 +228,26 @@ class TestMonitorRecovery:
         assert fresh.resume() is True
         assert fresh.position == monitor.position
         assert fresh.window.to_dict() == monitor.window.to_dict()
+
+    def test_checkpoint_in_the_old_layout_still_resumes(self, corpus, tmp_path):
+        """A checkpoint whose whole document was re-serialized by
+        ``json.dump`` (the layout of earlier writers) loads and resumes."""
+        monitor = _monitor(corpus, tmp_path)
+        drive(monitor, batches=2)
+        path = tmp_path / "monitor.ckpt"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        buffer = io.StringIO()
+        json.dump(document, buffer, sort_keys=True, ensure_ascii=False)
+        old_layout = buffer.getvalue().encode("utf-8")
+        assert old_layout != path.read_bytes()
+        path.write_bytes(old_layout)
+
+        fresh = _monitor(corpus, tmp_path)
+        assert fresh.start(resume=True) is True
+        assert fresh.recovered is None
+        assert fresh.position == monitor.position
+        assert fresh.window.to_json() == monitor.window.to_json()
+        drive(fresh)
+        uninterrupted = _monitor(corpus, tmp_path / "uninterrupted")
+        drive(uninterrupted)
+        assert fresh.window.to_json() == uninterrupted.window.to_json()

@@ -1,6 +1,7 @@
 """The simulated CT tail: clock, STH signatures, the get-entries API,
 and the monitor's refusal codes when a log misbehaves."""
 
+import copy
 import datetime as dt
 
 import pytest
@@ -16,6 +17,8 @@ from repro.ct import (
     drive,
 )
 from repro.ct.tail import DEFAULT_LOG_KEY, SIM_EPOCH
+from repro.engine import run_corpus
+from repro.lint import summary_to_json
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +185,64 @@ class TestPolling:
         outcomes = drive(monitor, batches=3)
         assert len(outcomes) == 3
         assert monitor.position == 96
+
+
+class _Garbage:
+    """A log leaf whose bytes are not a certificate."""
+
+    is_precertificate = False
+
+    def to_der(self) -> bytes:
+        return b"\x30\x03\x02\x01\x00"
+
+
+def _with_garbage_leaf(corpus, index):
+    poisoned = copy.copy(corpus)
+    poisoned.records = list(corpus.records)
+    victim = copy.copy(poisoned.records[index])
+    victim.certificate = _Garbage()
+    poisoned.records[index] = victim
+    return poisoned
+
+
+class TestUnparseableLeaf:
+    GARBAGE_AT = 40
+
+    def _monitor(self, corpus, directory):
+        return TailMonitor(
+            TailLog(_with_garbage_leaf(corpus, self.GARBAGE_AT)),
+            MonitorConfig(
+                batch_size=32,
+                index_window=32,
+                checkpoint_path=str(directory / "monitor.ckpt"),
+                store_dir=str(directory / "segments"),
+            ),
+        )
+
+    def test_poll_reports_the_leaf_and_moves_past_it(self, corpus, tmp_path):
+        monitor = self._monitor(corpus, tmp_path)
+        outcomes = drive(monitor)
+        failures = [failure for outcome in outcomes for failure in outcome.failures]
+        assert [index for index, _ in failures] == [self.GARBAGE_AT]
+        assert failures[0][1].startswith("input is not a parseable certificate: ")
+        total = len(corpus.records)
+        assert monitor.position == total
+        assert monitor.window.entries == total - 1
+        good = [r for i, r in enumerate(corpus.records) if i != self.GARBAGE_AT]
+        assert summary_to_json(monitor.window.total.summary) == summary_to_json(
+            run_corpus(good, jobs=1).summary
+        )
+        window = monitor.window.by_index[self.GARBAGE_AT // 32]
+        assert window.total == 31
+        assert (window.first_index, window.last_index) == (32, 63)
+
+    def test_kill_and_resume_past_the_leaf(self, corpus, tmp_path):
+        reference = self._monitor(corpus, tmp_path / "ref")
+        drive(reference)
+        killed = self._monitor(corpus, tmp_path / "split")
+        drive(killed, batches=2)
+        assert killed.position == 64
+        resumed = self._monitor(corpus, tmp_path / "split")
+        assert resumed.start(resume=True)
+        drive(resumed)
+        assert resumed.window.to_json() == reference.window.to_json()

@@ -1,8 +1,13 @@
-"""``cert_facts``: the Figure 4 Unicode columns extracted at decode.
+"""``cert_facts``: the Figure 4 Unicode columns, read off the lint pass.
 
 The non-ASCII predicate is a pair of ``str`` methods rather than a
 per-character loop; it is checked here against the loop over every code
-point, and ``cert_facts`` against the per-column scan it replaced.
+point.  ``cert_facts`` reads the columns from the per-certificate
+``masks`` a lint pass fills; it is checked against a plain per-field
+extraction over the certificate's views, on generated corpora and on
+certificates whose SAN or CertificatePolicies fail to decode, both when
+it walks the fields itself and when the masks come from ``run_lints``
+or the shard worker.
 """
 
 import os
@@ -10,16 +15,39 @@ import pathlib
 import subprocess
 import sys
 
+import datetime as dt
+
+import pytest
+
 import repro
+from repro.asn1 import BMP_STRING, PRINTABLE_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_COMMON_NAME,
+    OID_CP_DOMAIN_VALIDATED,
+    OID_EXT_CERTIFICATE_POLICIES,
+    OID_EXT_SAN,
     OID_LOCALITY_NAME,
     OID_ORGANIZATION_NAME,
     OID_ORGANIZATIONAL_UNIT,
+    OID_QT_UNOTICE,
     OID_STATE_OR_PROVINCE,
 )
 from repro.ct import CorpusGenerator
 from repro.engine.windows import CertFacts, _has_non_ascii, cert_facts
+from repro.lint import run_lints
+from repro.lint.parallel import ShardTask, lint_shard
+from repro.x509 import (
+    Certificate,
+    CertificateBuilder,
+    Extension,
+    GeneralName,
+    PolicyInformation,
+    PolicyQualifier,
+    UserNotice,
+    certificate_policies,
+    generate_keypair,
+    subject_alt_name,
+)
 
 
 def _loop_has_non_ascii(text: str) -> bool:
@@ -74,6 +102,121 @@ def test_cert_facts_match_the_per_column_scan():
     facts = [cert_facts(record.certificate) for record in corpus.records]
     assert facts == [_reference_cert_facts(record.certificate) for record in corpus.records]
     assert any(fact.unicode_fields for fact in facts)
+
+
+KEY = generate_keypair(seed=2701)
+
+
+def _policies(text: str, spec=UTF8_STRING) -> Extension:
+    return certificate_policies(
+        PolicyInformation(
+            OID_CP_DOMAIN_VALIDATED,
+            [PolicyQualifier(OID_QT_UNOTICE, user_notice=UserNotice(text, spec))],
+        )
+    )
+
+
+def _edge_ders() -> list[bytes]:
+    """Certificates at the edges of each column's extraction."""
+    good_san = subject_alt_name(
+        GeneralName.dns("plain.example"), GeneralName.dns("XN--bcher-kva.example")
+    )
+    bad_san = Extension(OID_EXT_SAN, False, good_san.value_der[:-3])
+    bad_cp = Extension(
+        OID_EXT_CERTIFICATE_POLICIES, False, _policies("Nötice").value_der[:-2]
+    )
+    when = dt.datetime(2024, 1, 1)
+    builds = [
+        # A SAN that does not decode, next to a non-ASCII policy text.
+        CertificateBuilder().subject_cn("a.example").add_extension(bad_san)
+        .add_extension(_policies("Nötice", BMP_STRING)),
+        # A policy that does not decode, next to an A-label in the SAN.
+        CertificateBuilder().subject_cn("b.example").add_extension(good_san)
+        .add_extension(bad_cp),
+        # Two CertificatePolicies: the first (undecodable) one counts.
+        CertificateBuilder().subject_cn("c.example").add_extension(bad_cp)
+        .add_extension(_policies("Nötice")),
+        # Control characters, DEL and non-ASCII in DN columns; an ASCII
+        # policy; a SAN that holds no DNSName at all.
+        CertificateBuilder()
+        .subject_cn("tab\there.example")
+        .subject_cn("second.example", PRINTABLE_STRING)
+        .subject_attr(OID_ORGANIZATION_NAME, "Org")
+        .subject_attr(OID_ORGANIZATIONAL_UNIT, "del\x7f")
+        .subject_attr(OID_LOCALITY_NAME, "Zürich")
+        .subject_attr(OID_STATE_OR_PROVINCE, "~ plain !")
+        .add_extension(subject_alt_name(GeneralName.email("a@b.example")))
+        .add_extension(_policies("Notice")),
+        # A subject attribute whose bytes do not decode.
+        CertificateBuilder()
+        .subject_attr(OID_ORGANIZATION_NAME, "Org", UTF8_STRING, raw=b"\xff\xfeOrg")
+        .add_extension(subject_alt_name(GeneralName.dns("bücher.example"))),
+        # A SAN present with no names.
+        CertificateBuilder().subject_cn("e.example").add_extension(subject_alt_name()),
+        # An A-label after the first label; ``xn--`` inside a label.
+        CertificateBuilder().subject_cn("f.example").add_extension(
+            subject_alt_name(GeneralName.dns("www.xN--80ak6aa92e.com"))
+        ),
+        CertificateBuilder().subject_cn("g.example").add_extension(
+            subject_alt_name(GeneralName.dns("maxn--x.example"), GeneralName.dns("a.b"))
+        ),
+    ]
+    return [builder.not_before(when).sign(KEY).to_der() for builder in builds]
+
+
+def _oracle_certificates(seed: int) -> list[Certificate]:
+    corpus = CorpusGenerator(seed=seed, scale=0.00002).generate()
+    ders = [record.certificate.to_der() for record in corpus.records] + _edge_ders()
+    return [Certificate.from_der(der) for der in ders]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2025])
+def test_facts_from_the_lint_pass_match_the_reference(seed):
+    certs = _oracle_certificates(seed)
+    expected = [_reference_cert_facts(cert) for cert in certs]
+    assert [cert_facts(cert) for cert in certs] == expected
+    from_pass = []
+    for cert in certs:
+        masks: dict = {}
+        run_lints(cert, masks=masks)
+        from_pass.append(cert_facts(cert, masks))
+    assert from_pass == expected
+    columns = {column for fact in expected for column in fact.unicode_fields}
+    assert columns == {"CN", "CertificatePolicies", "DNSName", "L", "O", "OU", "ST"}
+
+
+def test_edge_certificates_hit_each_decode_failure():
+    certs = [Certificate.from_der(der) for der in _edge_ders()]
+    assert certs[0].san is None and certs[0].san_parse_error is not None
+    assert certs[1].policies is None and certs[2].policies is None
+    facts = [_reference_cert_facts(cert).unicode_fields for cert in certs]
+    assert facts[:4] == [
+        ("CertificatePolicies",),
+        ("DNSName",),
+        (),
+        ("CN", "L", "OU"),
+    ]
+    assert facts[-2:] == [("DNSName",), ()]
+
+
+def test_shard_worker_facts_match_the_reference():
+    ders = _edge_ders() + [b"\x30\x03\x02\x01\x00"]
+    result = lint_shard(
+        ShardTask(
+            index=0,
+            certs_der=tuple(ders),
+            issued_at=(None,) * len(ders),
+            collect_facts=True,
+        )
+    )
+    assert result.error is None
+    assert [offset for offset, _counts, _facts in result.facts] == list(
+        range(len(ders) - 1)
+    )
+    assert [facts for _offset, _counts, facts in result.facts] == [
+        _reference_cert_facts(Certificate.from_der(der)) for der in ders[:-1]
+    ]
+    assert [offset for offset, _ in result.failures] == [len(ders) - 1]
 
 
 def test_engine_does_not_import_analysis():

@@ -7,7 +7,9 @@ requested.  Executors are interchangeable: serial and pool runs over
 the same tasks merge to the summary of the reference oracle
 (:func:`repro.lint.reference.reference_run_lints`, run serially), and
 both surface a worker failure as :class:`ShardError`.  An unparseable
-record is one recorded failure, the same one whichever path decodes it.
+record is one recorded failure, the same one whichever path decodes it:
+a corpus run raises on it, and an incremental batch folds its
+neighbours at their own log indexes and reports it.
 """
 
 import datetime as dt
@@ -19,10 +21,13 @@ from repro.engine import (
     Engine,
     PoolExecutor,
     SerialExecutor,
+    WindowConfig,
+    WindowedSummary,
     increment_pairs,
     merge_shard_results,
     run_corpus,
 )
+from repro.engine.windows import cert_facts
 from repro.lint import summarize, summary_to_json
 from repro.lint.reference import reference_run_lints
 from repro.lint.runner import CorpusSummary
@@ -38,6 +43,7 @@ from repro.lint.parallel import (
     usable_cpus,
 )
 from repro.x509 import (
+    Certificate,
     CertificateBuilder,
     GeneralName,
     generate_keypair,
@@ -207,15 +213,25 @@ class TestExecutorParity:
         assert summary_to_json(merge_shard_results(serial, 1).summary) == expected
         assert summary_to_json(merge_shard_results(pool, 2).summary) == expected
 
-    def test_serial_executor_raises_shard_error(self):
-        bad = ShardTask(index=0, certs_der=(b"\x30\x00",), issued_at=(None,))
+    # A worker error (here: a substrate file that does not exist) fails
+    # the run; an unparseable record does not (see below).
+    def test_serial_executor_raises_shard_error(self, tmp_path):
+        broken = ShardTask(index=0, store_path=str(tmp_path / "gone.rcs"), stop=1)
         with pytest.raises(ShardError):
-            SerialExecutor().run([bad])
+            SerialExecutor().run([broken])
 
-    def test_pool_executor_raises_shard_error(self):
-        bad = ShardTask(index=0, certs_der=(b"\x30\x00",), issued_at=(None,))
+    def test_pool_executor_raises_shard_error(self, tmp_path):
+        broken = ShardTask(index=0, store_path=str(tmp_path / "gone.rcs"), stop=1)
         with pytest.raises(ShardError):
-            PoolExecutor(2).run([bad])
+            PoolExecutor(2).run([broken])
+
+    @pytest.mark.parametrize("executor", ["serial", "pool"])
+    def test_executors_return_unparseable_records(self, executor):
+        bad = ShardTask(index=0, certs_der=(b"\x30\x00",), issued_at=(None,))
+        run = SerialExecutor() if executor == "serial" else PoolExecutor(2)
+        (result,) = run.run([bad])
+        assert result.error is None
+        assert [offset for offset, _ in result.failures] == [0]
 
 
 def _broken(good: bytes, kind: str) -> bytes:
@@ -244,3 +260,30 @@ class TestUnparseableRecords:
         assert result.error is None
         assert result.failures == [(1, item.error)]
         assert result.summary.total == 2
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_increment_folds_around_an_unparseable_entry(self, shards):
+        first, last = (r.certificate.to_der() for r in make_records(2))
+        batch = [
+            (first, dt.datetime(2023, 5, 1)),
+            (b"\x30\x03\x02\x01\x00", dt.datetime(2021, 5, 1)),
+            (last, dt.datetime(2024, 5, 1)),
+        ]
+        config = WindowConfig(index_window=2)
+        window = WindowedSummary(config)
+        outcome = Engine().run_increment(
+            batch, base_index=0, shards=shards, executor=SerialExecutor(), window=window
+        )
+        ((index, message),) = outcome.failures
+        assert index == 1
+        assert message.startswith("input is not a parseable certificate: ")
+        assert outcome.summary.total == 2
+
+        expected = WindowedSummary(config)
+        for position in (0, 2):
+            der, issued_at = batch[position]
+            cert = Certificate.from_der(der)
+            report = reference_run_lints(cert, issued_at=issued_at)
+            expected.fold(position, issued_at, report, cert_facts(cert))
+        assert window.to_json() == expected.to_json()
+        assert sorted(window.by_epoch) == ["2023", "2024"]

@@ -258,7 +258,9 @@ def test_cn_san_bit_is_verbatim_membership():
     for cns, names, fires in cases:
         san = None if names is None else subject_alt_name(*names)
         cert = Certificate.from_der(_cn_cert(cns, san))
-        assert bool(compiled._scope_cn_san(cert, {})) == fires, cns
+        masks: dict = {}
+        compiled.walk_fields(cert, masks)
+        assert bool(compiled._scope_cn_san(cert, masks)) == fires, cns
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.lint.framework import (
     Source,
 )
 from repro.lint.reference import reference_run_lints
+from repro.lint.runner import ReportTally, tally
 from repro.lint.structure import _check_extra_cn
 from repro.x509 import Certificate
 
@@ -65,6 +66,31 @@ def _cut_points() -> list[dt.datetime]:
 
 def _shape(report):
     return [(r.lint.name, r.status, r.details) for r in report.results]
+
+
+def _rescan_tally(report) -> ReportTally:
+    """A report's tally by a plain scan of every result."""
+    findings = [r for r in report.results if r.is_finding]
+    suppressed = any(r.status is LintStatus.NOT_EFFECTIVE for r in report.results)
+    by_value = lambda t: t.value  # noqa: E731
+    return ReportTally(
+        bool(findings),
+        bool(findings) or suppressed,
+        tuple(sorted({r.lint.name for r in findings})),
+        tuple(sorted({r.lint.nc_type for r in findings}, key=by_value)),
+        tuple(
+            sorted(
+                {r.lint.nc_type for r in findings if r.status is LintStatus.ERROR},
+                key=by_value,
+            )
+        ),
+        tuple(
+            sorted(
+                {r.lint.nc_type for r in findings if r.status is LintStatus.WARN},
+                key=by_value,
+            )
+        ),
+    )
 
 
 def _metadata(name: str, severity: Severity) -> LintMetadata:
@@ -115,6 +141,10 @@ def _assert_matches_oracle(der, issued_at, lints, respect):
         lints=lints,
         respect_effective_dates=respect,
     )
+    # Tallied before its results are read (from the rows that ran), then
+    # against a rescan of the results and the oracle's tally.
+    counts = tally(fast)
+    assert counts == _rescan_tally(fast) == tally(reference)
     assert _shape(fast) == _shape(reference)
     return fast
 
@@ -154,6 +184,19 @@ class TestSharedState:
             assert _shape(first) == _shape(second)
             first.results.append(first.results[0])
             assert len(second.results) == len(first.results) - 1
+
+    def test_tally_follows_results_changed_after_reading(self):
+        der = next(
+            d for d in DERS if tally(run_lints(Certificate.from_der(d))).noncompliant
+        )
+        report = run_lints(Certificate.from_der(der))
+        finding = next(r for r in report.results if r.is_finding)
+        report.results[:] = [r for r in report.results if not r.is_finding]
+        assert tally(report) == _rescan_tally(report)
+        assert finding.lint.name not in tally(report).names
+        report.results.append(finding)
+        assert tally(report) == _rescan_tally(report)
+        assert finding.lint.name in tally(report).names
 
     def test_pass_results_are_shared_and_frozen(self):
         first = run_lints(Certificate.from_der(DERS[0]))
