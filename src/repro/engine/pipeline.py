@@ -180,11 +180,9 @@ class Engine:
             return min(resolve_jobs(requested, total=total), pool.jobs)
         return resolve_jobs(jobs, total=total)
 
-    def _select_executor(self, executor, pool, jobs: int, shards: int, total: int):
+    def _select_executor(self, pool, jobs: int, shards: int, total: int):
         """Strategy selection: inline serial whenever one process
         suffices, else the pool."""
-        if executor is not None:
-            return executor
         if pool is None and (jobs == 1 or min(shards, total) <= 1):
             return SerialExecutor()
         return PoolExecutor(jobs, pool=pool)
@@ -217,14 +215,20 @@ class Engine:
         plan, builds the shard tasks under the timed ``ingest`` stage
         (``build_tasks(shards, distributed)``), executes them and merges
         the results under the timed ``sink`` stage.  Returns the merged
-        outcome and the raw shard results.
+        outcome and the raw shard results.  An explicit ``executor``
+        sets the job count the default shard count is sized for, so a
+        one-worker pool is not cut into shards for every usable CPU.
         """
-        jobs = self._resolve_corpus_jobs(jobs, pool, total)
+        if executor is not None:
+            jobs = executor.jobs
+        else:
+            jobs = self._resolve_corpus_jobs(jobs, pool, total)
         if total == 0:
             return merge_shard_results([], jobs, collect_reports), []
         if shards is None:
             shards = default_shard_count(total, jobs)
-        executor = self._select_executor(executor, pool, jobs, shards, total)
+        if executor is None:
+            executor = self._select_executor(pool, jobs, shards, total)
         # Compile stage: build the dispatch plan in the parent before
         # any work is dispatched — serial runs use it directly, pool
         # runs inherit it copy-on-write under fork.  Timed so the

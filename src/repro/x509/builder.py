@@ -14,9 +14,12 @@ from ..asn1 import (
     Element,
     ObjectIdentifier,
     StringSpec,
+    Tag,
     UTF8_STRING,
+    UniversalTag,
     encode_bit_string,
     encode_integer,
+    encode_length,
     encode_sequence,
     encode_time,
     explicit,
@@ -28,6 +31,8 @@ from .keys import SimPrivateKey, SimPublicKey, signature_algorithm_element
 from .name import AttributeTypeAndValue, Name, RelativeDistinguishedName
 
 _EPOCH = _dt.datetime(2024, 1, 1)
+
+_SEQUENCE_TAG = Tag.universal(UniversalTag.SEQUENCE).encode()
 
 
 class CertificateBuilder:
@@ -143,10 +148,14 @@ class CertificateBuilder:
         """
         issuer_name = issuer or self._issuer or self._subject
         subject_key = self._public_key or key.public_key
-        tbs = self._tbs_element(issuer_name, subject_key.to_spki())
-        tbs_der = tbs.encode()
+        tbs_der = self._tbs_element(issuer_name, subject_key.to_spki()).encode()
         signature = key.sign(tbs_der)
-        der = encode_sequence(
-            tbs, signature_algorithm_element(), encode_bit_string(signature)
-        ).encode()
+        # The TBS is encoded once: its signed bytes are spliced into the
+        # outer SEQUENCE as they are.
+        body = (
+            tbs_der
+            + signature_algorithm_element().encode()
+            + encode_bit_string(signature).encode()
+        )
+        der = _SEQUENCE_TAG + encode_length(len(body)) + body
         return Certificate.from_der(der, strict=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..asn1 import (
     Element,
@@ -109,20 +110,38 @@ class SimPublicKey:
 
 @dataclass(frozen=True)
 class SimPrivateKey:
-    """RSA private key; carries its public half."""
+    """RSA private key; carries its public half and the primes of ``n``."""
 
     n: int
     e: int
     d: int
+    p: int
+    q: int
 
     @property
     def public_key(self) -> SimPublicKey:
         return SimPublicKey(n=self.n, e=self.e)
 
+    @cached_property
+    def _crt(self) -> tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)`` for :meth:`sign`."""
+        return (
+            self.d % (self.p - 1),
+            self.d % (self.q - 1),
+            pow(self.q, -1, self.p),
+        )
+
     def sign(self, message: bytes) -> bytes:
-        """Sign SHA-256(message) with textbook RSA."""
+        """Sign SHA-256(message) with textbook RSA.
+
+        The exponentiation runs mod ``p`` and mod ``q`` and is
+        recombined by the CRT (Garner's formula): the same signature as
+        ``pow(digest, d, n)`` at about a third of the cost.
+        """
         digest = int.from_bytes(hashlib.sha256(message).digest(), "big")
-        signature = pow(digest, self.d, self.n)
+        dp, dq, q_inv = self._crt
+        m_q = pow(digest, dq, self.q)
+        signature = m_q + (q_inv * (pow(digest, dp, self.p) - m_q) % self.p) * self.q
         length = (self.n.bit_length() + 7) // 8
         return signature.to_bytes(length, "big")
 
@@ -147,7 +166,7 @@ def generate_keypair(seed: int | str | None = None, bits: int = 512) -> SimPriva
             d = pow(e, -1, phi)
         except ValueError:
             continue
-        return SimPrivateKey(n=p * q, e=e, d=d)
+        return SimPrivateKey(n=p * q, e=e, d=d, p=p, q=q)
 
 
 def signature_algorithm_element() -> Element:

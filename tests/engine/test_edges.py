@@ -9,7 +9,9 @@ the same tasks merge to the summary of the reference oracle
 both surface a worker failure as :class:`ShardError`.  An unparseable
 record is one recorded failure, the same one whichever path decodes it:
 a corpus run raises on it, and an incremental batch folds its
-neighbours at their own log indexes and reports it.
+neighbours at their own log indexes and reports it.  An explicit
+executor sizes the default shard count by its own job count, and a
+batch longer than one shard-loop block folds in log order.
 """
 
 import datetime as dt
@@ -19,6 +21,7 @@ import pytest
 
 from repro.engine import (
     Engine,
+    EngineStats,
     PoolExecutor,
     SerialExecutor,
     WindowConfig,
@@ -32,6 +35,7 @@ from repro.lint import summarize, summary_to_json
 from repro.lint.reference import reference_run_lints
 from repro.lint.runner import CorpusSummary
 from repro.lint.parallel import (
+    SHARD_BLOCK,
     LintPool,
     ShardError,
     ShardTask,
@@ -225,6 +229,16 @@ class TestExecutorParity:
         with pytest.raises(ShardError):
             PoolExecutor(2).run([broken])
 
+    def test_explicit_executor_sizes_the_default_shard_count(self):
+        # 320 records: 4 shards for one job, 5 for the 4 jobs asked for.
+        records = make_records(5 * 64)
+        stats = EngineStats()
+        outcome = run_corpus(records, 4, executor=SerialExecutor(), stats=stats)
+        assert stats.jobs == outcome.jobs == 1
+        assert len(stats.shard_sizes) == default_shard_count(len(records), 1)
+        assert len(stats.shard_sizes) < default_shard_count(len(records), 4)
+        assert summary_to_json(outcome.summary) == oracle_summary(records)
+
     @pytest.mark.parametrize("executor", ["serial", "pool"])
     def test_executors_return_unparseable_records(self, executor):
         bad = ShardTask(index=0, certs_der=(b"\x30\x00",), issued_at=(None,))
@@ -287,3 +301,28 @@ class TestUnparseableRecords:
             expected.fold(position, issued_at, report, cert_facts(cert))
         assert window.to_json() == expected.to_json()
         assert sorted(window.by_epoch) == ["2023", "2024"]
+
+    def test_increment_folds_in_log_order_across_blocks(self):
+        good = [r.certificate.to_der() for r in make_records(2 * SHARD_BLOCK + 8)]
+        batch = [
+            (der, dt.datetime(2020 + position % 5, 1 + position % 12, 1))
+            for position, der in enumerate(good)
+        ]
+        bad = (SHARD_BLOCK, len(batch) - 1)
+        for position in bad:
+            batch[position] = (b"\x30\x03\x02\x01\x00", batch[position][1])
+        config = WindowConfig(index_window=SHARD_BLOCK // 2 + 3)
+        window = WindowedSummary(config)
+        outcome = Engine().run_increment(
+            batch, base_index=1000, shards=1, executor=SerialExecutor(), window=window
+        )
+        assert [index for index, _ in outcome.failures] == [1000 + p for p in bad]
+
+        expected = WindowedSummary(config)
+        for position, (der, issued_at) in enumerate(batch):
+            if position in bad:
+                continue
+            cert = Certificate.from_der(der)
+            report = reference_run_lints(cert, issued_at=issued_at)
+            expected.fold(1000 + position, issued_at, report, cert_facts(cert))
+        assert window.to_json() == expected.to_json()

@@ -3,8 +3,9 @@
 Covers the determinism guarantee (``--jobs N`` byte-identical to
 ``--jobs 1`` and to the reference oracle run serially), exact-merge
 algebra (commutativity/associativity), deterministic sharding,
-worker-crash surfacing, the registry schedule workers lint with, and
-the reusable worker pool.
+worker-crash surfacing, the block-staged shard loop on shards longer
+than one block, the registry schedule workers lint with, and the
+reusable worker pool.
 """
 
 import datetime as dt
@@ -38,8 +39,10 @@ from repro.lint.framework import (
     Severity,
     Source,
 )
+from repro.asn1 import ASN1Error
 from repro.lint.parallel import (
     MIN_SHARD_SIZE,
+    SHARD_BLOCK,
     LintPool,
     ShardOutput,
     ShardTask,
@@ -47,10 +50,17 @@ from repro.lint.parallel import (
     default_shard_count,
     lint_shard,
     resolve_jobs,
+    unparseable_message,
 )
 from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_dict
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509 import (
+    Certificate,
+    CertificateBuilder,
+    GeneralName,
+    generate_keypair,
+    subject_alt_name,
+)
 
 from ..registry_helpers import registered
 
@@ -267,6 +277,98 @@ class TestWorkerCrash:
             ShardTask(index=0, store_path=str(tmp_path / "gone.rcs"), stop=1)
         )
         assert "Traceback" in crashed.error
+
+
+def _one_shard(pairs, output=ShardOutput.SUMMARY, collect_facts=False) -> ShardTask:
+    return ShardTask(
+        index=0,
+        certs_der=tuple(der for der, _ in pairs),
+        issued_at=tuple(issued for _, issued in pairs),
+        output=output,
+        collect_facts=collect_facts,
+    )
+
+
+class TestBlockLoop:
+    """``lint_shard`` over one shard that spans several blocks."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, corpus):
+        pairs = increment_pairs(corpus)
+        assert len(pairs) > 2 * SHARD_BLOCK
+        return pairs
+
+    def test_unparseable_records_keep_offsets_and_messages(self, pairs):
+        garbage = {
+            0: b"\x30\x03\x02\x01\x00",  # a SEQUENCE, not a certificate
+            SHARD_BLOCK - 1: pairs[0][0][:-1],  # truncated
+            SHARD_BLOCK: b"\x30\x80",  # indefinite length
+            2 * SHARD_BLOCK + 1: b"",
+            len(pairs) - 1: b"\x04\x01",  # a truncated OCTET STRING
+        }
+        records = [
+            (garbage.get(offset, der), issued) for offset, (der, issued) in enumerate(pairs)
+        ]
+        expected = []
+        for offset in sorted(garbage):
+            with pytest.raises(ASN1Error) as excinfo:
+                Certificate.from_der(garbage[offset])
+            expected.append((offset, unparseable_message(excinfo.value)))
+        assert len({message for _, message in expected}) > 1
+
+        result = lint_shard(_one_shard(records, collect_facts=True))
+        assert result.error is None
+        assert result.failures == expected
+        assert [offset for offset, _, _ in result.facts] == [
+            offset for offset in range(len(records)) if offset not in garbage
+        ]
+        good = [
+            reference_run_lints(Certificate.from_der(der), issued_at=issued)
+            for offset, (der, issued) in enumerate(records)
+            if offset not in garbage
+        ]
+        assert summary_to_json(result.summary) == summary_to_json(summarize(good))
+        assert result.timings.certs == len(good)
+
+    def test_summary_equals_the_serial_reference(self, corpus, pairs):
+        result = lint_shard(_one_shard(pairs))
+        assert result.error is None and result.failures == []
+        assert summary_to_json(result.summary) == _oracle_summary(corpus)
+        for stage in ("decode", "lint", "sink"):
+            assert result.timings.items[stage] == len(pairs)
+
+    def test_outputs_keep_record_order_across_blocks(self, pairs):
+        reports = lint_shard(_one_shard(pairs, ShardOutput.REPORTS)).reports
+        bodies = lint_shard(_one_shard(pairs, ShardOutput.JSON)).reports
+        assert len(reports) == len(bodies) == len(pairs)
+        for (der, issued), report, body in zip(pairs, reports, bodies):
+            cert = Certificate.from_der(der)
+            expected = reference_run_lints(cert, issued_at=issued)
+            assert report_to_dict(report) == report_to_dict(expected)
+            assert body == report_to_json(expected, cert)
+
+    def test_lint_raising_in_the_second_block_keeps_finished_timings(self, pairs):
+        target = pairs[SHARD_BLOCK + 3][0]
+
+        def check(cert):
+            if cert.raw == target:
+                raise RuntimeError("planted lint failure")
+            return True, ""
+
+        lint = FunctionLint(
+            _test_lint("e_test_raises_in_second_block", fires=False).metadata,
+            lambda cert: True,
+            check,
+        )
+        with registered(lint):
+            result = lint_shard(_one_shard(pairs))
+        assert "RuntimeError: planted lint failure" in result.error
+        assert "Traceback" in result.error
+        # The first block finished: its stages are booked.
+        assert result.timings.certs == SHARD_BLOCK
+        for stage in ("decode", "lint", "sink"):
+            assert result.timings.items[stage] == SHARD_BLOCK
+            assert result.timings.wall[stage] > 0
 
 
 class TestRegistryCache:

@@ -1,10 +1,11 @@
 """Tests for the certificate builder, codec, and accessors."""
 
 import datetime as dt
+import hashlib
 
 import pytest
 
-from repro.asn1 import BMP_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING
+from repro.asn1 import BMP_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING, parse
 from repro.asn1.oid import (
     OID_AD_CA_ISSUERS,
     OID_COMMON_NAME,
@@ -84,6 +85,22 @@ class TestBuilderBasics:
     def test_fingerprint_stable(self):
         cert = build_simple()
         assert cert.fingerprint() == Certificate.from_der(cert.to_der()).fingerprint()
+
+    @pytest.mark.parametrize("seed", [1, 42, "issuer-ca"])
+    def test_crt_signature_equals_the_textbook_signature(self, seed):
+        key = generate_keypair(seed=seed)
+        assert key.p * key.q == key.n
+        for message in (b"", b"tbs", bytes(range(256)) * 3):
+            digest = int.from_bytes(hashlib.sha256(message).digest(), "big")
+            textbook = pow(digest, key.d, key.n).to_bytes(64, "big")
+            assert key.sign(message) == textbook
+            assert key.public_key.verify(message, textbook)
+
+    def test_spliced_der_equals_the_element_encoding(self):
+        cert = build_simple()
+        der = cert.to_der()
+        assert parse(der).encode() == der
+        assert der[4 : 4 + len(cert.tbs_der)] == cert.tbs_der
 
 
 class TestMalformedCrafting:
