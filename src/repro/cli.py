@@ -238,26 +238,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_staticcheck(args: argparse.Namespace) -> int:
-    import json
-
-    from .staticcheck import run_staticcheck
-
-    report = run_staticcheck(checkers=args.checker)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        for finding in report.findings:
-            print(finding.render())
-        counts = report.counts()
-        print(
-            f"{len(report.findings)} finding(s): "
-            f"{counts['error']} error(s), {counts['warning']} warning(s)"
-        )
-    threshold = ("error",) if args.fail_on == "error" else ("error", "warning")
-    return 1 if any(f.severity in threshold for f in report.findings) else 0
-
-
 def _cmd_differential(args: argparse.Namespace) -> int:
     from .tlslibs import (
         ALL_PROFILES,
@@ -493,27 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request lint deadline in seconds (504 past it)",
     )
     serve.set_defaults(func=_cmd_serve)
-
-    staticcheck = sub.add_parser(
-        "staticcheck",
-        help="run the lint-the-linter static analyzers over src/repro",
-    )
-    staticcheck.add_argument(
-        "--json", action="store_true", help="emit the full JSON report"
-    )
-    staticcheck.add_argument(
-        "--fail-on",
-        choices=("error", "warning"),
-        default="error",
-        help="exit non-zero when a finding at/above this severity exists",
-    )
-    staticcheck.add_argument(
-        "--checker",
-        action="append",
-        metavar="NAME",
-        help="run only this checker group (repeatable; default: all groups)",
-    )
-    staticcheck.set_defaults(func=_cmd_staticcheck)
 
     diff = sub.add_parser("differential", help="derive the parser matrices")
     diff.set_defaults(func=_cmd_differential)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import mmap
 import os
+import warnings
 
 from .errors import CorpusStoreError
 from .format import (
@@ -280,8 +281,14 @@ class CorpusStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+    def __del__(self, _warn=warnings.warn):
+        """GC safety net: close a store its owner never closed, and say
+        so with a ``ResourceWarning``, as an unclosed ``io`` file does.
+
+        ``_warn`` is bound at definition: a store collected at
+        interpreter exit may outlive the ``warnings`` module global.
+        """
+        if self.closed:
+            return
+        self.close()
+        _warn(f"unclosed corpus store {self.path!r}", ResourceWarning, source=self)

@@ -69,10 +69,10 @@ class TailVerificationError(Exception):
 class SimClock:
     """Deterministic, injectable time source.
 
-    The determinism discipline of the repo (enforced by the staticcheck
-    ``determinism`` checker for lints, and by the kill/resume
-    byte-identity proofs here) rules out ``datetime.now()``: every
-    timestamp in the tail simulation advances this clock explicitly.
+    The determinism discipline of the repo (held by the serial-vs-pool
+    byte-identity tests for lints, and by the kill/resume byte-identity
+    proofs here) rules out ``datetime.now()``: every timestamp in the
+    tail simulation advances this clock explicitly.
     """
 
     def __init__(

@@ -307,7 +307,7 @@ class LintRegistry:
         """The registered lints as a registration-ordered tuple."""
         return self._snapshot
 
-    # -- introspection (used by repro.staticcheck and the self-tests) ----
+    # -- introspection (used by the rule table, the analyses and tests) --
 
     def __iter__(self):
         return iter(self.snapshot())

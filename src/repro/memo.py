@@ -10,10 +10,12 @@ keeps caching the keys it sees next instead of freezing.
 
 A memo is per process by contract: a forked worker inherits the
 parent's entries and then diverges, which is safe because an entry may
-only change speed, never an answer.  The fork-cow staticcheck rule
-rests on this type: a worker-reachable write passes only when it
-targets a ``ProcessMemo``.  Only ``memo[key] = value`` is bounded;
-``setdefault``/``update`` bypass the cap and are not used on memos.
+only change speed, never an answer.  The process-state test
+(``tests/lint/test_process_state.py``) rests on this type: it drives
+the worker entry points and fails if any container held by a module
+global, other than a ``ProcessMemo``, changed.  Only
+``memo[key] = value`` is bounded; ``setdefault``/``update`` bypass the
+cap and are not used on memos.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ never contributes garbage records to a summary.
 import datetime as dt
 import os
 import struct
+import warnings
 
 import pytest
 
@@ -193,6 +194,21 @@ class TestLifecycle:
         assert store.closed
         assert bytes(view) == PAIRS[0][0]
         view.release()
+
+    def test_collecting_an_open_store_warns_and_closes_it(self, store_path):
+        before = _open_fds()
+        store = CorpusStore(store_path)
+        with pytest.warns(ResourceWarning, match="unclosed corpus store"):
+            store.__del__()
+        assert store.closed
+        assert _open_fds() == before
+
+    def test_collecting_a_closed_store_is_silent(self, store_path):
+        with CorpusStore(store_path) as store:
+            pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            store.__del__()
 
 
 class TestCorruption:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -83,8 +84,8 @@ class TestWitnessFormat:
         witness = witness_from_spec(spec, evaluate(spec))
         first = write_witness(str(tmp_path / "a"), witness)
         second = write_witness(str(tmp_path / "b"), witness)
-        assert open(first, "rb").read() == open(second, "rb").read()
-        doc = json.load(open(first))
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+        doc = json.loads(Path(first).read_text(encoding="utf-8"))
         assert doc["version"] == 1
         assert list(doc) == sorted(doc)
 
