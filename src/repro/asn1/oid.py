@@ -4,7 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..memo import ProcessMemo
 from .errors import DERDecodeError, DEREncodeError
+
+#: Dotted OID -> its content octets.  An encoder names a few dozen OIDs
+#: thousands of times each; the cap bounds a process that encodes OIDs
+#: taken from its input.
+_ENCODED_MAX = 4096
+_ENCODED = ProcessMemo(_ENCODED_MAX)
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,12 @@ class ObjectIdentifier:
 
     def encode_value(self) -> bytes:
         """Encode to content octets (without tag/length)."""
+        encoded = _ENCODED.get(self.dotted)
+        if encoded is None:
+            encoded = _ENCODED[self.dotted] = self._encode_arcs()
+        return encoded
+
+    def _encode_arcs(self) -> bytes:
         arcs = self.arcs
         out = bytearray()
         first = arcs[0] * 40 + arcs[1]

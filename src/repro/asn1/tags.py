@@ -80,14 +80,26 @@ class Tag:
 
     @classmethod
     def universal(cls, number: int, constructed: bool | None = None) -> "Tag":
-        """Build a UNIVERSAL-class tag, inferring the constructed bit."""
+        """A UNIVERSAL-class tag, inferring the constructed bit.
+
+        A single-octet identifier returns the shared tag of
+        :data:`IDENTIFIER_TAGS`.
+        """
         if constructed is None:
             constructed = number in CONSTRUCTED_TYPES
+        if 0 <= number < 0x1F:
+            return IDENTIFIER_TAGS[(0x20 if constructed else 0) | number]
         return cls(TagClass.UNIVERSAL, constructed, int(number))
 
     @classmethod
     def context(cls, number: int, constructed: bool = False) -> "Tag":
-        """Build a CONTEXT-class tag, as used by [n] IMPLICIT fields."""
+        """A CONTEXT-class tag, as used by [n] IMPLICIT fields.
+
+        A single-octet identifier returns the shared tag of
+        :data:`IDENTIFIER_TAGS`.
+        """
+        if 0 <= number < 0x1F:
+            return IDENTIFIER_TAGS[0x80 | (0x20 if constructed else 0) | number]
         return cls(TagClass.CONTEXT, constructed, number)
 
     @property

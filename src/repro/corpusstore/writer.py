@@ -13,7 +13,9 @@ call each, joins them and the DER region into one payload, takes its
 CRC-32 in one call and writes header and payload to a temporary file
 that is renamed into place only after ``fsync``: a crash mid-write
 leaves at worst the ``.tmp`` file, and a truncated file is one readers
-reject structurally instead of half-trusting.
+reject structurally instead of half-trusting.  :func:`write_spill`
+skips the fsync and the rename for a file its writer deletes when the
+run ends.
 """
 
 from __future__ import annotations
@@ -67,6 +69,33 @@ def write_records(source, path) -> tuple[int, int]:
     """:func:`write_store`, returning the header's record count and
     payload CRC-32 instead of the path."""
     path = pathlib.Path(path)
+    header, payload, count, crc = _pack(source)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(header)
+        handle.write(payload)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    return count, crc
+
+
+def write_spill(source, path) -> None:
+    """Write ``source`` to a throwaway substrate at ``path``.
+
+    For a file its writer deletes when the run ends, such as the
+    temporary substrate a pooled corpus run dispatches from: the bytes
+    go straight to ``path`` with no fsync and no rename, since a crash
+    loses the run that would read them anyway.
+    """
+    header, payload, _count, _crc = _pack(source)
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(payload)
+
+
+def _pack(source) -> tuple[bytes, bytes, int, int]:
+    """``(header, payload, record count, payload CRC-32)`` of ``source``."""
     # Flat (der_offset, der_len) pairs and issued-at values, each column
     # packed with one struct call.
     index: list[int] = []
@@ -106,12 +135,4 @@ def write_records(source, path) -> tuple[int, int]:
         crc,
         0,
     )
-
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return count, crc
+    return header, payload, count, crc

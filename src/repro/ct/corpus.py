@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import enum
+import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -293,6 +294,20 @@ class Corpus:
         for record in self.records:
             grouped.setdefault(record.issuer_org, []).append(record)
         return grouped
+
+    def der_digest(self) -> str:
+        """Hex SHA-256 over every generated DER, to pin generated bytes.
+
+        Each record's certificate in record order, then each issuer CA
+        certificate in insertion order; DER is self-delimiting, so the
+        concatenation is unambiguous.
+        """
+        digest = hashlib.sha256()
+        for record in self.records:
+            digest.update(record.certificate.to_der())
+        for certificate in self.ca_certificates.values():
+            digest.update(certificate.to_der())
+        return digest.hexdigest()
 
     def to_store(self, path):
         """Serialize this corpus to a memory-mapped substrate file.

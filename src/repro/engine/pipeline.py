@@ -354,7 +354,8 @@ class Engine:
         sequential write, unlinked after the run); serial runs keep the
         inline task shape.
         """
-        from ..corpusstore import CorpusStore, write_store
+        from ..corpusstore import CorpusStore
+        from ..corpusstore.writer import write_spill
 
         store = corpus if isinstance(corpus, CorpusStore) else None
         records = None if store is not None else corpus_records(corpus)
@@ -375,11 +376,12 @@ class Engine:
             # Zero-copy dispatch: one sequential substrate write here
             # beats pickling every shard's DER into the executor pipe —
             # tasks become O(1) references and the bytes reach workers
-            # via the page cache.
+            # via the page cache.  The file is unlinked when the run
+            # ends, so it is written without an fsync.
             fd, path = _tempfile.mkstemp(prefix="repro-corpus-", suffix=".rcs")
             _os.close(fd)
             spills.append(path)
-            write_store(records, path)
+            write_spill(records, path)
             return build_store_shard_tasks(path, total, shards, **task_kwargs)
 
         try:

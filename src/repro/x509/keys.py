@@ -13,6 +13,7 @@ Do not use this module for anything but simulation.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,9 @@ from ..asn1 import (
     parse_node,
 )
 from ..asn1.oid import OID_RSA_ENCRYPTION, OID_SHA256_WITH_RSA
+
+#: The public exponent of every simulation key.
+_E = 65537
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -146,27 +150,41 @@ class SimPrivateKey:
         return signature.to_bytes(length, "big")
 
 
+def search_primes(seed: int | str | None, bits: int = 512) -> tuple[int, int]:
+    """The primes ``(p, q)`` of the keypair for ``seed``, by prime search.
+
+    This is the definition of every simulation key: Miller-Rabin over
+    candidates drawn from ``random.Random(seed)``, skipping a pair whose
+    ``(p-1)(q-1)`` shares a factor with the public exponent.
+    """
+    rng = random.Random(seed)
+    while True:
+        p = _random_prime(bits // 2, rng)
+        q = _random_prime(bits // 2, rng)
+        if p != q and math.gcd(_E, (p - 1) * (q - 1)) == 1:
+            return p, q
+
+
 def generate_keypair(seed: int | str | None = None, bits: int = 512) -> SimPrivateKey:
     """Generate a deterministic RSA keypair from ``seed``.
 
     512-bit moduli keep corpus generation fast; the SHA-256 digest
-    (256 bits) always fits below the modulus.
+    (256 bits) always fits below the modulus.  The primes of the
+    package's own fixed seeds come from the committed table in
+    :mod:`repro.x509.simkeys` (regenerated by
+    ``scripts/regen_simkeys.py``), which holds exactly what
+    :func:`search_primes` finds for them; every other seed runs the
+    search.
     """
     if bits < 320:
         raise ValueError("modulus must exceed the 256-bit digest")
-    rng = random.Random(seed)
-    e = 65537
-    while True:
-        p = _random_prime(bits // 2, rng)
-        q = _random_prime(bits // 2, rng)
-        if p == q:
-            continue
-        phi = (p - 1) * (q - 1)
-        try:
-            d = pow(e, -1, phi)
-        except ValueError:
-            continue
-        return SimPrivateKey(n=p * q, e=e, d=d, p=p, q=q)
+    primes = None
+    if bits == 512:
+        from .simkeys import PRIMES
+
+        primes = PRIMES.get(seed)
+    p, q = primes or search_primes(seed, bits)
+    return SimPrivateKey(n=p * q, e=_E, d=pow(_E, -1, (p - 1) * (q - 1)), p=p, q=q)
 
 
 def signature_algorithm_element() -> Element:
