@@ -10,7 +10,8 @@
    (MUST vs MUST+SHOULD coverage).
 """
 
-from repro.lint import REGISTRY, run_lints
+from repro.lint.framework import REGISTRY
+from repro.lint.runner import run_lints
 
 
 def test_ablation_new_lints(benchmark, corpus, write_output):

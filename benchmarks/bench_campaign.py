@@ -7,7 +7,7 @@ char per Unicode block sweep) across all nine parser profiles.
 
 import os
 
-from repro.testgen import sample_characters
+from repro.testgen.generator import sample_characters
 from repro.tlslibs.campaign import run_campaign
 
 

@@ -26,9 +26,11 @@ import argparse
 import statistics
 import time
 
-from repro.asn1 import UniversalTag, node_oid, node_time, parse_node, to_element
-from repro.ct import CorpusGenerator
-from repro.x509 import Certificate, Name
+from repro.asn1.der import node_oid, node_time, parse_node, to_element
+from repro.asn1.tags import UniversalTag
+from repro.ct.corpus import CorpusGenerator
+from repro.x509.certificate import Certificate
+from repro.x509.name import Name
 
 #: About 700 certificates, the corpus size of the ``corpus`` workload.
 DEFAULT_SCALE = 1 / 50_000

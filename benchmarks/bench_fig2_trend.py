@@ -1,6 +1,7 @@
 """Figure 2 — issuance trend of Unicerts and noncompliant Unicerts."""
 
-from repro.analysis import issuance_trend, render_trend
+from repro.analysis.longitudinal import issuance_trend
+from repro.analysis.render import render_trend
 
 
 def test_fig2_issuance_trend(benchmark, corpus, reports, write_output):

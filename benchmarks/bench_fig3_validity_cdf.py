@@ -1,6 +1,7 @@
 """Figure 3 — CDF of Unicert validity period by certificate class."""
 
-from repro.analysis import render_cdf, validity_cdfs
+from repro.analysis.longitudinal import validity_cdfs
+from repro.analysis.render import render_cdf
 
 LANDMARKS = [90, 180, 365, 398, 700, 1000]
 

@@ -1,6 +1,7 @@
 """Figure 4 — fields containing internationalized contents per issuer."""
 
-from repro.analysis import FIELD_COLUMNS, field_matrix
+from repro.analysis.fields import field_matrix
+from repro.engine.windows import FIELD_COLUMNS
 
 
 def test_fig4_field_matrix(benchmark, corpus, reports, write_output):

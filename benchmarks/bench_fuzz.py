@@ -1,6 +1,6 @@
 """Fuzzing-campaign benchmark: mutant throughput and novelty yield.
 
-Runs one fixed-seed campaign through :func:`repro.fuzz.run_fuzz_campaign`
+Runs one fixed-seed campaign through :func:`repro.fuzz.campaign.run_fuzz_campaign`
 (witness minimization capped so the measured number is evaluation
 throughput, not ddmin cost) and records:
 
@@ -8,7 +8,7 @@ throughput, not ddmin cost) and records:
 * ``novel_per_10k`` — novel behaviour-matrix cells per 10k mutants (the
   campaign's discovery yield against the Tables 4/5 baseline);
 * the per-stage wall/CPU breakdown from the injected
-  :class:`repro.engine.EngineStats`.
+  :class:`repro.engine.stats.EngineStats`.
 
 The record lands in ``benchmarks/output/BENCH_fuzz.json``.  CLI::
 
@@ -23,8 +23,8 @@ import pathlib
 import sys
 import time
 
-from repro.engine import EngineStats
-from repro.fuzz import FuzzConfig, run_fuzz_campaign
+from repro.engine.stats import EngineStats
+from repro.fuzz.campaign import FuzzConfig, run_fuzz_campaign
 
 DEFAULT_SEED = 2025
 DEFAULT_BUDGET = 2000

@@ -33,11 +33,12 @@ import argparse
 import statistics
 import time
 
-from repro.ct import CorpusGenerator
+from repro.ct.corpus import CorpusGenerator
 from repro.lint import compiled
 from repro.lint.framework import REGISTRY, index_for
 from repro.lint.runner import run_lints
-from repro.x509 import Certificate, certificate
+from repro.x509 import certificate
+from repro.x509.certificate import Certificate
 
 #: About 700 certificates, the corpus size of the ``corpus`` workload.
 DEFAULT_SCALE = 1 / 50_000

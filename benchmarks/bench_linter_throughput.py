@@ -17,7 +17,7 @@ Two layers:
   - ``after_jobs``: the production path through the process-pool
     executor at ``--jobs N``.
 
-  Each mode threads an :class:`repro.engine.EngineStats` collector, so
+  Each mode threads an :class:`repro.engine.stats.EngineStats` collector, so
   the record carries a per-stage (compile/decode/lint/sink) seconds
   breakdown alongside the headline rate.  Every run asserts the three
   summaries serialize byte-identically before any rate is reported,
@@ -43,19 +43,19 @@ import pathlib
 import sys
 import time
 
-from repro.ct import CorpusGenerator
-from repro.engine import EngineStats, run_corpus
-from repro.lint import run_lints, summarize, summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import run_corpus
+from repro.engine.stats import EngineStats
+from repro.lint.runner import run_lints, summarize
+from repro.lint.serialization import summary_to_json
 from repro.lint.parallel import LintPool, usable_cpus
 from repro.lint.reference import reference_run_lints
 from repro.uni import punycode
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=2024)
 

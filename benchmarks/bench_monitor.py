@@ -1,8 +1,8 @@
 """CT-tail monitor throughput: sustained fold rate, poll latency, resume cost.
 
 Drives the incremental engine the way a long-running deployment would:
-a :class:`~repro.ct.TailLog` publishes get-entries batches from a
-seeded corpus and a checkpointed :class:`~repro.ct.TailMonitor` polls,
+a :class:`~repro.ct.tail.TailLog` publishes get-entries batches from a
+seeded corpus and a checkpointed :class:`~repro.ct.tail.TailMonitor` polls,
 verifies, lints, persists, and checkpoints every batch.  Three numbers
 describe the streaming shape:
 
@@ -37,9 +37,10 @@ import sys
 import tempfile
 import time
 
-from repro.ct import CorpusGenerator, MonitorConfig, TailLog, TailMonitor
-from repro.engine import run_corpus
-from repro.lint import summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.ct.tail import MonitorConfig, TailLog, TailMonitor
+from repro.engine.pipeline import run_corpus
+from repro.lint.serialization import summary_to_json
 
 DEFAULT_SCALE = float(os.environ.get("REPRO_BENCH_MONITOR_SCALE", 1 / 10000))
 DEFAULT_SEED = int(os.environ.get("REPRO_BENCH_SEED", 2025))
@@ -111,7 +112,7 @@ def measure(
             TailLog(corpus), _config(tmp / "killed", batch_size, jobs)
         )
         kill_batches = min(3, max(1, total // batch_size))
-        from repro.ct import drive
+        from repro.ct.tail import drive
 
         drive(killed, batches=kill_batches)
         killed_position = killed.position

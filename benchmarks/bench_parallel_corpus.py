@@ -20,10 +20,12 @@ Two properties are asserted:
 import os
 import time
 
-from repro.analysis import lint_corpus
-from repro.ct import CorpusGenerator
-from repro.engine import EngineStats, run_corpus
-from repro.lint import summarize, summary_to_json
+from repro.analysis.compliance import lint_corpus
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import run_corpus
+from repro.engine.stats import EngineStats
+from repro.lint.runner import summarize
+from repro.lint.serialization import summary_to_json
 from repro.lint.parallel import LintPool, usable_cpus as _usable_cpus
 
 SCALE = float(os.environ.get("REPRO_BENCH_PARALLEL_SCALE", 1 / 10000))

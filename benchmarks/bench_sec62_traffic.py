@@ -1,11 +1,7 @@
 """Section 6.2 — traffic obfuscation against middleboxes and clients."""
 
-from repro.threats import (
-    ALL_CLIENTS,
-    duplicate_position_evasion,
-    evasion_experiment,
-)
-from repro.uni import VariantStrategy
+from repro.threats.traffic import ALL_CLIENTS, duplicate_position_evasion, evasion_experiment
+from repro.uni.variants import VariantStrategy
 
 
 def test_sec62_variant_evasion(benchmark, write_output):

@@ -1,7 +1,7 @@
 """Table 11 — top lints ranked by noncompliant Unicerts flagged."""
 
-from repro.analysis import top_lints
-from repro.lint import REGISTRY
+from repro.analysis.compliance import top_lints
+from repro.lint.framework import REGISTRY
 
 
 def test_table11_top_lints(benchmark, corpus, reports, write_output):

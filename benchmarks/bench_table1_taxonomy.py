@@ -6,8 +6,8 @@ alive shares, the 0.72% overall NC rate, the 65.3% trusted share, and
 the footnote-4 effective-date gap.
 """
 
-from repro.analysis import build_table1, encoding_error_analysis, issuer_involvement
-from repro.lint import NoncomplianceType
+from repro.analysis.compliance import build_table1, encoding_error_analysis, issuer_involvement
+from repro.lint.framework import NoncomplianceType
 
 #: Paper reference values (shares of all NC Unicerts) for the shape check.
 PAPER_TYPE_SHARES = {

@@ -1,6 +1,6 @@
 """Table 2 — top-10 issuer organizations by noncompliant Unicerts."""
 
-from repro.analysis import high_nc_rate_issuers, issuer_table, top_volume_share
+from repro.analysis.issuers import high_nc_rate_issuers, issuer_table, top_volume_share
 
 
 def test_table2_issuer_ranking(benchmark, corpus, reports, write_output):

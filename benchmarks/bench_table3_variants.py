@@ -1,7 +1,7 @@
 """Table 3 — subject value variant strategies found in the corpus."""
 
-from repro.analysis import find_subject_variants, variant_strategy_counts
-from repro.uni import VariantStrategy, classify_variant_pair
+from repro.analysis.fields import find_subject_variants, variant_strategy_counts
+from repro.uni.variants import VariantStrategy, classify_variant_pair
 
 #: The paper's curated Table 3 examples, re-verified every run.
 PAPER_EXAMPLES = [

@@ -5,12 +5,9 @@ parser outputs over generated test bytes; the profiles' configuration
 is never read directly.
 """
 
-from repro.tlslibs import (
-    ALL_PROFILES,
-    DecodePractice,
-    TABLE4_SCENARIOS,
-    derive_decoding_matrix,
-)
+from repro.tlslibs.base import DecodePractice
+from repro.tlslibs.differential import TABLE4_SCENARIOS, derive_decoding_matrix
+from repro.tlslibs.profiles import ALL_PROFILES
 
 LEGEND = "O = compliant, T = over-tolerant, X = incompatible, M = modified, - = unsupported"
 

@@ -1,7 +1,8 @@
 """Table 5 — standard violations in parsing DN and GN (character checks
 and escaping), derived by black-box probing of the 9 library models."""
 
-from repro.tlslibs import ALL_PROFILES, Violation, derive_charcheck_report
+from repro.tlslibs.differential import Violation, derive_charcheck_report
+from repro.tlslibs.profiles import ALL_PROFILES
 
 ROWS = [
     "PrintableString Violations",

@@ -1,8 +1,12 @@
 """Table 6 — CT monitor tolerance matrix, plus the Section 6.1
 monitor-misleading experiment."""
 
-from repro.threats import concealment_matrix, run_experiment
-from repro.threats.monitor_misleading import TABLE6_COLUMNS, derive_monitor_matrix
+from repro.threats.monitor_misleading import (
+    concealment_matrix,
+    run_experiment,
+    TABLE6_COLUMNS,
+    derive_monitor_matrix,
+)
 
 _HEADERS = {
     "case_insensitive": "CaseIns",

@@ -12,8 +12,8 @@ import pathlib
 
 import pytest
 
-from repro.analysis import lint_corpus
-from repro.ct import CorpusGenerator
+from repro.analysis.compliance import lint_corpus
+from repro.ct.corpus import CorpusGenerator
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", 1 / 2000))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", 2025))

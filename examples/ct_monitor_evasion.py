@@ -9,8 +9,12 @@ Run with:  python examples/ct_monitor_evasion.py [victim-domain]
 
 import sys
 
-from repro.threats import concealment_matrix, craft_forged_certificates, run_experiment
-from repro.threats.monitor_misleading import derive_monitor_matrix
+from repro.threats.monitor_misleading import (
+    concealment_matrix,
+    craft_forged_certificates,
+    run_experiment,
+    derive_monitor_matrix,
+)
 
 
 def main(victim: str = "victim.example.com") -> None:

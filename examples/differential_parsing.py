@@ -7,12 +7,12 @@ each library model and running the Section 3.2 inference algorithm.
 Run with:  python examples/differential_parsing.py
 """
 
-from repro.tlslibs import (
-    ALL_PROFILES,
+from repro.tlslibs.differential import (
     TABLE4_SCENARIOS,
     derive_charcheck_report,
     derive_decoding_matrix,
 )
+from repro.tlslibs.profiles import ALL_PROFILES
 
 
 def main() -> None:

@@ -9,9 +9,10 @@ Run with:  python examples/lint_ct_corpus.py [scale]
 
 import sys
 
-from repro.analysis import build_table1, issuer_table, lint_corpus, top_lints
-from repro.ct import CorpusGenerator
-from repro.lint import NoncomplianceType
+from repro.analysis.compliance import build_table1, lint_corpus, top_lints
+from repro.analysis.issuers import issuer_table
+from repro.ct.corpus import CorpusGenerator
+from repro.lint.framework import NoncomplianceType
 
 
 def main(scale: float = 1 / 10000) -> None:

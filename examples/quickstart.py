@@ -5,15 +5,13 @@ Run with:  python examples/quickstart.py
 
 import datetime as dt
 
-from repro.asn1 import BMP_STRING
+from repro.asn1.strings import BMP_STRING
 from repro.asn1.oid import OID_ORGANIZATION_NAME
-from repro.lint import run_lints
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.lint.runner import run_lints
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 
 def main() -> None:

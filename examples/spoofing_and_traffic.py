@@ -7,12 +7,8 @@ placement trick that defeats Snort and Zeek in opposite directions.
 Run with:  python examples/spoofing_and_traffic.py
 """
 
-from repro.threats import (
-    ALL_BROWSERS,
-    duplicate_position_evasion,
-    evasion_experiment,
-)
-from repro.threats.spoofing import chrome_warning_spoof_demo, derive_browser_matrix
+from repro.threats.spoofing import ALL_BROWSERS, chrome_warning_spoof_demo, derive_browser_matrix
+from repro.threats.traffic import duplicate_position_evasion, evasion_experiment
 
 
 def main() -> None:

@@ -1,75 +1,1 @@
 """Computations behind every table and figure of the paper."""
-
-from .compliance import (
-    EncodingErrorAnalysis,
-    IssuerInvolvement,
-    Table1,
-    TaxonomyRow,
-    build_table1,
-    encoding_error_analysis,
-    issuer_involvement,
-    lint_corpus,
-    summarize_corpus,
-    top_lints,
-)
-from .issuers import IssuerRow, high_nc_rate_issuers, issuer_table, top_volume_share
-from .longitudinal import (
-    IssuanceTrend,
-    TrendSeries,
-    ValidityCDF,
-    issuance_trend,
-    render_rolling_fields,
-    render_rolling_windows,
-    rolling_field_series,
-    rolling_trend,
-    rolling_validity_cdf,
-    rolling_validity_cdfs,
-    validity_cdfs,
-)
-from .render import render_cdf, render_trend
-from .fields import (
-    FIELD_COLUMNS,
-    FieldCell,
-    FieldMatrix,
-    VariantPair,
-    field_matrix,
-    find_subject_variants,
-    variant_strategy_counts,
-)
-
-__all__ = [
-    "render_cdf",
-    "render_trend",
-    "Table1",
-    "TaxonomyRow",
-    "EncodingErrorAnalysis",
-    "IssuerInvolvement",
-    "build_table1",
-    "encoding_error_analysis",
-    "issuer_involvement",
-    "lint_corpus",
-    "summarize_corpus",
-    "top_lints",
-    "IssuerRow",
-    "issuer_table",
-    "top_volume_share",
-    "high_nc_rate_issuers",
-    "IssuanceTrend",
-    "TrendSeries",
-    "ValidityCDF",
-    "issuance_trend",
-    "render_rolling_fields",
-    "render_rolling_windows",
-    "rolling_field_series",
-    "rolling_trend",
-    "rolling_validity_cdf",
-    "rolling_validity_cdfs",
-    "validity_cdfs",
-    "FIELD_COLUMNS",
-    "FieldCell",
-    "FieldMatrix",
-    "VariantPair",
-    "field_matrix",
-    "find_subject_variants",
-    "variant_strategy_counts",
-]

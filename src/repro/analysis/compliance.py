@@ -1,7 +1,7 @@
 """Table 1 / Table 11 / Section 4.3 headline computations.
 
 All functions consume a :class:`~repro.ct.corpus.Corpus` plus the lint
-reports produced by :func:`repro.lint.run_lints` — i.e. measured
+reports produced by :func:`repro.lint.runner.run_lints` — i.e. measured
 results, never the generator's ground truth.
 """
 
@@ -11,8 +11,8 @@ import datetime as _dt
 from dataclasses import dataclass, field
 
 from ..ct.corpus import ANALYSIS_DATE, Corpus, CorpusRecord, TrustStatus
-from ..lint import CertificateReport, CorpusSummary, NoncomplianceType, REGISTRY
-from ..lint.framework import LintStatus
+from ..lint.framework import NoncomplianceType, REGISTRY, LintStatus
+from ..lint.runner import CertificateReport, CorpusSummary
 
 
 def lint_corpus(corpus: Corpus, jobs: int | None = 1, stats=None) -> list[CertificateReport]:
@@ -181,7 +181,7 @@ class EncodingErrorAnalysis:
 def encoding_error_analysis(corpus: Corpus) -> EncodingErrorAnalysis:
     """Find certs whose declared string types cannot decode their bytes,
     then rebuild chains via AIA and check which verify to trusted roots."""
-    from ..x509 import build_chain, ChainError
+    from ..x509.verify import build_chain, ChainError
 
     analysis = EncodingErrorAnalysis()
     pool = corpus.ca_pool()

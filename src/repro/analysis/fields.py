@@ -6,12 +6,9 @@ from dataclasses import dataclass, field
 
 from ..asn1.oid import OID_ORGANIZATION_NAME
 from ..ct.corpus import Corpus
-from ..engine.windows import _lint_field, cert_facts
-from ..lint import CertificateReport
-from ..uni import VariantStrategy, classify_variant_pair
-
-#: The Figure 4 field columns we track.
-FIELD_COLUMNS = ("DNSName", "CN", "O", "OU", "L", "ST", "CertificatePolicies")
+from ..engine.windows import FIELD_COLUMNS, _lint_field, cert_facts
+from ..lint.runner import CertificateReport
+from ..uni.variants import VariantStrategy, classify_variant_pair
 
 
 @dataclass
@@ -93,7 +90,8 @@ def find_subject_variants(corpus: Corpus, max_pairs: int = 200) -> list[VariantP
     Values are bucketed by confusable skeleton so only plausible pairs
     are compared (quadratic comparison stays inside a bucket).
     """
-    from ..uni import canonical_whitespace, skeleton
+    from ..uni.confusables import skeleton
+    from ..uni.normalization import canonical_whitespace
 
     buckets: dict[str, set[str]] = {}
     for record in corpus.records:

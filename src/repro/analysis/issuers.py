@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ct.corpus import Corpus, TrustStatus
-from ..lint import CertificateReport
+from ..lint.runner import CertificateReport
 
 
 @dataclass

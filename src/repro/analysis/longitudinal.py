@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ct.corpus import Corpus, TrustStatus
-from ..lint import CertificateReport
+from ..engine.windows import FIELD_COLUMNS
+from ..lint.runner import CertificateReport
 
 
 @dataclass
@@ -187,8 +188,6 @@ def rolling_field_series(windowed) -> list[tuple[int, dict[str, tuple[int, int]]
     ``(unicode_count, deviating_count)`` — the cell contents of the
     batch figure's issuer matrix, re-keyed by time instead of issuer.
     """
-    from .fields import FIELD_COLUMNS
-
     series: list[tuple[int, dict[str, tuple[int, int]]]] = []
     for window_id in windowed.index_windows():
         stats = windowed.by_index[window_id]
@@ -214,8 +213,6 @@ def render_rolling_fields(series) -> list[str]:
     ``+`` deviating findings present, ``.`` Unicode data present,
     space for neither.
     """
-    from .fields import FIELD_COLUMNS
-
     width = max(len(column) for column in FIELD_COLUMNS)
     lines = ["Figure 4 (rolling): field presence per index window"]
     header = "window  " + "  ".join(

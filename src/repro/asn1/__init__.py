@@ -1,126 +1,1 @@
 """ASN.1/DER substrate: tags, OIDs, string-type codecs, and a DER codec."""
-
-from .errors import (
-    ASN1Error,
-    CharsetError,
-    DERDecodeError,
-    DEREncodeError,
-    StringDecodeError,
-)
-from .tags import Tag, TagClass, UniversalTag, decode_tag
-from .oid import ObjectIdentifier, OID_NAMES, oid
-from .strings import (
-    BMP_STRING,
-    DIRECTORY_STRING_TAGS,
-    IA5_STRING,
-    NUMERIC_STRING,
-    PRINTABLE_STRING,
-    PRINTABLE_STRING_CHARSET,
-    STRING_SPECS,
-    STRING_SPECS_BY_NAME,
-    TELETEX_STRING,
-    UNIVERSAL_STRING,
-    UTF8_STRING,
-    VISIBLE_STRING,
-    StringSpec,
-    spec_for_tag,
-)
-from .der import (
-    Element,
-    Node,
-    element_node,
-    decode_bit_string,
-    decode_boolean,
-    decode_integer,
-    decode_length,
-    decode_oid,
-    decode_string,
-    decode_time,
-    encode_bit_string,
-    encode_boolean,
-    encode_integer,
-    encode_length,
-    encode_null,
-    encode_octet_string,
-    encode_oid,
-    encode_sequence,
-    encode_set,
-    encode_string,
-    encode_time,
-    explicit,
-    implicit,
-    node_bit_string,
-    node_boolean,
-    node_child,
-    node_content,
-    node_integer,
-    node_oid,
-    node_time,
-    parse,
-    parse_all,
-    parse_node,
-    to_element,
-)
-
-__all__ = [
-    "ASN1Error",
-    "CharsetError",
-    "DERDecodeError",
-    "DEREncodeError",
-    "StringDecodeError",
-    "Tag",
-    "TagClass",
-    "UniversalTag",
-    "decode_tag",
-    "ObjectIdentifier",
-    "OID_NAMES",
-    "oid",
-    "StringSpec",
-    "spec_for_tag",
-    "STRING_SPECS",
-    "STRING_SPECS_BY_NAME",
-    "DIRECTORY_STRING_TAGS",
-    "PRINTABLE_STRING_CHARSET",
-    "UTF8_STRING",
-    "NUMERIC_STRING",
-    "PRINTABLE_STRING",
-    "TELETEX_STRING",
-    "IA5_STRING",
-    "VISIBLE_STRING",
-    "UNIVERSAL_STRING",
-    "BMP_STRING",
-    "Element",
-    "Node",
-    "parse",
-    "parse_all",
-    "parse_node",
-    "to_element",
-    "element_node",
-    "node_child",
-    "node_content",
-    "node_integer",
-    "node_boolean",
-    "node_oid",
-    "node_bit_string",
-    "node_time",
-    "encode_length",
-    "decode_length",
-    "encode_integer",
-    "decode_integer",
-    "encode_boolean",
-    "decode_boolean",
-    "encode_null",
-    "encode_oid",
-    "decode_oid",
-    "encode_octet_string",
-    "encode_bit_string",
-    "decode_bit_string",
-    "encode_string",
-    "decode_string",
-    "encode_sequence",
-    "encode_set",
-    "explicit",
-    "implicit",
-    "encode_time",
-    "decode_time",
-]

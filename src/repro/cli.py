@@ -63,7 +63,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # parity tests compare against it); multiple files add a per-file
     # header and a status summary on stderr, and exit with the worst
     # per-file status (2 = unreadable dominates 1 = findings).
-    from .engine import Engine
+    from .engine.pipeline import Engine
 
     engine = Engine()
     if len(args.files) == 1:
@@ -88,7 +88,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
-    from .lint import CONSTRAINT_RULES
+    from .lint.constraints import CONSTRAINT_RULES
 
     shown = 0
     for rule in CONSTRAINT_RULES:
@@ -109,15 +109,15 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from .analysis import build_table1, lint_corpus, top_lints
-    from .ct import CorpusGenerator
-    from .lint import NoncomplianceType
+    from .analysis.compliance import build_table1, lint_corpus, top_lints
+    from .ct.corpus import CorpusGenerator
+    from .lint.framework import NoncomplianceType
 
-    from .engine import EngineStats
+    from .engine.stats import EngineStats
 
     corpus = CorpusGenerator(seed=args.seed, scale=args.scale).generate()
     if args.export:
-        from .ct import export_corpus
+        from .ct.dataset import export_corpus
 
         root = export_corpus(corpus, args.export)
         print(f"exported corpus to {root}")
@@ -146,17 +146,18 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .analysis import (
-        render_cdf,
+    from .analysis.longitudinal import (
         render_rolling_fields,
         render_rolling_windows,
-        render_trend,
         rolling_field_series,
         rolling_trend,
         rolling_validity_cdfs,
     )
-    from .ct import CorpusGenerator, MonitorConfig, TailLog, TailMonitor, drive
-    from .engine import Engine, EngineStats
+    from .analysis.render import render_cdf, render_trend
+    from .ct.corpus import CorpusGenerator
+    from .ct.tail import MonitorConfig, TailLog, TailMonitor, drive
+    from .engine.pipeline import Engine
+    from .engine.stats import EngineStats
 
     corpus = CorpusGenerator(seed=args.seed, scale=args.scale).generate()
     log = TailLog(corpus)
@@ -219,7 +220,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import ServiceConfig, run_server
+    from .service.server import ServiceConfig, run_server
 
     config = ServiceConfig(
         host=args.host,
@@ -239,12 +240,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_differential(args: argparse.Namespace) -> int:
-    from .tlslibs import (
-        ALL_PROFILES,
+    from .tlslibs.differential import (
         TABLE4_SCENARIOS,
         derive_charcheck_report,
         derive_decoding_matrix,
     )
+    from .tlslibs.profiles import ALL_PROFILES
 
     libraries = [p.name for p in ALL_PROFILES]
     matrix = derive_decoding_matrix(ALL_PROFILES)
@@ -266,8 +267,9 @@ def _cmd_differential(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .engine import EngineStats
-    from .fuzz import FuzzConfig, replay_witnesses, run_fuzz_campaign
+    from .engine.stats import EngineStats
+    from .fuzz.campaign import FuzzConfig, run_fuzz_campaign
+    from .fuzz.witness import replay_witnesses
 
     if args.replay:
         if not args.witness_dir:

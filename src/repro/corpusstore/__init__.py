@@ -26,30 +26,3 @@ Public surface:
   batch, chained back into one logical store), with
   :func:`store_digest` as the checkpointable chain fingerprint.
 """
-
-from .errors import CorpusStoreError
-from .format import MAGIC, VERSION, decode_issued_at, encode_issued_at
-from .reader import CorpusStore
-from .segments import (
-    SegmentWriter,
-    SegmentedCorpusStore,
-    list_segments,
-    segment_name,
-    store_digest,
-)
-from .writer import write_store
-
-__all__ = [
-    "CorpusStore",
-    "CorpusStoreError",
-    "MAGIC",
-    "VERSION",
-    "SegmentWriter",
-    "SegmentedCorpusStore",
-    "decode_issued_at",
-    "encode_issued_at",
-    "list_segments",
-    "segment_name",
-    "store_digest",
-    "write_store",
-]

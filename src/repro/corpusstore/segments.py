@@ -1,6 +1,6 @@
 """Append-only segment chains over the substrate format.
 
-The one-shot writer (:func:`repro.corpusstore.write_store`) serializes
+The one-shot writer (:func:`repro.corpusstore.writer.write_store`) serializes
 a whole corpus into a single file — the right shape for batch runs, and
 exactly the wrong one for a tail monitor that receives a few hundred
 certificates per poll: rewriting an ever-growing store per batch is

@@ -1,87 +1,6 @@
 """Certificate Transparency substrate: Merkle log, monitors, corpus."""
 
-from .merkle import MerkleTree, verify_consistency, verify_inclusion
-from .log import CTLog, LogEntry, SignedCertificateTimestamp
-from .corpus import (
-    ABSOLUTE_DEFECTS,
-    ANALYSIS_DATE,
-    Corpus,
-    CorpusGenerator,
-    CorpusRecord,
-    DEFECT_PLAN,
-    ISSUERS,
-    LATENT_PLAN,
-    OTHER_SPECS,
-    PAPER_TOTAL_NC,
-    PAPER_TOTAL_UNICERTS,
-    IssuerSpec,
-    TrustStatus,
-)
-from .dataset import DatasetIntegrityError, export_corpus, load_corpus
-from .monitors import (
-    ALL_MONITORS,
-    CTMonitor,
-    MonitorFeatures,
-    MONITORS_BY_NAME,
-    QueryResult,
-)
-from .checkpoint import (
-    CheckpointError,
-    MonitorCheckpoint,
-    load_checkpoint,
-    write_checkpoint,
-)
-from .tail import (
-    BatchOutcome,
-    MonitorConfig,
-    SignedTreeHead,
-    SimClock,
-    TailEntry,
-    TailLog,
-    TailMonitor,
-    TailVerificationError,
-    drive,
-)
-
-__all__ = [
-    "BatchOutcome",
-    "CheckpointError",
-    "MonitorCheckpoint",
-    "MonitorConfig",
-    "SignedTreeHead",
-    "SimClock",
-    "TailEntry",
-    "TailLog",
-    "TailMonitor",
-    "TailVerificationError",
-    "drive",
-    "load_checkpoint",
-    "write_checkpoint",
-    "DatasetIntegrityError",
-    "export_corpus",
-    "load_corpus",
-    "MerkleTree",
-    "verify_consistency",
-    "verify_inclusion",
-    "CTLog",
-    "LogEntry",
-    "SignedCertificateTimestamp",
-    "Corpus",
-    "CorpusGenerator",
-    "CorpusRecord",
-    "IssuerSpec",
-    "TrustStatus",
-    "ISSUERS",
-    "OTHER_SPECS",
-    "DEFECT_PLAN",
-    "ABSOLUTE_DEFECTS",
-    "LATENT_PLAN",
-    "ANALYSIS_DATE",
-    "PAPER_TOTAL_NC",
-    "PAPER_TOTAL_UNICERTS",
-    "ALL_MONITORS",
-    "MONITORS_BY_NAME",
-    "CTMonitor",
-    "MonitorFeatures",
-    "QueryResult",
-]
+# The benchmark harness (perfbench/workloads.py) imports these names
+# through the package; every other caller names the defining module.
+from .corpus import CorpusGenerator  # noqa: F401
+from .tail import MonitorConfig, TailLog, TailMonitor, drive  # noqa: F401

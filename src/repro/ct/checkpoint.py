@@ -18,9 +18,9 @@ size + root hash), the serialized
 :class:`~repro.engine.windows.WindowedSummary`, the segment-store
 digest the window state was persisted with, and the alert cursor.
 Writes go tmp → fsync → ``os.replace`` — the same durability discipline
-as :func:`repro.corpusstore.write_store`.
+as :func:`repro.corpusstore.writer.write_store`.
 
-Failure taxonomy (mirrors :class:`repro.corpusstore.CorpusStoreError`):
+Failure taxonomy (mirrors :class:`repro.corpusstore.errors.CorpusStoreError`):
 
 * ``truncated`` — the file does not end in the document's closing
   brace (a crash mid-write on a filesystem without atomic rename, or

@@ -21,7 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from ..asn1 import BMP_STRING, IA5_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING
+from ..asn1.strings import BMP_STRING, IA5_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING
 from ..asn1.oid import (
     OID_BUSINESS_CATEGORY,
     OID_COMMON_NAME,
@@ -39,20 +39,20 @@ from ..asn1.oid import (
     OID_STATE_OR_PROVINCE,
     OID_STREET_ADDRESS,
 )
-from ..uni import punycode, ulabel_to_alabel
-from ..x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    Name,
+from ..uni import punycode
+from ..uni.idna import ulabel_to_alabel
+from ..x509.builder import CertificateBuilder
+from ..x509.certificate import Certificate
+from ..x509.extensions import (
     PolicyInformation,
     PolicyQualifier,
-    SimPrivateKey,
     UserNotice,
     certificate_policies,
-    generate_keypair,
     subject_alt_name,
 )
+from ..x509.general_name import GeneralName
+from ..x509.keys import SimPrivateKey, generate_keypair
+from ..x509.name import Name
 
 
 class TrustStatus(enum.Enum):
@@ -274,7 +274,7 @@ class Corpus:
 
     def ca_pool(self):
         """A CertificatePool of issuer certs keyed by their AIA URLs."""
-        from ..x509 import CertificatePool
+        from ..x509.verify import CertificatePool
 
         pool = CertificatePool()
         for org, cert in self.ca_certificates.items():
@@ -313,12 +313,12 @@ class Corpus:
         """Serialize this corpus to a memory-mapped substrate file.
 
         Returns the written path.  Reopening it with
-        :class:`repro.corpusstore.CorpusStore` feeds the engine the
+        :class:`repro.corpusstore.reader.CorpusStore` feeds the engine the
         zero-copy form: ``Engine.run_corpus(store, jobs=N)`` dispatches
         ``(path, start, stop)`` shard references instead of pickled DER
         and yields the byte-identical summary.
         """
-        from ..corpusstore import write_store
+        from ..corpusstore.writer import write_store
 
         return write_store(self, path)
 
@@ -399,7 +399,7 @@ class CorpusGenerator:
         return f"host{self._rng.randrange(1, 10_000_000)}" + self._rng.choice(_TLDS)
 
     def _issuer_name(self, spec: IssuerSpec) -> Name:
-        from ..x509 import AttributeTypeAndValue, RelativeDistinguishedName
+        from ..x509.name import AttributeTypeAndValue, RelativeDistinguishedName
 
         self._last_org = self._org_name(spec)
         country = spec.region if len(spec.region) == 2 else "US"
@@ -629,7 +629,7 @@ class CorpusGenerator:
     def _ensure_ca(self, org: str, issuer_name: Name, spec: IssuerSpec) -> None:
         if org in self._ca_certs:
             return
-        from ..x509 import basic_constraints
+        from ..x509.extensions import basic_constraints
 
         ca_cert = (
             CertificateBuilder()
@@ -653,7 +653,7 @@ class CorpusGenerator:
         noncompliant: bool,
     ) -> tuple[Certificate, _dt.datetime]:
         from ..asn1.oid import OID_AD_CA_ISSUERS
-        from ..x509 import AccessDescription, authority_info_access
+        from ..x509.extensions import AccessDescription, authority_info_access
 
         issued_at = self._issue_date(year)
         builder.not_before(issued_at)

@@ -26,7 +26,7 @@ import hashlib
 import json
 import pathlib
 
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from ..x509.pem import decode_pem, encode_pem
 from .corpus import Corpus, CorpusRecord, TrustStatus
 

@@ -12,7 +12,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from .merkle import MerkleTree, verify_inclusion
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..uni import alabel_violations, domain_to_ascii, is_xn_label
+from ..uni.dns import is_xn_label
+from ..uni.idna import alabel_violations, domain_to_ascii
 from ..uni.errors import IDNAError
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from ..asn1.oid import OID_COMMON_NAME, OID_EMAIL_ADDRESS, OID_ORGANIZATIONAL_UNIT, OID_ORGANIZATION_NAME
 
 #: Characters that break fragile monitor indexers (paper P1.4).

@@ -15,7 +15,7 @@ that gap inside the simulation:
   ranges like the HTTP API.
 * :class:`TailMonitor` — the incremental consumer: verifies STH
   signatures and consistency between polls, lints each batch through
-  :meth:`repro.engine.Engine.run_increment` into a
+  :meth:`repro.engine.pipeline.Engine.run_increment` into a
   :class:`~repro.engine.windows.WindowedSummary`, persists arriving DER
   to an append-only segment chain, checkpoints atomically after every
   batch (:mod:`repro.ct.checkpoint`), and raises threshold alerts when
@@ -323,7 +323,7 @@ class TailMonitor:
         self._alerted_through = -1
         self._writer = None
         if self.config.store_dir is not None:
-            from ..corpusstore import SegmentWriter
+            from ..corpusstore.segments import SegmentWriter
 
             self._writer = SegmentWriter(self.config.store_dir)
         #: Checkpoint failure code recovered from on the last cold start
@@ -348,7 +348,7 @@ class TailMonitor:
         if checkpoint is None:
             return False
         if self._writer is not None:
-            from ..corpusstore import store_digest
+            from ..corpusstore.segments import store_digest
 
             # The chain on disk, not the writer's running hash: a segment
             # rewritten or dropped while the monitor was down must show.

@@ -67,18 +67,9 @@ class PoolExecutor:
 
     def __init__(self, jobs: int | None = None, pool: LintPool | None = None):
         self.pool = pool
-        if pool is not None:
-            # An explicit jobs request rides along with a shared pool by
-            # clamping to the pool's actual worker count — a pool of 4
-            # cannot honor jobs=8, and silently ignoring jobs=2 would
-            # misreport the run's parallelism.
-            self.jobs = (
-                min(resolve_jobs(jobs), pool.jobs)
-                if jobs is not None
-                else pool.jobs
-            )
-        else:
-            self.jobs = resolve_jobs(jobs)
+        # With a shared pool, ``jobs`` arrives already clamped to the
+        # pool's worker count (``Engine._resolve_corpus_jobs``).
+        self.jobs = pool.jobs if pool is not None and jobs is None else resolve_jobs(jobs)
         self._jobs_arg = jobs
 
     def run(self, tasks: Sequence[ShardTask]) -> list[ShardResult]:

@@ -46,7 +46,7 @@ from ..lint.parallel import (
 )
 from ..lint.runner import CertificateReport, run_lints
 from ..lint.serialization import report_to_json
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from .executors import PoolExecutor, SerialExecutor
 from .ingest import IngestError, corpus_records, sniff_certificate_bytes
 from .sinks import merge_shard_results, render_text_report
@@ -346,7 +346,7 @@ class Engine:
         explicit ``jobs`` alongside ``pool`` is reconciled by clamping
         to the pool's worker count (and always to the record count).
 
-        ``corpus`` may be a :class:`repro.corpusstore.CorpusStore`:
+        ``corpus`` may be a :class:`repro.corpusstore.reader.CorpusStore`:
         shard tasks are then ``(path, start, stop)`` references into the
         memory-mapped substrate and workers never receive pickled DER.
         Plain corpora headed for a process pool are *spilled* to a
@@ -354,7 +354,7 @@ class Engine:
         sequential write, unlinked after the run); serial runs keep the
         inline task shape.
         """
-        from ..corpusstore import CorpusStore
+        from ..corpusstore.reader import CorpusStore
         from ..corpusstore.writer import write_spill
 
         store = corpus if isinstance(corpus, CorpusStore) else None

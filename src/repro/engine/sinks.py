@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ..lint.parallel import ParallelLintOutcome, ShardResult
 from ..lint.runner import CertificateReport, CorpusSummary
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 
 
 def render_text_report(report: CertificateReport, cert: Certificate) -> list[str]:

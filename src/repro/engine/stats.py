@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 #: ``execute`` is the parent-side wall-clock of a distributed pool run,
 #: recorded between ``ingest`` and the worker-side stages it spans.
 #: ``fold`` is the incremental engine's windowed aggregation
-#: (:meth:`repro.engine.Engine.run_increment` folding reports into a
+#: (:meth:`repro.engine.pipeline.Engine.run_increment` folding reports into a
 #: :class:`~repro.engine.windows.WindowedSummary` after the sink merge).
 STAGE_ORDER = ("ingest", "compile", "execute", "decode", "lint", "sink", "fold")
 

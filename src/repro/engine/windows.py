@@ -42,7 +42,7 @@ from ..asn1.oid import (
 from ..lint.compiled import walk_fields
 from ..lint.runner import CertificateReport, CorpusSummary, ReportTally, tally
 from ..uni.intervals import ATOM_BITS
-from ..x509 import GeneralNameKind
+from ..x509.general_name import GeneralNameKind
 
 #: Epoch window granularities keyed by issued-at timestamp.
 EPOCHS = ("year", "month")
@@ -70,6 +70,9 @@ class CertFacts(NamedTuple):
     #: ``CertificatePolicies``).
     unicode_fields: tuple[str, ...] = ()
 
+
+#: The Figure 4 field columns we track.
+FIELD_COLUMNS = ("DNSName", "CN", "O", "OU", "L", "ST", "CertificatePolicies")
 
 #: Figure 4's Subject DN columns and the per-OID subject mask key of
 #: the attribute each one reads.

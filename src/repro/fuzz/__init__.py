@@ -14,78 +14,3 @@ Campaigns are replayable: the only randomness is one explicitly seeded
 ``random.Random`` in the parent process, so the same ``--seed`` and
 ``--budget`` produce byte-identical witness corpora at any ``--jobs``.
 """
-
-from .campaign import (
-    CampaignResult,
-    FuzzConfig,
-    default_seeds,
-    run_fuzz_campaign,
-)
-from .minimize import minimize, minimize_spec
-from .mutators import (
-    MUTATORS,
-    MUTATORS_BY_NAME,
-    Mutation,
-    MutantSpec,
-    apply_mutation,
-    apply_mutations,
-    sample_mutations,
-)
-from .oracle import (
-    LIBRARIES,
-    CoverageMap,
-    Observation,
-    baseline_coverage,
-    baseline_specs,
-    evaluate,
-    evaluate_batch,
-    fingerprint_of,
-    value_classes,
-)
-from .witness import (
-    ReplayResult,
-    Witness,
-    build_witness_der,
-    cell_hash,
-    extract_spec,
-    load_witnesses,
-    replay_witness,
-    replay_witnesses,
-    witness_from_spec,
-    write_witness,
-)
-
-__all__ = [
-    "CampaignResult",
-    "CoverageMap",
-    "FuzzConfig",
-    "LIBRARIES",
-    "MUTATORS",
-    "MUTATORS_BY_NAME",
-    "Mutation",
-    "MutantSpec",
-    "Observation",
-    "ReplayResult",
-    "Witness",
-    "apply_mutation",
-    "apply_mutations",
-    "baseline_coverage",
-    "baseline_specs",
-    "build_witness_der",
-    "cell_hash",
-    "default_seeds",
-    "evaluate",
-    "evaluate_batch",
-    "extract_spec",
-    "fingerprint_of",
-    "load_witnesses",
-    "minimize",
-    "minimize_spec",
-    "replay_witness",
-    "replay_witnesses",
-    "run_fuzz_campaign",
-    "sample_mutations",
-    "value_classes",
-    "witness_from_spec",
-    "write_witness",
-]

@@ -12,7 +12,7 @@ corpus lint pipeline.
 Novelty scoring is the coverage map of :mod:`repro.fuzz.oracle`, seeded
 from the Tables 4/5 baseline probes; only novel cells on which at least
 two libraries disagree are minimized and persisted.  Per-stage wall/CPU
-accounting lands on an injectable :class:`repro.engine.EngineStats`
+accounting lands on an injectable :class:`repro.engine.stats.EngineStats`
 (``mutate`` / ``evaluate`` / ``execute`` / ``minimize`` / ``write``),
 mirroring the staged engine's bookkeeping.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..asn1 import UniversalTag
+from ..asn1.tags import UniversalTag
 from .minimize import minimize
 from .mutators import (
     DN_STRING_TAGS,
@@ -53,7 +53,7 @@ def default_seeds() -> tuple[MutantSpec, ...]:
     compliant default encoded under that type's standard method) plus
     three GN seeds (DNS/RFC822/URI alternatives, IA5String on the
     wire) — the same construction-rule-(iii) substrate as
-    :class:`repro.testgen.TestCertGenerator`.
+    :class:`repro.testgen.generator.TestCertGenerator`.
     """
     seeds = [
         MutantSpec(
@@ -127,7 +127,7 @@ def _generate_batch(
 def run_fuzz_campaign(config: FuzzConfig, stats=None, pool=None) -> CampaignResult:
     """Execute one deterministic fuzzing campaign.
 
-    ``stats`` is an optional :class:`repro.engine.EngineStats`; ``pool``
+    ``stats`` is an optional :class:`repro.engine.stats.EngineStats`; ``pool``
     an optional long-lived :class:`repro.lint.parallel.LintPool` to
     reuse (otherwise one is created when ``jobs > 1`` and torn down at
     the end).  Interesting mutants are minimized and — when

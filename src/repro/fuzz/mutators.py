@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from ..asn1 import UniversalTag
+from ..asn1.tags import UniversalTag
 
 #: The five DN string types the paper's Table 4 varies.
 DN_STRING_TAGS: tuple[int, ...] = (

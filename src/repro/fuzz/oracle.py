@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..asn1 import UniversalTag
+from ..asn1.tags import UniversalTag
 from ..tlslibs.base import (
     DecodingMethod,
     REFERENCE_DECODERS,
@@ -72,7 +72,7 @@ class Observation:
 
 
 def _spec_name(tag: int) -> str:
-    from ..asn1 import spec_for_tag
+    from ..asn1.strings import spec_for_tag
     from ..asn1.errors import StringDecodeError
 
     try:

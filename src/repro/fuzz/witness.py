@@ -25,16 +25,13 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from ..asn1 import spec_for_tag
+from ..asn1.strings import spec_for_tag
 from ..asn1.oid import OID_COMMON_NAME
-from ..x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    GeneralNameKind,
-    generate_keypair,
-    subject_alt_name,
-)
+from ..x509.builder import CertificateBuilder
+from ..x509.certificate import Certificate
+from ..x509.extensions import subject_alt_name
+from ..x509.general_name import GeneralName, GeneralNameKind
+from ..x509.keys import generate_keypair
 from .mutators import MutantSpec
 from .oracle import LIBRARIES, Observation, evaluate
 

@@ -8,15 +8,12 @@ anomalies.
 
 from __future__ import annotations
 
-from ..asn1 import PRINTABLE_STRING
-from ..uni import (
-    BIDI_CONTROLS,
-    INVISIBLE_CHARACTERS,
-    is_ldh_label,
-    mixed_script_confusable,
-    unpermitted_violations,
-)
-from ..x509 import Certificate, GeneralNameKind
+from ..asn1.strings import PRINTABLE_STRING
+from ..uni.confusables import BIDI_CONTROLS, INVISIBLE_CHARACTERS, mixed_script_confusable
+from ..uni.dns import is_ldh_label
+from ..uni.idna import unpermitted_violations
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .framework import (
     CABF_BR_DATE,

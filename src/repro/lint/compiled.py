@@ -49,17 +49,13 @@ from typing import NamedTuple
 
 from ..asn1.oid import OID_COMMON_NAME, OID_ON_SMTP_UTF8_MAILBOX
 from ..memo import ProcessMemo
-from ..uni import (
-    alabel_roundtrip_mismatch,
-    has_unpermitted,
-    is_ldh_label,
-    is_nfc,
-    is_xn_label,
-    punycode,
-)
+from ..uni import punycode
+from ..uni.dns import is_ldh_label, is_xn_label
+from ..uni.idna import alabel_roundtrip_mismatch, has_unpermitted
+from ..uni.normalization import is_nfc
 from ..uni.errors import PunycodeError
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
-from ..x509 import GeneralNameKind
+from ..x509.general_name import GeneralNameKind
 from ..x509.certificate import VIEWS
 from .framework import LintResult, LintStatus
 

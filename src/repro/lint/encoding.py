@@ -8,11 +8,7 @@ octets inside GeneralName fields.
 
 from __future__ import annotations
 
-from ..asn1 import (
-    IA5_STRING,
-    PRINTABLE_STRING,
-    UTF8_STRING,
-)
+from ..asn1.strings import IA5_STRING, PRINTABLE_STRING, UTF8_STRING
 from ..asn1.oid import (
     OID_BUSINESS_CATEGORY,
     OID_COMMON_NAME,
@@ -38,7 +34,8 @@ from ..asn1.oid import (
     OID_UNSTRUCTURED_NAME,
     OID_USER_ID,
 )
-from ..x509 import Certificate, GeneralNameKind
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .framework import (
     CABF_BR_DATE,
@@ -438,7 +435,7 @@ def _smtp_utf8_names(cert: Certificate):
 
 
 def _check_smtp_utf8_is_utf8(cert: Certificate) -> tuple[bool, str]:
-    from ..asn1 import node_child, node_content, parse_node
+    from ..asn1.der import node_child, node_content, parse_node
 
     for gn in _smtp_utf8_names(cert):
         try:

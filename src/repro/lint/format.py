@@ -15,7 +15,8 @@ from ..asn1.oid import (
     OID_SERIAL_NUMBER,
     OID_STATE_OR_PROVINCE,
 )
-from ..x509 import Certificate, GeneralNameKind
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .framework import (
     CABF_BR_DATE,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..memo import ProcessMemo
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 
 if TYPE_CHECKING:
     from .compiled import ScanSpec

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from ..asn1 import (
-    IA5_STRING,
-    PRINTABLE_STRING,
-    StringSpec,
-    UTF8_STRING,
-)
+from ..asn1.strings import IA5_STRING, PRINTABLE_STRING, StringSpec, UTF8_STRING
 from ..asn1.oid import ObjectIdentifier
 from ..uni import punycode
 from ..uni.errors import PunycodeError
-from ..x509 import AttributeTypeAndValue, Certificate, GeneralName, GeneralNameKind
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralName, GeneralNameKind
+from ..x509.name import AttributeTypeAndValue
 from .compiled import ScanSpec, all_dns_names, spec_trigger, xn_labels
 from .framework import (
     FunctionLint,

@@ -7,9 +7,11 @@ canonical Punycode form so display/comparison round-trips are stable.
 
 from __future__ import annotations
 
-from ..uni import is_nfc, nfc_violations, ulabel_to_alabel
+from ..uni.idna import ulabel_to_alabel
+from ..uni.normalization import is_nfc, nfc_violations
 from ..uni.errors import IDNAError
-from ..x509 import Certificate, GeneralNameKind
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .framework import (
     IDNA2008_DATE,

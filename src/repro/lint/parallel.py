@@ -32,7 +32,7 @@ Design points:
 
 The orchestration itself — executor selection, fail-fast streaming,
 exact merge, per-stage instrumentation — lives in :mod:`repro.engine`
-(:func:`repro.engine.run_corpus`).  The worker-side primitives
+(:func:`repro.engine.pipeline.run_corpus`).  The worker-side primitives
 (:func:`lint_shard`, :class:`LintPool`) stay here so pickled task
 references keep a stable import path across fork and spawn.
 """
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from ..asn1 import ASN1Error
+from ..asn1.errors import ASN1Error
 from ..memo import ProcessMemo
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
 from .runner import CertificateReport, CorpusSummary, run_lints, tally
@@ -109,7 +109,7 @@ class ShardTask:
     * **inline** — ``certs_der``/``issued_at`` carry the shard's records
       in the task itself (pickled through the executor pipe);
     * **substrate** — ``store_path`` names a
-      :class:`repro.corpusstore.CorpusStore` file and ``[start, stop)``
+      :class:`repro.corpusstore.reader.CorpusStore` file and ``[start, stop)``
       the shard's record range; the task pickle is O(1) and the DER
       bytes flow to the worker through the page cache, never a pipe.
 
@@ -296,7 +296,7 @@ _WORKER_STORES = ProcessMemo(_WORKER_STORE_MAX, on_evict=_close_cached_store)
 
 
 def _open_worker_store(path: str):
-    from ..corpusstore import CorpusStore
+    from ..corpusstore.reader import CorpusStore
 
     try:
         st = os.stat(path)
@@ -376,7 +376,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
     double- to quadruple-count the elapsed time.
     """
     from ..engine.stats import StageTimings
-    from ..x509 import Certificate
+    from ..x509.certificate import Certificate
 
     count = (
         task.stop - task.start
@@ -594,7 +594,7 @@ def build_pair_shard_tasks(
     """Deterministic per-shard tasks over ``(der, issued_at)`` pairs.
 
     The inline transport: a serial corpus run passes its records as
-    pairs (:func:`repro.engine.increment_pairs`), and the incremental
+    pairs (:func:`repro.engine.pipeline.increment_pairs`), and the incremental
     engine's tail batch arrives as raw DER plus issuance timestamps (no
     live record objects), stays bounded by the poll size, and ships
     inline — spilling a few hundred entries to a substrate file per

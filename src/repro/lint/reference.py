@@ -14,7 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 from typing import Sequence
 
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from ..x509.cache import caching_disabled
 from .framework import REGISTRY, Lint, LintStatus
 from .runner import CertificateReport

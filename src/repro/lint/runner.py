@@ -6,7 +6,7 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from .compiled import resolve_scope, walk_fields
 from .framework import (
     Lint,

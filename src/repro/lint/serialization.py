@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 from .framework import LintResult, LintStatus, NoncomplianceType
 from .runner import CertificateReport, CorpusSummary
 

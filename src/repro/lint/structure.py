@@ -9,9 +9,11 @@ non-recommended.
 from __future__ import annotations
 
 from ..asn1.oid import OID_COMMON_NAME
-from ..uni import case_fold_equal, domain_to_ascii
+from ..uni.idna import domain_to_ascii
+from ..uni.normalization import case_fold_equal
 from ..uni.errors import IDNAError, PunycodeError
-from ..x509 import Certificate, GeneralNameKind
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 from .compiled import ScanSpec
 from .framework import (
     CABF_BR_DATE,

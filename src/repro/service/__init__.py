@@ -14,32 +14,3 @@ by continuous log ingestion.  This package is that layer, stdlib-only:
 
 Started from the CLI as ``python -m repro serve``.
 """
-
-from .batcher import MicroBatcher
-from .cache import ResultCache, cache_key
-from .client import LintServiceClient, RetryPolicy, ServiceError
-from .http import HttpError
-from .server import (
-    LintService,
-    ServiceConfig,
-    decode_certificate_body,
-    rules_payload,
-    run_server,
-)
-from .testing import ThreadedService
-
-__all__ = [
-    "HttpError",
-    "LintService",
-    "LintServiceClient",
-    "RetryPolicy",
-    "MicroBatcher",
-    "ResultCache",
-    "ServiceConfig",
-    "ServiceError",
-    "ThreadedService",
-    "cache_key",
-    "decode_certificate_body",
-    "rules_payload",
-    "run_server",
-]

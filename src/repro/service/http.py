@@ -156,6 +156,7 @@ def render_response(
 
 
 def json_response(status: int, payload: Any, indent: int | None = 2) -> bytes:
+    """A full response carrying ``payload`` as sorted-key UTF-8 JSON."""
     body = (
         json.dumps(payload, indent=indent, ensure_ascii=False, sort_keys=True)
         + "\n"
@@ -164,6 +165,8 @@ def json_response(status: int, payload: Any, indent: int | None = 2) -> bytes:
 
 
 def error_response(error: HttpError) -> bytes:
+    """A full response for ``error``: its status, its JSON body, and a
+    whole-second ``Retry-After`` header when it carries one."""
     extra: dict[str, str] = {}
     if error.retry_after is not None:
         # Retry-After is delta-seconds; round up so 0.2 doesn't say "now".

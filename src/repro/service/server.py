@@ -117,7 +117,7 @@ def _request_outcomes(result: ShardResult) -> list:
 
 def rules_payload() -> list[dict]:
     """The 95 constraint rules as JSON (the ``GET /rules`` document)."""
-    from ..lint import CONSTRAINT_RULES
+    from ..lint.constraints import CONSTRAINT_RULES
 
     return [
         {

@@ -1,19 +1,1 @@
 """Test-Unicert generation (Section 3.2)."""
-
-from .generator import (
-    GN_FIELDS,
-    SUBJECT_ATTRIBUTE_OIDS,
-    TEST_STRING_SPECS,
-    TestCase,
-    TestCertGenerator,
-    sample_characters,
-)
-
-__all__ = [
-    "GN_FIELDS",
-    "SUBJECT_ATTRIBUTE_OIDS",
-    "TEST_STRING_SPECS",
-    "TestCase",
-    "TestCertGenerator",
-    "sample_characters",
-]

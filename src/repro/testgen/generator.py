@@ -21,13 +21,7 @@ import datetime as _dt
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..asn1 import (
-    BMP_STRING,
-    IA5_STRING,
-    PRINTABLE_STRING,
-    StringSpec,
-    UTF8_STRING,
-)
+from ..asn1.strings import BMP_STRING, IA5_STRING, PRINTABLE_STRING, StringSpec, UTF8_STRING
 from ..asn1.oid import (
     OID_BUSINESS_CATEGORY,
     OID_COMMON_NAME,
@@ -40,15 +34,12 @@ from ..asn1.oid import (
     OID_STATE_OR_PROVINCE,
     ObjectIdentifier,
 )
-from ..uni import sample_block_characters
-from ..x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    SimPrivateKey,
-    generate_keypair,
-    subject_alt_name,
-)
+from ..uni.blocks import sample_block_characters
+from ..x509.builder import CertificateBuilder
+from ..x509.certificate import Certificate
+from ..x509.extensions import subject_alt_name
+from ..x509.general_name import GeneralName
+from ..x509.keys import SimPrivateKey, generate_keypair
 
 #: Appendix E: the attribute OIDs mutated in test certificates.
 SUBJECT_ATTRIBUTE_OIDS: list[ObjectIdentifier] = [

@@ -1,85 +1,1 @@
 """Empirical threat scenarios (Section 6 + Appendix F)."""
-
-from .monitor_misleading import (
-    ConcealmentResult,
-    TECHNIQUES,
-    concealment_matrix,
-    craft_forged_certificates,
-    owner_queries,
-    run_experiment,
-)
-from .traffic import (
-    ALL_CLIENTS,
-    ALL_MIDDLEBOXES,
-    ClientProfile,
-    EvasionResult,
-    HTTPCLIENT,
-    LIBCURL,
-    MiddleboxProfile,
-    REQUESTS,
-    SNORT,
-    SURICATA,
-    URLLIB3,
-    ZEEK,
-    duplicate_position_evasion,
-    evasion_experiment,
-)
-from .revocation import (
-    CRLHostRegistry,
-    RevocationClient,
-    RevocationOutcome,
-    revocation_subversion_experiment,
-)
-from .idn_display import (
-    DisplayDecision,
-    DisplayVerdict,
-    decide_domain_display,
-    decide_label_display,
-)
-from .spoofing import (
-    ALL_BROWSERS,
-    BrowserProfile,
-    CHROMIUM,
-    FIREFOX,
-    SAFARI,
-    apply_bidi_overrides,
-    chrome_warning_spoof_demo,
-)
-
-__all__ = [
-    "DisplayDecision",
-    "DisplayVerdict",
-    "decide_domain_display",
-    "decide_label_display",
-    "CRLHostRegistry",
-    "RevocationClient",
-    "RevocationOutcome",
-    "revocation_subversion_experiment",
-    "ConcealmentResult",
-    "TECHNIQUES",
-    "concealment_matrix",
-    "craft_forged_certificates",
-    "owner_queries",
-    "run_experiment",
-    "ALL_CLIENTS",
-    "ALL_MIDDLEBOXES",
-    "ClientProfile",
-    "EvasionResult",
-    "MiddleboxProfile",
-    "SNORT",
-    "SURICATA",
-    "ZEEK",
-    "LIBCURL",
-    "URLLIB3",
-    "REQUESTS",
-    "HTTPCLIENT",
-    "duplicate_position_evasion",
-    "evasion_experiment",
-    "ALL_BROWSERS",
-    "BrowserProfile",
-    "FIREFOX",
-    "SAFARI",
-    "CHROMIUM",
-    "apply_bidi_overrides",
-    "chrome_warning_spoof_demo",
-]

@@ -14,14 +14,10 @@ import enum
 import unicodedata
 from dataclasses import dataclass
 
-from ..uni import (
-    alabel_violations,
-    has_bidi_control,
-    has_invisible,
-    is_xn_label,
-    punycode,
-    skeleton,
-)
+from ..uni import punycode
+from ..uni.confusables import has_bidi_control, has_invisible, skeleton
+from ..uni.dns import is_xn_label
+from ..uni.idna import alabel_violations
 from ..uni.errors import PunycodeError
 
 

@@ -15,14 +15,11 @@ from dataclasses import dataclass
 
 from ..ct.monitors import ALL_MONITORS, CTMonitor
 from ..uni import punycode
-from ..x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    SimPrivateKey,
-    generate_keypair,
-    subject_alt_name,
-)
+from ..x509.builder import CertificateBuilder
+from ..x509.certificate import Certificate
+from ..x509.extensions import subject_alt_name
+from ..x509.general_name import GeneralName
+from ..x509.keys import SimPrivateKey, generate_keypair
 
 #: The concealment techniques the paper's P1.2-P1.4 findings enable.
 TECHNIQUES = (
@@ -166,7 +163,9 @@ def derive_monitor_matrix(
     """
     import datetime as dt
 
-    from ..x509 import CertificateBuilder, generate_keypair, subject_alt_name
+    from ..x509.builder import CertificateBuilder
+    from ..x509.extensions import subject_alt_name
+    from ..x509.keys import generate_keypair
 
     key = generate_keypair(seed="probe")
 

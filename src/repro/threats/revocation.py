@@ -15,7 +15,8 @@ import datetime as _dt
 from dataclasses import dataclass, field
 
 from ..tlslibs.base import ParserProfile
-from ..x509 import Certificate, SimPublicKey
+from ..x509.certificate import Certificate
+from ..x509.keys import SimPublicKey
 from ..x509.crl import CertificateRevocationList
 
 
@@ -111,8 +112,11 @@ def revocation_subversion_experiment() -> dict[str, RevocationOutcome]:
     the attacker-controlled dot-rewritten URL and misses the revocation.
     """
     from ..asn1.oid import OID_ORGANIZATION_NAME
-    from ..tlslibs import GNUTLS, PYOPENSSL
-    from ..x509 import CertificateBuilder, Name, crl_distribution_points, generate_keypair
+    from ..tlslibs.profiles import GNUTLS, PYOPENSSL
+    from ..x509.builder import CertificateBuilder
+    from ..x509.extensions import crl_distribution_points
+    from ..x509.keys import generate_keypair
+    from ..x509.name import Name
     from ..x509.crl import build_crl
 
     ca_key = generate_keypair(seed="revocation-ca")

@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..uni import (
-    BIDI_CONTROLS,
-    INVISIBLE_CHARACTERS,
-    mixed_script_confusable,
-)
-from ..x509 import Certificate
+from ..uni.confusables import BIDI_CONTROLS, INVISIBLE_CHARACTERS, mixed_script_confusable
+from ..x509.certificate import Certificate
 
 
 def apply_bidi_overrides(text: str) -> str:
@@ -206,7 +202,8 @@ def derive_browser_matrix(
     """Re-derive Table 14 by rendering crafted Unicerts (black-box)."""
     import datetime as dt
 
-    from ..x509 import CertificateBuilder, generate_keypair
+    from ..x509.builder import CertificateBuilder
+    from ..x509.keys import generate_keypair
 
     key = generate_keypair(seed="browser-probe")
     bidi_cert = (

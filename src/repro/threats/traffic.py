@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..asn1.oid import OID_COMMON_NAME, OID_ORGANIZATION_NAME, OID_ORGANIZATIONAL_UNIT
-from ..uni import VariantStrategy, generate_variants
-from ..x509 import Certificate
+from ..uni.variants import VariantStrategy, generate_variants
+from ..x509.certificate import Certificate
 
 # ---------------------------------------------------------------------------
 # Middlebox models
@@ -98,7 +98,8 @@ class ClientProfile:
     validates_punycode: bool = False
 
     def accepts_san_value(self, value: str) -> bool:
-        from ..uni import alabel_violations, is_xn_label
+        from ..uni.dns import is_xn_label
+        from ..uni.idna import alabel_violations
 
         if any(ord(ch) > 0x7F for ch in value):
             if not self.accepts_ulabel_san:
@@ -147,7 +148,10 @@ def evasion_experiment(
     """
     import datetime as dt
 
-    from ..x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+    from ..x509.builder import CertificateBuilder
+    from ..x509.extensions import subject_alt_name
+    from ..x509.general_name import GeneralName
+    from ..x509.keys import generate_keypair
 
     middleboxes = middleboxes if middleboxes is not None else ALL_MIDDLEBOXES
     key = generate_keypair(seed="evasion")
@@ -184,7 +188,8 @@ def duplicate_position_evasion(
     """
     import datetime as dt
 
-    from ..x509 import CertificateBuilder, generate_keypair
+    from ..x509.builder import CertificateBuilder
+    from ..x509.keys import generate_keypair
 
     key = generate_keypair(seed="dup")
     evil_last = (

@@ -1,29 +1,1 @@
 """Minimal TLS 1.2 record/handshake substrate (Section 6.2's wire view)."""
-
-from .records import (
-    ContentType,
-    HandshakeType,
-    TLSFramingError,
-    TLSRecord,
-    build_server_flight,
-    build_tls13_like_flight,
-    decode_certificate_message,
-    encode_certificate_message,
-    iter_handshake_messages,
-    iter_records,
-    sniff_certificates,
-)
-
-__all__ = [
-    "ContentType",
-    "HandshakeType",
-    "TLSFramingError",
-    "TLSRecord",
-    "build_server_flight",
-    "build_tls13_like_flight",
-    "decode_certificate_message",
-    "encode_certificate_message",
-    "iter_handshake_messages",
-    "iter_records",
-    "sniff_certificates",
-]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..x509 import Certificate
+from ..x509.certificate import Certificate
 
 
 class ContentType(enum.IntEnum):

@@ -1,91 +1,1 @@
 """TLS-library behaviour models and the differential testing harness."""
-
-from .base import (
-    CharHandling,
-    DecodePractice,
-    DecodingMethod,
-    EscapeStyle,
-    ParseOutcome,
-    ParserProfile,
-    REFERENCE_DECODERS,
-    STANDARD_METHODS,
-)
-from .inference import InferenceResult, build_samples, classify, infer_decoding
-from .differential import (
-    CharCheckReport,
-    DecodingMatrix,
-    TABLE4_SCENARIOS,
-    Violation,
-    derive_charcheck_report,
-    derive_decoding_matrix,
-)
-from .apis import API_REGISTRY, APIS_BY_LIBRARY, LibraryAPIs, support_matrix
-from .hostname import (
-    HostnameVerdict,
-    bmp_cn_bypass_demo,
-    match_hostname_pattern,
-    verify_hostname,
-)
-from .safe_text import (
-    escape_san_value,
-    parse_safe_san_string,
-    safe_san_string,
-    unescape_san_value,
-)
-from .profiles import (
-    ALL_PROFILES,
-    BOUNCYCASTLE,
-    CRYPTOGRAPHY,
-    FORGE,
-    GNUTLS,
-    GO_CRYPTO,
-    JAVA_SECURITY_CERT,
-    NODEJS_CRYPTO,
-    OPENSSL,
-    PROFILES_BY_NAME,
-    PYOPENSSL,
-)
-
-__all__ = [
-    "escape_san_value",
-    "parse_safe_san_string",
-    "safe_san_string",
-    "unescape_san_value",
-    "API_REGISTRY",
-    "APIS_BY_LIBRARY",
-    "LibraryAPIs",
-    "support_matrix",
-    "HostnameVerdict",
-    "bmp_cn_bypass_demo",
-    "match_hostname_pattern",
-    "verify_hostname",
-    "CharHandling",
-    "DecodePractice",
-    "DecodingMethod",
-    "EscapeStyle",
-    "ParseOutcome",
-    "ParserProfile",
-    "REFERENCE_DECODERS",
-    "STANDARD_METHODS",
-    "InferenceResult",
-    "build_samples",
-    "classify",
-    "infer_decoding",
-    "CharCheckReport",
-    "DecodingMatrix",
-    "TABLE4_SCENARIOS",
-    "Violation",
-    "derive_charcheck_report",
-    "derive_decoding_matrix",
-    "ALL_PROFILES",
-    "PROFILES_BY_NAME",
-    "OPENSSL",
-    "GNUTLS",
-    "PYOPENSSL",
-    "CRYPTOGRAPHY",
-    "GO_CRYPTO",
-    "JAVA_SECURITY_CERT",
-    "BOUNCYCASTLE",
-    "NODEJS_CRYPTO",
-    "FORGE",
-]

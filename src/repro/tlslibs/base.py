@@ -16,8 +16,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..asn1 import UniversalTag
-from ..x509 import Certificate, GeneralName, GeneralNameKind
+from ..asn1.tags import UniversalTag
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralName, GeneralNameKind
 
 
 class DecodingMethod(enum.Enum):
@@ -182,7 +183,7 @@ def utf8_hex_escape_fallback(raw: bytes) -> ParseOutcome:
 
 def printable_strict(raw: bytes) -> ParseOutcome:
     """Go-style strictness: reject characters outside the PrintableString set."""
-    from ..asn1 import PRINTABLE_STRING
+    from ..asn1.strings import PRINTABLE_STRING
 
     try:
         text = raw.decode("ascii")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import spec_for_tag
-from ..testgen import TestCase, TestCertGenerator
-from ..x509 import GeneralNameKind
+from ..asn1.strings import spec_for_tag
+from ..testgen.generator import TestCase, TestCertGenerator
+from ..x509.general_name import GeneralNameKind
 from .base import ParseOutcome, ParserProfile
 from .profiles import ALL_PROFILES
 
@@ -77,7 +77,7 @@ def _profile_outcome(profile: ParserProfile, case: TestCase) -> ParseOutcome:
 
 def _in_standard_charset(case: TestCase) -> bool:
     """Whether the mutated character is legal for the declared type."""
-    from ..asn1 import STRING_SPECS_BY_NAME
+    from ..asn1.strings import STRING_SPECS_BY_NAME
 
     if case.field.startswith("san:"):
         # GeneralName alternatives are IA5String on the wire.
@@ -95,7 +95,7 @@ def run_campaign(
     """Execute the differential campaign.
 
     ``chars`` defaults to a compact probe set; pass
-    :func:`repro.testgen.sample_characters` output for the paper's full
+    :func:`repro.testgen.generator.sample_characters` output for the paper's full
     sweep (U+0000..U+00FF plus one char per Unicode block).
     """
     profiles = profiles if profiles is not None else ALL_PROFILES

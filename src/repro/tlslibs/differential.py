@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import UniversalTag
+from ..asn1.tags import UniversalTag
 from ..x509.name import escape_rfc1779, escape_rfc2253, escape_rfc4514
 from .base import (
     CharHandling,
@@ -163,7 +163,7 @@ _REFERENCE_ESCAPERS = {
 def _dn_escaping_violation(profile: ParserProfile, row: str) -> str:
     """Compare the library's DN string against the reference escaping."""
     from ..asn1.oid import OID_COMMON_NAME, OID_ORGANIZATION_NAME
-    from ..x509 import AttributeTypeAndValue, Name, RelativeDistinguishedName
+    from ..x509.name import AttributeTypeAndValue, Name, RelativeDistinguishedName
     from ..x509.certificate import Certificate
     import datetime as dt
 
@@ -203,7 +203,7 @@ def _dn_injection_ambiguous(profile: ParserProfile) -> bool:
     import datetime as dt
 
     from ..asn1.oid import OID_COMMON_NAME, OID_ORGANIZATION_NAME
-    from ..x509 import AttributeTypeAndValue, Name, RelativeDistinguishedName
+    from ..x509.name import AttributeTypeAndValue, Name, RelativeDistinguishedName
     from ..x509.certificate import Certificate
 
     def cert_for(name: Name) -> Certificate:
@@ -245,7 +245,10 @@ def _gn_escaping_violation(profile: ParserProfile) -> str:
     """Subfield forgery: 'a.com, DNS:b.com' inside one DNSName."""
     import datetime as dt
 
-    from ..x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+    from ..x509.builder import CertificateBuilder
+    from ..x509.extensions import subject_alt_name
+    from ..x509.general_name import GeneralName
+    from ..x509.keys import generate_keypair
 
     key = generate_keypair(seed=1234)
     crafted = (

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..uni import domain_to_ascii
-from ..x509 import Certificate, GeneralNameKind
+from ..uni.idna import domain_to_ascii
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 from .base import ParserProfile
 
 
@@ -91,8 +92,9 @@ def bmp_cn_bypass_demo() -> dict[str, HostnameVerdict]:
     """
     import datetime as dt
 
-    from ..asn1 import BMP_STRING
-    from ..x509 import CertificateBuilder, generate_keypair
+    from ..asn1.strings import BMP_STRING
+    from ..x509.builder import CertificateBuilder
+    from ..x509.keys import generate_keypair
     from .profiles import GO_CRYPTO, JAVA_SECURITY_CERT, OPENSSL
 
     key = generate_keypair(seed="bmp-bypass")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..asn1 import UniversalTag
+from ..asn1.tags import UniversalTag
 from .base import (
     CharHandling,
     DecodePractice,

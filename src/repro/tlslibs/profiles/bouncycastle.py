@@ -7,7 +7,7 @@ RFC 4514/1779, and no convenience extension parsing (Table 13 row "-").
 """
 
 from ..base import EscapeStyle, ParserProfile, ascii_strict, iso_8859_1, utf16_be, utf8_strict
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="BouncyCastle",

@@ -15,7 +15,7 @@ from ..base import (
     utf16_be,
     utf8_strict,
 )
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="Cryptography",

@@ -8,7 +8,7 @@ structured objects, so escaping checks are excluded (Appendix E).
 """
 
 from ..base import EscapeStyle, ParserProfile, iso_8859_1, utf8_reject_controls
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="Forge",

@@ -8,7 +8,7 @@ escaping follows RFC 4514.
 """
 
 from ..base import EscapeStyle, ParserProfile, utf16_be, utf8_strict
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="GnuTLS",

@@ -18,7 +18,7 @@ from ..base import (
     ucs2,
     utf8_strict,
 )
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="Golang Crypto",

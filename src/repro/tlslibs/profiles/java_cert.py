@@ -15,7 +15,7 @@ from ..base import (
     iso_8859_1,
     utf8_replace,
 )
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="Java.security.cert",

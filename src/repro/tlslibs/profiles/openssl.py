@@ -16,7 +16,7 @@ from ..base import (
     iso_8859_1,
     utf8_hex_escape_fallback,
 )
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="OpenSSL",

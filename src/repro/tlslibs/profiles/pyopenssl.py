@@ -17,7 +17,7 @@ from ..base import (
     ucs2,
     utf8_replace,
 )
-from ...asn1 import UniversalTag
+from ...asn1.tags import UniversalTag
 
 PROFILE = ParserProfile(
     name="PyOpenSSL",

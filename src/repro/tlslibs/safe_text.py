@@ -12,7 +12,8 @@ immune to the "DNS:a.com, DNS:b.com" forgery by construction.
 
 from __future__ import annotations
 
-from ..x509 import Certificate, GeneralNameKind
+from ..x509.certificate import Certificate
+from ..x509.general_name import GeneralNameKind
 
 #: Characters the SAN text format itself uses.
 _FORMAT_CHARS = {",": "\\,", ":": "\\:", "\\": "\\\\"}

@@ -1,117 +1,1 @@
 """Unicode/IDN substrate: Punycode, IDNA2008, blocks, confusables."""
-
-from .errors import IDNAError, PunycodeError, UnicodeSubstrateError
-from . import punycode
-from .dns import (
-    MAX_LABEL_OCTETS,
-    MAX_NAME_OCTETS,
-    is_ldh_label,
-    is_reserved_ldh_label,
-    is_valid_dns_name,
-    is_xn_label,
-    label_violations,
-    name_violations,
-)
-from .idna import (
-    ACE_PREFIX,
-    alabel_roundtrip_mismatch,
-    alabel_to_ulabel,
-    alabel_violations,
-    derived_property,
-    domain_to_ascii,
-    domain_to_unicode,
-    has_unpermitted,
-    is_idn,
-    is_valid_ulabel,
-    ulabel_to_alabel,
-    ulabel_violations,
-    unpermitted_violations,
-)
-from .blocks import (
-    BLOCKS,
-    Block,
-    block_by_name,
-    block_of,
-    sample_block_characters,
-)
-from .normalization import (
-    ALTERNATE_WHITESPACE,
-    canonical_whitespace,
-    case_fold_equal,
-    has_alternate_whitespace,
-    is_nfc,
-    nfc,
-    nfc_violations,
-)
-from .confusables import (
-    BIDI_CONTROLS,
-    CONFUSABLE_MAP,
-    INVISIBLE_CHARACTERS,
-    has_bidi_control,
-    has_invisible,
-    is_confusable,
-    mixed_script_confusable,
-    skeleton,
-)
-from .uts46 import to_ascii, uts46_remap, uts46_violations
-from .variants import (
-    VariantStrategy,
-    are_identity_equivalent,
-    classify_variant_pair,
-    generate_variants,
-)
-
-__all__ = [
-    "to_ascii",
-    "uts46_remap",
-    "uts46_violations",
-    "UnicodeSubstrateError",
-    "PunycodeError",
-    "IDNAError",
-    "punycode",
-    "MAX_LABEL_OCTETS",
-    "MAX_NAME_OCTETS",
-    "is_ldh_label",
-    "is_reserved_ldh_label",
-    "is_valid_dns_name",
-    "is_xn_label",
-    "label_violations",
-    "name_violations",
-    "ACE_PREFIX",
-    "alabel_roundtrip_mismatch",
-    "alabel_to_ulabel",
-    "alabel_violations",
-    "derived_property",
-    "domain_to_ascii",
-    "domain_to_unicode",
-    "has_unpermitted",
-    "is_idn",
-    "is_valid_ulabel",
-    "ulabel_to_alabel",
-    "ulabel_violations",
-    "unpermitted_violations",
-    "BLOCKS",
-    "Block",
-    "block_by_name",
-    "block_of",
-    "sample_block_characters",
-    "ALTERNATE_WHITESPACE",
-    "canonical_whitespace",
-    "case_fold_equal",
-    "has_alternate_whitespace",
-    "is_nfc",
-    "nfc",
-    "nfc_violations",
-    "BIDI_CONTROLS",
-    "CONFUSABLE_MAP",
-    "INVISIBLE_CHARACTERS",
-    "has_bidi_control",
-    "has_invisible",
-    "is_confusable",
-    "mixed_script_confusable",
-    "skeleton",
-    "VariantStrategy",
-    "are_identity_equivalent",
-    "classify_variant_pair",
-    "generate_variants",
-]

@@ -1,122 +1,1 @@
 """X.509 substrate: names, general names, extensions, certificates."""
-
-from .cache import caching_disabled, caching_enabled
-from .name import (
-    AttributeTypeAndValue,
-    Name,
-    RelativeDistinguishedName,
-    escape_rfc1779,
-    escape_rfc2253,
-    escape_rfc4514,
-    unescape_rfc4514,
-)
-from .general_name import GeneralName, GeneralNameKind, IA5_KINDS
-from .extensions import (
-    AccessDescription,
-    CRLDistributionPoints,
-    DistributionPoint,
-    Extension,
-    GeneralNames,
-    InfoAccess,
-    ParsedPolicies,
-    PolicyInformation,
-    PolicyQualifier,
-    UserNotice,
-    authority_info_access,
-    basic_constraints,
-    certificate_policies,
-    crl_distribution_points,
-    ct_poison,
-    extended_key_usage,
-    issuer_alt_name,
-    parse_basic_constraints,
-    subject_alt_name,
-    subject_info_access,
-)
-from .keys import (
-    SimPrivateKey,
-    SimPublicKey,
-    generate_keypair,
-    signature_algorithm_element,
-)
-from .certificate import Certificate
-from .crl import CertificateRevocationList, RevokedCertificate, build_crl
-from .name_constraints import (
-    NameConstraints,
-    check_chain_name_constraints,
-    constraints_of,
-    naive_text_check_permits,
-    naive_text_hostname_match,
-)
-from .pem import PEMError, decode_pem, decode_pem_all, encode_pem, load_certificate_bytes
-from .ocsp import CertStatus, OCSPResponder, OCSPResponse
-from .builder import CertificateBuilder
-from .verify import (
-    CertificatePool,
-    ChainError,
-    build_chain,
-    is_trusted,
-    verify_signature,
-)
-
-__all__ = [
-    "caching_disabled",
-    "caching_enabled",
-    "AttributeTypeAndValue",
-    "Name",
-    "RelativeDistinguishedName",
-    "escape_rfc1779",
-    "escape_rfc2253",
-    "escape_rfc4514",
-    "unescape_rfc4514",
-    "GeneralName",
-    "GeneralNameKind",
-    "IA5_KINDS",
-    "AccessDescription",
-    "CRLDistributionPoints",
-    "DistributionPoint",
-    "Extension",
-    "GeneralNames",
-    "InfoAccess",
-    "ParsedPolicies",
-    "PolicyInformation",
-    "PolicyQualifier",
-    "UserNotice",
-    "authority_info_access",
-    "basic_constraints",
-    "certificate_policies",
-    "crl_distribution_points",
-    "ct_poison",
-    "extended_key_usage",
-    "issuer_alt_name",
-    "parse_basic_constraints",
-    "subject_alt_name",
-    "subject_info_access",
-    "SimPrivateKey",
-    "SimPublicKey",
-    "generate_keypair",
-    "signature_algorithm_element",
-    "Certificate",
-    "CertificateRevocationList",
-    "RevokedCertificate",
-    "build_crl",
-    "NameConstraints",
-    "check_chain_name_constraints",
-    "constraints_of",
-    "naive_text_check_permits",
-    "naive_text_hostname_match",
-    "PEMError",
-    "decode_pem",
-    "decode_pem_all",
-    "encode_pem",
-    "load_certificate_bytes",
-    "CertStatus",
-    "OCSPResponder",
-    "OCSPResponse",
-    "CertificateBuilder",
-    "CertificatePool",
-    "ChainError",
-    "build_chain",
-    "is_trusted",
-    "verify_signature",
-]

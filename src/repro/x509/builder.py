@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import datetime as _dt
 
-from ..asn1 import (
+from ..asn1.der import (
     Element,
-    ObjectIdentifier,
-    StringSpec,
-    Tag,
-    UTF8_STRING,
-    UniversalTag,
     encode_bit_string,
     encode_integer,
     encode_length,
@@ -24,7 +19,9 @@ from ..asn1 import (
     encode_time,
     explicit,
 )
-from ..asn1.oid import OID_COMMON_NAME
+from ..asn1.oid import ObjectIdentifier, OID_COMMON_NAME
+from ..asn1.strings import StringSpec, UTF8_STRING
+from ..asn1.tags import Tag, UniversalTag
 from .certificate import Certificate
 from .extensions import Extension, ct_poison
 from .keys import SimPrivateKey, SimPublicKey, signature_algorithm_element

@@ -6,12 +6,8 @@ import datetime as _dt
 import hashlib
 from dataclasses import dataclass, field
 
-from ..asn1 import (
-    ASN1Error,
-    DERDecodeError,
+from ..asn1.der import (
     Element,
-    ObjectIdentifier,
-    TagClass,
     encode_bit_string,
     encode_integer,
     encode_sequence,
@@ -23,7 +19,9 @@ from ..asn1 import (
     node_time,
     parse_node,
 )
+from ..asn1.errors import ASN1Error, DERDecodeError
 from ..asn1.oid import (
+    ObjectIdentifier,
     OID_AD_CA_ISSUERS,
     OID_EXT_AIA,
     OID_EXT_BASIC_CONSTRAINTS,
@@ -35,6 +33,7 @@ from ..asn1.oid import (
     OID_EXT_SIA,
     OID_COMMON_NAME,
 )
+from ..asn1.tags import TagClass
 from ..memo import ProcessMemo
 from .extensions import (
     CRLDistributionPoints,

@@ -11,11 +11,9 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass, field
 
-from ..asn1 import (
-    DERDecodeError,
+from ..asn1.der import (
     Element,
     Node,
-    TagClass,
     encode_bit_string,
     encode_integer,
     encode_sequence,
@@ -26,6 +24,8 @@ from ..asn1 import (
     node_time,
     parse_node,
 )
+from ..asn1.errors import DERDecodeError
+from ..asn1.tags import TagClass
 from .keys import SimPrivateKey, SimPublicKey, signature_algorithm_element
 from .name import Name
 

@@ -9,17 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import (
-    ASN1Error,
-    DERDecodeError,
+from ..asn1.der import (
     Element,
     Node,
-    ObjectIdentifier,
-    StringSpec,
-    Tag,
-    TagClass,
-    UTF8_STRING,
-    UniversalTag,
     element_node,
     encode_boolean,
     encode_integer,
@@ -32,9 +24,10 @@ from ..asn1 import (
     node_integer,
     node_oid,
     parse_node,
-    spec_for_tag,
 )
+from ..asn1.errors import ASN1Error, DERDecodeError
 from ..asn1.oid import (
+    ObjectIdentifier,
     OID_EXT_AIA,
     OID_EXT_BASIC_CONSTRAINTS,
     OID_EXT_CERTIFICATE_POLICIES,
@@ -48,6 +41,8 @@ from ..asn1.oid import (
     OID_QT_CPS,
     OID_QT_UNOTICE,
 )
+from ..asn1.strings import StringSpec, UTF8_STRING, spec_for_tag
+from ..asn1.tags import Tag, TagClass, UniversalTag
 from .general_name import GeneralName
 
 
@@ -395,6 +390,6 @@ def extended_key_usage(*oids: ObjectIdentifier) -> Extension:
 
 def ct_poison() -> Extension:
     """The critical CT precertificate poison extension (RFC 6962)."""
-    from ..asn1 import encode_null
+    from ..asn1.der import encode_null
 
     return Extension(OID_EXT_CT_POISON, True, encode_null().encode())

@@ -6,16 +6,9 @@ import enum
 import ipaddress
 from dataclasses import dataclass
 
-from ..asn1 import (
-    ASN1Error,
-    DERDecodeError,
+from ..asn1.der import (
     Element,
-    IA5_STRING,
     Node,
-    ObjectIdentifier,
-    StringSpec,
-    Tag,
-    TagClass,
     element_node,
     encode_oid,
     explicit,
@@ -23,7 +16,10 @@ from ..asn1 import (
     node_oid,
     to_element,
 )
-from ..asn1.oid import OID_ON_SMTP_UTF8_MAILBOX
+from ..asn1.errors import ASN1Error, DERDecodeError
+from ..asn1.oid import ObjectIdentifier, OID_ON_SMTP_UTF8_MAILBOX
+from ..asn1.strings import IA5_STRING, StringSpec
+from ..asn1.tags import Tag, TagClass
 from .name import Name
 
 
@@ -124,7 +120,7 @@ class GeneralName:
             if self.other_name_oid is not None:
                 children.append(encode_oid(self.other_name_oid))
             if self.raw:
-                from ..asn1 import parse as _parse
+                from ..asn1.der import parse as _parse
 
                 children.append(_parse(self.raw, strict=False))
             return Element.constructed(Tag.context(tag_number, constructed=True), children)

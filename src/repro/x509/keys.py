@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..asn1 import (
+from ..asn1.der import (
     Element,
     encode_bit_string,
     encode_integer,

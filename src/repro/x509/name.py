@@ -10,15 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import (
-    ASN1Error,
-    DERDecodeError,
+from ..asn1.der import (
     Element,
     Node,
-    ObjectIdentifier,
-    StringSpec,
-    Tag,
-    UTF8_STRING,
     element_node,
     encode_oid,
     encode_sequence,
@@ -26,9 +20,11 @@ from ..asn1 import (
     encode_string,
     node_content,
     node_oid,
-    spec_for_tag,
 )
-from ..asn1.oid import OID_NAMES
+from ..asn1.errors import ASN1Error, DERDecodeError
+from ..asn1.oid import ObjectIdentifier, OID_NAMES
+from ..asn1.strings import StringSpec, UTF8_STRING, spec_for_tag
+from ..asn1.tags import Tag
 
 # ---------------------------------------------------------------------------
 # Attribute model

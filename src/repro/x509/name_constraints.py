@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..asn1 import ASN1Error, Element, Tag, TagClass, parse_node
+from ..asn1.der import Element, parse_node
+from ..asn1.errors import ASN1Error
+from ..asn1.tags import Tag, TagClass
 from ..asn1.oid import OID_EXT_NAME_CONSTRAINTS
 from .certificate import Certificate
 from .extensions import Extension
@@ -112,7 +114,7 @@ def check_chain_name_constraints(leaf: Certificate, ca: Certificate) -> list[str
     taken from the parsed SAN structure, one GeneralName at a time —
     never from a flattened text representation.
     """
-    from ..uni import is_valid_dns_name
+    from ..uni.dns import is_valid_dns_name
 
     constraints = constraints_of(ca)
     if constraints is None:

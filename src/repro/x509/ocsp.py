@@ -13,8 +13,7 @@ import datetime as _dt
 import enum
 from dataclasses import dataclass
 
-from ..asn1 import (
-    DERDecodeError,
+from ..asn1.der import (
     encode_bit_string,
     encode_integer,
     encode_sequence,
@@ -25,6 +24,7 @@ from ..asn1 import (
     node_time,
     parse_node,
 )
+from ..asn1.errors import DERDecodeError
 from .keys import SimPrivateKey, SimPublicKey
 
 

@@ -2,22 +2,18 @@
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.compliance import (
     build_table1,
     encoding_error_analysis,
-    field_matrix,
-    find_subject_variants,
-    issuance_trend,
     issuer_involvement,
-    issuer_table,
     lint_corpus,
     top_lints,
-    top_volume_share,
-    validity_cdfs,
-    variant_strategy_counts,
 )
-from repro.ct import CorpusGenerator
-from repro.lint import NoncomplianceType
+from repro.analysis.fields import field_matrix, find_subject_variants, variant_strategy_counts
+from repro.analysis.issuers import issuer_table, top_volume_share
+from repro.analysis.longitudinal import issuance_trend, validity_cdfs
+from repro.ct.corpus import CorpusGenerator
+from repro.lint.framework import NoncomplianceType
 
 SCALE = 1 / 10000
 

@@ -3,7 +3,7 @@ Figure 2/3/4 numbers the batch analysis computes from full reports."""
 
 import pytest
 
-from repro.analysis import (
+from repro.analysis.longitudinal import (
     issuance_trend,
     render_rolling_fields,
     render_rolling_windows,
@@ -13,8 +13,9 @@ from repro.analysis import (
     validity_cdfs,
 )
 from repro.analysis.fields import FIELD_COLUMNS
-from repro.ct import CorpusGenerator
-from repro.engine import Engine, WindowConfig, WindowedSummary, run_corpus
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import Engine, run_corpus
+from repro.engine.windows import WindowConfig, WindowedSummary
 
 
 @pytest.fixture(scope="module")

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import datetime as _dt
 
-from repro.asn1 import (
-    DERDecodeError,
-    Element,
-    UniversalTag,
-    decode_length,
-    decode_tag,
-)
+from repro.asn1.der import Element, decode_length
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.tags import UniversalTag, decode_tag
 
 
 def _parse_element(data: bytes, offset: int, strict: bool) -> tuple[Element, int]:

@@ -12,17 +12,10 @@ import datetime as dt
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.asn1 import (
-    OID_NAMES,
-    DERDecodeError,
-    Element,
-    ObjectIdentifier,
-    Tag,
-    UniversalTag,
-    decode_oid,
-    decode_time,
-)
-from repro.asn1.oid import OIDS_BY_VALUE
+from repro.asn1.der import Element, decode_oid, decode_time
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.oid import OID_NAMES, ObjectIdentifier, OIDS_BY_VALUE
+from repro.asn1.tags import Tag, UniversalTag
 
 from .reference_der import reference_decode_time
 

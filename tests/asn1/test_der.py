@@ -5,14 +5,9 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.asn1 import (
-    DERDecodeError,
+from repro.asn1.oid import oid
+from repro.asn1.der import (
     Element,
-    PRINTABLE_STRING,
-    Tag,
-    TagClass,
-    UTF8_STRING,
-    UniversalTag,
     decode_boolean,
     decode_integer,
     decode_length,
@@ -30,10 +25,12 @@ from repro.asn1 import (
     encode_time,
     explicit,
     implicit,
-    oid,
     parse,
     parse_all,
 )
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.strings import PRINTABLE_STRING, UTF8_STRING
+from repro.asn1.tags import Tag, TagClass, UniversalTag
 
 
 class TestLength:
@@ -213,7 +210,7 @@ def test_integer_roundtrip_property(value):
 
 @given(st.binary(max_size=64))
 def test_octet_string_roundtrip_property(data):
-    from repro.asn1 import encode_octet_string
+    from repro.asn1.der import encode_octet_string
 
     parsed = parse(encode_octet_string(data).encode())
     assert parsed.content == data

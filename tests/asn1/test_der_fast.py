@@ -1,7 +1,7 @@
 """Differential tests: the table-driven DER walk against the recursive oracle.
 
-``repro.asn1.parse_node`` walks the buffer in one loop into node
-tuples, and ``repro.asn1.parse`` builds its :class:`Element` tree from
+``repro.asn1.der.parse_node`` walks the buffer in one loop into node
+tuples, and ``repro.asn1.der.parse`` builds its :class:`Element` tree from
 them; ``reference_der`` keeps the recursive parser they replaced.  On
 every input both must build the same tree (tag, content, offset,
 children) or raise the same :class:`DERDecodeError` — same message,
@@ -17,15 +17,9 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import (
-    DERDecodeError,
-    encode_length,
-    node_content,
-    parse,
-    parse_all,
-    parse_node,
-)
-from repro.ct import CorpusGenerator
+from repro.asn1.der import encode_length, node_content, parse, parse_all, parse_node
+from repro.asn1.errors import DERDecodeError
+from repro.ct.corpus import CorpusGenerator
 from repro.fuzz.mutators import byte_delete, byte_flip, byte_insert, truncate
 
 from .reference_der import reference_parse, reference_parse_all

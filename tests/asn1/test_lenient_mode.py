@@ -6,16 +6,9 @@ where real permissive parsers diverge from the DER standard.
 
 import pytest
 
-from repro.asn1 import (
-    DERDecodeError,
-    Element,
-    Tag,
-    TagClass,
-    UniversalTag,
-    decode_boolean,
-    decode_integer,
-    parse,
-)
+from repro.asn1.der import Element, decode_boolean, decode_integer, parse
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.tags import Tag, TagClass, UniversalTag
 
 
 def tlv(tag_byte: int, content: bytes, long_length: bool = False) -> bytes:
@@ -71,7 +64,7 @@ class TestStructureErrors:
             element.child(0)
 
     def test_primitive_constructed_mismatch(self):
-        from repro.asn1 import DEREncodeError
+        from repro.asn1.errors import DEREncodeError
 
         with pytest.raises(DEREncodeError):
             Element.primitive(Tag.universal(UniversalTag.SEQUENCE), b"")

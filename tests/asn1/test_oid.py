@@ -3,12 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.asn1 import DERDecodeError, DEREncodeError, ObjectIdentifier, oid
+from repro.asn1.errors import DERDecodeError, DEREncodeError
 from repro.asn1.oid import (
+    ObjectIdentifier,
     OID_COMMON_NAME,
     OID_EMAIL_ADDRESS,
     OID_EXT_SAN,
     OID_NAMES,
+    oid,
 )
 
 

@@ -3,14 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.asn1 import (
+from repro.asn1.errors import CharsetError, StringDecodeError
+from repro.asn1.strings import (
     BMP_STRING,
-    CharsetError,
     IA5_STRING,
     NUMERIC_STRING,
     PRINTABLE_STRING,
     STRING_SPECS,
-    StringDecodeError,
     TELETEX_STRING,
     UNIVERSAL_STRING,
     UTF8_STRING,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.asn1 import DERDecodeError, Tag, TagClass, UniversalTag, decode_tag
-from repro.asn1.tags import STRING_TAG_NUMBERS
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.tags import Tag, TagClass, UniversalTag, decode_tag, STRING_TAG_NUMBERS
 
 
 class TestTagEncode:

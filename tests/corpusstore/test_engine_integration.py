@@ -12,21 +12,20 @@ import pickle
 
 import pytest
 
-from repro.corpusstore import CorpusStore, write_store
-from repro.engine import run_corpus
-from repro.lint import summary_to_json
+from repro.corpusstore.reader import CorpusStore
+from repro.corpusstore.writer import write_store
+from repro.engine.pipeline import run_corpus
+from repro.lint.serialization import summary_to_json
 from repro.lint.parallel import (
     LintPool,
     ShardError,
     build_store_shard_tasks,
     lint_shard,
 )
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=4007)
 

@@ -12,16 +12,11 @@ import datetime as dt
 
 import pytest
 
-from repro.corpusstore import SegmentWriter, list_segments, store_digest
+from repro.corpusstore.segments import SegmentWriter, list_segments, store_digest
 from repro.corpusstore import segments as segments_module
-from repro.ct import (
-    CheckpointError,
-    CorpusGenerator,
-    MonitorConfig,
-    TailLog,
-    TailMonitor,
-    drive,
-)
+from repro.ct.checkpoint import CheckpointError
+from repro.ct.corpus import CorpusGenerator
+from repro.ct.tail import MonitorConfig, TailLog, TailMonitor, drive
 
 ISSUED = dt.datetime(2021, 3, 1)
 

@@ -5,8 +5,8 @@ import datetime as dt
 
 import pytest
 
-from repro.corpusstore import (
-    CorpusStoreError,
+from repro.corpusstore.errors import CorpusStoreError
+from repro.corpusstore.segments import (
     SegmentedCorpusStore,
     SegmentWriter,
     list_segments,
@@ -126,7 +126,7 @@ class TestDigest:
     def test_digest_changes_on_rewritten_segment(self, chain):
         directory, writer = chain
         before = writer.digest()
-        from repro.corpusstore import write_store
+        from repro.corpusstore.writer import write_store
 
         write_store(_pairs(500, 600), directory / segment_name(3))
         assert store_digest(directory) != before

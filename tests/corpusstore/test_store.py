@@ -13,15 +13,10 @@ import warnings
 
 import pytest
 
-from repro.corpusstore import (
-    CorpusStore,
-    CorpusStoreError,
-    MAGIC,
-    decode_issued_at,
-    encode_issued_at,
-    write_store,
-)
-from repro.corpusstore.format import HEADER, INDEX_ENTRY
+from repro.corpusstore.errors import CorpusStoreError
+from repro.corpusstore.format import MAGIC, decode_issued_at, encode_issued_at, HEADER, INDEX_ENTRY
+from repro.corpusstore.reader import CorpusStore
+from repro.corpusstore.writer import write_store
 
 
 PAIRS = [

@@ -8,18 +8,15 @@ import zlib
 
 import pytest
 
-from repro.ct import (
+from repro.ct.checkpoint import (
     CheckpointError,
-    CorpusGenerator,
     MonitorCheckpoint,
-    MonitorConfig,
-    TailLog,
-    TailMonitor,
-    drive,
     load_checkpoint,
     write_checkpoint,
+    _canonical,
 )
-from repro.ct.checkpoint import _canonical
+from repro.ct.corpus import CorpusGenerator
+from repro.ct.tail import MonitorConfig, TailLog, TailMonitor, drive
 
 
 @pytest.fixture()

@@ -11,8 +11,13 @@ import math
 import pytest
 from scipy import stats
 
-from repro.ct import CorpusGenerator, PAPER_TOTAL_NC, PAPER_TOTAL_UNICERTS
-from repro.ct.corpus import NC_YEAR_WEIGHTS, YEAR_WEIGHTS
+from repro.ct.corpus import (
+    CorpusGenerator,
+    PAPER_TOTAL_NC,
+    PAPER_TOTAL_UNICERTS,
+    NC_YEAR_WEIGHTS,
+    YEAR_WEIGHTS,
+)
 
 SCALE = 1 / 5000  # ~7K records: large enough for distribution tests
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ct import CorpusGenerator
+from repro.ct.corpus import CorpusGenerator
 from repro.ct.dataset import export_corpus, load_corpus
 
 
@@ -40,7 +40,7 @@ class TestRoundtrip:
         assert set(loaded.ca_certificates) == set(corpus.ca_certificates)
 
     def test_loaded_corpus_lints_identically(self, corpus, tmp_path):
-        from repro.analysis import lint_corpus
+        from repro.analysis.compliance import lint_corpus
 
         root = export_corpus(corpus, tmp_path / "dataset")
         loaded = load_corpus(root)
@@ -51,7 +51,7 @@ class TestRoundtrip:
         ]
 
     def test_loaded_chain_verification_works(self, corpus, tmp_path):
-        from repro.x509 import build_chain
+        from repro.x509.verify import build_chain
 
         root = export_corpus(corpus, tmp_path / "dataset")
         loaded = load_corpus(root)

@@ -2,8 +2,9 @@
 
 import datetime as dt
 
-from repro.ct import CTLog
-from repro.x509 import CertificateBuilder, generate_keypair
+from repro.ct.log import CTLog
+from repro.x509.builder import CertificateBuilder
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=31)
 
@@ -55,7 +56,7 @@ class TestProofs:
             assert log.check_inclusion(index, log.prove_inclusion(index))
 
     def test_consistency(self):
-        from repro.ct import verify_consistency
+        from repro.ct.merkle import verify_consistency
 
         log = CTLog()
         for i in range(4):

@@ -5,8 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ct import MerkleTree, verify_consistency, verify_inclusion
-from repro.ct.merkle import leaf_hash, node_hash
+from repro.ct.merkle import MerkleTree, verify_consistency, verify_inclusion, leaf_hash, node_hash
 
 
 def tree_with(count: int) -> MerkleTree:

@@ -10,8 +10,7 @@ import hashlib
 
 import pytest
 
-from repro.ct import MerkleTree
-from repro.ct.merkle import leaf_hash
+from repro.ct.merkle import MerkleTree, leaf_hash
 
 from . import reference_merkle as reference
 

@@ -9,9 +9,10 @@
 
 import pytest
 
-from repro.ct import CorpusGenerator, MonitorConfig, TailLog, TailMonitor, drive
-from repro.engine import run_corpus
-from repro.lint import summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.ct.tail import MonitorConfig, TailLog, TailMonitor, drive
+from repro.engine.pipeline import run_corpus
+from repro.lint.serialization import summary_to_json
 
 #: jobs=4 over 128-entry batches genuinely dispatches to the pool
 #: (two 64-record shards); smaller batches would silently clamp to the
@@ -117,7 +118,7 @@ class TestPersistedTail:
     def test_segment_chain_replays_the_exact_entry_stream(
         self, corpus, tmp_path
     ):
-        from repro.corpusstore import SegmentedCorpusStore
+        from repro.corpusstore.segments import SegmentedCorpusStore
 
         monitor, _ = _uninterrupted(corpus, tmp_path, 1)
         with SegmentedCorpusStore(tmp_path / "segments") as store:

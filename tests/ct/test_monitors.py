@@ -4,8 +4,11 @@ import datetime as dt
 
 import pytest
 
-from repro.ct import ALL_MONITORS, MONITORS_BY_NAME
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.ct.monitors import ALL_MONITORS, MONITORS_BY_NAME
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=41)
 
@@ -133,7 +136,7 @@ class TestSpecialUnicodeIndexing:
 
 class TestLogSync:
     def test_sync_filters_precerts(self):
-        from repro.ct import CTLog
+        from repro.ct.log import CTLog
 
         log = CTLog()
         pre = (
@@ -153,7 +156,7 @@ class TestLogSync:
         assert not monitor.search("pre.example.com").matches
 
     def test_sync_can_include_precerts(self):
-        from repro.ct import CTLog
+        from repro.ct.log import CTLog
 
         log = CTLog()
         pre = (

@@ -6,8 +6,8 @@ import datetime as dt
 
 import pytest
 
-from repro.ct import (
-    CorpusGenerator,
+from repro.ct.corpus import CorpusGenerator
+from repro.ct.tail import (
     MonitorConfig,
     SignedTreeHead,
     SimClock,
@@ -15,10 +15,11 @@ from repro.ct import (
     TailMonitor,
     TailVerificationError,
     drive,
+    DEFAULT_LOG_KEY,
+    SIM_EPOCH,
 )
-from repro.ct.tail import DEFAULT_LOG_KEY, SIM_EPOCH
-from repro.engine import run_corpus
-from repro.lint import summary_to_json
+from repro.engine.pipeline import run_corpus
+from repro.lint.serialization import summary_to_json
 
 
 @pytest.fixture(scope="module")

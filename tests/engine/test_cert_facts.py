@@ -10,17 +10,11 @@ it walks the fields itself and when the masks come from ``run_lints``
 or the shard worker.
 """
 
-import os
-import pathlib
-import subprocess
-import sys
-
 import datetime as dt
 
 import pytest
 
-import repro
-from repro.asn1 import BMP_STRING, PRINTABLE_STRING, UTF8_STRING
+from repro.asn1.strings import BMP_STRING, PRINTABLE_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_COMMON_NAME,
     OID_CP_DOMAIN_VALIDATED,
@@ -32,22 +26,22 @@ from repro.asn1.oid import (
     OID_QT_UNOTICE,
     OID_STATE_OR_PROVINCE,
 )
-from repro.ct import CorpusGenerator
+from repro.ct.corpus import CorpusGenerator
 from repro.engine.windows import CertFacts, _has_non_ascii, cert_facts
-from repro.lint import run_lints
+from repro.lint.runner import run_lints
 from repro.lint.parallel import ShardTask, lint_shard
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import (
     Extension,
-    GeneralName,
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
     certificate_policies,
-    generate_keypair,
     subject_alt_name,
 )
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 
 def _loop_has_non_ascii(text: str) -> bool:
@@ -217,12 +211,3 @@ def test_shard_worker_facts_match_the_reference():
         _reference_cert_facts(Certificate.from_der(der)) for der in ders[:-1]
     ]
     assert [offset for offset, _ in result.failures] == [len(ders) - 1]
-
-
-def test_engine_does_not_import_analysis():
-    code = "import sys, repro.engine; print('repro.analysis' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "False"

@@ -19,21 +19,14 @@ import os
 
 import pytest
 
-from repro.engine import (
-    Engine,
-    EngineStats,
-    PoolExecutor,
-    SerialExecutor,
-    WindowConfig,
-    WindowedSummary,
-    increment_pairs,
-    merge_shard_results,
-    run_corpus,
-)
-from repro.engine.windows import cert_facts
-from repro.lint import summarize, summary_to_json
+from repro.engine.executors import PoolExecutor, SerialExecutor
+from repro.engine.pipeline import Engine, increment_pairs, run_corpus
+from repro.engine.sinks import merge_shard_results
+from repro.engine.stats import EngineStats
+from repro.engine.windows import WindowConfig, WindowedSummary, cert_facts
+from repro.lint.runner import summarize, CorpusSummary
+from repro.lint.serialization import summary_to_json
 from repro.lint.reference import reference_run_lints
-from repro.lint.runner import CorpusSummary
 from repro.lint.parallel import (
     SHARD_BLOCK,
     LintPool,
@@ -46,13 +39,11 @@ from repro.lint.parallel import (
     shard_bounds,
     usable_cpus,
 )
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=4003)
 

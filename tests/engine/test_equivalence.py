@@ -14,19 +14,17 @@ import datetime as dt
 import pytest
 
 from repro.cli import main
-from repro.ct import CorpusGenerator
-from repro.engine import Engine, run_corpus
-from repro.lint import summarize, summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import Engine, run_corpus
+from repro.lint.runner import summarize
+from repro.lint.serialization import summary_to_json, report_to_json
 from repro.lint.parallel import LintPool, ShardOutput, ShardTask, lint_shard
 from repro.lint.reference import reference_run_lints
-from repro.lint.serialization import report_to_json
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import encode_pem
 
 KEY = generate_keypair(seed=4002)
@@ -79,7 +77,7 @@ class TestCollectedReports:
             assert got == expected
 
     def test_analysis_entry_matches_reference(self, corpus, reference_reports):
-        from repro.analysis import lint_corpus
+        from repro.analysis.compliance import lint_corpus
 
         reports = lint_corpus(corpus, jobs=1)
         assert len(reports) == len(corpus.records)

@@ -8,11 +8,11 @@ Folding a tally must equal folding the report it came from.
 
 import pytest
 
-from repro.ct import CorpusGenerator
-from repro.engine import Engine, SerialExecutor, WindowConfig, WindowedSummary
-from repro.engine.windows import cert_facts
-from repro.lint import run_lints
-from repro.lint.runner import tally
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.executors import SerialExecutor
+from repro.engine.pipeline import Engine
+from repro.engine.windows import WindowConfig, WindowedSummary, cert_facts
+from repro.lint.runner import run_lints, tally
 
 
 @pytest.fixture(scope="module")

@@ -7,17 +7,11 @@ import datetime as dt
 
 import pytest
 
-from repro.ct import CorpusGenerator
-from repro.engine import (
-    Engine,
-    EngineStats,
-    WindowConfig,
-    WindowedSummary,
-    increment_pairs,
-    run_corpus,
-    run_increment,
-)
-from repro.lint import summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import Engine, increment_pairs, run_corpus, run_increment
+from repro.engine.stats import EngineStats
+from repro.engine.windows import WindowConfig, WindowedSummary
+from repro.lint.serialization import summary_to_json
 
 
 @pytest.fixture(scope="module")

@@ -13,13 +13,11 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.engine import IngestError, read_path, sniff_certificate_bytes
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.engine.ingest import IngestError, read_path, sniff_certificate_bytes
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import encode_pem
 
 KEY = generate_keypair(seed=4001)

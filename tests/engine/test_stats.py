@@ -9,13 +9,12 @@ surface through ``repro lint --stats`` / ``repro corpus --stats``.
 import datetime as dt
 
 from repro.cli import main
-from repro.engine import EngineStats, StageTimings, run_corpus
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.engine.pipeline import run_corpus
+from repro.engine.stats import EngineStats, StageTimings
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import encode_pem
 
 KEY = generate_keypair(seed=4004)

@@ -4,14 +4,15 @@ import datetime as dt
 
 import pytest
 
-from repro.engine import (
+from repro.engine.windows import (
     Alert,
     AlertPolicy,
     WindowConfig,
     WindowedSummary,
+    UNKNOWN_EPOCH,
+    WindowStats,
 )
-from repro.engine.windows import UNKNOWN_EPOCH, WindowStats
-from repro.lint import CorpusSummary
+from repro.lint.runner import CorpusSummary
 
 
 class TestWindowConfig:
@@ -100,7 +101,7 @@ class TestAlertPolicy:
         assert policy.evaluate(windowed, 1) == []
 
     def test_type_mix_shift_raises_per_type_alerts(self):
-        from repro.lint import NoncomplianceType
+        from repro.lint.framework import NoncomplianceType
 
         windowed = WindowedSummary(WindowConfig(index_window=100))
         old_mix = CorpusSummary(

@@ -5,13 +5,9 @@ import os
 
 import pytest
 
-from repro.engine import EngineStats
-from repro.fuzz import (
-    FuzzConfig,
-    default_seeds,
-    replay_witnesses,
-    run_fuzz_campaign,
-)
+from repro.engine.stats import EngineStats
+from repro.fuzz.campaign import FuzzConfig, default_seeds, run_fuzz_campaign
+from repro.fuzz.witness import replay_witnesses
 
 
 def corpus_digest(directory: str) -> str:

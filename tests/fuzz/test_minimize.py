@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.asn1 import UniversalTag
+from repro.asn1.tags import UniversalTag
 from repro.fuzz.minimize import minimize, minimize_spec
 from repro.fuzz.mutators import (
     MutantSpec,

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.asn1 import UniversalTag
+from repro.asn1.tags import UniversalTag
 from repro.fuzz.mutators import (
     DN_STRING_TAGS,
     MUTATORS,

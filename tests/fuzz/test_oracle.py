@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.asn1 import UniversalTag
+from repro.asn1.tags import UniversalTag
 from repro.fuzz.mutators import MutantSpec, encode_text
 from repro.fuzz.oracle import (
     LIBRARIES,

@@ -15,17 +15,17 @@ import datetime as dt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import ASN1Error, parse
+from repro.asn1.der import parse
+from repro.asn1.errors import ASN1Error
 from repro.fuzz.mutators import byte_delete, byte_flip, byte_insert, truncate
-from repro.uni import PunycodeError, punycode
+from repro.uni import punycode
+from repro.uni.errors import PunycodeError
 from repro.uni.idna import alabel_violations
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=131)
 
@@ -107,7 +107,7 @@ class TestLintFuzz:
     )
     @settings(max_examples=100, deadline=None)
     def test_linting_mutated_certs_never_crashes(self, index, value):
-        from repro.lint import run_lints
+        from repro.lint.runner import run_lints
 
         try:
             cert = Certificate.from_der(
@@ -123,7 +123,7 @@ class TestParserProfileFuzz:
     @given(st.binary(max_size=64), st.sampled_from([12, 19, 20, 22, 26, 18, 28, 30]))
     @settings(max_examples=200)
     def test_profiles_never_crash_on_raw_bytes(self, raw, tag):
-        from repro.tlslibs import ALL_PROFILES
+        from repro.tlslibs.profiles import ALL_PROFILES
 
         for profile in ALL_PROFILES:
             outcome = profile.decode_dn_attribute(tag, raw)
@@ -132,7 +132,7 @@ class TestParserProfileFuzz:
     @given(st.binary(max_size=64))
     @settings(max_examples=100)
     def test_gn_decoders_never_crash(self, raw):
-        from repro.tlslibs import ALL_PROFILES
+        from repro.tlslibs.profiles import ALL_PROFILES
 
         for profile in ALL_PROFILES:
             for context in ("san", "crldp"):
@@ -150,7 +150,7 @@ class TestIDNFuzz:
     @given(st.text(max_size=32))
     @settings(max_examples=200)
     def test_ulabel_violations_never_crash(self, label):
-        from repro.uni import ulabel_violations
+        from repro.uni.idna import ulabel_violations
 
         problems = ulabel_violations(label)
         assert isinstance(problems, list)
@@ -169,7 +169,7 @@ class TestMonitorFuzz:
     @given(st.text(max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_monitor_queries_never_crash(self, query):
-        from repro.ct import ALL_MONITORS
+        from repro.ct.monitors import ALL_MONITORS
 
         for monitor in ALL_MONITORS():
             result = monitor.search(query)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.asn1 import UniversalTag
+from repro.asn1.tags import UniversalTag
 from repro.fuzz.mutators import MutantSpec, encode_text
 from repro.fuzz.oracle import evaluate
 from repro.fuzz.witness import (

@@ -18,10 +18,11 @@ import string
 import unicodedata
 
 from repro.lint.compiled import PSEUDO_BITS, SCOPE_NONEMPTY
-from repro.uni import is_nfc, punycode, ulabel_to_alabel
+from repro.uni import punycode
+from repro.uni.idna import ulabel_to_alabel, ACE_PREFIX, _bidi_violations, derived_property
+from repro.uni.normalization import is_nfc
 from repro.uni.dns import MAX_LABEL_OCTETS
 from repro.uni.errors import IDNAError, PunycodeError
-from repro.uni.idna import ACE_PREFIX, _bidi_violations, derived_property
 
 from ..uni import reference_punycode
 

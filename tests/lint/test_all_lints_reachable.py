@@ -9,7 +9,7 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import (
+from repro.asn1.strings import (
     BMP_STRING,
     IA5_STRING,
     PRINTABLE_STRING,
@@ -22,22 +22,22 @@ import importlib
 # The package exports an ``oid()`` constructor that shadows the module
 # attribute, so resolve the submodule explicitly.
 O = importlib.import_module("repro.asn1.oid")
-from repro.lint import REGISTRY
-from repro.x509 import (
+from repro.lint.framework import REGISTRY
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import (
     AccessDescription,
-    CertificateBuilder,
-    GeneralName,
-    Name,
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
     authority_info_access,
     certificate_policies,
     crl_distribution_points,
-    generate_keypair,
     subject_alt_name,
     subject_info_access,
 )
+from repro.x509.general_name import GeneralName, GeneralNameKind
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 
 KEY = generate_keypair(seed=151)
 WHEN = dt.datetime(2024, 8, 1)
@@ -56,7 +56,7 @@ def with_attr(oid, value, spec=UTF8_STRING, raw=None):
 
 def with_issuer_attr(oid, value, spec):
     issuer = Name()
-    from repro.x509 import AttributeTypeAndValue, RelativeDistinguishedName
+    from repro.x509.name import AttributeTypeAndValue, RelativeDistinguishedName
 
     issuer.rdns.append(
         RelativeDistinguishedName([AttributeTypeAndValue(oid, value, spec)])
@@ -87,7 +87,7 @@ def with_san(*names):
 
 
 def with_ian(*names):
-    from repro.x509 import issuer_alt_name
+    from repro.x509.extensions import issuer_alt_name
 
     return base().add_extension(issuer_alt_name(*names))
 
@@ -313,14 +313,16 @@ for _name, (_oid, _issuer_side) in _FAMILY.items():
 
 def _smtp_raw_bmp():
     """An otherName SmtpUTF8Mailbox whose inner value is a BMPString."""
-    from repro.asn1 import BMP_STRING as BMP, Element, Tag, explicit
+    from repro.asn1.der import Element, explicit
+    from repro.asn1.strings import BMP_STRING as BMP
+    from repro.asn1.tags import Tag
     from repro.asn1.oid import OID_ON_SMTP_UTF8_MAILBOX
 
     inner = explicit(
         0, Element.primitive(Tag.universal(30), BMP.encode("usér@x.com"))
     )
     gn = GeneralName(
-        kind=__import__("repro.x509", fromlist=["GeneralNameKind"]).GeneralNameKind.OTHER_NAME,
+        kind=GeneralNameKind.OTHER_NAME,
         value="usér@x.com",
         raw=inner.encode(),
         other_name_oid=OID_ON_SMTP_UTF8_MAILBOX,

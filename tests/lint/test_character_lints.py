@@ -4,16 +4,14 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import PRINTABLE_STRING, UTF8_STRING
+from repro.asn1.strings import PRINTABLE_STRING, UTF8_STRING
 from repro.asn1.oid import OID_ORGANIZATION_NAME
-from repro.lint import REGISTRY, LintStatus, run_lints
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    crl_distribution_points,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.lint.framework import REGISTRY, LintStatus
+from repro.lint.runner import run_lints
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import crl_distribution_points, subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=7)
 WHEN = dt.datetime(2024, 3, 1)
@@ -47,7 +45,7 @@ class TestControlCharacterLints:
         assert "e_rfc_subject_dn_not_printable_characters" in fired(cert)
 
     def test_issuer_side(self):
-        from repro.x509 import Name
+        from repro.x509.name import Name
 
         issuer = Name.build([(OID_ORGANIZATION_NAME, "Bad\x02CA")])
         cert = build().issuer_name(issuer).sign(KEY)
@@ -209,7 +207,12 @@ class TestCRLDPAndPolicyLints:
 
     def test_explicit_text_controls(self):
         from repro.asn1.oid import OID_CP_DOMAIN_VALIDATED, OID_QT_UNOTICE
-        from repro.x509 import PolicyInformation, PolicyQualifier, UserNotice, certificate_policies
+        from repro.x509.extensions import (
+            PolicyInformation,
+            PolicyQualifier,
+            UserNotice,
+            certificate_policies,
+        )
 
         policy = PolicyInformation(
             OID_CP_DOMAIN_VALIDATED,

@@ -23,15 +23,16 @@ import sys
 
 import pytest
 
-from repro.ct import CorpusGenerator
-from repro.engine import EngineStats, run_corpus
-from repro.lint import REGISTRY, run_lints, summarize, summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import run_corpus
+from repro.engine.stats import EngineStats
+from repro.lint.framework import REGISTRY, _INDEX_MEMO
+from repro.lint.runner import run_lints, summarize
+from repro.lint.serialization import summary_to_json, report_to_json
 from repro.lint.compiled import warm_default_plan
-from repro.lint.framework import _INDEX_MEMO
 from repro.lint.parallel import LintPool
 from repro.lint.reference import reference_run_lints
-from repro.lint.serialization import report_to_json
-from repro.x509 import Certificate
+from repro.x509.certificate import Certificate
 
 WITNESS_DIR = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "witnesses"
 SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -116,10 +117,13 @@ _FRESH_PROCESS_SCRIPT = """
 import datetime as dt
 import json
 
-from repro.lint import REGISTRY, index_for, run_lints
-from repro.x509 import (
-    Certificate, CertificateBuilder, GeneralName, generate_keypair, subject_alt_name,
-)
+from repro.lint.framework import REGISTRY, index_for
+from repro.lint.runner import run_lints
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 name = "xn--bcher-kva.example.com"
 built = (

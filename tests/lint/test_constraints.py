@@ -1,20 +1,16 @@
 """Tests for the frozen constraint rules and the extraction pipeline."""
 
-from repro.lint import (
-    CONSTRAINT_RULES,
-    REGISTRY,
+from repro.lint.constraints import CONSTRAINT_RULES, rules_for_lint, _FIELD_BY_SCOPE
+from repro.lint.framework import REGISTRY
+from repro.lint.rfc_analyzer import (
     SPEC_LIBRARY,
     extract_constraint_rules,
     filter_sections,
-    rules_for_lint,
-)
-from repro.lint.compiled import SCOPES
-from repro.lint.constraints import _FIELD_BY_SCOPE
-from repro.lint.rfc_analyzer import (
     EXTRACTION_KEYWORDS,
     SUPPLEMENTAL_DOCUMENTS,
     sections_for_rule,
 )
+from repro.lint.compiled import SCOPES
 
 
 class TestConstraintRules:
@@ -30,7 +26,7 @@ class TestConstraintRules:
         assert sum(1 for rule in CONSTRAINT_RULES if rule.new) == 50
 
     def test_requirement_levels_match_severity(self):
-        from repro.lint import Severity
+        from repro.lint.framework import Severity
 
         for rule in CONSTRAINT_RULES:
             severity = REGISTRY.get(rule.lint_name).metadata.severity

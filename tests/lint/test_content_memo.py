@@ -16,26 +16,24 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import PRINTABLE_STRING, encode_oid, parse
+from repro.asn1.der import encode_oid, parse
+from repro.asn1.strings import PRINTABLE_STRING
 from repro.asn1.oid import (
     OID_AD_CA_ISSUERS,
     OID_COMMON_NAME,
     OID_COUNTRY_NAME,
     OID_ORGANIZATION_NAME,
 )
-from repro.lint import compiled, run_lints
+from repro.lint import compiled
+from repro.lint.runner import run_lints
 from repro.lint.reference import reference_run_lints
 from repro.memo import ProcessMemo
-from repro.x509 import (
-    AccessDescription,
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    Name,
-    authority_info_access,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import AccessDescription, authority_info_access, subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 from repro.x509 import certificate as certificate_module
 
 from ..x509 import test_decode_differential as differential

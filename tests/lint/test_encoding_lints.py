@@ -2,7 +2,7 @@
 
 import datetime as dt
 
-from repro.asn1 import (
+from repro.asn1.strings import (
     BMP_STRING,
     IA5_STRING,
     PRINTABLE_STRING,
@@ -22,17 +22,17 @@ from repro.asn1.oid import (
     OID_QT_CPS,
     OID_QT_UNOTICE,
 )
-from repro.lint import run_lints
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
+from repro.lint.runner import run_lints
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import (
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
     certificate_policies,
-    generate_keypair,
     subject_alt_name,
 )
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=11)
 WHEN = dt.datetime(2024, 6, 1)
@@ -138,7 +138,7 @@ class TestGeneralNameEncodings:
         assert "e_ext_san_rfc822_not_ia5string" in fired(cert)
 
     def test_crldp_non_ascii(self):
-        from repro.x509 import crl_distribution_points
+        from repro.x509.extensions import crl_distribution_points
 
         cert = (
             builder()

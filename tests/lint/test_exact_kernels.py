@@ -21,22 +21,19 @@ import datetime as dt
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import PRINTABLE_STRING, UTF8_STRING
+from repro.asn1.strings import PRINTABLE_STRING, UTF8_STRING
 from repro.asn1.oid import OID_EXT_SAN, OID_ORGANIZATION_NAME
-from repro.lint import compiled, run_lints
+from repro.lint import compiled
+from repro.lint.runner import run_lints
 from repro.lint.character import _leading_ws, _trailing_ws
 from repro.lint.compiled import CompiledPlan
 from repro.lint.reference import reference_run_lints
-from repro.uni import is_nfc
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    Extension,
-    GeneralName,
-    generate_keypair,
-    issuer_alt_name,
-    subject_alt_name,
-)
+from repro.uni.normalization import is_nfc
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import Extension, issuer_alt_name, subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 from ..hypothesis_profiles import examples
 

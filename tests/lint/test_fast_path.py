@@ -13,20 +13,18 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import UTF8_STRING
+from repro.asn1.strings import UTF8_STRING
 from repro.asn1.oid import OID_COMMON_NAME, OID_LOCALITY_NAME, OID_ORGANIZATION_NAME
-from repro.ct import CorpusGenerator
-from repro.lint import run_lints
+from repro.ct.corpus import CorpusGenerator
+from repro.lint.runner import run_lints
 from repro.lint.compiled import CompiledPlan
 from repro.lint.reference import reference_run_lints
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    Name,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 
 KEY = generate_keypair(seed=73)
 WHEN = dt.datetime(2024, 7, 1)

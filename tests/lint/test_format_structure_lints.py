@@ -6,26 +6,28 @@ import datetime as dt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import IA5_STRING, UTF8_STRING
+from repro.asn1.strings import IA5_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_COUNTRY_NAME,
     OID_CP_DOMAIN_VALIDATED,
     OID_ORGANIZATION_NAME,
     OID_QT_UNOTICE,
 )
-from repro.lint import run_lints, structure
-from repro.uni import case_fold_equal, domain_to_ascii
+from repro.lint import structure
+from repro.lint.runner import run_lints
+from repro.uni.idna import domain_to_ascii
+from repro.uni.normalization import case_fold_equal
 from repro.uni.errors import IDNAError, PunycodeError
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import (
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
     certificate_policies,
-    generate_keypair,
     subject_alt_name,
 )
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=13)
 WHEN = dt.datetime(2024, 6, 1)

@@ -2,16 +2,19 @@
 
 import datetime as dt
 
-from repro.lint import (
+from repro.lint.framework import (
     CABF_BR_DATE,
     LintStatus,
     NoncomplianceType,
     REGISTRY,
     RFC5280_DATE,
     Severity,
-    run_lints,
 )
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.lint.runner import run_lints
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=99)
 

@@ -13,9 +13,10 @@ splits of real lint reports, in the canonical byte-comparison form
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ct import CorpusGenerator
-from repro.engine import run_corpus
-from repro.lint import CorpusSummary, summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import run_corpus
+from repro.lint.runner import CorpusSummary
+from repro.lint.serialization import summary_to_json
 
 
 @pytest.fixture(scope="module")

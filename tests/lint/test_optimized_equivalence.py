@@ -16,11 +16,13 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import PRINTABLE_STRING
+from repro.asn1.strings import PRINTABLE_STRING
 from repro.asn1.oid import OID_COMMON_NAME, OID_EXT_SAN, OID_ORGANIZATION_NAME
-from repro.ct import CorpusGenerator
-from repro.engine import run_corpus
-from repro.lint import REGISTRY, run_lints, summarize, summary_to_json
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import run_corpus
+from repro.lint.framework import REGISTRY, FunctionLint
+from repro.lint.runner import run_lints, summarize
+from repro.lint.serialization import summary_to_json
 from repro.lint.compiled import (
     APPLIES_NONEMPTY,
     SCOPE_NONEMPTY,
@@ -28,17 +30,13 @@ from repro.lint.compiled import (
     resolve_scope,
     walk_fields,
 )
-from repro.lint.framework import FunctionLint
 from repro.lint.reference import reference_run_lints
-from repro.x509 import (
-    AttributeTypeAndValue,
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    RelativeDistinguishedName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.name import AttributeTypeAndValue, RelativeDistinguishedName
 
 from .test_all_lints_reachable import KEY as VIOLATOR_KEY, VIOLATORS
 

@@ -11,26 +11,13 @@ reusable worker pool.
 import datetime as dt
 import json
 import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import repro
-from repro.ct import CorpusGenerator
-from repro.engine import increment_pairs, run_corpus
-from repro.lint import (
-    CorpusSummary,
-    REGISTRY,
-    ShardError,
-    report_to_json,
-    run_lints,
-    shard_bounds,
-    summarize,
-    summary_to_json,
-)
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import increment_pairs, run_corpus
 from repro.lint.framework import (
+    REGISTRY,
     FunctionLint,
     LintMetadata,
     LintRegistry,
@@ -39,8 +26,9 @@ from repro.lint.framework import (
     Severity,
     Source,
 )
-from repro.asn1 import ASN1Error
 from repro.lint.parallel import (
+    ShardError,
+    shard_bounds,
     MIN_SHARD_SIZE,
     SHARD_BLOCK,
     LintPool,
@@ -52,15 +40,15 @@ from repro.lint.parallel import (
     resolve_jobs,
     unparseable_message,
 )
+from repro.lint.runner import CorpusSummary, run_lints, summarize
+from repro.lint.serialization import report_to_json, summary_to_json, report_to_dict
+from repro.asn1.errors import ASN1Error
 from repro.lint.reference import reference_run_lints
-from repro.lint.serialization import report_to_dict
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 from ..registry_helpers import registered
 
@@ -198,7 +186,7 @@ class TestDeterminism:
         assert summary_to_json(four.summary) == _oracle_summary(corpus)
 
     def test_pipeline_matches_classic_sequential_path(self, corpus):
-        from repro.analysis import lint_corpus, summarize_corpus
+        from repro.analysis.compliance import lint_corpus, summarize_corpus
 
         classic = summarize(lint_corpus(corpus, jobs=1))
         piped = summarize_corpus(corpus, jobs=2)
@@ -479,17 +467,3 @@ class TestLintPool:
         pool.submit_shard(task).result(timeout=60)
         pool.shutdown()
         pool.shutdown()
-
-
-def test_importing_lint_and_engine_loads_no_pool_machinery():
-    # A cold in-process lint (``repro lint``) must not pay for
-    # multiprocessing or concurrent.futures; pools import them when built.
-    code = (
-        "import sys, repro.engine, repro.lint; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "[]"

@@ -21,10 +21,10 @@ import types
 import pytest
 
 import repro
-from repro.ct import CorpusGenerator
-from repro.engine import increment_pairs
+from repro.ct.corpus import CorpusGenerator
+from repro.engine.pipeline import increment_pairs
 from repro.fuzz.oracle import baseline_specs, evaluate_batch_timed
-from repro.lint import REGISTRY, index_for
+from repro.lint.framework import REGISTRY, index_for
 from repro.lint.parallel import (
     ShardOutput,
     _WORKER_STORES,

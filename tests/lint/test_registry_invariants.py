@@ -14,10 +14,8 @@ import re
 
 import pytest
 
-from repro.lint import REGISTRY
-from repro.lint.compiled import ScanSpec
-from repro.lint.constraints import CONSTRAINT_RULES, rules_for_lint
 from repro.lint.framework import (
+    REGISTRY,
     _SOURCE_FLOOR,
     METADATA_EXEMPT,
     FunctionLint,
@@ -27,6 +25,8 @@ from repro.lint.framework import (
     Source,
     metadata_violations,
 )
+from repro.lint.compiled import ScanSpec
+from repro.lint.constraints import CONSTRAINT_RULES, rules_for_lint
 
 
 @pytest.fixture(scope="module")

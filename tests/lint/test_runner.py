@@ -2,13 +2,12 @@
 
 import datetime as dt
 
-from repro.lint import (
-    NoncomplianceType,
-    REGISTRY,
-    run_lints,
-    summarize,
-)
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.lint.framework import NoncomplianceType, REGISTRY
+from repro.lint.runner import run_lints, summarize
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=141)
 WHEN = dt.datetime(2024, 4, 1)

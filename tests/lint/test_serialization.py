@@ -3,13 +3,16 @@
 import datetime as dt
 import json
 
-from repro.lint import run_lints, summarize
+from repro.lint.runner import run_lints, summarize
 from repro.lint.serialization import (
     report_to_dict,
     report_to_json,
     summary_to_dict,
 )
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=161)
 

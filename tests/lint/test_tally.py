@@ -10,11 +10,10 @@ same findings to the same Figure 4 columns.
 import pytest
 
 from repro.analysis.fields import _lint_field
-from repro.ct import CorpusGenerator
+from repro.ct.corpus import CorpusGenerator
 from repro.engine.windows import WindowStats, deviating_columns
-from repro.lint import CertificateReport, CorpusSummary, run_lints
+from repro.lint.runner import CertificateReport, CorpusSummary, run_lints, tally
 from repro.lint.framework import LintStatus
-from repro.lint.runner import tally
 
 
 def reference_add(summary: CorpusSummary, report: CertificateReport) -> None:

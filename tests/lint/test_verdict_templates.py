@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asn1.oid import OID_COMMON_NAME
-from repro.ct import CorpusGenerator
-from repro.lint import REGISTRY, run_lints
-from repro.lint import compiled
+from repro.ct.corpus import CorpusGenerator
 from repro.lint.framework import (
+    REGISTRY,
     FunctionLint,
     LintMetadata,
     LintStatus,
@@ -30,10 +29,11 @@ from repro.lint.framework import (
     Severity,
     Source,
 )
+from repro.lint.runner import run_lints, ReportTally, tally
+from repro.lint import compiled
 from repro.lint.reference import reference_run_lints
-from repro.lint.runner import ReportTally, tally
 from repro.lint.structure import _check_extra_cn
-from repro.x509 import Certificate
+from repro.x509.certificate import Certificate
 
 from ..registry_helpers import registered
 

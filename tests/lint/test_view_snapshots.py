@@ -17,9 +17,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.ct import CorpusGenerator
-from repro.lint import REGISTRY
-from repro.x509 import Certificate
+from repro.ct.corpus import CorpusGenerator
+from repro.lint.framework import REGISTRY
+from repro.x509.certificate import Certificate
 from repro.x509.cache import caching_enabled
 
 from .test_all_lints_reachable import KEY as VIOLATOR_KEY, VIOLATORS

@@ -18,11 +18,17 @@ import datetime as dt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lint import compiled, run_lints
+from repro.lint import compiled
+from repro.lint.runner import run_lints
 from repro.lint.reference import reference_run_lints
-from repro.uni import is_ldh_label, punycode, ulabel_violations, unpermitted_violations
+from repro.uni import punycode
+from repro.uni.dns import is_ldh_label
+from repro.uni.idna import ulabel_violations, unpermitted_violations
 from repro.uni.errors import PunycodeError
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 from ..hypothesis_profiles import examples
 from . import reference_xn_mask as reference

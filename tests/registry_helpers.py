@@ -2,17 +2,17 @@
 
 import contextlib
 
-from repro.lint import REGISTRY
+from repro.lint.framework import REGISTRY
 
 
 @contextlib.contextmanager
 def registered(lint):
-    """Register ``lint`` in :data:`repro.lint.REGISTRY` for the block.
+    """Register ``lint`` in :data:`repro.lint.framework.REGISTRY` for the block.
 
     The registry has no unregister call (production registers only at
     import), so the exit path drops the entry and rebuilds the snapshot
     by hand.  The snapshot is then a new tuple over the original lints,
-    which :func:`repro.lint.index_for` maps back to their original
+    which :func:`repro.lint.framework.index_for` maps back to their original
     index and plan while that index is still memoized.
     """
     REGISTRY.register(lint)

@@ -7,13 +7,12 @@ import io
 import pytest
 
 from repro.cli import main as cli_main
-from repro.service import ServiceConfig, ThreadedService
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.service.server import ServiceConfig
+from repro.service.testing import ThreadedService
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import encode_pem
 
 KEY = generate_keypair(seed=431)

@@ -5,7 +5,7 @@ import concurrent.futures as cf
 
 import pytest
 
-from repro.service import MicroBatcher
+from repro.service.batcher import MicroBatcher
 
 
 class FakeDispatch:

@@ -2,7 +2,7 @@
 
 import hashlib
 
-from repro.service import ResultCache, cache_key
+from repro.service.cache import ResultCache, cache_key
 
 
 class TestCacheKey:

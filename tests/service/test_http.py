@@ -6,13 +6,14 @@ import json
 
 import pytest
 
-from repro.service import HttpError, decode_certificate_body
 from repro.service.http import (
+    HttpError,
     error_response,
     json_response,
     read_request,
     render_response,
 )
+from repro.service.server import decode_certificate_body
 
 from .conftest import build_cert
 

@@ -17,16 +17,13 @@ import threading
 
 import pytest
 
-from repro.engine import StageTimings
+from repro.engine.stats import StageTimings
 from repro.lint.parallel import ShardResult
 from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_json
-from repro.service import (
-    LintServiceClient,
-    ServiceConfig,
-    ServiceError,
-    ThreadedService,
-)
+from repro.service.client import LintServiceClient, ServiceError
+from repro.service.server import ServiceConfig
+from repro.service.testing import ThreadedService
 from repro.x509.pem import encode_pem
 
 from .conftest import build_cert
@@ -103,7 +100,7 @@ class TestCaching:
     def test_service_process_never_decodes_a_certificate(
         self, service, monkeypatch
     ):
-        from repro.x509 import Certificate
+        from repro.x509.certificate import Certificate
 
         cert = build_cert("spy-probe.example.com", serial=780)  # sign() decodes
         calls = []

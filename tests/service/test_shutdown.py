@@ -12,11 +12,11 @@ import random
 
 import pytest
 
-from repro.engine import StageTimings
+from repro.engine.stats import StageTimings
 from repro.lint.parallel import ShardResult
-from repro.service import LintServiceClient, RetryPolicy, ServiceConfig
+from repro.service.client import LintServiceClient, RetryPolicy
+from repro.service.server import ServiceConfig, HttpError, LintService
 from repro.service.batcher import MicroBatcher
-from repro.service.server import HttpError, LintService
 
 from .conftest import build_cert
 

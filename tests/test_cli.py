@@ -5,7 +5,10 @@ import datetime as dt
 import pytest
 
 from repro.cli import main
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import encode_pem
 
 KEY = generate_keypair(seed=121)

@@ -4,7 +4,10 @@ import datetime as dt
 import json
 
 from repro.cli import main
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import encode_pem
 
 KEY = generate_keypair(seed=171)
@@ -53,7 +56,7 @@ class TestCorpusExport:
         )
         out = capsys.readouterr().out
         assert "exported corpus to" in out
-        from repro.ct import load_corpus
+        from repro.ct.dataset import load_corpus
 
         loaded = load_corpus(target)
         assert len(loaded.records) > 0

@@ -21,6 +21,10 @@ PACKAGES = [
     "repro.ct",
     "repro.threats",
     "repro.analysis",
+    "repro.engine",
+    "repro.corpusstore",
+    "repro.service",
+    "repro.memo",
 ]
 
 

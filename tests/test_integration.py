@@ -9,18 +9,19 @@ import datetime as dt
 
 import pytest
 
-from repro.analysis import build_table1, lint_corpus
-from repro.ct import ALL_MONITORS, CorpusGenerator, CTLog
-from repro.lint import run_lints
-from repro.tlslibs import ALL_PROFILES, PYOPENSSL, verify_hostname
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    build_chain,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.analysis.compliance import build_table1, lint_corpus
+from repro.ct.corpus import CorpusGenerator
+from repro.ct.log import CTLog
+from repro.ct.monitors import ALL_MONITORS
+from repro.lint.runner import run_lints
+from repro.tlslibs.hostname import verify_hostname
+from repro.tlslibs.profiles import ALL_PROFILES, PYOPENSSL
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.verify import build_chain
 
 
 class TestIssuanceToMonitoringPipeline:
@@ -101,7 +102,7 @@ class TestCraftedCertAcrossStack:
 
     def test_bmp_cn_cert(self):
         key = generate_keypair(seed=203)
-        from repro.asn1 import BMP_STRING
+        from repro.asn1.strings import BMP_STRING
 
         crafted = (
             CertificateBuilder()

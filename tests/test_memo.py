@@ -9,8 +9,9 @@ of a fresh computation, and a key seen after the flood is cached again
 
 import pytest
 
-from repro.ct import CorpusGenerator
-from repro.lint import compiled, run_lints
+from repro.ct.corpus import CorpusGenerator
+from repro.lint import compiled
+from repro.lint.runner import run_lints
 from repro.lint.framework import (
     _INDEX_MEMO,
     _INDEX_MEMO_MAX,
@@ -24,7 +25,7 @@ from repro.lint.framework import (
 from repro.lint.reference import reference_run_lints
 from repro.lint.serialization import report_to_json
 from repro.memo import ProcessMemo
-from repro.uni import ulabel_to_alabel
+from repro.uni.idna import ulabel_to_alabel
 
 from .lint import reference_xn_mask
 from .registry_helpers import registered

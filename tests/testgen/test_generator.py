@@ -1,8 +1,8 @@
 """Tests for the Section 3.2 test-Unicert generator."""
 
-from repro.asn1 import BMP_STRING, IA5_STRING, PRINTABLE_STRING, UTF8_STRING
+from repro.asn1.strings import BMP_STRING, IA5_STRING, PRINTABLE_STRING, UTF8_STRING
 from repro.asn1.oid import OID_COMMON_NAME, OID_ORGANIZATION_NAME
-from repro.testgen import (
+from repro.testgen.generator import (
     GN_FIELDS,
     SUBJECT_ATTRIBUTE_OIDS,
     TEST_STRING_SPECS,

@@ -53,7 +53,7 @@ class TestLabelPolicy:
         assert verdict.decision is DisplayDecision.PUNYCODE
 
     def test_protected_skeleton(self):
-        from repro.uni import skeleton
+        from repro.uni.confusables import skeleton
 
         protected = frozenset({skeleton("paypal")})
         verdict = decide_label_display("раураl", protected)  # Cyrillic mix

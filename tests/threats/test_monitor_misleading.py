@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.threats import (
+from repro.threats.monitor_misleading import (
     TECHNIQUES,
     concealment_matrix,
     craft_forged_certificates,

@@ -8,13 +8,11 @@ from repro.threats.revocation import (
     RevocationClient,
     revocation_subversion_experiment,
 )
-from repro.tlslibs import GNUTLS, PYOPENSSL
-from repro.x509 import (
-    CertificateBuilder,
-    Name,
-    crl_distribution_points,
-    generate_keypair,
-)
+from repro.tlslibs.profiles import GNUTLS, PYOPENSSL
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import crl_distribution_points
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 from repro.x509.crl import build_crl
 
 

@@ -2,7 +2,7 @@
 
 import datetime as dt
 
-from repro.threats import (
+from repro.threats.spoofing import (
     ALL_BROWSERS,
     CHROMIUM,
     FIREFOX,
@@ -10,7 +10,10 @@ from repro.threats import (
     apply_bidi_overrides,
     chrome_warning_spoof_demo,
 )
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=71)
 

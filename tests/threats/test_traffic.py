@@ -4,9 +4,9 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import UTF8_STRING
+from repro.asn1.strings import UTF8_STRING
 from repro.asn1.oid import OID_ORGANIZATION_NAME
-from repro.threats import (
+from repro.threats.traffic import (
     ALL_CLIENTS,
     ALL_MIDDLEBOXES,
     HTTPCLIENT,
@@ -19,13 +19,11 @@ from repro.threats import (
     duplicate_position_evasion,
     evasion_experiment,
 )
-from repro.uni import VariantStrategy
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.uni.variants import VariantStrategy
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=61)
 

@@ -5,7 +5,7 @@ import datetime as dt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tls import (
+from repro.tls.records import (
     ContentType,
     TLSFramingError,
     TLSRecord,
@@ -17,7 +17,9 @@ from repro.tls import (
     iter_records,
     sniff_certificates,
 )
-from repro.x509 import Certificate, CertificateBuilder, generate_keypair
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=181)
 
@@ -101,7 +103,7 @@ class TestSniffer:
     def test_middlebox_end_to_end(self):
         # Full path: crafted cert -> wire -> sniffer -> Snort rule.
         from repro.asn1.oid import OID_ORGANIZATION_NAME
-        from repro.threats import SNORT
+        from repro.threats.traffic import SNORT
 
         crafted = (
             CertificateBuilder()

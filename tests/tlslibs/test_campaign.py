@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tlslibs import ALL_PROFILES, GNUTLS, GO_CRYPTO
+from repro.tlslibs.profiles import ALL_PROFILES, GNUTLS, GO_CRYPTO
 from repro.tlslibs.campaign import run_campaign
 
 

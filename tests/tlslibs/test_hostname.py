@@ -2,14 +2,17 @@
 
 import datetime as dt
 
-from repro.asn1 import BMP_STRING
-from repro.tlslibs import GO_CRYPTO, GNUTLS, JAVA_SECURITY_CERT, OPENSSL, PYOPENSSL
+from repro.asn1.strings import BMP_STRING
+from repro.tlslibs.profiles import GO_CRYPTO, GNUTLS, JAVA_SECURITY_CERT, OPENSSL, PYOPENSSL
 from repro.tlslibs.hostname import (
     bmp_cn_bypass_demo,
     match_hostname_pattern,
     verify_hostname,
 )
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=101)
 

@@ -1,12 +1,17 @@
 """Tests for the Section 3.2 inference engine and differential harness."""
 
-from repro.asn1 import UniversalTag
-from repro.tlslibs import (
+from repro.asn1.tags import UniversalTag
+from repro.tlslibs.base import CharHandling, DecodePractice, DecodingMethod
+from repro.tlslibs.differential import (
+    TABLE4_SCENARIOS,
+    Violation,
+    derive_charcheck_report,
+    derive_decoding_matrix,
+)
+from repro.tlslibs.inference import classify, infer_decoding
+from repro.tlslibs.profiles import (
     ALL_PROFILES,
     CRYPTOGRAPHY,
-    CharHandling,
-    DecodePractice,
-    DecodingMethod,
     FORGE,
     GNUTLS,
     GO_CRYPTO,
@@ -14,12 +19,6 @@ from repro.tlslibs import (
     NODEJS_CRYPTO,
     OPENSSL,
     PYOPENSSL,
-    TABLE4_SCENARIOS,
-    Violation,
-    classify,
-    derive_charcheck_report,
-    derive_decoding_matrix,
-    infer_decoding,
 )
 
 

@@ -4,8 +4,9 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import BMP_STRING, UniversalTag
-from repro.tlslibs import (
+from repro.asn1.strings import BMP_STRING
+from repro.asn1.tags import UniversalTag
+from repro.tlslibs.profiles import (
     ALL_PROFILES,
     CRYPTOGRAPHY,
     FORGE,
@@ -17,13 +18,10 @@ from repro.tlslibs import (
     PROFILES_BY_NAME,
     PYOPENSSL,
 )
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    crl_distribution_points,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import crl_distribution_points, subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=21)
 WHEN = dt.datetime(2024, 1, 1)

@@ -5,14 +5,17 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.tlslibs import PYOPENSSL
+from repro.tlslibs.profiles import PYOPENSSL
 from repro.tlslibs.safe_text import (
     escape_san_value,
     parse_safe_san_string,
     safe_san_string,
     unescape_san_value,
 )
-from repro.x509 import CertificateBuilder, GeneralName, generate_keypair, subject_alt_name
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
 
 KEY = generate_keypair(seed=221)
 

@@ -2,7 +2,7 @@
 
 import unicodedata
 
-from repro.uni import BLOCKS, block_by_name, block_of, sample_block_characters
+from repro.uni.blocks import BLOCKS, block_by_name, block_of, sample_block_characters
 
 
 class TestRegistry:

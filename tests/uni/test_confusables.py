@@ -1,6 +1,6 @@
 """Tests for confusable skeletons and invisible-character detection."""
 
-from repro.uni import (
+from repro.uni.confusables import (
     has_bidi_control,
     has_invisible,
     is_confusable,

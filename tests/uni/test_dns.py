@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uni import (
+from repro.uni.dns import (
     is_ldh_label,
     is_reserved_ldh_label,
     is_valid_dns_name,

@@ -5,8 +5,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uni import (
-    IDNAError,
+from repro.uni.errors import IDNAError
+from repro.uni.idna import (
     alabel_to_ulabel,
     alabel_violations,
     derived_property,

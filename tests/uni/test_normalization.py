@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.uni import (
+from repro.uni.normalization import (
     canonical_whitespace,
     case_fold_equal,
     has_alternate_whitespace,

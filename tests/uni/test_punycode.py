@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.uni import PunycodeError, punycode
+from repro.uni import punycode
+from repro.uni.errors import PunycodeError
 
 # RFC 3492 Section 7.1 sample strings (subset) plus IDN examples.
 RFC_SAMPLES = [

@@ -10,7 +10,8 @@ invalid digits and non-ASCII Punycode included.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.uni import PunycodeError, punycode
+from repro.uni import punycode
+from repro.uni.errors import PunycodeError
 
 from ..hypothesis_profiles import examples
 from . import reference_punycode as reference

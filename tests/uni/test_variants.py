@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.uni import (
+from repro.uni.variants import (
     VariantStrategy,
     are_identity_equivalent,
     classify_variant_pair,

@@ -4,7 +4,7 @@
 the DER node table (``repro.asn1.der.parse_node``), and reads the
 subject public key only on first use.  This module keeps the
 ``Element``-tree decoders those replaced: every type is decoded from
-``repro.asn1.parse``'s element tree, and the key eagerly.  The
+``repro.asn1.der.parse``'s element tree, and the key eagerly.  The
 differential tests hold production to the same models and the same
 errors.  The element tree itself is held to the recursive parser of
 ``tests/asn1/reference_der.py`` by ``tests/asn1/test_der_fast.py``.
@@ -16,24 +16,18 @@ from __future__ import annotations
 
 import ipaddress
 
-from repro.asn1 import (
-    ASN1Error,
-    DERDecodeError,
+from repro.asn1.der import (
     Element,
-    IA5_STRING,
-    ObjectIdentifier,
-    TagClass,
-    UTF8_STRING,
-    UniversalTag,
     decode_bit_string,
     decode_boolean,
     decode_integer,
     decode_oid,
     decode_time,
     parse as parse_der,
-    spec_for_tag,
 )
+from repro.asn1.errors import ASN1Error, DERDecodeError
 from repro.asn1.oid import (
+    ObjectIdentifier,
     OID_EXT_AIA,
     OID_EXT_CERTIFICATE_POLICIES,
     OID_EXT_CRL_DISTRIBUTION_POINTS,
@@ -44,22 +38,21 @@ from repro.asn1.oid import (
     OID_QT_CPS,
     OID_QT_UNOTICE,
 )
-from repro.x509 import (
+from repro.asn1.strings import IA5_STRING, UTF8_STRING, spec_for_tag
+from repro.asn1.tags import TagClass, UniversalTag
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import (
     AccessDescription,
-    AttributeTypeAndValue,
-    Certificate,
     CRLDistributionPoints,
     DistributionPoint,
     Extension,
-    GeneralName,
-    GeneralNameKind,
     GeneralNames,
     InfoAccess,
-    Name,
     ParsedPolicies,
-    RelativeDistinguishedName,
-    SimPublicKey,
 )
+from repro.x509.general_name import GeneralName, GeneralNameKind
+from repro.x509.keys import SimPublicKey
+from repro.x509.name import AttributeTypeAndValue, Name, RelativeDistinguishedName
 
 
 def reference_attribute(element: Element, strict: bool = False) -> AttributeTypeAndValue:

@@ -5,7 +5,8 @@ import hashlib
 
 import pytest
 
-from repro.asn1 import BMP_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING, parse
+from repro.asn1.der import parse
+from repro.asn1.strings import BMP_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_AD_CA_ISSUERS,
     OID_COMMON_NAME,
@@ -14,12 +15,10 @@ from repro.asn1.oid import (
     OID_ORGANIZATION_NAME,
     OID_QT_UNOTICE,
 )
-from repro.x509 import (
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import (
     AccessDescription,
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    Name,
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
@@ -27,9 +26,11 @@ from repro.x509 import (
     basic_constraints,
     certificate_policies,
     crl_distribution_points,
-    generate_keypair,
     subject_alt_name,
 )
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 
 KEY = generate_keypair(seed=42)
 
@@ -235,7 +236,7 @@ class TestExtensions:
 
 class TestChainVerification:
     def test_chain_via_pool(self):
-        from repro.x509 import CertificatePool, build_chain
+        from repro.x509.verify import CertificatePool, build_chain
 
         root_key = generate_keypair(seed=1)
         root_name = Name.build([(OID_ORGANIZATION_NAME, "Root CA")])
@@ -254,7 +255,7 @@ class TestChainVerification:
         assert [c.fingerprint() for c in chain] == [leaf.fingerprint(), root.fingerprint()]
 
     def test_chain_via_aia_url(self):
-        from repro.x509 import CertificatePool, build_chain
+        from repro.x509.verify import CertificatePool, build_chain
 
         root_key = generate_keypair(seed=2)
         root_name = Name.build([(OID_ORGANIZATION_NAME, "AIA Root")])
@@ -285,7 +286,7 @@ class TestChainVerification:
         assert chain[-1].fingerprint() == root.fingerprint()
 
     def test_unverifiable_chain(self):
-        from repro.x509 import CertificatePool, ChainError, build_chain
+        from repro.x509.verify import CertificatePool, ChainError, build_chain
 
         orphan = (
             CertificateBuilder()
@@ -297,7 +298,7 @@ class TestChainVerification:
             build_chain(orphan, CertificatePool())
 
     def test_trust_anchor(self):
-        from repro.x509 import CertificatePool, is_trusted
+        from repro.x509.verify import CertificatePool, is_trusted
 
         root_key = generate_keypair(seed=3)
         root_name = Name.build([(OID_ORGANIZATION_NAME, "Trusted Root")])
@@ -330,8 +331,8 @@ class TestKeys:
         assert not key.public_key.verify(b"tampered", sig)
 
     def test_spki_roundtrip(self):
-        from repro.asn1 import parse
-        from repro.x509 import SimPublicKey
+        from repro.asn1.der import parse
+        from repro.x509.keys import SimPublicKey
 
         key = generate_keypair(seed=6).public_key
         assert SimPublicKey.from_spki(parse(key.to_spki().encode())) == key

@@ -5,7 +5,8 @@ import datetime as dt
 import pytest
 
 from repro.asn1.oid import OID_ORGANIZATION_NAME
-from repro.x509 import Name, generate_keypair
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 from repro.x509.crl import CertificateRevocationList, RevokedCertificate, build_crl
 
 KEY = generate_keypair(seed=81)

@@ -22,7 +22,9 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import BMP_STRING, TELETEX_STRING, DERDecodeError, encode_length, parse
+from repro.asn1.der import encode_length, parse
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.strings import BMP_STRING, TELETEX_STRING
 from repro.asn1.oid import (
     OID_AD_CA_ISSUERS,
     OID_AD_CA_REPOSITORY,
@@ -33,15 +35,12 @@ from repro.asn1.oid import (
     OID_QT_CPS,
     OID_QT_UNOTICE,
 )
-from repro.ct import CorpusGenerator
+from repro.ct.corpus import CorpusGenerator
 from repro.fuzz.mutators import byte_delete, byte_flip, byte_insert, truncate
-from repro.x509 import (
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate, VIEWS
+from repro.x509.extensions import (
     AccessDescription,
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    GeneralNameKind,
-    Name,
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
@@ -49,13 +48,14 @@ from repro.x509 import (
     basic_constraints,
     certificate_policies,
     crl_distribution_points,
-    generate_keypair,
     issuer_alt_name,
     parse_basic_constraints,
     subject_alt_name,
     subject_info_access,
 )
-from repro.x509.certificate import VIEWS
+from repro.x509.general_name import GeneralName, GeneralNameKind
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 
 from .reference_decode import (
     REFERENCE_VIEWS,

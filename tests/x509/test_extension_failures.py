@@ -2,7 +2,7 @@
 
 ``Certificate.is_ca``, the UserNotice decodes of ``ParsedPolicies.parse``
 and ``name_constraints.constraints_of`` catch only the decoder's error
-type (:class:`repro.asn1.ASN1Error`), and the certificate's extension
+type (:class:`repro.asn1.errors.ASN1Error`), and the certificate's extension
 views record only ``VIEW_ERRORS`` as a parse error.  That is sound only
 while the decoders raise nothing else, so these tests feed each
 extension's payload truncated and with bytes overwritten.  A truncated
@@ -17,7 +17,8 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import ASN1Error, BMP_STRING, TELETEX_STRING, UTF8_STRING, VISIBLE_STRING
+from repro.asn1.errors import ASN1Error
+from repro.asn1.strings import BMP_STRING, TELETEX_STRING, UTF8_STRING, VISIBLE_STRING
 from repro.asn1.oid import (
     OID_AD_CA_ISSUERS,
     OID_AD_OCSP,
@@ -29,25 +30,24 @@ from repro.asn1.oid import (
     OID_QT_UNOTICE,
 )
 from repro.fuzz.mutators import byte_flip, truncate
-from repro.x509 import (
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import (
     AccessDescription,
-    CertificateBuilder,
     CRLDistributionPoints,
     DistributionPoint,
     Extension,
-    GeneralName,
     InfoAccess,
-    Name,
-    NameConstraints,
     ParsedPolicies,
     PolicyInformation,
     PolicyQualifier,
     UserNotice,
     basic_constraints,
     certificate_policies,
-    constraints_of,
-    generate_keypair,
 )
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
+from repro.x509.name_constraints import NameConstraints, constraints_of
 
 from ..hypothesis_profiles import examples
 

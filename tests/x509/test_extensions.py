@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.asn1 import BMP_STRING, UTF8_STRING, parse
+from repro.asn1.der import parse
+from repro.asn1.strings import BMP_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_AD_CA_ISSUERS,
     OID_AD_OCSP,
@@ -14,11 +15,10 @@ from repro.asn1.oid import (
     OID_QT_CPS,
     OID_QT_UNOTICE,
 )
-from repro.x509 import (
+from repro.x509.extensions import (
     AccessDescription,
     CRLDistributionPoints,
     Extension,
-    GeneralName,
     GeneralNames,
     InfoAccess,
     ParsedPolicies,
@@ -33,6 +33,7 @@ from repro.x509 import (
     parse_basic_constraints,
     subject_alt_name,
 )
+from repro.x509.general_name import GeneralName
 
 
 class TestExtensionWrapper:

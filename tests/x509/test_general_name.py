@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.asn1 import BMP_STRING, DERDecodeError, UTF8_STRING, parse
+from repro.asn1.der import parse
+from repro.asn1.errors import DERDecodeError
+from repro.asn1.strings import BMP_STRING, UTF8_STRING
 from repro.asn1.oid import OID_COMMON_NAME, OID_ON_SMTP_UTF8_MAILBOX
-from repro.x509 import GeneralName, GeneralNameKind, Name
+from repro.x509.general_name import GeneralName, GeneralNameKind
+from repro.x509.name import Name
 
 
 class TestDNSName:
@@ -64,7 +67,8 @@ class TestIPAddress:
         assert parsed.value == "2001:db8::1"
 
     def test_bad_length_becomes_hex(self):
-        from repro.asn1 import Element, Tag
+        from repro.asn1.der import Element
+        from repro.asn1.tags import Tag
 
         raw = Element.primitive(Tag.context(7), b"\x01\x02\x03")
         parsed = GeneralName.parse(raw)
@@ -92,13 +96,14 @@ class TestOtherName:
 
 class TestErrors:
     def test_universal_tag_rejected(self):
-        from repro.asn1 import encode_integer
+        from repro.asn1.der import encode_integer
 
         with pytest.raises(DERDecodeError):
             GeneralName.parse(encode_integer(5))
 
     def test_unknown_context_tag(self):
-        from repro.asn1 import Element, Tag
+        from repro.asn1.der import Element
+        from repro.asn1.tags import Tag
 
         with pytest.raises(DERDecodeError):
             GeneralName.parse(Element.primitive(Tag.context(12), b""))

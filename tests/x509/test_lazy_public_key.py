@@ -12,7 +12,7 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import (
+from repro.asn1.der import (
     encode_bit_string,
     encode_integer,
     encode_null,
@@ -21,18 +21,13 @@ from repro.asn1 import (
     parse,
 )
 from repro.asn1.oid import OID_ORGANIZATION_NAME, OID_RSA_ENCRYPTION
-from repro.lint import run_lints
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    CertificatePool,
-    Name,
-    basic_constraints,
-    build_chain,
-    generate_keypair,
-    is_trusted,
-    verify_signature,
-)
+from repro.lint.runner import run_lints
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import basic_constraints
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
+from repro.x509.verify import CertificatePool, build_chain, is_trusted, verify_signature
 
 from .reference_decode import reference_from_der
 

@@ -3,19 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.asn1 import (
-    BMP_STRING,
-    PRINTABLE_STRING,
-    TELETEX_STRING,
-    UTF8_STRING,
-    parse,
-)
+from repro.asn1.der import parse
+from repro.asn1.strings import BMP_STRING, PRINTABLE_STRING, TELETEX_STRING, UTF8_STRING
 from repro.asn1.oid import (
     OID_COMMON_NAME,
     OID_COUNTRY_NAME,
     OID_ORGANIZATION_NAME,
 )
-from repro.x509 import (
+from repro.x509.name import (
     AttributeTypeAndValue,
     Name,
     RelativeDistinguishedName,

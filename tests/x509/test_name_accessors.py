@@ -9,14 +9,15 @@ multi-valued RDNs and repeated OIDs — and that edits show at once.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.asn1 import PRINTABLE_STRING
+from repro.asn1.strings import PRINTABLE_STRING
 from repro.asn1.oid import (
     OID_COMMON_NAME,
     OID_COUNTRY_NAME,
     OID_ORGANIZATION_NAME,
     OID_ORGANIZATIONAL_UNIT,
 )
-from repro.x509 import AttributeTypeAndValue, Name, RelativeDistinguishedName, caching_disabled
+from repro.x509.cache import caching_disabled
+from repro.x509.name import AttributeTypeAndValue, Name, RelativeDistinguishedName
 
 OIDS = (
     OID_COMMON_NAME,

@@ -5,15 +5,12 @@ import datetime as dt
 import pytest
 
 from repro.asn1.oid import OID_ORGANIZATION_NAME
-from repro.tlslibs import PYOPENSSL
-from repro.x509 import (
-    CertificateBuilder,
-    GeneralName,
-    Name,
-    basic_constraints,
-    generate_keypair,
-    subject_alt_name,
-)
+from repro.tlslibs.profiles import PYOPENSSL
+from repro.x509.builder import CertificateBuilder
+from repro.x509.extensions import basic_constraints, subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.name import Name
 from repro.x509.name_constraints import (
     NameConstraints,
     check_chain_name_constraints,

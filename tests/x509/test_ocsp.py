@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.x509 import generate_keypair
+from repro.x509.keys import generate_keypair
 from repro.x509.ocsp import CertStatus, OCSPResponder, OCSPResponse
 
 KEY = generate_keypair(seed=211)
@@ -49,12 +49,10 @@ class TestOCSPFirstClient:
         """With OCSP deployed, the Section 5.2 attack is neutralized."""
         from repro.asn1.oid import OID_ORGANIZATION_NAME
         from repro.threats.revocation import CRLHostRegistry, RevocationClient
-        from repro.tlslibs import PYOPENSSL
-        from repro.x509 import (
-            CertificateBuilder,
-            Name,
-            crl_distribution_points,
-        )
+        from repro.tlslibs.profiles import PYOPENSSL
+        from repro.x509.builder import CertificateBuilder
+        from repro.x509.extensions import crl_distribution_points
+        from repro.x509.name import Name
         from repro.x509.crl import build_crl
 
         ca_key = generate_keypair(seed="revocation-ca")
@@ -85,8 +83,10 @@ class TestOCSPFirstClient:
     def test_unknown_falls_back_to_crl(self):
         from repro.asn1.oid import OID_ORGANIZATION_NAME
         from repro.threats.revocation import CRLHostRegistry, RevocationClient
-        from repro.tlslibs import GNUTLS
-        from repro.x509 import CertificateBuilder, Name, crl_distribution_points
+        from repro.tlslibs.profiles import GNUTLS
+        from repro.x509.builder import CertificateBuilder
+        from repro.x509.extensions import crl_distribution_points
+        from repro.x509.name import Name
         from repro.x509.crl import build_crl
 
         ca_key = generate_keypair(seed=213)

@@ -5,7 +5,9 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.x509 import Certificate, CertificateBuilder, generate_keypair
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.keys import generate_keypair
 from repro.x509.pem import (
     PEMError,
     decode_pem,

@@ -10,15 +10,14 @@ import datetime as dt
 
 import pytest
 
-from repro.asn1 import DERDecodeError, encode_length, parse
-from repro.x509 import (
-    Certificate,
-    CertificateBuilder,
-    GeneralName,
-    generate_keypair,
-    subject_alt_name,
-    verify_signature,
-)
+from repro.asn1.der import encode_length, parse
+from repro.asn1.errors import DERDecodeError
+from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
+from repro.x509.extensions import subject_alt_name
+from repro.x509.general_name import GeneralName
+from repro.x509.keys import generate_keypair
+from repro.x509.verify import verify_signature
 
 KEY = generate_keypair(seed=512)
 
