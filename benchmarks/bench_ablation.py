@@ -14,31 +14,25 @@ from repro.lint.framework import REGISTRY
 from repro.lint.runner import run_lints
 
 
-def test_ablation_new_lints(benchmark, corpus, write_output):
+def test_ablation_new_lints(corpus, write_output):
     old_lints = [l for l in REGISTRY.all() if not l.metadata.new]
     new_lints = [l for l in REGISTRY.all() if l.metadata.new]
 
     old_names = {l.metadata.name for l in old_lints}
     new_names = {l.metadata.name for l in new_lints}
 
-    def run_ablation():
-        nc_full = detected_by_new = unique_new = 0
-        for record in corpus.records:
-            report = run_lints(record.certificate, issued_at=record.issued_at)
-            if not report.noncompliant:
-                continue
-            nc_full += 1
-            fired = set(report.fired_lints())
-            if fired & new_names:
-                detected_by_new += 1
-                if not fired & old_names:
-                    # Invisible to pre-existing linters entirely.
-                    unique_new += 1
-        return nc_full, detected_by_new, unique_new
-
-    nc_full, detected_by_new, unique_new = benchmark.pedantic(
-        run_ablation, rounds=1, iterations=1
-    )
+    nc_full = detected_by_new = unique_new = 0
+    for record in corpus.records:
+        report = run_lints(record.certificate, issued_at=record.issued_at)
+        if not report.noncompliant:
+            continue
+        nc_full += 1
+        fired = set(report.fired_lints())
+        if fired & new_names:
+            detected_by_new += 1
+            if not fired & old_names:
+                # Invisible to pre-existing linters entirely.
+                unique_new += 1
     share = detected_by_new / nc_full if nc_full else 0
     unique_share = unique_new / nc_full if nc_full else 0
     write_output(
@@ -55,21 +49,17 @@ def test_ablation_new_lints(benchmark, corpus, write_output):
     assert 0.1 < share < 0.8
 
 
-def test_ablation_effective_dates(benchmark, corpus, write_output):
-    def run_ablation():
-        gated = ungated = 0
-        for record in corpus.records:
-            with_dates = run_lints(record.certificate, issued_at=record.issued_at)
-            without_dates = run_lints(
-                record.certificate,
-                issued_at=record.issued_at,
-                respect_effective_dates=False,
-            )
-            gated += with_dates.noncompliant
-            ungated += without_dates.noncompliant
-        return gated, ungated
-
-    gated, ungated = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablation_effective_dates(corpus, write_output):
+    gated = ungated = 0
+    for record in corpus.records:
+        with_dates = run_lints(record.certificate, issued_at=record.issued_at)
+        without_dates = run_lints(
+            record.certificate,
+            issued_at=record.issued_at,
+            respect_effective_dates=False,
+        )
+        gated += with_dates.noncompliant
+        ungated += without_dates.noncompliant
     write_output(
         "ablation_effective_dates",
         [
@@ -81,18 +71,14 @@ def test_ablation_effective_dates(benchmark, corpus, write_output):
     assert ungated > 3 * gated
 
 
-def test_ablation_severity(benchmark, corpus, write_output):
-    def run_ablation():
-        any_finding = error_only = 0
-        for record in corpus.records:
-            report = run_lints(record.certificate, issued_at=record.issued_at)
-            if report.noncompliant:
-                any_finding += 1
-                if report.has_error_level():
-                    error_only += 1
-        return any_finding, error_only
-
-    any_finding, error_only = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
+def test_ablation_severity(corpus, write_output):
+    any_finding = error_only = 0
+    for record in corpus.records:
+        report = run_lints(record.certificate, issued_at=record.issued_at)
+        if report.noncompliant:
+            any_finding += 1
+            if report.has_error_level():
+                error_only += 1
     write_output(
         "ablation_severity",
         [

@@ -1,4 +1,4 @@
-"""The full RQ2 differential campaign as a benchmark.
+"""The full RQ2 differential campaign as a paper artifact.
 
 Runs the Section 3.2 generator sweep (compact character probe set by
 default; set REPRO_CAMPAIGN_FULL=1 for the full U+0000..U+00FF + one
@@ -11,13 +11,11 @@ from repro.testgen.generator import sample_characters
 from repro.tlslibs.campaign import run_campaign
 
 
-def test_differential_campaign(benchmark, write_output):
+def test_differential_campaign(write_output):
     chars = None
     if os.environ.get("REPRO_CAMPAIGN_FULL"):
         chars = sample_characters()
-    report = benchmark.pedantic(
-        run_campaign, kwargs={"chars": chars}, rounds=1, iterations=1
-    )
+    report = run_campaign(chars=chars)
     totals = report.per_library()
     lines = [
         f"RQ2 differential campaign ({report.total_cases} test Unicerts)",

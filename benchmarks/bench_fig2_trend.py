@@ -4,10 +4,8 @@ from repro.analysis.longitudinal import issuance_trend
 from repro.analysis.render import render_trend
 
 
-def test_fig2_issuance_trend(benchmark, corpus, reports, write_output):
-    trend = benchmark.pedantic(
-        issuance_trend, args=(corpus, reports), rounds=1, iterations=1
-    )
+def test_fig2_issuance_trend(corpus, reports, write_output):
+    trend = issuance_trend(corpus, reports)
     lines = [
         "Figure 2: Issuance trend (per-year counts; paper plots log scale)",
         f"{'Year':<6}{'All':>8}{'Trusted':>9}{'Alive':>7}{'NC':>6}{'NCTrust':>9}{'NCAlive':>9}",

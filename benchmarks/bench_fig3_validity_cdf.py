@@ -6,10 +6,8 @@ from repro.analysis.render import render_cdf
 LANDMARKS = [90, 180, 365, 398, 700, 1000]
 
 
-def test_fig3_validity_cdf(benchmark, corpus, reports, write_output):
-    curves = benchmark.pedantic(
-        validity_cdfs, args=(corpus, reports), rounds=1, iterations=1
-    )
+def test_fig3_validity_cdf(corpus, reports, write_output):
+    curves = validity_cdfs(corpus, reports)
     lines = [
         "Figure 3: CDF of validity period (days)",
         f"{'Days':<8}" + "".join(f"{label:>14}" for label in ("all", "idn", "other", "noncompliant")),

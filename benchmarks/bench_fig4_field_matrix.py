@@ -4,10 +4,8 @@ from repro.analysis.fields import field_matrix
 from repro.engine.windows import FIELD_COLUMNS
 
 
-def test_fig4_field_matrix(benchmark, corpus, reports, write_output):
-    matrix = benchmark.pedantic(
-        field_matrix, args=(corpus, reports), kwargs={"min_certs": 20}, rounds=1, iterations=1
-    )
+def test_fig4_field_matrix(corpus, reports, write_output):
+    matrix = field_matrix(corpus, reports, min_certs=20)
     lines = [
         "Figure 4: internationalized content per (issuer, field)",
         "Legend: '.' Unicode content, '+' deviation from standards, ' ' neither",

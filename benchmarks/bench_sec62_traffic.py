@@ -4,10 +4,8 @@ from repro.threats.traffic import ALL_CLIENTS, duplicate_position_evasion, evasi
 from repro.uni.variants import VariantStrategy
 
 
-def test_sec62_variant_evasion(benchmark, write_output):
-    results = benchmark.pedantic(
-        evasion_experiment, args=("Evil Entity Ltd",), rounds=1, iterations=1
-    )
+def test_sec62_variant_evasion(write_output):
+    results = evasion_experiment("Evil Entity Ltd")
     middleboxes = sorted({r.middlebox for r in results})
     by_strategy: dict[VariantStrategy, dict[str, bool]] = {}
     for r in results:
@@ -40,18 +38,15 @@ def test_sec62_variant_evasion(benchmark, write_output):
     assert outcome["zeek_evaded_by_evil_first"]
 
 
-def test_sec62_client_checks(benchmark, write_output):
-    def run_all():
-        return {
-            client.name: (
-                client.accepts_san_value("münchen.de"),
-                client.accepts_san_value("xn--999999999.de"),
-                client.accepts_san_value("xn--mnchen-3ya.de"),
-            )
-            for client in ALL_CLIENTS
-        }
-
-    outcome = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_sec62_client_checks(write_output):
+    outcome = {
+        client.name: (
+            client.accepts_san_value("münchen.de"),
+            client.accepts_san_value("xn--999999999.de"),
+            client.accepts_san_value("xn--mnchen-3ya.de"),
+        )
+        for client in ALL_CLIENTS
+    }
     # urllib3/requests over-tolerantly accept Latin-1 U-labels (P2.2).
     assert outcome["urllib3"][0] and outcome["requests"][0]
     assert not outcome["libcurl"][0]

@@ -4,8 +4,8 @@ from repro.analysis.compliance import top_lints
 from repro.lint.framework import REGISTRY
 
 
-def test_table11_top_lints(benchmark, corpus, reports, write_output):
-    ranked = benchmark.pedantic(top_lints, args=(reports, 25), rounds=1, iterations=1)
+def test_table11_top_lints(corpus, reports, write_output):
+    ranked = top_lints(reports, 25)
     lines = [
         "Table 11: Top lints identifying noncompliant cases",
         f"{'Lint':<58}{'Type':<20}{'New':>4}{'#NC':>7}",

@@ -16,8 +16,8 @@ _HEADERS = {
 }
 
 
-def test_table14_browser_matrix(benchmark, write_output):
-    matrix = benchmark.pedantic(derive_browser_matrix, rounds=1, iterations=1)
+def test_table14_browser_matrix(write_output):
+    matrix = derive_browser_matrix()
     lines = [
         "Table 14: Certificate visualization and spoofing issues (derived)",
         f"{'Browser':<18}" + "".join(f"{_HEADERS[c]:>11}" for c in TABLE14_COLUMNS),

@@ -18,8 +18,8 @@ PAPER_TYPE_SHARES = {
 }
 
 
-def test_table1_taxonomy(benchmark, corpus, reports, write_output):
-    table = benchmark.pedantic(build_table1, args=(corpus, reports), rounds=1, iterations=1)
+def test_table1_taxonomy(corpus, reports, write_output):
+    table = build_table1(corpus, reports)
 
     lines = [
         "Table 1: Overview of noncompliance types "
@@ -64,10 +64,8 @@ def test_table1_taxonomy(benchmark, corpus, reports, write_output):
     assert table.nc_certs_ignoring_dates > 3 * table.nc_certs
 
 
-def test_section43_issuer_involvement(benchmark, corpus, reports, write_output):
-    stats = benchmark.pedantic(
-        issuer_involvement, args=(corpus, reports), rounds=1, iterations=1
-    )
+def test_section43_issuer_involvement(corpus, reports, write_output):
+    stats = issuer_involvement(corpus, reports)
     write_output(
         "section43_issuers",
         [
@@ -79,8 +77,8 @@ def test_section43_issuer_involvement(benchmark, corpus, reports, write_output):
     assert 0 < stats.nc_orgs <= stats.total_orgs
 
 
-def test_section51_encoding_errors(benchmark, corpus, write_output):
-    analysis = benchmark.pedantic(encoding_error_analysis, args=(corpus,), rounds=1, iterations=1)
+def test_section51_encoding_errors(corpus, write_output):
+    analysis = encoding_error_analysis(corpus)
     write_output(
         "section51_encoding_errors",
         [

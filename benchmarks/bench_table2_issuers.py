@@ -3,10 +3,8 @@
 from repro.analysis.issuers import high_nc_rate_issuers, issuer_table, top_volume_share
 
 
-def test_table2_issuer_ranking(benchmark, corpus, reports, write_output):
-    head, other = benchmark.pedantic(
-        issuer_table, args=(corpus, reports), rounds=1, iterations=1
-    )
+def test_table2_issuer_ranking(corpus, reports, write_output):
+    head, other = issuer_table(corpus, reports)
     lines = [
         "Table 2: Top issuer organizations by noncompliant Unicerts",
         f"{'Organization':<34}{'Trust':>10}{'Region':>8}{'NC':>7}{'Rate':>9}{'Recent':>8}",

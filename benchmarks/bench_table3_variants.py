@@ -13,8 +13,8 @@ PAPER_EXAMPLES = [
 ]
 
 
-def test_table3_variants(benchmark, corpus, write_output):
-    pairs = benchmark.pedantic(find_subject_variants, args=(corpus,), rounds=1, iterations=1)
+def test_table3_variants(corpus, write_output):
+    pairs = find_subject_variants(corpus)
     counts = variant_strategy_counts(pairs)
     lines = [
         "Table 3: Value variant strategies in Subject fields",

@@ -12,10 +12,8 @@ from repro.tlslibs.profiles import ALL_PROFILES
 LEGEND = "O = compliant, T = over-tolerant, X = incompatible, M = modified, - = unsupported"
 
 
-def test_table4_decoding_matrix(benchmark, write_output):
-    matrix = benchmark.pedantic(
-        derive_decoding_matrix, args=(ALL_PROFILES,), rounds=1, iterations=1
-    )
+def test_table4_decoding_matrix(write_output):
+    matrix = derive_decoding_matrix(ALL_PROFILES)
     libraries = [profile.name for profile in ALL_PROFILES]
     lines = [
         "Table 4: Decoding methods for DN and GN (inferred)",

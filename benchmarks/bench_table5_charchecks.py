@@ -20,10 +20,8 @@ ROWS = [
 LEGEND = "O = no violation, V = unexploited violation, X = exploited violation, - = not tested"
 
 
-def test_table5_character_checks(benchmark, write_output):
-    report = benchmark.pedantic(
-        derive_charcheck_report, args=(ALL_PROFILES,), rounds=1, iterations=1
-    )
+def test_table5_character_checks(write_output):
+    report = derive_charcheck_report(ALL_PROFILES)
     libraries = [profile.name for profile in ALL_PROFILES]
     lines = [
         "Table 5: Standard violations in parsing DN and GN (derived)",

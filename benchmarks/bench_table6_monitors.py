@@ -19,8 +19,8 @@ _HEADERS = {
 }
 
 
-def test_table6_monitor_matrix(benchmark, write_output):
-    matrix = benchmark.pedantic(derive_monitor_matrix, rounds=1, iterations=1)
+def test_table6_monitor_matrix(write_output):
+    matrix = derive_monitor_matrix()
     lines = [
         "Table 6: Unicert tolerance among CT monitors (derived by probing)",
         f"{'Monitor':<20}" + "".join(f"{_HEADERS[c]:>9}" for c in TABLE6_COLUMNS),
@@ -39,10 +39,8 @@ def test_table6_monitor_matrix(benchmark, write_output):
     assert matrix["SSLMate Spotter"]["fails_special_unicode"]  # P1.4
 
 
-def test_section61_monitor_misleading(benchmark, write_output):
-    results = benchmark.pedantic(
-        run_experiment, args=("victim.example.com",), rounds=1, iterations=1
-    )
+def test_section61_monitor_misleading(write_output):
+    results = run_experiment("victim.example.com")
     matrix = concealment_matrix(results)
     monitors = sorted({r.monitor for r in results})
     lines = [

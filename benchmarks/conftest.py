@@ -4,7 +4,9 @@ The corpus is generated once per session at ``REPRO_BENCH_SCALE``
 (default 1/2000 of the paper's 34.8 M Unicerts, i.e. ~17.4 K certs).
 Every bench regenerates its table/figure from this corpus with the
 *measured* pipeline (real linter, real analysis code) and writes the
-rendered rows to ``benchmarks/output/``.
+rendered rows to ``benchmarks/output/``.  The files are deterministic
+for a given scale and seed, so a regeneration at the defaults must leave
+the committed files unchanged.  Speed is measured by ``perfbench/``.
 """
 
 import os

@@ -86,6 +86,17 @@ class TestCampaignAccounting:
         assert result.novel_cells > 0
         assert result.novel_disagreements <= result.novel_cells
 
+    def test_fixed_seed_novelty_is_pinned(self):
+        # A mutator, seed-corpus or parser-model change that shifts what
+        # this campaign discovers must update these numbers on purpose.
+        result = run_fuzz_campaign(
+            FuzzConfig(seed=2025, budget=2000, max_witnesses=0)
+        )
+        assert result.mutants == 2000
+        assert result.baseline_cells == 23
+        assert result.novel_cells == 74
+        assert result.novel_disagreements == 60
+
     def test_max_witnesses_caps_minimization(self, tmp_path):
         config = FuzzConfig(
             seed=3, budget=200, batch=50,
