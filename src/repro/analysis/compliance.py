@@ -26,10 +26,10 @@ def lint_corpus(corpus: Corpus, jobs: int | None = 1, stats=None) -> list[Certif
     ``stats`` (an :class:`repro.engine.stats.EngineStats`) to observe
     the run's per-stage breakdown.
     """
-    from ..engine.pipeline import Engine
+    from ..engine.pipeline import run_corpus
+    from ..lint.parallel import ShardOutput
 
-    outcome = Engine(stats).run_corpus(corpus, jobs, collect_reports=True)
-    return outcome.reports or []
+    return run_corpus(corpus, jobs, stats=stats, output=ShardOutput.REPORTS).reports
 
 
 def summarize_corpus(corpus: Corpus, jobs: int | None = None) -> CorpusSummary:

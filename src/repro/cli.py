@@ -23,31 +23,33 @@ import sys
 def _lint_one_file(path: str, args: argparse.Namespace, engine) -> int:
     """Lint one file (or stdin) through the staged engine; returns the
     per-file exit status (0 compliant, 1 findings, 2 unreadable or
-    unparseable).  Engine ingest matches the service: PEM, raw DER, or
-    base64 of either are all accepted, with the shared error taxonomy."""
-    from .engine.ingest import IngestError, read_path
+    unparseable).  Input is sniffed like the service's: PEM, raw DER, or
+    base64 of either, with the shared error taxonomy."""
+    from .engine.ingest import IngestError, read_path, sniff_certificate_bytes
+    from .lint.parallel import ShardOutput, unparseable_message
 
     try:
         source = read_path(path)
     except IngestError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return 2
-    item = engine.lint_bytes(
-        source.data,
-        origin=path,
+    try:
+        with engine.stats.time("ingest"):
+            der = sniff_certificate_bytes(source.data)
+    except IngestError as exc:
+        print(f"error: {unparseable_message(exc)}", file=sys.stderr)
+        return 2
+    outcome = engine.run(
+        [(der, None)],
+        output=ShardOutput.JSON if args.json else ShardOutput.TEXT,
         respect_effective_dates=not args.ignore_effective_dates,
     )
-    if not item.ok:
-        message = item.error
-        if item.error_code != "unparseable_certificate":
-            message = f"input is not a parseable certificate: {message}"
+    if outcome.failures:
+        ((_index, message),) = outcome.failures
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.json:
-        print(engine.render_json(item))
-        return 1 if item.report.findings else 0
-    print("\n".join(engine.render_text(item)))
-    return 1 if item.report.findings else 0
+    print(outcome.reports[0])
+    return 1 if outcome.summary.noncompliant else 0
 
 
 _LINT_STATUS_WORDS = {0: "compliant", 1: "noncompliant", 2: "error"}

@@ -2,8 +2,7 @@
 
 The parallel lint pipeline used to pickle every shard's DER blobs into
 its worker tasks — O(shard bytes) of serialization per task, which at
-``--jobs 4`` cost more than the lint work it parallelized (the
-BENCH_lint_throughput.json regression this package fixes).  A substrate
+``--jobs 4`` cost more than the lint work it parallelized.  A substrate
 file stores the whole corpus once — one contiguous DER region plus a
 fixed-width offset/length index and an issued-at column — and workers
 ``mmap`` it, so a shard task is just ``(path, start, stop)`` and the
@@ -18,7 +17,7 @@ Public surface:
   ``(der, issued_at)`` pairs to one substrate file;
 * :class:`CorpusStore` — the zero-copy reader (``len``, ``der_view``,
   ``der_bytes``, ``issued_at``, ``iter_shard``); engine-compatible, so
-  ``Engine.run_corpus(store, jobs=N)`` lints straight off the mapping;
+  ``Engine.run(store, jobs=N)`` lints straight off the mapping;
 * :class:`CorpusStoreError` — the structured failure taxonomy
   (``bad_magic`` / ``truncated`` / ``corrupt_index`` / ...);
 * :class:`SegmentWriter` / :class:`SegmentedCorpusStore` — append-only

@@ -1,12 +1,10 @@
 """Substrate writer: serialize any corpus shape into one columnar file.
 
-Accepts the three record shapes the repo already passes around:
-
-* a :class:`repro.ct.corpus.Corpus` (anything with ``.records``);
-* a list of records (anything with ``.certificate`` and optionally
-  ``.issued_at`` — the parallel pipeline's duck type);
-* a list of ``(der_bytes, issued_at)`` pairs (what tests and external
-  ingest produce when there is no live certificate object).
+Accepts every batch shape the engine does, normalized by
+:func:`repro.engine.ingest.batch_pairs`: a
+:class:`repro.ct.corpus.Corpus` (anything with ``.records``), corpus
+records (``.certificate``/``.issued_at``), CT tail entries
+(``.der``/``.issued_at``) or ``(der_bytes, issued_at)`` pairs.
 
 The writer packs the index and issued-at columns with one ``struct``
 call each, joins them and the DER region into one payload, takes its
@@ -25,6 +23,7 @@ import pathlib
 import struct
 import zlib
 
+from ..engine.ingest import batch_pairs
 from .errors import CorpusStoreError
 from .format import (
     HEADER,
@@ -35,22 +34,6 @@ from .format import (
     VERSION,
     encode_issued_at,
 )
-
-
-def _iter_pairs(source):
-    """Yield ``(der, issued_at)`` from any accepted corpus shape."""
-    records = getattr(source, "records", source)
-    for record in records:
-        if type(record) is tuple:
-            der, issued_at = record
-            yield bytes(der), issued_at
-            continue
-        certificate = getattr(record, "certificate", None)
-        if certificate is not None:
-            yield certificate.to_der(), getattr(record, "issued_at", None)
-        else:
-            der, issued_at = record
-            yield bytes(der), issued_at
 
 
 def write_store(source, path) -> pathlib.Path:
@@ -102,7 +85,7 @@ def _pack(source) -> tuple[bytes, bytes, int, int]:
     issued: list[int] = []
     ders: list[bytes] = []
     der_size = 0
-    for der, issued_at in _iter_pairs(source):
+    for der, issued_at in batch_pairs(source):
         length = len(der)
         if length > MAX_DER_LEN:
             raise CorpusStoreError(

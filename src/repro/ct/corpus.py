@@ -314,7 +314,7 @@ class Corpus:
 
         Returns the written path.  Reopening it with
         :class:`repro.corpusstore.reader.CorpusStore` feeds the engine the
-        zero-copy form: ``Engine.run_corpus(store, jobs=N)`` dispatches
+        zero-copy form: ``Engine.run(store, jobs=N)`` dispatches
         ``(path, start, stop)`` shard references instead of pickled DER
         and yields the byte-identical summary.
         """

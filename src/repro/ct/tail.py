@@ -15,7 +15,7 @@ that gap inside the simulation:
   ranges like the HTTP API.
 * :class:`TailMonitor` — the incremental consumer: verifies STH
   signatures and consistency between polls, lints each batch through
-  :meth:`repro.engine.pipeline.Engine.run_increment` into a
+  :meth:`repro.engine.pipeline.Engine.run` into a
   :class:`~repro.engine.windows.WindowedSummary`, persists arriving DER
   to an append-only segment chain, checkpoints atomically after every
   batch (:mod:`repro.ct.checkpoint`), and raises threshold alerts when
@@ -281,7 +281,7 @@ class TailMonitor:
     consistency proof against the last verified head), pull the next
     batch of entries, spot-check the batch's last entry against the STH
     with an inclusion proof, lint the batch through
-    :meth:`Engine.run_increment` into the windowed summary (an entry
+    :meth:`Engine.run` into the windowed summary (an entry
     that does not parse is reported in :attr:`BatchOutcome.failures`,
     not folded), persist the batch's DER as one segment, checkpoint
     atomically, then evaluate alert thresholds over newly completed
@@ -298,7 +298,6 @@ class TailMonitor:
         config: MonitorConfig | None = None,
         *,
         engine=None,
-        pool=None,
         on_alert=None,
     ):
         from ..engine.pipeline import Engine
@@ -307,7 +306,6 @@ class TailMonitor:
         self.log = log
         self.config = config if config is not None else MonitorConfig()
         self.engine = engine if engine is not None else Engine()
-        self.pool = pool
         self.on_alert = on_alert
         self.policy = AlertPolicy(
             threshold=self.config.alert_threshold,
@@ -496,11 +494,10 @@ class TailMonitor:
         stop = min(start + self.config.batch_size, sth.tree_size)
         entries = self.log.get_entries(start, stop)
         self._check_inclusion(entries[-1], sth)
-        outcome = self.engine.run_increment(
+        outcome = self.engine.run(
             entries,
             base_index=start,
             jobs=self.config.jobs,
-            pool=self.pool,
             respect_effective_dates=self.config.respect_effective_dates,
             window=self.window,
         )

@@ -8,16 +8,17 @@ sharded parallel path, service batcher, benchmark loops).
 pluggable executors and sinks, with per-stage instrumentation on an
 injectable :class:`EngineStats` collector:
 
-* :mod:`repro.engine.ingest` — unified PEM/DER/base64 sniffing and the
-  shared ``empty_body``/``bad_pem``/``bad_body`` error taxonomy;
-* :mod:`repro.engine.pipeline` — the :class:`Engine` core (stages);
+* :mod:`repro.engine.ingest` — unified PEM/DER/base64 sniffing, the
+  shared ``empty_body``/``bad_pem``/``bad_body`` error taxonomy, and
+  the one batch-shape normalizer;
+* :mod:`repro.engine.pipeline` — the :class:`Engine` core: one
+  ``Engine.run`` for every lint run;
 * :mod:`repro.engine.executors` — serial reference semantics and the
   process-pool fan-out;
-* :mod:`repro.engine.sinks` — CLI JSON/text documents and the exact
-  ``CorpusSummary`` merge;
-* :mod:`repro.engine.stats` — the collector surfaced as
-  ``repro lint --stats``, the service ``/metrics`` ``stages`` block,
-  and the per-stage breakdowns in ``BENCH_lint_throughput.json``.
+* :mod:`repro.engine.sinks` — the exact ``CorpusSummary`` merge;
+* :mod:`repro.engine.stats` — the collector surfaced as ``--stats``,
+  the service ``/metrics`` ``stages`` block, and the per-layer figures
+  of ``perfbench``'s traced runs.
 
 Every worker-side run — corpus shards, tail batches and the service's
 micro-batches — goes through one loop,

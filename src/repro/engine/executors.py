@@ -56,9 +56,10 @@ class SerialExecutor:
 class PoolExecutor:
     """Fan shards out over a process pool, fail-fast on shard errors.
 
-    Pass ``pool`` to reuse a long-lived :class:`LintPool` (the service
-    does); otherwise an ephemeral pool is created per :meth:`run` and
-    torn down afterwards.
+    Pass ``pool`` to reuse a long-lived :class:`LintPool`; otherwise an
+    ephemeral pool is created per :meth:`run` and torn down afterwards.
+    With a pool, ``jobs`` defaults to its worker count and is clamped
+    to it.
     """
 
     #: Worker timings come from other processes; their wall clocks
@@ -67,10 +68,9 @@ class PoolExecutor:
 
     def __init__(self, jobs: int | None = None, pool: LintPool | None = None):
         self.pool = pool
-        # With a shared pool, ``jobs`` arrives already clamped to the
-        # pool's worker count (``Engine._resolve_corpus_jobs``).
-        self.jobs = pool.jobs if pool is not None and jobs is None else resolve_jobs(jobs)
-        self._jobs_arg = jobs
+        self.jobs = resolve_jobs(jobs)
+        if pool is not None:
+            self.jobs = pool.jobs if jobs is None else min(self.jobs, pool.jobs)
 
     def run(self, tasks: Sequence[ShardTask]) -> list[ShardResult]:
         """Execute the shards on worker processes, streaming results."""
@@ -79,7 +79,7 @@ class PoolExecutor:
         pool = self.pool
         owned = pool is None
         if pool is None:
-            pool = LintPool(self._jobs_arg)
+            pool = LintPool(self.jobs)
         results: list[ShardResult] = []
         try:
             futures = [pool.submit_shard(task) for task in tasks]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import datetime as _dt
 from dataclasses import dataclass
 
 from ..x509.pem import PEMError, decode_pem
@@ -103,6 +104,24 @@ def read_path(path: str, stdin=None) -> SourceItem:
         raise IngestError("unreadable", f"cannot read {path}: {exc}") from exc
 
 
-def corpus_records(corpus) -> list:
-    """Materialize a corpus (or plain record list) as a record list."""
-    return list(getattr(corpus, "records", corpus))
+def batch_pairs(batch) -> list[tuple[bytes, _dt.datetime | None]]:
+    """Normalize any batch shape to ``(der, issued_at)`` pairs.
+
+    The one normalizer of the engine and the substrate writer.  Accepts
+    raw ``(der, issued_at)`` tuples (passed through as they are), corpus
+    records (``.certificate``/``.issued_at``), CT tail entries
+    (``.der``/``.issued_at``), other two-item sequences, or anything
+    with ``.records`` wrapping one of those.
+    """
+    pairs: list[tuple[bytes, _dt.datetime | None]] = []
+    for entry in getattr(batch, "records", batch):
+        if type(entry) is not tuple:
+            if getattr(entry, "certificate", None) is not None:
+                issued_at = getattr(entry, "issued_at", None)
+                pairs.append((entry.certificate.to_der(), issued_at))
+                continue
+            if getattr(entry, "der", None) is not None:
+                entry = (entry.der, getattr(entry, "issued_at", None))
+        der, issued_at = entry
+        pairs.append((bytes(der), issued_at))
+    return pairs

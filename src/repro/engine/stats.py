@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 #: ``execute`` is the parent-side wall-clock of a distributed pool run,
 #: recorded between ``ingest`` and the worker-side stages it spans.
 #: ``fold`` is the incremental engine's windowed aggregation
-#: (:meth:`repro.engine.pipeline.Engine.run_increment` folding reports into a
+#: (:meth:`repro.engine.pipeline.Engine.run` folding report tallies into a
 #: :class:`~repro.engine.windows.WindowedSummary` after the sink merge).
 STAGE_ORDER = ("ingest", "compile", "execute", "decode", "lint", "sink", "fold")
 
@@ -143,11 +143,6 @@ class EngineStats:
     ) -> None:
         """Record pre-measured stage time (see :meth:`StageTimings.add`)."""
         self.timings.add(stage, wall, cpu, items)
-
-    def count_certs(self, certs: int = 1, nbytes: int = 0) -> None:
-        """Bump the certificate / ingested-byte totals."""
-        self.timings.certs += certs
-        self.timings.bytes += nbytes
 
     def record_cache(self, hits: int = 0, misses: int = 0) -> None:
         """Accumulate cache hit/miss gauges (service result cache)."""

@@ -32,7 +32,7 @@ Design points:
 
 The orchestration itself — executor selection, fail-fast streaming,
 exact merge, per-stage instrumentation — lives in :mod:`repro.engine`
-(:func:`repro.engine.pipeline.run_corpus`).  The worker-side primitives
+(:meth:`repro.engine.pipeline.Engine.run`).  The worker-side primitives
 (:func:`lint_shard`, :class:`LintPool`) stay here so pickled task
 references keep a stable import path across fork and spawn.
 """
@@ -52,7 +52,7 @@ from ..asn1.errors import ASN1Error
 from ..memo import ProcessMemo
 from .framework import REGISTRY, Lint, RegistryIndex, index_for
 from .runner import CertificateReport, CorpusSummary, run_lints, tally
-from .serialization import report_to_json
+from .serialization import render_text_report, report_to_json
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
@@ -79,9 +79,8 @@ class ShardError(RuntimeError):
 
 
 #: What ``Certificate.from_der`` raises on bytes that are not a
-#: certificate.  The shard loop and ``Engine.decode_item`` record exactly
-#: this set as an unparseable input; anything else is a bug and fails
-#: the shard (or raises from ``decode_item``).
+#: certificate.  The shard loop records exactly this set as an
+#: unparseable input; anything else is a bug and fails the shard.
 DECODE_ERRORS = (ASN1Error,)
 
 
@@ -92,12 +91,14 @@ def unparseable_message(exc: Exception) -> str:
 
 class ShardOutput(enum.Enum):
     """What a shard returns per certificate besides its summary: nothing,
-    the report objects, or ``report_to_json(report, cert)`` bodies
-    (rendered in the worker, where the certificate stays)."""
+    the report objects, or the ``repro lint`` body —
+    ``report_to_json(report, cert)`` or ``render_text_report(report,
+    cert)`` — rendered in the worker, where the certificate stays."""
 
     SUMMARY = "summary"
     REPORTS = "reports"
     JSON = "json"
+    TEXT = "text"
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,11 @@ class ShardResult:
 class ParallelLintOutcome:
     """What the pipeline hands back to callers.
 
-    ``failures`` lists each unparseable record of an incremental batch
-    as ``(index, message)``, ``index`` being its log index (a corpus run
-    raises on one instead).
+    ``reports`` holds one output per parsed certificate, in batch order,
+    of the kind the run's :class:`ShardOutput` selects (``None`` for
+    ``SUMMARY``).  ``failures`` lists each unparseable record as
+    ``(index, message)``, ``index`` being its log index
+    (:func:`repro.engine.pipeline.run_corpus` raises on one instead).
     """
 
     summary: CorpusSummary
@@ -332,6 +335,12 @@ def _shard_records(task: ShardTask):
         yield from zip(task.certs_der, task.issued_at)
 
 
+#: The worker-side renderer of each rendered :class:`ShardOutput`.
+_RENDERERS = {
+    ShardOutput.JSON: report_to_json,
+    ShardOutput.TEXT: render_text_report,
+}
+
 #: Records per stage pass of :func:`lint_shard`.  Small enough that a
 #: block's decoded certificates stay few however long the shard is;
 #: large enough that each stage runs long stretches of its own code.
@@ -387,7 +396,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
     timings = StageTimings()
     result.timings = timings
     outputs: list | None = None if task.output is ShardOutput.SUMMARY else []
-    render = report_to_json if task.output is ShardOutput.JSON else None
+    render = _RENDERERS.get(task.output)
     facts: list | None = None
     if task.collect_facts:
         from ..engine.windows import cert_facts
@@ -561,6 +570,7 @@ def build_store_shard_tasks(
     shards: int,
     respect_effective_dates: bool = True,
     output: ShardOutput = ShardOutput.SUMMARY,
+    collect_facts: bool = False,
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over a substrate file.
 
@@ -579,6 +589,7 @@ def build_store_shard_tasks(
                 store_path=str(store_path),
                 start=start,
                 stop=stop,
+                collect_facts=collect_facts,
             )
         )
     return tasks
@@ -593,13 +604,9 @@ def build_pair_shard_tasks(
 ) -> list[ShardTask]:
     """Deterministic per-shard tasks over ``(der, issued_at)`` pairs.
 
-    The inline transport: a serial corpus run passes its records as
-    pairs (:func:`repro.engine.pipeline.increment_pairs`), and the incremental
-    engine's tail batch arrives as raw DER plus issuance timestamps (no
-    live record objects), stays bounded by the poll size, and ships
-    inline — spilling a few hundred entries to a substrate file per
-    poll would cost an fsync that the page cache never amortizes.
-    Shard boundaries come from the same
+    The inline transport of a serial run: the batch, normalized by
+    :func:`repro.engine.ingest.batch_pairs`, travels in the tasks
+    themselves.  Shard boundaries come from the same
     :func:`shard_bounds`, so summaries merge in the same order as every
     other dispatch path.
     """

@@ -68,6 +68,29 @@ def report_to_json(
     )
 
 
+def render_text_report(report: CertificateReport, cert: Certificate) -> str:
+    """One certificate's report as the ``repro lint`` human-readable text.
+
+    Byte-identical to the historical single-file output (the format the
+    service parity tests compare against).
+    """
+    lines = [
+        f"subject: {cert.subject.rfc4514_string()}",
+        f"issuer:  {cert.issuer.rfc4514_string()}",
+        f"validity: {cert.not_before.date()} .. {cert.not_after.date()}",
+    ]
+    if not report.findings:
+        lines.append("compliant: no findings")
+        return "\n".join(lines)
+    lines.append(f"{len(report.findings)} finding(s):")
+    for result in report.findings:
+        lines.append(f"  [{result.status.value.upper():5}] {result.lint.name}")
+        if result.details:
+            lines.append(f"          {result.details}")
+        lines.append(f"          {result.lint.citation}")
+    return "\n".join(lines)
+
+
 def summary_to_dict(summary: CorpusSummary) -> dict[str, Any]:
     """A corpus summary as a JSON-serializable dict."""
     return {

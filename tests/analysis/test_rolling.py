@@ -15,6 +15,7 @@ from repro.analysis.longitudinal import (
 from repro.analysis.fields import FIELD_COLUMNS
 from repro.ct.corpus import CorpusGenerator
 from repro.engine.pipeline import Engine, run_corpus
+from repro.lint.parallel import ShardOutput
 from repro.engine.windows import WindowConfig, WindowedSummary
 
 
@@ -25,13 +26,13 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def reports(corpus):
-    return run_corpus(corpus, jobs=1, collect_reports=True).reports
+    return run_corpus(corpus, jobs=1, output=ShardOutput.REPORTS).reports
 
 
 @pytest.fixture(scope="module")
 def windowed(corpus):
     window = WindowedSummary(WindowConfig(index_window=100))
-    Engine().run_increment(corpus.records, jobs=1, window=window)
+    Engine().run(corpus.records, jobs=1, window=window)
     return window
 
 
@@ -49,9 +50,9 @@ class TestRollingTrend:
         window = WindowedSummary(
             WindowConfig(index_window=100, epoch="month")
         )
-        Engine().run_increment(corpus.records, jobs=1, window=window)
+        Engine().run(corpus.records, jobs=1, window=window)
         yearly = WindowedSummary(WindowConfig(index_window=100))
-        Engine().run_increment(corpus.records, jobs=1, window=yearly)
+        Engine().run(corpus.records, jobs=1, window=yearly)
         assert (
             rolling_trend(window).all_unicerts.counts
             == rolling_trend(yearly).all_unicerts.counts

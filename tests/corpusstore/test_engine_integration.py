@@ -14,11 +14,13 @@ import pytest
 
 from repro.corpusstore.reader import CorpusStore
 from repro.corpusstore.writer import write_store
+from repro.engine.executors import PoolExecutor
 from repro.engine.pipeline import run_corpus
 from repro.lint.serialization import summary_to_json
 from repro.lint.parallel import (
     LintPool,
     ShardError,
+    ShardOutput,
     build_store_shard_tasks,
     lint_shard,
 )
@@ -88,16 +90,22 @@ class TestStoreRuns:
         if "fork" not in mp.get_all_start_methods():
             pytest.skip("platform has no fork start method")
         with LintPool(2, start_method="fork") as fork_pool:
-            forked = run_corpus(records, pool=fork_pool, shards=4)
+            forked = run_corpus(
+                records, executor=PoolExecutor(pool=fork_pool), shards=4
+            )
         with LintPool(2, start_method="spawn") as spawn_pool:
-            spawned = run_corpus(records, pool=spawn_pool, shards=4)
+            spawned = run_corpus(
+                records, executor=PoolExecutor(pool=spawn_pool), shards=4
+            )
         assert summary_to_json(forked.summary) == reference_json
         assert summary_to_json(spawned.summary) == reference_json
 
-    def test_collect_reports_over_store(self, records, tmp_path):
+    def test_reports_over_store(self, records, tmp_path):
         path = write_store(records, tmp_path / "c.rcs")
         with CorpusStore(path) as store:
-            outcome = run_corpus(store, jobs=2, shards=3, collect_reports=True)
+            outcome = run_corpus(
+                store, jobs=2, shards=3, output=ShardOutput.REPORTS
+            )
         assert outcome.reports is not None
         assert len(outcome.reports) == len(records)
 

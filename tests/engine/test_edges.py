@@ -8,8 +8,8 @@ the same tasks merge to the summary of the reference oracle
 (:func:`repro.lint.reference.reference_run_lints`, run serially), and
 both surface a worker failure as :class:`ShardError`.  An unparseable
 record is one recorded failure, the same one whichever path decodes it:
-a corpus run raises on it, and an incremental batch folds its
-neighbours at their own log indexes and reports it.  An explicit
+a corpus run raises on it, and ``Engine.run`` (``repro lint``, a tail
+batch) folds its neighbours at their own log indexes and reports it.  An explicit
 executor sizes the default shard count by its own job count, and a
 batch longer than one shard-loop block folds in log order.
 """
@@ -20,7 +20,9 @@ import os
 import pytest
 
 from repro.engine.executors import PoolExecutor, SerialExecutor
-from repro.engine.pipeline import Engine, increment_pairs, run_corpus
+from repro.cli import main
+from repro.engine.ingest import batch_pairs
+from repro.engine.pipeline import Engine, run_corpus
 from repro.engine.sinks import merge_shard_results
 from repro.engine.stats import EngineStats
 from repro.engine.windows import WindowConfig, WindowedSummary, cert_facts
@@ -31,6 +33,7 @@ from repro.lint.parallel import (
     SHARD_BLOCK,
     LintPool,
     ShardError,
+    ShardOutput,
     ShardTask,
     build_pair_shard_tasks,
     default_shard_count,
@@ -130,14 +133,14 @@ class TestShardBounds:
 class TestShardTasks:
     def test_single_record_corpus_one_nonempty_task(self):
         records = make_records(1)
-        tasks = build_pair_shard_tasks(increment_pairs(records), shards=8)
+        tasks = build_pair_shard_tasks(batch_pairs(records), shards=8)
         assert len(tasks) == 1
         assert len(tasks[0].certs_der) == 1
 
     def test_no_task_is_ever_empty(self):
         records = make_records(5)
         for shards in (1, 2, 5, 9):
-            tasks = build_pair_shard_tasks(increment_pairs(records), shards=shards)
+            tasks = build_pair_shard_tasks(batch_pairs(records), shards=shards)
             assert tasks, f"shards={shards} produced no tasks"
             assert all(task.certs_der for task in tasks)
 
@@ -152,7 +155,7 @@ class TestEmptyCorpus:
         )
 
     def test_run_corpus_empty_with_reports_collects_nothing(self):
-        outcome = run_corpus([], jobs=4, collect_reports=True)
+        outcome = run_corpus([], jobs=4, output=ShardOutput.REPORTS)
         assert outcome.reports == []
 
 
@@ -175,33 +178,39 @@ class TestJobsExceedRecords:
 
 class TestJobsPoolReconcile:
     """An explicit ``jobs`` alongside a shared pool is reconciled, not
-    silently ignored: clamped to the pool's worker count and always to
-    the record count."""
+    silently ignored: clamped to the pool's worker count by
+    ``PoolExecutor`` and always to the record count by ``Engine.run``."""
 
     def test_explicit_jobs_clamped_to_pool_size(self):
         records = make_records(6)
         with LintPool(2) as pool:
-            outcome = run_corpus(records, jobs=8, pool=pool, shards=3)
+            outcome = run_corpus(
+                records, executor=PoolExecutor(8, pool=pool), shards=3
+            )
         assert outcome.jobs == 2
         assert summary_to_json(outcome.summary) == oracle_summary(records)
 
     def test_explicit_smaller_jobs_rides_shared_pool(self):
         records = make_records(6)
         with LintPool(2) as pool:
-            outcome = run_corpus(records, jobs=1, pool=pool, shards=3)
+            outcome = run_corpus(
+                records, executor=PoolExecutor(1, pool=pool), shards=3
+            )
         assert outcome.jobs == 1
 
     def test_pool_jobs_clamped_to_record_count(self):
         records = make_records(2)
         with LintPool(4) as pool:
-            outcome = run_corpus(records, pool=pool, shards=2)
+            outcome = run_corpus(
+                records, executor=PoolExecutor(pool=pool), shards=2
+            )
         assert outcome.jobs == 2
 
 
 class TestExecutorParity:
     def test_serial_and_pool_merge_identically(self):
         records = make_records(6)
-        tasks = build_pair_shard_tasks(increment_pairs(records), shards=3)
+        tasks = build_pair_shard_tasks(batch_pairs(records), shards=3)
         serial = SerialExecutor().run(tasks)
         pool = PoolExecutor(2).run(tasks)
         expected = oracle_summary(records)
@@ -251,19 +260,28 @@ def _broken(good: bytes, kind: str) -> bytes:
 
 class TestUnparseableRecords:
     @pytest.mark.parametrize("kind", ["truncated", "bit_flipped", "not_a_certificate"])
-    def test_engine_and_shard_record_the_same_failure(self, kind):
+    def test_engine_and_shard_record_the_same_failure(self, kind, tmp_path, capsys):
         good = make_records(1)[0].certificate.to_der()
         bad = _broken(good, kind)
-        item = Engine().lint_bytes(bad, origin="<test>")
-        assert item.error_code == "unparseable_certificate"
-        assert item.error.startswith("input is not a parseable certificate: ")
+        # ``repro lint``'s call: the one record is a recorded failure.
+        outcome = Engine().run([(bad, None)], output=ShardOutput.JSON)
+        ((index, error),) = outcome.failures
+        assert index == 0
+        assert error.startswith("input is not a parseable certificate: ")
+        assert outcome.reports == []
+        assert outcome.summary.total == 0
+        # ...which the CLI reports as status 2 with that message.
+        path = tmp_path / "bad.der"
+        path.write_bytes(bad)
+        assert main(["lint", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
         # One bad record fails only itself: its neighbours are linted.
         task = ShardTask(
             index=0, certs_der=(good, bad, good), issued_at=(None,) * 3
         )
         result = lint_shard(task)
         assert result.error is None
-        assert result.failures == [(1, item.error)]
+        assert result.failures == [(1, error)]
         assert result.summary.total == 2
 
     @pytest.mark.parametrize("shards", [1, 3])
@@ -276,7 +294,7 @@ class TestUnparseableRecords:
         ]
         config = WindowConfig(index_window=2)
         window = WindowedSummary(config)
-        outcome = Engine().run_increment(
+        outcome = Engine().run(
             batch, base_index=0, shards=shards, executor=SerialExecutor(), window=window
         )
         ((index, message),) = outcome.failures
@@ -304,7 +322,7 @@ class TestUnparseableRecords:
             batch[position] = (b"\x30\x03\x02\x01\x00", batch[position][1])
         config = WindowConfig(index_window=SHARD_BLOCK // 2 + 3)
         window = WindowedSummary(config)
-        outcome = Engine().run_increment(
+        outcome = Engine().run(
             batch, base_index=1000, shards=1, executor=SerialExecutor(), window=window
         )
         assert [index for index, _ in outcome.failures] == [1000 + p for p in bad]

@@ -6,7 +6,8 @@ byte-identical output to the reference oracle
 with every derived-view cache disabled), run serially.  Covered here:
 merged corpus summaries (``jobs=1``, ``2`` and ``4`` vs the oracle),
 collected per-certificate reports, the service worker primitive, and
-the CLI JSON document.
+the CLI JSON document, through ``repro lint`` and through the
+``Engine.run`` call behind it.
 """
 
 import datetime as dt
@@ -63,8 +64,8 @@ class TestCorpusSummaries:
 
 class TestCollectedReports:
     def test_reports_byte_identical_across_jobs(self, corpus, reference_reports):
-        one = run_corpus(corpus, jobs=1, collect_reports=True)
-        four = run_corpus(corpus, jobs=4, collect_reports=True)
+        one = run_corpus(corpus, jobs=1, output=ShardOutput.REPORTS)
+        four = run_corpus(corpus, jobs=4, output=ShardOutput.REPORTS)
         expected = [
             report_to_json(report, record.certificate)
             for report, record in zip(reference_reports, corpus.records)
@@ -136,10 +137,11 @@ class TestCliSurface:
         report = reference_run_lints(reparsed)
         assert out == report_to_json(report, reparsed) + "\n"
 
-    def test_engine_item_json_matches_reference(self):
+    def test_engine_run_json_matches_reference(self):
+        # The call ``repro lint --json`` makes for one certificate.
         cert = self._cert()
-        engine = Engine()
-        item = engine.lint_bytes(cert.to_der(), origin="<test>")
-        assert item.ok
-        report = reference_run_lints(Certificate.from_der(cert.to_der()))
-        assert engine.render_json(item) == report_to_json(report, item.cert)
+        outcome = Engine().run([(cert.to_der(), None)], output=ShardOutput.JSON)
+        assert outcome.failures == []
+        reparsed = Certificate.from_der(cert.to_der())
+        report = reference_run_lints(reparsed)
+        assert outcome.reports == [report_to_json(report, reparsed)]

@@ -47,7 +47,7 @@ class RecordingExecutor(SerialExecutor):
 def test_window_alone_ships_no_reports(records):
     executor = RecordingExecutor()
     window = WindowedSummary(WindowConfig(index_window=16))
-    outcome = Engine().run_increment(
+    outcome = Engine().run(
         records, shards=3, executor=executor, window=window
     )
     assert outcome.reports is None

@@ -11,6 +11,7 @@ import datetime as dt
 from repro.cli import main
 from repro.engine.pipeline import run_corpus
 from repro.engine.stats import EngineStats, StageTimings
+from repro.lint.compiled import warm_default_plan
 from repro.x509.builder import CertificateBuilder
 from repro.x509.extensions import subject_alt_name
 from repro.x509.general_name import GeneralName
@@ -126,7 +127,7 @@ class TestEngineStatsRendering:
     def test_render_lines_header_and_totals(self):
         stats = EngineStats()
         stats.add("lint", 1.5, 1.4, items=10)
-        stats.count_certs(10, 4200)
+        stats.merge_timings(StageTimings(certs=10, bytes=4200))
         lines = stats.render_lines()
         assert lines[0] == "engine stats:"
         assert any("lint:" in line and "wall" in line and "cpu" in line for line in lines)
@@ -164,6 +165,9 @@ class TestStatsThreadedThroughRuns:
             )
             for i in range(4)
         ]
+        # Build the plan first, so no one-time ``compile`` stage shows
+        # whichever test ran first in this process.
+        warm_default_plan()
         stats = EngineStats()
         run_corpus(records, jobs=1, stats=stats)
         seconds = stats.stage_wall_seconds()

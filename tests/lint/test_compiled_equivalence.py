@@ -24,6 +24,7 @@ import sys
 import pytest
 
 from repro.ct.corpus import CorpusGenerator
+from repro.engine.executors import PoolExecutor
 from repro.engine.pipeline import run_corpus
 from repro.engine.stats import EngineStats
 from repro.lint.framework import REGISTRY, _INDEX_MEMO
@@ -82,7 +83,7 @@ class TestCompiledReportEquivalence:
     ):
         with LintPool(2, start_method=start_method) as pool:
             pool.prewarm()
-            outcome = run_corpus(corpus, jobs=2, pool=pool)
+            outcome = run_corpus(corpus, executor=PoolExecutor(2, pool=pool))
         assert summary_to_json(outcome.summary) == oracle_summary
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ct.corpus import CorpusGenerator
 from repro.engine.pipeline import run_corpus
+from repro.lint.parallel import ShardOutput
 from repro.lint.runner import CorpusSummary
 from repro.lint.serialization import summary_to_json
 
@@ -22,7 +23,7 @@ from repro.lint.serialization import summary_to_json
 @pytest.fixture(scope="module")
 def reports():
     corpus = CorpusGenerator(seed=23, scale=0.00001).generate()
-    outcome = run_corpus(corpus, jobs=1, collect_reports=True)
+    outcome = run_corpus(corpus, jobs=1, output=ShardOutput.REPORTS)
     return outcome.reports
 
 

@@ -15,7 +15,9 @@ import os
 import pytest
 
 from repro.ct.corpus import CorpusGenerator
-from repro.engine.pipeline import increment_pairs, run_corpus
+from repro.engine.executors import PoolExecutor
+from repro.engine.ingest import batch_pairs
+from repro.engine.pipeline import run_corpus
 from repro.lint.framework import (
     REGISTRY,
     FunctionLint,
@@ -193,8 +195,8 @@ class TestDeterminism:
         assert summary_to_json(classic) == summary_to_json(piped)
 
     def test_reports_come_back_in_corpus_order(self, corpus):
-        seq = run_corpus(corpus, jobs=1, collect_reports=True)
-        par = run_corpus(corpus, jobs=2, collect_reports=True)
+        seq = run_corpus(corpus, jobs=1, output=ShardOutput.REPORTS)
+        par = run_corpus(corpus, jobs=2, output=ShardOutput.REPORTS)
         assert len(seq.reports) == len(par.reports) == len(corpus.records)
         for left, right in zip(seq.reports, par.reports):
             assert json.dumps(report_to_dict(left), sort_keys=True) == json.dumps(
@@ -207,7 +209,7 @@ class TestDeterminism:
         assert summary_to_json(a.summary) == summary_to_json(b.summary)
 
     def test_empty_corpus(self):
-        outcome = run_corpus([], jobs=4, collect_reports=True)
+        outcome = run_corpus([], jobs=4, output=ShardOutput.REPORTS)
         assert outcome.summary.total == 0
         assert outcome.reports == []
         assert outcome.shards == 0
@@ -252,7 +254,7 @@ class TestWorkerCrash:
         assert excinfo.value.index >= 0
 
     def test_lint_shard_never_raises(self, corpus, tmp_path):
-        tasks = build_pair_shard_tasks(increment_pairs(self._poisoned(corpus)), shards=2)
+        tasks = build_pair_shard_tasks(batch_pairs(self._poisoned(corpus)), shards=2)
         results = [lint_shard(task) for task in tasks]
         assert not any(r.error for r in results)
         failed = next(r for r in results if r.failures)
@@ -282,7 +284,7 @@ class TestBlockLoop:
 
     @pytest.fixture(scope="class")
     def pairs(self, corpus):
-        pairs = increment_pairs(corpus)
+        pairs = batch_pairs(corpus)
         assert len(pairs) > 2 * SHARD_BLOCK
         return pairs
 
@@ -425,8 +427,8 @@ class TestLintPool:
     def test_corpus_results_identical_through_a_reused_pool(self, corpus):
         baseline = _oracle_summary(corpus)
         with LintPool(jobs=2) as pool:
-            first = run_corpus(corpus, pool=pool)
-            second = run_corpus(corpus, pool=pool)
+            first = run_corpus(corpus, executor=PoolExecutor(pool=pool))
+            second = run_corpus(corpus, executor=PoolExecutor(pool=pool))
             assert summary_to_json(first.summary) == baseline
             assert summary_to_json(second.summary) == baseline
             assert first.jobs == 2
@@ -438,7 +440,7 @@ class TestLintPool:
         baseline = summary_to_json(run_corpus(records, jobs=1).summary)
         with LintPool(jobs=1) as pool:
             for _ in range(6):
-                outcome = run_corpus(records, jobs=1, pool=pool)
+                outcome = run_corpus(records, executor=PoolExecutor(1, pool=pool))
                 assert summary_to_json(outcome.summary) == baseline
             cached, mapped = pool.executor.submit(_worker_spill_state).result(
                 timeout=60

@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.ct.corpus import CorpusGenerator
-from repro.engine.pipeline import increment_pairs
+from repro.engine.ingest import batch_pairs
 from repro.fuzz.oracle import baseline_specs, evaluate_batch_timed
 from repro.lint.framework import REGISTRY, index_for
 from repro.lint.parallel import (
@@ -169,7 +169,7 @@ class TestSnapshot:
 
 def test_worker_entry_points_leave_process_state_unchanged(tmp_path):
     corpus = CorpusGenerator(seed=11, scale=1 / 40000).generate()
-    pairs = increment_pairs(corpus)
+    pairs = batch_pairs(corpus)
     # A record no parser accepts takes the failure path of the loop.
     pairs.insert(len(pairs) // 2, (b"\x30\x03\x02\x01\x00", None))
     store_path = corpus.to_store(tmp_path / "corpus.rcs")

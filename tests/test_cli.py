@@ -4,8 +4,13 @@ import datetime as dt
 
 import pytest
 
+from repro.asn1.errors import ASN1Error
 from repro.cli import main
+from repro.engine.ingest import sniff_certificate_bytes
+from repro.lint.reference import reference_run_lints
+from repro.lint.serialization import render_text_report, report_to_json
 from repro.x509.builder import CertificateBuilder
+from repro.x509.certificate import Certificate
 from repro.x509.extensions import subject_alt_name
 from repro.x509.general_name import GeneralName
 from repro.x509.keys import generate_keypair
@@ -112,22 +117,56 @@ class TestLintMultipleFiles:
     """PR 2 satellite: several files in one invocation, per-file status
     on stderr, worst per-file status as the exit code."""
 
-    def test_two_files_worst_status_wins(self, tmp_path, capsys):
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("other", ["clean", "findings", "unparseable"])
+    def test_two_files_worst_status_wins(self, tmp_path, capsys, as_json, other):
         good = write_cert(tmp_path, "ok.example.com", san="ok.example.com")
-        bad_path = tmp_path / "bad.pem"
-        builder = (
-            CertificateBuilder()
-            .subject_cn("bad\x00cn.example.com")
-            .not_before(dt.datetime(2024, 1, 1))
-            .add_extension(subject_alt_name(GeneralName.dns("other.example.com")))
-        )
-        bad_path.write_text(encode_pem(builder.sign(KEY).to_der()))
-        assert main(["lint", good, str(bad_path)]) == 1
+        if other == "unparseable":
+            other_der = b"\x30\x03\x02\x01\x00"  # a SEQUENCE, not a certificate
+            other_path = tmp_path / "other.der"
+            other_path.write_bytes(other_der)
+        else:
+            cn = "two.example.com" if other == "clean" else "bad\x00cn.example.com"
+            other_der = (
+                CertificateBuilder()
+                .subject_cn(cn)
+                .not_before(dt.datetime(2024, 1, 1))
+                .add_extension(subject_alt_name(GeneralName.dns("two.example.com")))
+                .sign(KEY)
+                .to_der()
+            )
+            other_path = tmp_path / "other.pem"
+            other_path.write_text(encode_pem(other_der))
+        status = {"clean": 0, "findings": 1, "unparseable": 2}[other]
+        word = {0: "compliant", 1: "noncompliant", 2: "error"}[status]
+
+        def body(der):
+            cert = Certificate.from_der(der)
+            report = reference_run_lints(cert)
+            if as_json:
+                return report_to_json(report, cert)
+            return render_text_report(report, cert)
+
+        with open(good, "rb") as handle:
+            good_body = body(sniff_certificate_bytes(handle.read()))
+        other_body = error = ""
+        try:
+            other_body = body(other_der) + "\n"
+        except ASN1Error as exc:
+            error = f"error: input is not a parseable certificate: {exc}\n"
+
+        args = ["lint", good, str(other_path)] + (["--json"] if as_json else [])
+        assert main(args) == status
         captured = capsys.readouterr()
-        assert f"== {good} ==" in captured.out
-        assert f"== {bad_path} ==" in captured.out
-        assert f"{good}: compliant (0)" in captured.err
-        assert f"{bad_path}: noncompliant (1)" in captured.err
+        if as_json:
+            assert captured.out == f"{good_body}\n{other_body}"
+        else:
+            assert captured.out == (
+                f"== {good} ==\n{good_body}\n\n== {other_path} ==\n{other_body}"
+            )
+        assert captured.err == (
+            f"{error}{good}: compliant (0)\n{other_path}: {word} ({status})\n"
+        )
 
     def test_unreadable_file_status_two_dominates(self, tmp_path, capsys):
         good = write_cert(tmp_path, "ok.example.com", san="ok.example.com")
