@@ -1,21 +1,12 @@
 """Figure 4 — fields containing internationalized contents per issuer."""
 
+from repro.analysis.artifacts import fig4_lines
 from repro.analysis.fields import field_matrix
-from repro.engine.windows import FIELD_COLUMNS
 
 
 def test_fig4_field_matrix(corpus, reports, write_output):
     matrix = field_matrix(corpus, reports, min_certs=20)
-    lines = [
-        "Figure 4: internationalized content per (issuer, field)",
-        "Legend: '.' Unicode content, '+' deviation from standards, ' ' neither",
-        f"{'Issuer':<34}" + "".join(f"{col[:10]:>12}" for col in FIELD_COLUMNS),
-    ]
-    for issuer in matrix.issuers[:15]:
-        lines.append(
-            f"{issuer[:33]:<34}"
-            + "".join(f"{matrix.cell(issuer, col).marker:>12}" for col in FIELD_COLUMNS)
-        )
+    lines = fig4_lines(matrix)
     write_output("fig4_field_matrix", lines)
 
     assert matrix.issuers

@@ -3,19 +3,17 @@
 Generates one seeded corpus, keeps each certificate's DER, and times
 each lint sub-stage over the whole corpus, ``--reps`` times:
 
-* ``views_families`` — the family signature (``walk_fields``) on
-  freshly decoded certificates: the SAN/IAN/extension views, the DN
-  and payload walks (family keys plus their masks), the GeneralName
-  kind buckets, the DNS-name and A-label lists;
-* ``scope_masks_cold`` — every other scope mask the compiled dispatch
-  would resolve after the signature, with the process-wide string and
+* ``field_pass_cold`` — the compiled field pass
+  (:meth:`~repro.lint.compiled.CompiledPlan.scan`) on freshly decoded
+  certificates with the process-wide string memos and the plan's
   content-keyed memos cleared first (the state of every ``corpus``
-  operation's fresh worker);
-* ``scope_masks_warm`` — the same with the memos already filled;
+  operation's fresh worker): the SAN/IAN views, the DN, payload and
+  GeneralName walks, the family signature and every slot mask;
+* ``field_pass_warm`` — the same with the memos already filled;
 * ``xn_analysis`` — the per-A-label IDN analysis behind the ``xn``
   scope, memo cleared: decode, permitted check, NFC and round-trip;
 * ``dispatch`` — ``run_lints`` with warm memos on certificates whose
-  views are built: the dispatch loop with its checks (scope masks warm);
+  views are built: the field pass, the template lookup and its checks;
 * ``run_lints_cold`` — the whole ``run_lints`` on freshly decoded
   certificates with the memos cleared.
 
@@ -36,6 +34,7 @@ import time
 from repro.ct.corpus import CorpusGenerator
 from repro.lint import compiled
 from repro.lint.framework import REGISTRY, index_for
+from repro.lint.helpers import xn_labels
 from repro.lint.runner import run_lints
 from repro.x509 import certificate
 from repro.x509.certificate import Certificate
@@ -47,34 +46,22 @@ DEFAULT_SCALE = 1 / 50_000
 _MEMOS = (
     compiled._STRING_MASKS,
     compiled._CHAR_MASKS,
-    compiled._DNS_MASKS,
+    compiled._DNS_NAMES,
     compiled._EMAIL_MASKS,
     compiled._URI_MASKS,
     compiled._XN_MASKS,
-    compiled._ISSUER_WALKS,
-    compiled._PAYLOADS,
+    compiled._MAILBOXES,
     certificate._DECODED_ISSUERS,
 )
 
 
-def clear_memos() -> None:
-    for memo in _MEMOS:
+def clear_memos(plan) -> None:
+    for memo in _MEMOS + (plan._issuers, plan._payloads):
         memo.clear()
 
 
 def _fresh(ders):
     return [Certificate.from_der(der) for der in ders]
-
-
-def _scope_plan(plan, present) -> list:
-    """The scopes the compiled dispatch resolves for one signature."""
-    scopes = []
-    for _lint, families, scope, _trigger, _mode in plan.entries:
-        if scope is None or (families is not None and families.isdisjoint(present)):
-            continue
-        if scope not in scopes:
-            scopes.append(scope)
-    return scopes
 
 
 def stages(ders, issued):
@@ -86,36 +73,21 @@ def stages(ders, issued):
     index = index_for(REGISTRY.snapshot())
     plan = index.compiled_plan()
 
-    def signed_certs():
-        prepared = []
-        for cert in _fresh(ders):
-            masks: dict = {}
-            present = compiled.walk_fields(cert, masks)
-            prepared.append((cert, masks, _scope_plan(plan, present)))
-        return prepared
-
-    def views_families(certs):
+    def field_pass(certs):
         for cert in certs:
-            compiled.walk_fields(cert, {})
+            plan.scan(cert)
 
-    def scope_masks(prepared):
-        for cert, masks, scopes in prepared:
-            for scope in scopes:
-                if scope not in masks:
-                    compiled.resolve_scope(scope, cert, masks)
+    def cold_pass():
+        certs = _fresh(ders)
+        clear_memos(plan)
+        return certs
 
-    def cold_masks():
-        prepared = signed_certs()
-        clear_memos()
-        return prepared
+    def warm_pass():
+        field_pass(_fresh(ders))
+        return _fresh(ders)
 
-    def warm_masks():
-        prepared = signed_certs()
-        scope_masks(signed_certs())
-        return prepared
-
-    def xn_labels():
-        labels = [compiled.xn_labels(cert) for cert in _fresh(ders)]
+    def xn_label_lists():
+        labels = [xn_labels(cert) for cert in _fresh(ders)]
         compiled._XN_MASKS.clear()
         return labels
 
@@ -137,14 +109,13 @@ def stages(ders, issued):
     def cold_certs():
         # Cleared before decoding: as in a fresh worker, the first
         # certificate of each issuer decodes its issuer DN eagerly.
-        clear_memos()
+        clear_memos(plan)
         return _fresh(ders)
 
     return {
-        "views_families": (lambda: _fresh(ders), views_families),
-        "scope_masks_cold": (cold_masks, scope_masks),
-        "scope_masks_warm": (warm_masks, scope_masks),
-        "xn_analysis": (xn_labels, xn_analysis),
+        "field_pass_cold": (cold_pass, field_pass),
+        "field_pass_warm": (warm_pass, field_pass),
+        "xn_analysis": (xn_label_lists, xn_analysis),
         "dispatch": (warm_certs, lint_all),
         "run_lints_cold": (cold_certs, lint_all),
     }

@@ -1,20 +1,13 @@
 """Table 11 — top lints ranked by noncompliant Unicerts flagged."""
 
+from repro.analysis.artifacts import table11_lines
 from repro.analysis.compliance import top_lints
 from repro.lint.framework import REGISTRY
 
 
 def test_table11_top_lints(corpus, reports, write_output):
     ranked = top_lints(reports, 25)
-    lines = [
-        "Table 11: Top lints identifying noncompliant cases",
-        f"{'Lint':<58}{'Type':<20}{'New':>4}{'#NC':>7}",
-    ]
-    for name, count in ranked:
-        meta = REGISTRY.get(name).metadata
-        lines.append(
-            f"{name:<58}{meta.nc_type.value:<20}{'yes' if meta.new else 'no':>4}{count:>7}"
-        )
+    lines = table11_lines(ranked)
     write_output("table11_top_lints", lines)
 
     names = [name for name, _count in ranked]

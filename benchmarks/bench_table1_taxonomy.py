@@ -6,6 +6,7 @@ alive shares, the 0.72% overall NC rate, the 65.3% trusted share, and
 the footnote-4 effective-date gap.
 """
 
+from repro.analysis.artifacts import table1_lines
 from repro.analysis.compliance import build_table1, encoding_error_analysis, issuer_involvement
 from repro.lint.framework import NoncomplianceType
 
@@ -21,31 +22,7 @@ PAPER_TYPE_SHARES = {
 def test_table1_taxonomy(corpus, reports, write_output):
     table = build_table1(corpus, reports)
 
-    lines = [
-        "Table 1: Overview of noncompliance types "
-        f"(scale={corpus.scale:g}, n={table.total_certs})",
-        f"{'Type':<22}{'#Lints':>8}{'(New)':>7}{'#NC':>7}{'(New)':>7}"
-        f"{'Error':>7}{'Warn':>7}{'Trusted':>9}{'Recent':>8}{'Alive':>7}",
-    ]
-    for nc_type in NoncomplianceType:
-        row = table.rows[nc_type]
-        lines.append(
-            f"{nc_type.value:<22}{row.lints_total:>8}{row.lints_new:>7}"
-            f"{row.nc_certs:>7}{row.nc_certs_new_lints:>7}"
-            f"{row.error_level:>7}{row.warning_level:>7}"
-            f"{row.trusted_share:>8.1%}{row.recent:>8}{row.alive:>7}"
-        )
-    lines += [
-        f"{'All':<22}{95:>8}{50:>7}{table.nc_certs:>7}"
-        f"{'':>7}{table.nc_error_level:>7}{table.nc_warning_level:>7}"
-        f"{table.trusted_share:>8.1%}{table.nc_recent:>8}{table.nc_alive:>7}",
-        "",
-        f"NC rate: {table.nc_rate:.2%} (paper: 0.72%)",
-        f"Trusted share of NC: {table.trusted_share:.1%} (paper: 65.3%)",
-        f"Limited-trust share: {table.limited_share:.1%} (paper: 21.1%)",
-        f"NC ignoring effective dates: {table.nc_certs_ignoring_dates} "
-        f"vs {table.nc_certs} (paper: 1.8M vs 249.3K, ~7.2x)",
-    ]
+    lines = table1_lines(corpus, table)
     write_output("table1_taxonomy", lines)
 
     # Shape assertions: who dominates and by roughly what factor.

@@ -207,7 +207,9 @@ class Engine:
                     _os.unlink(spill)
                 except OSError:
                     pass
-        with self.stats.time("sink", items=len(results)):
+        # The workers' sink stage already counts each certificate; the
+        # merge adds time, not items.
+        with self.stats.time("sink"):
             outcome = merge_shard_results(results, jobs, output)
         # Results are in shard order, one per ``bounds`` entry.
         outcome.failures = [

@@ -39,10 +39,9 @@ from ..asn1.oid import (
     OID_ORGANIZATIONAL_UNIT,
     OID_STATE_OR_PROVINCE,
 )
-from ..lint.compiled import walk_fields
+from ..lint.compiled import PSEUDO_BITS, warm_default_plan
 from ..lint.runner import CertificateReport, CorpusSummary, ReportTally, tally
 from ..uni.intervals import ATOM_BITS
-from ..x509.general_name import GeneralNameKind
 
 #: Epoch window granularities keyed by issued-at timestamp.
 EPOCHS = ("year", "month")
@@ -74,66 +73,51 @@ class CertFacts(NamedTuple):
 #: The Figure 4 field columns we track.
 FIELD_COLUMNS = ("DNSName", "CN", "O", "OU", "L", "ST", "CertificatePolicies")
 
-#: Figure 4's Subject DN columns and the per-OID subject mask key of
-#: the attribute each one reads.
-_DN_COLUMNS = (
-    ("CN", ("s", OID_COMMON_NAME.dotted)),
-    ("O", ("s", OID_ORGANIZATION_NAME.dotted)),
-    ("OU", ("s", OID_ORGANIZATIONAL_UNIT.dotted)),
-    ("L", ("s", OID_LOCALITY_NAME.dotted)),
-    ("ST", ("s", OID_STATE_OR_PROVINCE.dotted)),
-)
-
 #: Scan-mask atoms of a character outside printable ASCII (0x20-0x7E):
-#: a string's mask meets them iff :func:`_has_non_ascii` holds.
+#: a string's mask meets them iff it holds such a character.
 _NOT_PRINTABLE_ASCII = ATOM_BITS["CONTROL"] | ATOM_BITS["NON_ASCII"]
 
-_DNS_KIND = GeneralNameKind.DNS_NAME
+#: Each Figure 4 column (in sorted order), the primitive scope of the
+#: compiled field pass it reads, and the bits that put Unicode content
+#: in it: a DN column reads its per-OID subject slot, ``DNSName`` the
+#: SAN's DNSName slot (non-ASCII, or an ``xn--`` label: the ``ALABEL``
+#: bit), ``CertificatePolicies`` the explicit-text slot.
+_COLUMN_SCOPES = (
+    ("CN", ("s", OID_COMMON_NAME.dotted), _NOT_PRINTABLE_ASCII),
+    ("CertificatePolicies", "cp_text", _NOT_PRINTABLE_ASCII),
+    ("DNSName", "san_dns", _NOT_PRINTABLE_ASCII | PSEUDO_BITS["ALABEL"]),
+    ("L", ("s", OID_LOCALITY_NAME.dotted), _NOT_PRINTABLE_ASCII),
+    ("O", ("s", OID_ORGANIZATION_NAME.dotted), _NOT_PRINTABLE_ASCII),
+    ("OU", ("s", OID_ORGANIZATIONAL_UNIT.dotted), _NOT_PRINTABLE_ASCII),
+    ("ST", ("s", OID_STATE_OR_PROVINCE.dotted), _NOT_PRINTABLE_ASCII),
+)
 
 
-def _has_non_ascii(text: str) -> bool:
-    """Whether ``text`` holds a character outside printable ASCII (0x20-0x7E)."""
-    return not (text.isascii() and text.isprintable())
-
-
-def cert_facts(cert, masks: dict | None = None) -> CertFacts:
+def cert_facts(cert, plan=None, scan=None) -> CertFacts:
     """Extract :class:`CertFacts` from a parsed certificate.
 
-    ``masks`` is the per-certificate memo a lint pass filled
-    (:func:`repro.lint.runner.run_lints` with a caller's dict); omitted,
-    :func:`~repro.lint.compiled.walk_fields` fills a fresh one.  The
-    Figure 4 columns are read from it: a DN column from its per-OID
-    subject mask, ``CertificatePolicies`` from the explicit-text mask,
-    and ``DNSName`` from the SAN's DNSName bucket (non-ASCII, or an
-    ``xn--`` label).  The column logic lives here so ``repro.engine``
-    stays free of any dependency on :mod:`repro.analysis` (which imports
-    the ct corpus); :func:`repro.analysis.fields.field_matrix` reads
-    ``unicode_fields`` from this function.
+    ``scan`` is the compiled ``plan``'s field pass over ``cert``
+    (:meth:`~repro.lint.compiled.CompiledPlan.scan`), as the lint pass
+    made it; omitted, the registry's default plan scans ``cert`` now.
+    The plan must read every scope of :data:`_COLUMN_SCOPES`, which
+    the full registry's plan does.  The column logic lives here so
+    ``repro.engine`` stays free of any dependency on
+    :mod:`repro.analysis` (which imports the ct corpus);
+    :func:`repro.analysis.fields.field_matrix` reads ``unicode_fields``
+    from this function.
     """
-    if masks is None:
-        masks = {}
-        walk_fields(cert, masks)
-    fields = []
-    for gn in masks["_san"].get(_DNS_KIND, ()):
-        name = gn.value
-        if _has_non_ascii(name):
-            fields.append("DNSName")
-            break
-        # Printable ASCII lowercases char for char, so a label starts
-        # with ``xn--`` (any case) iff the lowered name has it at the
-        # start or after a dot.
-        lowered = name.lower()
-        if lowered.startswith("xn--") or ".xn--" in lowered:
-            fields.append("DNSName")
-            break
-    for column, key in _DN_COLUMNS:
-        if masks.get(key, 0) & _NOT_PRINTABLE_ASCII:
-            fields.append(column)
-    if masks["cp_text"] & _NOT_PRINTABLE_ASCII:
-        fields.append("CertificatePolicies")
+    if scan is None:
+        plan = warm_default_plan()
+        scan = plan.scan(cert)
+    slots = scan[1]
+    slot_of = plan.slot_of
     return CertFacts(
         validity_days=int(cert.validity_days),
-        unicode_fields=tuple(sorted(fields)),
+        unicode_fields=tuple(
+            column
+            for column, scope, bits in _COLUMN_SCOPES
+            if slots[slot_of[scope]] & bits
+        ),
     )
 
 

@@ -228,7 +228,7 @@ dn_charset_lint(
     effective_date=COMMUNITY_DATE,
     new=True,
     value_predicate=_mixed_script,
-    atoms=("CONFUSABLE",),
+    atoms=("MIXED_CONFUSABLE",),
 )
 
 

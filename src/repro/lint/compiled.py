@@ -13,15 +13,19 @@ Instead of letting each lint re-ask that question, the registry is
   interval tables of :mod:`repro.uni.intervals` plus the pseudo-atoms
   below (length thresholds, ASN.1 string-type presence, DNS/email/URI
   shape, decode failures, per-label IDN analysis);
-* at lint time each scope's strings are walked **once**, computing an
-  N-bit membership mask per string via a fused interval table (one
-  bisect per distinct character, memoized corpus-wide per string);
+* compiling numbers the family keys the rows name (one bit each of an
+  integer signature) and the primitive scopes they read (one slot each);
+* at lint time one pass over the certificate's fields
+  (:meth:`CompiledPlan.scan`) sets the signature bits and ORs each
+  string's N-bit membership mask into its slots, the mask computed via
+  a fused interval table (one bisect per distinct character, memoized
+  corpus-wide per string);
 * a compiled lint whose trigger bits don't fire on its scope mask is
   proven compliant and emits ``PASS`` without running its check; when a
   bit fires the lint's own check runs unchanged, so details stay
   byte-identical;
 * those settled outcomes are memoized as verdict templates keyed by the
-  certificate's family signature and its scope masks
+  signature and the slot masks projected onto the bits live rows read
   (:meth:`CompiledPlan.template`), so a report is a shared PASS skeleton
   plus the few rows that still run.
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import and_, itemgetter
 from typing import NamedTuple
 
 from ..asn1.oid import OID_COMMON_NAME, OID_ON_SMTP_UTF8_MAILBOX
@@ -54,8 +59,9 @@ from ..uni.dns import is_ldh_label, is_xn_label
 from ..uni.idna import alabel_roundtrip_mismatch, has_unpermitted
 from ..uni.normalization import is_nfc
 from ..uni.errors import PunycodeError
+from ..uni.confusables import mixed_script_confusable
 from ..uni.intervals import ATOM_BITS, ATOM_INTERVALS
-from ..x509.general_name import GeneralNameKind
+from ..x509.general_name import GeneralNameKind, mailbox_encoding_problem
 from ..x509.certificate import VIEWS
 from .framework import LintResult, LintStatus
 
@@ -95,8 +101,8 @@ _ASCII_MASKS = tuple(
 
 # ---------------------------------------------------------------------------
 # Pseudo-atoms: trigger bits that are not interval-backed char classes but
-# are computed in the same fused pass (string-derived) or by the scope
-# walkers (structure-derived).  Appended after the interval atoms.
+# are computed in the same fused pass (string-derived) or by the field
+# pass (structure-derived).  Appended after the interval atoms.
 # ---------------------------------------------------------------------------
 
 #: Pseudo-atom names in bit order (appended after ``ATOM_BITS``).
@@ -136,6 +142,10 @@ PSEUDO_ATOMS = (
     "XN_UNPERMITTED",
     "XN_NOT_NFC",
     "XN_ROUNDTRIP_BAD",
+    "MIXED_CONFUSABLE",  # one value mixes a Latin letter and a non-Latin confusable
+    "ALABEL",  # a DNS name carries an ``xn--`` label (SAN/IAN DNSName buckets)
+    "SMTP_NOT_UTF8",  # a mailbox otherName is not a decodable UTF8String
+    "SMTP_ASCII_LOCAL",  # a mailbox's local part is nonempty and all ASCII
 )
 
 #: Pseudo-atom name -> its bit (continuing the interval-atom bit order).
@@ -175,6 +185,11 @@ _XN_DECODE_BAD = PSEUDO_BITS["XN_DECODE_BAD"]
 _XN_UNPERMITTED = PSEUDO_BITS["XN_UNPERMITTED"]
 _XN_NOT_NFC = PSEUDO_BITS["XN_NOT_NFC"]
 _XN_ROUNDTRIP_BAD = PSEUDO_BITS["XN_ROUNDTRIP_BAD"]
+_MIXED_CONFUSABLE = PSEUDO_BITS["MIXED_CONFUSABLE"]
+_ALABEL = PSEUDO_BITS["ALABEL"]
+_SMTP_NOT_UTF8 = PSEUDO_BITS["SMTP_NOT_UTF8"]
+_SMTP_ASCII_LOCAL = PSEUDO_BITS["SMTP_ASCII_LOCAL"]
+_CONFUSABLE = ATOM_BITS["CONFUSABLE"]
 
 #: Declared ASN.1 string type -> its presence bit (unknown types map to
 #: ``SPEC_OTHER``; see :func:`spec_trigger`).
@@ -197,21 +212,20 @@ _STRING_MEMO_MAX = 1 << 20
 #: Corpus-wide per-string mask memos (issuer DNs and hostnames repeat).
 _STRING_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 _CHAR_MASKS = ProcessMemo(_STRING_MEMO_MAX)
-_DNS_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+#: DNS name -> ``(shape mask, name mask, xn mask)`` (see :func:`dns_name_facts`).
+_DNS_NAMES = ProcessMemo(_STRING_MEMO_MAX)
 _EMAIL_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 _URI_MASKS = ProcessMemo(_STRING_MEMO_MAX)
 _XN_MASKS = ProcessMemo(_STRING_MEMO_MAX)
+#: ``(raw, value)`` of a SmtpUTF8Mailbox otherName -> its mask
+#: (see :func:`_mailbox_mask`).
+_MAILBOXES = ProcessMemo(_STRING_MEMO_MAX)
 
-#: Entry cap of each content-keyed memo; a full memo flushes.
+#: Entry cap of each content-keyed memo of a plan; a full memo flushes.
 _CONTENT_MEMO_MAX = 1 << 14
-#: Issuer-side DN walks keyed by the issuer DN as received:
-#: ``(mask entries, family keys)``, both immutable (see :func:`_walk_side`).
-_ISSUER_WALKS = ProcessMemo(_CONTENT_MEMO_MAX)
-#: Extension payload facts keyed by ``(slot, value_der)``:
-#: ``(decodes, mask entries)`` (see :func:`walk_payloads`).
-_PAYLOADS = ProcessMemo(_CONTENT_MEMO_MAX)
 
 _CN_DOTTED = OID_COMMON_NAME.dotted
+_SMTP_DOTTED = OID_ON_SMTP_UTF8_MAILBOX.dotted
 
 
 def char_mask(ch: str) -> int:
@@ -227,8 +241,9 @@ def scan_mask(text: str) -> int:
 
     One fused walk answers every atom's "does the string contain …?"
     question at once, then folds in the string-derived pseudo-bits
-    (length thresholds, case, whitespace at either end, and NFC, asked
-    only of non-ASCII text since ASCII is always NFC).  Results are
+    (length thresholds, case, whitespace at either end, and NFC and
+    mixed-script confusables, asked only of non-ASCII text: ASCII is
+    always NFC and holds no ``CONFUSABLE`` character).  Results are
     memoized per string, and per distinct character on the non-ASCII
     path.
     """
@@ -256,6 +271,8 @@ def scan_mask(text: str) -> int:
             mask |= entry
         if not is_nfc(text):
             mask |= _NOT_NFC
+        if mask & _CONFUSABLE and mixed_script_confusable(text):
+            mask |= _MIXED_CONFUSABLE
     if text:
         if text[0].isspace():
             mask |= _LEAD_WS
@@ -273,29 +290,6 @@ def scan_mask(text: str) -> int:
     if not text.isupper():
         mask |= _NOT_UPPER
     _STRING_MASKS[text] = mask
-    return mask
-
-
-def _dns_shape_mask(name: str) -> int:
-    """Scan mask of one DNS name plus the four DNS shape bits."""
-    mask = _DNS_MASKS.get(name)
-    if mask is not None:
-        return mask
-    mask = scan_mask(name)
-    stripped = name.rstrip(".")
-    if len(stripped) > 253:
-        mask |= _DNS_NAME_GT_253
-    candidate = name[:-1] if name.endswith(".") else name
-    labels = candidate.split(".")
-    if not candidate or "" in labels:
-        mask |= _DNS_EMPTY_LABEL
-    for label in labels:
-        if len(label) > 63:
-            mask |= _DNS_LABEL_GT_63
-    for label in stripped.split("."):
-        if label.startswith("-") or label.endswith("-"):
-            mask |= _DNS_HYPHEN_EDGE
-    _DNS_MASKS[name] = mask
     return mask
 
 
@@ -360,19 +354,80 @@ def _xn_label_mask(label: str) -> int:
     return mask
 
 
+def dns_name_facts(name: str) -> tuple[int, int, int]:
+    """``(shape mask, name mask, xn mask)`` of one DNS name (memoized).
+
+    The shape mask is the name's scan mask plus the four DNS shape bits
+    (its ``dns`` scope contribution); the name mask is its scan mask
+    plus ``SCOPE_NONEMPTY``, and ``ALABEL`` when it has an ``xn--``
+    label (its SAN/IAN DNSName bucket contribution); the xn mask is the
+    union of :func:`_xn_label_mask` over its ``xn--`` labels, 0 when it
+    has none (its ``xn`` scope contribution).  One entry answers all
+    three, so no certificate splits a name or looks up a label again.
+    """
+    entry = _DNS_NAMES.get(name)
+    if entry is not None:
+        return entry
+    scan = scan_mask(name)
+    mask = scan
+    stripped = name.rstrip(".")
+    if len(stripped) > 253:
+        mask |= _DNS_NAME_GT_253
+    candidate = name[:-1] if name.endswith(".") else name
+    labels = candidate.split(".")
+    if not candidate or "" in labels:
+        mask |= _DNS_EMPTY_LABEL
+    for label in labels:
+        if len(label) > 63:
+            mask |= _DNS_LABEL_GT_63
+    for label in stripped.split("."):
+        if label.startswith("-") or label.endswith("-"):
+            mask |= _DNS_HYPHEN_EDGE
+    xn = 0
+    for label in name.split("."):
+        if is_xn_label(label):
+            xn |= _xn_label_mask(label)
+    scan |= SCOPE_NONEMPTY
+    if xn:
+        scan |= _ALABEL
+    entry = _DNS_NAMES[name] = (mask, scan, xn)
+    return entry
+
+
+def _mailbox_mask(gn) -> int:
+    """Mask of one SmtpUTF8Mailbox otherName (memoized by payload and value).
+
+    The value's scan mask and ``SCOPE_NONEMPTY``, plus two bits that
+    restate the mailbox lints' checks: ``SMTP_NOT_UTF8`` iff
+    :func:`~repro.x509.general_name.mailbox_encoding_problem` finds a
+    problem in the payload, and ``SMTP_ASCII_LOCAL`` iff the local part
+    (before the last ``@``) is nonempty and all ASCII.
+    """
+    key = (gn.raw, gn.value)
+    mask = _MAILBOXES.get(key)
+    if mask is not None:
+        return mask
+    value = gn.value
+    mask = scan_mask(value) | SCOPE_NONEMPTY
+    if mailbox_encoding_problem(gn.raw) is not None:
+        mask |= _SMTP_NOT_UTF8
+    local = value.rsplit("@", 1)[0] if "@" in value else value
+    if local and local.isascii():
+        mask |= _SMTP_ASCII_LOCAL
+    _MAILBOXES[key] = mask
+    return mask
+
+
 # ---------------------------------------------------------------------------
-# Scopes: string sources on the certificate.  :func:`walk_fields` builds
-# the family signature and fills the per-certificate ``masks`` memo with
-# the DN, payload and GeneralName entries; each scope function then reads
-# that memo, stores its own key, and returns the scope's mask.
+# Scopes and families.  A scope names the strings a lint reads; the field
+# pass of :class:`CompiledPlan` fills one slot mask per primitive scope and
+# one signature bit per family key, in a single walk of the certificate.
 # ---------------------------------------------------------------------------
 
-# Family keys of the signature.  A certificate's present-family set is
-# compared against the families each lint's scope gives (:data:`SCOPES`).
-# Beside these names, a DN attribute of OID ``oid`` gives
-# ``("s", oid.dotted)``/``("i", ...)``, its declared string type
-# ``("spec", type_name)``, and a SAN/IAN GeneralName of kind ``k`` gives
-# ``("san", int(k))``/``("ian", ...)``.
+# Family keys of the signature.  Beside these names, a DN attribute of OID
+# ``oid`` gives ``("s", oid.dotted)``/``("i", ...)``, its declared string
+# type ``("spec", type_name)``, and a SAN/IAN GeneralName of kind ``k``
+# gives ``("san", int(k))``/``("ian", ...)``.
 FAMILY_SUBJECT_ANY = "s*"
 FAMILY_ISSUER_ANY = "i*"
 FAMILY_SAN_PRESENT = "san!"
@@ -385,206 +440,94 @@ FAMILY_CRLDP = "e:crldp"
 FAMILY_CP = "e:cp"
 
 _DNS_KIND = GeneralNameKind.DNS_NAME
+_EMAIL_KIND = GeneralNameKind.RFC822_NAME
+_URI_KIND = GeneralNameKind.URI
+_OTHER_KIND = GeneralNameKind.OTHER_NAME
+_SAN_DNS, _IAN_DNS = ("san", int(_DNS_KIND)), ("ian", int(_DNS_KIND))
+_SAN_EMAIL, _IAN_EMAIL = ("san", int(_EMAIL_KIND)), ("ian", int(_EMAIL_KIND))
+_SAN_URI, _IAN_URI = ("san", int(_URI_KIND)), ("ian", int(_URI_KIND))
+_SAN_OTHER, _IAN_OTHER = ("san", int(_OTHER_KIND)), ("ian", int(_OTHER_KIND))
 
 
-def all_dns_names(cert) -> list[str]:
-    """Distinct DNSNames in SAN plus DNS-shaped CommonNames, in order."""
-    san = cert.san
-    return _dns_names(
-        san.dns_names() if san is not None else [], cert.subject_common_names
-    )
+def dns_shaped(common_name: str) -> bool:
+    """Whether a subject CommonName counts as a DNS name."""
+    return "." in common_name and " " not in common_name and "@" not in common_name
 
 
-def _dns_names(san_dns: list[str], common_names) -> list[str]:
-    """:func:`all_dns_names` from the SAN's DNSNames and the subject CNs."""
-    names = list(san_dns)
-    for cn in common_names:
-        if "." in cn and " " not in cn and "@" not in cn:
-            names.append(cn)
-    # A CN repeated in the SAN (the CA/B-mandated layout) must not yield
-    # the name twice — per-name lint messages would double-count it.
-    return list(dict.fromkeys(names))
+#: Every named scope: ``(family keys, primitive scopes)``.  A row is live
+#: only on a certificate whose signature holds one of its scope's family
+#: keys (``None``: live on every certificate).  The primitive scopes are
+#: the slot masks the field pass fills; a union scope reads the OR of
+#: several, which the plan projects onto each of them.  A tuple scope
+#: ``(side, oid_dotted)`` is not listed: it is its own family key and
+#: its own primitive scope.
+SCOPES = {
+    "subject": ((FAMILY_SUBJECT_ANY,), ("subject",)),
+    "issuer": ((FAMILY_ISSUER_ANY,), ("issuer",)),
+    "dn": (None, ("subject", "issuer")),
+    "ps": ((("spec", "PrintableString"),), ("subject_ps", "issuer_ps")),
+    "utf8": ((("spec", "UTF8String"),), ("subject_utf8", "issuer_utf8")),
+    "dns": ((FAMILY_DNS,), ("dns",)),
+    "xn": ((FAMILY_XN,), ("xn",)),
+    "san_dns": ((_SAN_DNS,), ("san_dns",)),
+    "san_email": ((_SAN_EMAIL,), ("san_email",)),
+    "san_uri": ((_SAN_URI,), ("san_uri",)),
+    "ian_dns": ((_IAN_DNS,), ("ian_dns",)),
+    "ian_email": ((_IAN_EMAIL,), ("ian_email",)),
+    "ian_uri": ((_IAN_URI,), ("ian_uri",)),
+    "email_all": ((_SAN_EMAIL, _IAN_EMAIL), ("san_email", "ian_email")),
+    "uri_all": ((_SAN_URI, _IAN_URI), ("san_uri", "ian_uri")),
+    "uris_scheme": (
+        (FAMILY_CRLDP, _SAN_URI, _IAN_URI),
+        ("san_uri", "ian_uri", "crldp_uris"),
+    ),
+    "crldp": ((FAMILY_CRLDP,), ("crldp",)),
+    "aia_uris": ((FAMILY_AIA,), ("aia_uris",)),
+    "sia_uris": ((FAMILY_SIA,), ("sia_uris",)),
+    "cp_text": ((FAMILY_CP,), ("cp_text",)),
+    "cps_uris": ((FAMILY_CP,), ("cps_uris",)),
+    "san_entries": ((FAMILY_SAN_PRESENT,), ("san_entries",)),
+    "cn_san": ((("s", _CN_DOTTED),), ("cn_san",)),
+    "smtp": ((_SAN_OTHER, _IAN_OTHER), ("smtp",)),
+}
 
 
-def _alabels(dns_names) -> list[str]:
-    return [
-        label
-        for dns_name in dns_names
-        for label in dns_name.split(".")
-        if is_xn_label(label)
-    ]
-
-
-def xn_labels(cert) -> list[str]:
-    """All ``xn--`` (A-label) DNS labels across the cert's DNS names."""
-    return _alabels(all_dns_names(cert))
-
-
-def _walk_side(cert, masks: dict, side: str, families: set) -> None:
-    """One pass over a DN: whole-side, per-OID, and per-spec masks.
-
-    Fills ``masks[side_key]``, ``masks[(side, oid.dotted)]`` for every
-    present attribute OID, and the PrintableString/UTF8String partial
-    masks the ``ps``/``utf8`` scopes assemble.  Sets ``DUP_OID`` when an
-    OID repeats and, on the subject's CommonName bucket, ``EXTRA_CN``
-    for >1 CommonName; the subject's CommonName values, in order, go to
-    ``masks["_cns"]``.  Adds the side's family keys to ``families``.
-
-    The issuer side of a parsed certificate is a function of its
-    received bytes, so its entries and family keys come from
-    :data:`_ISSUER_WALKS`; on a hit the issuer ``Name`` is not read.
-    """
-    if side == "s":
-        _walk_name(cert.subject, masks, side, families)
-        return
-    der = cert._issuer_der
-    if der is None:  # built, or ``issuer`` reassigned
-        _walk_name(cert.issuer, masks, side, families)
-        return
-    walked = _ISSUER_WALKS.get(der)
-    if walked is None:
-        side_masks: dict = {}
-        side_families: set = set()
-        _walk_name(cert.issuer, side_masks, side, side_families)
-        walked = (tuple(side_masks.items()), frozenset(side_families))
-        _ISSUER_WALKS[der] = walked
-    masks.update(walked[0])
-    families.update(walked[1])
-
-
-def _walk_name(name_obj, masks: dict, side: str, families: set) -> None:
-    """The DN walk of :func:`_walk_side` over one decoded ``Name``."""
-    mask = 0
-    ps = 0
-    u8 = 0
-    common_names = []
-    spec_bits = _SPEC_BITS
-    attrs = name_obj.attributes()
-    # ``s*``/``i*`` mirror ``not name.is_empty``, the DN lints' applies():
-    # a DN of empty RDNs has no attributes yet is not empty.
-    if name_obj.rdns:
-        families.add(FAMILY_SUBJECT_ANY if side == "s" else FAMILY_ISSUER_ANY)
-    for attr in attrs:
-        spec_name = attr.spec.name
-        value = attr.value
-        am = scan_mask(value) | spec_bits.get(spec_name, _SPEC_OTHER)
-        if not attr.decode_ok:
-            am |= DECODE_BAD
-        elif spec_name == "UTF8String":
-            u8 |= SCOPE_NONEMPTY
-        if not value and not attr.raw:
-            am |= _EMPTY_NORAW
-        dotted = attr.oid.dotted
-        oid_key = (side, dotted)
-        families.add(oid_key)
-        families.add(("spec", spec_name))
-        prev = masks.get(oid_key)
-        if prev is None:
-            masks[oid_key] = am
-        else:
-            masks[oid_key] = prev | am
-            mask |= _DUP_OID
-        if spec_name == "PrintableString":
-            ps |= am
-        elif spec_name == "UTF8String":
-            u8 |= am
-        if dotted == _CN_DOTTED:
-            common_names.append(value)
-        mask |= am
-    if side == "s":
-        if len(common_names) > 1:
-            masks[(side, _CN_DOTTED)] |= _EXTRA_CN
-        masks["_cns"] = common_names
-    masks["subject" if side == "s" else "issuer"] = mask
-    masks["_ps_" + side] = ps
-    masks["_u8_" + side] = u8
-
-
-def walk_fields(cert, masks: dict) -> frozenset:
-    """The certificate's family signature; fills ``masks`` on the way.
-
-    Each field is walked once for both the signature and the scope
-    masks: both DNs and the CA payload slots fill their mask entries
-    and family keys, and one loop over each of the SAN and the IAN
-    buckets its GeneralNames by kind (``masks["_san"]``/
-    ``masks["_ian"]``: kind -> names) and adds the kinds' family keys;
-    ``masks["_san_names"]`` keeps the SAN's names (``None`` when no SAN
-    decodes), so no scope reads ``cert.san`` again.
-    The DNS-name list and its A-labels (``masks["_dns_names"]``/
-    ``masks["_xn_labels"]``) give the ``dns``/``xn`` families.  The
-    scope functions read these entries, so ``masks`` must start empty
-    for the run and pass through here before :func:`resolve_scope`.
-    """
-    present: set = set()
-    _walk_side(cert, masks, "s", present)
-    _walk_side(cert, masks, "i", present)
-    walk_payloads(cert, masks, present)
-    for source, family, general_names in (
-        ("san", FAMILY_SAN_PRESENT, cert.san),
-        ("ian", FAMILY_IAN_PRESENT, cert.ian),
-    ):
-        by_kind: dict = {}
-        if general_names is not None:
-            present.add(family)
-            names = general_names.names
-            for gn in names:
-                bucket = by_kind.get(gn.kind)
-                if bucket is None:
-                    by_kind[gn.kind] = [gn]
-                else:
-                    bucket.append(gn)
-            for kind in by_kind:
-                present.add((source, int(kind)))
-            if source == "san":
-                masks["_san_names"] = names
-        elif source == "san":
-            masks["_san_names"] = None
-        masks["_" + source] = by_kind
-    dns_names = masks["_dns_names"] = _dns_names(
-        [gn.value for gn in masks["_san"].get(_DNS_KIND, ())], masks["_cns"]
-    )
-    labels = masks["_xn_labels"] = _alabels(dns_names)
-    if dns_names:
-        present.add(FAMILY_DNS)
-        if labels:
-            present.add(FAMILY_XN)
-    return frozenset(present)
-
-
-def _aia_entries(aia) -> tuple:
-    return (("aia_uris", _access_mask(aia)),)
-
-
-def _sia_entries(sia) -> tuple:
-    return (("sia_uris", _access_mask(sia)),)
-
-
-def _access_mask(ia) -> int:
-    """The URI accessLocations of an AIA/SIA view."""
-    mask = 0
-    if ia is not None:
-        uri_kind = GeneralNameKind.URI
-        for description in ia.descriptions:
-            gn = description.location
-            if gn.kind is uri_kind:
-                mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
-                if not gn.decode_ok:
-                    mask |= DECODE_BAD
+def _gn_mask(general_names, value_fn) -> int:
+    """Union mask over GeneralNames (+NONEMPTY, +DECODE_BAD per failure)."""
+    if not general_names:
+        return 0
+    mask = SCOPE_NONEMPTY
+    for gn in general_names:
+        mask |= value_fn(gn.value)
+        if not gn.decode_ok:
+            mask |= DECODE_BAD
     return mask
 
 
+def _access_entries(ia, scope: str) -> tuple:
+    """The URI accessLocations of an AIA/SIA view."""
+    mask = 0
+    if ia is not None:
+        for description in ia.descriptions:
+            gn = description.location
+            if gn.kind is _URI_KIND:
+                mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
+                if not gn.decode_ok:
+                    mask |= DECODE_BAD
+    return ((scope, mask),)
+
+
 def _crldp_entries(dps) -> tuple:
-    """The ``crldp`` mask and the CRLDP half of ``uris_scheme``."""
+    """The ``crldp`` mask and the CRLDP part of ``uris_scheme``."""
     mask = 0
     uris = 0
     if dps is not None:
-        uri_kind = GeneralNameKind.URI
         for point in dps.points:
             mask |= _gn_mask(point.full_names, scan_mask)
             for gn in point.full_names:
-                if gn.kind is uri_kind:
+                if gn.kind is _URI_KIND:
                     uris |= _uri_shape_mask(gn.value) | SCOPE_NONEMPTY
-    return (("crldp", mask), ("_uris_crldp", uris))
+    return (("crldp", mask), ("crldp_uris", uris))
 
 
 def _cp_entries(policies) -> tuple:
@@ -610,234 +553,126 @@ def _cp_entries(policies) -> tuple:
     return (("cp_text", text_mask), ("cps_uris", uri_mask))
 
 
-#: The CA-stamped payload slots: extension OID -> (slot, presence
-#: family, view -> mask entries).
-_PAYLOAD_SLOTS = {
-    VIEWS[slot][0].dotted: (slot, family, entries)
-    for slot, family, entries in (
-        ("aia", FAMILY_AIA, _aia_entries),
-        ("sia", FAMILY_SIA, _sia_entries),
-        ("crldp", FAMILY_CRLDP, _crldp_entries),
-        ("cp", FAMILY_CP, _cp_entries),
-    )
-}
-#: Every mask key a payload walk fills, zero while its slot is absent.
-_PAYLOAD_ZEROS = {
-    "aia_uris": 0,
-    "sia_uris": 0,
-    "crldp": 0,
-    "_uris_crldp": 0,
-    "cp_text": 0,
-    "cps_uris": 0,
-}
+#: The CA-stamped payload slots, in a fixed order: ``(view slot, presence
+#: family, view -> (primitive scope, mask) pairs)``.
+_PAYLOAD_SLOTS = (
+    ("aia", FAMILY_AIA, lambda view: _access_entries(view, "aia_uris")),
+    ("sia", FAMILY_SIA, lambda view: _access_entries(view, "sia_uris")),
+    ("crldp", FAMILY_CRLDP, _crldp_entries),
+    ("cp", FAMILY_CP, _cp_entries),
+)
 
 
-def walk_payloads(cert, masks: dict, families: set) -> None:
-    """Fill the AIA/SIA/CRLDP/CP scope masks; collect presence families.
+def _walk_name(name_obj, tables, spec_families, slots) -> tuple[int, list]:
+    """OR one DN into ``slots``; return its family bits and CommonNames.
 
-    One pass over ``cert.extensions`` finds each slot's extension (the
-    first per OID, as :meth:`Certificate.get_extension` does).  Whether
-    its payload decodes and the slot's masks are a function of the
-    payload bytes, kept in :data:`_PAYLOADS`, so the view is decoded
-    only on a miss (or when a lint or accessor reads it).
+    ``tables`` is one side's :attr:`CompiledPlan._subject`/``_issuer``:
+    the side's ``s*``/``i*`` bit, its per-OID family bits and slots, and
+    its whole-side, PrintableString and UTF8String slots.  Sets
+    ``DUP_OID`` on the whole side when an OID repeats, whether or not a
+    lint names that OID.
     """
-    masks.update(_PAYLOAD_ZEROS)
-    found: dict = {}
-    slots = _PAYLOAD_SLOTS
-    for ext in cert.extensions:
-        entry = slots.get(ext.oid.dotted)
-        if entry is not None and entry[0] not in found:
-            found[entry[0]] = (entry, ext.value_der)
-    for (slot, family, entries), value_der in found.values():
-        key = (slot, value_der)
-        record = _PAYLOADS.get(key)
-        if record is None:
-            view = cert._view(slot)[0]
-            record = _PAYLOADS[key] = (view is not None, entries(view))
-        decodes, slot_masks = record
-        masks.update(slot_masks)
-        if decodes:
-            families.add(family)
+    any_bit, oid_bits, oid_slots, whole, ps_slot, u8_slot = tables
+    # ``s*``/``i*`` mirror ``not name.is_empty``, the DN lints' applies():
+    # a DN of empty RDNs has no attributes yet is not empty.
+    bits = any_bit if name_obj.rdns else 0
+    mask = ps = u8 = 0
+    seen = set()
+    common_names = []
+    string_masks = _STRING_MASKS
+    spec_atoms = _SPEC_BITS
+    for rdn in name_obj.rdns:
+        for attr in rdn.attributes:
+            spec_name = attr.spec.name
+            value = attr.value
+            am = string_masks.get(value)
+            if am is None:
+                am = scan_mask(value)
+            am |= spec_atoms.get(spec_name, _SPEC_OTHER)
+            if not attr.decode_ok:
+                am |= DECODE_BAD
+            elif spec_name == "UTF8String":
+                u8 |= SCOPE_NONEMPTY
+            if not value and not attr.raw:
+                am |= _EMPTY_NORAW
+            dotted = attr.oid.dotted
+            bits |= oid_bits.get(dotted, 0) | spec_families.get(spec_name, 0)
+            if dotted in seen:
+                mask |= _DUP_OID
+            else:
+                seen.add(dotted)
+            slot = oid_slots.get(dotted)
+            if slot is not None:
+                slots[slot] |= am
+            if spec_name == "PrintableString":
+                ps |= am
+            elif spec_name == "UTF8String":
+                u8 |= am
+            if dotted == _CN_DOTTED:
+                common_names.append(value)
+            mask |= am
+    slots[whole] |= mask
+    slots[ps_slot] |= ps
+    slots[u8_slot] |= u8
+    return bits, common_names
 
 
-def _filled(key: str):
-    """The scope fn of a mask key :func:`walk_fields` always fills."""
+def _walk_general_names(names, tables, slots) -> tuple[int, int, int, int]:
+    """OR one SAN's or IAN's names into their kind slots.
 
-    def fn(cert, masks):
-        return masks[key]
-
-    return fn
-
-
-def _scope_dns(cert, masks):
-    mask = 0
-    for dns_name in masks["_dns_names"]:
-        mask |= _dns_shape_mask(dns_name)
-    masks["dns"] = mask
-    return mask
-
-
-def _scope_xn(cert, masks):
-    mask = 0
-    for label in masks["_xn_labels"]:
-        mask |= _xn_label_mask(label)
-    masks["xn"] = mask
-    return mask
-
-
-def _gn_mask(general_names, value_fn) -> int:
-    """Union mask over GeneralNames (+NONEMPTY, +DECODE_BAD per failure)."""
-    if not general_names:
-        return 0
-    mask = SCOPE_NONEMPTY
-    for gn in general_names:
-        mask |= value_fn(gn.value)
-        if not gn.decode_ok:
-            mask |= DECODE_BAD
-    return mask
-
-
-def _kind_scope(key: str, source: str, kind, value_fn):
-    """The scope fn and family of one SAN/IAN GeneralName kind bucket."""
-    bucket = "_" + source
-
-    def fn(cert, masks):
-        mask = masks[key] = _gn_mask(masks[bucket].get(kind), value_fn)
-        return mask
-
-    return fn, {(source, int(kind))}
-
-
-def _get(scope, cert, masks):
-    mask = masks.get(scope)
-    if mask is None:
-        mask = SCOPES[scope][0](cert, masks)
-    return mask
-
-
-def _union(key: str, left: str, right: str):
-    """The scope fn of ``left | right``: scopes or filled mask keys."""
-
-    def fn(cert, masks):
-        mask = masks[key] = _get(left, cert, masks) | _get(right, cert, masks)
-        return mask
-
-    return fn
-
-
-def _scope_san_entries(cert, masks):
-    names = masks["_san_names"]
-    mask = 0
-    if names is not None:
-        if not names:
-            mask |= _SAN_NO_NAMES
-        dns_kind = GeneralNameKind.DNS_NAME
-        email_kind = GeneralNameKind.RFC822_NAME
-        uri_kind = GeneralNameKind.URI
-        for gn in names:
-            kind = gn.kind
-            if kind is uri_kind:
-                mask |= _SAN_HAS_URI
-            if (
-                kind is dns_kind or kind is email_kind or kind is uri_kind
-            ) and gn.value == "":
-                mask |= _SAN_EMPTY_ENTRY
-    masks["san_entries"] = mask
-    return mask
-
-
-def _scope_cn_san(cert, masks):
-    """``CN_NOT_IN_SAN`` unless every subject CN is a verbatim SAN value.
-
-    A verbatim member is the first thing the CN-in-SAN check accepts, so
-    a clear bit proves it passes; only a CN that needs the case-folded
-    or IDNA comparison (or has no match) runs the check.
+    ``tables`` is :attr:`CompiledPlan._san`/``_ian``: the family bit of
+    each GeneralName kind, then the DNSName, rfc822Name, URI, mailbox
+    and ``san_entries`` slots.  Returns ``(family bits, DNSName bucket
+    mask, dns shape mask, xn mask)``: the last two are the ``dns`` and
+    ``xn`` contributions of the DNSNames, from one
+    :func:`dns_name_facts` entry per name.
     """
-    names = masks["_san_names"]
-    values = [gn.value for gn in names] if names is not None else []
-    mask = 0
-    for cn in masks["_cns"]:
-        if cn not in values:
-            mask = _CN_NOT_IN_SAN
-            break
-    masks["cn_san"] = mask
-    return mask
-
-
-def _scope_smtp(cert, masks):
-    """The SmtpUTF8Mailbox otherName values of the SAN and the IAN."""
-    mask = 0
-    kind = GeneralNameKind.OTHER_NAME
-    for by_kind in (masks["_san"], masks["_ian"]):
-        for gn in by_kind.get(kind, ()):
-            if gn.other_name_oid == OID_ON_SMTP_UTF8_MAILBOX:
-                mask |= scan_mask(gn.value) | SCOPE_NONEMPTY
-    masks["smtp"] = mask
-    return mask
-
-
-_EMAIL_KIND = GeneralNameKind.RFC822_NAME
-_URI_KIND = GeneralNameKind.URI
-_OTHER_NAME = int(GeneralNameKind.OTHER_NAME)
-_SAN_EMAIL, _IAN_EMAIL = ("san", int(_EMAIL_KIND)), ("ian", int(_EMAIL_KIND))
-_SAN_URI, _IAN_URI = ("san", int(_URI_KIND)), ("ian", int(_URI_KIND))
-
-#: Every named scope: ``(walker, family keys)``.  The family keys are
-#: the certificate fields a scoped lint can apply to: a row is live only
-#: on a certificate whose family signature (:func:`walk_fields`) holds
-#: one of them, and ``None`` makes it live on every certificate.  A
-#: tuple scope ``(side, oid_dotted)`` is not listed: it is its own
-#: family key.
-SCOPES = {
-    name: (fn, None if keys is None else frozenset(keys))
-    for name, (fn, keys) in {
-        "subject": (_filled("subject"), {FAMILY_SUBJECT_ANY}),
-        "issuer": (_filled("issuer"), {FAMILY_ISSUER_ANY}),
-        "dn": (_union("dn", "subject", "issuer"), None),
-        "ps": (_union("ps", "_ps_s", "_ps_i"), {("spec", "PrintableString")}),
-        "utf8": (_union("utf8", "_u8_s", "_u8_i"), {("spec", "UTF8String")}),
-        "dns": (_scope_dns, {FAMILY_DNS}),
-        "xn": (_scope_xn, {FAMILY_XN}),
-        "san_dns": _kind_scope("san_dns", "san", _DNS_KIND, scan_mask),
-        "san_email": _kind_scope("san_email", "san", _EMAIL_KIND, _email_shape_mask),
-        "san_uri": _kind_scope("san_uri", "san", _URI_KIND, _uri_shape_mask),
-        "ian_dns": _kind_scope("ian_dns", "ian", _DNS_KIND, scan_mask),
-        "ian_email": _kind_scope("ian_email", "ian", _EMAIL_KIND, _email_shape_mask),
-        "ian_uri": _kind_scope("ian_uri", "ian", _URI_KIND, _uri_shape_mask),
-        "email_all": (
-            _union("email_all", "san_email", "ian_email"),
-            {_SAN_EMAIL, _IAN_EMAIL},
-        ),
-        "uri_all": (_union("uri_all", "san_uri", "ian_uri"), {_SAN_URI, _IAN_URI}),
-        "uris_scheme": (
-            _union("uris_scheme", "uri_all", "_uris_crldp"),
-            {FAMILY_CRLDP, _SAN_URI, _IAN_URI},
-        ),
-        "crldp": (_filled("crldp"), {FAMILY_CRLDP}),
-        "aia_uris": (_filled("aia_uris"), {FAMILY_AIA}),
-        "sia_uris": (_filled("sia_uris"), {FAMILY_SIA}),
-        "cp_text": (_filled("cp_text"), {FAMILY_CP}),
-        "cps_uris": (_filled("cps_uris"), {FAMILY_CP}),
-        "san_entries": (_scope_san_entries, {FAMILY_SAN_PRESENT}),
-        "cn_san": (_scope_cn_san, {("s", _CN_DOTTED)}),
-        "smtp": (_scope_smtp, {("san", _OTHER_NAME), ("ian", _OTHER_NAME)}),
-    }.items()
-}
-
-
-def resolve_scope(scope, cert, masks: dict) -> int:
-    """Compute (and memoize in ``masks``) one scope's mask for a cert.
-
-    ``masks`` is the memo :func:`walk_fields` filled for ``cert``.
-    Named scopes dispatch through :data:`SCOPES`; tuple scopes
-    ``(side, oid_dotted)`` are the per-OID DN buckets of that walk
-    (absent OIDs resolve to 0, though the family gate means the runner
-    only asks for OIDs that are present).
-    """
-    entry = SCOPES.get(scope)
-    if entry is not None:
-        return entry[0](cert, masks)
-    return masks.setdefault(scope, 0)
+    kind_bits, dns_slot, email_slot, uri_slot, smtp_slot, entries_slot = tables
+    bits = dns = shape = xn = email = uri = smtp = entries = 0
+    for gn in names:
+        kind = gn.kind
+        bits |= kind_bits[kind]
+        value = gn.value
+        if kind is _DNS_KIND:
+            facts = _DNS_NAMES.get(value) or dns_name_facts(value)
+            shape |= facts[0]
+            dns |= facts[1]
+            xn |= facts[2]
+            if not gn.decode_ok:
+                dns |= DECODE_BAD
+            if not value:
+                entries |= _SAN_EMPTY_ENTRY
+        elif kind is _EMAIL_KIND:
+            value_mask = _EMAIL_MASKS.get(value)
+            if value_mask is None:
+                value_mask = _email_shape_mask(value)
+            email |= value_mask | SCOPE_NONEMPTY
+            if not gn.decode_ok:
+                email |= DECODE_BAD
+            if not value:
+                entries |= _SAN_EMPTY_ENTRY
+        elif kind is _URI_KIND:
+            value_mask = _URI_MASKS.get(value)
+            if value_mask is None:
+                value_mask = _uri_shape_mask(value)
+            uri |= value_mask | SCOPE_NONEMPTY
+            entries |= _SAN_HAS_URI
+            if not gn.decode_ok:
+                uri |= DECODE_BAD
+            if not value:
+                entries |= _SAN_EMPTY_ENTRY
+        elif kind is _OTHER_KIND:
+            oid = gn.other_name_oid
+            if oid is not None and oid.dotted == _SMTP_DOTTED:
+                smtp |= _mailbox_mask(gn)
+    if not names:
+        entries = _SAN_NO_NAMES
+    slots[dns_slot] |= dns
+    slots[email_slot] |= email
+    slots[uri_slot] |= uri
+    slots[smtp_slot] |= smtp
+    slots[entries_slot] |= entries
+    return bits, dns, shape, xn
 
 
 # ---------------------------------------------------------------------------
@@ -850,29 +685,31 @@ def resolve_scope(scope, cert, masks: dict) -> int:
 class ScanSpec:
     """A lint's kernel and applicability: scope, trigger atoms, mode.
 
-    ``mode`` is :data:`APPLIES_EXACT` (``applies()`` is True whenever the
-    scope's families are present) or :data:`APPLIES_NONEMPTY` (it also
-    needs the scope's ``SCOPE_NONEMPTY`` bit).  ``trigger`` is the
-    atoms' bits as one mask; ``families`` comes from the scope's
-    :data:`SCOPES` entry (a tuple scope is its own family key).  An
-    unknown scope, atom name or mode raises ``ValueError``, so a typo
-    fails at ``import repro.lint`` (an unknown scope would otherwise
-    resolve to an empty mask and the lint would always PASS).
+    ``mode`` is :data:`APPLIES_EXACT` (``applies()`` is True whenever one
+    of the scope's families is present) or :data:`APPLIES_NONEMPTY` (it
+    also needs the scope's ``SCOPE_NONEMPTY`` bit).  ``trigger`` is the
+    atoms' bits as one mask; ``families`` and ``primitives`` come from
+    the scope's :data:`SCOPES` entry (a tuple scope is its own family
+    key and primitive scope).  An unknown scope, atom name or mode
+    raises ``ValueError``, so a typo fails at ``import repro.lint`` (an
+    unknown scope would otherwise read an empty mask and the lint would
+    always PASS).
     """
 
     scope: object
     atoms: tuple[str, ...]
     mode: int = APPLIES_EXACT
     trigger: int = field(init=False, repr=False)
-    families: frozenset | None = field(init=False, repr=False)
+    families: tuple | None = field(init=False, repr=False)
+    primitives: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         scope = self.scope
         entry = SCOPES.get(scope)
         if entry is not None:
-            families = entry[1]
+            families, primitives = entry
         elif isinstance(scope, tuple) and len(scope) == 2 and scope[0] in ("s", "i"):
-            families = frozenset({scope})
+            families = primitives = (scope,)
         else:
             raise ValueError(f"unknown scope {scope!r}")
         unknown = [atom for atom in self.atoms if atom not in BIT_BY_NAME]
@@ -885,6 +722,7 @@ class ScanSpec:
             trigger |= BIT_BY_NAME[atom]
         object.__setattr__(self, "trigger", trigger)
         object.__setattr__(self, "families", families)
+        object.__setattr__(self, "primitives", primitives)
 
 
 def spec_trigger(allowed_names) -> tuple[str, ...] | None:
@@ -912,8 +750,8 @@ def spec_trigger(allowed_names) -> tuple[str, ...] | None:
 #: Cap on the live-row sets and verdict templates one plan memoizes.
 #: Keys repeat heavily (a few dozen templates cover a corpus), so the
 #: cap only bounds a pathological stream; a full memo flushes and
-#: refills.  Both memos full cost about 18 MiB (a live-row set ~3.4 KiB
-#: with its signature, a template ~1.2 KiB).
+#: refills.  Both memos full cost about 10 MiB (a live-row set ~1.5 KiB,
+#: a template ~0.9 KiB with its key).
 _TEMPLATE_MEMO_MAX = 1 << 12
 
 
@@ -921,19 +759,29 @@ class LiveRows(NamedTuple):
     """The rows of a plan that a family signature leaves live.
 
     ``rows`` holds the plan's own ``entries`` rows that stay live, in
-    registration order (shared, not copied).  ``scope_bits`` pairs each
-    distinct live scope (first-use order) with the bits its rows read:
-    their triggers, plus ``SCOPE_NONEMPTY`` when an ``APPLIES_NONEMPTY``
-    row uses the scope.
+    registration order (shared, not copied).  ``slots`` lists each slot
+    a live row reads, in first-use order, and ``bits`` the bits those
+    rows read from it: their triggers, plus ``SCOPE_NONEMPTY`` when an
+    ``APPLIES_NONEMPTY`` row reads the slot.  A union scope's row reads
+    each of its primitive slots.  ``select`` maps a :meth:`scan` slot
+    list to the tuple of its ``slots`` masks.
     """
 
-    signature: frozenset
     rows: tuple
-    scope_bits: tuple
+    slots: tuple
+    bits: tuple
+    select: object
+
+
+def _selector(slots: tuple):
+    """A callable picking ``slots`` out of a slot list, as a tuple."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda masks: tuple(masks[slot] for slot in slots)
 
 
 class Template(NamedTuple):
-    """A memoized report skeleton for one (signature, scope masks) key.
+    """A memoized report skeleton for one (signature, slot masks) key.
 
     ``static`` holds the ordered PASS results of every row the masks
     settle.  ``dynamic`` lists ``(position, lint, passed)`` for each row
@@ -950,46 +798,247 @@ class CompiledPlan:
     """Registration-ordered dispatch rows for one lint schedule.
 
     ``entries`` holds one row per lint of the schedule, in its order:
-    ``(lint, families, scope, trigger, mode)``, read from the lint's
-    :class:`ScanSpec`.  An unscoped row (``scan=None``) carries neither
-    families nor a scope, so the runner runs its ``check()`` on every
-    certificate; result order is registration order either way.
+    ``(lint, family mask, slots, trigger, mode)``, compiled from the
+    lint's :class:`ScanSpec`.  Compiling gives every family key some
+    row names one bit of the integer signature, and every primitive
+    scope some row reads one slot, both in registration order, so a
+    forked or spawned worker compiles the same numbering.  A row's
+    family mask is the OR of its families' bits (``None``: live on
+    every certificate) and its slots are its scope's primitive scopes.
+    An unscoped row (``scan=None``) has no slots, so the runner runs its
+    ``check()`` on every certificate; result order is registration
+    order either way.
 
-    Two memos sit on top of the rows (see DESIGN.md, compiled dispatch):
-    :meth:`live_rows` per family signature and :meth:`template` per
-    signature and projected scope-mask tuple.  Both share the rows and
-    one PASS result per lint name (``passed``) rather than copying them.
+    :meth:`scan` is the one pass over a certificate's fields that
+    yields ``(signature, slot masks)``.  Four memos sit beside the rows
+    (see DESIGN.md §12): the issuer DN and CA payload facts of
+    :meth:`scan` by received bytes, :meth:`live_rows` per signature and
+    :meth:`template` per signature and projected slot masks.  The last
+    two share the rows and one PASS result per lint name (``passed``)
+    rather than copying them.
     """
 
     __slots__ = (
         "entries",
         "passed",
+        "compiled_names",
+        "family_bits",
+        "slot_of",
+        "_size",
+        "_subject",
+        "_issuer",
+        "_spec_families",
+        "_extra_cn_slot",
+        "_payload_slots",
+        "_san",
+        "_ian",
+        "_san_present",
+        "_ian_present",
+        "_dns_bit",
+        "_xn_bit",
+        "_dns_slot",
+        "_xn_slot",
+        "_cn_san_slot",
+        "_issuers",
+        "_payloads",
         "_live",
         "_templates",
-        "compiled_names",
     )
 
     def __init__(self, lints):
+        family_bits: dict = {}
+        slot_of: dict = {}
         rows = []
         compiled = []
         for lint in lints:
             spec = lint.scan
             if spec is None:
-                rows.append((lint, None, None, 0, APPLIES_EXACT))
-            else:
-                rows.append((lint, spec.families, spec.scope, spec.trigger, spec.mode))
-                compiled.append(lint.metadata.name)
+                rows.append((lint, None, (), 0, APPLIES_EXACT))
+                continue
+            families = None
+            if spec.families is not None:
+                families = 0
+                for key in spec.families:
+                    families |= family_bits.setdefault(key, 1 << len(family_bits))
+            slots = tuple(slot_of.setdefault(name, len(slot_of)) for name in spec.primitives)
+            rows.append((lint, families, slots, spec.trigger, spec.mode))
+            compiled.append(lint.metadata.name)
         self.entries = tuple(rows)
         self.passed = {
             lint.metadata.name: LintResult(lint.metadata, LintStatus.PASS)
             for lint in lints
         }
         self.compiled_names = frozenset(compiled)
+        self.family_bits = family_bits
+        self.slot_of = slot_of
+        self._compile_pass()
+        self._issuers = ProcessMemo(_CONTENT_MEMO_MAX)
+        self._payloads = ProcessMemo(_CONTENT_MEMO_MAX)
         self._live = ProcessMemo(_TEMPLATE_MEMO_MAX)
         self._templates = ProcessMemo(_TEMPLATE_MEMO_MAX)
 
-    def live_rows(self, signature: frozenset) -> LiveRows:
-        """The rows whose families intersect ``signature`` (memoized).
+    def _compile_pass(self) -> None:
+        """The tables :meth:`scan` reads.
+
+        A primitive scope no row reads writes to one spare slot past the
+        last, which nothing reads, and a family key no row names has no
+        bit: ``live_rows`` only intersects the signature with row
+        family masks, so the dropped keys could not change it.
+        """
+        bits = self.family_bits
+        slot_of = self.slot_of
+        spare = len(slot_of)
+        self._size = spare + 1
+
+        def slot(name) -> int:
+            return slot_of.get(name, spare)
+
+        def side(tag: str, whole: str, any_key: str) -> tuple:
+            return (
+                bits.get(any_key, 0),
+                {key[1]: bit for key, bit in bits.items() if key[:1] == (tag,)},
+                {key[1]: index for key, index in slot_of.items() if key[:1] == (tag,)},
+                slot(whole),
+                slot(whole + "_ps"),
+                slot(whole + "_utf8"),
+            )
+
+        def source(tag: str, entries_slot: int) -> tuple:
+            return (
+                tuple(bits.get((tag, int(kind)), 0) for kind in GeneralNameKind),
+                slot(tag + "_dns"),
+                slot(tag + "_email"),
+                slot(tag + "_uri"),
+                slot("smtp"),
+                entries_slot,
+            )
+
+        self._subject = side("s", "subject", FAMILY_SUBJECT_ANY)
+        self._issuer = side("i", "issuer", FAMILY_ISSUER_ANY)
+        self._spec_families = {
+            key[1]: bit for key, bit in bits.items() if key[:1] == ("spec",)
+        }
+        self._extra_cn_slot = slot(("s", _CN_DOTTED))
+        self._payload_slots = {
+            VIEWS[view][0].dotted: (view, 1 << order, bits.get(family, 0), entries)
+            for order, (view, family, entries) in enumerate(_PAYLOAD_SLOTS)
+        }
+        self._san = source("san", slot("san_entries"))
+        self._ian = source("ian", spare)
+        self._san_present = bits.get(FAMILY_SAN_PRESENT, 0)
+        self._ian_present = bits.get(FAMILY_IAN_PRESENT, 0)
+        self._dns_bit = bits.get(FAMILY_DNS, 0)
+        self._xn_bit = bits.get(FAMILY_XN, 0)
+        self._dns_slot = slot("dns")
+        self._xn_slot = slot("xn")
+        self._cn_san_slot = slot("cn_san")
+
+    def _packed(self, entries) -> tuple:
+        """``(slot, mask)`` updates for ``(primitive scope, mask)`` pairs,
+        keeping the nonzero masks of slots some row reads."""
+        slot_of = self.slot_of
+        return tuple(
+            (slot_of[name], mask) for name, mask in entries if mask and name in slot_of
+        )
+
+    def scan(self, cert) -> tuple[int, list]:
+        """One pass over ``cert``'s fields: ``(signature, slot masks)``.
+
+        The signature has a bit set for every family key present on
+        ``cert`` that some row names; ``slots[plan.slot_of[scope]]`` is
+        the mask of a primitive scope.  The walk reads the subject's
+        attributes, the issuer's facts (by its received bytes, from
+        ``_issuers``), each CA payload's facts (by its bytes, from
+        ``_payloads``), then one loop over the SAN's and one over the
+        IAN's names; the DNS names (SAN DNSNames and DNS-shaped subject
+        CNs) give ``dns``/``xn`` from one memo entry per name.  Nothing
+        is stored on the certificate.
+        """
+        slots = [0] * self._size
+        signature, common_names = _walk_name(
+            cert.subject, self._subject, self._spec_families, slots
+        )
+        if len(common_names) > 1:
+            slots[self._extra_cn_slot] |= _EXTRA_CN
+        der = cert._issuer_der
+        if der is None:  # built, or ``issuer`` reassigned
+            signature |= _walk_name(cert.issuer, self._issuer, self._spec_families, slots)[0]
+        else:
+            record = self._issuers.get(der)
+            if record is None:
+                walked = [0] * self._size
+                bits = _walk_name(cert.issuer, self._issuer, self._spec_families, walked)[0]
+                updates = tuple((slot, mask) for slot, mask in enumerate(walked) if mask)
+                record = self._issuers[der] = (bits, updates)
+            signature |= record[0]
+            for slot, mask in record[1]:
+                slots[slot] |= mask
+        signature |= self._scan_payloads(cert, slots)
+
+        san = cert.san
+        dns = shape = xn = 0
+        values = ()
+        if san is not None:
+            names = san.names
+            bits, dns, shape, xn = _walk_general_names(names, self._san, slots)
+            signature |= self._san_present | bits
+            if common_names:
+                values = [gn.value for gn in names]
+        ian = cert.ian
+        if ian is not None:
+            signature |= self._ian_present | _walk_general_names(ian.names, self._ian, slots)[0]
+        for cn in common_names:
+            if cn not in values:
+                slots[self._cn_san_slot] |= _CN_NOT_IN_SAN
+            if dns_shaped(cn):
+                facts = _DNS_NAMES.get(cn) or dns_name_facts(cn)
+                dns |= SCOPE_NONEMPTY
+                shape |= facts[0]
+                xn |= facts[2]
+        if dns:
+            signature |= self._dns_bit
+            slots[self._dns_slot] |= shape
+            if xn:
+                signature |= self._xn_bit
+                slots[self._xn_slot] |= xn
+        return signature, slots
+
+    def _scan_payloads(self, cert, slots) -> int:
+        """OR the AIA/SIA/CRLDP/CP facts into ``slots``; return their
+        presence bits.
+
+        The first extension per OID counts, as in
+        :meth:`Certificate.get_extension`.  Whether its payload decodes
+        and its masks are a function of its bytes, kept in
+        ``_payloads``, so the view is decoded only on a miss (or when a
+        lint or accessor reads it).
+        """
+        signature = 0
+        done = 0
+        table = self._payload_slots
+        for ext in cert.extensions:
+            entry = table.get(ext.oid.dotted)
+            if entry is None:
+                continue
+            view, order, family, entries = entry
+            if done & order:
+                continue
+            done |= order
+            key = (view, ext.value_der)
+            record = self._payloads.get(key)
+            if record is None:
+                decoded = cert._view(view)[0]
+                record = self._payloads[key] = (
+                    0 if decoded is None else family,
+                    self._packed(entries(decoded)),
+                )
+            signature |= record[0]
+            for slot, mask in record[1]:
+                slots[slot] |= mask
+        return signature
+
+    def live_rows(self, signature: int) -> LiveRows:
+        """The rows whose family masks meet ``signature`` (memoized).
 
         A row whose families are all absent has ``applies()`` False —
         the NA result a report drops — so leaving it out is exact.
@@ -1000,40 +1049,49 @@ class CompiledPlan:
         rows = []
         bits: dict = {}
         for row in self.entries:
-            _lint, families, scope, trigger, mode = row
-            if families is not None and families.isdisjoint(signature):
+            _lint, families, slots, trigger, mode = row
+            if families is not None and not families & signature:
                 continue
             rows.append(row)
-            if scope is not None:
-                read = trigger | SCOPE_NONEMPTY if mode == APPLIES_NONEMPTY else trigger
-                bits[scope] = bits.get(scope, 0) | read
-        live = LiveRows(signature, tuple(rows), tuple(bits.items()))
+            read = trigger | SCOPE_NONEMPTY if mode == APPLIES_NONEMPTY else trigger
+            for slot in slots:
+                bits[slot] = bits.get(slot, 0) | read
+        slots = tuple(bits)
+        live = LiveRows(tuple(rows), slots, tuple(bits.values()), _selector(slots))
         self._live[signature] = live
         return live
 
-    def template(self, live: LiveRows, masks: tuple) -> Template:
-        """The report skeleton for ``live`` under projected scope ``masks``.
+    def template(self, signature: int, slots: list) -> Template:
+        """The report skeleton for a :meth:`scan` result.
 
-        ``masks`` pairs with ``live.scope_bits``: each scope's mask ANDed
-        with its read bits.  The masks alone settle applicability: a live
-        ``APPLIES_EXACT`` row applies, and an ``APPLIES_NONEMPTY`` row
-        applies iff its scope's ``SCOPE_NONEMPTY`` bit is set, else it is
-        the dropped NA whether or not its trigger fired.  An applicable
-        row with a clear trigger is PASS; a fired trigger or a missing
-        scope runs the lint's ``check()``.
+        The key is the signature and each live slot's mask ANDed with
+        the bits live rows read from it.  The masks alone settle
+        applicability: a live ``APPLIES_EXACT`` row applies, and an
+        ``APPLIES_NONEMPTY`` row applies iff its scope's
+        ``SCOPE_NONEMPTY`` bit is set, else it is the dropped NA whether
+        or not its trigger fired.  An applicable row with a clear
+        trigger is PASS; a fired trigger or an unscoped row runs the
+        lint's ``check()``.  A union scope's mask is the OR of its
+        slots' projected masks, each of which keeps every bit the row
+        reads.
         """
-        key = (live.signature, masks)
+        live = self._live.get(signature)
+        if live is None:
+            live = self.live_rows(signature)
+        key = (signature, tuple(map(and_, live.select(slots), live.bits)))
         template = self._templates.get(key)
         if template is not None:
             return template
-        scope_masks = {scope: mask for (scope, _), mask in zip(live.scope_bits, masks)}
+        projected = dict(zip(live.slots, key[1]))
         pass_results = self.passed
         static = []
         dynamic = []
-        for lint, _families, scope, trigger, mode in live.rows:
+        for lint, _families, row_slots, trigger, mode in live.rows:
             passed = pass_results[lint.metadata.name]
-            if scope is not None:
-                mask = scope_masks[scope]
+            if row_slots:
+                mask = 0
+                for slot in row_slots:
+                    mask |= projected[slot]
                 if mode == APPLIES_NONEMPTY and not mask & SCOPE_NONEMPTY:
                     continue
                 if not mask & trigger:

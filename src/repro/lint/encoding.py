@@ -35,7 +35,7 @@ from ..asn1.oid import (
     OID_USER_ID,
 )
 from ..x509.certificate import Certificate
-from ..x509.general_name import GeneralNameKind
+from ..x509.general_name import GeneralNameKind, mailbox_encoding_problem
 from .compiled import APPLIES_NONEMPTY, ScanSpec
 from .framework import (
     CABF_BR_DATE,
@@ -435,16 +435,10 @@ def _smtp_utf8_names(cert: Certificate):
 
 
 def _check_smtp_utf8_is_utf8(cert: Certificate) -> tuple[bool, str]:
-    from ..asn1.der import node_child, node_content, parse_node
-
     for gn in _smtp_utf8_names(cert):
-        try:
-            inner = node_child(parse_node(gn.raw, strict=False), 0)
-            if inner[0].number != 12:
-                return False, f"SmtpUTF8Mailbox uses tag {inner[0].number}, MUST be UTF8String"
-            node_content(gn.raw, inner).decode("utf-8")
-        except Exception as exc:
-            return False, f"SmtpUTF8Mailbox not valid UTF-8: {exc}"
+        problem = mailbox_encoding_problem(gn.raw)
+        if problem is not None:
+            return False, problem
     return True, ""
 
 
@@ -459,8 +453,7 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_smtp_utf8_names(cert)),
     check=_check_smtp_utf8_is_utf8,
-    # Every mailbox runs the check: its trigger is the scope being nonempty.
-    scan=ScanSpec("smtp", ("SCOPE_NONEMPTY",), APPLIES_NONEMPTY),
+    scan=ScanSpec("smtp", ("SMTP_NOT_UTF8",), APPLIES_NONEMPTY),
 )
 
 
@@ -485,8 +478,7 @@ register_lint(
     new=True,
     applies=lambda cert: bool(_smtp_utf8_names(cert)),
     check=_check_smtp_utf8_not_ascii_only,
-    # Every mailbox runs the check: its trigger is the scope being nonempty.
-    scan=ScanSpec("smtp", ("SCOPE_NONEMPTY",), APPLIES_NONEMPTY),
+    scan=ScanSpec("smtp", ("SMTP_ASCII_LOCAL",), APPLIES_NONEMPTY),
 )
 
 

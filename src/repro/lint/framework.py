@@ -337,9 +337,9 @@ class RegistryIndex:
     every certificate of a run.  Two scheduling shortcuts live here:
 
     * **Family buckets** — each lint's scope names the field families it
-      can apply to (``ScanSpec.families``); the plan intersects that
-      against the certificate's present-family set and skips whole
-      families with one ``isdisjoint`` call.  Skipping is exact: family
+      can apply to (``ScanSpec.families``); the plan gives each family
+      one bit and tests a row's family mask against the certificate's
+      integer signature with one ``&``.  Skipping is exact: family
       absent ⇒ ``applies()`` False ⇒ the NA result the report would
       have dropped anyway.
     * **Effective-date bisect** — the distinct effective dates are
@@ -384,7 +384,8 @@ class RegistryIndex:
 
 
 #: Entry cap of :data:`_INDEX_MEMO`.  Each index holds a compiled plan
-#: whose two memos reach ~18 MiB when full, so only a handful are kept.
+#: whose four memos reach ~29 MiB when full (templates ~10, issuer and
+#: payload facts ~19), so only a handful are kept.
 _INDEX_MEMO_MAX = 8
 
 #: Index memo keyed by the exact lint tuple (tuple equality falls back to

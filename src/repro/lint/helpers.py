@@ -7,11 +7,12 @@ from typing import Callable, Iterable
 from ..asn1.strings import IA5_STRING, PRINTABLE_STRING, StringSpec, UTF8_STRING
 from ..asn1.oid import ObjectIdentifier
 from ..uni import punycode
+from ..uni.dns import is_xn_label
 from ..uni.errors import PunycodeError
 from ..x509.certificate import Certificate
 from ..x509.general_name import GeneralName, GeneralNameKind
 from ..x509.name import AttributeTypeAndValue
-from .compiled import ScanSpec, all_dns_names, spec_trigger, xn_labels
+from .compiled import ScanSpec, dns_shaped, spec_trigger
 from .framework import (
     FunctionLint,
     LintMetadata,
@@ -50,9 +51,30 @@ def describe_chars(chars: Iterable[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Field extractors.  ``all_dns_names`` and ``xn_labels`` are imported from
-# :mod:`repro.lint.compiled`, whose family signature is built from them.
+# Field extractors.  ``all_dns_names`` takes the same names as the ``dns``
+# scope of the compiled field pass (SAN DNSNames and the CNs
+# :func:`~repro.lint.compiled.dns_shaped` accepts).
 # ---------------------------------------------------------------------------
+
+
+def all_dns_names(cert: Certificate) -> list[str]:
+    """Distinct DNSNames in SAN plus DNS-shaped CommonNames, in order."""
+    san = cert.san
+    names = san.dns_names() if san is not None else []
+    names += [cn for cn in cert.subject_common_names if dns_shaped(cn)]
+    # A CN repeated in the SAN (the CA/B-mandated layout) must not yield
+    # the name twice — per-name lint messages would double-count it.
+    return list(dict.fromkeys(names))
+
+
+def xn_labels(cert: Certificate) -> list[str]:
+    """All ``xn--`` (A-label) DNS labels across the cert's DNS names."""
+    return [
+        label
+        for dns_name in all_dns_names(cert)
+        for label in dns_name.split(".")
+        if is_xn_label(label)
+    ]
 
 
 def subject_attrs(cert: Certificate, oid: ObjectIdentifier) -> list[AttributeTypeAndValue]:

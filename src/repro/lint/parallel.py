@@ -364,7 +364,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
     3. **sink** folds each report into the per-shard
        :class:`CorpusSummary` (tallied once), appends its output, and
        with ``collect_facts`` pairs that tally with the certificate's
-       shard offset and its facts, read off the lint pass's masks, for
+       shard offset and its facts, read off the lint's field pass, for
        the windowed fold — in record order.
 
     The stages do the same work as a record-at-a-time loop; running
@@ -413,6 +413,7 @@ def lint_shard(task: ShardTask) -> ShardResult:
     certs = nbytes = 0
     try:
         lints, index = _worker_schedule()
+        plan = index.compiled_plan()
         records = enumerate(_shard_records(task))
         start, cstart = wall(), cpu()
         while chunk := list(islice(records, SHARD_BLOCK)):
@@ -424,11 +425,11 @@ def lint_shard(task: ShardTask) -> ShardResult:
                 except DECODE_ERRORS as exc:
                     failures.append((offset, unparseable_message(exc)))
                     continue
-                # The last item is the lint pass's masks memo, which
-                # ``cert_facts`` reads in the sink stage.
-                block.append((offset, cert, issued_at, {}))
+                block.append((offset, cert, issued_at))
                 block_bytes += len(der)
             decoded, cdecoded = wall(), cpu()
+            # The field pass is kept: ``cert_facts`` reads it in the sink stage.
+            scans = [plan.scan(cert) for _, cert, _ in block]
             reports = [
                 run_lints(
                     cert,
@@ -436,18 +437,18 @@ def lint_shard(task: ShardTask) -> ShardResult:
                     lints=lints,
                     respect_effective_dates=respect,
                     index=index,
-                    masks=masks,
+                    scan=scan,
                 )
-                for _, cert, issued_at, masks in block
+                for (_, cert, issued_at), scan in zip(block, scans)
             ]
             linted, clinted = wall(), cpu()
-            for (offset, cert, _, masks), report in zip(block, reports):
+            for (offset, cert, _), scan, report in zip(block, scans, reports):
                 counts = tally(report)
                 summary.add_tally(counts)
                 if outputs is not None:
                     outputs.append(report if render is None else render(report, cert))
                 if facts is not None:
-                    facts.append((offset, counts, cert_facts(cert, masks)))
+                    facts.append((offset, counts, cert_facts(cert, plan, scan)))
             sunk, csunk = wall(), cpu()
             decode_w += decoded - start
             decode_c += cdecoded - cstart

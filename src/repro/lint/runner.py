@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from ..x509.certificate import Certificate
-from .compiled import resolve_scope, walk_fields
 from .framework import (
     Lint,
     LintResult,
@@ -187,39 +186,31 @@ def run_lints(
     lints: Sequence[Lint] | None = None,
     respect_effective_dates: bool = True,
     index: RegistryIndex | None = None,
-    masks: dict | None = None,
+    scan: tuple[int, list] | None = None,
 ) -> CertificateReport:
     """Run every lint (or a subset) against one certificate.
 
     Dispatches through the compiled plan of a :class:`RegistryIndex`
-    (:mod:`repro.lint.compiled`).  The certificate's family signature
-    (:func:`~repro.lint.compiled.walk_fields`) selects the live rows;
-    each live scope's strings are scanned once into a char-class
-    bitmask, memoized for the run in one ``masks`` dict; and the
-    signature plus those masks select a memoized verdict template: the
-    PASS results of every row the masks settle, and the few rows whose
-    ``check()`` still runs.  The report is that skeleton with the
-    dynamic results spliced in; no lint's ``applies()`` is called, and
-    nothing is stored on the certificate.  Pass an empty ``masks`` dict
-    to keep the run's memo afterwards (the window facts of
-    :func:`repro.engine.windows.cert_facts` are read from it).  The test-only oracle this
-    must agree with, report for report, is
+    (:mod:`repro.lint.compiled`).  One pass over the certificate's
+    fields (:meth:`~repro.lint.compiled.CompiledPlan.scan`) yields its
+    integer family signature and its slot masks; those select a
+    memoized verdict template: the PASS results of every row the masks
+    settle, and the few rows whose ``check()`` still runs.  The report
+    is that skeleton with the dynamic results spliced in; no lint's
+    ``applies()`` is called, and nothing is stored on the certificate.
+    Pass ``scan``, the plan's pass over ``cert`` made beforehand, to
+    reuse it (the window facts of
+    :func:`repro.engine.windows.cert_facts` read the same pass).  The
+    test-only oracle this must agree with, report for report, is
     :func:`repro.lint.reference.reference_run_lints`.  Pass a prebuilt
     ``index`` (matching ``lints``) to skip the per-call memo lookup.
     """
     if index is None:
         index = index_for(tuple(lints) if lints is not None else REGISTRY.snapshot())
     plan = index.compiled_plan()
-    if masks is None:
-        masks = {}
-    live = plan.live_rows(walk_fields(cert, masks))
-    key = []
-    for scope, bits in live.scope_bits:
-        mask = masks.get(scope)
-        if mask is None:
-            mask = resolve_scope(scope, cert, masks)
-        key.append(mask & bits)
-    static, dynamic = plan.template(live, tuple(key))
+    if scan is None:
+        scan = plan.scan(cert)
+    static, dynamic = plan.template(*scan)
     if not dynamic:
         return CertificateReport.from_template(static, ())
     ran = []

@@ -12,8 +12,10 @@ from ..asn1.der import (
     element_node,
     encode_oid,
     explicit,
+    node_child,
     node_content,
     node_oid,
+    parse_node,
     to_element,
 )
 from ..asn1.errors import ASN1Error, DERDecodeError
@@ -44,6 +46,25 @@ _KINDS = {int(kind): kind for kind in GeneralNameKind}
 IA5_KINDS = frozenset(
     {GeneralNameKind.RFC822_NAME, GeneralNameKind.DNS_NAME, GeneralNameKind.URI}
 )
+
+
+def mailbox_encoding_problem(raw) -> str | None:
+    """Why a SmtpUTF8Mailbox payload is not a UTF8String, or ``None``.
+
+    ``raw`` is the otherName's ``[0] EXPLICIT`` value as
+    :meth:`GeneralName.from_node` keeps it.  RFC 9598 Section 3 makes
+    the mailbox a UTF8String: this is the one definition the mailbox
+    lint reports and the compiled ``smtp`` scope's ``SMTP_NOT_UTF8``
+    bit reads.
+    """
+    try:
+        inner = node_child(parse_node(raw, strict=False), 0)
+        if inner[0].number != 12:
+            return f"SmtpUTF8Mailbox uses tag {inner[0].number}, MUST be UTF8String"
+        node_content(raw, inner).decode("utf-8")
+    except Exception as exc:
+        return f"SmtpUTF8Mailbox not valid UTF-8: {exc}"
+    return None
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """``cert_facts``: the Figure 4 Unicode columns, read off the lint pass.
 
-The non-ASCII predicate is a pair of ``str`` methods rather than a
+The non-ASCII predicate is a pair of scan-mask atoms rather than a
 per-character loop; it is checked here against the loop over every code
-point.  ``cert_facts`` reads the columns from the per-certificate
-``masks`` a lint pass fills; it is checked against a plain per-field
+point.  ``cert_facts`` reads the columns from the slot masks of the
+compiled field pass; it is checked against a plain per-field
 extraction over the certificate's views, on generated corpora and on
 certificates whose SAN or CertificatePolicies fail to decode, both when
-it walks the fields itself and when the masks come from ``run_lints``
+it scans the fields itself and when the pass comes from ``run_lints``
 or the shard worker.
 """
 
@@ -27,7 +27,9 @@ from repro.asn1.oid import (
     OID_STATE_OR_PROVINCE,
 )
 from repro.ct.corpus import CorpusGenerator
-from repro.engine.windows import CertFacts, _has_non_ascii, cert_facts
+from repro.engine.windows import _NOT_PRINTABLE_ASCII, CertFacts, cert_facts
+from repro.lint.compiled import char_mask, scan_mask
+from repro.lint.framework import REGISTRY, index_for
 from repro.lint.runner import run_lints
 from repro.lint.parallel import ShardTask, lint_shard
 from repro.x509.builder import CertificateBuilder
@@ -42,6 +44,11 @@ from repro.x509.extensions import (
 )
 from repro.x509.general_name import GeneralName
 from repro.x509.keys import generate_keypair
+
+
+def _has_non_ascii(text: str) -> bool:
+    """The predicate ``cert_facts`` reads off a string's scan mask."""
+    return bool(scan_mask(text) & _NOT_PRINTABLE_ASCII)
 
 
 def _loop_has_non_ascii(text: str) -> bool:
@@ -81,7 +88,7 @@ def test_predicate_matches_the_loop_on_every_code_point():
     mismatches = [
         cp
         for cp in range(0x110000)
-        if _has_non_ascii(chr(cp)) != (not 0x20 <= cp <= 0x7E)
+        if bool(char_mask(chr(cp)) & _NOT_PRINTABLE_ASCII) != (not 0x20 <= cp <= 0x7E)
     ]
     assert mismatches == []
 
@@ -170,10 +177,11 @@ def test_facts_from_the_lint_pass_match_the_reference(seed):
     expected = [_reference_cert_facts(cert) for cert in certs]
     assert [cert_facts(cert) for cert in certs] == expected
     from_pass = []
+    plan = index_for(REGISTRY.snapshot()).compiled_plan()
     for cert in certs:
-        masks: dict = {}
-        run_lints(cert, masks=masks)
-        from_pass.append(cert_facts(cert, masks))
+        scan = plan.scan(cert)
+        run_lints(cert, scan=scan)
+        from_pass.append(cert_facts(cert, plan, scan))
     assert from_pass == expected
     columns = {column for fact in expected for column in fact.unicode_fields}
     assert columns == {"CN", "CertificatePolicies", "DNSName", "L", "O", "OU", "ST"}

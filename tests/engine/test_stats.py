@@ -174,6 +174,7 @@ class TestStatsThreadedThroughRuns:
         assert set(seconds) == {"ingest", "decode", "lint", "sink"}
         assert stats.timings.certs == 4
         assert stats.timings.items["lint"] == 4
+        assert stats.timings.items["sink"] == 4
         assert sum(stats.shard_sizes) == 4
         assert stats.jobs == 1
 
@@ -200,6 +201,8 @@ class TestStatsThreadedThroughRuns:
         assert "decode" not in wall and "lint" not in wall
         assert {"decode", "lint", "sink"} <= set(cpu)
         assert stats.timings.certs == 4
+        # The parent's merge of the two shard results adds no items.
+        assert stats.timings.items["sink"] == 4
 
 
 class TestCliStatsFlag:
@@ -211,6 +214,12 @@ class TestCliStatsFlag:
         assert "lint:" in captured.err
         # stdout keeps the parity-tested report format untouched.
         assert "engine stats:" not in captured.out
+
+    def test_lint_sink_counts_the_one_certificate(self, tmp_path, capsys):
+        path, _cert = write_cert(tmp_path)
+        assert main(["lint", path, "--stats"]) == 0
+        sink = [line for line in capsys.readouterr().err.splitlines() if "sink:" in line]
+        assert len(sink) == 1 and sink[0].endswith("(1 item)")
 
     def test_lint_without_stats_keeps_stderr_empty(self, tmp_path, capsys):
         path, _cert = write_cert(tmp_path)

@@ -87,14 +87,14 @@ class TestScanMask:
 
 class TestShapeMasks:
     def test_dns_shape_bits(self):
-        assert C._dns_shape_mask("a" * 64 + ".com") & bit("DNS_LABEL_GT_63")
-        assert C._dns_shape_mask("a..b") & bit("DNS_EMPTY_LABEL")
-        assert C._dns_shape_mask("-f.com") & bit("DNS_HYPHEN_EDGE")
-        assert C._dns_shape_mask("f-.com") & bit("DNS_HYPHEN_EDGE")
+        assert C.dns_name_facts("a" * 64 + ".com")[0] & bit("DNS_LABEL_GT_63")
+        assert C.dns_name_facts("a..b")[0] & bit("DNS_EMPTY_LABEL")
+        assert C.dns_name_facts("-f.com")[0] & bit("DNS_HYPHEN_EDGE")
+        assert C.dns_name_facts("f-.com")[0] & bit("DNS_HYPHEN_EDGE")
         long_name = ".".join(["a" * 63] * 5)
-        assert C._dns_shape_mask(long_name) & bit("DNS_NAME_GT_253")
+        assert C.dns_name_facts(long_name)[0] & bit("DNS_NAME_GT_253")
         # A single trailing dot is a root label, not an empty label.
-        clean = C._dns_shape_mask("example.com.")
+        clean = C.dns_name_facts("example.com.")[0]
         for name in (
             "DNS_LABEL_GT_63",
             "DNS_NAME_GT_253",

@@ -25,6 +25,7 @@ from repro.asn1.oid import (
     OID_ORGANIZATION_NAME,
 )
 from repro.lint import compiled
+from repro.lint.framework import REGISTRY, RegistryIndex, index_for
 from repro.lint.runner import run_lints
 from repro.lint.reference import reference_run_lints
 from repro.memo import ProcessMemo
@@ -50,10 +51,16 @@ KEY = generate_keypair(seed=29)
 WHEN = dt.datetime(2024, 6, 1)
 
 
+def plan():
+    """The default schedule's compiled plan, which holds the issuer and
+    payload memos of its field pass."""
+    return index_for(REGISTRY.snapshot()).compiled_plan()
+
+
 def clear_content_memos():
     certificate_module._DECODED_ISSUERS.clear()
-    compiled._ISSUER_WALKS.clear()
-    compiled._PAYLOADS.clear()
+    plan()._issuers.clear()
+    plan()._payloads.clear()
 
 
 def shape(report):
@@ -68,12 +75,12 @@ def decoded(der):
         return ("error", type(exc).__name__, str(exc), getattr(exc, "offset", None))
 
 
-def lint_outcome(der):
+def lint_outcome(der, index=None):
     """Decode then lint ``der`` with whatever the memos hold now."""
     result = decoded(der)
     if result[0] == "error":
         return result
-    return ("ok", shape(run_lints(result[1], issued_at=WHEN)))
+    return ("ok", shape(run_lints(result[1], issued_at=WHEN, index=index)))
 
 
 def oracle_outcome(der):
@@ -175,9 +182,9 @@ class TestMisses:
         lint_outcome(parent)
         cert = Certificate.from_der(child)
         assert cert._issuer is not None  # decoded eagerly: a miss
-        assert cert._issuer_der not in compiled._ISSUER_WALKS
+        assert cert._issuer_der not in plan()._issuers
         assert shape(run_lints(cert, issued_at=WHEN)) == oracle_outcome(child)[1]
-        assert cert._issuer_der in compiled._ISSUER_WALKS
+        assert cert._issuer_der in plan()._issuers
         assert cert.issuer.get(OID_ORGANIZATION_NAME) == ["Memo CB"]
 
     def test_repeated_issuer_defers_the_decode(self):
@@ -193,9 +200,9 @@ class TestMisses:
         parent = ca_cert(uri="http://ca.example/a.crt")
         child = ca_cert(uri="http://ca.example/ä.crt")
         lint_outcome(parent)
-        before = set(compiled._PAYLOADS)
+        before = set(plan()._payloads)
         assert lint_outcome(child) == oracle_outcome(child)
-        added = set(compiled._PAYLOADS) - before
+        added = set(plan()._payloads) - before
         assert [slot for slot, _payload in added] == ["aia"]
 
 
@@ -252,15 +259,16 @@ class TestBoundedMemos:
 
     def test_distinct_issuers_and_payloads_stay_bounded_and_exact(self, monkeypatch):
         monkeypatch.setattr(certificate_module, "_DECODED_ISSUERS", ProcessMemo(self.CAP))
-        monkeypatch.setattr(compiled, "_ISSUER_WALKS", ProcessMemo(self.CAP))
-        monkeypatch.setattr(compiled, "_PAYLOADS", ProcessMemo(self.CAP))
+        monkeypatch.setattr(compiled, "_CONTENT_MEMO_MAX", self.CAP)
+        index = RegistryIndex(REGISTRY.snapshot())
+        capped = index.compiled_plan()
         ders = [
             ca_cert(org=f"Flood CA {i}", uri=f"http://ca{i}.example/ü.crt")
             for i in range(4 * self.CAP)
         ]
         for _round in range(2):
             for der in ders:
-                assert lint_outcome(der) == oracle_outcome(der)
+                assert lint_outcome(der, index) == oracle_outcome(der)
                 assert len(certificate_module._DECODED_ISSUERS) <= self.CAP
-                assert len(compiled._ISSUER_WALKS) <= self.CAP
-                assert len(compiled._PAYLOADS) <= self.CAP
+                assert len(capped._issuers) <= self.CAP
+                assert len(capped._payloads) <= self.CAP

@@ -14,8 +14,21 @@ restatements of their lint's predicate, so a clear bit proves PASS:
   undecodable SAN and no SAN;
 * ``NOT_NFC`` over the ``smtp`` scope (the SmtpUTF8Mailbox NFC lint):
   an NFC mailbox in the SAN or the IAN runs no row of that lint, and a
-  non-NFC one fires with the oracle's details.
+  non-NFC one fires with the oracle's details;
+* ``SMTP_NOT_UTF8``/``SMTP_ASCII_LOCAL`` over the ``smtp`` scope (the
+  other two mailbox lints): each lint's row runs iff its check fails,
+  over every inner string tag, ASCII and non-ASCII local parts, in the
+  SAN and the IAN;
+* ``MIXED_CONFUSABLE`` (the mixed-script confusable lint) must equal
+  :func:`repro.uni.confusables.mixed_script_confusable` over every DN
+  value of the seed corpora and the fuzz witnesses, and over generated
+  mixed-script strings.
 """
+
+import base64
+import functools
+import json
+import pathlib
 
 import datetime as dt
 
@@ -26,13 +39,19 @@ from repro.asn1.oid import OID_EXT_SAN, OID_ORGANIZATION_NAME
 from repro.lint import compiled
 from repro.lint.runner import run_lints
 from repro.lint.character import _leading_ws, _trailing_ws
+from repro.ct.corpus import CorpusGenerator
 from repro.lint.compiled import CompiledPlan
+from repro.lint.framework import REGISTRY, index_for
 from repro.lint.reference import reference_run_lints
+from repro.uni.confusables import CONFUSABLE_MAP, mixed_script_confusable
 from repro.uni.normalization import is_nfc
 from repro.x509.builder import CertificateBuilder
 from repro.x509.certificate import Certificate
 from repro.x509.extensions import Extension, issuer_alt_name, subject_alt_name
-from repro.x509.general_name import GeneralName
+from repro.x509.general_name import GeneralName, GeneralNameKind
+from repro.asn1.der import Element, explicit
+from repro.asn1.oid import OID_ON_SMTP_UTF8_MAILBOX
+from repro.asn1.tags import Tag
 from repro.x509.keys import generate_keypair
 
 from ..hypothesis_profiles import examples
@@ -42,6 +61,8 @@ WHEN = dt.datetime(2024, 5, 1)
 LEAD_WS = compiled.PSEUDO_BITS["LEAD_WS"]
 TRAIL_WS = compiled.PSEUDO_BITS["TRAIL_WS"]
 NOT_NFC = compiled.PSEUDO_BITS["NOT_NFC"]
+MIXED_CONFUSABLE = compiled.PSEUDO_BITS["MIXED_CONFUSABLE"]
+WITNESS_DIR = pathlib.Path(__file__).resolve().parents[2] / "fuzz" / "witnesses"
 
 
 def _fresh_mask(text: str) -> int:
@@ -255,9 +276,9 @@ def test_cn_san_bit_is_verbatim_membership():
     for cns, names, fires in cases:
         san = None if names is None else subject_alt_name(*names)
         cert = Certificate.from_der(_cn_cert(cns, san))
-        masks: dict = {}
-        compiled.walk_fields(cert, masks)
-        assert bool(compiled._scope_cn_san(cert, masks)) == fires, cns
+        plan = index_for(REGISTRY.snapshot()).compiled_plan()
+        _signature, slots = plan.scan(cert)
+        assert bool(slots[plan.slot_of["cn_san"]]) == fires, cns
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +286,11 @@ def test_cn_san_bit_is_verbatim_membership():
 # ---------------------------------------------------------------------------
 
 MAILBOX_NFC = "e_smtp_utf8_mailbox_not_nfc"
-#: The other two mailbox lints trigger on a nonempty scope: every
-#: mailbox still runs their checks.
-MAILBOX_EVERY = {"e_smtp_utf8_mailbox_not_utf8string", "e_smtp_utf8_mailbox_ascii_only"}
+MAILBOX_NOT_UTF8 = "e_smtp_utf8_mailbox_not_utf8string"
+MAILBOX_ASCII = "e_smtp_utf8_mailbox_ascii_only"
+#: The other two mailbox lints: their exact kernels settle a mailbox
+#: that is a UTF8String with a non-ASCII local part.
+MAILBOX_EVERY = {MAILBOX_NOT_UTF8, MAILBOX_ASCII}
 
 
 def _mailbox_cert(mailboxes, ian: bool = False) -> bytes:
@@ -291,8 +314,8 @@ def _dynamic_names(der: bytes, monkeypatch) -> set:
     seen = []
     original = CompiledPlan.template
 
-    def spy(self, live, masks):
-        template = original(self, live, masks)
+    def spy(self, signature, slots):
+        template = original(self, signature, slots)
         seen.append(template)
         return template
 
@@ -308,7 +331,7 @@ def test_nfc_mailbox_runs_no_nfc_row(monkeypatch):
         der = _mailbox_cert(["j\u00fcrgen@b\u00fccher.example"], ian)
         dynamic = _dynamic_names(der, monkeypatch)
         assert MAILBOX_NFC not in dynamic
-        assert MAILBOX_EVERY <= dynamic
+        assert not MAILBOX_EVERY & dynamic
         _assert_matches_oracle(der)
 
 
@@ -328,3 +351,139 @@ def test_non_nfc_mailbox_fires_like_the_oracle(monkeypatch):
 )
 def test_mailbox_reports_match_the_oracle(local, ian):
     _assert_matches_oracle(_mailbox_cert([part + "@example.com" for part in local], ian))
+
+
+# ---------------------------------------------------------------------------
+# SmtpUTF8Mailbox encoding and ASCII local part
+# ---------------------------------------------------------------------------
+
+
+def _tagged_mailbox(value: str, tag: int, payload: bytes | None = None) -> GeneralName:
+    """A mailbox otherName whose inner string carries ``tag`` (and
+    ``payload`` as its content octets, when given)."""
+    content = value.encode("utf-8") if payload is None else payload
+    return GeneralName(
+        kind=GeneralNameKind.OTHER_NAME,
+        value=value,
+        raw=explicit(0, Element.primitive(Tag.universal(tag), content)).encode(),
+        other_name_oid=OID_ON_SMTP_UTF8_MAILBOX,
+    )
+
+
+def _names_cert(names, ian: bool) -> bytes:
+    builder = (
+        CertificateBuilder()
+        .subject_cn("mail.example.com", PRINTABLE_STRING)
+        .not_before(WHEN)
+    )
+    dns = GeneralName.dns("mail.example.com")
+    if ian:
+        builder.add_extension(subject_alt_name(dns))
+        builder.add_extension(issuer_alt_name(*names))
+    else:
+        builder.add_extension(subject_alt_name(dns, *names))
+    return builder.sign(KEY).to_der()
+
+
+def _runs(der: bytes) -> set:
+    """The mailbox lints whose rows the default plan's template runs."""
+    plan = index_for(REGISTRY.snapshot()).compiled_plan()
+    _static, dynamic = plan.template(*plan.scan(Certificate.from_der(der)))
+    return {lint.metadata.name for _, lint, _ in dynamic} & MAILBOX_EVERY
+
+
+def _failing(der: bytes) -> set:
+    cert = Certificate.from_der(der)
+    return {
+        name
+        for name in MAILBOX_EVERY
+        if not REGISTRY.get(name).check(cert)[0]
+    }
+
+
+MAILBOXES = st.tuples(
+    st.sampled_from(["", "ops", "j\u00fcrgen", "\u4e2d", "a\u0301", "x y"]),
+    st.sampled_from(["@example.org", "@b\u00fccher.example", "", "@"]),
+    st.sampled_from([12, 22, 19, 30, 4]),
+    st.sampled_from([None, b"\xff\xfe", b"ops@example.org"]),
+)
+
+
+@settings(deadline=None, max_examples=examples(150))
+@given(mailboxes=st.lists(MAILBOXES, min_size=1, max_size=3), ian=st.booleans())
+def test_mailbox_rows_run_iff_their_checks_fail(mailboxes, ian):
+    names = [
+        _tagged_mailbox(local + domain, tag, payload)
+        for local, domain, tag, payload in mailboxes
+    ]
+    der = _names_cert(names, ian)
+    assert _runs(der) == _failing(der)
+    _assert_matches_oracle(der)
+
+
+def test_named_mailbox_cases():
+    for value, tag, payload, fails in (
+        ("j\u00fcrgen@example.org", 12, None, set()),
+        ("ops@example.org", 12, None, {MAILBOX_ASCII}),
+        ("j\u00fcrgen@example.org", 22, None, {MAILBOX_NOT_UTF8}),
+        ("j\u00fcrgen@example.org", 12, b"j\xfcrgen@example.org", {MAILBOX_NOT_UTF8}),
+        ("@example.org", 12, None, set()),
+    ):
+        for ian in (False, True):
+            der = _names_cert([_tagged_mailbox(value, tag, payload)], ian)
+            assert _failing(der) == fails, value
+            assert _runs(der) == fails, value
+            _assert_matches_oracle(der)
+
+
+# ---------------------------------------------------------------------------
+# Mixed-script confusables
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _dn_values() -> list[str]:
+    """Every subject and issuer value of the seed corpora and witnesses."""
+    ders = [
+        record.certificate.to_der()
+        for seed in (1, 7, 2025)
+        for record in CorpusGenerator(seed=seed, scale=0.00002).generate().records
+    ]
+    ders += [
+        base64.b64decode(json.loads(path.read_text())["der_b64"])
+        for path in sorted(WITNESS_DIR.glob("cell-*.json"))
+    ]
+    values = set()
+    for der in ders:
+        try:
+            cert = Certificate.from_der(der)
+        except Exception:  # noqa: BLE001 - unparseable witnesses hold no DN
+            continue
+        for name in (cert.subject, cert.issuer):
+            values.update(attr.value for attr in name.attributes())
+    return sorted(values)
+
+
+def test_mixed_confusable_bit_equals_the_predicate_on_corpus_values():
+    values = _dn_values()
+    wrong = [
+        value
+        for value in values
+        if bool(_fresh_mask(value) & MIXED_CONFUSABLE) != mixed_script_confusable(value)
+    ]
+    assert wrong == []
+    assert any(mixed_script_confusable(value) for value in values)
+
+
+MIXED_TEXT = st.lists(
+    st.sampled_from(sorted(CONFUSABLE_MAP))
+    | st.sampled_from(list("aZéßİ ._-1\u0301"))
+    | st.characters(max_codepoint=0x2FFF, blacklist_categories=("Cs",)),
+    max_size=8,
+).map("".join)
+
+
+@settings(deadline=None, max_examples=examples(400))
+@given(text=MIXED_TEXT)
+def test_mixed_confusable_bit_equals_the_predicate(text):
+    assert bool(_fresh_mask(text) & MIXED_CONFUSABLE) == mixed_script_confusable(text)

@@ -13,6 +13,7 @@ never serve stale memoized views.
 """
 
 import datetime as dt
+import functools
 
 import pytest
 
@@ -23,13 +24,7 @@ from repro.engine.pipeline import run_corpus
 from repro.lint.framework import REGISTRY, FunctionLint
 from repro.lint.runner import run_lints, summarize
 from repro.lint.serialization import summary_to_json
-from repro.lint.compiled import (
-    APPLIES_NONEMPTY,
-    SCOPE_NONEMPTY,
-    ScanSpec,
-    resolve_scope,
-    walk_fields,
-)
+from repro.lint.compiled import CompiledPlan, ScanSpec
 from repro.lint.reference import reference_run_lints
 from repro.x509.builder import CertificateBuilder
 from repro.x509.certificate import Certificate
@@ -60,18 +55,18 @@ def derived_applicability(lint, cert: Certificate) -> bool:
     Read from the lint's ``ScanSpec`` alone, as the compiled plan reads
     it: one of the scope's families is in the certificate's signature
     and, for ``APPLIES_NONEMPTY``, the scope's ``SCOPE_NONEMPTY`` bit is
-    set.  An unscoped lint applies everywhere.
+    set.  A plan of the one lint derives it: the lint is in the verdict
+    template (as a PASS or a row that runs) iff it applies, and an
+    unscoped lint is in every template.
     """
-    spec = lint.scan
-    if spec is None:
-        return True
-    masks: dict = {}
-    signature = walk_fields(cert, masks)
-    if spec.families is not None and spec.families.isdisjoint(signature):
-        return False
-    if spec.mode == APPLIES_NONEMPTY:
-        return bool(resolve_scope(spec.scope, cert, masks) & SCOPE_NONEMPTY)
-    return True
+    plan = _one_lint_plan(lint)
+    static, dynamic = plan.template(*plan.scan(cert))
+    return bool(static) or bool(dynamic)
+
+
+@functools.cache
+def _one_lint_plan(lint) -> CompiledPlan:
+    return CompiledPlan((lint,))
 
 
 def applicability_mismatches(lints, ders) -> list:

@@ -1,7 +1,7 @@
 """Verdict templates: the memoized report skeletons of the compiled plan.
 
 ``run_lints`` builds each report from a template keyed by the family
-signature and the projected scope masks (:meth:`CompiledPlan.template`),
+signature and the projected slot masks (:meth:`CompiledPlan.template`),
 running only the rows the template leaves dynamic.  These tests pin it
 to the oracle under random schedules, effective-date cut points and
 registrations, and check that shared template state cannot leak between
@@ -223,18 +223,18 @@ class TestMemoCap:
 
     def test_synthetic_key_flood_stays_at_cap(self, index):
         plan = index.compiled_plan()
-        signature = compiled.walk_fields(Certificate.from_der(DERS[0]), {})
-        live = plan.live_rows(signature)
-        padding = (0,) * (len(live.scope_bits) - 1)
+        signature, slots = plan.scan(Certificate.from_der(DERS[0]))
+        spare = len(plan.family_bits)
         for value in range(64):
-            masks = (value,) + padding
-            built = plan.template(live, masks)
+            # A bit no row names: the same rows, a distinct key.
+            flooded = signature | 1 << (spare + value)
+            built = plan.template(flooded, slots)
             assert len(plan._templates) <= self.CAP
             # A full memo flushes and keeps caching: the key just built
             # is a hit, the very same object.
-            assert plan.template(live, masks) is built
+            assert plan.template(flooded, slots) is built
         for value in range(64):
-            signature = frozenset({("s", f"1.2.3.{value}")})
+            signature = 1 << value
             built = plan.live_rows(signature)
             assert len(plan._live) <= self.CAP
             assert plan.live_rows(signature) is built
